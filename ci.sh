@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Offline CI gate: format, build, tier-1 tests, smoke benches (perf,
-# trace, robustness, portfolio, sweep, serve).
+# Offline CI gate: format, clippy, benchmark-harness check, build, tier-1
+# tests, smoke benches (perf, trace, robustness, portfolio, sweep, serve).
 # The workspace is hermetic (no registry deps), so everything here runs
 # with no network access. Mirrors .github/workflows/ci.yml.
 set -euo pipefail
@@ -11,6 +11,9 @@ cargo fmt --all --check
 
 echo "== cargo clippy -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
+
+echo "== benchmark harness still compiles against the library API"
+cargo check --offline --locked --all-targets --manifest-path benchmark/Cargo.toml
 
 echo "== tier-1: cargo build --release"
 cargo build --workspace --release --offline

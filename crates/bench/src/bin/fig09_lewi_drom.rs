@@ -11,7 +11,7 @@
 
 use tlb_apps::micropp::{micropp_workload, MicroPpConfig};
 use tlb_bench::{run_traced, Effort, Experiment, Point};
-use tlb_core::{BalanceConfig, DromPolicy, Platform, Preset};
+use tlb_core::{BalanceConfig, Platform, PolicySpec};
 use tlb_des::SimTime;
 
 fn main() {
@@ -23,38 +23,22 @@ fn main() {
     let wl = micropp_workload(&mcfg);
     let platform = Platform::mn4(4);
 
-    let configs: Vec<(&str, BalanceConfig)> = vec![
-        ("baseline", {
-            let mut c = BalanceConfig::preset(Preset::Offload {
-                degree: 2,
-                drom: DromPolicy::Off,
-            });
-            c.lewi = false;
-            c
-        }),
+    // The four series are four registry policies at degree 2.
+    let configs: Vec<(&str, BalanceConfig)> = [
+        ("baseline", "baseline"),
+        ("lewi", "lewi"),
+        ("drom", "drom-global"),
+        ("lewi+drom", "lewi+drom-global"),
+    ]
+    .into_iter()
+    .map(|(name, policy)| {
+        let spec = PolicySpec::named(policy).expect("paper policies are registered");
         (
-            "lewi",
-            BalanceConfig::preset(Preset::Offload {
-                degree: 2,
-                drom: DromPolicy::Off,
-            }),
-        ),
-        ("drom", {
-            let mut c = BalanceConfig::preset(Preset::Offload {
-                degree: 2,
-                drom: DromPolicy::Global,
-            });
-            c.lewi = false;
-            c
-        }),
-        (
-            "lewi+drom",
-            BalanceConfig::preset(Preset::Offload {
-                degree: 2,
-                drom: DromPolicy::Global,
-            }),
-        ),
-    ];
+            name,
+            BalanceConfig::default().with_degree(2).with_policy(spec),
+        )
+    })
+    .collect();
 
     let mut summary = Experiment::new(
         "fig09_summary",

@@ -11,7 +11,7 @@
 
 use tlb_apps::synthetic::{synthetic_workload, SyntheticConfig};
 use tlb_bench::{run_traced, Effort, Experiment, Point};
-use tlb_core::{BalanceConfig, DromPolicy, Platform, Preset};
+use tlb_core::{BalanceConfig, Platform, PolicySpec};
 use tlb_des::SimTime;
 
 fn main() {
@@ -31,46 +31,18 @@ fn main() {
         let wl = synthetic_workload(&cfg, &platform);
 
         let degree = nodes.min(4);
-        let variants: Vec<(String, BalanceConfig)> = vec![
-            (
-                "local+lewi".into(),
-                BalanceConfig::preset(Preset::Offload {
-                    degree,
-                    drom: DromPolicy::Local,
-                }),
-            ),
-            (
-                "local".into(),
-                BalanceConfig::preset(Preset::Offload {
-                    degree,
-                    drom: DromPolicy::Local,
-                })
-                .with_lewi(false),
-            ),
-            (
-                "global+lewi".into(),
-                BalanceConfig::preset(Preset::Offload {
-                    degree,
-                    drom: DromPolicy::Global,
-                }),
-            ),
-            (
-                "global".into(),
-                BalanceConfig::preset(Preset::Offload {
-                    degree,
-                    drom: DromPolicy::Global,
-                })
-                .with_lewi(false),
-            ),
-            (
-                "lewi only".into(),
-                BalanceConfig::preset(Preset::Offload {
-                    degree,
-                    drom: DromPolicy::Off,
-                }),
-            ),
+        let variants = [
+            ("local+lewi", "lewi+drom-local"),
+            ("local", "drom-local"),
+            ("global+lewi", "lewi+drom-global"),
+            ("global", "drom-global"),
+            ("lewi only", "lewi"),
         ];
-        for (name, bc) in variants {
+        for (name, policy) in variants {
+            let spec = PolicySpec::named(policy).expect("paper policies are registered");
+            let bc = BalanceConfig::default()
+                .with_degree(degree)
+                .with_policy(spec);
             let report = run_traced(&platform, &bc, wl.clone());
             let end = report.makespan;
             let series = report.trace.node_imbalance_series(

@@ -1,10 +1,15 @@
 //! Library half of the `tlb-run` command: argument parsing and experiment
 //! assembly, separated from `main` so it is unit-testable.
 //!
+//! A single run is a one-point [`Scenario`]: the flags fill the
+//! scenario's fixed knobs and one value per axis, `Scenario::validate`
+//! is the only validator, and the run is built by the same
+//! `platform()` / `config()` / [`build_workload`] a sweep point uses.
+//!
 //! ```console
 //! tlb-run --app micropp --nodes 8 --appranks-per-node 2 \
-//!         --degree 4 --policy global --iterations 10 \
-//!         [--machine mn4|nord3|ideal] [--slow-node 0] [--lewi off]
+//!         --degree 4 --policy lewi+drom-global --iterations 10 \
+//!         [--machine mn4|nord3|ideal] [--slow-node 0]
 //!         [--trace-csv out.csv] [--chrome out.json] [--json]
 //! tlb-run trace --app nbody --nodes 4   # traced run, Chrome JSON export
 //! tlb-run sweep --scenario examples/policy_matrix.json --jobs 8 --resume
@@ -12,61 +17,17 @@
 //! ```
 
 use std::fmt;
-use tlb_cluster::{ClusterSim, FaultPlan, FaultStats, RunSpec, SimReport, SpecWorkload, Workload};
-use tlb_core::{BalanceConfig, Platform, PolicySpec, PortfolioConfig, Strategy};
-use tlb_des::SimTime;
-
-/// Which application to run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum App {
-    /// MicroPP-style FE workload.
-    Micropp,
-    /// Barnes–Hut n-body with ORB.
-    Nbody,
-    /// Synthetic configurable-imbalance benchmark.
-    Synthetic,
-    /// Halo-exchange stencil.
-    Stencil,
-    /// AMR-style time-varying imbalance (the hot ranks move mid-run).
-    Amr,
-}
-
-/// Machine preset.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Machine {
-    /// 48-core MareNostrum-4 nodes with realistic overheads.
-    Mn4,
-    /// 16-core Nord3 nodes.
-    Nord3,
-    /// Idealised nodes (no runtime noise), 16 cores.
-    Ideal,
-}
+use tlb_cluster::{ClusterSim, FaultPlan, FaultStats, RunSpec, SimReport};
+use tlb_core::{known_policy_names, BalanceConfig, PolicySpec, Strategy};
+use tlb_sweep::{build_workload, Scenario, SweepApp, SweepMachine, SweepPoint};
 
 /// Parsed command line.
 #[derive(Clone, Debug)]
 pub struct Args {
-    /// Application.
-    pub app: App,
-    /// Node count.
-    pub nodes: usize,
-    /// Appranks per node.
-    pub appranks_per_node: usize,
-    /// Offloading degree (1 = no offloading).
-    pub degree: usize,
-    /// Balancing policy (registry name, optionally parameterized).
-    pub policy: PolicySpec,
-    /// LeWI override from `--lewi`; `None` follows the policy.
-    pub lewi: Option<bool>,
-    /// Iterations.
-    pub iterations: usize,
-    /// Machine preset.
-    pub machine: Machine,
+    /// The run, as a scenario whose every axis holds exactly one value.
+    pub scenario: Scenario,
     /// Slow node index (Nord3-style 1.8 GHz), if any.
     pub slow_node: Option<usize>,
-    /// Synthetic imbalance target.
-    pub imbalance: f64,
-    /// Expander seed.
-    pub seed: u64,
     /// Write the trace as CSV here.
     pub trace_csv: Option<String>,
     /// Write the trace as Chrome trace-event JSON here.
@@ -75,39 +36,29 @@ pub struct Args {
     pub trace_mode: bool,
     /// Emit the report as JSON instead of text.
     pub json: bool,
-    /// Fault-injection spec (see [`FaultPlan::parse`]), if any.
-    pub faults: Option<String>,
-    /// Seed for the fault plan's deterministic draws.
-    pub fault_seed: u64,
-    /// Solver-portfolio spec (see [`PortfolioConfig::parse`]), if any.
-    pub portfolio: Option<String>,
-    /// Portfolio virtual-time budget override, in seconds.
-    pub portfolio_budget: Option<f64>,
 }
 
 impl Default for Args {
     fn default() -> Self {
+        let mut scenario = Scenario::default();
+        let config = BalanceConfig::default();
+        scenario.axes.degree = vec![config.degree];
+        scenario.axes.policy = vec![config.policy];
         Args {
-            app: App::Synthetic,
-            nodes: 4,
-            appranks_per_node: 1,
-            degree: 4,
-            policy: PolicySpec::named("lewi+drom-global").expect("default policy is registered"),
-            lewi: None,
-            iterations: 6,
-            machine: Machine::Mn4,
+            scenario,
             slow_node: None,
-            imbalance: 2.0,
-            seed: 1,
             trace_csv: None,
             chrome: None,
             trace_mode: false,
             json: false,
-            faults: None,
-            fault_seed: 1,
-            portfolio: None,
-            portfolio_budget: None,
         }
+    }
+}
+
+impl Args {
+    /// The scenario's single grid point.
+    pub fn point(&self) -> SweepPoint {
+        self.scenario.expand().swap_remove(0)
     }
 }
 
@@ -142,21 +93,26 @@ pub const USAGE: &str = "usage: tlb-run [trace|sweep|serve] [options]
   --appranks-per-node N                   (default 1)
   --degree D                              offloading degree (default 4)
   --policy NAME[(k=v,...)]                balancing policy from the registry:
-                                          baseline, lewi, lewi+drom-local,
+                                          baseline, lewi, drom-local,
+                                          drom-global, lewi+drom-local,
                                           lewi+drom-global, reactive-offload,
                                           diffusion — optionally with typed
                                           parameters, e.g.
-                                          'reactive-offload(hi=0.4)'; the
-                                          legacy shorthands off|local|global
-                                          map to lewi|lewi+drom-local|
-                                          lewi+drom-global (default
-                                          lewi+drom-global)
-  --lewi on|off                           fine-grained lending override
-                                          (default: what the policy says)
+                                          'reactive-offload(hi=0.4)'
+                                          (default lewi+drom-global).
+                                          Shorthands: off|local|global =
+                                          lewi|lewi+drom-local|
+                                          lewi+drom-global
+  --lewi on|off                           shorthand: switch to the policy's
+                                          LeWI-on/off sibling (baseline/lewi,
+                                          drom-X/lewi+drom-X); an error for
+                                          policies without one
   --iterations N                          timesteps (default 6)
   --machine mn4|nord3|ideal               platform preset (default mn4)
-  --slow-node I                           run node I at 1.8/3.0 GHz speed
-  --imbalance X                           synthetic imbalance (default 2.0)
+  --slow-node I                           run node I (< --nodes) at 1.8/3.0
+                                          GHz speed
+  --imbalance X                           synthetic imbalance, >= 1 (default
+                                          2.0)
   --seed S                                expander seed (default 1)
   --trace-csv PATH                        dump the trace as CSV
   --chrome PATH                           dump the trace as Chrome JSON
@@ -177,172 +133,134 @@ pub const USAGE: &str = "usage: tlb-run [trace|sweep|serve] [options]
                                           global tick; STRATEGIES is 'all' or
                                           a comma list of simplex,flow,
                                           greedy,local, optionally prefixed
-                                          'adaptive:' (requires
-                                          --policy global)
+                                          'adaptive:' (requires a policy
+                                          that runs the global solver)
   --portfolio-budget SECS                 virtual-time budget per race
                                           (default 0.25; needs --portfolio)
   --help                                  this text";
 
+/// The paper policies that differ only in LeWI, as (off, on) registry
+/// names: what `--lewi` switches between.
+const LEWI_SIBLINGS: [(&str, &str); 3] = [
+    ("baseline", "lewi"),
+    ("drom-local", "lewi+drom-local"),
+    ("drom-global", "lewi+drom-global"),
+];
+
+/// Resolve the `--lewi on|off` shorthand: the registry policy that is
+/// `spec` with LeWI switched as asked. A policy with no such sibling
+/// (`diffusion --lewi off`) is an error listing the registry.
+fn resolve_lewi(spec: &PolicySpec, on: bool) -> Result<PolicySpec, ParseError> {
+    if spec.lewi() == on {
+        return Ok(spec.clone());
+    }
+    LEWI_SIBLINGS
+        .iter()
+        .find(|&&(off, with)| spec.name() == if on { off } else { with })
+        .and_then(|&(off, with)| PolicySpec::named(if on { with } else { off }).ok())
+        .ok_or_else(|| {
+            ParseError(format!(
+                "--lewi {}: policy '{}' has no such variant (known: {})",
+                if on { "on" } else { "off" },
+                spec.name(),
+                known_policy_names().join(", ")
+            ))
+        })
+}
+
 /// Parse an argument list (without the program name).
 pub fn parse_args<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, ParseError> {
     let mut args = Args::default();
+    let mut lewi = None;
     let mut it = argv.into_iter().peekable();
     if it.peek().map(String::as_str) == Some("trace") {
         it.next();
         args.trace_mode = true;
     }
-    let missing = |flag: &str| ParseError(format!("{flag} needs a value"));
+    let sc = &mut args.scenario;
     while let Some(flag) = it.next() {
         match flag.as_str() {
-            "--app" => {
-                args.app = match it.next().ok_or_else(|| missing("--app"))?.as_str() {
-                    "micropp" => App::Micropp,
-                    "nbody" => App::Nbody,
-                    "synthetic" => App::Synthetic,
-                    "stencil" => App::Stencil,
-                    "amr" => App::Amr,
-                    other => return Err(ParseError(format!("unknown app '{other}'"))),
-                }
-            }
-            "--nodes" => args.nodes = parse_num(&mut it, "--nodes")?,
+            "--app" => sc.app = SweepApp::parse(&value(&mut it, "--app")?).map_err(usage_error)?,
+            "--nodes" => sc.nodes = parse_num(&mut it, "--nodes")?,
             "--appranks-per-node" => {
-                args.appranks_per_node = parse_num(&mut it, "--appranks-per-node")?
+                sc.axes.appranks_per_node = vec![parse_num(&mut it, "--appranks-per-node")?]
             }
-            "--degree" => args.degree = parse_num(&mut it, "--degree")?,
+            "--degree" => sc.axes.degree = vec![parse_num(&mut it, "--degree")?],
             "--policy" => {
-                let value = it.next().ok_or_else(|| missing("--policy"))?;
-                // Legacy DROM shorthands keep old command lines working;
-                // everything else goes straight to the policy registry.
-                let text = match value.as_str() {
+                // `off|local|global` are shorthands for the LeWI-on
+                // paper policies; everything else is a registry name.
+                let given = value(&mut it, "--policy")?;
+                let text = match given.as_str() {
                     "off" => "lewi",
                     "local" => "lewi+drom-local",
                     "global" => "lewi+drom-global",
                     other => other,
                 };
-                args.policy =
-                    PolicySpec::parse(text).map_err(|e| ParseError(format!("--policy: {e}")))?;
+                let spec = PolicySpec::parse(text);
+                sc.axes.policy = vec![spec.map_err(|e| ParseError(format!("--policy: {e}")))?];
             }
             "--lewi" => {
-                args.lewi = match it.next().ok_or_else(|| missing("--lewi"))?.as_str() {
+                lewi = match value(&mut it, "--lewi")?.as_str() {
                     "on" => Some(true),
                     "off" => Some(false),
                     other => return Err(ParseError(format!("--lewi on|off, got '{other}'"))),
                 }
             }
-            "--iterations" => args.iterations = parse_num(&mut it, "--iterations")?,
+            "--iterations" => sc.iterations = parse_num(&mut it, "--iterations")?,
             "--machine" => {
-                args.machine = match it.next().ok_or_else(|| missing("--machine"))?.as_str() {
-                    "mn4" => Machine::Mn4,
-                    "nord3" => Machine::Nord3,
-                    "ideal" => Machine::Ideal,
-                    other => return Err(ParseError(format!("unknown machine '{other}'"))),
-                }
+                sc.machine =
+                    SweepMachine::parse(&value(&mut it, "--machine")?).map_err(usage_error)?
             }
             "--slow-node" => args.slow_node = Some(parse_num(&mut it, "--slow-node")?),
-            "--imbalance" => {
-                args.imbalance = it
-                    .next()
-                    .ok_or_else(|| missing("--imbalance"))?
-                    .parse()
-                    .map_err(|e| ParseError(format!("--imbalance: {e}")))?
-            }
-            "--seed" => args.seed = parse_num(&mut it, "--seed")? as u64,
-            "--trace-csv" => {
-                args.trace_csv = Some(it.next().ok_or_else(|| missing("--trace-csv"))?)
-            }
-            "--chrome" => args.chrome = Some(it.next().ok_or_else(|| missing("--chrome"))?),
+            "--imbalance" => sc.imbalance = parse_num(&mut it, "--imbalance")?,
+            "--seed" => sc.axes.seed = vec![parse_num(&mut it, "--seed")?],
+            "--trace-csv" => args.trace_csv = Some(value(&mut it, "--trace-csv")?),
+            "--chrome" => args.chrome = Some(value(&mut it, "--chrome")?),
             "--json" => args.json = true,
-            "--faults" => args.faults = Some(it.next().ok_or_else(|| missing("--faults"))?),
-            "--fault-seed" => args.fault_seed = parse_num(&mut it, "--fault-seed")? as u64,
-            "--portfolio" => {
-                args.portfolio = Some(it.next().ok_or_else(|| missing("--portfolio"))?)
-            }
+            "--faults" => sc.faults = Some(value(&mut it, "--faults")?),
+            "--fault-seed" => sc.fault_seed = parse_num(&mut it, "--fault-seed")?,
+            "--portfolio" => sc.portfolio = Some(value(&mut it, "--portfolio")?),
             "--portfolio-budget" => {
-                args.portfolio_budget = Some(
-                    it.next()
-                        .ok_or_else(|| missing("--portfolio-budget"))?
-                        .parse()
-                        .map_err(|e| ParseError(format!("--portfolio-budget: {e}")))?,
-                )
+                sc.portfolio_budget = Some(parse_num(&mut it, "--portfolio-budget")?)
             }
             "--help" | "-h" => return Err(ParseError(USAGE.to_string())),
             other => return Err(ParseError(format!("unknown flag '{other}'\n{USAGE}"))),
         }
     }
-    if args.nodes == 0 || args.appranks_per_node == 0 || args.iterations == 0 {
-        return Err(ParseError("counts must be positive".into()));
+    if let Some(on) = lewi {
+        sc.axes.policy[0] = resolve_lewi(&sc.axes.policy[0], on)?;
     }
-    if args.degree == 0 || args.degree > args.nodes {
-        return Err(ParseError(format!(
-            "degree must be in 1..={} for {} nodes",
-            args.nodes, args.nodes
-        )));
-    }
-    if let Some(spec) = &args.faults {
-        FaultPlan::parse(spec, args.fault_seed)
-            .map_err(|e| ParseError(format!("--faults: {e}")))?;
-    }
-    if let Some(spec) = &args.portfolio {
-        PortfolioConfig::parse(spec).map_err(|e| ParseError(format!("--portfolio: {e}")))?;
-        if !args.policy.uses_solver() {
-            return Err(ParseError(
-                "--portfolio requires a global-solver policy (--policy global)".into(),
-            ));
-        }
-    }
-    if let Some(budget) = args.portfolio_budget {
-        if args.portfolio.is_none() {
-            return Err(ParseError("--portfolio-budget needs --portfolio".into()));
-        }
-        if !budget.is_finite() || budget <= 0.0 {
+    sc.validate().map_err(usage_error)?;
+    if let Some(n) = args.slow_node {
+        if n >= sc.nodes {
             return Err(ParseError(format!(
-                "--portfolio-budget must be a positive number of seconds, got {budget}"
+                "--slow-node {n} out of range 0..{} for {} nodes",
+                sc.nodes, sc.nodes
             )));
         }
     }
     Ok(args)
 }
 
-fn parse_num(it: &mut impl Iterator<Item = String>, flag: &str) -> Result<usize, ParseError> {
+fn usage_error(e: tlb_sweep::ScenarioError) -> ParseError {
+    ParseError(e.0)
+}
+
+fn value(it: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, ParseError> {
     it.next()
-        .ok_or_else(|| ParseError(format!("{flag} needs a value")))?
+        .ok_or_else(|| ParseError(format!("{flag} needs a value")))
+}
+
+fn parse_num<T: std::str::FromStr>(
+    it: &mut impl Iterator<Item = String>,
+    flag: &str,
+) -> Result<T, ParseError>
+where
+    T::Err: fmt::Display,
+{
+    value(it, flag)?
         .parse()
         .map_err(|e| ParseError(format!("{flag}: {e}")))
-}
-
-/// Build the platform from the parsed arguments.
-pub fn build_platform(args: &Args) -> Platform {
-    let mut p = match args.machine {
-        Machine::Mn4 => Platform::mn4(args.nodes),
-        Machine::Nord3 => Platform::nord3(args.nodes, &[]),
-        Machine::Ideal => Platform::homogeneous(args.nodes, 16),
-    };
-    if let Some(n) = args.slow_node {
-        p.node_speed[n] = 1.8 / 3.0;
-    }
-    p
-}
-
-/// The LeWI setting a run will actually use: the `--lewi` override if
-/// given, the policy's own setting otherwise.
-pub fn effective_lewi(args: &Args) -> bool {
-    args.lewi.unwrap_or_else(|| args.policy.lewi())
-}
-
-/// Build the balancing configuration.
-pub fn build_config(args: &Args) -> BalanceConfig {
-    let mut cfg = BalanceConfig::default().with_policy(args.policy.clone());
-    cfg.degree = args.degree;
-    cfg.lewi = effective_lewi(args);
-    cfg.seed = args.seed;
-    if let Some(spec) = &args.portfolio {
-        let mut pc = PortfolioConfig::parse(spec).expect("validated by parse_args");
-        if let Some(budget) = args.portfolio_budget {
-            pc = pc.with_budget(SimTime::from_secs_f64(budget));
-        }
-        cfg.portfolio = Some(pc);
-    }
-    cfg
 }
 
 /// The Chrome trace-event output path implied by the arguments, if any:
@@ -353,106 +271,31 @@ pub fn chrome_path(args: &Args) -> Option<String> {
         .or_else(|| args.trace_mode.then(|| "tlb_trace.chrome.json".to_string()))
 }
 
-/// Build the workload and run; returns the report plus the perfect-balance
-/// bound in seconds per iteration.
+/// Build the scenario's single point exactly as a sweep would, add the
+/// CLI-only bits (`--slow-node`, tracing and its output files), and run;
+/// returns the report plus the perfect-balance bound in seconds per
+/// iteration.
 pub fn run(args: &Args) -> Result<(SimReport, f64), String> {
-    let platform = build_platform(args);
-    let appranks = args.nodes * args.appranks_per_node;
-    let trace = args.trace_mode || args.trace_csv.is_some() || args.chrome.is_some();
-    let plan = match &args.faults {
-        Some(spec) => {
-            FaultPlan::parse(spec, args.fault_seed).map_err(|e| format!("--faults: {e}"))?
-        }
+    let scenario = &args.scenario;
+    let point = args.point();
+    let mut platform = scenario.platform();
+    if let Some(n) = args.slow_node {
+        platform.node_speed[n] = 1.8 / 3.0;
+    }
+    let config = scenario.config(&point).map_err(|e| e.to_string())?;
+    let plan = match &scenario.faults {
+        Some(spec) => FaultPlan::parse(spec, scenario.fault_seed)?,
         None => FaultPlan::none(),
     };
-
-    let (report, per_iter_work) = match args.app {
-        App::Synthetic => {
-            let mut cfg = tlb_apps::synthetic::SyntheticConfig::new(appranks, args.imbalance);
-            cfg.iterations = args.iterations;
-            cfg.seed = args.seed;
-            let wl = tlb_apps::synthetic::synthetic_workload(&cfg, &platform);
-            let work = wl.rank_work(0).iter().sum::<f64>();
-            let r = ClusterSim::execute(
-                RunSpec::new(&platform, &build_config(args), wl)
-                    .trace(trace)
-                    .faults(&plan),
-            )
-            .map_err(|e| e.to_string())?;
-            (r, work)
-        }
-        App::Micropp => {
-            let mut cfg = tlb_apps::micropp::MicroPpConfig::new(appranks);
-            cfg.iterations = args.iterations;
-            cfg.seed = args.seed;
-            let wl = tlb_apps::micropp::micropp_workload(&cfg);
-            let work = wl.rank_work(0).iter().sum::<f64>();
-            let r = ClusterSim::execute(
-                RunSpec::new(&platform, &build_config(args), wl)
-                    .trace(trace)
-                    .faults(&plan),
-            )
-            .map_err(|e| e.to_string())?;
-            (r, work)
-        }
-        App::Nbody => {
-            let mut cfg = tlb_apps::nbody::NBodyConfig::new(20_000 * appranks, appranks);
-            cfg.iterations = args.iterations;
-            cfg.force_cost = 2e-6;
-            cfg.seed = args.seed;
-            let mut probe = tlb_apps::nbody::NBodyWorkload::new(cfg.clone());
-            let work: f64 = (0..appranks)
-                .map(|r| probe.tasks(r, 0).iter().map(|t| t.duration).sum::<f64>())
-                .sum();
-            let wl = tlb_apps::nbody::NBodyWorkload::new(cfg);
-            let r = ClusterSim::execute(
-                RunSpec::new(&platform, &build_config(args), wl)
-                    .trace(trace)
-                    .faults(&plan),
-            )
-            .map_err(|e| e.to_string())?;
-            (r, work)
-        }
-        App::Amr => {
-            let mut cfg = tlb_apps::amr::AmrConfig::new(appranks, args.imbalance);
-            cfg.iterations = args.iterations;
-            cfg.seed = args.seed;
-            let wl = tlb_apps::amr::amr_workload(&cfg, &platform);
-            let work = wl.iteration_work();
-            let r = ClusterSim::execute(
-                RunSpec::new(&platform, &build_config(args), wl)
-                    .trace(trace)
-                    .faults(&plan),
-            )
-            .map_err(|e| e.to_string())?;
-            (r, work)
-        }
-        App::Stencil => {
-            let mut cfg =
-                tlb_apps::stencil::StencilConfig::new(appranks, 128, 128).with_gradient(0.5, 2.0);
-            cfg.iterations = args.iterations;
-            cfg.secs_per_row = 1e-3;
-            let wl = tlb_apps::stencil::StencilWorkload::new(cfg);
-            let work: f64 = (0..appranks)
-                .map(|r| {
-                    // gradient workload: recompute from the public helper
-                    tlb_apps::stencil::StencilWorkload::new(
-                        tlb_apps::stencil::StencilConfig::new(appranks, 128, 128)
-                            .with_gradient(0.5, 2.0),
-                    )
-                    .rank_work(r)
-                })
-                .sum::<f64>()
-                * 10.0; // secs_per_row scaled from default 1e-4 to 1e-3
-            let r = ClusterSim::execute(
-                RunSpec::new(&platform, &build_config(args), wl)
-                    .trace(trace)
-                    .faults(&plan),
-            )
-            .map_err(|e| e.to_string())?;
-            (r, work)
-        }
-    };
+    let trace = args.trace_mode || args.trace_csv.is_some() || args.chrome.is_some();
+    let appranks = scenario.nodes * point.appranks_per_node;
+    let (workload, per_iter_work) = build_workload(scenario, &point, appranks, &platform);
+    let report = ClusterSim::execute(
+        RunSpec::new(&platform, &config, workload)
+            .trace(trace)
+            .faults(&plan),
+    )
+    .map_err(|e| e.to_string())?;
 
     let perfect = per_iter_work / platform.effective_capacity();
     if let Some(path) = &args.trace_csv {
@@ -470,21 +313,22 @@ pub fn run(args: &Args) -> Result<(SimReport, f64), String> {
 pub fn format_text(args: &Args, report: &SimReport, perfect: f64) -> String {
     let mut out = String::new();
     use std::fmt::Write as _;
+    let (scenario, point) = (&args.scenario, args.point());
     let _ = writeln!(
         out,
-        "{:?} on {} nodes ({} appranks), degree {}, policy {}, LeWI {}",
-        args.app,
-        args.nodes,
-        args.nodes * args.appranks_per_node,
-        args.degree,
-        args.policy.canonical(),
-        if effective_lewi(args) { "on" } else { "off" },
+        "{} on {} nodes ({} appranks), degree {}, policy {}, LeWI {}",
+        scenario.app.name(),
+        scenario.nodes,
+        scenario.nodes * point.appranks_per_node,
+        point.degree,
+        point.policy,
+        if point.policy.lewi() { "on" } else { "off" },
     );
     let _ = writeln!(out, "makespan:            {}", report.makespan);
     let _ = writeln!(
         out,
         "mean iteration:      {:.4} s (perfect balance bound {:.4} s)",
-        report.mean_iteration_secs(args.iterations / 3),
+        report.mean_iteration_secs(scenario.iterations / 3),
         perfect
     );
     let _ = writeln!(
@@ -563,17 +407,21 @@ pub fn format_text(args: &Args, report: &SimReport, perfect: f64) -> String {
 /// A JSON-ready summary of a run (the full trace is exported separately).
 pub fn format_json(args: &Args, report: &SimReport, perfect: f64) -> String {
     use tlb_json::Value;
+    let (scenario, point) = (&args.scenario, args.point());
     let mut fields = vec![
-        ("app", format!("{:?}", args.app).into()),
-        ("nodes", args.nodes.into()),
-        ("appranks", (args.nodes * args.appranks_per_node).into()),
-        ("degree", args.degree.into()),
-        ("policy", args.policy.canonical().as_str().into()),
-        ("lewi", effective_lewi(args).into()),
+        ("app", scenario.app.name().into()),
+        ("nodes", scenario.nodes.into()),
+        (
+            "appranks",
+            (scenario.nodes * point.appranks_per_node).into(),
+        ),
+        ("degree", point.degree.into()),
+        ("policy", point.policy.canonical().as_str().into()),
+        ("lewi", point.policy.lewi().into()),
         ("makespan_s", report.makespan.as_secs_f64().into()),
         (
             "mean_iteration_s",
-            report.mean_iteration_secs(args.iterations / 3).into(),
+            report.mean_iteration_secs(scenario.iterations / 3).into(),
         ),
         ("perfect_bound_s", perfect.into()),
         ("offloaded_tasks", report.offloaded_tasks.into()),
@@ -642,9 +490,6 @@ pub fn format_json(args: &Args, report: &SimReport, perfect: f64) -> String {
     Value::object(fields).to_string_compact()
 }
 
-/// Keep `SpecWorkload` in the public surface for config-driven runs.
-pub type CustomWorkload = SpecWorkload;
-
 // ---------------------------------------------------------------------------
 // `tlb-run sweep`: batch scenario execution on the tlb-sweep engine.
 // ---------------------------------------------------------------------------
@@ -695,14 +540,13 @@ pub const SWEEP_USAGE: &str = "usage: tlb-run sweep --scenario FILE [options]
 pub fn parse_sweep_args<I: IntoIterator<Item = String>>(argv: I) -> Result<SweepArgs, ParseError> {
     let mut args = SweepArgs::default();
     let mut it = argv.into_iter().peekable();
-    let missing = |flag: &str| ParseError(format!("{flag} needs a value"));
     while let Some(flag) = it.next() {
         match flag.as_str() {
-            "--scenario" => args.scenario = it.next().ok_or_else(|| missing("--scenario"))?,
+            "--scenario" => args.scenario = value(&mut it, "--scenario")?,
             "--jobs" => args.jobs = parse_num(&mut it, "--jobs")?,
             "--resume" => args.resume = true,
-            "--out" => args.out = it.next().ok_or_else(|| missing("--out"))?,
-            "--cache-dir" => args.cache_dir = it.next().ok_or_else(|| missing("--cache-dir"))?,
+            "--out" => args.out = value(&mut it, "--out")?,
+            "--cache-dir" => args.cache_dir = value(&mut it, "--cache-dir")?,
             "--json" => args.json = true,
             "--help" | "-h" => return Err(ParseError(SWEEP_USAGE.to_string())),
             other => {
@@ -819,14 +663,11 @@ report), stats, ping, shutdown (drains, flushes cache, then acks).";
 pub fn parse_serve_args<I: IntoIterator<Item = String>>(argv: I) -> Result<ServeArgs, ParseError> {
     let mut args = ServeArgs::default();
     let mut it = argv.into_iter().peekable();
-    let missing = |flag: &str| ParseError(format!("{flag} needs a value"));
     while let Some(flag) = it.next() {
         match flag.as_str() {
-            "--addr" => args.addr = it.next().ok_or_else(|| missing("--addr"))?,
+            "--addr" => args.addr = value(&mut it, "--addr")?,
             "--jobs" => args.jobs = parse_num(&mut it, "--jobs")?,
-            "--cache-dir" => {
-                args.cache_dir = Some(it.next().ok_or_else(|| missing("--cache-dir"))?)
-            }
+            "--cache-dir" => args.cache_dir = Some(value(&mut it, "--cache-dir")?),
             "--no-cache" => args.cache_dir = None,
             "--queue-bound" => args.queue_bound = parse_num(&mut it, "--queue-bound")?,
             "--help" | "-h" => return Err(ParseError(SERVE_USAGE.to_string())),
@@ -864,11 +705,11 @@ mod tests {
     #[test]
     fn defaults_parse() {
         let a = args("").unwrap();
-        assert_eq!(a.app, App::Synthetic);
-        assert_eq!(a.degree, 4);
-        assert_eq!(a.policy.name(), "lewi+drom-global");
-        assert_eq!(a.lewi, None);
-        assert!(effective_lewi(&a));
+        assert_eq!(a.scenario.app, SweepApp::Synthetic);
+        let p = a.point();
+        assert_eq!((p.appranks_per_node, p.degree, p.seed), (1, 4, 1));
+        assert_eq!(p.policy.name(), "lewi+drom-global");
+        assert_eq!(a.scenario.expand().len(), 1);
     }
 
     #[test]
@@ -879,17 +720,14 @@ mod tests {
              --slow-node 0 --seed 5 --json",
         )
         .unwrap();
-        assert_eq!(a.app, App::Micropp);
-        assert_eq!(a.nodes, 8);
-        assert_eq!(a.appranks_per_node, 2);
-        assert_eq!(a.degree, 3);
-        assert_eq!(a.policy.name(), "lewi+drom-local");
-        assert_eq!(a.lewi, Some(false));
-        assert!(!effective_lewi(&a));
-        assert_eq!(a.iterations, 9);
-        assert_eq!(a.machine, Machine::Nord3);
+        assert_eq!(a.scenario.app, SweepApp::Micropp);
+        assert_eq!(a.scenario.nodes, 8);
+        assert_eq!(a.scenario.iterations, 9);
+        assert_eq!(a.scenario.machine, SweepMachine::Nord3);
+        let p = a.point();
+        assert_eq!((p.appranks_per_node, p.degree, p.seed), (2, 3, 5));
+        assert_eq!(p.policy.name(), "drom-local");
         assert_eq!(a.slow_node, Some(0));
-        assert_eq!(a.seed, 5);
         assert!(a.json);
     }
 
@@ -897,24 +735,41 @@ mod tests {
     fn rejects_bad_input() {
         assert!(args("--app warp-drive").is_err());
         assert!(args("--nodes zero").is_err());
+        assert!(args("--nodes 0").is_err());
         assert!(args("--degree 9 --nodes 4").is_err());
         assert!(args("--policy sometimes").is_err());
+        assert!(args("--imbalance 0.5").is_err());
         assert!(args("--frobnicate").is_err());
         assert!(args("--nodes").is_err());
+    }
+
+    #[test]
+    fn slow_node_must_name_an_existing_node() {
+        // Regression: `--slow-node 5` on 2 nodes indexed node_speed[5]
+        // and panicked (exit 101) instead of a usage error.
+        let err = args("--nodes 2 --degree 2 --slow-node 5").unwrap_err();
+        assert!(err.0.contains("--slow-node 5 out of range 0..2"), "{err}");
+        assert!(args("--slow-node 4").is_err());
+        let a = args("--nodes 2 --degree 2 --slow-node 1 --iterations 2 --machine ideal").unwrap();
+        assert!(run(&a).is_ok());
     }
 
     #[test]
     fn policy_flag_takes_registry_names_and_parameters() {
         // Registry names pass straight through.
         let a = args("--policy baseline").unwrap();
-        assert_eq!(a.policy.name(), "baseline");
-        assert!(!effective_lewi(&a));
+        assert_eq!(a.point().policy.name(), "baseline");
+        let a = args("--policy drom-global").unwrap();
+        assert_eq!(a.point().policy.name(), "drom-global");
         // Parameterized form (no whitespace; the shell would strip it
         // anyway before the arg reaches us).
         let b = args("--policy reactive-offload(hi=0.4,unit=2)").unwrap();
-        assert_eq!(b.policy.canonical(), "reactive-offload(hi=0.4,unit=2)");
+        assert_eq!(
+            b.point().policy.canonical(),
+            "reactive-offload(hi=0.4,unit=2)"
+        );
         let c = args("--policy diffusion(order=2)").unwrap();
-        assert_eq!(c.policy.canonical(), "diffusion(order=2)");
+        assert_eq!(c.point().policy.canonical(), "diffusion(order=2)");
         // Errors carry the registry's vocabulary.
         let err = args("--policy gossip").unwrap_err();
         assert!(err.0.contains("reactive-offload"), "{err}");
@@ -922,20 +777,105 @@ mod tests {
     }
 
     #[test]
-    fn legacy_policy_shorthands_still_map() {
-        assert_eq!(args("--policy off").unwrap().policy.name(), "lewi");
-        assert_eq!(
-            args("--policy local").unwrap().policy.name(),
-            "lewi+drom-local"
+    fn policy_and_lewi_shorthands_resolve_to_registry_names() {
+        let resolved = |s: &str| args(s).map(|a| a.point().policy.canonical());
+        for (flags, name) in [
+            ("--policy off", "lewi"),
+            ("--policy local", "lewi+drom-local"),
+            ("--policy global", "lewi+drom-global"),
+            // All six (policy, lewi) pairs that cross to a sibling...
+            ("--policy baseline --lewi on", "lewi"),
+            ("--policy lewi --lewi off", "baseline"),
+            ("--policy drom-local --lewi on", "lewi+drom-local"),
+            ("--policy lewi+drom-local --lewi off", "drom-local"),
+            ("--policy drom-global --lewi on", "lewi+drom-global"),
+            ("--policy lewi+drom-global --lewi off", "drom-global"),
+            // ...the old spellings of baseline and Fig. 9's DROM series,
+            // in either flag order...
+            ("--policy off --lewi off", "baseline"),
+            ("--lewi off --policy global", "drom-global"),
+            // ...and a `--lewi` that restates what the policy says.
+            ("--policy lewi --lewi on", "lewi"),
+            (
+                "--policy diffusion(order=2) --lewi on",
+                "diffusion(order=2)",
+            ),
+        ] {
+            assert_eq!(resolved(flags).as_deref(), Ok(name), "{flags}");
+        }
+        let err = resolved("--policy diffusion --lewi off").unwrap_err();
+        assert!(err.0.contains("--lewi off"), "{err}");
+        for known in known_policy_names() {
+            assert!(err.0.contains(known), "should list '{known}': {err}");
+        }
+        assert!(resolved("--lewi maybe").is_err());
+    }
+
+    #[test]
+    fn reports_name_the_policy_that_ran() {
+        // Regression: `--policy baseline --lewi on` ran LeWI but was
+        // reported (and would have been cached) as "baseline".
+        let flags = "--nodes 2 --degree 2 --iterations 2 --machine ideal";
+        let a = args(&format!("{flags} --policy baseline --lewi on")).unwrap();
+        let b = args(&format!("{flags} --policy lewi")).unwrap();
+        let (ra, pa) = run(&a).unwrap();
+        let (rb, pb) = run(&b).unwrap();
+        assert_eq!(format_json(&a, &ra, pa), format_json(&b, &rb, pb));
+        let json = tlb_json::parse(&format_json(&a, &ra, pa)).unwrap();
+        assert_eq!(json.get("policy").as_str(), Some("lewi"));
+        assert_eq!(json.get("lewi").as_bool(), Some(true));
+        assert_eq!(json.get("app").as_str(), Some("synthetic"));
+        let text = format_text(&a, &ra, pa);
+        assert!(
+            text.starts_with("synthetic on 2 nodes (2 appranks), degree 2, policy lewi, LeWI on"),
+            "{text}"
         );
-        assert_eq!(
-            args("--policy global").unwrap().policy.name(),
-            "lewi+drom-global"
-        );
-        // `--policy off --lewi off` is the old spelling of baseline.
-        let cfg = build_config(&args("--policy off --lewi off").unwrap());
-        assert!(!cfg.lewi);
-        assert_eq!(cfg.drom, tlb_core::DromPolicy::Off);
+    }
+
+    /// The scenario JSON a user would hand `tlb-run sweep` to get the
+    /// same run as `flags`.
+    fn one_point_scenario(app: &str, machine: &str, policy: &str) -> Scenario {
+        Scenario::from_json_str(&format!(
+            r#"{{"schema_version": 1, "name": "eq", "app": "{app}", "machine": "{machine}",
+                "nodes": 2, "iterations": 3, "imbalance": 2.5,
+                "axes": {{"appranks_per_node": [2], "degree": [2],
+                          "policy": ["{policy}"], "seed": [7]}}}}"#
+        ))
+        .unwrap()
+    }
+
+    #[test]
+    fn single_run_equals_the_one_point_sweep_for_every_app() {
+        for (app, machine, policy) in [
+            ("synthetic", "mn4", "lewi+drom-global"),
+            ("micropp", "ideal", "drom-global"),
+            ("nbody", "nord3", "lewi+drom-local"),
+            ("stencil", "ideal", "lewi"),
+            ("amr", "ideal", "reactive-offload"),
+        ] {
+            let a = args(&format!(
+                "--app {app} --machine {machine} --nodes 2 --iterations 3 --imbalance 2.5 \
+                 --appranks-per-node 2 --degree 2 --policy {policy} --seed 7"
+            ))
+            .unwrap();
+            let (report, perfect) = run(&a).unwrap();
+            let cli = tlb_json::parse(&format_json(&a, &report, perfect)).unwrap();
+            let sc = one_point_scenario(app, machine, policy);
+            let swept = tlb_sweep::run_point(&sc, &sc.expand()[0]).unwrap();
+            for key in ["makespan_s", "iteration_times_s", "perfect_bound_s"] {
+                assert_eq!(
+                    cli.get(key).to_string_compact(),
+                    swept.get(key).to_string_compact(),
+                    "{app}: {key}"
+                );
+            }
+            // The flags describe the same point: same cache identity.
+            assert_eq!(
+                tlb_sweep::point_key(&a.scenario, &a.point()),
+                tlb_sweep::point_key(&sc, &sc.expand()[0]),
+                "{app}: point key"
+            );
+        }
     }
 
     #[test]
@@ -960,17 +900,6 @@ mod tests {
     fn help_prints_usage() {
         let err = args("--help").unwrap_err();
         assert!(err.0.contains("usage: tlb-run"));
-    }
-
-    #[test]
-    fn platform_presets() {
-        let mut a = args("--machine mn4 --nodes 4").unwrap();
-        assert_eq!(build_platform(&a).cores_per_node, 48);
-        a.machine = Machine::Nord3;
-        assert_eq!(build_platform(&a).cores_per_node, 16);
-        a.slow_node = Some(1);
-        let p = build_platform(&a);
-        assert!((p.node_speed[1] - 0.6).abs() < 1e-12);
     }
 
     #[test]
@@ -1038,17 +967,20 @@ mod tests {
     #[test]
     fn fault_flags_parse_and_validate() {
         let a = args("--faults straggler@0.5,node=1,slow=3 --fault-seed 7").unwrap();
-        assert_eq!(a.faults.as_deref(), Some("straggler@0.5,node=1,slow=3"));
-        assert_eq!(a.fault_seed, 7);
+        assert_eq!(
+            a.scenario.faults.as_deref(),
+            Some("straggler@0.5,node=1,slow=3")
+        );
+        assert_eq!(a.scenario.fault_seed, 7);
         // Spec errors are parse errors (exit 2), not run errors.
         let err = args("--faults nonsense@3").unwrap_err();
-        assert!(err.0.contains("--faults"), "{err}");
+        assert!(err.0.contains("faults:"), "{err}");
         assert!(args("--faults loss@0,rate=1.5").is_err());
         assert!(args("--faults").is_err());
         // Defaults: no plan, seed 1.
         let d = args("").unwrap();
-        assert_eq!(d.faults, None);
-        assert_eq!(d.fault_seed, 1);
+        assert_eq!(d.scenario.faults, None);
+        assert_eq!(d.scenario.fault_seed, 1);
     }
 
     #[test]
@@ -1083,13 +1015,13 @@ mod tests {
 
     #[test]
     fn portfolio_flags_parse_and_validate() {
+        let config = |a: &Args| a.scenario.config(&a.point()).unwrap();
         let a = args("--portfolio all --portfolio-budget 0.1").unwrap();
-        assert_eq!(a.portfolio.as_deref(), Some("all"));
-        assert_eq!(a.portfolio_budget, Some(0.1));
-        let cfg = build_config(&a);
-        let pc = cfg.portfolio.expect("portfolio config set");
+        assert_eq!(a.scenario.portfolio.as_deref(), Some("all"));
+        assert_eq!(a.scenario.portfolio_budget, Some(0.1));
+        let pc = config(&a).portfolio.expect("portfolio config set");
         assert_eq!(pc.strategies.len(), 4);
-        assert_eq!(pc.budget, SimTime::from_secs_f64(0.1));
+        assert_eq!(pc.budget.as_secs_f64(), 0.1);
         // Spec and combination errors are parse errors (exit 2).
         assert!(args("--portfolio cplex").is_err());
         assert!(args("--portfolio simplex,simplex").is_err());
@@ -1099,10 +1031,10 @@ mod tests {
         assert!(args("--portfolio all --portfolio-budget nan").is_err());
         // Adaptive prefix and defaults.
         let b = args("--portfolio adaptive:simplex,greedy").unwrap();
-        let pc = build_config(&b).portfolio.unwrap();
+        let pc = config(&b).portfolio.unwrap();
         assert!(pc.adaptive);
         assert_eq!(pc.strategies, vec![Strategy::Simplex, Strategy::Greedy]);
-        assert_eq!(build_config(&args("").unwrap()).portfolio, None);
+        assert_eq!(config(&args("").unwrap()).portfolio, None);
     }
 
     #[test]

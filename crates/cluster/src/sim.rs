@@ -6,12 +6,10 @@ use crate::collective::barrier_cost;
 use crate::{FaultPlan, FaultStats, SimReport, TaskSpec, Trace, Workload};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-#[cfg(test)]
-use tlb_core::DromPolicy;
 use tlb_core::{
-    choose_node_explained, legacy_policy, BalanceConfig, BalancePolicy, CandidateState,
-    ChoiceReason, GlobalAction, GlobalPolicy, LocalAction, LocalPolicy, Placement, Platform,
-    ProcessLayout, SignalView, StealGate, WorkSignal,
+    choose_node_explained, BalanceConfig, BalancePolicy, CandidateState, ChoiceReason,
+    GlobalAction, GlobalPolicy, LocalAction, LocalPolicy, Placement, Platform, ProcessLayout,
+    SignalView, StealGate, WorkSignal,
 };
 use tlb_des::{Ctx, SimTime, Simulator, World};
 use tlb_dlb::{DlbEvent, NodeDlb, ProcId, Talp};
@@ -184,8 +182,7 @@ struct State<W: Workload> {
     appranks: Vec<ApprankState>,
     workload: W,
     /// The balancing policy object driving the tick hooks (see
-    /// `tlb_core::BalancePolicy`). Legacy `(lewi, drom)` configurations
-    /// get an object whose hooks route into the exact legacy paths.
+    /// `tlb_core::BalancePolicy`), instantiated from `config.policy`.
     balance_policy: Box<dyn BalancePolicy>,
     global_policy: Option<GlobalPolicy>,
     /// The racing solver portfolio (`BalanceConfig::portfolio`); its
@@ -260,12 +257,11 @@ pub struct RunSpec<'a, W> {
     trace: bool,
     families: Option<tlb_trace::TraceConfig>,
     faults: FaultPlan,
-    portfolio: Option<tlb_core::PortfolioConfig>,
 }
 
 impl<'a, W: Workload> RunSpec<'a, W> {
     /// A run of `workload` on `platform` under `config`, with tracing
-    /// off, no faults, and the config's own portfolio (if any).
+    /// off and no faults.
     pub fn new(platform: &'a Platform, config: &'a BalanceConfig, workload: W) -> Self {
         RunSpec {
             platform,
@@ -274,7 +270,6 @@ impl<'a, W: Workload> RunSpec<'a, W> {
             trace: false,
             families: None,
             faults: FaultPlan::none(),
-            portfolio: None,
         }
     }
 
@@ -308,18 +303,6 @@ impl<'a, W: Workload> RunSpec<'a, W> {
         self.faults = plan.clone();
         self
     }
-
-    /// Builder: race this solver portfolio on every global tick,
-    /// overriding `config.portfolio` for this run only.
-    pub fn portfolio(mut self, portfolio: tlb_core::PortfolioConfig) -> Self {
-        self.portfolio = Some(portfolio);
-        self
-    }
-
-    /// Execute the spec (sugar for [`ClusterSim::execute`]).
-    pub fn run(self) -> Result<SimReport, SimError> {
-        ClusterSim::execute(self)
-    }
 }
 
 /// The public simulation driver.
@@ -336,18 +319,7 @@ impl ClusterSim {
             trace,
             families,
             faults,
-            portfolio,
         } = spec;
-        let effective;
-        let config = match portfolio {
-            Some(pc) => {
-                let mut c = config.clone();
-                c.portfolio = Some(pc);
-                effective = c;
-                &effective
-            }
-            None => config,
-        };
         let plan = &faults;
         let appranks = workload.appranks();
         if appranks == 0 {
@@ -363,14 +335,8 @@ impl ClusterSim {
         let max_degree = config
             .dynamic
             .map_or(config.degree, |d| d.max_degree.max(config.degree));
-        // Every run dispatches through one policy object; configs that
-        // never went through the registry get the legacy mapping, whose
-        // hooks reproduce the old `drom` dispatch exactly.
-        let balance_policy: Box<dyn BalancePolicy> = match &config.policy {
-            Some(spec) => spec.instantiate(),
-            None => legacy_policy(config.lewi, config.drom),
-        };
-        let uses_solver = balance_policy.spec().uses_solver();
+        let balance_policy = config.policy.instantiate();
+        let uses_solver = config.policy.uses_solver();
         if config.dynamic.is_some() && !uses_solver {
             return Err(SimError::Shape(
                 "dynamic spreading requires the global DROM policy".into(),
@@ -408,7 +374,7 @@ impl ClusterSim {
         let mut dlbs: Vec<NodeDlb> = (0..platform.nodes)
             .map(|n| {
                 let counts = layout.initial_ownership(n);
-                NodeDlb::with_counts(counts, config.lewi)
+                NodeDlb::with_counts(counts, config.policy.lewi())
             })
             .collect();
         let mut trace_rec = Trace::new(&layout, trace);
@@ -578,10 +544,10 @@ impl ClusterSim {
                 },
             );
         }
-        if state.balance_policy.spec().wants_local_tick() {
+        if state.config.policy.wants_local_tick() {
             sim.schedule_at(state.config.local_period, Ev::LocalTick);
         }
-        if state.balance_policy.spec().wants_global_tick() {
+        if state.config.policy.wants_global_tick() {
             sim.schedule_at(state.config.global_period, Ev::GlobalTick);
         }
         for s in &plan.stragglers {
@@ -2316,7 +2282,7 @@ impl<W: Workload> World for State<W> {
 mod tests {
     use super::*;
     use crate::SpecWorkload;
-    use tlb_core::Preset;
+    use tlb_core::{DromPolicy, PolicySpec, Preset};
 
     fn uniform(ranks: usize, tasks: usize, dur: f64, iters: usize) -> SpecWorkload {
         SpecWorkload::iterated(
@@ -2404,11 +2370,10 @@ mod tests {
             RunSpec::new(&p, &BalanceConfig::preset(Preset::Baseline), wl.clone()).trace(true),
         )
         .unwrap();
-        let mut lewi_cfg = BalanceConfig::preset(Preset::Offload {
+        let lewi_cfg = BalanceConfig::preset(Preset::Offload {
             degree: 2,
             drom: DromPolicy::Off,
         });
-        lewi_cfg.lewi = true;
         let lewi =
             ClusterSim::execute(RunSpec::new(&p, &lewi_cfg, wl.clone()).trace(true)).unwrap();
         let drom = ClusterSim::execute(
@@ -2832,7 +2797,7 @@ mod tests {
         let wl = uniform(2, 10, 0.01, 1);
         let p = Platform::homogeneous(2, 4);
         let mut cfg = BalanceConfig::preset(Preset::DynamicSpread { max_degree: 2 });
-        cfg.drom = DromPolicy::Local;
+        cfg.policy = PolicySpec::named("lewi+drom-local").unwrap();
         assert!(matches!(
             ClusterSim::execute(RunSpec::new(&p, &cfg, wl)),
             Err(SimError::Shape(_))
@@ -2927,7 +2892,6 @@ mod tests {
             degree: 2,
             drom: DromPolicy::Global,
         });
-        cfg.lewi = true;
         cfg.global_period = SimTime::from_millis(500);
         let r = ClusterSim::execute(RunSpec::new(&p, &cfg, wl.clone()).trace(true)).unwrap();
         let log = &r.trace.log;
@@ -2977,11 +2941,10 @@ mod tests {
         let light: Vec<TaskSpec> = (0..10).map(|_| TaskSpec::compute(0.02)).collect();
         let wl = SpecWorkload::iterated(vec![heavy, light], 2);
         let p = Platform::homogeneous(2, 4);
-        let mut cfg = BalanceConfig::preset(Preset::Offload {
+        let cfg = BalanceConfig::preset(Preset::Offload {
             degree: 2,
             drom: DromPolicy::Global,
         });
-        cfg.lewi = true;
         let a = ClusterSim::execute(RunSpec::new(&p, &cfg, wl.clone()).trace(true)).unwrap();
         let b = ClusterSim::execute(RunSpec::new(&p, &cfg, wl).trace(true)).unwrap();
         assert_eq!(a.trace.log.merged(), b.trace.log.merged());
@@ -3252,7 +3215,7 @@ mod tests {
     #[test]
     fn portfolio_requires_global_drom() {
         let (p, mut cfg, wl) = portfolio_setup(1);
-        cfg.drom = DromPolicy::Local;
+        cfg.policy = PolicySpec::named("lewi+drom-local").unwrap();
         cfg.dynamic = None;
         match ClusterSim::execute(RunSpec::new(&p, &cfg, wl).faults(&FaultPlan::none())) {
             Err(SimError::Shape(msg)) => assert!(msg.contains("global DROM"), "{msg}"),

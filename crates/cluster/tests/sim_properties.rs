@@ -4,7 +4,7 @@
 //! stand in for proptest (no registry deps).
 
 use tlb_cluster::{ClusterSim, RunSpec, SpecWorkload, TaskSpec};
-use tlb_core::{BalanceConfig, DromPolicy, Platform, Preset, StealGate, WorkSignal};
+use tlb_core::{BalanceConfig, DromPolicy, Platform, PolicySpec, Preset, StealGate, WorkSignal};
 use tlb_rng::Rng;
 
 #[derive(Clone, Debug)]
@@ -13,8 +13,7 @@ struct Shape {
     per_node: usize,
     cores: usize,
     degree: usize,
-    lewi: bool,
-    drom: DromPolicy,
+    policy: &'static str,
     gate: StealGate,
     signal: WorkSignal,
 }
@@ -22,12 +21,17 @@ struct Shape {
 fn gen_shape(rng: &mut Rng) -> Shape {
     let nodes = rng.range_usize(1, 5);
     let per_node = rng.range_usize(1, 3);
-    let drom = match rng.range_u64(0, 3) {
-        0 => DromPolicy::Off,
-        1 => DromPolicy::Local,
-        _ => DromPolicy::Global,
-    };
+    // DROM flavour first, then LeWI: every paper policy is reachable.
+    let drom = rng.range_u64(0, 3);
     let lewi = rng.chance(0.5);
+    let policy = match (lewi, drom) {
+        (false, 0) => "baseline",
+        (true, 0) => "lewi",
+        (false, 1) => "drom-local",
+        (true, 1) => "lewi+drom-local",
+        (false, _) => "drom-global",
+        (true, _) => "lewi+drom-global",
+    };
     let gate = match rng.range_u64(0, 3) {
         0 => StealGate::Owned,
         1 => StealGate::Usable,
@@ -46,8 +50,7 @@ fn gen_shape(rng: &mut Rng) -> Shape {
         per_node,
         cores,
         degree,
-        lewi,
-        drom,
+        policy,
         gate,
         signal,
     }
@@ -108,8 +111,7 @@ fn simulation_always_completes_and_respects_bounds() {
         let platform = Platform::homogeneous(shape.nodes, shape.cores);
         let mut cfg = BalanceConfig {
             degree: shape.degree,
-            lewi: shape.lewi,
-            drom: shape.drom,
+            policy: PolicySpec::named(shape.policy).unwrap(),
             steal_gate: shape.gate,
             work_signal: shape.signal,
             ..BalanceConfig::default()

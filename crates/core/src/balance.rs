@@ -1,11 +1,7 @@
 //! The open balancing-policy API: a deterministic registry of named,
 //! parameterized policies behind one [`BalancePolicy`] trait.
 //!
-//! Before this module, adding a policy meant editing four
-//! hand-synchronized sites: the closed `DromPolicy` enum in
-//! [`crate::config`], the dispatch in `tlb-cluster`'s simulator, the
-//! sweep crate's policy-axis string table, and the CLI's `--policy`
-//! parser. Now a policy is one registry entry:
+//! A policy is one registry entry:
 //!
 //! * a stable **name** plus **typed parameters**, parsed from and
 //!   rendered to the same `name(k=v,...)` string form everywhere
@@ -20,11 +16,12 @@
 //!   machinery available), install an explicit ownership map, or keep
 //!   the current allocation.
 //!
-//! The four paper policies (`baseline`, `lewi`, `lewi+drom-local`,
-//! `lewi+drom-global`) are registered as trait objects whose hooks
-//! route into the exact code paths the legacy `DromPolicy` dispatch
-//! used, so their simulations stay bitwise identical. Two genuinely
-//! new families ride on the same interface:
+//! The paper's configurations are the product of LeWI on/off and DROM
+//! off/local/global, and each is its own entry — `baseline`, `lewi`,
+//! `drom-local`, `drom-global`, `lewi+drom-local`, `lewi+drom-global`
+//! — so Fig. 9's four series are four names. Their hooks are the trait
+//! defaults (converge locally, solve globally). Two solver-free
+//! families ride on the same interface:
 //!
 //! * [`reactive-offload`](ReactiveOffload) — no solver at all: core
 //!   ownership shifts between co-located processes whenever a rank's
@@ -40,8 +37,6 @@
 //! reports stay bitwise identical at any `--jobs` level.
 
 use std::fmt;
-
-use crate::config::DromPolicy;
 
 /// The value type of one policy parameter.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -80,11 +75,8 @@ pub struct PolicyDef {
     pub name: &'static str,
     /// One-line description for `--help`-style listings and docs.
     pub summary: &'static str,
-    /// Whether LeWI fine-grained lending is on by default.
+    /// Whether LeWI fine-grained lending runs under this policy.
     pub lewi: bool,
-    /// The legacy `DromPolicy` knob this policy maps onto; kept so
-    /// existing config consumers (traces, reports) stay meaningful.
-    pub drom: DromPolicy,
     /// Whether the §5.4.2 global LP (and thus the solver portfolio)
     /// is constructed for this policy.
     pub uses_solver: bool,
@@ -118,7 +110,6 @@ pub static POLICY_REGISTRY: &[PolicyDef] = &[
         name: "baseline",
         summary: "no balancing: static cores, no lending, no reallocation",
         lewi: false,
-        drom: DromPolicy::Off,
         uses_solver: false,
         local_tick: false,
         global_tick: false,
@@ -129,7 +120,6 @@ pub static POLICY_REGISTRY: &[PolicyDef] = &[
         name: "lewi",
         summary: "LeWI fine-grained lending only (paper 5.4 intra-node)",
         lewi: true,
-        drom: DromPolicy::Off,
         uses_solver: false,
         local_tick: false,
         global_tick: false,
@@ -137,10 +127,29 @@ pub static POLICY_REGISTRY: &[PolicyDef] = &[
         check: None,
     },
     PolicyDef {
+        name: "drom-local",
+        summary: "per-node DROM local convergence without LeWI (paper 5.4.1)",
+        lewi: false,
+        uses_solver: false,
+        local_tick: true,
+        global_tick: false,
+        params: &[],
+        check: None,
+    },
+    PolicyDef {
+        name: "drom-global",
+        summary: "the global min-max reallocation LP without LeWI (paper 5.4.2, Fig. 9)",
+        lewi: false,
+        uses_solver: true,
+        local_tick: false,
+        global_tick: true,
+        params: &[],
+        check: None,
+    },
+    PolicyDef {
         name: "lewi+drom-local",
         summary: "LeWI plus per-node DROM local convergence (paper 5.4.1)",
         lewi: true,
-        drom: DromPolicy::Local,
         uses_solver: false,
         local_tick: true,
         global_tick: false,
@@ -151,7 +160,6 @@ pub static POLICY_REGISTRY: &[PolicyDef] = &[
         name: "lewi+drom-global",
         summary: "LeWI plus the global min-max reallocation LP (paper 5.4.2)",
         lewi: true,
-        drom: DromPolicy::Global,
         uses_solver: true,
         local_tick: false,
         global_tick: true,
@@ -162,7 +170,6 @@ pub static POLICY_REGISTRY: &[PolicyDef] = &[
         name: "reactive-offload",
         summary: "solver-free reallocation from observed MPI wait times with hysteresis",
         lewi: true,
-        drom: DromPolicy::Off,
         uses_solver: false,
         local_tick: false,
         global_tick: true,
@@ -198,7 +205,6 @@ pub static POLICY_REGISTRY: &[PolicyDef] = &[
         name: "diffusion",
         summary: "first/second-order diffusion of indivisible core units between neighbors",
         lewi: true,
-        drom: DromPolicy::Off,
         uses_solver: false,
         local_tick: false,
         global_tick: true,
@@ -421,14 +427,9 @@ impl PolicySpec {
         self.values[idx]
     }
 
-    /// Whether LeWI lending defaults on under this policy.
+    /// Whether LeWI lending runs under this policy.
     pub fn lewi(&self) -> bool {
         self.def.lewi
-    }
-
-    /// The legacy `DromPolicy` knob this policy maps onto.
-    pub fn drom(&self) -> DromPolicy {
-        self.def.drom
     }
 
     /// Whether the global LP (and the portfolio) is built.
@@ -449,9 +450,9 @@ impl PolicySpec {
     /// Instantiate the runtime policy object for this spec.
     pub fn instantiate(&self) -> Box<dyn BalancePolicy> {
         match self.def.name {
-            "reactive-offload" => Box::new(ReactiveOffload::new(self.clone())),
-            "diffusion" => Box::new(Diffusion::new(self.clone())),
-            _ => Box::new(LegacyPolicy { spec: self.clone() }),
+            "reactive-offload" => Box::new(ReactiveOffload::new(self)),
+            "diffusion" => Box::new(Diffusion::new(self)),
+            _ => Box::new(PaperPolicy),
         }
     }
 }
@@ -463,27 +464,10 @@ fn unknown_policy(name: &str) -> PolicyError {
     ))
 }
 
-/// The runtime policy object for legacy `(lewi, drom)` configurations
-/// that never went through a [`PolicySpec`] — e.g. presets or tests
-/// that flip `BalanceConfig` fields directly. The object reproduces
-/// the mechanical combination exactly; the spec it reports is the
-/// nearest registry entry by DROM mode (cosmetic only).
-pub fn legacy_policy(lewi: bool, drom: DromPolicy) -> Box<dyn BalancePolicy> {
-    let name = match (lewi, drom) {
-        (false, DromPolicy::Off) => "baseline",
-        (true, DromPolicy::Off) => "lewi",
-        (_, DromPolicy::Local) => "lewi+drom-local",
-        (_, DromPolicy::Global) => "lewi+drom-global",
-    };
-    let spec = PolicySpec::named(name).expect("legacy policies are registered");
-    Box::new(LegacyPolicy { spec })
-}
-
 /// What the per-local-tick hook tells the simulator to do.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LocalAction {
-    /// Run the §5.4.1 per-node convergence step (the legacy
-    /// `drom=local` behaviour).
+    /// Run the §5.4.1 per-node convergence step.
     Converge,
     /// Leave ownership as it is this tick.
     Keep,
@@ -492,8 +476,7 @@ pub enum LocalAction {
 /// What the per-global-tick hook tells the simulator to do.
 #[derive(Clone, Debug, PartialEq)]
 pub enum GlobalAction {
-    /// Run the §5.4.2 global LP (or the racing portfolio) exactly as
-    /// the legacy `drom=global` path did.
+    /// Run the §5.4.2 global LP (or the racing portfolio).
     Solve,
     /// Install an explicit per-node ownership map (one count per
     /// worker process), charged `comm_rounds` interconnect latencies
@@ -583,14 +566,12 @@ impl SignalView<'_> {
     }
 }
 
-/// A balancing policy: the object form of one [`PolicySpec`]. The
-/// simulator consults the hooks at the cadence the spec declares; the
-/// default hook bodies reproduce the legacy dispatch, so a policy only
-/// overrides what it changes.
+/// A balancing policy: the stateful object form of one [`PolicySpec`]
+/// (which stays in `BalanceConfig.policy`). The simulator consults the
+/// hooks at the cadence the spec declares; the default hook bodies are
+/// the paper's DROM policies, so a policy only overrides what it
+/// changes.
 pub trait BalancePolicy {
-    /// The spec this object was instantiated from.
-    fn spec(&self) -> &PolicySpec;
-
     /// Called at each per-node local tick (when the spec wants them).
     fn on_local_tick(&mut self) -> LocalAction {
         LocalAction::Converge
@@ -603,18 +584,12 @@ pub trait BalancePolicy {
     }
 }
 
-/// The four paper policies: hooks defer to the defaults, which route
-/// into the exact legacy code paths (bitwise identity is pinned by
-/// the dispatch-equivalence tests and the smoke benches).
-struct LegacyPolicy {
-    spec: PolicySpec,
-}
+/// The paper's six LeWI × DROM policies: the hooks are the defaults,
+/// and the spec's tick flags decide which of them ever fire (bitwise
+/// results are pinned by the golden per-`Preset` test).
+struct PaperPolicy;
 
-impl BalancePolicy for LegacyPolicy {
-    fn spec(&self) -> &PolicySpec {
-        &self.spec
-    }
-}
+impl BalancePolicy for PaperPolicy {}
 
 /// Wait-time reactive offloading: per apprank, a hysteresis latch
 /// marks it *underloaded* when its observed wait fraction rises above
@@ -623,7 +598,6 @@ impl BalancePolicy for LegacyPolicy {
 /// process to the co-located process with the highest outstanding
 /// load — no solver, one interconnect round to apply.
 pub struct ReactiveOffload {
-    spec: PolicySpec,
     hi: f64,
     lo: f64,
     unit: usize,
@@ -631,25 +605,17 @@ pub struct ReactiveOffload {
 }
 
 impl ReactiveOffload {
-    fn new(spec: PolicySpec) -> ReactiveOffload {
-        let hi = spec.param("hi");
-        let lo = spec.param("lo");
-        let unit = spec.param("unit") as usize;
+    fn new(spec: &PolicySpec) -> ReactiveOffload {
         ReactiveOffload {
-            spec,
-            hi,
-            lo,
-            unit,
+            hi: spec.param("hi"),
+            lo: spec.param("lo"),
+            unit: spec.param("unit") as usize,
             idle: Vec::new(),
         }
     }
 }
 
 impl BalancePolicy for ReactiveOffload {
-    fn spec(&self) -> &PolicySpec {
-        &self.spec
-    }
-
     fn on_global_tick(&mut self, view: &SignalView<'_>) -> GlobalAction {
         let n = view.appranks();
         self.idle.resize(n, false);
@@ -717,7 +683,6 @@ impl BalancePolicy for ReactiveOffload {
 /// convergence on slowly varying imbalance (the second-order scheme
 /// of the indivisible-loads paper). One interconnect round per order.
 pub struct Diffusion {
-    spec: PolicySpec,
     alpha: f64,
     order: usize,
     beta: f64,
@@ -727,25 +692,17 @@ pub struct Diffusion {
 }
 
 impl Diffusion {
-    fn new(spec: PolicySpec) -> Diffusion {
-        let alpha = spec.param("alpha");
-        let order = spec.param("order") as usize;
-        let beta = spec.param("beta");
+    fn new(spec: &PolicySpec) -> Diffusion {
         Diffusion {
-            spec,
-            alpha,
-            order,
-            beta,
+            alpha: spec.param("alpha"),
+            order: spec.param("order") as usize,
+            beta: spec.param("beta"),
             prev_flow: std::collections::HashMap::new(),
         }
     }
 }
 
 impl BalancePolicy for Diffusion {
-    fn spec(&self) -> &PolicySpec {
-        &self.spec
-    }
-
     fn on_global_tick(&mut self, view: &SignalView<'_>) -> GlobalAction {
         let procs_on = apprank_of(view);
         let mut per_node: Vec<Vec<usize>> = view.ownership.to_vec();
@@ -897,23 +854,25 @@ mod tests {
     }
 
     #[test]
-    fn legacy_mapping_matches_mechanism() {
-        let spec = PolicySpec::named("lewi+drom-global").unwrap();
-        assert!(spec.lewi() && spec.uses_solver() && spec.wants_global_tick());
-        assert_eq!(spec.drom(), DromPolicy::Global);
-        let spec = PolicySpec::named("lewi+drom-local").unwrap();
-        assert!(spec.wants_local_tick() && !spec.wants_global_tick());
-        let spec = PolicySpec::named("baseline").unwrap();
-        assert!(!spec.lewi() && !spec.wants_local_tick() && !spec.wants_global_tick());
-        assert_eq!(
-            legacy_policy(true, DromPolicy::Global).spec().name(),
-            "lewi+drom-global"
-        );
-        assert_eq!(
-            legacy_policy(false, DromPolicy::Off).spec().name(),
-            "baseline"
-        );
-        assert_eq!(legacy_policy(true, DromPolicy::Off).spec().name(), "lewi");
+    fn paper_policies_declare_their_mechanism() {
+        // (name, lewi, solver, local tick, global tick)
+        for (name, lewi, solver, local, global) in [
+            ("baseline", false, false, false, false),
+            ("lewi", true, false, false, false),
+            ("drom-local", false, false, true, false),
+            ("drom-global", false, true, false, true),
+            ("lewi+drom-local", true, false, true, false),
+            ("lewi+drom-global", true, true, false, true),
+        ] {
+            let spec = PolicySpec::named(name).unwrap();
+            assert_eq!(spec.lewi(), lewi, "{name}: lewi");
+            assert_eq!(spec.uses_solver(), solver, "{name}: solver");
+            assert_eq!(spec.wants_local_tick(), local, "{name}: local tick");
+            assert_eq!(spec.wants_global_tick(), global, "{name}: global tick");
+            assert_eq!(spec.canonical(), name);
+            assert!(PolicySpec::parse(&format!("{name}(x=1)")).is_err());
+        }
+        assert_eq!(known_policy_names().len(), 8);
     }
 
     fn view_fixture<'a>(
@@ -945,7 +904,7 @@ mod tests {
         let ownership = [vec![4, 4]];
         let alive = [vec![true, true]];
         let view = view_fixture(&work, &busy, &placement, &ownership, &alive);
-        let mut pol = ReactiveOffload::new(PolicySpec::parse("reactive-offload(unit=2)").unwrap());
+        let mut pol = ReactiveOffload::new(&PolicySpec::parse("reactive-offload(unit=2)").unwrap());
         match pol.on_global_tick(&view) {
             GlobalAction::SetOwnership {
                 per_node,
@@ -971,7 +930,7 @@ mod tests {
         let ownership = [vec![1, 7]];
         let alive = [vec![true, true]];
         let view = view_fixture(&work, &busy, &placement, &ownership, &alive);
-        let mut pol = ReactiveOffload::new(PolicySpec::parse("reactive-offload(unit=4)").unwrap());
+        let mut pol = ReactiveOffload::new(&PolicySpec::parse("reactive-offload(unit=4)").unwrap());
         // Donor has one core: keeps it.
         assert_eq!(pol.on_global_tick(&view), GlobalAction::Keep);
     }
@@ -985,7 +944,7 @@ mod tests {
         let ownership = [vec![4, 4]];
         let alive = [vec![true, true]];
         let view = view_fixture(&work, &busy, &placement, &ownership, &alive);
-        let mut pol = Diffusion::new(PolicySpec::parse("diffusion").unwrap());
+        let mut pol = Diffusion::new(&PolicySpec::parse("diffusion").unwrap());
         match pol.on_global_tick(&view) {
             GlobalAction::SetOwnership {
                 per_node,
@@ -1009,8 +968,8 @@ mod tests {
         let ownership = [vec![4, 4]];
         let alive = [vec![true, true]];
         let view = view_fixture(&work, &busy, &placement, &ownership, &alive);
-        let mut first = Diffusion::new(PolicySpec::parse("diffusion").unwrap());
-        let mut second = Diffusion::new(PolicySpec::parse("diffusion(order=2,beta=0.9)").unwrap());
+        let mut first = Diffusion::new(&PolicySpec::parse("diffusion").unwrap());
+        let mut second = Diffusion::new(&PolicySpec::parse("diffusion(order=2,beta=0.9)").unwrap());
         let _ = first.on_global_tick(&view);
         let _ = second.on_global_tick(&view);
         // After one tick the momentum term kicks in: the second-order
@@ -1042,9 +1001,9 @@ mod tests {
         let ownership = [vec![4, 4]];
         let alive = [vec![false, true]];
         let view = view_fixture(&work, &busy, &placement, &ownership, &alive);
-        let mut reactive = ReactiveOffload::new(PolicySpec::named("reactive-offload").unwrap());
+        let mut reactive = ReactiveOffload::new(&PolicySpec::named("reactive-offload").unwrap());
         assert_eq!(reactive.on_global_tick(&view), GlobalAction::Keep);
-        let mut diff = Diffusion::new(PolicySpec::named("diffusion").unwrap());
+        let mut diff = Diffusion::new(&PolicySpec::named("diffusion").unwrap());
         assert_eq!(diff.on_global_tick(&view), GlobalAction::Keep);
     }
 }

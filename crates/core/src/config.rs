@@ -1,5 +1,6 @@
 //! Experiment configuration: platform description and balancing knobs.
 
+use crate::PolicySpec;
 use tlb_des::SimTime;
 use tlb_portfolio::PortfolioConfig;
 
@@ -117,7 +118,9 @@ impl Platform {
     }
 }
 
-/// Which DROM core-allocation policy runs (paper §5.4).
+/// Which DROM core-allocation policy an offloading [`Preset`] runs
+/// (paper §5.4). Only `Preset`'s argument vocabulary: a configuration
+/// stores the registry policy the preset resolves to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DromPolicy {
     /// DROM disabled: ownership stays at the initial split.
@@ -191,17 +194,19 @@ impl Default for DynamicSpreading {
     }
 }
 
-/// All balancing knobs for one execution.
+/// All balancing knobs for one execution. What balances — LeWI
+/// lending, the DROM flavour, or one of the solver-free policies — is
+/// the single `policy` field; the rest tune how.
 #[derive(Clone, Debug)]
 pub struct BalanceConfig {
     /// Offloading degree: nodes per apprank including home (1 = no
     /// offloading, the baseline).
     pub degree: usize,
-    /// LeWI fine-grained lending on/off.
-    pub lewi: bool,
-    /// DROM coarse-grained policy.
-    pub drom: DromPolicy,
-    /// Solver used when `drom == Global`.
+    /// The balancing policy, from the registry in [`crate::balance`].
+    /// LeWI on/off is part of the policy's identity (`drom-global` vs
+    /// `lewi+drom-global`), not a separate switch.
+    pub policy: PolicySpec,
+    /// Solver used by policies that run the global allocation program.
     pub solver: GlobalSolverKind,
     /// Local policy adjustment period (continuous in the paper; we tick it
     /// at this period — 100 ms by default).
@@ -224,26 +229,20 @@ pub struct BalanceConfig {
     pub work_signal: WorkSignal,
     /// Steal aggressiveness (see [`StealGate`]).
     pub steal_gate: StealGate,
-    /// Dynamic helper spawning (requires `drom == Global`); `degree` is
-    /// then the *initial* degree, usually 1.
+    /// Dynamic helper spawning (requires a solver-using policy);
+    /// `degree` is then the *initial* degree, usually 1.
     pub dynamic: Option<DynamicSpreading>,
     /// Race a solver portfolio on every global tick instead of the single
-    /// `solver` (requires `drom == Global`). `None` keeps the paper's
-    /// single-solver behaviour.
+    /// `solver` (requires a solver-using policy). `None` keeps the
+    /// paper's single-solver behaviour.
     pub portfolio: Option<PortfolioConfig>,
-    /// The balancing policy from the open registry. `None` means the
-    /// legacy mechanical combination of `lewi` + `drom` (exactly what
-    /// every pre-registry configuration ran); `Some` dispatches the
-    /// simulator through the named [`crate::BalancePolicy`] object.
-    pub policy: Option<crate::PolicySpec>,
 }
 
 impl Default for BalanceConfig {
     fn default() -> Self {
         BalanceConfig {
             degree: 4,
-            lewi: true,
-            drom: DromPolicy::Global,
+            policy: named("lewi+drom-global"),
             solver: GlobalSolverKind::Simplex,
             local_period: SimTime::from_millis(100),
             global_period: SimTime::from_secs(2),
@@ -255,26 +254,31 @@ impl Default for BalanceConfig {
             steal_gate: StealGate::Usable,
             dynamic: None,
             portfolio: None,
-            policy: None,
         }
     }
 }
 
-/// A named balancing configuration. The old constructors mixed policy
-/// and mechanism in their names (`baseline`, `dlb_only`, `offloading`,
-/// `dynamic_spreading`); a `Preset` states exactly which combination of
-/// degree, LeWI, and DROM it stands for, and every preset goes through
-/// the single [`BalanceConfig::preset`] constructor.
+fn named(policy: &str) -> PolicySpec {
+    PolicySpec::named(policy).expect("presets name registered policies")
+}
+
+/// A named balancing configuration: which registry policy runs at
+/// which offloading degree. Every preset goes through the single
+/// [`BalanceConfig::preset`] constructor, which returns a configuration
+/// holding the policy's [`PolicySpec`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Preset {
-    /// No balancing at all: degree 1, no LeWI, no DROM (the paper's
+    /// No balancing at all: degree 1 under `baseline` (the paper's
     /// baseline series).
     Baseline,
     /// DLB confined to each node (the paper's "DLB" series): degree 1
-    /// with LeWI and the local DROM policy.
+    /// under `lewi+drom-local`.
     NodeDlb,
-    /// Offloading at `degree` under `drom`, LeWI on — the paper's
-    /// LeWI+DROM configurations.
+    /// Offloading at `degree` with LeWI on: `lewi`, `lewi+drom-local`
+    /// or `lewi+drom-global` as `drom` says — the paper's LeWI+DROM
+    /// configurations. The LeWI-off series are the registry policies
+    /// `drom-local` / `drom-global`; select them with
+    /// [`BalanceConfig::with_policy`].
     Offload {
         /// Nodes per apprank including home.
         degree: usize,
@@ -282,7 +286,7 @@ pub enum Preset {
         drom: DromPolicy,
     },
     /// Dynamic work spreading (paper §5.2 future work): start at degree
-    /// 1 and spawn helpers up to `max_degree` under the global policy.
+    /// 1 and spawn helpers up to `max_degree` under `lewi+drom-global`.
     DynamicSpread {
         /// Hard cap on nodes per apprank (home included).
         max_degree: usize,
@@ -294,35 +298,27 @@ impl BalanceConfig {
     /// [`Preset`] names, with every other knob at its default. Refine
     /// with the `with_*` builders.
     pub fn preset(preset: Preset) -> Self {
-        match preset {
-            Preset::Baseline => BalanceConfig {
-                degree: 1,
-                lewi: false,
-                drom: DromPolicy::Off,
-                ..BalanceConfig::default()
-            },
-            Preset::NodeDlb => BalanceConfig {
-                degree: 1,
-                lewi: true,
-                drom: DromPolicy::Local,
-                ..BalanceConfig::default()
-            },
-            Preset::Offload { degree, drom } => BalanceConfig {
-                degree,
-                lewi: true,
-                drom,
-                ..BalanceConfig::default()
-            },
-            Preset::DynamicSpread { max_degree } => BalanceConfig {
-                degree: 1,
-                lewi: true,
-                drom: DromPolicy::Global,
-                dynamic: Some(DynamicSpreading {
-                    max_degree,
-                    ..DynamicSpreading::default()
-                }),
-                ..BalanceConfig::default()
-            },
+        let (degree, policy, max_degree) = match preset {
+            Preset::Baseline => (1, "baseline", None),
+            Preset::NodeDlb => (1, "lewi+drom-local", None),
+            Preset::Offload { degree, drom } => {
+                let policy = match drom {
+                    DromPolicy::Off => "lewi",
+                    DromPolicy::Local => "lewi+drom-local",
+                    DromPolicy::Global => "lewi+drom-global",
+                };
+                (degree, policy, None)
+            }
+            Preset::DynamicSpread { max_degree } => (1, "lewi+drom-global", Some(max_degree)),
+        };
+        BalanceConfig {
+            degree,
+            policy: named(policy),
+            dynamic: max_degree.map(|max_degree| DynamicSpreading {
+                max_degree,
+                ..DynamicSpreading::default()
+            }),
+            ..BalanceConfig::default()
         }
     }
 
@@ -332,21 +328,9 @@ impl BalanceConfig {
         self
     }
 
-    /// Builder: toggle LeWI.
-    pub fn with_lewi(mut self, on: bool) -> Self {
-        self.lewi = on;
-        self
-    }
-
     /// Builder: set the offloading degree.
     pub fn with_degree(mut self, degree: usize) -> Self {
         self.degree = degree;
-        self
-    }
-
-    /// Builder: set the DROM policy.
-    pub fn with_drom(mut self, drom: DromPolicy) -> Self {
-        self.drom = drom;
         self
     }
 
@@ -362,13 +346,9 @@ impl BalanceConfig {
         self
     }
 
-    /// Builder: select a registry policy. Sets `lewi` and `drom` to the
-    /// policy's defaults (refine afterwards with [`Self::with_lewi`] to
-    /// override lending) and stores the spec for trait dispatch.
-    pub fn with_policy(mut self, spec: crate::PolicySpec) -> Self {
-        self.lewi = spec.lewi();
-        self.drom = spec.drom();
-        self.policy = Some(spec);
+    /// Builder: select a registry policy.
+    pub fn with_policy(mut self, spec: PolicySpec) -> Self {
+        self.policy = spec;
         self
     }
 }
@@ -402,35 +382,36 @@ mod tests {
     #[test]
     fn config_presets() {
         let b = BalanceConfig::preset(Preset::Baseline);
-        assert_eq!(b.degree, 1);
-        assert!(!b.lewi);
-        assert_eq!(b.drom, DromPolicy::Off);
+        assert_eq!((b.degree, b.policy.name()), (1, "baseline"));
+        assert!(!b.policy.lewi());
         let d = BalanceConfig::preset(Preset::NodeDlb);
-        assert_eq!(d.degree, 1);
-        assert!(d.lewi);
-        assert_eq!(d.drom, DromPolicy::Local);
-        let o = BalanceConfig::preset(Preset::Offload {
-            degree: 4,
-            drom: DromPolicy::Global,
-        });
-        assert_eq!(o.degree, 4);
-        assert_eq!(o.queue_depth_per_core, 2);
+        assert_eq!((d.degree, d.policy.name()), (1, "lewi+drom-local"));
+        for (drom, name) in [
+            (DromPolicy::Off, "lewi"),
+            (DromPolicy::Local, "lewi+drom-local"),
+            (DromPolicy::Global, "lewi+drom-global"),
+        ] {
+            let o = BalanceConfig::preset(Preset::Offload { degree: 4, drom });
+            assert_eq!((o.degree, o.policy.name()), (4, name));
+            assert!(o.policy.lewi());
+            assert_eq!(o.queue_depth_per_core, 2);
+        }
         let dy = BalanceConfig::preset(Preset::DynamicSpread { max_degree: 3 });
-        assert_eq!(dy.degree, 1);
+        assert_eq!((dy.degree, dy.policy.name()), (1, "lewi+drom-global"));
         assert_eq!(dy.dynamic.map(|d| d.max_degree), Some(3));
+        assert_eq!(BalanceConfig::default().policy.name(), "lewi+drom-global");
     }
 
     #[test]
     fn builders_refine_presets() {
         let c = BalanceConfig::preset(Preset::Baseline)
             .with_degree(2)
-            .with_drom(DromPolicy::Global)
-            .with_lewi(true)
+            .with_policy(PolicySpec::named("drom-global").unwrap())
             .with_solver(GlobalSolverKind::Flow)
             .with_seed(9);
         assert_eq!(c.degree, 2);
-        assert_eq!(c.drom, DromPolicy::Global);
-        assert!(c.lewi);
+        assert_eq!(c.policy.name(), "drom-global");
+        assert!(!c.policy.lewi() && c.policy.uses_solver());
         assert_eq!(c.solver, GlobalSolverKind::Flow);
         assert_eq!(c.seed, 9);
     }

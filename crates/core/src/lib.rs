@@ -26,8 +26,9 @@
 //!   Nord3).
 //! * [`PolicySpec`] / [`BalancePolicy`] — the open policy API: a
 //!   deterministic registry of named, parameterized balancing policies
-//!   (the paper's four plus `reactive-offload` and `diffusion`) parsed
-//!   from one `name(k=v,...)` string form everywhere.
+//!   (the paper's six LeWI × DROM combinations plus `reactive-offload`
+//!   and `diffusion`) parsed from one `name(k=v,...)` string form
+//!   everywhere; the only policy field of [`BalanceConfig`].
 
 mod balance;
 mod config;
@@ -47,9 +48,8 @@ pub use tlb_portfolio as portfolio;
 pub use tlb_portfolio::{PortfolioConfig, PortfolioEngine, PortfolioStats, Strategy};
 
 pub use balance::{
-    known_policy_names, legacy_policy, BalancePolicy, Diffusion, GlobalAction, LocalAction,
-    ParamDef, ParamKind, PolicyDef, PolicyError, PolicySpec, ReactiveOffload, SignalView,
-    POLICY_REGISTRY,
+    known_policy_names, BalancePolicy, Diffusion, GlobalAction, LocalAction, ParamDef, ParamKind,
+    PolicyDef, PolicyError, PolicySpec, ReactiveOffload, SignalView, POLICY_REGISTRY,
 };
 pub use config::{
     BalanceConfig, DromPolicy, DynamicSpreading, GlobalSolverKind, Platform, Preset, SpeedEvent,

@@ -11,7 +11,7 @@ use tlb_json::Value;
 use tlb_smprt::Pool;
 
 use crate::cache::{point_key, point_key_input, Cache};
-use crate::scenario::{Scenario, SweepPoint};
+use crate::scenario::{Scenario, SweepApp, SweepPoint};
 
 /// How to run a sweep.
 #[derive(Clone, Debug)]
@@ -191,17 +191,17 @@ pub fn run_point(scenario: &Scenario, point: &SweepPoint) -> Result<Value, Strin
 }
 
 /// Build the point's workload plus its nominal per-iteration work in
-/// core·seconds (the numerator of the perfect-balance bound). Mirrors
-/// the `tlb-run` CLI's construction so a sweep point and the equivalent
-/// command line produce the same simulation.
-fn build_workload(
+/// core·seconds (the numerator of the perfect-balance bound). The one
+/// app table: sweep points, served points and single `tlb-run` runs all
+/// construct their workload here.
+pub fn build_workload(
     scenario: &Scenario,
     point: &SweepPoint,
     appranks: usize,
     platform: &Platform,
 ) -> (Box<dyn Workload>, f64) {
     match scenario.app {
-        crate::scenario::SweepApp::Synthetic => {
+        SweepApp::Synthetic => {
             let mut cfg = tlb_apps::synthetic::SyntheticConfig::new(appranks, scenario.imbalance);
             cfg.iterations = scenario.iterations;
             cfg.seed = point.seed;
@@ -209,7 +209,7 @@ fn build_workload(
             let work = wl.rank_work(0).iter().sum::<f64>();
             (Box::new(wl), work)
         }
-        crate::scenario::SweepApp::Micropp => {
+        SweepApp::Micropp => {
             let mut cfg = tlb_apps::micropp::MicroPpConfig::new(appranks);
             cfg.iterations = scenario.iterations;
             cfg.seed = point.seed;
@@ -217,7 +217,7 @@ fn build_workload(
             let work = wl.rank_work(0).iter().sum::<f64>();
             (Box::new(wl), work)
         }
-        crate::scenario::SweepApp::Nbody => {
+        SweepApp::Nbody => {
             let mut cfg = tlb_apps::nbody::NBodyConfig::new(20_000 * appranks, appranks);
             cfg.iterations = scenario.iterations;
             cfg.force_cost = 2e-6;
@@ -228,7 +228,7 @@ fn build_workload(
                 .sum();
             (Box::new(tlb_apps::nbody::NBodyWorkload::new(cfg)), work)
         }
-        crate::scenario::SweepApp::Stencil => {
+        SweepApp::Stencil => {
             let mut cfg =
                 tlb_apps::stencil::StencilConfig::new(appranks, 128, 128).with_gradient(0.5, 2.0);
             cfg.iterations = scenario.iterations;
@@ -237,7 +237,7 @@ fn build_workload(
             let work: f64 = (0..appranks).map(|r| wl.rank_work(r)).sum();
             (Box::new(tlb_apps::stencil::StencilWorkload::new(cfg)), work)
         }
-        crate::scenario::SweepApp::Amr => {
+        SweepApp::Amr => {
             let mut cfg = tlb_apps::amr::AmrConfig::new(appranks, scenario.imbalance);
             cfg.iterations = scenario.iterations;
             cfg.seed = point.seed;

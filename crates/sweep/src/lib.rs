@@ -44,7 +44,8 @@ mod scenario;
 
 pub use cache::{fnv1a64, point_key, point_key_input, Cache, ENGINE_VERSION};
 pub use engine::{
-    aggregate, run_point, run_sweep, SweepError, SweepOptions, SweepOutcome, SweepStats,
+    aggregate, build_workload, run_point, run_sweep, SweepError, SweepOptions, SweepOutcome,
+    SweepStats,
 };
 pub use scenario::{
     Axes, Scenario, ScenarioError, SweepApp, SweepMachine, SweepPoint, SCHEMA_VERSION,

@@ -10,7 +10,8 @@ use tlb_json::Value;
 /// rather than a silently different experiment.
 pub const SCHEMA_VERSION: u64 = 1;
 
-/// Which application a scenario runs (mirrors `tlb-run --app`).
+/// Which application a scenario runs (`tlb-run --app` parses into this
+/// too).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SweepApp {
     /// Configurable-imbalance synthetic benchmark.
@@ -37,7 +38,8 @@ impl SweepApp {
         }
     }
 
-    fn parse(s: &str) -> Result<Self, ScenarioError> {
+    /// Parse the schema string; the error lists the known apps.
+    pub fn parse(s: &str) -> Result<Self, ScenarioError> {
         match s {
             "synthetic" => Ok(SweepApp::Synthetic),
             "micropp" => Ok(SweepApp::Micropp),
@@ -51,7 +53,7 @@ impl SweepApp {
     }
 }
 
-/// Machine preset (mirrors `tlb-run --machine`).
+/// Machine preset (`tlb-run --machine` parses into this too).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SweepMachine {
     /// 48-core MareNostrum-4 nodes with realistic overheads.
@@ -72,7 +74,8 @@ impl SweepMachine {
         }
     }
 
-    fn parse(s: &str) -> Result<Self, ScenarioError> {
+    /// Parse the schema string; the error lists the known machines.
+    pub fn parse(s: &str) -> Result<Self, ScenarioError> {
         match s {
             "mn4" => Ok(SweepMachine::Mn4),
             "nord3" => Ok(SweepMachine::Nord3),
@@ -341,8 +344,8 @@ impl Scenario {
             PortfolioConfig::parse(spec).map_err(|e| ScenarioError(format!("portfolio: {e}")))?;
             if !self.axes.policy.iter().any(|p| p.uses_solver()) {
                 return Err(ScenarioError(
-                    "portfolio requires a solver-using policy ('lewi+drom-global') \
-                     in the policy axis"
+                    "portfolio requires a solver-using policy ('drom-global' or \
+                     'lewi+drom-global') in the policy axis"
                         .into(),
                 ));
             }
@@ -457,8 +460,8 @@ impl Scenario {
     }
 
     /// Build the balancing configuration for one point: the policy axis
-    /// fixes (LeWI, DROM), the degree axis the offloading degree, and
-    /// the seed axis the expander seed. The scenario's portfolio spec is
+    /// fixes the registry policy, the degree axis the offloading degree,
+    /// and the seed axis the expander seed. The scenario's portfolio spec is
     /// attached to the points whose policy runs the global solver, with
     /// the racing pool forced inline so the only live threads during a
     /// sweep are the sweep workers themselves (results are bitwise
@@ -627,31 +630,19 @@ mod tests {
     }
 
     #[test]
-    fn policy_axis_maps_to_knobs() {
-        use tlb_core::DromPolicy;
+    fn policy_axis_reaches_the_config_verbatim() {
         let sc = Scenario::from_json_str(
             r#"{"schema_version": 1, "name": "t", "app": "synthetic",
-                "axes": {"policy": ["baseline", "lewi", "lewi+drom-local",
+                "axes": {"policy": ["baseline", "lewi", "drom-global",
                                     "lewi+drom-global"], "degree": [2]}}"#,
         )
         .unwrap();
-        let knobs: Vec<(bool, DromPolicy)> = sc
-            .expand()
-            .iter()
-            .map(|p| {
-                let cfg = sc.config(p).unwrap();
-                (cfg.lewi, cfg.drom)
-            })
-            .collect();
-        assert_eq!(
-            knobs,
-            vec![
-                (false, DromPolicy::Off),
-                (true, DromPolicy::Off),
-                (true, DromPolicy::Local),
-                (true, DromPolicy::Global),
-            ]
-        );
+        for (point, lewi) in sc.expand().iter().zip([false, true, false, true]) {
+            let cfg = sc.config(point).unwrap();
+            assert_eq!(cfg.policy, point.policy);
+            assert_eq!(cfg.policy.lewi(), lewi, "{}", point.policy);
+            assert_eq!((cfg.degree, cfg.seed), (2, 1));
+        }
     }
 
     #[test]

@@ -178,56 +178,146 @@ fn assert_reports_identical(a: &SimReport, b: &SimReport, label: &str) {
     );
 }
 
-/// Every legacy `Preset` produces a bitwise-identical report when the
-/// same configuration is routed through the `BalancePolicy` registry —
-/// the migration to trait dispatch changes no simulated behaviour.
+/// One pinned report of [`run_with`]: times in nanoseconds,
+/// `parallel_efficiency` by bit pattern.
+struct Golden {
+    makespan_ns: u64,
+    iteration_ns: [u64; 4],
+    offloaded_tasks: usize,
+    events: u64,
+    solver_runs: usize,
+    solver_time_ns: u64,
+    parallel_efficiency_bits: u64,
+}
+
+/// Every `Preset`, and the two LeWI-off DROM policies no preset names,
+/// reproduces bit for bit the report the pre-registry `lewi` + `drom`
+/// field pair produced for the same combination (captured at commit
+/// ba94509, the last one that had those fields).
 #[test]
-fn legacy_presets_bitwise_identical_under_trait_dispatch() {
+fn presets_and_paper_policies_match_golden_reports() {
+    let offload = |drom| BalanceConfig::preset(Preset::Offload { degree: 2, drom });
+    let named = |policy| offload(DromPolicy::Off).with_policy(PolicySpec::named(policy).unwrap());
     let cases = [
         (
             "Baseline",
             BalanceConfig::preset(Preset::Baseline),
-            "baseline",
+            Golden {
+                makespan_ns: 8_000_016_000,
+                iteration_ns: [2_000_004_000; 4],
+                offloaded_tasks: 0,
+                events: 2244,
+                solver_runs: 0,
+                solver_time_ns: 0,
+                parallel_efficiency_bits: 0x3fdb_fffc_547a_4ff1,
+            },
         ),
         (
             "NodeDlb",
             BalanceConfig::preset(Preset::NodeDlb),
-            "lewi+drom-local",
+            Golden {
+                makespan_ns: 8_000_016_000,
+                iteration_ns: [2_000_004_000; 4],
+                offloaded_tasks: 0,
+                events: 2325,
+                solver_runs: 0,
+                solver_time_ns: 0,
+                parallel_efficiency_bits: 0x3fdb_fffc_547a_4ff1,
+            },
         ),
         (
             "Offload/Off",
-            BalanceConfig::preset(Preset::Offload {
-                degree: 2,
-                drom: DromPolicy::Off,
-            }),
-            "lewi",
+            offload(DromPolicy::Off),
+            Golden {
+                makespan_ns: 5_600_048_000,
+                iteration_ns: [1_400_012_000; 4],
+                offloaded_tasks: 472,
+                events: 1252,
+                solver_runs: 0,
+                solver_time_ns: 0,
+                parallel_efficiency_bits: 0x3fe4_0009_5cb9_7f5a,
+            },
         ),
         (
             "Offload/Local",
-            BalanceConfig::preset(Preset::Offload {
-                degree: 2,
-                drom: DromPolicy::Local,
-            }),
-            "lewi+drom-local",
+            offload(DromPolicy::Local),
+            Golden {
+                makespan_ns: 5_150_064_000,
+                iteration_ns: [1_300_008_000, 1_300_008_000, 1_250_040_000, 1_300_008_000],
+                offloaded_tasks: 521,
+                events: 1609,
+                solver_runs: 0,
+                solver_time_ns: 0,
+                parallel_efficiency_bits: 0x3fe5_bf60_1196_1a0f,
+            },
         ),
         (
             "Offload/Global",
-            BalanceConfig::preset(Preset::Offload {
-                degree: 2,
-                drom: DromPolicy::Global,
-            }),
-            "lewi+drom-global",
+            offload(DromPolicy::Global),
+            Golden {
+                makespan_ns: 5_200_116_000,
+                iteration_ns: [1_400_012_000, 1_300_014_000, 1_250_048_000, 1_250_042_000],
+                offloaded_tasks: 499,
+                events: 1269,
+                solver_runs: 2,
+                solver_time_ns: 2_000_000,
+                parallel_efficiency_bits: 0x3fe5_89d0_1d83_3987,
+            },
+        ),
+        (
+            "drom-local",
+            named("drom-local"),
+            Golden {
+                makespan_ns: 5_950_074_000,
+                iteration_ns: [1_600_004_000, 1_500_004_000, 1_500_036_000, 1_350_030_000],
+                offloaded_tasks: 491,
+                events: 1810,
+                solver_runs: 0,
+                solver_time_ns: 0,
+                parallel_efficiency_bits: 0x3fe2_d2cc_a528_42ed,
+            },
+        ),
+        (
+            "drom-global",
+            named("drom-global"),
+            Golden {
+                makespan_ns: 6_050_246_000,
+                iteration_ns: [2_000_082_000, 1_350_058_000, 1_350_052_000, 1_350_054_000],
+                offloaded_tasks: 426,
+                events: 1271,
+                solver_runs: 3,
+                solver_time_ns: 3_000_000,
+                parallel_efficiency_bits: 0x3fe2_830b_9bbf_486c,
+            },
         ),
     ];
-    for (label, legacy_cfg, policy) in cases {
-        let legacy = run_with(&legacy_cfg);
-        let mut trait_cfg =
-            BalanceConfig::default().with_policy(PolicySpec::named(policy).unwrap());
-        trait_cfg.degree = legacy_cfg.degree;
-        assert_eq!(trait_cfg.lewi, legacy_cfg.lewi, "{label}: lewi knob");
-        assert_eq!(trait_cfg.drom, legacy_cfg.drom, "{label}: drom knob");
-        let modern = run_with(&trait_cfg);
-        assert_reports_identical(&legacy, &modern, label);
+    for (label, cfg, want) in cases {
+        let got = run_with(&cfg);
+        assert_eq!(
+            got.makespan.as_nanos(),
+            want.makespan_ns,
+            "{label}: makespan"
+        );
+        let iteration_ns: Vec<u64> = got.iteration_times.iter().map(|t| t.as_nanos()).collect();
+        assert_eq!(iteration_ns, want.iteration_ns, "{label}: iteration_times");
+        assert_eq!(
+            got.offloaded_tasks, want.offloaded_tasks,
+            "{label}: offloaded_tasks"
+        );
+        assert_eq!(got.total_tasks, 4 * 280, "{label}: total_tasks");
+        assert_eq!(got.events, want.events, "{label}: events");
+        assert_eq!(got.solver_runs, want.solver_runs, "{label}: solver_runs");
+        assert_eq!(
+            got.solver_time.as_nanos(),
+            want.solver_time_ns,
+            "{label}: solver_time"
+        );
+        assert_eq!(got.spawned_helpers, 0, "{label}: spawned_helpers");
+        assert_eq!(
+            got.parallel_efficiency.to_bits(),
+            want.parallel_efficiency_bits,
+            "{label}: parallel_efficiency"
+        );
     }
 }
 
