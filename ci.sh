@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Offline CI gate: format, clippy, benchmark-harness check, build, tier-1
-# tests, smoke benches (perf, trace, robustness, portfolio, sweep, serve).
+# tests, the figure claims + results drift gate, smoke benches (perf,
+# trace, robustness, portfolio, sweep, serve).
 # The workspace is hermetic (no registry deps), so everything here runs
 # with no network access. Mirrors .github/workflows/ci.yml.
 set -euo pipefail
@@ -20,6 +21,10 @@ cargo build --workspace --release --offline
 
 echo "== tier-1: cargo test"
 cargo test --workspace -q --offline
+
+echo "== figures (--quick): every evaluated claim holds, results/quick has not drifted"
+cargo run --release --offline -p tlb-bench --bin figures -- --quick
+git diff --exit-code -- results/quick
 
 echo "== perf smoke (--quick)"
 cargo run --release --offline -p tlb-bench --bin perf_smoke -- --quick

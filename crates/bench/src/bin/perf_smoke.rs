@@ -25,7 +25,7 @@ use tlb_apps::nbody::{Body, Octree};
 use tlb_apps::{synthetic_workload, SyntheticConfig};
 use tlb_bench::Effort;
 use tlb_cluster::{ClusterSim, RunSpec};
-use tlb_core::{BalanceConfig, DromPolicy, Platform, Preset};
+use tlb_core::Platform;
 use tlb_expander::{generate_with_workers, ExpanderConfig};
 use tlb_json::Value;
 use tlb_rng::Rng;
@@ -178,10 +178,7 @@ fn cluster_sim_step(effort: Effort, reps: usize) -> (f64, String) {
     let nodes = effort.pick(8, 4);
     let platform = Platform::mn4(nodes);
     let cfg = SyntheticConfig::new(nodes * 2, 2.0);
-    let balance = BalanceConfig::preset(Preset::Offload {
-        degree: 4.min(nodes),
-        drom: DromPolicy::Global,
-    });
+    let balance = tlb_bench::config("lewi+drom-global", 4.min(nodes));
     let ms = time_ms(reps, || {
         let wl = synthetic_workload(&cfg, &platform);
         ClusterSim::execute(RunSpec::new(&platform, &balance, wl)).unwrap()
@@ -210,10 +207,7 @@ fn trace_overhead(effort: Effort, reps: usize) -> (f64, f64, f64, Value, String)
     let nodes = effort.pick(8, 4);
     let platform = Platform::mn4(nodes);
     let cfg = SyntheticConfig::new(nodes * 2, 2.0);
-    let balance = BalanceConfig::preset(Preset::Offload {
-        degree: 4.min(nodes),
-        drom: DromPolicy::Global,
-    });
+    let balance = tlb_bench::config("lewi+drom-global", 4.min(nodes));
     let run = |trace: bool, families: Option<TraceConfig>| {
         let wl = synthetic_workload(&cfg, &platform);
         let mut spec = RunSpec::new(&platform, &balance, wl).trace(trace);

@@ -21,15 +21,12 @@ use tlb_apps::micropp::{micropp_workload, MicroPpConfig};
 use tlb_apps::synthetic::{synthetic_workload, SyntheticConfig};
 use tlb_bench::Effort;
 use tlb_cluster::{trace_to_chrome, ClusterSim, FaultPlan, RunSpec, SimReport};
-use tlb_core::{BalanceConfig, DromPolicy, Platform, PortfolioConfig, Preset, Strategy};
+use tlb_core::{BalanceConfig, Platform, PortfolioConfig, Strategy};
 use tlb_json::Value;
 use tlb_trace::EventKind;
 
 fn config(pool_threads: usize) -> BalanceConfig {
-    let mut config = BalanceConfig::preset(Preset::Offload {
-        degree: 2,
-        drom: DromPolicy::Global,
-    });
+    let mut config = tlb_bench::config("lewi+drom-global", 2);
     // Tick fast enough that even the quick run races several times.
     config.global_period = tlb_des::SimTime::from_millis(500);
     config.portfolio = Some(PortfolioConfig::default().with_pool_threads(pool_threads));

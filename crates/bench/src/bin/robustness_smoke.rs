@@ -27,7 +27,7 @@ use std::collections::HashSet;
 use tlb_apps::micropp::{micropp_workload, MicroPpConfig};
 use tlb_bench::Effort;
 use tlb_cluster::{trace_to_chrome, ClusterSim, FaultPlan, RunSpec, SimReport};
-use tlb_core::{BalanceConfig, DromPolicy, Platform, Preset};
+use tlb_core::{BalanceConfig, Platform};
 use tlb_linprog::LpError;
 use tlb_smprt::Pool;
 use tlb_trace::EventKind;
@@ -39,10 +39,7 @@ fn experiment(effort: Effort) -> (Platform, BalanceConfig, MicroPpConfig) {
     // helpers worth killing.
     mcfg.fractions_override = Some(vec![0.85, 0.25, 0.2, 0.15]);
     let platform = Platform::mn4(4);
-    let mut config = BalanceConfig::preset(Preset::Offload {
-        degree: 2,
-        drom: DromPolicy::Global,
-    });
+    let mut config = tlb_bench::config("lewi+drom-global", 2);
     // Tick the global solver fast enough that the outage window catches
     // at least one tick even in the quick run.
     config.global_period = tlb_des::SimTime::from_millis(500);

@@ -22,7 +22,7 @@ use std::collections::HashSet;
 use tlb_apps::micropp::{micropp_workload, MicroPpConfig};
 use tlb_bench::Effort;
 use tlb_cluster::{trace_to_chrome, trace_to_csv, ClusterSim, RunSpec, SimReport};
-use tlb_core::{BalanceConfig, DromPolicy, Platform, Preset};
+use tlb_core::{BalanceConfig, Platform};
 use tlb_smprt::Pool;
 use tlb_trace::EventKind;
 
@@ -32,10 +32,7 @@ fn experiment(effort: Effort) -> (Platform, BalanceConfig, MicroPpConfig) {
     // Skewed load so offloading, LeWI and DROM all have work to do.
     mcfg.fractions_override = Some(vec![0.85, 0.25, 0.2, 0.15]);
     let platform = Platform::mn4(4);
-    let mut config = BalanceConfig::preset(Preset::Offload {
-        degree: 2,
-        drom: DromPolicy::Global,
-    });
+    let mut config = tlb_bench::config("lewi+drom-global", 2);
     // Tick the global solver fast enough that even the quick run records
     // solver invocations and DROM ownership transactions.
     config.global_period = tlb_des::SimTime::from_millis(500);

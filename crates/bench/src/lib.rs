@@ -1,27 +1,24 @@
-//! Experiment harness shared by the per-figure binaries.
+//! Experiment harness behind the `figures` binary, which regenerates
+//! every table and figure of the paper's evaluation and checks each
+//! reproduced claim where it is measured:
 //!
-//! Every binary regenerates one table or figure of the paper:
+//! ```console
+//! cargo run --release -p tlb-bench --bin figures -- [--quick] [ID ...]
+//! ```
 //!
-//! | binary | paper artefact |
-//! |---|---|
-//! | `fig05_policies`   | Fig. 5: local vs global DROM policy traces |
-//! | `fig06_micropp`    | Fig. 6(a)/(b): MicroPP weak scaling, global policy |
-//! | `fig06_nbody`      | Fig. 6(c): n-body with one slow node |
-//! | `fig07_local`      | Fig. 7: the same applications, local policy |
-//! | `fig08_sweep`      | Fig. 8: synthetic imbalance sweep |
-//! | `fig09_lewi_drom`  | Fig. 9: LeWI/DROM trace decomposition |
-//! | `fig10_slow_node`  | Fig. 10: synthetic with an emulated slow node |
-//! | `fig11_convergence`| Fig. 11: node-imbalance convergence series |
-//! | `headline`         | §1/§8 headline claims, checked numerically |
-//! | `solver_table`     | §5.4.2 solver-cost scaling (57 ms @ 32 nodes) |
-//! | `ablations`        | design-choice ablations from DESIGN.md |
-//!
-//! Results print as aligned tables and are also written as JSON under
-//! `results/` so EXPERIMENTS.md can cite exact numbers.
+//! Results print as aligned tables and are written as JSON under
+//! `results/` (full effort) or `results/quick/` (`--quick`), so
+//! EXPERIMENTS.md can cite exact numbers and CI can fail on drift. This
+//! library holds what the figures share: [`Experiment`] with its
+//! [`Experiment::claim`]s, the [`sweep`] runner, the recurring set-ups
+//! ([`micropp_mn4`], [`nbody_slow_node`]) and [`config`].
 
+use std::ops::{Bound, RangeBounds};
 use std::path::PathBuf;
-use tlb_cluster::{ClusterSim, RunSpec, SimReport, Workload};
-use tlb_core::{BalanceConfig, Platform};
+use tlb_apps::micropp::{micropp_workload, MicroPpConfig};
+use tlb_apps::nbody::{NBodyConfig, NBodyWorkload};
+use tlb_cluster::{ClusterSim, RunSpec, SimReport, SpecWorkload, Workload};
+use tlb_core::{BalanceConfig, Platform, PolicySpec};
 
 /// Scale factor for quick runs (`--quick` divides iteration counts and
 /// sweep resolution so a figure regenerates in seconds).
@@ -70,6 +67,64 @@ pub struct Series {
     pub points: Vec<Point>,
 }
 
+/// Outcome of checking one [`Claim`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Status {
+    /// Measured inside the accept band.
+    Ok,
+    /// Measured outside the accept band.
+    Fail,
+    /// Not measured in this run, and why.
+    Skipped(&'static str),
+}
+
+impl std::fmt::Display for Status {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Status::Ok => f.write_str("ok"),
+            Status::Fail => f.write_str("FAIL"),
+            Status::Skipped(why) => write!(f, "skipped({why})"),
+        }
+    }
+}
+
+/// One reproduced claim of the paper: what we measured, what the paper
+/// reports, and the band inside which we call it reproduced.
+#[derive(Clone, Debug)]
+pub struct Claim {
+    /// What is claimed ("32 nodes: reduction vs DLB (%)", …).
+    pub label: String,
+    /// The measured value; `None` when its x-point is not sampled at
+    /// this effort.
+    pub measured: Option<f64>,
+    /// The paper's value (or the bound it states).
+    pub paper: f64,
+    /// The accept band, as written in the source (`40..55`, `..=10`).
+    pub accept: String,
+    /// Verdict.
+    pub status: Status,
+    /// One of the §1/§8 headline numbers (gathered into `headline`).
+    pub headline: bool,
+}
+
+impl Claim {
+    /// Tag as a headline claim.
+    pub fn headline(&mut self) {
+        self.headline = true;
+    }
+}
+
+impl std::fmt::Display for Claim {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let measured = self.measured.map_or("-".to_string(), |m| format!("{m:.4}"));
+        write!(
+            f,
+            "[{}] {}: measured {measured}, paper {}, accept {}",
+            self.status, self.label, self.paper, self.accept
+        )
+    }
+}
+
 /// A complete regenerated figure/table.
 #[derive(Clone, Debug)]
 pub struct Experiment {
@@ -85,6 +140,8 @@ pub struct Experiment {
     pub series: Vec<Series>,
     /// Free-form notes (observations, paper comparison).
     pub notes: Vec<String>,
+    /// The paper's claims this experiment reproduces, checked.
+    pub claims: Vec<Claim>,
 }
 
 impl Experiment {
@@ -97,6 +154,7 @@ impl Experiment {
             y_label: y_label.to_string(),
             series: Vec::new(),
             notes: Vec::new(),
+            claims: Vec::new(),
         }
     }
 
@@ -111,6 +169,57 @@ impl Experiment {
     /// Append a note.
     pub fn note(&mut self, note: impl Into<String>) {
         self.notes.push(note.into());
+    }
+
+    /// The value of series `label` at `x`, if that point was sampled.
+    pub fn at(&self, label: &str, x: f64) -> Option<f64> {
+        let series = self.series.iter().find(|s| s.label == label)?;
+        series
+            .points
+            .iter()
+            .find(|p| (p.x - x).abs() < 1e-9)
+            .map(|p| p.y)
+    }
+
+    /// Series `num` over series `den` at `x`, if both were sampled there.
+    pub fn ratio(&self, num: &str, den: &str, x: f64) -> Option<f64> {
+        Some(self.at(num, x)? / self.at(den, x)?)
+    }
+
+    /// State one reproduced claim, beside the series it reads: `ok` when
+    /// `measured` lies in `accept`, `FAIL` when it does not, and
+    /// `skipped(full effort only)` when `measured` is `None` because its
+    /// x-point is only sampled at full effort.
+    pub fn claim(
+        &mut self,
+        label: impl Into<String>,
+        measured: Option<f64>,
+        paper: f64,
+        accept: impl RangeBounds<f64>,
+    ) -> &mut Claim {
+        let status = match measured {
+            None => Status::Skipped("full effort only"),
+            Some(m) if accept.contains(&m) => Status::Ok,
+            Some(_) => Status::Fail,
+        };
+        let lo = match accept.start_bound() {
+            Bound::Included(v) | Bound::Excluded(v) => v.to_string(),
+            Bound::Unbounded => String::new(),
+        };
+        let hi = match accept.end_bound() {
+            Bound::Included(v) => format!("={v}"),
+            Bound::Excluded(v) => v.to_string(),
+            Bound::Unbounded => String::new(),
+        };
+        self.claims.push(Claim {
+            label: label.into(),
+            measured,
+            paper,
+            accept: format!("{lo}..{hi}"),
+            status,
+            headline: false,
+        });
+        self.claims.last_mut().expect("just pushed")
     }
 
     /// Render an aligned text table: one row per x, one column per series.
@@ -148,12 +257,32 @@ impl Experiment {
         for n in &self.notes {
             let _ = writeln!(out, "note: {n}");
         }
+        for c in &self.claims {
+            let _ = writeln!(out, "claim: {c}");
+        }
         out
     }
 
     /// The experiment as a JSON value (what [`Experiment::save`] writes).
     pub fn to_json(&self) -> tlb_json::Value {
         use tlb_json::Value;
+        let point = |p: &Point| Value::object(vec![("x", p.x.into()), ("y", p.y.into())]);
+        let series = |s: &Series| {
+            Value::object(vec![
+                ("label", s.label.as_str().into()),
+                ("points", Value::Array(s.points.iter().map(point).collect())),
+            ])
+        };
+        let claim = |c: &Claim| {
+            Value::object(vec![
+                ("label", c.label.as_str().into()),
+                ("measured", c.measured.map_or(Value::Null, Value::from)),
+                ("paper", c.paper.into()),
+                ("accept", c.accept.as_str().into()),
+                ("status", c.status.to_string().into()),
+                ("headline", c.headline.into()),
+            ])
+        };
         Value::object(vec![
             ("id", self.id.as_str().into()),
             ("title", self.title.as_str().into()),
@@ -161,86 +290,144 @@ impl Experiment {
             ("y_label", self.y_label.as_str().into()),
             (
                 "series",
-                Value::Array(
-                    self.series
-                        .iter()
-                        .map(|s| {
-                            Value::object(vec![
-                                ("label", s.label.as_str().into()),
-                                (
-                                    "points",
-                                    Value::Array(
-                                        s.points
-                                            .iter()
-                                            .map(|p| {
-                                                Value::object(vec![
-                                                    ("x", p.x.into()),
-                                                    ("y", p.y.into()),
-                                                ])
-                                            })
-                                            .collect(),
-                                    ),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
+                Value::Array(self.series.iter().map(series).collect()),
             ),
             (
                 "notes",
                 Value::Array(self.notes.iter().map(|n| n.as_str().into()).collect()),
             ),
+            (
+                "claims",
+                Value::Array(self.claims.iter().map(claim).collect()),
+            ),
         ])
     }
 
-    /// Write the experiment JSON under `results/<id>.json` (workspace
-    /// root if run via cargo, else the current directory).
-    pub fn save(&self) -> std::io::Result<PathBuf> {
-        let dir = results_dir();
-        std::fs::create_dir_all(&dir)?;
+    /// Write the experiment JSON to `<dir>/<id>.json`.
+    pub fn save(&self, dir: &std::path::Path) -> std::io::Result<PathBuf> {
+        std::fs::create_dir_all(dir)?;
         let path = dir.join(format!("{}.json", self.id));
         std::fs::write(&path, self.to_json().to_string_pretty())?;
         Ok(path)
     }
+}
 
-    /// Print the table and save JSON (the standard binary epilogue).
-    pub fn finish(&self) {
-        println!("{}", self.render_table());
-        match self.save() {
-            Ok(path) => println!("saved: {}", path.display()),
-            Err(e) => eprintln!("warning: could not save results: {e}"),
+/// `(checked, failed, skipped)` over every claim of `experiments`; the
+/// `figures` run fails (exit 1) when `failed > 0`.
+pub fn tally(experiments: &[Experiment]) -> (usize, usize, usize) {
+    let claims = experiments.iter().flat_map(|e| &e.claims);
+    let (mut checked, mut failed, mut skipped) = (0, 0, 0);
+    for claim in claims {
+        match claim.status {
+            Status::Ok => checked += 1,
+            Status::Fail => {
+                checked += 1;
+                failed += 1;
+            }
+            Status::Skipped(_) => skipped += 1,
         }
+    }
+    (checked, failed, skipped)
+}
+
+/// Directory for JSON results: `results/` at full effort and
+/// `results/quick/` under `--quick` (workspace root if run via cargo,
+/// else the current directory), so a quick run never overwrites the
+/// paper-scale evidence.
+pub fn results_dir(effort: Effort) -> PathBuf {
+    let root = std::env::var_os("CARGO_MANIFEST_DIR")
+        .map(|d| PathBuf::from(d).join("../../results"))
+        .unwrap_or_else(|| PathBuf::from("results"));
+    effort.pick(root.clone(), root.join("quick"))
+}
+
+/// The configuration a figure's line runs: a registry policy at an
+/// offloading degree, every other knob at its default.
+pub fn config(policy: &str, degree: usize) -> BalanceConfig {
+    let spec = PolicySpec::named(policy).expect("figures name registered policies");
+    BalanceConfig::default()
+        .with_degree(degree)
+        .with_policy(spec)
+}
+
+/// Run one simulation, with Paraver-style timelines when `trace` is set
+/// (the trace figures).
+pub fn run<W: Workload>(
+    platform: &Platform,
+    config: &BalanceConfig,
+    workload: W,
+    trace: bool,
+) -> SimReport {
+    ClusterSim::execute(RunSpec::new(platform, config, workload).trace(trace))
+        .expect("experiment configuration must be valid")
+}
+
+/// The perfect-balance bound of a workload on a platform: the nominal
+/// work of its first iteration spread over the effective capacity.
+pub fn perfect_bound<W: Workload>(mut probe: W, platform: &Platform) -> f64 {
+    let work: f64 = (0..probe.appranks())
+        .map(|r| probe.tasks(r, 0).iter().map(|t| t.duration).sum::<f64>())
+        .sum();
+    work / platform.effective_capacity()
+}
+
+/// The one `series × x` loop of the scaling and sweep figures. For every
+/// `x`, `setup` gives the platform and a factory of fresh workloads;
+/// every line whose degree fits the platform runs once and contributes
+/// its mean steady-state iteration time (after `skip` warm-up ones).
+/// Series are appended to `exp` in `lines` order, followed — when `bound`
+/// names it — by the perfect-balance bound at every `x`.
+pub fn sweep<W: Workload, F: Fn() -> W>(
+    exp: &mut Experiment,
+    lines: &[(impl AsRef<str>, BalanceConfig)],
+    bound: Option<&str>,
+    skip: usize,
+    xs: &[f64],
+    setup: impl Fn(f64) -> (Platform, F),
+) {
+    let mut series: Vec<Vec<Point>> = vec![Vec::new(); lines.len()];
+    let mut bounds = Vec::new();
+    for &x in xs {
+        let (platform, workload) = setup(x);
+        for ((label, config), points) in lines.iter().zip(&mut series) {
+            if config.degree > platform.nodes {
+                continue;
+            }
+            let y = run(&platform, config, workload(), false).mean_iteration_secs(skip);
+            eprintln!("{} x={x} {}: {y:.4}", exp.id, label.as_ref());
+            points.push(Point { x, y });
+        }
+        if bound.is_some() {
+            let y = perfect_bound(workload(), &platform);
+            bounds.push(Point { x, y });
+        }
+    }
+    for ((label, _), points) in lines.iter().zip(series) {
+        exp.push_series(label.as_ref(), points);
+    }
+    if let Some(label) = bound {
+        exp.push_series(label, bounds);
     }
 }
 
-/// Directory for JSON results.
-pub fn results_dir() -> PathBuf {
-    std::env::var_os("CARGO_MANIFEST_DIR")
-        .map(|d| PathBuf::from(d).join("../../results"))
-        .unwrap_or_else(|| PathBuf::from("results"))
+/// Recurring set-up: MicroPP weak scaling on MareNostrum 4, `per_node`
+/// appranks on each of `nodes` nodes.
+pub fn micropp_mn4(nodes: usize, per_node: usize, iterations: usize) -> (Platform, SpecWorkload) {
+    let mut cfg = MicroPpConfig::new(nodes * per_node);
+    cfg.iterations = iterations;
+    (Platform::mn4(nodes), micropp_workload(&cfg))
 }
 
-/// Run a simulation without tracing and return mean steady-state
-/// iteration seconds (skipping `skip` warm-up iterations).
-pub fn run_mean_iteration<W: Workload>(
-    platform: &Platform,
-    config: &BalanceConfig,
-    workload: W,
-    skip: usize,
-) -> f64 {
-    let report = ClusterSim::execute(RunSpec::new(platform, config, workload))
-        .expect("experiment configuration must be valid");
-    report.mean_iteration_secs(skip)
-}
-
-/// Run with tracing enabled (for the trace figures).
-pub fn run_traced<W: Workload>(
-    platform: &Platform,
-    config: &BalanceConfig,
-    workload: W,
-) -> SimReport {
-    ClusterSim::execute(RunSpec::new(platform, config, workload).trace(true))
-        .expect("experiment configuration must be valid")
+/// Recurring set-up: n-body (Barnes–Hut + ORB) on Nord3, two appranks
+/// per node, node 0 at 1.8 GHz against 3.0 GHz peers.
+pub fn nbody_slow_node(nodes: usize, effort: Effort) -> (Platform, impl Fn() -> NBodyWorkload) {
+    let ranks = nodes * 2;
+    let mut cfg = NBodyConfig::new(effort.pick(40_000, 10_000) * ranks, ranks);
+    cfg.force_cost = 2e-6;
+    cfg.iterations = effort.pick(8, 4);
+    (Platform::nord3(nodes, &[0]), move || {
+        NBodyWorkload::new(cfg.clone())
+    })
 }
 
 #[cfg(test)]
@@ -267,6 +454,51 @@ mod tests {
     fn effort_pick() {
         assert_eq!(Effort::Full.pick(10, 2), 10);
         assert_eq!(Effort::Quick.pick(10, 2), 2);
+    }
+
+    #[test]
+    fn claim_status_follows_the_accept_band() {
+        let mut e = Experiment::new("t2", "demo", "nodes", "seconds");
+        e.push_series("dlb", vec![Point { x: 8.0, y: 2.0 }]);
+        let at8 = e.at("dlb", 8.0);
+        let at32 = e.at("dlb", 32.0);
+        assert_eq!((at8, at32), (Some(2.0), None));
+        assert_eq!(e.claim("in band", at8, 2.0, 1.5..2.5).status, Status::Ok);
+        assert_eq!(e.claim("edge", at8, 2.0, ..2.0).status, Status::Fail);
+        assert_eq!(e.claim("closed", at8, 2.0, ..=2.0).status, Status::Ok);
+        assert_eq!(e.claim("out", at8, 9.0, 8.0..).status, Status::Fail);
+        let absent = e.claim("absent", at32, 2.0, 1.5..2.5).status;
+        assert_eq!(absent, Status::Skipped("full effort only"));
+        // Four evaluated, two of them out of band (a failing run), one skipped.
+        assert_eq!(tally(&[e.clone()]), (4, 2, 1));
+        let table = e.render_table();
+        assert!(table.contains("claim: [ok] in band: measured 2.0000, paper 2, accept 1.5..2.5"));
+        assert!(table.contains("claim: [FAIL] out:"));
+        assert!(table.contains("claim: [skipped(full effort only)] absent: measured -"));
+    }
+
+    #[test]
+    fn claims_round_trip_through_json() {
+        let mut e = Experiment::new("t3", "demo", "x", "y");
+        e.claim("reduction (%)", Some(0.5), 2.0, 1.0..3.0)
+            .headline();
+        e.claim("gap (%)", None, 4.0, ..=4.0);
+        let v = tlb_json::parse(&e.to_json().to_string_pretty()).unwrap();
+        let claims = v.get("claims").as_array().unwrap();
+        assert_eq!(claims.len(), 2);
+        assert_eq!(claims[0].get("label").as_str(), Some("reduction (%)"));
+        assert_eq!(claims[0].get("measured").as_f64(), Some(0.5));
+        assert_eq!(claims[0].get("paper").as_f64(), Some(2.0));
+        assert_eq!(claims[0].get("accept").as_str(), Some("1..3"));
+        assert_eq!(claims[0].get("status").as_str(), Some("FAIL"));
+        assert_eq!(claims[0].get("headline").as_bool(), Some(true));
+        assert!(claims[1].get("measured").is_null());
+        assert_eq!(claims[1].get("accept").as_str(), Some("..=4"));
+        assert_eq!(
+            claims[1].get("status").as_str(),
+            Some("skipped(full effort only)")
+        );
+        assert_eq!(claims[1].get("headline").as_bool(), Some(false));
     }
 }
 

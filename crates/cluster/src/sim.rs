@@ -1755,9 +1755,6 @@ impl<W: Workload> State<W> {
     /// Deterministic model of the global solve cost: the paper measures
     /// ≈57 ms at 32 nodes and quadratic growth with graph size.
     fn solver_cost(&self) -> SimTime {
-        if let Some(t) = self.config.solver_cost_override {
-            return t;
-        }
         let scale = self.platform.nodes as f64 / 32.0;
         SimTime::from_secs_f64((0.057 * scale * scale).max(0.001))
     }

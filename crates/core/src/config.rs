@@ -213,10 +213,6 @@ pub struct BalanceConfig {
     pub local_period: SimTime,
     /// Global policy period (paper: every two seconds).
     pub global_period: SimTime,
-    /// Cost charged to the node hosting the global solver per invocation
-    /// (the paper measures ≈57 ms at 32 nodes; we measure our own solver
-    /// and charge that, but the knob allows reproducing theirs).
-    pub solver_cost_override: Option<SimTime>,
     /// Expander graph seed.
     pub seed: u64,
     /// Ablation: scheduler threshold of queued tasks per owned core
@@ -246,7 +242,6 @@ impl Default for BalanceConfig {
             solver: GlobalSolverKind::Simplex,
             local_period: SimTime::from_millis(100),
             global_period: SimTime::from_secs(2),
-            solver_cost_override: None,
             seed: 1,
             queue_depth_per_core: 2,
             count_borrowed_cores: false,

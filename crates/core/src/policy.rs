@@ -219,101 +219,6 @@ impl GlobalPolicy {
     pub fn node_loads(&self, solution: &AllocationSolution) -> Vec<f64> {
         solution.node_load(&self.problem)
     }
-
-    /// Partitioned solve for large machines (paper §5.4.2: "larger graphs
-    /// than 32 nodes should be partitioned and solved in parts on
-    /// multiple nodes"). Nodes are split into contiguous groups of at
-    /// most `group_nodes`; each group is solved independently over the
-    /// appranks homed inside it, with helper edges leaving the group
-    /// dropped (the group keeps its own capacity). Groups mix heavily and
-    /// lightly loaded nodes with high probability under the random
-    /// expander placement, so most of the balance is recovered at a
-    /// fraction of the solve cost.
-    pub fn allocate_partitioned(
-        &mut self,
-        work: &[f64],
-        kind: GlobalSolverKind,
-        group_nodes: usize,
-    ) -> Result<AllocationSolution, LpError> {
-        assert_eq!(work.len(), self.problem.work.len(), "work vector length");
-        assert!(group_nodes >= 1, "groups need at least one node");
-        let nodes = self.problem.nodes();
-        if nodes <= group_nodes {
-            return self.allocate(work, kind);
-        }
-        let appranks = self.problem.work.len();
-        let mut combined = AllocationSolution {
-            objective: 0.0,
-            work_share: self
-                .problem
-                .adjacency
-                .iter()
-                .map(|adj| vec![0.0; adj.len()])
-                .collect(),
-            cores: self
-                .problem
-                .adjacency
-                .iter()
-                .map(|adj| vec![1usize; adj.len()])
-                .collect(),
-            iterations: 0,
-        };
-        let mut group_start = 0;
-        while group_start < nodes {
-            let group_end = (group_start + group_nodes).min(nodes);
-            let in_group = |n: usize| n >= group_start && n < group_end;
-            // Appranks homed in this group, with adjacency clipped to it.
-            let mut sub_work = Vec::new();
-            let mut sub_adj = Vec::new();
-            let mut owners = Vec::new(); // (apprank, slots kept)
-            for a in 0..appranks {
-                let adj = &self.problem.adjacency[a];
-                if !in_group(adj[0]) {
-                    continue;
-                }
-                let slots: Vec<usize> = (0..adj.len()).filter(|&k| in_group(adj[k])).collect();
-                sub_work.push(work[a]);
-                sub_adj.push(slots.iter().map(|&k| adj[k] - group_start).collect());
-                owners.push((a, slots));
-            }
-            let sub = AllocationProblem {
-                work: sub_work,
-                adjacency: sub_adj,
-                node_cores: self.problem.node_cores[group_start..group_end].to_vec(),
-                node_speed: self.problem.node_speed[group_start..group_end].to_vec(),
-                keep_local_incentive: self.problem.keep_local_incentive,
-            };
-            // Helper edges *into* the group from outside appranks keep
-            // their floor core; subtract them from the group capacity.
-            let mut sub = sub;
-            for a in 0..appranks {
-                let adj = &self.problem.adjacency[a];
-                if in_group(adj[0]) {
-                    continue;
-                }
-                for (k, &n) in adj.iter().enumerate() {
-                    if k > 0 && in_group(n) {
-                        sub.node_cores[n - group_start] =
-                            sub.node_cores[n - group_start].saturating_sub(1);
-                    }
-                }
-            }
-            let sol = match kind {
-                GlobalSolverKind::Simplex => solve_lp(&sub)?,
-                GlobalSolverKind::Flow => solve_flow(&sub, 1e-6)?,
-            };
-            combined.objective = combined.objective.max(sol.objective);
-            combined.iterations += sol.iterations;
-            for (i, (a, slots)) in owners.iter().enumerate() {
-                for (j, &k) in slots.iter().enumerate() {
-                    combined.work_share[*a][k] = sol.work_share[i][j];
-                    combined.cores[*a][k] = sol.cores[i][j];
-                }
-            }
-            group_start = group_end;
-        }
-        Ok(combined)
-    }
 }
 
 #[cfg(test)]
@@ -409,50 +314,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn partitioned_solve_matches_shape_and_conserves_cores() {
-        use tlb_expander::ExpanderConfig;
-        // 16 nodes split into groups of 8.
-        let cfg = ExpanderConfig::new(16, 16, 3).with_seed(4);
-        let g = BipartiteGraph::generate(&cfg).unwrap();
-        let platform = Platform::homogeneous(16, 8);
-        let layout = ProcessLayout::new(&g, 8);
-        let mut policy = GlobalPolicy::new(&g, &platform);
-        let work: Vec<f64> = (0..16).map(|a| 1.0 + (a as f64 * 3.3) % 11.0).collect();
-        let full = policy.allocate(&work, GlobalSolverKind::Simplex).unwrap();
-        let part = policy
-            .allocate_partitioned(&work, GlobalSolverKind::Simplex, 8)
-            .unwrap();
-        // Partitioned ownership is a valid DROM state on every node.
-        let per_node = policy.ownership_by_node(&layout, &part);
-        for (n, counts) in per_node.iter().enumerate() {
-            assert_eq!(counts.iter().sum::<usize>(), 8, "node {n}: {counts:?}");
-            assert!(counts.iter().all(|&c| c >= 1));
-        }
-        // Partitioning can only do worse (or equal) than the full solve,
-        // but not absurdly so on a random expander.
-        assert!(part.objective >= full.objective - 1e-9);
-        assert!(
-            part.objective <= full.objective * 2.5,
-            "partitioned {} vs full {}",
-            part.objective,
-            full.objective
-        );
-    }
-
-    #[test]
-    fn partitioned_solve_degenerates_to_full() {
-        let g = generate_circulant(&ExpanderConfig::new(4, 4, 2), &[1]).unwrap();
-        let platform = Platform::homogeneous(4, 8);
-        let mut policy = GlobalPolicy::new(&g, &platform);
-        let work = [10.0, 4.0, 2.0, 8.0];
-        let full = policy.allocate(&work, GlobalSolverKind::Simplex).unwrap();
-        let part = policy
-            .allocate_partitioned(&work, GlobalSolverKind::Simplex, 32)
-            .unwrap();
-        assert!((full.objective - part.objective).abs() < 1e-9);
     }
 
     #[test]

@@ -19,10 +19,6 @@
 //! * [`GraphRun`] — a task graph plus one closure per task; [`Pool::run`]
 //!   executes it respecting all dependencies and reports per-worker
 //!   statistics.
-//! * [`LewiCoupler`] — couples two pools on the same "node" through a
-//!   [`tlb_dlb::NodeDlb`]: when one pool runs out of work its cores are
-//!   lent to the other, and reclaimed on demand — shared-memory LeWI with
-//!   real threads.
 //! * [`parallel_for`] — a small scoped-thread data-parallel helper for
 //!   one-shot use outside a pool.
 //!
@@ -50,13 +46,11 @@
 //! assert_eq!(stats.tasks_executed, 10);
 //! ```
 
-mod coupler;
 mod deque;
 mod par;
 mod pool;
 mod run;
 
-pub use coupler::LewiCoupler;
 pub use par::parallel_for;
 pub use pool::{Occupancy, Pool, PoolProfile, RegionProfile, RunStats, TaskCtx};
 pub use run::GraphRun;

@@ -224,8 +224,7 @@ impl Pool {
     }
 
     /// Outstanding (not yet completed) tasks of the run currently
-    /// executing, or zero when the pool is idle. This is the demand signal
-    /// the LeWI coupler polls.
+    /// executing, or zero when the pool is idle.
     pub fn load(&self) -> usize {
         self.shared.lock_state().as_ref().map_or(0, |a| a.remaining)
     }

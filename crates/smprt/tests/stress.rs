@@ -2,8 +2,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
-use tlb_smprt::{GraphRun, LewiCoupler, Pool};
+use tlb_smprt::{GraphRun, Pool};
 use tlb_tasking::{DataRegion, TaskDef};
 
 /// A diamond-heavy random-ish DAG executes correctly under contention.
@@ -68,51 +67,6 @@ fn rapid_fire_runs() {
         assert_eq!(count.load(Ordering::Relaxed), n);
         assert_eq!(pool.load(), 0);
     }
-}
-
-/// Three pools coupled on one node: the busiest pool ends up with the
-/// lion's share of cores while the others idle.
-#[test]
-fn three_way_coupling() {
-    let cores = 6;
-    let pools: Vec<Arc<Pool>> = (0..3).map(|_| Arc::new(Pool::new(cores))).collect();
-    let coupler = LewiCoupler::start(
-        pools.iter().map(Arc::clone).collect(),
-        vec![2, 2, 2],
-        Duration::from_micros(200),
-    );
-    let counter = Arc::new(AtomicUsize::new(0));
-    let mut run = GraphRun::new();
-    for _ in 0..150 {
-        let c = Arc::clone(&counter);
-        run.task(TaskDef::new("t"), move || {
-            std::thread::sleep(Duration::from_micros(300));
-            c.fetch_add(1, Ordering::Relaxed);
-        })
-        .unwrap();
-    }
-    // Pool 1 is the only busy one.
-    let watcher = {
-        let p = Arc::clone(&pools[1]);
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let s = Arc::clone(&stop);
-        let h = std::thread::spawn(move || {
-            let mut peak = 0;
-            while !s.load(Ordering::Relaxed) {
-                peak = peak.max(p.active_threads());
-                std::thread::sleep(Duration::from_micros(100));
-            }
-            peak
-        });
-        (stop, h)
-    };
-    pools[1].run(run);
-    watcher.0.store(true, Ordering::Relaxed);
-    let peak = watcher.1.join().unwrap();
-    assert_eq!(counter.load(Ordering::Relaxed), 150);
-    assert!(peak > 2, "busy pool never borrowed (peak {peak})");
-    let dlb = coupler.stop();
-    assert_eq!(dlb.busy_count(), 0);
 }
 
 /// Pool drop while idle terminates promptly (no hung worker threads).
