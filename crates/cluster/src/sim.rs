@@ -174,6 +174,10 @@ struct State<W: Workload> {
     last_created: Vec<f64>,
     /// Per-node round-robin start offset for core handout fairness.
     rr_offset: Vec<usize>,
+    /// Scratch of [`State::decide`], kept to spare an allocation per
+    /// decision: the living slots and their candidate states.
+    sched_slots: Vec<usize>,
+    sched_candidates: Vec<CandidateState>,
     /// In-flight / arrived point-to-point messages of the current
     /// iteration, keyed by (from, to, tag).
     messages: HashMap<(usize, usize, u64), MsgState>,
@@ -491,6 +495,8 @@ impl ClusterSim {
             created_work: vec![0.0; appranks],
             last_created: vec![0.0; appranks],
             rr_offset: vec![0; platform.nodes],
+            sched_slots: Vec::new(),
+            sched_candidates: Vec::new(),
             messages: HashMap::new(),
             waiting_recvs: HashMap::new(),
             appranks: apprank_states,
@@ -1110,6 +1116,23 @@ impl<W: Workload> State<W> {
         }
     }
 
+    /// Record a task becoming ready (at submission or when its last
+    /// predecessor completed).
+    fn note_ready(&mut self, now: SimTime, apprank: usize, tid: TaskId) {
+        if self.trace.config.counters {
+            self.trace.counters.inc("tasks_ready");
+        }
+        if self.trace.config.lifecycle {
+            let key = self.task_key(apprank, tid);
+            let home = self.adjacency[apprank][0];
+            self.trace.log.push(
+                TraceLog::node_stream(home),
+                now,
+                EventKind::TaskReady { key },
+            );
+        }
+    }
+
     /// Record a task leaving its home node (eagerly or via stealing).
     fn note_offload(
         &mut self,
@@ -1201,26 +1224,27 @@ impl<W: Workload> State<W> {
             return Some(0);
         }
         let ranks = &self.appranks[apprank];
+        let mut slots = std::mem::take(&mut self.sched_slots);
+        let mut candidates = std::mem::take(&mut self.sched_candidates);
+        slots.clear();
+        candidates.clear();
         // Dead workers are not candidates; the home worker (slot 0) never
         // dies, so it stays at candidate index 0.
-        let slots: Vec<usize> = (0..self.adjacency[apprank].len())
-            .filter(|&k| !self.dead[apprank][k])
-            .collect();
-        let candidates: Vec<CandidateState> = slots
-            .iter()
-            .map(|&k| {
-                let node = self.adjacency[apprank][k];
-                let proc = ProcId(self.layout.proc_of(apprank, k));
-                let owned = self.dlbs[node].owned_count(proc);
-                let used = self.dlbs[node].used_count(proc);
-                CandidateState {
-                    node,
-                    queued_tasks: ranks.workers[k].load(),
-                    owned_cores: owned,
-                    usable_cores: used.max(owned),
-                }
-            })
-            .collect();
+        for (k, &node) in self.adjacency[apprank].iter().enumerate() {
+            if self.dead[apprank][k] {
+                continue;
+            }
+            let proc = ProcId(self.layout.proc_of(apprank, k));
+            let owned = self.dlbs[node].owned_count(proc);
+            let used = self.dlbs[node].used_count(proc);
+            slots.push(k);
+            candidates.push(CandidateState {
+                node,
+                queued_tasks: ranks.workers[k].load(),
+                owned_cores: owned,
+                usable_cores: used.max(owned),
+            });
+        }
         let (placement, reason) = choose_node_explained(
             &candidates,
             0,
@@ -1267,6 +1291,8 @@ impl<W: Workload> State<W> {
                 .log
                 .push(TraceLog::node_stream(home.node), now, ev);
         }
+        self.sched_slots = slots;
+        self.sched_candidates = candidates;
         slot
     }
 
@@ -1437,17 +1463,12 @@ impl<W: Workload> State<W> {
     /// lowest-indexed hungry worker, systematically starving later
     /// appranks of borrowed capacity.
     fn try_start_node(&mut self, ctx: &mut Ctx<Ev>, node: usize) {
-        let workers: Vec<(usize, usize)> = self
-            .layout
-            .workers_on(node)
-            .iter()
-            .map(|w| (w.apprank, w.slot))
-            .collect();
-        let n = workers.len();
+        let n = self.layout.workers_on(node).len();
         let offset = self.rr_offset[node];
         self.rr_offset[node] = (offset + 1) % n.max(1);
         for i in 0..n {
-            let (a, k) = workers[(offset + i) % n];
+            let w = &self.layout.workers_on(node)[(offset + i) % n];
+            let (a, k) = (w.apprank, w.slot);
             self.try_start_worker(ctx, a, k);
         }
         self.record_node(ctx.now(), node);
@@ -1473,16 +1494,18 @@ impl<W: Workload> State<W> {
                 .sum::<f64>();
             self.total_tasks += self.appranks[a].total;
             let mut ready = Vec::new();
-            for (ti, spec) in self.appranks[a].specs.clone().iter().enumerate() {
-                if spec.mpi.is_some() && spec.offloadable {
+            for ti in 0..self.appranks[a].total {
+                let spec = &self.appranks[a].specs[ti];
+                let (duration, bytes, offloadable) = (spec.duration, spec.bytes, spec.offloadable);
+                if spec.mpi.is_some() && offloadable {
                     self.fail(SimError::Shape(format!(
                         "apprank {a}: iteration {iteration} task {ti} is an MPI task \
                          marked offloadable; MPI tasks must be non-offloadable (paper §4)"
                     )));
                     return;
                 }
-                let mut def = TaskDef::new("task").cost(spec.duration);
-                if !spec.offloadable {
+                let mut def = TaskDef::new("task").cost(duration);
+                if !offloadable {
                     def = def.not_offloadable();
                 }
                 def.accesses.extend(spec.accesses.iter().copied());
@@ -1497,19 +1520,21 @@ impl<W: Workload> State<W> {
                         return;
                     }
                 };
-                if self.counters_on() {
-                    self.trace.counters.inc("tasks_created");
-                }
-                if self.lifecycle_on() {
-                    let key = self.task_key(a, tid);
-                    let home = self.adjacency[a][0];
-                    let ev = EventKind::TaskCreated {
-                        key,
-                        cost: spec.duration,
-                    };
-                    self.trace
-                        .log
-                        .push(TraceLog::node_stream(home), ctx.now(), ev);
+                if self.trace.enabled {
+                    if self.trace.config.counters {
+                        self.trace.counters.inc("tasks_created");
+                    }
+                    if self.trace.config.lifecycle {
+                        let key = self.task_key(a, tid);
+                        let home = self.adjacency[a][0];
+                        let ev = EventKind::TaskCreated {
+                            key,
+                            cost: duration,
+                        };
+                        self.trace
+                            .log
+                            .push(TraceLog::node_stream(home), ctx.now(), ev);
+                    }
                 }
                 let now_ready = self.appranks[a].graph.ready_count();
                 if now_ready == was_ready {
@@ -1517,22 +1542,13 @@ impl<W: Workload> State<W> {
                     // when its predecessors complete.
                     continue;
                 }
-                if self.counters_on() {
-                    self.trace.counters.inc("tasks_ready");
-                }
-                if self.lifecycle_on() {
-                    let key = self.task_key(a, tid);
-                    let home = self.adjacency[a][0];
-                    self.trace.log.push(
-                        TraceLog::node_stream(home),
-                        ctx.now(),
-                        EventKind::TaskReady { key },
-                    );
+                if self.trace.enabled {
+                    self.note_ready(ctx.now(), a, tid);
                 }
                 ready.push(Inst {
                     tid,
-                    duration: spec.duration,
-                    bytes: spec.bytes,
+                    duration,
+                    bytes,
                 });
             }
             if self.appranks[a].total == 0 {
@@ -1609,19 +1625,21 @@ impl<W: Workload> State<W> {
         }
         let now = ctx.now();
         self.talps[node].set_busy(proc.0, now, self.dlbs[node].used_count(proc));
-        if self.counters_on() {
-            self.trace.counters.inc("tasks_completed");
+        if self.trace.enabled {
+            if self.trace.config.counters {
+                self.trace.counters.inc("tasks_completed");
+            }
+            if self.trace.config.lifecycle {
+                let key = self.task_key(apprank, tid);
+                let ev = EventKind::TaskCompleted {
+                    key,
+                    node: node as u32,
+                    proc: proc.0 as u32,
+                };
+                self.trace.log.push(TraceLog::node_stream(node), now, ev);
+            }
+            self.pump_dlb(now, node);
         }
-        if self.lifecycle_on() {
-            let key = self.task_key(apprank, tid);
-            let ev = EventKind::TaskCompleted {
-                key,
-                node: node as u32,
-                proc: proc.0 as u32,
-            };
-            self.trace.log.push(TraceLog::node_stream(node), now, ev);
-        }
-        self.pump_dlb(now, node);
         if let Some(crate::MpiOp::Send { to, tag, bytes }) =
             self.appranks[apprank].specs[tid.raw() as usize].mpi
         {
@@ -1654,17 +1672,8 @@ impl<W: Workload> State<W> {
             }
         };
         for succ in newly_ready {
-            if self.counters_on() {
-                self.trace.counters.inc("tasks_ready");
-            }
-            if self.lifecycle_on() {
-                let key = self.task_key(apprank, succ);
-                let home = self.adjacency[apprank][0];
-                self.trace.log.push(
-                    TraceLog::node_stream(home),
-                    now,
-                    EventKind::TaskReady { key },
-                );
+            if self.trace.enabled {
+                self.note_ready(now, apprank, succ);
             }
             let spec = &self.appranks[apprank].specs[succ.raw() as usize];
             let inst = Inst {

@@ -99,13 +99,54 @@ pub enum DlbEvent {
     OwnershipSet { counts: Vec<usize> },
 }
 
+/// What the node keeps counted per process, so that the questions asked
+/// on every task start and end are array reads (real DLB reads them from
+/// counters in shared memory).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct ProcCounts {
+    /// Cores the process owns.
+    owned: usize,
+    /// Cores the process is running on (own or borrowed).
+    used: usize,
+    /// Cores the process owns that another process is using and that
+    /// carry no reclaim yet: what a failed `acquire` would post on.
+    reclaimable: usize,
+}
+
+/// Zero `counts` and recount it from `cores`; returns the busy-core total.
+fn count_cores(cores: &[Core], counts: &mut [ProcCounts]) -> usize {
+    counts.fill(ProcCounts::default());
+    let mut busy = 0;
+    for c in cores {
+        counts[c.owner.0].owned += 1;
+        if let Some(u) = c.user {
+            counts[u.0].used += 1;
+            busy += 1;
+            if u != c.owner && !c.reclaim {
+                counts[c.owner.0].reclaimable += 1;
+            }
+        }
+    }
+    busy
+}
+
 /// DLB state for the cores of one node.
 ///
-/// All methods are O(cores); nodes have at most a few dozen cores so no
-/// index structures are warranted.
+/// [`owned_count`](NodeDlb::owned_count), [`used_count`](NodeDlb::used_count)
+/// and [`busy_count`](NodeDlb::busy_count) are O(1): `acquire` and
+/// `release` keep the counts current as they go. `acquire` searches the
+/// cores (O(cores)) only while one is idle, and walks them to post
+/// reclaims only while the process has an unreclaimed core lent out, so a
+/// refused acquire on a saturated node is O(1) too. The ownership
+/// transactions (`set_ownership`, `add_process`, `retire_process`) are
+/// rare, stay O(procs × cores) and recount everything when they finish.
 #[derive(Clone, Debug)]
 pub struct NodeDlb {
     cores: Vec<Core>,
+    /// Per-process counts, at least `num_procs` long.
+    counts: Vec<ProcCounts>,
+    /// Cores in use by any process.
+    busy: usize,
     lewi: bool,
     num_procs: usize,
     /// `retired[p]`: process `p` is dead. Retired processes own no cores
@@ -123,7 +164,7 @@ impl NodeDlb {
         assert_eq!(cores, initial_owner.len(), "owner per core required");
         assert!(cores > 0, "node must have cores");
         let num_procs = initial_owner.iter().map(|p| p.0).max().unwrap_or(0) + 1;
-        NodeDlb {
+        let mut node = NodeDlb {
             cores: initial_owner
                 .iter()
                 .map(|&owner| Core {
@@ -133,12 +174,24 @@ impl NodeDlb {
                     transfer_to: None,
                 })
                 .collect(),
+            counts: Vec::new(),
+            busy: 0,
             lewi,
             num_procs,
             retired: vec![false; num_procs],
             record: false,
             events: Vec::new(),
-        }
+        };
+        node.recount();
+        node
+    }
+
+    /// Rebuild the cached counts from the cores, after an ownership
+    /// transaction (which may also have added processes).
+    fn recount(&mut self) {
+        let procs = self.num_procs.max(self.counts.len());
+        self.counts.resize(procs, ProcCounts::default());
+        self.busy = count_cores(&self.cores, &mut self.counts);
     }
 
     /// Enable/disable transition recording (off by default; enabling it
@@ -200,17 +253,17 @@ impl NodeDlb {
 
     /// Cores owned by `proc` (DROM ownership, regardless of current user).
     pub fn owned_count(&self, proc: ProcId) -> usize {
-        self.cores.iter().filter(|c| c.owner == proc).count()
+        self.counts.get(proc.0).map_or(0, |c| c.owned)
     }
 
     /// Cores currently being used by `proc` (own or borrowed).
     pub fn used_count(&self, proc: ProcId) -> usize {
-        self.cores.iter().filter(|c| c.user == Some(proc)).count()
+        self.counts.get(proc.0).map_or(0, |c| c.used)
     }
 
     /// Cores in use by any process.
     pub fn busy_count(&self) -> usize {
-        self.cores.iter().filter(|c| c.user.is_some()).count()
+        self.busy
     }
 
     /// Whether `core` is in use by a process other than its owner.
@@ -236,50 +289,69 @@ impl NodeDlb {
         if self.is_retired(proc) {
             return None;
         }
-        // (1) idle own core.
-        if let Some(i) = self
-            .cores
-            .iter()
-            .position(|c| c.owner == proc && c.user.is_none())
-        {
-            self.cores[i].user = Some(proc);
-            self.cores[i].reclaim = false;
-            return Some(i);
-        }
-        // (2) borrow an idle foreign core, but never one whose owner has
-        // posted a reclaim (it is on its way home).
-        if self.lewi {
+        // On a saturated node no core is idle, so neither search can succeed.
+        if self.busy < self.cores.len() {
+            // (1) idle own core.
             if let Some(i) = self
                 .cores
                 .iter()
-                .position(|c| c.user.is_none() && !c.reclaim && c.transfer_to.is_none())
+                .position(|c| c.owner == proc && c.user.is_none())
             {
                 self.cores[i].user = Some(proc);
-                let owner = self.cores[i].owner;
-                self.log(DlbEvent::Borrowed {
-                    proc,
-                    core: i,
-                    owner,
-                });
+                self.cores[i].reclaim = false;
+                self.note_use(proc);
                 return Some(i);
+            }
+            // (2) borrow an idle foreign core, but never one whose owner
+            // has posted a reclaim (it is on its way home).
+            if self.lewi {
+                if let Some(i) = self
+                    .cores
+                    .iter()
+                    .position(|c| c.user.is_none() && !c.reclaim && c.transfer_to.is_none())
+                {
+                    self.cores[i].user = Some(proc);
+                    let owner = self.cores[i].owner;
+                    self.note_use(proc);
+                    self.counts[owner.0].reclaimable += 1;
+                    self.log(DlbEvent::Borrowed {
+                        proc,
+                        core: i,
+                        owner,
+                    });
+                    return Some(i);
+                }
             }
         }
         // Nothing free: reclaim our lent-out cores.
-        let mut posted = Vec::new();
-        for (i, c) in self.cores.iter_mut().enumerate() {
-            if c.owner == proc && c.user.is_some_and(|u| u != proc) && !c.reclaim {
-                c.reclaim = true;
-                posted.push((i, c.user.expect("borrowed core has a user")));
+        if self.counts.get(proc.0).is_some_and(|c| c.reclaimable > 0) {
+            for core in 0..self.cores.len() {
+                let c = &mut self.cores[core];
+                let Some(borrower) = c.user.filter(|&u| u != proc) else {
+                    continue;
+                };
+                if c.owner == proc && !c.reclaim {
+                    c.reclaim = true;
+                    self.log(DlbEvent::ReclaimPosted {
+                        core,
+                        owner: proc,
+                        borrower,
+                    });
+                }
             }
-        }
-        for (core, borrower) in posted {
-            self.log(DlbEvent::ReclaimPosted {
-                core,
-                owner: proc,
-                borrower,
-            });
+            self.counts[proc.0].reclaimable = 0;
         }
         None
+    }
+
+    /// Count one more core in use by `proc` (a process the node has not
+    /// seen before may borrow, so the table grows on demand).
+    fn note_use(&mut self, proc: ProcId) {
+        if proc.0 >= self.counts.len() {
+            self.counts.resize(proc.0 + 1, ProcCounts::default());
+        }
+        self.counts[proc.0].used += 1;
+        self.busy += 1;
     }
 
     /// Release a core after a task finishes. Applies any deferred DROM
@@ -290,10 +362,17 @@ impl NodeDlb {
             return Err(DlbError::NotUser { proc, core });
         }
         c.user = None;
+        self.counts[proc.0].used -= 1;
+        self.busy -= 1;
+        if c.owner != proc && !c.reclaim {
+            self.counts[c.owner.0].reclaimable -= 1;
+        }
         if let Some(to) = c.transfer_to.take() {
             let from = c.owner;
             c.owner = to;
             c.reclaim = false;
+            self.counts[from.0].owned -= 1;
+            self.counts[to.0].owned += 1;
             self.log(DlbEvent::TransferApplied { core, from, to });
         } else if c.reclaim {
             // The borrower returned it; it is now an idle owned core.
@@ -381,10 +460,11 @@ impl NodeDlb {
                         c.transfer_to = (ProcId(recv) != c.owner).then_some(ProcId(recv));
                     }
                 }
-                need[donor] -= -1; // donor gave one (need moves toward 0)
+                need[donor] += 1; // donor gave one (need moves toward 0)
                 need[recv] -= 1;
             }
         }
+        self.recount();
         self.log(DlbEvent::OwnershipSet {
             counts: counts.to_vec(),
         });
@@ -438,6 +518,7 @@ impl NodeDlb {
                 c.transfer_to = Some(new);
             }
         }
+        self.recount();
         new
     }
 
@@ -504,6 +585,7 @@ impl NodeDlb {
                 }
             }
         }
+        self.recount();
         self.log(DlbEvent::OwnershipSet {
             counts: self.target_ownership(),
         });
@@ -545,6 +627,18 @@ impl NodeDlb {
             if self.is_retired(eff) {
                 return Err(format!("core {i}: effectively owned by retired {eff:?}"));
             }
+        }
+        // The cached counts are exactly what a scan of the cores gives.
+        let mut fresh = vec![ProcCounts::default(); self.counts.len()];
+        let busy = count_cores(&self.cores, &mut fresh);
+        if busy != self.busy {
+            return Err(format!("busy count {} cached, {busy} scanned", self.busy));
+        }
+        if let Some(p) = (0..fresh.len()).find(|&p| fresh[p] != self.counts[p]) {
+            return Err(format!(
+                "P{p}: {:?} cached, {:?} scanned",
+                self.counts[p], fresh[p]
+            ));
         }
         Ok(())
     }

@@ -1,6 +1,7 @@
 //! Randomized tests: under arbitrary interleavings of acquire / release /
-//! set_ownership, the node never loses or duplicates a core, never lets
-//! two processes use one core, and always converges when drained.
+//! set_ownership / add_process / retire_process, the node never loses or
+//! duplicates a core, never lets two processes use one core, and always
+//! converges when drained.
 //! Seeded `tlb-rng` loops stand in for proptest (no registry deps).
 
 use tlb_dlb::{NodeDlb, ProcId};
@@ -32,61 +33,73 @@ fn check_global_invariants(node: &NodeDlb, procs: usize, holding: &[Vec<usize>])
     }
 }
 
+/// Any interleaving of the five mutating operations, with LeWI on and
+/// off: `check_invariants` (which also compares the cached owned / used /
+/// busy counts with a fresh scan) holds after every step.
 #[test]
 fn random_ops_preserve_invariants() {
     let root = Rng::seed_from_u64(0xD1B_0001);
-    for case in 0..64 {
-        let mut rng = root.split_u64(case as u64);
-        let procs = rng.range_usize(2, 5);
-        let cores = 8usize;
-        let mut counts = vec![1usize; procs];
-        let mut left = cores - procs;
-        let mut i = 0;
-        while left > 0 {
-            counts[i % procs] += 1;
-            left -= 1;
-            i += 1;
-        }
-        let mut node = NodeDlb::with_counts(&counts, true);
-        let mut holding: Vec<Vec<usize>> = vec![Vec::new(); procs];
+    for case in 0..64u64 {
+        let mut rng = root.split_u64(case);
+        let cores = 12usize;
+        let mut live: Vec<usize> = (0..rng.range_usize(2, 5)).collect();
+        let mut counts = vec![1usize; live.len()];
+        counts[0] = cores - (live.len() - 1);
+        let mut node = NodeDlb::with_counts(&counts, case % 2 == 0);
+        // `holding[p]`: cores process `p` (living or retired) still runs on.
+        let mut holding: Vec<Vec<usize>> = vec![Vec::new(); live.len()];
 
-        for _ in 0..200 {
-            match rng.range_u64(0, 4) {
-                0 => {
-                    let p = rng.range_usize(0, procs);
+        for step in 0..300 {
+            match rng.range_u64(0, 11) {
+                0..=3 => {
+                    let p = rng.range_usize(0, holding.len());
                     if let Some(c) = node.acquire(ProcId(p)) {
                         holding[p].push(c);
                     }
                 }
-                1 => {
-                    let p = rng.range_usize(0, procs);
+                4..=6 => {
+                    let p = rng.range_usize(0, holding.len());
                     if !holding[p].is_empty() {
                         let idx = rng.range_usize(0, holding[p].len());
                         let c = holding[p].swap_remove(idx);
                         node.release(ProcId(p), c).unwrap();
                     }
                 }
-                2 => {
-                    // Random valid ownership vector.
-                    let mut v = vec![1usize; procs];
-                    let mut left = cores - procs;
-                    while left > 0 {
-                        v[rng.range_usize(0, procs)] += 1;
-                        left -= 1;
+                7 => {
+                    // Random valid vector: ≥ 1 per living process, 0 for
+                    // the retired ones.
+                    let mut v = vec![0usize; holding.len()];
+                    for &p in &live {
+                        v[p] = 1;
+                    }
+                    for _ in 0..cores - live.len() {
+                        v[live[rng.range_usize(0, live.len())]] += 1;
                     }
                     node.set_ownership(&v).unwrap();
-                    assert_eq!(
-                        node.target_ownership()[..procs].iter().sum::<usize>(),
-                        cores,
-                        "case {case}"
-                    );
+                    assert_eq!(node.target_ownership(), v, "case {case} step {step}");
+                }
+                8 => {
+                    if holding.len() < 6 && node.target_ownership().iter().any(|&c| c >= 2) {
+                        let p = node.add_process();
+                        assert_eq!(p, ProcId(holding.len()));
+                        live.push(p.0);
+                        holding.push(Vec::new());
+                    }
+                }
+                9 => {
+                    if live.len() > 2 {
+                        let p = live.swap_remove(rng.range_usize(0, live.len()));
+                        node.retire_process(ProcId(p)).unwrap();
+                    }
                 }
                 _ => {
                     let on = node.lewi_enabled();
                     node.set_lewi(!on);
                 }
             }
-            check_global_invariants(&node, procs, &holding);
+            check_global_invariants(&node, holding.len(), &holding);
+            let busy: usize = holding.iter().map(Vec::len).sum();
+            assert_eq!(node.busy_count(), busy, "case {case} step {step}");
         }
 
         // Drain: release everything, then the last ownership target must be
@@ -96,12 +109,13 @@ fn random_ops_preserve_invariants() {
                 node.release(ProcId(p), c).unwrap();
             }
         }
-        check_global_invariants(&node, procs, &holding);
-        let target = node.target_ownership();
-        let actual: Vec<usize> = (0..procs).map(|p| node.owned_count(ProcId(p))).collect();
+        check_global_invariants(&node, holding.len(), &holding);
+        let actual: Vec<usize> = (0..holding.len())
+            .map(|p| node.owned_count(ProcId(p)))
+            .collect();
         assert_eq!(
-            &actual[..],
-            &target[..procs],
+            actual,
+            node.target_ownership(),
             "case {case}: deferred transfers not applied after drain"
         );
         assert_eq!(node.busy_count(), 0, "case {case}");

@@ -3,7 +3,7 @@
 
 use crate::index::{EntryId, IntervalIndex};
 use crate::{AccessMode, TaskDef, TaskId, TaskState};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
 /// Errors from graph operations.
@@ -69,7 +69,9 @@ pub struct TaskGraph {
     /// encoded as u64::MAX). The interval index answers "which active
     /// accesses overlap this region" in O(log n + k).
     domains: HashMap<u64, IntervalIndex<(TaskId, AccessMode)>>,
-    ready: Vec<TaskId>,
+    /// Ready tasks in the order they became ready. Executors claim
+    /// mostly from the front, which `start` and `pop_ready` do in O(1).
+    ready: VecDeque<TaskId>,
     completed_count: usize,
 }
 
@@ -89,7 +91,7 @@ impl TaskGraph {
         TaskGraph {
             tasks: Vec::new(),
             domains: HashMap::new(),
-            ready: Vec::new(),
+            ready: VecDeque::new(),
             completed_count: 0,
         }
     }
@@ -134,7 +136,7 @@ impl TaskGraph {
             self.tasks[p.0 as usize].successors.push(id);
         }
         let state = if pending == 0 {
-            self.ready.push(id);
+            self.ready.push_back(id);
             TaskState::Ready
         } else {
             TaskState::Blocked
@@ -151,10 +153,13 @@ impl TaskGraph {
         Ok(id)
     }
 
-    /// Tasks currently ready, in submission order. Draining is the
-    /// executor's job: call [`TaskGraph::start`] to claim one.
+    /// Tasks currently ready, in the order they became ready: tasks ready
+    /// at submission in submission order, each batch released by a
+    /// [`TaskGraph::complete`] appended behind whatever was ready then.
+    /// Draining is the executor's job: call [`TaskGraph::start`] to claim
+    /// one.
     pub fn ready(&self) -> Vec<TaskId> {
-        self.ready.clone()
+        self.ready.iter().copied().collect()
     }
 
     /// Number of ready tasks.
@@ -162,13 +167,10 @@ impl TaskGraph {
         self.ready.len()
     }
 
-    /// Pop the first ready task (submission order), if any, marking it
+    /// Pop the first task of [`TaskGraph::ready`], if any, marking it
     /// running.
     pub fn pop_ready(&mut self) -> Option<TaskId> {
-        if self.ready.is_empty() {
-            return None;
-        }
-        let id = self.ready.remove(0);
+        let id = self.ready.pop_front()?;
         self.tasks[id.0 as usize].state = TaskState::Running;
         Some(id)
     }
@@ -187,7 +189,11 @@ impl TaskGraph {
             });
         }
         node.state = TaskState::Running;
-        self.ready.retain(|&r| r != id);
+        // Found at once and removed without a shift when claimed in ready
+        // order; otherwise a search from the front and one positional remove.
+        let pos = self.ready.iter().position(|&r| r == id);
+        self.ready
+            .remove(pos.expect("a Ready task is in the ready queue"));
         Ok(())
     }
 
@@ -218,14 +224,16 @@ impl TaskGraph {
         if let Some(p) = self.tasks[idx].def.parent {
             self.tasks[p.0 as usize].live_children -= 1;
         }
-        let successors = self.tasks[idx].successors.clone();
+        // A completed task gains no further successors: its accesses left
+        // the domain above.
+        let successors = std::mem::take(&mut self.tasks[idx].successors);
         let mut newly_ready = Vec::new();
         for s in successors {
             let node = &mut self.tasks[s.0 as usize];
             node.pending_deps -= 1;
             if node.pending_deps == 0 && node.state == TaskState::Blocked {
                 node.state = TaskState::Ready;
-                self.ready.push(s);
+                self.ready.push_back(s);
                 newly_ready.push(s);
             }
         }
@@ -550,6 +558,86 @@ mod tests {
         assert_eq!(g.stats().running, 1);
         g.complete(w).unwrap();
         assert_eq!(g.stats().completed, 1);
+    }
+
+    fn independent(g: &mut TaskGraph, n: usize) -> Vec<TaskId> {
+        (0..n)
+            .map(|i| g.submit(TaskDef::new(format!("t{i}"))).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn out_of_order_start_keeps_the_rest_in_order() {
+        let mut g = TaskGraph::new();
+        let ids = independent(&mut g, 6);
+        // Middle, front, back: the survivors keep their relative order.
+        for (claimed, left) in [
+            (3, vec![0, 1, 2, 4, 5]),
+            (0, vec![1, 2, 4, 5]),
+            (5, vec![1, 2, 4]),
+        ] {
+            g.start(ids[claimed]).unwrap();
+            let left: Vec<TaskId> = left.into_iter().map(|i| ids[i]).collect();
+            assert_eq!(g.ready(), left);
+            assert_eq!(g.ready_count(), left.len());
+        }
+        // Successors released later queue behind what was ready already.
+        let r = DataRegion::new(0, 8);
+        let w = g.submit(TaskDef::new("w").writes(r)).unwrap();
+        let rd = g.submit(TaskDef::new("r").reads(r)).unwrap();
+        let late = g.submit(TaskDef::new("late")).unwrap();
+        g.start(w).unwrap();
+        g.complete(w).unwrap();
+        assert_eq!(g.ready(), vec![ids[1], ids[2], ids[4], late, rd]);
+    }
+
+    #[test]
+    fn start_of_a_non_ready_task_changes_nothing() {
+        let mut g = TaskGraph::new();
+        let r = DataRegion::new(0, 8);
+        let done = g.submit(TaskDef::new("done")).unwrap();
+        g.start(done).unwrap();
+        g.complete(done).unwrap();
+        let running = g.submit(TaskDef::new("w").writes(r)).unwrap();
+        let blocked = g.submit(TaskDef::new("r").reads(r)).unwrap();
+        let waiting = independent(&mut g, 2);
+        g.start(running).unwrap();
+        for (id, state) in [
+            (done, TaskState::Completed),
+            (running, TaskState::Running),
+            (blocked, TaskState::Blocked),
+        ] {
+            assert_eq!(
+                g.start(id),
+                Err(GraphError::BadState {
+                    task: id,
+                    state,
+                    wanted: TaskState::Ready
+                })
+            );
+            assert_eq!(g.state(id), state);
+            assert_eq!(g.ready(), waiting);
+            assert_eq!(g.ready_count(), 2);
+        }
+        assert_eq!(g.start(TaskId(99)), Err(GraphError::NoSuchTask(TaskId(99))));
+    }
+
+    #[test]
+    fn pop_ready_never_returns_a_started_task() {
+        let mut g = TaskGraph::new();
+        let ids = independent(&mut g, 8);
+        let mut started = Vec::new();
+        let mut popped = Vec::new();
+        // Claim from the back, the middle and the front between pops.
+        for claim in [7, 3, 2, 5] {
+            g.start(ids[claim]).unwrap();
+            started.push(ids[claim]);
+            popped.push(g.pop_ready().unwrap());
+        }
+        assert_eq!(popped, vec![ids[0], ids[1], ids[4], ids[6]]);
+        assert!(popped.iter().all(|t| !started.contains(t)));
+        assert_eq!(g.pop_ready(), None);
+        assert_eq!(g.stats().running, 8);
     }
 
     #[test]
