@@ -1,9 +1,14 @@
 #!/usr/bin/env bash
-# Offline CI gate: format, clippy, benchmark-harness check, build, tier-1
-# tests, the figure claims + results drift gate, smoke benches (perf,
-# trace, robustness, portfolio, sweep, serve).
-# The workspace is hermetic (no registry deps), so everything here runs
-# with no network access. Mirrors .github/workflows/ci.yml.
+# Offline CI gate, and the only list of its steps (the GitHub workflow
+# runs this script): format, clippy, benchmark-harness check, build,
+# tier-1 tests, the figure claims, then the drift gate.
+#
+# One mechanism per question: invariants and bitwise identity are tier-1
+# tests, reproduced claims are `figures` + the checked-in results, and
+# wall-clock is the ledger (`benchmark/run.sh`, `BENCH_ledger.json`),
+# which the PR driver compares parent-vs-change and this script does not
+# run. The workspace is hermetic (no registry deps), so everything here
+# runs with no network access.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -22,26 +27,10 @@ cargo build --workspace --release --offline
 echo "== tier-1: cargo test"
 cargo test --workspace -q --offline
 
-echo "== figures (--quick): every evaluated claim holds, results/quick has not drifted"
+echo "== figures (--quick): every evaluated claim holds"
 cargo run --release --offline -p tlb-bench --bin figures -- --quick
-git diff --exit-code -- results/quick
 
-echo "== perf smoke (--quick)"
-cargo run --release --offline -p tlb-bench --bin perf_smoke -- --quick
-
-echo "== trace smoke (--quick)"
-cargo run --release --offline -p tlb-bench --bin trace_smoke -- --quick
-
-echo "== robustness smoke (--quick)"
-cargo run --release --offline -p tlb-bench --bin robustness_smoke -- --quick
-
-echo "== portfolio smoke (--quick)"
-cargo run --release --offline -p tlb-bench --bin portfolio_smoke -- --quick
-
-echo "== sweep smoke (--quick)"
-cargo run --release --offline -p tlb-bench --bin sweep_smoke -- --quick
-
-echo "== serve smoke (--quick, loopback only)"
-cargo run --release --offline -p tlb-bench --bin serve_smoke -- --quick
+echo "== drift: nothing above rewrote a tracked file (results/quick included)"
+git diff --exit-code
 
 echo "CI gate passed."

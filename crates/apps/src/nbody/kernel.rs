@@ -384,17 +384,19 @@ mod tests {
         let bodies = random_bodies(600, 9);
         let tree = Octree::build(&bodies, 0.5);
         let serial = tree.accelerations(&bodies, None);
-        let pool = Pool::new(4);
-        let parallel = tree.accelerations(&bodies, Some(&pool));
-        for (i, (s, p)) in serial.iter().zip(&parallel).enumerate() {
-            for d in 0..3 {
-                assert_eq!(
-                    s[d].to_bits(),
-                    p[d].to_bits(),
-                    "body {i} dim {d}: {} vs {}",
-                    s[d],
-                    p[d]
-                );
+        for threads in [1, 2, 4, 8] {
+            let pool = Pool::new(threads);
+            let parallel = tree.accelerations(&bodies, Some(&pool));
+            for (i, (s, p)) in serial.iter().zip(&parallel).enumerate() {
+                for d in 0..3 {
+                    assert_eq!(
+                        s[d].to_bits(),
+                        p[d].to_bits(),
+                        "{threads} threads, body {i} dim {d}: {} vs {}",
+                        s[d],
+                        p[d]
+                    );
+                }
             }
         }
     }

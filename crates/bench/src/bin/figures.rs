@@ -50,6 +50,7 @@ const FIGURES: &[Figure] = &[
     ("ablations", &["ablations"], ablations),
     ("ext_dynamic", &["ext_dynamic"], ext_dynamic),
     ("ext_throttle", &["ext_throttle"], ext_throttle),
+    ("ext_portfolio", &["ext_portfolio"], ext_portfolio),
     (SOLVER_TABLE, &[SOLVER_TABLE], solver_table),
 ];
 
@@ -477,16 +478,21 @@ fn fig08(effort: Effort) -> Vec<Experiment> {
     nodes.iter().map(at_nodes).collect()
 }
 
+/// MicroPP on four appranks with a controlled profile: apprank 0 clearly
+/// heavier, as in the paper's Fig. 9 trace.
+fn skewed_micropp(iterations: usize) -> SpecWorkload {
+    let mut mcfg = MicroPpConfig::new(4);
+    mcfg.iterations = iterations;
+    mcfg.fractions_override = Some(vec![0.85, 0.25, 0.2, 0.15]);
+    micropp_workload(&mcfg)
+}
+
 /// Fig. 9: the roles of LeWI and DROM, via MicroPP traces on four nodes
 /// with offloading degree two: baseline, LeWI only, DROM only (global
 /// policy) and both. LeWI reacts instantly inside an iteration; DROM
 /// converges the core ownership across iterations.
 fn fig09(effort: Effort) -> Vec<Experiment> {
-    let mut mcfg = MicroPpConfig::new(4);
-    mcfg.iterations = effort.pick(12, 6);
-    // A controlled profile: apprank 0 clearly heavier, as in the trace.
-    mcfg.fractions_override = Some(vec![0.85, 0.25, 0.2, 0.15]);
-    let wl = micropp_workload(&mcfg);
+    let wl = skewed_micropp(effort.pick(12, 6));
     let platform = Platform::mn4(4);
 
     let mut out = Vec::new();
@@ -809,6 +815,52 @@ fn ext_throttle(effort: Effort) -> Vec<Experiment> {
 time (the slow node bounds every iteration); degree-4 converges to the post-throttle perfect \
 line within one 2 s solver period",
     );
+    vec![exp]
+}
+
+/// Extension (DESIGN.md §9): what each lane of the default four-strategy
+/// race is asked, wins and costs in virtual time, on a Fig. 5-style
+/// MicroPP run and a Fig. 8-style synthetic one — the evidence for
+/// keeping a lane in the default race or dropping it.
+fn ext_portfolio(effort: Effort) -> Vec<Experiment> {
+    let platform = Platform::mn4(4);
+    let mut cfg = config(GLOBAL, 2);
+    // Tick fast enough that even the quick run races several times.
+    cfg.global_period = SimTime::from_millis(500);
+    cfg.portfolio = Some(PortfolioConfig::default());
+    let mut scfg = SyntheticConfig::new(4, 2.5);
+    scfg.iterations = effort.pick(6, 3);
+    scfg.seed = 1;
+
+    let mut exp = Experiment::new(
+        "ext_portfolio",
+        "solver portfolio, 4 nodes, degree 2: attempts, wins and virtual cost per strategy",
+        "strategy (0=simplex,1=flow,2=greedy,3=local)",
+        "count, or seconds of virtual cost",
+    );
+    let (mut races, mut cheap_wins) = (0, 0);
+    for (name, wl) in [
+        ("micropp_fig05", skewed_micropp(effort.pick(6, 3))),
+        ("synthetic_fig08", synthetic_workload(&scfg, &platform)),
+    ] {
+        let report = run(&platform, &cfg, wl, false);
+        let stats = report.portfolio.expect("a portfolio run reports its stats");
+        let lanes = |y: &dyn Fn(Strategy) -> f64| {
+            let xs = (0u8..).map(f64::from);
+            let lane = |(x, s)| Point { x, y: y(s) };
+            xs.zip(Strategy::ALL).map(lane).collect()
+        };
+        let attempts = lanes(&|s| stats.of(s).attempts as f64);
+        exp.push_series(format!("{name} attempts"), attempts);
+        exp.push_series(format!("{name} wins"), lanes(&|s| stats.of(s).wins as f64));
+        let cost = lanes(&|s| stats.of(s).virtual_cost.as_secs_f64());
+        exp.push_series(format!("{name} virtual cost (s)"), cost);
+        races += stats.solves;
+        cheap_wins += stats.of(Strategy::Greedy).wins + stats.of(Strategy::Local).wins;
+    }
+    exp.note(format!(
+        "greedy and local won {cheap_wins} of {races} races"
+    ));
     vec![exp]
 }
 

@@ -26,7 +26,8 @@ use tlb_core::{BalanceConfig, Platform, PolicySpec};
 pub enum Effort {
     /// Full paper-scale regeneration.
     Full,
-    /// Reduced iterations/resolution for smoke runs and CI.
+    /// Reduced iterations/resolution: what CI regenerates into
+    /// `results/quick/` and diffs against the checked-in files.
     Quick,
 }
 

@@ -402,7 +402,7 @@ impl FaultPlan {
 }
 
 /// Fault/recovery accounting for one run. All zeros when no faults were
-/// injected; the `robustness_smoke` bench gates
+/// injected; the fault tests of `sim.rs` gate
 /// `injected == recovered + absorbed` (nothing is silently lost).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FaultStats {

@@ -286,8 +286,8 @@ impl<'a, W: Workload> RunSpec<'a, W> {
 
     /// Builder: trace with an explicit event-family selection (implies
     /// `.trace(true)`). `TraceConfig::off()` keeps the timelines but
-    /// silences the event log, which is how the perf smoke isolates the
-    /// event subsystem's cost.
+    /// silences the event log, which is how the ledger isolates the event
+    /// subsystem's cost (`trace.timelines_overhead_pct`).
     pub fn trace_families(mut self, families: tlb_trace::TraceConfig) -> Self {
         self.trace = true;
         self.families = Some(families);
@@ -2928,6 +2928,18 @@ mod tests {
         );
         assert_eq!(log.count(|k| matches!(k, K::IterationEnd { .. })), 2);
         assert!(log.count(|k| matches!(k, K::SolverInvoked { .. })) >= 1);
+        // Both DLB mechanisms left a record too.
+        assert!(log.count(|k| matches!(k, K::LewiBorrow { .. })) >= 1);
+        let drom = |k: &K| matches!(k, K::DromOwnership { .. } | K::DromTransfer { .. });
+        assert!(log.count(drom) >= 1);
+        // The Chrome export pairs every task into one complete slice.
+        let phases = |trace: &Trace, ph: &str| {
+            let doc = tlb_json::parse(&crate::trace_to_chrome(trace)).unwrap();
+            let events = doc.get("traceEvents").as_array().unwrap();
+            let with_ph = events.iter().filter(|e| e.get("ph").as_str() == Some(ph));
+            (with_ph.count(), events.len())
+        };
+        assert_eq!(phases(&r.trace, "X").0, r.total_tasks);
         // Counters agree with the report's own bookkeeping.
         let c = &r.trace.counters;
         assert_eq!(c.count("tasks_started"), r.total_tasks as u64);
@@ -2939,6 +2951,9 @@ mod tests {
         let off = ClusterSim::execute(RunSpec::new(&p, &cfg, wl)).unwrap();
         assert!(off.trace.log.is_empty());
         assert!(off.trace.counters.is_empty());
+        assert_eq!(crate::trace_to_csv(&off.trace).lines().count(), 1);
+        let (metadata, all) = phases(&off.trace, "M");
+        assert_eq!(metadata, all, "a disabled trace exports metadata only");
     }
 
     #[test]
@@ -2999,6 +3014,18 @@ mod tests {
         // Tick fast enough that mid-run fault windows cover solver runs.
         cfg.global_period = SimTime::from_millis(500);
         (p, cfg, wl)
+    }
+
+    /// Every fault kind at once: a straggler burst, two kills, an outage
+    /// spanning global ticks, lossy sends with retries, a degraded link.
+    fn every_fault_kind() -> FaultPlan {
+        FaultPlan::new(42)
+            .with_straggler(0.4, 1, 3.0, 1.0)
+            .with_kill(0.6)
+            .with_kill_of(1.2, 0, 1)
+            .with_outage(0.5, 1.5, LpError::IterationLimit)
+            .with_loss(0.0, 3.0, 0.4, 3, 0.002)
+            .with_delay(0.0, 3.0, 0.001)
     }
 
     fn run_plan(plan: &FaultPlan) -> SimReport {
@@ -3068,8 +3095,25 @@ mod tests {
         // Kill apprank 0's helper mid-run: its queued/in-flight tasks must
         // re-run at home and the run still completes every task.
         let plan = FaultPlan::new(11).with_kill_of(0.35, 0, 1);
-        let r = run_plan(&plan);
-        assert_eq!(r.faults.workers_killed, 1);
+        completes_exactly_once(&plan, 1);
+        // The same with every other fault kind firing around two kills;
+        // each kind demonstrably fired, and the trace agrees with the stats.
+        let r = completes_exactly_once(&every_fault_kind(), 2);
+        let f = r.faults;
+        assert!(f.tasks_requeued >= 1 && f.messages_dropped >= 1, "{f:?}");
+        assert!(f.solver_fallbacks >= 1, "{f:?}");
+        let count = |pred: fn(&EventKind) -> bool| r.trace.log.count(pred);
+        assert_eq!(count(|k| matches!(k, EventKind::StragglerStart { .. })), 1);
+        assert_eq!(count(|k| matches!(k, EventKind::StragglerEnd { .. })), 1);
+        let killed = count(|k| matches!(k, EventKind::WorkerKilled { .. }));
+        assert_eq!(killed, f.workers_killed);
+        let fallbacks = count(|k| matches!(k, EventKind::SolverFallback { .. }));
+        assert_eq!(fallbacks, f.solver_fallbacks);
+    }
+
+    fn completes_exactly_once(plan: &FaultPlan, kills: usize) -> SimReport {
+        let r = run_plan(plan);
+        assert_eq!(r.faults.workers_killed, kills);
         assert_eq!(r.total_tasks, 4 * 100);
         assert_eq!(r.iteration_times.len(), 4);
         assert_eq!(r.faults.injected, r.faults.recovered + r.faults.absorbed);
@@ -3088,6 +3132,7 @@ mod tests {
             completed.values().all(|&c| c == 1),
             "a task ran more than once"
         );
+        r
     }
 
     #[test]
@@ -3177,44 +3222,55 @@ mod tests {
         for &s in &Strategy::ALL {
             assert_eq!(stats.of(s).attempts, stats.solves, "{}", s.name());
         }
-        // Portfolio events landed on the global stream.
+        // Portfolio events landed on the global stream, a pick per race,
+        // and no pick scores worse than a candidate of its race.
         let merged = r.trace.log.merged();
-        let solves = merged
-            .iter()
-            .filter(|e| matches!(e.kind, EventKind::PortfolioSolve(_)))
-            .count();
-        let picks = merged
-            .iter()
-            .filter(|e| matches!(e.kind, EventKind::PortfolioPick { .. }))
-            .count();
-        assert_eq!(solves, stats.solves);
-        assert_eq!(picks, stats.solves);
+        let solves = merged.iter().filter_map(|e| match &e.kind {
+            EventKind::PortfolioSolve(rec) => Some(rec),
+            _ => None,
+        });
+        let picks = merged.iter().filter_map(|e| match e.kind {
+            EventKind::PortfolioPick { score, .. } => Some(score),
+            _ => None,
+        });
+        assert_eq!(solves.clone().count(), stats.solves);
+        assert_eq!(picks.clone().count(), stats.solves);
+        for (rec, pick) in solves.zip(picks) {
+            let mut scored = rec.candidates.iter().filter(|c| c.score >= 0.0);
+            assert!(scored.all(|c| pick <= c.score + 1e-12), "{rec:?}");
+        }
     }
 
     #[test]
     fn portfolio_run_is_bitwise_identical_across_pool_threads() {
-        let runs: Vec<SimReport> = [1usize, 2, 4]
+        // The race is the one place a run touches the smprt pool, so this
+        // is where a thread count could leak into the event stream or,
+        // under the second plan, into the fault schedule.
+        identical_across_pool_threads(&FaultPlan::none());
+        identical_across_pool_threads(&every_fault_kind());
+    }
+
+    fn identical_across_pool_threads(plan: &FaultPlan) {
+        let runs: Vec<SimReport> = [1usize, 2, 4, 8]
             .iter()
             .map(|&threads| {
                 let (p, cfg, wl) = portfolio_setup(threads);
-                ClusterSim::execute(
-                    RunSpec::new(&p, &cfg, wl)
-                        .trace(true)
-                        .faults(&FaultPlan::none()),
-                )
-                .unwrap()
+                ClusterSim::execute(RunSpec::new(&p, &cfg, wl).trace(true).faults(plan)).unwrap()
             })
             .collect();
+        let chrome = crate::trace_to_chrome(&runs[0].trace);
         for r in &runs[1..] {
             assert_eq!(runs[0].makespan, r.makespan);
             assert_eq!(runs[0].iteration_times, r.iteration_times);
             assert_eq!(runs[0].events, r.events);
+            assert_eq!(runs[0].faults, r.faults);
             assert_eq!(runs[0].portfolio, r.portfolio);
             assert_eq!(runs[0].trace.log.merged(), r.trace.log.merged());
             assert_eq!(
                 runs[0].trace.counters.sorted_counts(),
                 r.trace.counters.sorted_counts()
             );
+            assert_eq!(chrome, crate::trace_to_chrome(&r.trace));
         }
     }
 

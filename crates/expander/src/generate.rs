@@ -38,7 +38,8 @@ pub(crate) fn generate(config: &ExpanderConfig) -> Result<BipartiteGraph, Expand
 
 /// [`BipartiteGraph::generate`] with an explicit screening thread count
 /// (1 = serial). Results are identical for every `workers` value; the
-/// knob exists for scaling measurements (`perf_smoke`) and tests.
+/// knob exists for scaling measurements and for the test that says so
+/// (`expander_properties.rs::generation_is_deterministic`).
 pub fn generate_with_workers(
     config: &ExpanderConfig,
     workers: usize,

@@ -2,7 +2,9 @@
 //! invariants over random machine shapes. Seeded `tlb-rng` loops stand in
 //! for proptest (no registry deps).
 
-use tlb_expander::{generate_circulant, generate_random, BipartiteGraph, ExpanderConfig};
+use tlb_expander::{
+    generate_circulant, generate_random, generate_with_workers, BipartiteGraph, ExpanderConfig,
+};
 use tlb_rng::Rng;
 
 // (nodes, appranks_per_node, degree)
@@ -45,7 +47,8 @@ fn generated_graphs_satisfy_invariants() {
 }
 
 /// Generation is deterministic in the seed — in particular, the parallel
-/// candidate screening must pick the same winner as any other run.
+/// candidate screening must pick the same winner at any worker count
+/// (`generate` uses the host's parallelism, which may be 1).
 #[test]
 fn generation_is_deterministic() {
     let root = Rng::seed_from_u64(0xE59_0002);
@@ -56,9 +59,11 @@ fn generation_is_deterministic() {
         let appranks = nodes * per;
         let cfg = ExpanderConfig::new(appranks, nodes, degree).with_seed(seed);
         let g1 = BipartiteGraph::generate(&cfg).unwrap();
-        let g2 = BipartiteGraph::generate(&cfg).unwrap();
-        for a in 0..appranks {
-            assert_eq!(g1.nodes_of(a), g2.nodes_of(a), "case {case}");
+        for workers in [1, 2, 4, 8] {
+            let g2 = generate_with_workers(&cfg, workers).unwrap();
+            for a in 0..appranks {
+                assert_eq!(g1.nodes_of(a), g2.nodes_of(a), "case {case}");
+            }
         }
     }
 }

@@ -1,5 +1,5 @@
 //! A small blocking client for the serve protocol, used by the CLI,
-//! the tests, and the `serve_smoke` bench. One request at a time per
+//! the tests, and the `benchmark/` serve workloads. One request at a time per
 //! connection; open several clients for concurrency.
 
 use std::io::{self, BufRead, BufReader, Write};

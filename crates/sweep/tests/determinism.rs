@@ -25,6 +25,19 @@ fn scenario() -> Scenario {
     .unwrap()
 }
 
+/// Two seeds of one registry policy on the AMR (moving-hotspot) app:
+/// the end-to-end exercise of the solver-free policy families.
+fn family(policy: &str) -> Scenario {
+    Scenario::from_json_str(&format!(
+        r#"{{
+            "schema_version": 1, "name": "determinism-family", "app": "amr",
+            "machine": "ideal", "nodes": 2, "iterations": 4, "imbalance": 2.0,
+            "axes": {{ "degree": [2], "policy": ["{policy}"], "seed": [1, 2] }}
+        }}"#
+    ))
+    .unwrap()
+}
+
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("tlb_sweep_{tag}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -33,11 +46,16 @@ fn temp_dir(tag: &str) -> PathBuf {
 
 #[test]
 fn jobs_1_and_jobs_8_are_bitwise_identical() {
-    let sc = scenario();
+    jobs_1_and_jobs_8_agree(&scenario(), 16);
+    jobs_1_and_jobs_8_agree(&family("reactive-offload"), 2);
+    jobs_1_and_jobs_8_agree(&family("diffusion"), 2);
+}
+
+fn jobs_1_and_jobs_8_agree(sc: &Scenario, points: usize) {
     let dir1 = temp_dir("jobs1");
     let dir8 = temp_dir("jobs8");
     let serial = run_sweep(
-        &sc,
+        sc,
         &SweepOptions {
             jobs: 1,
             resume: false,
@@ -46,7 +64,7 @@ fn jobs_1_and_jobs_8_are_bitwise_identical() {
     )
     .unwrap();
     let parallel = run_sweep(
-        &sc,
+        sc,
         &SweepOptions {
             jobs: 8,
             resume: false,
@@ -54,9 +72,9 @@ fn jobs_1_and_jobs_8_are_bitwise_identical() {
         },
     )
     .unwrap();
-    assert_eq!(serial.stats.points_total, 16);
-    assert_eq!(serial.stats.executed, 16);
-    assert_eq!(parallel.stats.executed, 16);
+    assert_eq!(serial.stats.points_total, points);
+    assert_eq!(serial.stats.executed, points);
+    assert_eq!(parallel.stats.executed, points);
     // The whole report, byte for byte — not just summary statistics.
     assert_eq!(
         serial.report.to_string_pretty(),
@@ -118,6 +136,25 @@ fn resume_executes_nothing_and_reproduces_the_report() {
         fresh.report.to_string_pretty(),
         partial.report.to_string_pretty()
     );
+
+    // Keys see policy parameters, not just names: resuming a policy's
+    // tweaked twin over its warm cache shares no entry and runs it all.
+    for (policy, tweaked) in [
+        ("reactive-offload", "reactive-offload(hi=0.4)"),
+        ("diffusion", "diffusion(alpha=0.25)"),
+    ] {
+        let resume = SweepOptions {
+            jobs: 4,
+            resume: true,
+            cache_dir: Some(dir.clone()),
+        };
+        let warm = run_sweep(&family(policy), &resume).unwrap();
+        let again = run_sweep(&family(policy), &resume).unwrap();
+        let changed = run_sweep(&family(tweaked), &resume).unwrap();
+        assert_eq!((warm.stats.executed, again.stats.executed), (2, 0));
+        assert!(changed.keys.iter().all(|k| !warm.keys.contains(k)));
+        assert_eq!(changed.stats.executed, 2, "{tweaked} was served stale");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

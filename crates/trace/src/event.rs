@@ -535,6 +535,14 @@ mod tests {
         assert_eq!(value, 2.0);
     }
 
+    /// What a traced run stores per event (`trace.push_ns` and
+    /// `peak_rss_mb@trace_synth_4n` in the ledger scale with it): a
+    /// variant that grows the enum should be a decision, not an accident.
+    #[test]
+    fn event_is_56_bytes() {
+        assert_eq!(std::mem::size_of::<Event>(), 56);
+    }
+
     #[test]
     fn count_and_len_agree() {
         let mut log = TraceLog::new();
