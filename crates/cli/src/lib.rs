@@ -4,7 +4,7 @@
 //! A single run is a one-point [`Scenario`]: the flags fill the
 //! scenario's fixed knobs and one value per axis, `Scenario::validate`
 //! is the only validator, and the run is built by the same
-//! `platform()` / `config()` / [`build_workload`] a sweep point uses.
+//! [`simulate_point`] a sweep point runs through.
 //!
 //! ```console
 //! tlb-run --app micropp --nodes 8 --appranks-per-node 2 \
@@ -17,9 +17,9 @@
 //! ```
 
 use std::fmt;
-use tlb_cluster::{ClusterSim, FaultPlan, FaultStats, RunSpec, SimReport};
+use tlb_cluster::{FaultStats, SimReport};
 use tlb_core::{known_policy_names, BalanceConfig, PolicySpec, Strategy};
-use tlb_sweep::{build_workload, Scenario, SweepApp, SweepMachine, SweepPoint};
+use tlb_sweep::{simulate_point, Scenario, SweepApp, SweepMachine, SweepPoint};
 
 /// Parsed command line.
 #[derive(Clone, Debug)]
@@ -277,27 +277,12 @@ pub fn chrome_path(args: &Args) -> Option<String> {
 /// iteration.
 pub fn run(args: &Args) -> Result<(SimReport, f64), String> {
     let scenario = &args.scenario;
-    let point = args.point();
     let mut platform = scenario.platform();
     if let Some(n) = args.slow_node {
         platform.node_speed[n] = 1.8 / 3.0;
     }
-    let config = scenario.config(&point).map_err(|e| e.to_string())?;
-    let plan = match &scenario.faults {
-        Some(spec) => FaultPlan::parse(spec, scenario.fault_seed)?,
-        None => FaultPlan::none(),
-    };
     let trace = args.trace_mode || args.trace_csv.is_some() || args.chrome.is_some();
-    let appranks = scenario.nodes * point.appranks_per_node;
-    let (workload, per_iter_work) = build_workload(scenario, &point, appranks, &platform);
-    let report = ClusterSim::execute(
-        RunSpec::new(&platform, &config, workload)
-            .trace(trace)
-            .faults(&plan),
-    )
-    .map_err(|e| e.to_string())?;
-
-    let perfect = per_iter_work / platform.effective_capacity();
+    let (report, perfect) = simulate_point(scenario, &args.point(), &platform, trace)?;
     if let Some(path) = &args.trace_csv {
         tlb_cluster::save_trace_csv(&report.trace, std::path::Path::new(path))
             .map_err(|e| format!("writing {path}: {e}"))?;
@@ -391,7 +376,7 @@ pub fn format_text(args: &Args, report: &SimReport, perfect: f64) -> String {
             );
         }
     }
-    if report.trace.enabled && !report.trace.counters.is_empty() {
+    if !report.trace.counters.is_empty() {
         let _ = writeln!(out, "counters:");
         for (name, value) in report.trace.counters.sorted_counts() {
             let _ = writeln!(out, "  {name:<28} {value}");
@@ -483,7 +468,7 @@ pub fn format_json(args: &Args, report: &SimReport, perfect: f64) -> String {
             ]),
         ));
     }
-    if report.trace.enabled {
+    if report.trace.events() {
         fields.push(("trace_events", report.trace.log.len().into()));
         fields.push(("counters", report.trace.counters.to_json()));
     }

@@ -49,7 +49,7 @@ pub fn trace_to_csv(trace: &Trace) -> String {
     for (i, t) in trace.iteration_ends.iter().enumerate() {
         let _ = writeln!(out, "iteration_end,-1,-1,-1,{:.9},{i}", t.as_secs_f64());
     }
-    for ev in trace.log.merged() {
+    for ev in trace.log.iter() {
         let (kind, node, proc, apprank, value) = ev.csv_fields();
         let _ = writeln!(
             out,
@@ -64,7 +64,7 @@ pub fn trace_to_csv(trace: &Trace) -> String {
 /// process track per node, one thread per worker; loadable in Perfetto
 /// or `chrome://tracing`).
 pub fn trace_to_chrome(trace: &Trace) -> String {
-    tlb_trace::chrome_trace_string(&trace.log.merged(), &trace.worker_apprank)
+    tlb_trace::chrome_trace_string(trace.log.iter(), &trace.worker_apprank)
 }
 
 /// Write [`trace_to_chrome`] to a file.
@@ -157,7 +157,7 @@ mod tests {
     fn sample_trace() -> Trace {
         let g = generate_circulant(&ExpanderConfig::new(2, 2, 2), &[1]).unwrap();
         let layout = ProcessLayout::new(&g, 4);
-        let mut t = Trace::new(&layout, true);
+        let mut t = Trace::new(&layout, Some(tlb_trace::TraceConfig::all()));
         // Node 0: apprank 0 busy on 3 cores for 2 s, apprank 1's helper 1
         // core for 1 s.
         t.record_busy(SimTime::ZERO, 0, 0, 3);
@@ -295,7 +295,7 @@ mod tests {
     fn disabled_trace_exports_headers_only() {
         let g = generate_circulant(&ExpanderConfig::new(2, 2, 2), &[1]).unwrap();
         let layout = ProcessLayout::new(&g, 4);
-        let t = Trace::new(&layout, false);
+        let t = Trace::new(&layout, None);
         assert_eq!(trace_to_csv(&t), "kind,node,proc,apprank,time_s,value\n");
         let doc = tlb_json::parse(&trace_to_chrome(&t)).unwrap();
         let events = doc.get("traceEvents").as_array().unwrap();

@@ -18,7 +18,9 @@ use tlb_linprog::{AllocationSolution, LpError};
 use tlb_portfolio::{PortfolioEngine, Strategy};
 use tlb_rng::Rng;
 use tlb_tasking::{TaskDef, TaskGraph, TaskId};
-use tlb_trace::{DecisionReason, EventKind, FallbackReason, TaskKey, TraceLog, GLOBAL_STREAM};
+use tlb_trace::{
+    DecisionReason, EventKind, FallbackReason, TaskKey, TraceConfig, TraceLog, GLOBAL_STREAM,
+};
 
 /// Errors from setting up or running a simulation.
 #[derive(Debug)]
@@ -252,14 +254,14 @@ struct State<W: Workload> {
 /// ```
 ///
 /// Tracing defaults to **off** (the batch-sweep default); `.trace(true)`
-/// enables the Paraver-style timelines plus all structured event
-/// families, and `.trace_families(..)` narrows the families.
+/// records the Paraver-style timelines, the structured event log and
+/// the counters, and `.trace_families(TraceConfig::off())` the timelines
+/// alone.
 pub struct RunSpec<'a, W> {
     platform: &'a Platform,
     config: &'a BalanceConfig,
     workload: W,
-    trace: bool,
-    families: Option<tlb_trace::TraceConfig>,
+    trace: Option<TraceConfig>,
     faults: FaultPlan,
 }
 
@@ -271,26 +273,25 @@ impl<'a, W: Workload> RunSpec<'a, W> {
             platform,
             config,
             workload,
-            trace: false,
-            families: None,
+            trace: None,
             faults: FaultPlan::none(),
         }
     }
 
-    /// Builder: enable or disable the Paraver-style timelines and the
-    /// structured event/counter log.
+    /// Builder: record everything ([`TraceConfig::all`]: timelines,
+    /// event log, counters) or nothing.
     pub fn trace(mut self, on: bool) -> Self {
-        self.trace = on;
+        self.trace = on.then(TraceConfig::all);
         self
     }
 
-    /// Builder: trace with an explicit event-family selection (implies
-    /// `.trace(true)`). `TraceConfig::off()` keeps the timelines but
-    /// silences the event log, which is how the ledger isolates the event
+    /// Builder: trace at an explicit level. The name is from when the
+    /// level was a set of event families; there are two levels now.
+    /// `TraceConfig::off()` keeps the timelines but leaves the event log
+    /// and the counters empty, which is how the ledger isolates the event
     /// subsystem's cost (`trace.timelines_overhead_pct`).
-    pub fn trace_families(mut self, families: tlb_trace::TraceConfig) -> Self {
-        self.trace = true;
-        self.families = Some(families);
+    pub fn trace_families(mut self, level: TraceConfig) -> Self {
+        self.trace = Some(level);
         self
     }
 
@@ -321,7 +322,6 @@ impl ClusterSim {
             config,
             workload,
             trace,
-            families,
             faults,
         } = spec;
         let plan = &faults;
@@ -381,11 +381,8 @@ impl ClusterSim {
                 NodeDlb::with_counts(counts, config.policy.lewi())
             })
             .collect();
-        let mut trace_rec = Trace::new(&layout, trace);
-        if let (true, Some(f)) = (trace, families) {
-            trace_rec.config = f;
-        }
-        if trace && trace_rec.config.dlb {
+        let trace_rec = Trace::new(&layout, trace);
+        if trace_rec.events() {
             for d in dlbs.iter_mut() {
                 d.set_recording(true);
             }
@@ -639,7 +636,7 @@ impl<W: Workload> State<W> {
 
     /// Record busy/owned/node-busy timelines for every worker of `node`.
     fn record_node(&mut self, now: SimTime, node: usize) {
-        if !self.trace.enabled {
+        if !self.trace.timelines() {
             return;
         }
         let procs = self.layout.workers_on(node).len();
@@ -651,26 +648,6 @@ impl<W: Workload> State<W> {
         }
         let busy = self.dlbs[node].busy_count();
         self.trace.record_node_busy(now, node, busy);
-    }
-
-    /// True when counters are being collected.
-    fn counters_on(&self) -> bool {
-        self.trace.enabled && self.trace.config.counters
-    }
-
-    /// True when task-lifecycle events are being recorded.
-    fn lifecycle_on(&self) -> bool {
-        self.trace.enabled && self.trace.config.lifecycle
-    }
-
-    /// True when fault events are being recorded.
-    fn fault_on(&self) -> bool {
-        self.trace.enabled && self.trace.config.fault
-    }
-
-    /// True when solver-portfolio events are being recorded.
-    fn portfolio_on(&self) -> bool {
-        self.trace.enabled && self.trace.config.portfolio
     }
 
     /// Record an unrecoverable error instead of panicking. The first error
@@ -697,9 +674,7 @@ impl<W: Workload> State<W> {
     /// payload pays the return transfer.
     fn requeue_home(&mut self, ctx: &mut Ctx<Ev>, apprank: usize, inst: Inst) {
         self.faults.tasks_requeued += 1;
-        if self.counters_on() {
-            self.trace.counters.inc("fault_tasks_requeued");
-        }
+        self.trace.count("fault_tasks_requeued", 1);
         let delay = self.transfer_time(inst.bytes);
         self.appranks[apprank].workers[0].in_flight += 1;
         ctx.schedule_in(
@@ -756,19 +731,13 @@ impl<W: Workload> State<W> {
                     }
                     self.faults.injected += 1;
                     self.faults.messages_dropped += 1;
-                    if self.counters_on() {
-                        self.trace.counters.inc("fault_messages_dropped");
-                    }
-                    if self.fault_on() {
-                        self.trace.log.push(
-                            TraceLog::node_stream(home),
-                            now,
-                            EventKind::MessageDropped {
-                                key,
-                                to_node,
-                                attempt: dropped,
-                            },
-                        );
+                    if self.trace.events() {
+                        let ev = EventKind::MessageDropped {
+                            key,
+                            to_node,
+                            attempt: dropped,
+                        };
+                        self.trace.emit(TraceLog::node_stream(home), now, ev);
                     }
                     dropped += 1;
                     if dropped > l.max_retries {
@@ -784,19 +753,13 @@ impl<W: Workload> State<W> {
                     // running the task at home.
                     self.faults.absorbed += 1;
                     self.faults.message_failovers += 1;
-                    if self.counters_on() {
-                        self.trace.counters.inc("fault_message_failovers");
-                    }
-                    if self.fault_on() {
-                        self.trace.log.push(
-                            TraceLog::node_stream(home),
-                            now,
-                            EventKind::MessageFailover {
-                                key,
-                                to_node,
-                                attempts: dropped,
-                            },
-                        );
+                    if self.trace.events() {
+                        let ev = EventKind::MessageFailover {
+                            key,
+                            to_node,
+                            attempts: dropped,
+                        };
+                        self.trace.emit(TraceLog::node_stream(home), now, ev);
                     }
                 }
             }
@@ -804,9 +767,7 @@ impl<W: Workload> State<W> {
         if failover {
             self.appranks[apprank].workers[slot].in_flight -= 1;
             self.faults.tasks_requeued += 1;
-            if self.counters_on() {
-                self.trace.counters.inc("fault_tasks_requeued");
-            }
+            self.trace.count("fault_tasks_requeued", 1);
             self.appranks[apprank].workers[0].in_flight += 1;
             ctx.schedule_in(
                 delay,
@@ -818,7 +779,9 @@ impl<W: Workload> State<W> {
             );
             return;
         }
-        self.note_offload(now, apprank, &inst, slot, false);
+        if self.trace.events() {
+            self.note_offload(now, apprank, &inst, slot, false);
+        }
         ctx.schedule_in(
             delay,
             Ev::Arrive {
@@ -838,9 +801,7 @@ impl<W: Workload> State<W> {
         duration: SimTime,
     ) {
         self.faults.injected += 1;
-        if self.counters_on() {
-            self.trace.counters.inc("fault_stragglers");
-        }
+        self.trace.count("fault_stragglers", 1);
         if self.finished {
             // Burst past the end of the run: trivially recovered.
             self.faults.recovered += 1;
@@ -848,15 +809,12 @@ impl<W: Workload> State<W> {
         }
         self.straggler_factors[node].push(1.0 / slowdown);
         self.refresh_speed(node);
-        if self.fault_on() {
-            self.trace.log.push(
-                TraceLog::node_stream(node),
-                ctx.now(),
-                EventKind::StragglerStart {
-                    node: node as u32,
-                    factor: slowdown,
-                },
-            );
+        if self.trace.events() {
+            let ev = EventKind::StragglerStart {
+                node: node as u32,
+                factor: slowdown,
+            };
+            self.trace.emit(TraceLog::node_stream(node), ctx.now(), ev);
         }
         ctx.schedule_in(duration, Ev::FaultStragglerEnd { node, slowdown });
         self.drain_holds(ctx);
@@ -874,12 +832,9 @@ impl<W: Workload> State<W> {
         }
         self.refresh_speed(node);
         self.faults.recovered += 1;
-        if self.fault_on() {
-            self.trace.log.push(
-                TraceLog::node_stream(node),
-                ctx.now(),
-                EventKind::StragglerEnd { node: node as u32 },
-            );
+        if self.trace.events() {
+            let ev = EventKind::StragglerEnd { node: node as u32 };
+            self.trace.emit(TraceLog::node_stream(node), ctx.now(), ev);
         }
         if !self.finished {
             self.drain_holds(ctx);
@@ -891,9 +846,7 @@ impl<W: Workload> State<W> {
     /// retires it; with no living helper left the fault is absorbed.
     fn handle_kill(&mut self, ctx: &mut Ctx<Ev>, idx: u64, victim: Option<(usize, usize)>) {
         self.faults.injected += 1;
-        if self.counters_on() {
-            self.trace.counters.inc("fault_kills");
-        }
+        self.trace.count("fault_kills", 1);
         if self.finished {
             self.faults.absorbed += 1;
             return;
@@ -960,20 +913,14 @@ impl<W: Workload> State<W> {
         }
         self.faults.workers_killed += 1;
         self.faults.recovered += 1;
-        if self.counters_on() {
-            self.trace.counters.inc("fault_workers_killed");
-        }
-        if self.fault_on() {
-            self.trace.log.push(
-                TraceLog::node_stream(node),
-                now,
-                EventKind::WorkerKilled {
-                    apprank: apprank as u32,
-                    node: node as u32,
-                    proc: proc.0 as u32,
-                    requeued: requeued as u32,
-                },
-            );
+        if self.trace.events() {
+            let ev = EventKind::WorkerKilled {
+                apprank: apprank as u32,
+                node: node as u32,
+                proc: proc.0 as u32,
+                requeued: requeued as u32,
+            };
+            self.trace.emit(TraceLog::node_stream(node), now, ev);
         }
         self.pump_dlb(now, node);
         // Freed cores may serve the survivors immediately.
@@ -993,9 +940,7 @@ impl<W: Workload> State<W> {
         strategy: Option<Strategy>,
     ) {
         self.faults.injected += 1;
-        if self.counters_on() {
-            self.trace.counters.inc("fault_outages");
-        }
+        self.trace.count("fault_outages", 1);
         if self.finished {
             self.faults.recovered += 1;
             return;
@@ -1011,12 +956,9 @@ impl<W: Workload> State<W> {
                 }
             }
         }
-        if self.fault_on() {
-            self.trace.log.push(
-                GLOBAL_STREAM,
-                ctx.now(),
-                EventKind::SolverOutage { active: true },
-            );
+        if self.trace.events() {
+            let ev = EventKind::SolverOutage { active: true };
+            self.trace.emit(GLOBAL_STREAM, ctx.now(), ev);
         }
         ctx.schedule_in(duration, Ev::FaultOutageEnd { strategy });
     }
@@ -1037,12 +979,9 @@ impl<W: Workload> State<W> {
             }
         }
         self.faults.recovered += 1;
-        if self.fault_on() {
-            self.trace.log.push(
-                GLOBAL_STREAM,
-                ctx.now(),
-                EventKind::SolverOutage { active: false },
-            );
+        if self.trace.events() {
+            let ev = EventKind::SolverOutage { active: false };
+            self.trace.emit(GLOBAL_STREAM, ctx.now(), ev);
         }
     }
 
@@ -1058,79 +997,50 @@ impl<W: Workload> State<W> {
     /// Drain `node`'s DLB event buffer into its trace stream, stamping
     /// each record with `now` (the DLB layer itself is time-free).
     fn pump_dlb(&mut self, now: SimTime, node: usize) {
-        if !self.trace.enabled {
+        if !self.trace.events() {
             return;
         }
         for ev in self.dlbs[node].drain_events() {
             let kind = match ev {
-                DlbEvent::Borrowed { proc, core, owner } => {
-                    if self.trace.config.counters {
-                        self.trace.counters.inc("lewi_lends");
-                    }
-                    EventKind::LewiBorrow {
-                        node: node as u32,
-                        proc: proc.0 as u32,
-                        core: core as u32,
-                        owner: owner.0 as u32,
-                    }
-                }
+                DlbEvent::Borrowed { proc, core, owner } => EventKind::LewiBorrow {
+                    node: node as u32,
+                    proc: proc.0 as u32,
+                    core: core as u32,
+                    owner: owner.0 as u32,
+                },
                 DlbEvent::ReclaimPosted {
                     core,
                     owner,
                     borrower,
-                } => {
-                    if self.trace.config.counters {
-                        self.trace.counters.inc("lewi_reclaims");
-                    }
-                    EventKind::LewiReclaim {
-                        node: node as u32,
-                        core: core as u32,
-                        owner: owner.0 as u32,
-                        borrower: borrower.0 as u32,
-                    }
-                }
-                DlbEvent::TransferApplied { core, from, to } => {
-                    if self.trace.config.counters {
-                        self.trace.counters.inc("drom_transfers");
-                    }
-                    EventKind::DromTransfer {
-                        node: node as u32,
-                        core: core as u32,
-                        from: from.0 as u32,
-                        to: to.0 as u32,
-                    }
-                }
-                DlbEvent::OwnershipSet { counts } => {
-                    if self.trace.config.counters {
-                        self.trace.counters.inc("drom_ownership_sets");
-                    }
-                    EventKind::DromOwnership {
-                        node: node as u32,
-                        counts,
-                    }
-                }
+                } => EventKind::LewiReclaim {
+                    node: node as u32,
+                    core: core as u32,
+                    owner: owner.0 as u32,
+                    borrower: borrower.0 as u32,
+                },
+                DlbEvent::TransferApplied { core, from, to } => EventKind::DromTransfer {
+                    node: node as u32,
+                    core: core as u32,
+                    from: from.0 as u32,
+                    to: to.0 as u32,
+                },
+                DlbEvent::OwnershipSet { counts } => EventKind::DromOwnership {
+                    node: node as u32,
+                    counts,
+                },
             };
-            if self.trace.config.dlb {
-                self.trace.log.push(TraceLog::node_stream(node), now, kind);
-            }
+            self.trace.emit(TraceLog::node_stream(node), now, kind);
         }
     }
 
     /// Record a task becoming ready (at submission or when its last
-    /// predecessor completed).
+    /// predecessor completed). Like the other `note_*`, called only when
+    /// events record.
     fn note_ready(&mut self, now: SimTime, apprank: usize, tid: TaskId) {
-        if self.trace.config.counters {
-            self.trace.counters.inc("tasks_ready");
-        }
-        if self.trace.config.lifecycle {
-            let key = self.task_key(apprank, tid);
-            let home = self.adjacency[apprank][0];
-            self.trace.log.push(
-                TraceLog::node_stream(home),
-                now,
-                EventKind::TaskReady { key },
-            );
-        }
+        let key = self.task_key(apprank, tid);
+        let home = self.adjacency[apprank][0];
+        let ev = EventKind::TaskReady { key };
+        self.trace.emit(TraceLog::node_stream(home), now, ev);
     }
 
     /// Record a task leaving its home node (eagerly or via stealing).
@@ -1142,24 +1052,16 @@ impl<W: Workload> State<W> {
         slot: usize,
         stolen: bool,
     ) {
-        if self.counters_on() {
-            self.trace.counters.inc("tasks_offloaded");
-        }
-        if self.lifecycle_on() {
-            let key = self.task_key(apprank, inst.tid);
-            let from_node = self.adjacency[apprank][0];
-            let to_node = self.node_of(apprank, slot);
-            self.trace.log.push(
-                TraceLog::node_stream(from_node),
-                now,
-                EventKind::TaskOffloaded {
-                    key,
-                    from_node: from_node as u32,
-                    to_node: to_node as u32,
-                    stolen,
-                },
-            );
-        }
+        let key = self.task_key(apprank, inst.tid);
+        let from_node = self.adjacency[apprank][0];
+        let to_node = self.node_of(apprank, slot);
+        let ev = EventKind::TaskOffloaded {
+            key,
+            from_node: from_node as u32,
+            to_node: to_node as u32,
+            stolen,
+        };
+        self.trace.emit(TraceLog::node_stream(from_node), now, ev);
     }
 
     /// Record a successful steal of a held task by `(node, proc)`.
@@ -1172,27 +1074,22 @@ impl<W: Workload> State<W> {
         node: usize,
         proc: usize,
     ) {
-        if self.counters_on() {
-            self.trace.counters.inc("tasks_stolen");
-        }
-        if self.lifecycle_on() {
-            let key = self.task_key(apprank, inst.tid);
-            let home = self.adjacency[apprank][0];
-            let home_proc = ProcId(self.layout.proc_of(apprank, 0));
-            let chosen_queued = self.appranks[apprank].workers[slot].load();
-            let chosen_owned = self.dlbs[node].owned_count(ProcId(proc));
-            let ev = EventKind::SchedDecision {
-                key,
-                reason: DecisionReason::Stolen,
-                chosen_node: node as i32,
-                home_node: home as u32,
-                home_queued: self.appranks[apprank].workers[0].load() as u32,
-                home_owned: self.dlbs[home].owned_count(home_proc) as u32,
-                chosen_queued: chosen_queued as i32,
-                chosen_owned: chosen_owned as i32,
-            };
-            self.trace.log.push(TraceLog::node_stream(node), now, ev);
-        }
+        let key = self.task_key(apprank, inst.tid);
+        let home = self.adjacency[apprank][0];
+        let home_proc = ProcId(self.layout.proc_of(apprank, 0));
+        let chosen_queued = self.appranks[apprank].workers[slot].load();
+        let chosen_owned = self.dlbs[node].owned_count(ProcId(proc));
+        let ev = EventKind::SchedDecision {
+            key,
+            reason: DecisionReason::Stolen,
+            chosen_node: node as i32,
+            home_node: home as u32,
+            home_queued: self.appranks[apprank].workers[0].load() as u32,
+            home_owned: self.dlbs[home].owned_count(home_proc) as u32,
+            chosen_queued: chosen_queued as i32,
+            chosen_owned: chosen_owned as i32,
+        };
+        self.trace.emit(TraceLog::node_stream(node), now, ev);
     }
 
     /// The tentative scheduling decision for a ready task (§5.5).
@@ -1201,10 +1098,7 @@ impl<W: Workload> State<W> {
         let offloadable = self.appranks[apprank].specs[inst.tid.raw() as usize].offloadable;
         if !offloadable || self.adjacency[apprank].len() == 1 {
             // Degenerate decision: the home worker is the only candidate.
-            if self.counters_on() {
-                self.trace.counters.inc("sched_decisions");
-            }
-            if self.lifecycle_on() {
+            if self.trace.events() {
                 let key = self.task_key(apprank, inst.tid);
                 let home = self.adjacency[apprank][0];
                 let queued = self.appranks[apprank].workers[0].load();
@@ -1219,7 +1113,7 @@ impl<W: Workload> State<W> {
                     chosen_queued: queued as i32,
                     chosen_owned: owned as i32,
                 };
-                self.trace.log.push(TraceLog::node_stream(home), now, ev);
+                self.trace.emit(TraceLog::node_stream(home), now, ev);
             }
             return Some(0);
         }
@@ -1256,13 +1150,7 @@ impl<W: Workload> State<W> {
             Placement::Hold => None,
         };
         let slot = chosen.map(|k| slots[k]);
-        if self.counters_on() {
-            self.trace.counters.inc("sched_decisions");
-            if slot.is_none() {
-                self.trace.counters.inc("tasks_held");
-            }
-        }
-        if self.lifecycle_on() {
+        if self.trace.events() {
             let key = self.task_key(apprank, inst.tid);
             let home = candidates[0];
             let (chosen_node, chosen_queued, chosen_owned) = match chosen {
@@ -1287,9 +1175,7 @@ impl<W: Workload> State<W> {
                 chosen_queued,
                 chosen_owned,
             };
-            self.trace
-                .log
-                .push(TraceLog::node_stream(home.node), now, ev);
+            self.trace.emit(TraceLog::node_stream(home.node), now, ev);
         }
         self.sched_slots = slots;
         self.sched_candidates = candidates;
@@ -1374,8 +1260,8 @@ impl<W: Workload> State<W> {
             if !has_queued && !may_steal {
                 break;
             }
-            if !has_queued && self.counters_on() {
-                self.trace.counters.inc("steal_attempts");
+            if !has_queued {
+                self.trace.count("steal_attempts", 1);
             }
             let Some(core) = self.dlbs[node].acquire(proc) else {
                 break;
@@ -1422,26 +1308,21 @@ impl<W: Workload> State<W> {
                 self.offloaded_tasks += 1;
             }
             let now = ctx.now();
-            if self.trace.enabled {
+            if self.trace.events() {
                 if stolen {
                     self.note_steal(now, apprank, &inst, slot, node, proc.0);
                     if slot != 0 {
                         self.note_offload(now, apprank, &inst, slot, true);
                     }
                 }
-                if self.trace.config.counters {
-                    self.trace.counters.inc("tasks_started");
-                }
-                if self.trace.config.lifecycle {
-                    let key = self.task_key(apprank, inst.tid);
-                    let ev = EventKind::TaskStarted {
-                        key,
-                        node: node as u32,
-                        proc: proc.0 as u32,
-                        stolen,
-                    };
-                    self.trace.log.push(TraceLog::node_stream(node), now, ev);
-                }
+                let key = self.task_key(apprank, inst.tid);
+                let ev = EventKind::TaskStarted {
+                    key,
+                    node: node as u32,
+                    proc: proc.0 as u32,
+                    stolen,
+                };
+                self.trace.emit(TraceLog::node_stream(node), now, ev);
             }
             self.talps[node].set_busy(proc.0, now, self.dlbs[node].used_count(proc));
             ctx.schedule_in(
@@ -1520,21 +1401,14 @@ impl<W: Workload> State<W> {
                         return;
                     }
                 };
-                if self.trace.enabled {
-                    if self.trace.config.counters {
-                        self.trace.counters.inc("tasks_created");
-                    }
-                    if self.trace.config.lifecycle {
-                        let key = self.task_key(a, tid);
-                        let home = self.adjacency[a][0];
-                        let ev = EventKind::TaskCreated {
-                            key,
-                            cost: duration,
-                        };
-                        self.trace
-                            .log
-                            .push(TraceLog::node_stream(home), ctx.now(), ev);
-                    }
+                if self.trace.events() {
+                    let key = self.task_key(a, tid);
+                    let home = self.adjacency[a][0];
+                    let ev = EventKind::TaskCreated {
+                        key,
+                        cost: duration,
+                    };
+                    self.trace.emit(TraceLog::node_stream(home), ctx.now(), ev);
                 }
                 let now_ready = self.appranks[a].graph.ready_count();
                 if now_ready == was_ready {
@@ -1542,7 +1416,7 @@ impl<W: Workload> State<W> {
                     // when its predecessors complete.
                     continue;
                 }
-                if self.trace.enabled {
+                if self.trace.events() {
                     self.note_ready(ctx.now(), a, tid);
                 }
                 ready.push(Inst {
@@ -1581,14 +1455,11 @@ impl<W: Workload> State<W> {
         self.iteration_times
             .push(end.saturating_sub(self.iteration_start));
         self.trace.mark_iteration_end(end);
-        if self.counters_on() {
-            self.trace.counters.inc("iterations_completed");
-        }
-        if self.lifecycle_on() {
+        if self.trace.events() {
             let ev = EventKind::IterationEnd {
                 iteration: self.iteration as u32,
             };
-            self.trace.log.push(GLOBAL_STREAM, end, ev);
+            self.trace.emit(GLOBAL_STREAM, end, ev);
         }
         let rank_seconds: Vec<f64> = self
             .rank_finish
@@ -1625,19 +1496,14 @@ impl<W: Workload> State<W> {
         }
         let now = ctx.now();
         self.talps[node].set_busy(proc.0, now, self.dlbs[node].used_count(proc));
-        if self.trace.enabled {
-            if self.trace.config.counters {
-                self.trace.counters.inc("tasks_completed");
-            }
-            if self.trace.config.lifecycle {
-                let key = self.task_key(apprank, tid);
-                let ev = EventKind::TaskCompleted {
-                    key,
-                    node: node as u32,
-                    proc: proc.0 as u32,
-                };
-                self.trace.log.push(TraceLog::node_stream(node), now, ev);
-            }
+        if self.trace.events() {
+            let key = self.task_key(apprank, tid);
+            let ev = EventKind::TaskCompleted {
+                key,
+                node: node as u32,
+                proc: proc.0 as u32,
+            };
+            self.trace.emit(TraceLog::node_stream(node), now, ev);
             self.pump_dlb(now, node);
         }
         if let Some(crate::MpiOp::Send { to, tag, bytes }) =
@@ -1672,7 +1538,7 @@ impl<W: Workload> State<W> {
             }
         };
         for succ in newly_ready {
-            if self.trace.enabled {
+            if self.trace.events() {
                 self.note_ready(now, apprank, succ);
             }
             let spec = &self.appranks[apprank].specs[succ.raw() as usize];
@@ -1713,38 +1579,21 @@ impl<W: Workload> State<W> {
         let now = ctx.now();
         for node in 0..self.platform.nodes {
             let busy = self.talps[node].take_all_windows(now);
-            if self.counters_on() {
-                self.trace.counters.inc("talp_windows");
-            }
-            if self.trace.enabled && self.trace.config.dlb {
+            if self.trace.events() {
                 let ev = EventKind::TalpWindow {
                     node: node as u32,
                     busy: busy.clone(),
                 };
-                self.trace.log.push(TraceLog::node_stream(node), now, ev);
+                self.trace.emit(TraceLog::node_stream(node), now, ev);
             }
-            let alive: Vec<usize> = (0..busy.len())
-                .filter(|&p| !self.dlbs[node].is_retired(ProcId(p)))
-                .collect();
-            let counts = if alive.len() == busy.len() {
+            let any_retired = (0..busy.len()).any(|p| self.dlbs[node].is_retired(ProcId(p)));
+            let counts = if any_retired {
+                self.ownership_among_living(node, &busy)
+            } else {
                 let current: Vec<usize> = (0..busy.len())
                     .map(|p| self.dlbs[node].owned_count(ProcId(p)))
                     .collect();
                 LocalPolicy::ownership(self.platform.cores_per_node, &busy, &current)
-            } else {
-                // Retired workers are masked out: the living split the
-                // whole node. Targets (not raw owned counts) seed the
-                // policy so cores still in deferred transfer from the dead
-                // worker count for their receiver.
-                let target = self.dlbs[node].target_ownership();
-                let sub_busy: Vec<f64> = alive.iter().map(|&p| busy[p]).collect();
-                let sub_cur: Vec<usize> = alive.iter().map(|&p| target[p]).collect();
-                let sub = LocalPolicy::ownership(self.platform.cores_per_node, &sub_busy, &sub_cur);
-                let mut counts = vec![0usize; busy.len()];
-                for (i, &p) in alive.iter().enumerate() {
-                    counts[p] = sub[i];
-                }
-                counts
             };
             if let Err(e) = self.dlbs[node].set_ownership(&counts) {
                 self.fail(SimError::Shape(format!(
@@ -1761,6 +1610,31 @@ impl<W: Workload> State<W> {
         ctx.schedule_in(self.config.local_period, Ev::LocalTick);
     }
 
+    /// Local-convergence ownership of `node` with its retired workers
+    /// masked out: the living split the whole node, the dead get zero.
+    /// Targets (not raw owned counts) seed the policy, so cores still in
+    /// deferred transfer from a dead worker count for their receiver.
+    /// `busy[p]` is the window's demand of proc `p`; a helper spawned
+    /// after `busy` was captured has no measured history and reads as 0.
+    fn ownership_among_living(&self, node: usize, busy: &[f64]) -> Vec<usize> {
+        let procs = self.layout.workers_on(node).len();
+        let alive: Vec<usize> = (0..procs)
+            .filter(|&p| !self.dlbs[node].is_retired(ProcId(p)))
+            .collect();
+        let target = self.dlbs[node].target_ownership();
+        let sub_busy: Vec<f64> = alive
+            .iter()
+            .map(|&p| busy.get(p).copied().unwrap_or(0.0))
+            .collect();
+        let sub_cur: Vec<usize> = alive.iter().map(|&p| target[p]).collect();
+        let sub = LocalPolicy::ownership(self.platform.cores_per_node, &sub_busy, &sub_cur);
+        let mut counts = vec![0usize; procs];
+        for (i, &p) in alive.iter().enumerate() {
+            counts[p] = sub[i];
+        }
+        counts
+    }
+
     /// Deterministic model of the global solve cost: the paper measures
     /// ≈57 ms at 32 nodes and quadratic growth with graph size.
     fn solver_cost(&self) -> SimTime {
@@ -1774,8 +1648,10 @@ impl<W: Workload> State<W> {
         }
         let now = ctx.now();
         // Real (wall-clock) solve time is a gauge, never an event payload:
-        // the event stream must stay bit-identical across runs.
-        let wall_start = self.trace.enabled.then(std::time::Instant::now);
+        // the event stream must stay bit-identical across runs. Taken
+        // exactly when events and counters record, so `Some` is also this
+        // tick's one trace-level test.
+        let wall_start = self.trace.events().then(std::time::Instant::now);
         // Demand per apprank since the last tick. The paper's signal is the
         // TALP busy-core integral; we add still-pending work so the solver
         // sees demand, not just history. The `CreatedWork` signal instead
@@ -1870,9 +1746,7 @@ impl<W: Workload> State<W> {
                 let cost = SimTime::from_secs_f64(
                     self.platform.net_latency.as_secs_f64() * comm_rounds.max(1) as f64,
                 );
-                if self.counters_on() {
-                    self.trace.counters.inc("policy_reallocations");
-                }
+                self.trace.count("policy_reallocations", 1);
                 ctx.schedule_in(cost, Ev::ApplyOwnership { per_node });
                 ctx.schedule_in(self.config.global_period, Ev::GlobalTick);
                 return;
@@ -1925,20 +1799,12 @@ impl<W: Workload> State<W> {
         self.solver_runs += 1;
         self.solver_time += cost;
         if let Some(t0) = wall_start {
+            let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+            self.trace.gauge("solver_wall_ms", wall_ms);
             self.trace
-                .counters
-                .add_gauge("solver_wall_ms", t0.elapsed().as_secs_f64() * 1e3);
-        }
-        if self.counters_on() {
-            self.trace.counters.inc("solver_invocations");
+                .count("solver_simplex_iterations", solution.iterations as u64);
             self.trace
-                .counters
-                .add("solver_simplex_iterations", solution.iterations as u64);
-            self.trace
-                .counters
-                .add_gauge("solver_modelled_ms", cost.as_secs_f64() * 1e3);
-        }
-        if self.trace.enabled && self.trace.config.solver {
+                .gauge("solver_modelled_ms", cost.as_secs_f64() * 1e3);
             let ev = EventKind::SolverInvoked(Box::new(tlb_trace::SolverRecord {
                 demand: work.clone(),
                 cores: solution.cores.iter().map(|row| row.iter().sum()).collect(),
@@ -1946,7 +1812,7 @@ impl<W: Workload> State<W> {
                 objective: solution.objective,
                 modelled_cost: cost,
             }));
-            self.trace.log.push(GLOBAL_STREAM, now, ev);
+            self.trace.emit(GLOBAL_STREAM, now, ev);
         }
         ctx.schedule_in(cost, Ev::ApplyOwnership { per_node });
         ctx.schedule_in(self.config.global_period, Ev::GlobalTick);
@@ -1973,19 +1839,16 @@ impl<W: Workload> State<W> {
             Ok(out.solution)
         });
         if let Some((winner, score, candidates, race_cost)) = picked {
-            if self.counters_on() {
-                self.trace.counters.inc("portfolio_solves");
-                self.trace.counters.inc(match winner {
+            if self.trace.events() {
+                let wins = match winner {
                     Strategy::Simplex => "portfolio_wins_simplex",
                     Strategy::Flow => "portfolio_wins_flow",
                     Strategy::Greedy => "portfolio_wins_greedy",
                     Strategy::Local => "portfolio_wins_local",
-                });
-                self.trace
-                    .counters
-                    .add_gauge("portfolio_race_modelled_ms", race_cost.as_secs_f64() * 1e3);
-            }
-            if self.portfolio_on() {
+                };
+                self.trace.count(wins, 1);
+                let race_ms = race_cost.as_secs_f64() * 1e3;
+                self.trace.gauge("portfolio_race_modelled_ms", race_ms);
                 let rec = tlb_trace::PortfolioRecord {
                     candidates: candidates
                         .iter()
@@ -1999,19 +1862,15 @@ impl<W: Workload> State<W> {
                         .collect(),
                     budget_s,
                 };
-                self.trace
-                    .log
-                    .push(GLOBAL_STREAM, now, EventKind::PortfolioSolve(Box::new(rec)));
-                self.trace.log.push(
-                    GLOBAL_STREAM,
-                    now,
-                    EventKind::PortfolioPick {
-                        strategy: winner.code(),
-                        name: winner.name(),
-                        score,
-                        raced: candidates.len() as u32,
-                    },
-                );
+                let solve = EventKind::PortfolioSolve(Box::new(rec));
+                self.trace.emit(GLOBAL_STREAM, now, solve);
+                let pick = EventKind::PortfolioPick {
+                    strategy: winner.code(),
+                    name: winner.name(),
+                    score,
+                    raced: candidates.len() as u32,
+                };
+                self.trace.emit(GLOBAL_STREAM, now, pick);
             }
         }
         result
@@ -2033,53 +1892,25 @@ impl<W: Workload> State<W> {
         wall_start: Option<std::time::Instant>,
     ) {
         self.faults.solver_fallbacks += 1;
-        if self.counters_on() {
-            self.trace.counters.inc("solver_fallbacks");
-        }
-        if self.fault_on() {
+        let cost = self.solver_cost();
+        self.solver_time += cost;
+        if let Some(t0) = wall_start {
             let reason = match err {
                 LpError::IterationLimit => FallbackReason::IterationLimit,
                 LpError::Infeasible => FallbackReason::Infeasible,
                 LpError::Unbounded => FallbackReason::Unbounded,
                 _ => FallbackReason::Other,
             };
+            let ev = EventKind::SolverFallback { reason };
+            self.trace.emit(GLOBAL_STREAM, now, ev);
+            let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+            self.trace.gauge("solver_wall_ms", wall_ms);
             self.trace
-                .log
-                .push(GLOBAL_STREAM, now, EventKind::SolverFallback { reason });
+                .gauge("solver_modelled_ms", cost.as_secs_f64() * 1e3);
         }
-        if let Some(t0) = wall_start {
-            self.trace
-                .counters
-                .add_gauge("solver_wall_ms", t0.elapsed().as_secs_f64() * 1e3);
-        }
-        let mut per_node: Vec<Vec<usize>> = Vec::with_capacity(self.platform.nodes);
-        for node in 0..self.platform.nodes {
-            let procs = self.layout.workers_on(node).len();
-            let alive: Vec<usize> = (0..procs)
-                .filter(|&p| !self.dlbs[node].is_retired(ProcId(p)))
-                .collect();
-            let target = self.dlbs[node].target_ownership();
-            // Helpers spawned after the deltas were captured read as zero
-            // demand (they have no measured history yet).
-            let sub_busy: Vec<f64> = alive
-                .iter()
-                .map(|&p| deltas[node].get(p).copied().unwrap_or(0.0))
-                .collect();
-            let sub_cur: Vec<usize> = alive.iter().map(|&p| target[p]).collect();
-            let sub = LocalPolicy::ownership(self.platform.cores_per_node, &sub_busy, &sub_cur);
-            let mut counts = vec![0usize; procs];
-            for (i, &p) in alive.iter().enumerate() {
-                counts[p] = sub[i];
-            }
-            per_node.push(counts);
-        }
-        let cost = self.solver_cost();
-        self.solver_time += cost;
-        if self.counters_on() {
-            self.trace
-                .counters
-                .add_gauge("solver_modelled_ms", cost.as_secs_f64() * 1e3);
-        }
+        let per_node: Vec<Vec<usize>> = (0..self.platform.nodes)
+            .map(|node| self.ownership_among_living(node, &deltas[node]))
+            .collect();
         ctx.schedule_in(cost, Ev::ApplyOwnership { per_node });
         ctx.schedule_in(self.config.global_period, Ev::GlobalTick);
     }
@@ -2160,17 +1991,12 @@ impl<W: Workload> State<W> {
             policy.add_edge(apprank, node);
         }
         self.spawned_helpers += 1;
-        if self.counters_on() {
-            self.trace.counters.inc("helpers_spawned");
-        }
-        if self.trace.enabled && self.trace.config.solver {
+        if self.trace.events() {
             let ev = EventKind::HelperSpawned {
                 apprank: apprank as u32,
                 node: node as u32,
             };
-            self.trace
-                .log
-                .push(TraceLog::node_stream(node), ctx.now(), ev);
+            self.trace.emit(TraceLog::node_stream(node), ctx.now(), ev);
         }
         self.record_node(ctx.now(), node);
     }
@@ -2886,6 +2712,30 @@ mod tests {
         );
     }
 
+    /// Holds a traced run's exports to the bytes recorded before the
+    /// exporters streamed and the counters were derived from events: the
+    /// counters dump (gauge values are wall-clock, so their names only),
+    /// then length and FNV-1a digest of the Chrome and CSV texts. The
+    /// Chrome text must also be canonical JSON: parsing and
+    /// re-serialising it changes no byte.
+    fn assert_exports(trace: &Trace, counters: &str, digests: [(usize, u64); 2]) {
+        let chrome = crate::trace_to_chrome(trace);
+        let reparsed = tlb_json::parse(&chrome).unwrap().to_string_compact();
+        assert!(reparsed == chrome, "Chrome export is not canonical JSON");
+        let gauges = trace.counters.sorted_gauges();
+        let gauges: Vec<&str> = gauges.iter().map(|(name, _)| name.as_str()).collect();
+        let counts = trace.counters.to_json().get("counters").to_string_compact();
+        assert_eq!(format!("{counts} {}", gauges.join(",")), counters);
+        let digest = |text: String| {
+            let fnv = text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+            (text.len(), fnv)
+        };
+        let texts = [chrome, crate::trace_to_csv(trace)];
+        assert_eq!(texts.map(digest), digests);
+    }
+
     #[test]
     fn trace_events_cover_task_lifecycle() {
         use std::collections::HashSet;
@@ -2947,6 +2797,15 @@ mod tests {
         assert_eq!(c.count("tasks_offloaded"), r.offloaded_tasks as u64);
         assert_eq!(c.count("solver_invocations"), r.solver_runs as u64);
         assert_eq!(c.count("iterations_completed"), 2);
+        // And the exports are the bytes the parent of this exporter wrote.
+        assert_exports(
+            &r.trace,
+            r#"{"drom_ownership_sets":2,"drom_transfers":2,"iterations_completed":2,"lewi_lends":48,"lewi_reclaims":15,"sched_decisions":141,"solver_invocations":1,"solver_simplex_iterations":5,"steal_attempts":192,"tasks_completed":140,"tasks_created":140,"tasks_held":109,"tasks_offloaded":52,"tasks_ready":140,"tasks_started":140,"tasks_stolen":108} solver_modelled_ms,solver_wall_ms"#,
+            [
+                (122_814, 0x623c_efd9_e5eb_781b),
+                (34_533, 0x35cc_60b8_a778_a181),
+            ],
+        );
         // Disabled tracing records nothing at all.
         let off = ClusterSim::execute(RunSpec::new(&p, &cfg, wl)).unwrap();
         assert!(off.trace.log.is_empty());
@@ -3247,10 +3106,20 @@ mod tests {
         // is where a thread count could leak into the event stream or,
         // under the second plan, into the fault schedule.
         identical_across_pool_threads(&FaultPlan::none());
-        identical_across_pool_threads(&every_fault_kind());
+        let faulty = identical_across_pool_threads(&every_fault_kind());
+        // The same byte identity as in `trace_events_cover_task_lifecycle`,
+        // on a run that fires the fault and portfolio kinds too.
+        assert_exports(
+            &faulty.trace,
+            r#"{"drom_ownership_sets":16,"drom_transfers":2,"fault_kills":2,"fault_messages_dropped":9,"fault_outages":1,"fault_stragglers":1,"fault_tasks_requeued":1,"fault_workers_killed":2,"iterations_completed":4,"lewi_lends":34,"lewi_reclaims":17,"portfolio_solves":5,"portfolio_wins_simplex":5,"sched_decisions":468,"solver_fallbacks":2,"solver_invocations":5,"solver_simplex_iterations":25,"steal_attempts":548,"tasks_completed":400,"tasks_created":400,"tasks_held":350,"tasks_offloaded":42,"tasks_ready":400,"tasks_started":400,"tasks_stolen":282} portfolio_race_modelled_ms,solver_modelled_ms,solver_wall_ms"#,
+            [
+                (338_170, 0x3bc8_b447_ca86_d278),
+                (92_246, 0x3a3e_26f7_7f43_70cc),
+            ],
+        );
     }
 
-    fn identical_across_pool_threads(plan: &FaultPlan) {
+    fn identical_across_pool_threads(plan: &FaultPlan) -> SimReport {
         let runs: Vec<SimReport> = [1usize, 2, 4, 8]
             .iter()
             .map(|&threads| {
@@ -3272,6 +3141,7 @@ mod tests {
             );
             assert_eq!(chrome, crate::trace_to_chrome(&r.trace));
         }
+        runs.into_iter().next().expect("four runs")
     }
 
     #[test]
@@ -3342,18 +3212,12 @@ mod tests {
 
     /// Satellite: with *every* strategy fault-disabled over a window, the
     /// portfolio path degrades exactly like a whole-solver outage of the
-    /// same window — the PR 3 fallback ladder, bit for bit. Fault-family
-    /// events and counters necessarily differ (four injections vs one),
-    /// so the comparison runs lifecycle/dlb/solver families only.
+    /// same window — the PR 3 fallback ladder, bit for bit. The outage
+    /// events themselves necessarily differ (four injections vs one, and
+    /// with them the sequence numbers on the global stream), so the
+    /// comparison is of every other event, by time, stream and payload.
     #[test]
     fn all_strategies_down_matches_whole_solver_outage_bitwise() {
-        let families = {
-            let mut f = tlb_trace::TraceConfig::off();
-            f.lifecycle = true;
-            f.dlb = true;
-            f.solver = true;
-            f
-        };
         let mut all_down = FaultPlan::new(1);
         for &s in &Strategy::ALL {
             all_down = all_down.with_strategy_outage(0.3, 1.0, LpError::Infeasible, s);
@@ -3361,12 +3225,7 @@ mod tests {
         let whole = FaultPlan::new(1).with_outage(0.3, 1.0, LpError::Infeasible);
         let run = |plan: &FaultPlan| {
             let (p, cfg, wl) = portfolio_setup(1);
-            ClusterSim::execute(
-                RunSpec::new(&p, &cfg, wl)
-                    .trace_families(families)
-                    .faults(plan),
-            )
-            .unwrap()
+            ClusterSim::execute(RunSpec::new(&p, &cfg, wl).trace(true).faults(plan)).unwrap()
         };
         let a = run(&all_down);
         let b = run(&whole);
@@ -3375,6 +3234,13 @@ mod tests {
         assert_eq!(a.makespan, b.makespan);
         assert_eq!(a.iteration_times, b.iteration_times);
         assert_eq!(a.total_tasks, b.total_tasks);
-        assert_eq!(a.trace.log.merged(), b.trace.log.merged());
+        let beside_outages = |r: &SimReport| {
+            let events = r.trace.log.merged().into_iter();
+            events
+                .filter(|e| !matches!(e.kind, EventKind::SolverOutage { .. }))
+                .map(|e| (e.at, e.stream, e.kind))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(beside_outages(&a), beside_outages(&b));
     }
 }

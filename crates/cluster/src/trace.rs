@@ -3,7 +3,7 @@
 
 use tlb_core::ProcessLayout;
 use tlb_des::{SimTime, Timeline};
-use tlb_trace::{Counters, TraceConfig, TraceLog};
+use tlb_trace::{Counters, EventKind, TraceConfig, TraceLog};
 
 /// Recorded timelines of one simulation.
 ///
@@ -27,15 +27,15 @@ pub struct Trace {
     pub log: TraceLog,
     /// Runtime counters and gauges, dumped into every run report.
     pub counters: Counters,
-    /// Which event families record.
-    pub config: TraceConfig,
-    /// Whether recording was enabled (large sweeps disable it).
-    pub enabled: bool,
+    /// What records: `None` nothing (large sweeps), otherwise the
+    /// timelines, plus the event log and counters at
+    /// [`TraceConfig::all`].
+    pub level: Option<TraceConfig>,
 }
 
 impl Trace {
-    /// An enabled trace sized for `layout`.
-    pub fn new(layout: &ProcessLayout, enabled: bool) -> Self {
+    /// A trace sized for `layout`, recording at `level`.
+    pub fn new(layout: &ProcessLayout, level: Option<TraceConfig>) -> Self {
         let nodes = layout.nodes();
         let shape = |make: fn() -> Timeline| {
             (0..nodes)
@@ -52,12 +52,40 @@ impl Trace {
             iteration_ends: Vec::new(),
             log: TraceLog::new(),
             counters: Counters::new(),
-            config: if enabled {
-                TraceConfig::all()
-            } else {
-                TraceConfig::off()
-            },
-            enabled,
+            level,
+        }
+    }
+
+    /// True when the timelines record.
+    pub fn timelines(&self) -> bool {
+        self.level.is_some()
+    }
+
+    /// True when the event log and the counters record. Handlers test
+    /// this once per section, before building any payload.
+    pub fn events(&self) -> bool {
+        self.level.is_some_and(|level| level.events())
+    }
+
+    /// Record one occurrence: count it under its kind and append it to
+    /// `stream`. The caller has tested [`Trace::events`].
+    pub fn emit(&mut self, stream: usize, at: SimTime, kind: EventKind) {
+        self.counters.note(&kind);
+        self.log.push(stream, at, kind);
+    }
+
+    /// Count `delta` occurrences that no event stands for, when
+    /// counters record.
+    pub fn count(&mut self, name: &str, delta: u64) {
+        if self.events() {
+            self.counters.add(name, delta);
+        }
+    }
+
+    /// Accumulate a measurement into gauge `name`, when counters record.
+    pub fn gauge(&mut self, name: &str, delta: f64) {
+        if self.events() {
+            self.counters.add_gauge(name, delta);
         }
     }
 
@@ -71,28 +99,28 @@ impl Trace {
 
     /// Record a worker's busy-core count.
     pub fn record_busy(&mut self, at: SimTime, node: usize, proc: usize, cores: usize) {
-        if self.enabled {
+        if self.timelines() {
             self.busy[node][proc].record(at, cores as f64);
         }
     }
 
     /// Record a worker's owned-core count.
     pub fn record_owned(&mut self, at: SimTime, node: usize, proc: usize, cores: usize) {
-        if self.enabled {
+        if self.timelines() {
             self.owned[node][proc].record(at, cores as f64);
         }
     }
 
     /// Record a node's total busy cores.
     pub fn record_node_busy(&mut self, at: SimTime, node: usize, cores: usize) {
-        if self.enabled {
+        if self.timelines() {
             self.node_busy[node].record(at, cores as f64);
         }
     }
 
     /// Mark an iteration boundary.
     pub fn mark_iteration_end(&mut self, at: SimTime) {
-        if self.enabled {
+        if self.timelines() {
             self.iteration_ends.push(at);
         }
     }
@@ -150,7 +178,7 @@ mod tests {
     #[test]
     fn disabled_trace_records_nothing() {
         let l = layout();
-        let mut t = Trace::new(&l, false);
+        let mut t = Trace::new(&l, None);
         t.record_busy(SimTime::ZERO, 0, 0, 3);
         assert!(t.busy[0][0].is_empty());
     }
@@ -158,7 +186,7 @@ mod tests {
     #[test]
     fn apprank_busy_sums_workers() {
         let l = layout();
-        let mut t = Trace::new(&l, true);
+        let mut t = Trace::new(&l, Some(TraceConfig::off()));
         // Node 0 hosts apprank 0 (proc 0, main) and apprank 1 (proc 1, helper).
         assert_eq!(t.worker_apprank[0], vec![0, 1]);
         t.record_busy(SimTime::ZERO, 0, 0, 3);
@@ -170,7 +198,7 @@ mod tests {
     #[test]
     fn imbalance_series_balanced_is_one() {
         let l = layout();
-        let mut t = Trace::new(&l, true);
+        let mut t = Trace::new(&l, Some(TraceConfig::off()));
         t.record_node_busy(SimTime::ZERO, 0, 4);
         t.record_node_busy(SimTime::ZERO, 1, 4);
         let series = t.node_imbalance_series(SimTime::from_secs(1), SimTime::from_millis(100), 5);
@@ -187,7 +215,7 @@ mod tests {
         // t ≥ 1ns (window = 0 → mean over [t, t) = 0). The series must
         // instead report the value that *holds* at each instant.
         let l = layout();
-        let mut t = Trace::new(&l, true);
+        let mut t = Trace::new(&l, Some(TraceConfig::off()));
         t.record_node_busy(SimTime::ZERO, 0, 4);
         t.record_node_busy(SimTime::ZERO, 1, 2);
         let series = t.node_imbalance_series(SimTime::from_secs(1), SimTime::ZERO, 3);
@@ -202,7 +230,7 @@ mod tests {
     #[test]
     fn imbalance_series_detects_hot_node() {
         let l = layout();
-        let mut t = Trace::new(&l, true);
+        let mut t = Trace::new(&l, Some(TraceConfig::off()));
         t.record_node_busy(SimTime::ZERO, 0, 4);
         t.record_node_busy(SimTime::ZERO, 1, 0);
         let series = t.node_imbalance_series(SimTime::from_secs(1), SimTime::from_millis(100), 3);

@@ -196,7 +196,11 @@ fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
     }
 }
 
-fn write_f64(out: &mut String, f: f64) {
+/// Append `f` the way [`Value::Float`] serialises: shortest
+/// round-trippable form with a decimal point, `null` when not finite.
+/// Public so writers that stream JSON text without building a [`Value`]
+/// share the one number format.
+pub fn write_f64(out: &mut String, f: f64) {
     if f.is_finite() {
         // Round-trippable shortest form; force a decimal point so the
         // value re-parses as Float.
@@ -212,7 +216,9 @@ fn write_f64(out: &mut String, f: f64) {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
+/// Append `s` as a quoted, escaped JSON string (the [`Value::Str`] and
+/// object-key format).
+pub fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

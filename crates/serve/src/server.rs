@@ -146,6 +146,8 @@ impl Drop for Server {
 struct LineReader {
     stream: TcpStream,
     buf: Vec<u8>,
+    /// The one read made after the stop flag was seen has happened.
+    last_read_done: bool,
 }
 
 impl LineReader {
@@ -154,10 +156,16 @@ impl LineReader {
         Ok(LineReader {
             stream,
             buf: Vec::new(),
+            last_read_done: false,
         })
     }
 
-    /// Next full line, or `None` on EOF / server stop.
+    /// Next full line, or `None` on EOF / server stop. A stopping
+    /// server reads each connection one last time, under the same poll
+    /// timeout, and still hands out every complete line it then holds:
+    /// a client that sends on seeing another connection's
+    /// `shutdown_ack` is answered — a sweep with the `draining` shed —
+    /// instead of finding the socket closed under it.
     fn next_line(&mut self, stop: &AtomicBool) -> Option<String> {
         let mut chunk = [0u8; 4096];
         loop {
@@ -165,9 +173,10 @@ impl LineReader {
                 let line: Vec<u8> = self.buf.drain(..=pos).collect();
                 return Some(String::from_utf8_lossy(&line[..line.len() - 1]).into_owned());
             }
-            if stop.load(Ordering::Acquire) {
+            if self.last_read_done {
                 return None;
             }
+            self.last_read_done = stop.load(Ordering::Acquire);
             match self.stream.read(&mut chunk) {
                 Ok(0) => return None,
                 Ok(n) => self.buf.extend_from_slice(&chunk[..n]),

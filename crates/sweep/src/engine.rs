@@ -167,34 +167,50 @@ pub fn run_sweep(scenario: &Scenario, opts: &SweepOptions) -> Result<SweepOutcom
     })
 }
 
-/// Run one grid point: build platform, config, and workload, execute the
-/// simulation (untraced — sweeps measure results, not timelines), and
-/// summarize into the point's JSON record.
+/// Run one grid point (untraced — sweeps measure results, not
+/// timelines) and summarize it into the point's JSON record.
 ///
 /// Public because the batch driver is not the only executor anymore:
 /// the `tlb-serve` daemon runs single points on demand through exactly
 /// this function, so a served record and a swept record are the same
 /// bytes by construction.
 pub fn run_point(scenario: &Scenario, point: &SweepPoint) -> Result<Value, String> {
-    let platform = scenario.platform();
+    let (report, perfect) = simulate_point(scenario, point, &scenario.platform(), false)?;
+    Ok(point_record(scenario, point, &report, perfect))
+}
+
+/// The one assembly of a run from a scenario point: config, fault plan
+/// and workload built from `(scenario, point)`, executed on `platform`;
+/// returns the report and the perfect-balance bound in seconds per
+/// iteration. [`run_point`] passes the scenario's own platform; `tlb-run`
+/// passes that platform with `--slow-node` applied and asks for a trace —
+/// everything else of a single run and a sweep point is this function, so
+/// the two cannot drift apart.
+pub fn simulate_point(
+    scenario: &Scenario,
+    point: &SweepPoint,
+    platform: &Platform,
+    trace: bool,
+) -> Result<(SimReport, f64), String> {
     let config = scenario.config(point).map_err(|e| e.to_string())?;
     let plan = match &scenario.faults {
         Some(spec) => FaultPlan::parse(spec, scenario.fault_seed)?,
         None => FaultPlan::none(),
     };
     let appranks = scenario.nodes * point.appranks_per_node;
-    let (workload, per_iter_work) = build_workload(scenario, point, appranks, &platform);
-    let report = ClusterSim::execute(RunSpec::new(&platform, &config, workload).faults(&plan))
-        .map_err(|e| e.to_string())?;
-    let perfect = per_iter_work / platform.effective_capacity();
-    Ok(point_record(scenario, point, appranks, &report, perfect))
+    let (workload, per_iter_work) = build_workload(scenario, point, appranks, platform);
+    let spec = RunSpec::new(platform, &config, workload)
+        .trace(trace)
+        .faults(&plan);
+    let report = ClusterSim::execute(spec).map_err(|e| e.to_string())?;
+    Ok((report, per_iter_work / platform.effective_capacity()))
 }
 
 /// Build the point's workload plus its nominal per-iteration work in
 /// core·seconds (the numerator of the perfect-balance bound). The one
 /// app table: sweep points, served points and single `tlb-run` runs all
-/// construct their workload here.
-pub fn build_workload(
+/// construct their workload here, through [`simulate_point`].
+fn build_workload(
     scenario: &Scenario,
     point: &SweepPoint,
     appranks: usize,
@@ -258,10 +274,10 @@ pub fn build_workload(
 fn point_record(
     scenario: &Scenario,
     point: &SweepPoint,
-    appranks: usize,
     report: &SimReport,
     perfect: f64,
 ) -> Value {
+    let appranks = scenario.nodes * point.appranks_per_node;
     let mean_iteration = report.mean_iteration_secs(scenario.iterations / 3);
     let mut fields = vec![
         ("appranks_per_node", point.appranks_per_node.into()),

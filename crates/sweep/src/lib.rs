@@ -44,7 +44,7 @@ mod scenario;
 
 pub use cache::{fnv1a64, point_key, point_key_input, Cache, ENGINE_VERSION};
 pub use engine::{
-    aggregate, build_workload, run_point, run_sweep, SweepError, SweepOptions, SweepOutcome,
+    aggregate, run_point, run_sweep, simulate_point, SweepError, SweepOptions, SweepOutcome,
     SweepStats,
 };
 pub use scenario::{

@@ -1,18 +1,36 @@
 //! Ordered registry of monotonic counters and gauges.
 
+use crate::event::{DecisionReason, EventKind, KINDS};
 use tlb_json::Value;
+
+/// Slots of [`Counters::note`] past the per-kind ones: scheduling
+/// decisions that held the task, and held tasks an idle worker took.
+const TASKS_HELD: usize = KINDS.len();
+const TASKS_STOLEN: usize = KINDS.len() + 1;
 
 /// Runtime counters: monotonic `u64` counts plus `f64` gauges.
 ///
 /// Counts record deterministic facts (tasks offloaded, LeWI lends,
 /// solver invocations); gauges hold measurements that may be wall-clock
 /// derived (solver wall milliseconds) and are therefore kept out of the
-/// deterministic event stream. Lookup is linear — the registry holds a
-/// few dozen names, and the hot path is a bump of an existing entry.
+/// deterministic event stream. A count that counts an event kind is
+/// derived where the event is pushed ([`Counters::note`]: an array bump,
+/// named only when dumped); the few with no event behind them are bumped
+/// by name ([`Counters::add`], a linear scan over a handful of names).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Counters {
+    by_event: [u64; KINDS.len() + 2],
     counts: Vec<(String, u64)>,
     gauges: Vec<(String, f64)>,
+}
+
+/// Name of a [`Counters::note`] slot (`None`: the kind feeds no counter).
+fn slot_name(slot: usize) -> Option<&'static str> {
+    match slot {
+        TASKS_HELD => Some("tasks_held"),
+        TASKS_STOLEN => Some("tasks_stolen"),
+        kind => KINDS[kind].1,
+    }
 }
 
 impl Counters {
@@ -21,7 +39,31 @@ impl Counters {
         Counters::default()
     }
 
-    /// Add `delta` to counter `name`, creating it at zero first.
+    /// Count one pushed event under the counter of its kind. A steal is
+    /// a `SchedDecision` too but counts as `tasks_stolen`, not as a
+    /// scheduler decision; a decision that held its task is both a
+    /// `sched_decisions` and a `tasks_held`.
+    pub fn note(&mut self, kind: &EventKind) {
+        let slot = match kind {
+            EventKind::SchedDecision {
+                reason: DecisionReason::Stolen,
+                ..
+            } => TASKS_STOLEN,
+            EventKind::SchedDecision {
+                reason: DecisionReason::Queued,
+                ..
+            } => {
+                self.by_event[TASKS_HELD] += 1;
+                kind.index()
+            }
+            _ => kind.index(),
+        };
+        self.by_event[slot] += 1;
+    }
+
+    /// Add `delta` to the by-name counter `name`, creating it at zero
+    /// first. For counts no event stands for; the names
+    /// [`Counters::note`] derives are not looked up here.
     pub fn add(&mut self, name: &str, delta: u64) {
         if let Some(entry) = self.counts.iter_mut().find(|(n, _)| n == name) {
             entry.1 += delta;
@@ -35,12 +77,12 @@ impl Counters {
         self.add(name, 1);
     }
 
-    /// Current value of counter `name` (0 if never touched).
+    /// Current value of counter `name`, by-name or derived (0 if never
+    /// touched).
     pub fn count(&self, name: &str) -> u64 {
-        self.counts
-            .iter()
-            .find(|(n, _)| n == name)
-            .map_or(0, |(_, v)| *v)
+        let named = self.counts.iter().find(|(n, _)| n == name);
+        let derived = (0..self.by_event.len()).find(|&slot| slot_name(slot) == Some(name));
+        named.map_or(0, |(_, v)| *v) + derived.map_or(0, |slot| self.by_event[slot])
     }
 
     /// Set gauge `name` to `value`.
@@ -68,12 +110,18 @@ impl Counters {
 
     /// True if nothing was ever recorded.
     pub fn is_empty(&self) -> bool {
-        self.counts.is_empty() && self.gauges.is_empty()
+        self.counts.is_empty() && self.gauges.is_empty() && self.by_event.iter().all(|&n| n == 0)
     }
 
-    /// Counters sorted by name (stable dump order).
+    /// Counters sorted by name (stable dump order): every by-name
+    /// counter, and every derived one that counted at least one event.
     pub fn sorted_counts(&self) -> Vec<(String, u64)> {
-        let mut out = self.counts.clone();
+        let derived = self.by_event.iter().enumerate();
+        let mut out: Vec<(String, u64)> = derived
+            .filter(|&(_, &n)| n > 0)
+            .filter_map(|(slot, &n)| Some((slot_name(slot)?.to_string(), n)))
+            .chain(self.counts.iter().cloned())
+            .collect();
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out
     }

@@ -245,35 +245,71 @@ pub enum EventKind {
 }
 
 impl EventKind {
-    /// Stable snake_case name used as the CSV `kind` and Chrome event name.
-    pub fn name(&self) -> &'static str {
+    /// Position of the variant in declaration order: its row in
+    /// [`KINDS`], and the slot [`Counters::note`](crate::Counters::note)
+    /// bumps for it.
+    pub(crate) fn index(&self) -> usize {
         match self {
-            EventKind::TaskCreated { .. } => "task_created",
-            EventKind::TaskReady { .. } => "task_ready",
-            EventKind::SchedDecision { .. } => "sched_decision",
-            EventKind::TaskOffloaded { .. } => "task_offloaded",
-            EventKind::TaskStarted { .. } => "task_started",
-            EventKind::TaskCompleted { .. } => "task_completed",
-            EventKind::LewiBorrow { .. } => "lewi_borrow",
-            EventKind::LewiReclaim { .. } => "lewi_reclaim",
-            EventKind::DromTransfer { .. } => "drom_transfer",
-            EventKind::DromOwnership { .. } => "drom_ownership",
-            EventKind::TalpWindow { .. } => "talp_window",
-            EventKind::SolverInvoked(..) => "solver_invoked",
-            EventKind::HelperSpawned { .. } => "helper_spawned",
-            EventKind::IterationEnd { .. } => "iteration_end_ev",
-            EventKind::StragglerStart { .. } => "straggler_start",
-            EventKind::StragglerEnd { .. } => "straggler_end",
-            EventKind::WorkerKilled { .. } => "worker_killed",
-            EventKind::MessageDropped { .. } => "message_dropped",
-            EventKind::MessageFailover { .. } => "message_failover",
-            EventKind::SolverOutage { .. } => "solver_outage",
-            EventKind::SolverFallback { .. } => "solver_fallback",
-            EventKind::PortfolioSolve(..) => "portfolio_solve",
-            EventKind::PortfolioPick { .. } => "portfolio_pick",
+            EventKind::TaskCreated { .. } => 0,
+            EventKind::TaskReady { .. } => 1,
+            EventKind::SchedDecision { .. } => 2,
+            EventKind::TaskOffloaded { .. } => 3,
+            EventKind::TaskStarted { .. } => 4,
+            EventKind::TaskCompleted { .. } => 5,
+            EventKind::LewiBorrow { .. } => 6,
+            EventKind::LewiReclaim { .. } => 7,
+            EventKind::DromTransfer { .. } => 8,
+            EventKind::DromOwnership { .. } => 9,
+            EventKind::TalpWindow { .. } => 10,
+            EventKind::SolverInvoked(..) => 11,
+            EventKind::HelperSpawned { .. } => 12,
+            EventKind::IterationEnd { .. } => 13,
+            EventKind::StragglerStart { .. } => 14,
+            EventKind::StragglerEnd { .. } => 15,
+            EventKind::WorkerKilled { .. } => 16,
+            EventKind::MessageDropped { .. } => 17,
+            EventKind::MessageFailover { .. } => 18,
+            EventKind::SolverOutage { .. } => 19,
+            EventKind::SolverFallback { .. } => 20,
+            EventKind::PortfolioSolve(..) => 21,
+            EventKind::PortfolioPick { .. } => 22,
         }
     }
+
+    /// Stable snake_case name used as the CSV `kind` and Chrome event name.
+    pub fn name(&self) -> &'static str {
+        KINDS[self.index()].0
+    }
 }
+
+/// Per variant, in declaration order: the export name, and the counter
+/// that counts the kind's events, if one does. A `SchedDecision`
+/// is counted by its reason as well, see `Counters::note`.
+pub(crate) const KINDS: [(&str, Option<&str>); 23] = [
+    ("task_created", Some("tasks_created")),
+    ("task_ready", Some("tasks_ready")),
+    ("sched_decision", Some("sched_decisions")),
+    ("task_offloaded", Some("tasks_offloaded")),
+    ("task_started", Some("tasks_started")),
+    ("task_completed", Some("tasks_completed")),
+    ("lewi_borrow", Some("lewi_lends")),
+    ("lewi_reclaim", Some("lewi_reclaims")),
+    ("drom_transfer", Some("drom_transfers")),
+    ("drom_ownership", Some("drom_ownership_sets")),
+    ("talp_window", Some("talp_windows")),
+    ("solver_invoked", Some("solver_invocations")),
+    ("helper_spawned", Some("helpers_spawned")),
+    ("iteration_end_ev", Some("iterations_completed")),
+    ("straggler_start", None),
+    ("straggler_end", None),
+    ("worker_killed", Some("fault_workers_killed")),
+    ("message_dropped", Some("fault_messages_dropped")),
+    ("message_failover", Some("fault_message_failovers")),
+    ("solver_outage", None),
+    ("solver_fallback", Some("solver_fallbacks")),
+    ("portfolio_solve", Some("portfolio_solves")),
+    ("portfolio_pick", None),
+];
 
 /// A recorded event with its virtual timestamp and merge key.
 #[derive(Clone, Debug, PartialEq)]
@@ -291,7 +327,9 @@ pub struct Event {
 impl Event {
     /// Project the event onto the long-format CSV schema
     /// `(kind, node, proc, apprank, value)` with `-1` sentinels for
-    /// fields that do not apply (time is added by the caller).
+    /// fields that do not apply (time is added by the caller). The
+    /// Chrome export puts the event on the track of the same `node` and
+    /// `proc`.
     pub fn csv_fields(&self) -> (&'static str, i64, i64, i64, f64) {
         let name = self.kind.name();
         match &self.kind {
@@ -406,7 +444,7 @@ impl Event {
 /// Per-stream buffered event log.
 ///
 /// Each producer (the global scheduler, each node) appends to its own
-/// stream in O(1); [`TraceLog::merged`] produces the canonical total
+/// stream in O(1); [`TraceLog::iter`] produces the canonical total
 /// order `(at, stream, seq)`. Because both the virtual timestamps and
 /// the per-stream append order come from the deterministic simulation,
 /// the merged list is identical across runs and thread counts.
@@ -453,12 +491,19 @@ impl TraceLog {
         self.len() == 0
     }
 
-    /// All events in the canonical deterministic order
-    /// `(at, stream, seq)`.
+    /// Every event, borrowed, in the canonical deterministic order
+    /// `(at, stream, seq)` — what both exporters walk. A stream is not
+    /// sorted by time (an iteration end is stamped after its barrier,
+    /// ahead of the clock), so this sorts references, not a k-way merge.
+    pub fn iter(&self) -> impl Iterator<Item = &Event> {
+        let mut all: Vec<&Event> = self.streams.iter().flatten().collect();
+        all.sort_by_key(|e| (e.at, e.stream, e.seq));
+        all.into_iter()
+    }
+
+    /// [`TraceLog::iter`] collected into owned events.
     pub fn merged(&self) -> Vec<Event> {
-        let mut all: Vec<Event> = self.streams.iter().flatten().cloned().collect();
-        all.sort_by_key(|a| (a.at, a.stream, a.seq));
-        all
+        self.iter().cloned().collect()
     }
 
     /// Count events matching a predicate.
@@ -493,7 +538,17 @@ mod tests {
         log.push(1, t0, EventKind::TaskReady { key: key(1) });
         log.push(1, t1, EventKind::TaskReady { key: key(2) });
         log.push(0, t0, EventKind::IterationEnd { iteration: 0 });
+        // Equal timestamps within and across streams, and a stream that
+        // goes back in time (an iteration end is stamped ahead of the
+        // clock): the borrowed order is the old clone-and-sort order.
+        log.push(2, t1, EventKind::TaskReady { key: key(4) });
+        log.push(0, t1, EventKind::IterationEnd { iteration: 1 });
+        log.push(0, t0, EventKind::TaskReady { key: key(5) });
+        let mut reference: Vec<Event> = log.streams.iter().flatten().cloned().collect();
+        reference.sort_by_key(|e| (e.at, e.stream, e.seq));
+        assert!(log.iter().eq(reference.iter()));
         let merged = log.merged();
+        assert_eq!(merged, reference);
         let order: Vec<(u64, u32, u32)> = merged
             .iter()
             .map(|e| (e.at.as_nanos(), e.stream, e.seq))
@@ -501,9 +556,9 @@ mod tests {
         let mut sorted = order.clone();
         sorted.sort();
         assert_eq!(order, sorted);
-        assert_eq!(merged.len(), 4);
+        assert_eq!(merged.len(), 7);
         assert_eq!(merged[0].stream, 0); // t0 stream0 before t0 stream1
-        assert_eq!(merged[1].stream, 1);
+        assert_eq!(merged[2].stream, 1);
     }
 
     #[test]

@@ -16,74 +16,56 @@
 //!    counts and host machines. Anything wall-clock (solver wall time,
 //!    pool region profiles) lives in the [`Counters`] gauges or in bench
 //!    JSON, never in the event stream.
-//! 2. **Near-zero cost when disabled.** Recording is gated behind
-//!    [`TraceConfig`]; a disabled trace takes one branch per would-be
-//!    event and allocates nothing.
-//! 3. **Two export formats**, both via `tlb-json` / plain strings:
-//!    Chrome trace-event JSON ([`chrome::chrome_trace`], loadable in
-//!    Perfetto / `chrome://tracing`) and long-format CSV rows compatible
-//!    with the existing `trace_to_csv` schema ([`Event::csv_fields`]).
+//! 2. **Near-zero cost when disabled.** What records is one level
+//!    ([`TraceConfig`]); below [`TraceConfig::all`] a handler tests that
+//!    level once per section, builds no payload and allocates nothing.
+//! 3. **One road from an occurrence to the file.** An event is pushed
+//!    once; the counter of its kind is derived at the push
+//!    ([`Counters::note`]), and both exporters borrow the log in
+//!    canonical order ([`TraceLog::iter`]) and write text directly:
+//!    Chrome trace-event JSON ([`chrome_trace_string`], loadable in
+//!    Perfetto / `chrome://tracing`, numbers and strings formatted by
+//!    `tlb-json`) and long-format CSV rows in the `trace_to_csv` schema
+//!    ([`Event::csv_fields`]).
 
 mod chrome;
 mod counters;
 mod event;
 
-pub use chrome::{chrome_trace, chrome_trace_string};
+pub use chrome::chrome_trace_string;
 pub use counters::Counters;
 pub use event::{
     DecisionReason, Event, EventKind, FallbackReason, PortfolioCandidate, PortfolioRecord,
     SolverRecord, TaskKey, TraceLog, GLOBAL_STREAM,
 };
 
-/// Which event families a trace records. The sim derives this from its
-/// single `trace: bool` switch today, but the gates are kept separate so
-/// sweeps can, e.g., keep counters while dropping per-task events.
+/// How much a traced run records — the one distinction there is. A run
+/// is untraced (nothing is recorded), or traced at one of two levels:
+/// [`TraceConfig::off`] keeps the Paraver-style timelines and nothing
+/// else, [`TraceConfig::all`] adds the structured event log and the
+/// counters. Every event kind and every counter records at `all`; there
+/// is no per-family switch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceConfig {
-    /// Per-task lifecycle events (created/ready/decision/offloaded/
-    /// started/completed).
-    pub lifecycle: bool,
-    /// DLB events: LeWI borrows/reclaims, DROM transactions, TALP windows.
-    pub dlb: bool,
-    /// Global-solver invocation records.
-    pub solver: bool,
-    /// Counters registry updates.
-    pub counters: bool,
-    /// Fault-injection events: straggler bursts, worker kills, message
-    /// drops/failovers, solver outages and fallbacks.
-    pub fault: bool,
-    /// Solver-portfolio events: per-tick race records and winner picks.
-    pub portfolio: bool,
+    events: bool,
 }
 
 impl TraceConfig {
-    /// Everything on.
+    /// Timelines, the event log and the counters.
     pub fn all() -> Self {
-        TraceConfig {
-            lifecycle: true,
-            dlb: true,
-            solver: true,
-            counters: true,
-            fault: true,
-            portfolio: true,
-        }
+        TraceConfig { events: true }
     }
 
-    /// Everything off (the near-zero-cost path for large sweeps).
+    /// Timelines only: the event log and the counters stay empty. The
+    /// ledger runs this level to price the event subsystem alone
+    /// (`trace.timelines_overhead_pct`).
     pub fn off() -> Self {
-        TraceConfig {
-            lifecycle: false,
-            dlb: false,
-            solver: false,
-            counters: false,
-            fault: false,
-            portfolio: false,
-        }
+        TraceConfig { events: false }
     }
 
-    /// True if any event family records.
-    pub fn any(&self) -> bool {
-        self.lifecycle || self.dlb || self.solver || self.counters || self.fault || self.portfolio
+    /// True when events and counters record.
+    pub fn events(&self) -> bool {
+        self.events
     }
 }
 
@@ -98,14 +80,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn config_gates() {
-        assert!(TraceConfig::all().any());
-        assert!(!TraceConfig::off().any());
+    fn two_levels() {
+        assert!(TraceConfig::all().events());
+        assert!(!TraceConfig::off().events());
         assert_eq!(TraceConfig::default(), TraceConfig::off());
-        let portfolio_only = TraceConfig {
-            portfolio: true,
-            ..TraceConfig::off()
-        };
-        assert!(portfolio_only.any());
     }
 }
