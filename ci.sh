@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Offline CI gate, and the only list of its steps (the GitHub workflow
-# runs this script): format, clippy, benchmark-harness tests, build,
-# tier-1 tests, the figure claims, then the drift gate.
+# runs this script): format, clippy, rustdoc, benchmark-harness tests,
+# build, tier-1 tests, the figure claims, then the drift gate.
 #
 # One mechanism per question: invariants and bitwise identity are tier-1
 # tests, reproduced claims are `figures` + the checked-in results, and
@@ -17,6 +17,9 @@ cargo fmt --all --check
 
 echo "== cargo clippy -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
+
+echo "== cargo doc -D warnings (rustdoc is the only tool that notices a link to a moved or deleted item)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "== benchmark harness: its own tests against the library API (a renamed counter or a changed trace level fails here, not in the PR driver)"
 cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml

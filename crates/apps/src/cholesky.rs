@@ -206,8 +206,8 @@ impl Cholesky {
         }
     }
 
-    /// Task-parallel factorisation on a [`crate::…`] — er, on a
-    /// [`tlb_smprt::Pool`]: one task per kernel invocation, dependencies
+    /// Task-parallel factorisation on a [`tlb_smprt::Pool`]: one task per
+    /// kernel invocation, dependencies
     /// derived from the block regions exactly as the OmpSs-2 pragmas
     /// would. Returns the number of tasks executed.
     pub fn factor_tasked(m: &mut BlockMatrix, pool: &tlb_smprt::Pool) -> usize {

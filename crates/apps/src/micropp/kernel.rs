@@ -129,7 +129,7 @@ impl MicroProblem {
             }
         };
         match pool {
-            Some(p) if n >= 4 => p.parallel_for_named("micropp_stencil", n, 1, plane),
+            Some(p) if n >= 4 => p.parallel_for(n, 1, plane),
             _ => (0..n).for_each(plane),
         }
     }

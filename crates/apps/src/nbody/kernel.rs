@@ -233,7 +233,7 @@ impl Octree {
         match pool {
             // A tree walk costs microseconds; claim bodies a cacheline's
             // worth at a time to keep counter traffic negligible.
-            Some(p) if n > 128 => p.parallel_for_named("nbody_forces", n, 32, one),
+            Some(p) if n > 128 => p.parallel_for(n, 32, one),
             _ => (0..n).for_each(one),
         }
         acc

@@ -43,7 +43,7 @@ impl<T> SendPtr<T> {
 /// one is given (one index per claim: each chunk is already coarse).
 pub(crate) fn for_each_chunk(pool: Option<&Pool>, chunks: usize, body: impl Fn(usize) + Sync) {
     match pool {
-        Some(p) if chunks > 1 => p.parallel_for_named("det_chunks", chunks, 1, body),
+        Some(p) if chunks > 1 => p.parallel_for(chunks, 1, body),
         _ => (0..chunks).for_each(body),
     }
 }

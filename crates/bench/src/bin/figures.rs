@@ -14,7 +14,7 @@ use tlb_bench::{
     config, micropp_mn4, nbody_slow_node, perfect_bound, render_trace, results_dir, run, sweep,
     tally, Effort, Experiment, Point, Status,
 };
-use tlb_cluster::{SpecWorkload, TaskSpec};
+use tlb_cluster::{away_fraction, work_matrix, SpecWorkload, TaskSpec};
 use tlb_core::{
     BalanceConfig, DynamicSpreading, GlobalPolicy, GlobalSolverKind, Platform, PortfolioConfig,
     PortfolioEngine, StealGate, Strategy, WorkSignal,
@@ -270,20 +270,11 @@ fn fig05(effort: Effort) -> Vec<Experiment> {
         // by each apprank away from home in the last quarter (the solver
         // has converged by then). Apprank i homes on node i here.
         let from = SimTime::from_nanos(end.as_nanos() * 3 / 4);
-        let (mut cross, mut total) = (0.0, 0.0);
-        for node in 0..2 {
-            for (proc, &apprank) in report.trace.worker_apprank[node].iter().enumerate() {
-                let work = report.trace.busy[node][proc].integral(from, end);
-                total += work;
-                if node != apprank {
-                    cross += work;
-                }
-            }
-        }
+        let away = away_fraction(&work_matrix(&report.trace, from, end, 2), &[0, 1]);
         exp.note(format!(
             "balanced phase: {:.1}% of work executed away from home (paper Fig. 5: local ~50%, global ~0%; \
 our global floor is the helpers' mandatory one owned core each)",
-            100.0 * cross / total.max(1e-9)
+            100.0 * away
         ));
         exp.note(format!("makespan: {:.3}s", end.as_secs_f64()));
         println!("--- {name} policy trace (busy cores per worker) ---");

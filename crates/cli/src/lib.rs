@@ -962,6 +962,21 @@ mod tests {
         assert!(err.0.contains("faults:"), "{err}");
         assert!(args("--faults loss@0,rate=1.5").is_err());
         assert!(args("--faults").is_err());
+        // Values no run can survive are usage errors too, with the clause
+        // named: these reached the simulator and panicked (exit 101),
+        // failed late (exit 1) or were silently read as 0.
+        for (spec, clause) in [
+            ("straggler@0.1,node=0,slow=inf", "straggler@0.1: slow"),
+            ("straggler@0.1,node=0,slow=nan", "straggler@0.1: slow"),
+            ("straggler@0.1,node=0,for=nan", "straggler@0.1: 'for'"),
+            (
+                "straggler@0.1,node=0,slow=1e200;straggler@0.2,node=0,slow=1e200",
+                "straggler@0.1: slow",
+            ),
+        ] {
+            let err = args(&format!("--faults {spec}")).unwrap_err();
+            assert!(err.0.contains("faults:") && err.0.contains(clause), "{err}");
+        }
         // Defaults: no plan, seed 1.
         let d = args("").unwrap();
         assert_eq!(d.scenario.faults, None);

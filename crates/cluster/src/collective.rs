@@ -1,10 +1,9 @@
-//! Cost models for the simulated MPI collectives.
+//! Cost model of the one simulated MPI collective.
 //!
 //! The runtime itself uses point-to-point messages (offload control and
-//! data transfers, costed inline in the simulator); the *application*
-//! level uses collectives: the iteration barrier of every benchmark and
-//! the allreduce of n-body's ORB repartitioning. We use the standard
-//! logarithmic-tree cost models (latency–bandwidth, Hockney-style).
+//! data transfers, costed inline in the simulator); the only collective
+//! an iteration is charged is the barrier that ends it, with the standard
+//! logarithmic-tree (dissemination) model.
 
 use tlb_des::SimTime;
 
@@ -22,79 +21,6 @@ pub fn barrier_cost(ranks: usize, latency: SimTime) -> SimTime {
     latency * log2_ceil(ranks) as u64
 }
 
-/// Allreduce of `bytes` over `ranks`: recursive doubling —
-/// `ceil(log2 n)` rounds, each a latency plus the payload over the wire.
-pub fn allreduce_cost(ranks: usize, bytes: usize, latency: SimTime, bandwidth: f64) -> SimTime {
-    if ranks <= 1 {
-        return SimTime::ZERO;
-    }
-    let rounds = log2_ceil(ranks) as u64;
-    let per_round = latency + SimTime::from_secs_f64(bytes as f64 / bandwidth.max(1.0));
-    per_round * rounds
-}
-
-/// Broadcast of `bytes` from one rank: binomial tree — `ceil(log2 n)`
-/// rounds, each forwarding the full payload one tree level down. The
-/// formula currently coincides with recursive-doubling allreduce, but the
-/// models are distinct: a bandwidth-optimal allreduce (Rabenseifner)
-/// would change `allreduce_cost` without touching broadcast.
-pub fn bcast_cost(ranks: usize, bytes: usize, latency: SimTime, bandwidth: f64) -> SimTime {
-    if ranks <= 1 {
-        return SimTime::ZERO;
-    }
-    let rounds = log2_ceil(ranks) as u64;
-    let per_round = latency + SimTime::from_secs_f64(bytes as f64 / bandwidth.max(1.0));
-    per_round * rounds
-}
-
-/// Gather of `bytes_per_rank` from every rank to the root: binomial tree;
-/// the payload doubles every round, so the wire term on the root's
-/// critical path is the geometric sum of received payloads — every
-/// rank's contribution except the root's own, which never crosses the
-/// wire: `(n - 1) * bytes_per_rank`.
-pub fn gather_cost(
-    ranks: usize,
-    bytes_per_rank: usize,
-    latency: SimTime,
-    bandwidth: f64,
-) -> SimTime {
-    if ranks <= 1 {
-        return SimTime::ZERO;
-    }
-    let rounds = log2_ceil(ranks) as u64;
-    let received = ((ranks - 1) * bytes_per_rank) as f64;
-    latency * rounds + SimTime::from_secs_f64(received / bandwidth.max(1.0))
-}
-
-/// Scatter is gather run backwards: identical cost model.
-pub fn scatter_cost(
-    ranks: usize,
-    bytes_per_rank: usize,
-    latency: SimTime,
-    bandwidth: f64,
-) -> SimTime {
-    gather_cost(ranks, bytes_per_rank, latency, bandwidth)
-}
-
-/// Reduce-scatter of a `bytes`-sized vector: recursive halving — the
-/// payload halves every round (cheaper than allreduce's full-vector
-/// rounds for large payloads).
-pub fn reduce_scatter_cost(
-    ranks: usize,
-    bytes: usize,
-    latency: SimTime,
-    bandwidth: f64,
-) -> SimTime {
-    if ranks <= 1 {
-        return SimTime::ZERO;
-    }
-    let rounds = log2_ceil(ranks) as u64;
-    // Geometric payload sum: bytes/2 + bytes/4 + … + bytes/n
-    // = bytes * (n - 1) / n (exact for power-of-two rank counts).
-    let wire = bytes as f64 * (ranks - 1) as f64 / ranks as f64;
-    latency * rounds + SimTime::from_secs_f64(wire / bandwidth.max(1.0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,10 +28,6 @@ mod tests {
     #[test]
     fn single_rank_is_free() {
         assert_eq!(barrier_cost(1, SimTime::from_micros(2)), SimTime::ZERO);
-        assert_eq!(
-            allreduce_cost(1, 1024, SimTime::from_micros(2), 1e9),
-            SimTime::ZERO
-        );
     }
 
     #[test]
@@ -114,87 +36,7 @@ mod tests {
         assert_eq!(barrier_cost(2, lat), lat);
         assert_eq!(barrier_cost(4, lat), lat * 2);
         assert_eq!(barrier_cost(5, lat), lat * 3);
-        assert_eq!(barrier_cost(64, lat), lat * 6);
-    }
-
-    #[test]
-    fn allreduce_includes_payload() {
-        let lat = SimTime::from_micros(1);
-        // 1 MB over 1 GB/s = 1 ms per round, 1 round for 2 ranks.
-        let c = allreduce_cost(2, 1_000_000, lat, 1e9);
-        assert_eq!(c, lat + SimTime::from_millis(1));
-    }
-
-    #[test]
-    fn gather_scales_with_total_payload() {
-        let lat = SimTime::from_micros(1);
-        let small = gather_cost(8, 1_000, lat, 1e9);
-        let big = gather_cost(8, 100_000, lat, 1e9);
-        assert!(big > small);
-        // The root receives 7 × 100 KB = 700 KB at 1 GB/s = 0.7 ms, over
-        // 3 latency rounds; its own 100 KB never crosses the wire.
-        assert_eq!(big, lat * 3 + SimTime::from_micros(700));
-        assert_eq!(scatter_cost(8, 100_000, lat, 1e9), big);
-        assert_eq!(gather_cost(1, 100_000, lat, 1e9), SimTime::ZERO);
-    }
-
-    #[test]
-    fn gather_non_power_of_two_ranks() {
-        let lat = SimTime::from_micros(1);
-        // 5 ranks: ceil(log2 5) = 3 rounds; root receives 4 contributions.
-        assert_eq!(
-            gather_cost(5, 100_000, lat, 1e9),
-            lat * 3 + SimTime::from_micros(400)
-        );
-        // 2 ranks: one round, one contribution.
-        assert_eq!(
-            gather_cost(2, 100_000, lat, 1e9),
-            lat + SimTime::from_micros(100)
-        );
-    }
-
-    #[test]
-    fn zero_byte_collectives_are_pure_latency() {
-        let lat = SimTime::from_micros(2);
-        // With nothing on the wire every collective degenerates to its
-        // latency rounds (gather/scatter/reduce-scatter = barrier shape).
-        assert_eq!(allreduce_cost(8, 0, lat, 1e9), lat * 3);
-        assert_eq!(bcast_cost(8, 0, lat, 1e9), lat * 3);
-        assert_eq!(gather_cost(8, 0, lat, 1e9), lat * 3);
-        assert_eq!(scatter_cost(8, 0, lat, 1e9), lat * 3);
-        assert_eq!(reduce_scatter_cost(8, 0, lat, 1e9), lat * 3);
         assert_eq!(barrier_cost(8, lat), lat * 3);
-    }
-
-    #[test]
-    fn reduce_scatter_cheaper_than_allreduce_for_large_payloads() {
-        let lat = SimTime::from_micros(1);
-        let bytes = 10_000_000;
-        let rs = reduce_scatter_cost(16, bytes, lat, 1e9);
-        let ar = allreduce_cost(16, bytes, lat, 1e9);
-        assert!(rs < ar, "reduce-scatter {rs} vs allreduce {ar}");
-        // Recursive halving moves bytes·(n−1)/n in total: 16 ranks ⇒
-        // 15/16 of the vector plus 4 latency rounds.
-        assert_eq!(
-            reduce_scatter_cost(16, 16_000, lat, 1e9),
-            lat * 4 + SimTime::from_micros(15)
-        );
-    }
-
-    #[test]
-    fn bcast_matches_allreduce_shape() {
-        // Binomial-tree broadcast and recursive-doubling allreduce move
-        // the full payload every round: the models coincide today, and
-        // this test pins that equivalence (it breaks deliberately if
-        // either side adopts a different algorithm).
-        let lat = SimTime::from_micros(1);
-        assert_eq!(
-            bcast_cost(8, 100, lat, 1e9),
-            allreduce_cost(8, 100, lat, 1e9)
-        );
-        assert_eq!(
-            bcast_cost(5, 1_000_000, lat, 1e9),
-            allreduce_cost(5, 1_000_000, lat, 1e9)
-        );
+        assert_eq!(barrier_cost(64, lat), lat * 6);
     }
 }

@@ -77,40 +77,6 @@ pub fn save_trace_csv(trace: &Trace, path: &Path) -> io::Result<()> {
     std::fs::write(path, trace_to_csv(trace))
 }
 
-/// Per-node utilisation summary over a window.
-#[derive(Clone, Debug, PartialEq)]
-pub struct NodeUtilisation {
-    /// Node index.
-    pub node: usize,
-    /// Mean busy cores over the window.
-    pub mean_busy: f64,
-    /// Mean busy cores divided by the node's core count.
-    pub utilisation: f64,
-}
-
-/// Compute per-node utilisation over `[from, to)` for a machine with
-/// `cores_per_node` cores.
-pub fn node_utilisation(
-    trace: &Trace,
-    from: SimTime,
-    to: SimTime,
-    cores_per_node: usize,
-) -> Vec<NodeUtilisation> {
-    trace
-        .node_busy
-        .iter()
-        .enumerate()
-        .map(|(node, tl)| {
-            let mean_busy = tl.mean(from, to);
-            NodeUtilisation {
-                node,
-                mean_busy,
-                utilisation: mean_busy / cores_per_node as f64,
-            }
-        })
-        .collect()
-}
-
 /// How much work (core·seconds) each apprank executed on each node over a
 /// window — the quantitative version of the paper's coloured trace bands,
 /// and the source of the "executed away from home" numbers.
@@ -186,17 +152,6 @@ mod tests {
         for line in csv.lines().skip(1) {
             assert_eq!(line.split(',').count(), 6, "bad row: {line}");
         }
-    }
-
-    #[test]
-    fn utilisation_summary() {
-        let t = sample_trace();
-        let u = node_utilisation(&t, SimTime::ZERO, SimTime::from_secs(2), 4);
-        assert_eq!(u.len(), 2);
-        // Node 0: 4 cores for 1s + 3 cores for 1s = 3.5 mean.
-        assert!((u[0].mean_busy - 3.5).abs() < 1e-9);
-        assert!((u[0].utilisation - 0.875).abs() < 1e-9);
-        assert_eq!(u[1].mean_busy, 0.0);
     }
 
     #[test]

@@ -12,10 +12,48 @@
 //! and degrades gracefully (see DESIGN.md, "Fault model"). An empty plan
 //! ([`FaultPlan::none`]) injects nothing and leaves the simulation
 //! bitwise-identical to a run without the fault machinery.
+//!
+//! [`FaultPlan::parse`] reads syntax and [`FaultPlan::validate`] is the
+//! one place a plan's values are judged, whoever built it: a plan that
+//! passes can neither stop a node nor overflow the virtual clock.
 
 use tlb_des::SimTime;
 use tlb_linprog::LpError;
-use tlb_portfolio::Strategy;
+use tlb_portfolio::{PortfolioConfig, Strategy};
+
+/// Floor on the product of a node's stacked straggler factors (its speed
+/// relative to fault-free): overlapping bursts can slow a node this far
+/// and no further, so its speed never reaches zero. One burst may slow by
+/// at most the inverse.
+pub(crate) const MIN_SPEED_FACTOR: f64 = 1e-6;
+const MAX_SLOWDOWN: f64 = 1.0 / MIN_SPEED_FACTOR;
+
+/// Largest start time, duration, backoff or extra latency a plan may
+/// hold: 1e6 s, ≈ 11.6 days of virtual time.
+const MAX_TIME: SimTime = SimTime::from_secs(1_000_000);
+
+/// Most retries a loss fault may ask for: with `MAX_TIME` this keeps the
+/// summed linear backoff of one send inside the `u64` nanosecond clock.
+const MAX_RETRIES: u32 = 100;
+
+/// The first of a clause's rules that does not hold, as the error.
+fn check<const N: usize>(clause: String, rules: [(bool, String); N]) -> Result<(), String> {
+    match rules.into_iter().find(|(holds, _)| !holds) {
+        Some((_, why)) => Err(format!("{clause}: {why}")),
+        None => Ok(()),
+    }
+}
+
+/// Seconds → virtual time for a plan field, without hiding bad input:
+/// what the field cannot hold (negative, non-finite, past `MAX_TIME`)
+/// becomes [`SimTime::MAX`], which [`FaultPlan::validate`] rejects.
+fn secs(s: f64) -> SimTime {
+    if (0.0..=MAX_TIME.as_secs_f64()).contains(&s) {
+        SimTime::from_secs_f64(s)
+    } else {
+        SimTime::MAX
+    }
+}
 
 /// A sustained slowdown of one node, beyond DVFS noise: at `at`, the
 /// node's speed is multiplied by `1 / slowdown` until `at + duration`.
@@ -141,10 +179,10 @@ impl FaultPlan {
     /// Add a straggler burst (builder style).
     pub fn with_straggler(mut self, at: f64, node: usize, slowdown: f64, duration: f64) -> Self {
         self.stragglers.push(StragglerFault {
-            at: SimTime::from_secs_f64(at),
+            at: secs(at),
             node,
             slowdown,
-            duration: SimTime::from_secs_f64(duration),
+            duration: secs(duration),
         });
         self
     }
@@ -152,7 +190,7 @@ impl FaultPlan {
     /// Add a worker kill with an RNG-picked victim (builder style).
     pub fn with_kill(mut self, at: f64) -> Self {
         self.kills.push(WorkerKillFault {
-            at: SimTime::from_secs_f64(at),
+            at: secs(at),
             victim: None,
         });
         self
@@ -161,36 +199,40 @@ impl FaultPlan {
     /// Add a worker kill of a specific helper (builder style).
     pub fn with_kill_of(mut self, at: f64, apprank: usize, slot: usize) -> Self {
         self.kills.push(WorkerKillFault {
-            at: SimTime::from_secs_f64(at),
+            at: secs(at),
             victim: Some((apprank, slot)),
         });
         self
     }
 
     /// Add a solver outage window (builder style).
-    pub fn with_outage(mut self, at: f64, duration: f64, error: LpError) -> Self {
-        self.outages.push(SolverOutageFault {
-            at: SimTime::from_secs_f64(at),
-            duration: SimTime::from_secs_f64(duration),
-            error,
-            strategy: None,
-        });
-        self
+    pub fn with_outage(self, at: f64, duration: f64, error: LpError) -> Self {
+        self.push_outage(at, duration, error, None)
     }
 
     /// Add an outage of a single portfolio strategy (builder style).
     pub fn with_strategy_outage(
-        mut self,
+        self,
         at: f64,
         duration: f64,
         error: LpError,
         strategy: Strategy,
     ) -> Self {
+        self.push_outage(at, duration, error, Some(strategy))
+    }
+
+    fn push_outage(
+        mut self,
+        at: f64,
+        dur: f64,
+        error: LpError,
+        strategy: Option<Strategy>,
+    ) -> Self {
         self.outages.push(SolverOutageFault {
-            at: SimTime::from_secs_f64(at),
-            duration: SimTime::from_secs_f64(duration),
+            at: secs(at),
+            duration: secs(dur),
             error,
-            strategy: Some(strategy),
+            strategy,
         });
         self
     }
@@ -205,11 +247,11 @@ impl FaultPlan {
         backoff: f64,
     ) -> Self {
         self.loss = Some(LossFault {
-            from: SimTime::from_secs_f64(from),
+            from: secs(from),
             until: SimTime::from_secs_f64(until),
             rate,
             max_retries,
-            backoff: SimTime::from_secs_f64(backoff),
+            backoff: secs(backoff),
         });
         self
     }
@@ -217,11 +259,118 @@ impl FaultPlan {
     /// Set the message-delay window (builder style).
     pub fn with_delay(mut self, from: f64, until: f64, extra: f64) -> Self {
         self.delay = Some(DelayFault {
-            from: SimTime::from_secs_f64(from),
+            from: secs(from),
             until: SimTime::from_secs_f64(until),
-            extra: SimTime::from_secs_f64(extra),
+            extra: secs(extra),
         });
         self
+    }
+
+    /// Judge the plan's values against the run it is for: `nodes` and
+    /// `appranks` of the machine, and the solver `portfolio` if one
+    /// races. This is the only place a plan is checked — [`parse`] reads
+    /// syntax, the builders store what they are given, and
+    /// `ClusterSim::execute` and `Scenario::validate` both call this.
+    /// Accepted: start times, durations, backoff and extra latency in
+    /// `[0, 1e6]` seconds; a window that ends after it starts; `slow` in
+    /// `[1, 1e6]`; `rate` in `[0, 1)`; at most 100 retries; straggler
+    /// nodes and kill victims that exist (victims are helpers, slot ≥ 1);
+    /// strategy-scoped outages only of strategies the portfolio races.
+    /// The error names the clause.
+    ///
+    /// [`parse`]: FaultPlan::parse
+    pub fn validate(
+        &self,
+        nodes: usize,
+        appranks: usize,
+        portfolio: Option<&PortfolioConfig>,
+    ) -> Result<(), String> {
+        let clause = |kind: &str, at: SimTime| {
+            if at > MAX_TIME {
+                return format!("{kind}@<bad time>");
+            }
+            format!("{kind}@{}", at.as_secs_f64())
+        };
+        // Each rule: what must hold, and what to say if it does not.
+        let in_range = |what: &str, t: SimTime| {
+            let max = MAX_TIME.as_secs_f64();
+            let why = format!("{what} must be a number of seconds in [0, {max:e}]");
+            (t <= MAX_TIME, why)
+        };
+        let window = |from: SimTime, until: SimTime| {
+            let why = "'for' must be a positive number of seconds";
+            (from < until, why.to_string())
+        };
+        for s in &self.stragglers {
+            let rules = [
+                in_range("start time", s.at),
+                in_range("'for'", s.duration),
+                (
+                    s.node < nodes,
+                    format!("node {} out of range ({nodes} nodes)", s.node),
+                ),
+                (
+                    (1.0..=MAX_SLOWDOWN).contains(&s.slowdown),
+                    format!("slow must be a number in [1, {MAX_SLOWDOWN:e}]"),
+                ),
+            ];
+            check(clause("straggler", s.at), rules)?;
+        }
+        for k in &self.kills {
+            // No victim named: the run picks a living helper itself.
+            let (a, slot) = k.victim.unwrap_or((0, 1));
+            let helper = a < appranks && slot >= 1;
+            let why = format!(
+                "victim (apprank {a}, slot {slot}) is not a helper worker \
+                 (apprank < {appranks}, slot >= 1)"
+            );
+            check(
+                clause("kill", k.at),
+                [in_range("start time", k.at), (helper, why)],
+            )?;
+        }
+        for o in &self.outages {
+            let name = o.strategy.map_or("", Strategy::name);
+            let rules = [
+                in_range("start time", o.at),
+                in_range("'for'", o.duration),
+                (
+                    o.strategy.is_none() || portfolio.is_some(),
+                    format!("strategy-scoped outage ('{name}') requires a solver portfolio"),
+                ),
+                (
+                    o.strategy
+                        .is_none_or(|s| portfolio.is_none_or(|pc| pc.enabled(s))),
+                    format!("strategy '{name}' is not raced by the portfolio"),
+                ),
+            ];
+            check(clause("outage", o.at), rules)?;
+        }
+        if let Some(l) = &self.loss {
+            let rules = [
+                in_range("start time", l.from),
+                window(l.from, l.until),
+                in_range("backoff", l.backoff),
+                (
+                    (0.0..1.0).contains(&l.rate),
+                    "loss rate must be a number in [0, 1)".to_string(),
+                ),
+                (
+                    l.max_retries <= MAX_RETRIES,
+                    format!("retries must be at most {MAX_RETRIES}"),
+                ),
+            ];
+            check(clause("loss", l.from), rules)?;
+        }
+        if let Some(d) = &self.delay {
+            let rules = [
+                in_range("start time", d.from),
+                window(d.from, d.until),
+                in_range("extra", d.extra),
+            ];
+            check(clause("delay", d.from), rules)?;
+        }
+        Ok(())
     }
 
     /// Parse a `--faults` spec string. Clauses are separated by `;`, each
@@ -259,9 +408,6 @@ impl FaultPlan {
             let at: f64 = at
                 .parse()
                 .map_err(|_| format!("clause '{clause}': bad time '{at}'"))?;
-            if !at.is_finite() || at < 0.0 {
-                return Err(format!("clause '{clause}': time must be >= 0"));
-            }
             let mut kv = Vec::new();
             for part in parts {
                 let (k, v) = part.split_once('=').ok_or_else(|| {
@@ -301,9 +447,6 @@ impl FaultPlan {
                     let node = get_usize("node")?
                         .ok_or_else(|| format!("clause '{clause}': straggler needs node=N"))?;
                     let slowdown = get_f64("slow", 4.0)?;
-                    if slowdown < 1.0 {
-                        return Err(format!("clause '{clause}': slow must be >= 1"));
-                    }
                     let dur = get_f64("for", 1.0)?;
                     plan = plan.with_straggler(at, node, slowdown, dur);
                 }
@@ -311,27 +454,15 @@ impl FaultPlan {
                     known(&["apprank", "slot"])?;
                     let apprank = get_usize("apprank")?;
                     let slot = get_usize("slot")?;
-                    let victim = match (apprank, slot) {
-                        (Some(a), Some(k)) => {
-                            if k == 0 {
-                                return Err(format!(
-                                    "clause '{clause}': slot 0 is the home worker; only \
-                                     helpers (slot >= 1) can be killed"
-                                ));
-                            }
-                            Some((a, k))
-                        }
-                        (None, None) => None,
+                    plan = match (apprank, slot) {
+                        (Some(a), Some(k)) => plan.with_kill_of(at, a, k),
+                        (None, None) => plan.with_kill(at),
                         _ => {
                             return Err(format!(
                                 "clause '{clause}': apprank and slot must be given together"
                             ))
                         }
                     };
-                    plan.kills.push(WorkerKillFault {
-                        at: SimTime::from_secs_f64(at),
-                        victim,
-                    });
                 }
                 "outage" => {
                     known(&["for", "error", "strategy"])?;
@@ -348,12 +479,7 @@ impl FaultPlan {
                         ),
                         None => None,
                     };
-                    plan.outages.push(SolverOutageFault {
-                        at: SimTime::from_secs_f64(at),
-                        duration: SimTime::from_secs_f64(dur),
-                        error,
-                        strategy,
-                    });
+                    plan = plan.push_outage(at, dur, error, strategy);
                 }
                 "loss" => {
                     known(&["for", "rate", "retries", "backoff"])?;
@@ -361,22 +487,12 @@ impl FaultPlan {
                         return Err("only one loss window is supported".to_string());
                     }
                     let rate = get_f64("rate", 0.5)?;
-                    if !(0.0..1.0).contains(&rate) {
-                        return Err(format!("clause '{clause}': rate must be in [0, 1)"));
-                    }
-                    let retries = get_usize("retries")?.unwrap_or(3) as u32;
+                    let retries = get_usize("retries")?.unwrap_or(3);
+                    let retries = u32::try_from(retries).unwrap_or(u32::MAX);
                     let backoff = get_f64("backoff", 0.005)?;
-                    let until = match get("for") {
-                        Some(_) => SimTime::from_secs_f64(at + get_f64("for", 0.0)?),
-                        None => SimTime::MAX,
-                    };
-                    plan.loss = Some(LossFault {
-                        from: SimTime::from_secs_f64(at),
-                        until,
-                        rate,
-                        max_retries: retries,
-                        backoff: SimTime::from_secs_f64(backoff),
-                    });
+                    // No `for`: the window lasts the rest of the run.
+                    let until = at + get_f64("for", f64::MAX)?;
+                    plan = plan.with_loss(at, until, rate, retries, backoff);
                 }
                 "delay" => {
                     known(&["for", "extra"])?;
@@ -384,15 +500,8 @@ impl FaultPlan {
                         return Err("only one delay window is supported".to_string());
                     }
                     let extra = get_f64("extra", 0.002)?;
-                    let until = match get("for") {
-                        Some(_) => SimTime::from_secs_f64(at + get_f64("for", 0.0)?),
-                        None => SimTime::MAX,
-                    };
-                    plan.delay = Some(DelayFault {
-                        from: SimTime::from_secs_f64(at),
-                        until,
-                        extra: SimTime::from_secs_f64(extra),
-                    });
+                    let until = at + get_f64("for", f64::MAX)?;
+                    plan = plan.with_delay(at, until, extra);
                 }
                 other => return Err(format!("unknown fault kind '{other}'")),
             }
@@ -492,15 +601,13 @@ mod tests {
     }
 
     #[test]
-    fn parse_rejects_bad_specs() {
+    fn parse_rejects_bad_syntax() {
         for bad in [
-            "straggler@1",                 // missing node
-            "straggler@1,node=0,slow=0.5", // slowdown < 1
-            "kill@1,slot=2",               // slot without apprank
-            "kill@1,apprank=0,slot=0",     // home worker
+            "straggler@1",   // missing node
+            "kill@1,slot=2", // slot without apprank
             "outage@1,error=weird",
-            "loss@0,rate=1.5",
             "loss@0;loss@1",
+            "loss@0,rate=high",
             "nonsense@3",
             "kill@abc",
             "kill",
@@ -508,5 +615,60 @@ mod tests {
             assert!(FaultPlan::parse(bad, 0).is_err(), "accepted '{bad}'");
         }
         assert!(FaultPlan::parse("", 0).unwrap().is_empty());
+    }
+
+    #[test]
+    fn validate_judges_every_value() {
+        // A 2-node, 2-apprank run without a portfolio. Each spec parses;
+        // `validate` names the clause, then the value it refuses.
+        for (spec, refusal) in [
+            (
+                "straggler@0.1,node=99",
+                "straggler@0.1: node 99 out of range",
+            ),
+            ("kill@0.1,apprank=0,slot=0", "kill@0.1: victim"),
+            ("kill@0.1,apprank=2,slot=1", "kill@0.1: victim"),
+            ("loss@0,for=1,rate=1.5", "loss@0: loss rate"),
+            ("loss@0,rate=nan", "loss@0: loss rate"),
+            ("loss@0,retries=101", "loss@0: retries"),
+            ("loss@0,retries=4294967297", "loss@0: retries"),
+            ("loss@0,backoff=inf", "loss@0: backoff"),
+            ("loss@2,for=nan", "loss@2: 'for'"),
+            ("loss@2,for=-1", "loss@2: 'for'"),
+            ("delay@0,for=0", "delay@0: 'for'"),
+            ("delay@0,extra=-1", "delay@0: extra"),
+            ("straggler@0.1,node=0,slow=0.5", "straggler@0.1: slow"),
+            ("straggler@0.1,node=0,slow=inf", "straggler@0.1: slow"),
+            ("straggler@0.1,node=0,slow=nan", "straggler@0.1: slow"),
+            ("straggler@0.1,node=0,slow=1e200", "straggler@0.1: slow"),
+            ("straggler@0.1,node=0,for=nan", "straggler@0.1: 'for'"),
+            ("straggler@0.1,node=0,for=1e300", "straggler@0.1: 'for'"),
+            ("straggler@-1,node=0", "straggler@<bad time>: start time"),
+            ("kill@nan", "kill@<bad time>: start time"),
+            ("outage@1e7", "outage@<bad time>: start time"),
+            ("outage@1,for=inf", "outage@1: 'for'"),
+            ("outage@1,strategy=flow", "outage@1: strategy-scoped"),
+        ] {
+            let plan = FaultPlan::parse(spec, 0).unwrap();
+            let err = plan.validate(2, 2, None).unwrap_err();
+            assert!(err.starts_with(refusal), "'{spec}': {err}");
+        }
+        // The same judgement for a plan built in code.
+        let built = FaultPlan::new(1).with_straggler(0.1, 0, f64::INFINITY, f64::NAN);
+        assert!(built.validate(2, 2, None).is_err());
+        // A strategy-scoped outage needs that strategy in the race.
+        let plan = FaultPlan::parse("outage@1,strategy=greedy", 0).unwrap();
+        let pc = PortfolioConfig::parse("simplex,flow").unwrap();
+        let err = plan.validate(2, 2, Some(&pc)).unwrap_err();
+        assert!(err.contains("not raced"), "{err}");
+        assert!(plan
+            .validate(2, 2, Some(&PortfolioConfig::default()))
+            .is_ok());
+        // The edges of every range are inside it.
+        let edges = "straggler@0,node=1,slow=1,for=0; straggler@1e6,node=0,slow=1e6,for=1e6; \
+                     kill@0,apprank=1,slot=1; loss@0,for=1e-9,rate=0,retries=100,backoff=1e6; \
+                     delay@1e6,extra=0";
+        let plan = FaultPlan::parse(edges, 0).unwrap();
+        assert_eq!(plan.validate(2, 2, None), Ok(()));
     }
 }

@@ -50,12 +50,9 @@ mod sim;
 mod trace;
 mod workload;
 
-pub use collective::{
-    allreduce_cost, barrier_cost, bcast_cost, gather_cost, reduce_scatter_cost, scatter_cost,
-};
+pub use collective::barrier_cost;
 pub use export::{
-    away_fraction, node_utilisation, save_trace_chrome, save_trace_csv, trace_to_chrome,
-    trace_to_csv, work_matrix, NodeUtilisation,
+    away_fraction, save_trace_chrome, save_trace_csv, trace_to_chrome, trace_to_csv, work_matrix,
 };
 pub use fault::{
     DelayFault, FaultPlan, FaultStats, LossFault, SolverOutageFault, StragglerFault,

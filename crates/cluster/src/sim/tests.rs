@@ -1,0 +1,1113 @@
+//! Tests of the simulator as a whole, through `ClusterSim::execute`.
+
+use super::{setup, ClusterSim, RunSpec, SimError};
+use crate::{FaultPlan, FaultStats, SimReport, SpecWorkload, TaskSpec, Trace};
+use tlb_core::{BalanceConfig, DromPolicy, Platform, PolicySpec, Preset};
+use tlb_des::SimTime;
+use tlb_dlb::ProcId;
+use tlb_linprog::LpError;
+use tlb_portfolio::Strategy;
+use tlb_trace::EventKind;
+
+fn uniform(ranks: usize, tasks: usize, dur: f64, iters: usize) -> SpecWorkload {
+    SpecWorkload::iterated(
+        (0..ranks)
+            .map(|_| (0..tasks).map(|_| TaskSpec::compute(dur)).collect())
+            .collect(),
+        iters,
+    )
+}
+
+#[test]
+fn single_node_packs_cores() {
+    // 1 apprank, 1 node, 4 cores, 40 tasks of 0.1 s: 10 waves = 1 s.
+    let wl = uniform(1, 40, 0.1, 1);
+    let p = Platform::homogeneous(1, 4);
+    let r = ClusterSim::execute(
+        RunSpec::new(&p, &BalanceConfig::preset(Preset::Baseline), wl).trace(true),
+    )
+    .unwrap();
+    let secs = r.makespan.as_secs_f64();
+    assert!((secs - 1.0).abs() < 1e-6, "makespan {secs}");
+    assert_eq!(r.total_tasks, 40);
+    assert_eq!(r.offloaded_tasks, 0);
+}
+
+#[test]
+fn baseline_never_offloads() {
+    let wl = uniform(2, 30, 0.05, 2);
+    let p = Platform::homogeneous(2, 4);
+    let r = ClusterSim::execute(
+        RunSpec::new(&p, &BalanceConfig::preset(Preset::Baseline), wl).trace(true),
+    )
+    .unwrap();
+    assert_eq!(r.offloaded_tasks, 0);
+    assert_eq!(r.iteration_times.len(), 2);
+}
+
+#[test]
+fn imbalance_is_confined_without_offloading() {
+    // Apprank 0 has 4x the work; without offloading its node is the
+    // bottleneck: makespan ~= 4*20*0.05/4 = 1.0 s per iteration.
+    let heavy: Vec<TaskSpec> = (0..80).map(|_| TaskSpec::compute(0.05)).collect();
+    let light: Vec<TaskSpec> = (0..20).map(|_| TaskSpec::compute(0.05)).collect();
+    let wl = SpecWorkload::iterated(vec![heavy, light], 1);
+    let p = Platform::homogeneous(2, 4);
+    let r = ClusterSim::execute(
+        RunSpec::new(&p, &BalanceConfig::preset(Preset::Baseline), wl).trace(true),
+    )
+    .unwrap();
+    let secs = r.makespan.as_secs_f64();
+    assert!((secs - 1.0).abs() < 0.01, "makespan {secs}");
+}
+
+#[test]
+fn offloading_spreads_imbalance() {
+    let heavy: Vec<TaskSpec> = (0..80).map(|_| TaskSpec::compute(0.05)).collect();
+    let light: Vec<TaskSpec> = (0..20).map(|_| TaskSpec::compute(0.05)).collect();
+    let wl = SpecWorkload::iterated(vec![heavy, light], 4);
+    let p = Platform::homogeneous(2, 4);
+    let base = ClusterSim::execute(
+        RunSpec::new(&p, &BalanceConfig::preset(Preset::Baseline), wl.clone()).trace(true),
+    )
+    .unwrap();
+    let cfg = BalanceConfig::preset(Preset::Offload {
+        degree: 2,
+        drom: DromPolicy::Global,
+    });
+    let bal = ClusterSim::execute(RunSpec::new(&p, &cfg, wl).trace(true)).unwrap();
+    assert!(
+        bal.makespan.as_secs_f64() < 0.8 * base.makespan.as_secs_f64(),
+        "balanced {} vs baseline {}",
+        bal.makespan,
+        base.makespan
+    );
+    assert!(bal.offloaded_tasks > 0);
+}
+
+#[test]
+fn lewi_only_helps_but_less_than_drom() {
+    let heavy: Vec<TaskSpec> = (0..120).map(|_| TaskSpec::compute(0.05)).collect();
+    let light: Vec<TaskSpec> = (0..40).map(|_| TaskSpec::compute(0.05)).collect();
+    let wl = SpecWorkload::iterated(vec![heavy, light], 4);
+    let p = Platform::homogeneous(2, 4);
+    let base = ClusterSim::execute(
+        RunSpec::new(&p, &BalanceConfig::preset(Preset::Baseline), wl.clone()).trace(true),
+    )
+    .unwrap();
+    let lewi_cfg = BalanceConfig::preset(Preset::Offload {
+        degree: 2,
+        drom: DromPolicy::Off,
+    });
+    let lewi = ClusterSim::execute(RunSpec::new(&p, &lewi_cfg, wl.clone()).trace(true)).unwrap();
+    let drom = ClusterSim::execute(
+        RunSpec::new(
+            &p,
+            &BalanceConfig::preset(Preset::Offload {
+                degree: 2,
+                drom: DromPolicy::Global,
+            }),
+            wl,
+        )
+        .trace(true),
+    )
+    .unwrap();
+    assert!(
+        lewi.makespan < base.makespan,
+        "LeWI {} vs baseline {}",
+        lewi.makespan,
+        base.makespan
+    );
+    assert!(
+        drom.makespan <= lewi.makespan,
+        "DROM {} vs LeWI {}",
+        drom.makespan,
+        lewi.makespan
+    );
+}
+
+#[test]
+fn pinned_tasks_never_offload() {
+    let tasks: Vec<TaskSpec> = (0..40).map(|_| TaskSpec::pinned(0.05)).collect();
+    let wl = SpecWorkload::iterated(vec![tasks.clone(), tasks], 2);
+    let p = Platform::homogeneous(2, 4);
+    let cfg = BalanceConfig::preset(Preset::Offload {
+        degree: 2,
+        drom: DromPolicy::Global,
+    });
+    let r = ClusterSim::execute(RunSpec::new(&p, &cfg, wl).trace(true)).unwrap();
+    assert_eq!(r.offloaded_tasks, 0);
+}
+
+#[test]
+fn slow_node_stretches_baseline() {
+    let wl = uniform(2, 40, 0.05, 1);
+    let fast = Platform::homogeneous(2, 4);
+    let slow = Platform::homogeneous(2, 4).with_slowdown(1, 2.0);
+    let rf = ClusterSim::execute(
+        RunSpec::new(&fast, &BalanceConfig::preset(Preset::Baseline), wl.clone()).trace(true),
+    )
+    .unwrap();
+    let rs = ClusterSim::execute(
+        RunSpec::new(&slow, &BalanceConfig::preset(Preset::Baseline), wl).trace(true),
+    )
+    .unwrap();
+    let ratio = rs.makespan.as_secs_f64() / rf.makespan.as_secs_f64();
+    assert!((ratio - 2.0).abs() < 0.05, "slowdown ratio {ratio}");
+}
+
+#[test]
+fn offloading_rescues_slow_node() {
+    let wl = uniform(2, 80, 0.05, 4);
+    let p = Platform::homogeneous(2, 4).with_slowdown(1, 3.0);
+    let base = ClusterSim::execute(
+        RunSpec::new(&p, &BalanceConfig::preset(Preset::Baseline), wl.clone()).trace(true),
+    )
+    .unwrap();
+    let bal = ClusterSim::execute(
+        RunSpec::new(
+            &p,
+            &BalanceConfig::preset(Preset::Offload {
+                degree: 2,
+                drom: DromPolicy::Global,
+            }),
+            wl,
+        )
+        .trace(true),
+    )
+    .unwrap();
+    assert!(
+        bal.makespan.as_secs_f64() < 0.85 * base.makespan.as_secs_f64(),
+        "balanced {} vs baseline {}",
+        bal.makespan,
+        base.makespan
+    );
+}
+
+#[test]
+fn deterministic_replay() {
+    let heavy: Vec<TaskSpec> = (0..60).map(|_| TaskSpec::compute(0.02)).collect();
+    let light: Vec<TaskSpec> = (0..10).map(|_| TaskSpec::compute(0.02)).collect();
+    let wl = SpecWorkload::iterated(vec![heavy, light], 3);
+    let p = Platform::homogeneous(2, 4);
+    let cfg = BalanceConfig::preset(Preset::Offload {
+        degree: 2,
+        drom: DromPolicy::Global,
+    });
+    let a = ClusterSim::execute(RunSpec::new(&p, &cfg, wl.clone()).trace(true)).unwrap();
+    let b = ClusterSim::execute(RunSpec::new(&p, &cfg, wl).trace(true)).unwrap();
+    assert_eq!(a.makespan, b.makespan);
+    assert_eq!(a.offloaded_tasks, b.offloaded_tasks);
+    assert_eq!(a.events, b.events);
+}
+
+#[test]
+fn local_policy_runs_and_balances() {
+    let heavy: Vec<TaskSpec> = (0..120).map(|_| TaskSpec::compute(0.05)).collect();
+    let light: Vec<TaskSpec> = (0..20).map(|_| TaskSpec::compute(0.05)).collect();
+    let wl = SpecWorkload::iterated(vec![heavy, light], 4);
+    let p = Platform::homogeneous(2, 4);
+    let base = ClusterSim::execute(
+        RunSpec::new(&p, &BalanceConfig::preset(Preset::Baseline), wl.clone()).trace(true),
+    )
+    .unwrap();
+    let local = ClusterSim::execute(
+        RunSpec::new(
+            &p,
+            &BalanceConfig::preset(Preset::Offload {
+                degree: 2,
+                drom: DromPolicy::Local,
+            }),
+            wl,
+        )
+        .trace(true),
+    )
+    .unwrap();
+    assert!(
+        local.makespan.as_secs_f64() < 0.85 * base.makespan.as_secs_f64(),
+        "local {} vs baseline {}",
+        local.makespan,
+        base.makespan
+    );
+}
+
+#[test]
+fn report_bookkeeping() {
+    let wl = uniform(2, 10, 0.01, 3);
+    let p = Platform::homogeneous(2, 4);
+    let cfg = BalanceConfig::preset(Preset::Offload {
+        degree: 2,
+        drom: DromPolicy::Global,
+    });
+    let r = ClusterSim::execute(RunSpec::new(&p, &cfg, wl).trace(true)).unwrap();
+    assert_eq!(r.total_tasks, 60);
+    assert_eq!(r.iteration_times.len(), 3);
+    assert_eq!(r.trace.iteration_ends.len(), 3);
+    assert!(r.events > 0);
+    assert!(r.mean_iteration_secs(0) > 0.0);
+}
+
+#[test]
+fn region_dependencies_serialize_within_iteration() {
+    use tlb_tasking::DataRegion;
+    // 10 tasks chained through one region: even with 4 cores they
+    // must run one after another → iteration = sum of durations.
+    let r = DataRegion::new(0x1000, 64);
+    let chain: Vec<TaskSpec> = (0..10)
+        .map(|_| TaskSpec::compute(0.05).reads_writes(r))
+        .collect();
+    let wl = SpecWorkload::iterated(vec![chain], 1);
+    let p = Platform::homogeneous(1, 4);
+    let rep = ClusterSim::execute(
+        RunSpec::new(&p, &BalanceConfig::preset(Preset::Baseline), wl).trace(true),
+    )
+    .unwrap();
+    let secs = rep.makespan.as_secs_f64();
+    assert!((secs - 0.5).abs() < 1e-6, "chained makespan {secs}");
+}
+
+#[test]
+fn producer_consumer_dependencies_respected() {
+    use tlb_tasking::DataRegion;
+    // One producer writes a buffer; 8 consumers read chunks. The
+    // consumers can only start after the producer: makespan =
+    // producer + ceil(8/4)*consumer.
+    let buf = DataRegion::new(0x2000, 800);
+    let mut tasks = vec![TaskSpec::compute(0.1).writes(buf)];
+    for c in buf.chunks(8) {
+        tasks.push(TaskSpec::compute(0.05).reads(c));
+    }
+    let wl = SpecWorkload::iterated(vec![tasks], 1);
+    let p = Platform::homogeneous(1, 4);
+    let rep = ClusterSim::execute(
+        RunSpec::new(&p, &BalanceConfig::preset(Preset::Baseline), wl).trace(true),
+    )
+    .unwrap();
+    let secs = rep.makespan.as_secs_f64();
+    assert!((secs - 0.2).abs() < 1e-6, "fan-out makespan {secs}");
+}
+
+#[test]
+fn dependent_tasks_offload_too() {
+    use tlb_tasking::DataRegion;
+    // Independent chains (one per region) can spread across nodes
+    // even though each chain is serial.
+    let chains: Vec<TaskSpec> = (0..8)
+        .flat_map(|k| {
+            let r = DataRegion::new(0x1000 * (k + 1), 64);
+            (0..6).map(move |_| TaskSpec::compute(0.05).reads_writes(r))
+        })
+        .collect();
+    let wl = SpecWorkload::iterated(vec![chains, Vec::new()], 2);
+    let p = Platform::homogeneous(2, 4);
+    let base = ClusterSim::execute(
+        RunSpec::new(&p, &BalanceConfig::preset(Preset::Baseline), wl.clone()).trace(true),
+    )
+    .unwrap();
+    let bal = ClusterSim::execute(
+        RunSpec::new(
+            &p,
+            &BalanceConfig::preset(Preset::Offload {
+                degree: 2,
+                drom: DromPolicy::Global,
+            }),
+            wl,
+        )
+        .trace(true),
+    )
+    .unwrap();
+    assert!(
+        bal.makespan < base.makespan,
+        "offloading chains: {} vs {}",
+        bal.makespan,
+        base.makespan
+    );
+    assert!(bal.offloaded_tasks > 0);
+}
+
+#[test]
+fn mpi_recv_waits_for_send_and_transfer() {
+    use tlb_tasking::DataRegion;
+    // Rank 0: compute 100 ms, then send 10 MB. Rank 1: recv, then a
+    // compute that reads the received buffer.
+    let buf = DataRegion::new(0x9000, 64);
+    let r0 = vec![
+        TaskSpec::compute(0.1).writes(DataRegion::new(0x100, 8)),
+        TaskSpec::mpi_send(0.001, 1, 7, 10_000_000).reads(DataRegion::new(0x100, 8)),
+    ];
+    let r1 = vec![
+        TaskSpec::mpi_recv(0.001, 0, 7).writes(buf),
+        TaskSpec::compute(0.05).reads(buf),
+    ];
+    let wl = SpecWorkload::iterated(vec![r0, r1], 1);
+    let mut p = Platform::homogeneous(2, 2);
+    p.net_bandwidth = 1e9; // 10 MB at 1 GB/s = 10 ms on the wire
+    let rep = ClusterSim::execute(
+        RunSpec::new(&p, &BalanceConfig::preset(Preset::Baseline), wl).trace(true),
+    )
+    .unwrap();
+    // Critical path: 0.1 (compute) + 0.001 (pack) + 0.010 (wire)
+    // + 0.001 (unpack) + 0.05 (consume) ≈ 0.162.
+    let secs = rep.makespan.as_secs_f64();
+    assert!((secs - 0.162).abs() < 0.002, "makespan {secs}");
+}
+
+#[test]
+fn mpi_ping_pong_round_trip() {
+    // Rank 0 sends to 1; rank 1 receives and replies; rank 0 receives.
+    let r0 = vec![
+        TaskSpec::mpi_send(0.001, 1, 1, 0),
+        TaskSpec::mpi_recv(0.001, 1, 2),
+    ];
+    let r1 = vec![
+        TaskSpec::mpi_recv(0.001, 0, 1).writes(tlb_tasking::DataRegion::new(0x10, 8)),
+        TaskSpec::mpi_send(0.001, 0, 2, 0).reads(tlb_tasking::DataRegion::new(0x10, 8)),
+    ];
+    let wl = SpecWorkload::iterated(vec![r0, r1], 2);
+    let p = Platform::homogeneous(2, 2);
+    let rep = ClusterSim::execute(
+        RunSpec::new(&p, &BalanceConfig::preset(Preset::Baseline), wl).trace(true),
+    )
+    .unwrap();
+    assert_eq!(rep.total_tasks, 8);
+    // Two latencies + four task bodies per iteration, two iterations.
+    assert!(rep.makespan.as_secs_f64() > 2.0 * 0.004);
+}
+
+#[test]
+fn unmatched_recv_is_reported_not_hung() {
+    let r0 = vec![TaskSpec::compute(0.01)];
+    let r1 = vec![TaskSpec::mpi_recv(0.001, 0, 99)];
+    let wl = SpecWorkload::iterated(vec![r0, r1], 1);
+    let p = Platform::homogeneous(2, 2);
+    match ClusterSim::execute(
+        RunSpec::new(&p, &BalanceConfig::preset(Preset::Baseline), wl).trace(true),
+    ) {
+        Err(SimError::Shape(msg)) => assert!(msg.contains("deadlock"), "{msg}"),
+        other => panic!("expected deadlock error, got {other:?}"),
+    }
+}
+
+#[test]
+fn offloadable_mpi_task_rejected() {
+    let mut bad = TaskSpec::mpi_send(0.001, 1, 1, 0);
+    bad.offloadable = true;
+    let wl = SpecWorkload::iterated(vec![vec![bad], vec![TaskSpec::mpi_recv(0.001, 0, 1)]], 1);
+    let p = Platform::homogeneous(2, 2);
+    let err = ClusterSim::execute(
+        RunSpec::new(&p, &BalanceConfig::preset(Preset::Baseline), wl).trace(true),
+    )
+    .unwrap_err();
+    match err {
+        SimError::Shape(msg) => assert!(msg.contains("non-offloadable"), "{msg}"),
+        other => panic!("expected Shape error, got {other}"),
+    }
+}
+
+#[test]
+fn speed_event_throttles_and_offloading_recovers() {
+    use tlb_des::SimTime;
+    // Balanced workload; node 1 throttles to one third speed midway.
+    let wl = uniform(2, 120, 0.05, 8);
+    let p = Platform::homogeneous(2, 4).with_speed_event(SimTime::from_secs(3), 1, 1.0 / 3.0);
+    let base = ClusterSim::execute(RunSpec::new(
+        &p,
+        &BalanceConfig::preset(Preset::Baseline),
+        wl.clone(),
+    ))
+    .unwrap();
+    let mut cfg = BalanceConfig::preset(Preset::Offload {
+        degree: 2,
+        drom: DromPolicy::Global,
+    });
+    cfg.global_period = SimTime::from_millis(500);
+    let bal = ClusterSim::execute(RunSpec::new(&p, &cfg, wl.clone())).unwrap();
+    // Without throttling both would take ~6s; with it the baseline's
+    // later iterations stretch ~3x on node 1 while the balanced run
+    // re-spreads the work.
+    assert!(
+        bal.makespan.as_secs_f64() < 0.8 * base.makespan.as_secs_f64(),
+        "throttled: balanced {} vs baseline {}",
+        bal.makespan,
+        base.makespan
+    );
+    // And a no-event control shows the event really was the cause.
+    let calm = Platform::homogeneous(2, 4);
+    let calm_base = ClusterSim::execute(RunSpec::new(
+        &calm,
+        &BalanceConfig::preset(Preset::Baseline),
+        wl,
+    ))
+    .unwrap();
+    assert!(base.makespan.as_secs_f64() > 1.5 * calm_base.makespan.as_secs_f64());
+}
+
+#[test]
+fn speed_events_are_deterministic() {
+    use tlb_des::SimTime;
+    let wl = uniform(2, 40, 0.02, 3);
+    let p = Platform::homogeneous(2, 4)
+        .with_speed_event(SimTime::from_millis(200), 0, 0.5)
+        .with_speed_event(SimTime::from_millis(500), 0, 1.0);
+    let cfg = BalanceConfig::preset(Preset::Offload {
+        degree: 2,
+        drom: DromPolicy::Global,
+    });
+    let a = ClusterSim::execute(RunSpec::new(&p, &cfg, wl.clone())).unwrap();
+    let b = ClusterSim::execute(RunSpec::new(&p, &cfg, wl)).unwrap();
+    assert_eq!(a.makespan, b.makespan);
+    assert_eq!(a.events, b.events);
+}
+
+#[test]
+fn dynamic_spreading_spawns_helpers_and_balances() {
+    // Start at degree 1 (no helpers). One hot apprank must trigger
+    // helper spawning and approach the static degree-3 result.
+    let heavy: Vec<TaskSpec> = (0..160).map(|_| TaskSpec::compute(0.05)).collect();
+    let light: Vec<TaskSpec> = (0..20).map(|_| TaskSpec::compute(0.05)).collect();
+    let wl = SpecWorkload::iterated(vec![heavy, light.clone(), light.clone(), light], 8);
+    let p = Platform::homogeneous(4, 4);
+    let mut dyn_cfg = BalanceConfig::preset(Preset::DynamicSpread { max_degree: 3 });
+    dyn_cfg.global_period = SimTime::from_millis(300);
+    let mut static_cfg = BalanceConfig::preset(Preset::Offload {
+        degree: 3,
+        drom: DromPolicy::Global,
+    });
+    static_cfg.global_period = SimTime::from_millis(300);
+
+    let base = ClusterSim::execute(RunSpec::new(
+        &p,
+        &BalanceConfig::preset(Preset::Baseline),
+        wl.clone(),
+    ))
+    .unwrap();
+    let dynamic = ClusterSim::execute(RunSpec::new(&p, &dyn_cfg, wl.clone())).unwrap();
+    let statically = ClusterSim::execute(RunSpec::new(&p, &static_cfg, wl)).unwrap();
+
+    assert!(dynamic.spawned_helpers >= 1, "no helpers spawned");
+    assert!(
+        dynamic.spawned_helpers <= 4 * 2,
+        "spawning unbounded: {}",
+        dynamic.spawned_helpers
+    );
+    assert_eq!(statically.spawned_helpers, 0);
+    assert!(
+        dynamic.makespan.as_secs_f64() < 0.75 * base.makespan.as_secs_f64(),
+        "dynamic {} vs baseline {}",
+        dynamic.makespan,
+        base.makespan
+    );
+    // Within 30% of the static pre-provisioned configuration.
+    assert!(
+        dynamic.makespan.as_secs_f64() <= 1.3 * statically.makespan.as_secs_f64(),
+        "dynamic {} vs static {}",
+        dynamic.makespan,
+        statically.makespan
+    );
+}
+
+#[test]
+fn dynamic_spreading_spawns_nothing_when_balanced() {
+    let wl = uniform(4, 40, 0.05, 4);
+    let p = Platform::homogeneous(4, 4);
+    let cfg = BalanceConfig::preset(Preset::DynamicSpread { max_degree: 3 });
+    let r = ClusterSim::execute(RunSpec::new(&p, &cfg, wl)).unwrap();
+    assert_eq!(r.spawned_helpers, 0, "balanced load spawned helpers");
+    assert_eq!(r.offloaded_tasks, 0);
+}
+
+#[test]
+fn dynamic_requires_global_policy() {
+    let wl = uniform(2, 10, 0.01, 1);
+    let p = Platform::homogeneous(2, 4);
+    let mut cfg = BalanceConfig::preset(Preset::DynamicSpread { max_degree: 2 });
+    cfg.policy = PolicySpec::named("lewi+drom-local").unwrap();
+    assert!(matches!(
+        ClusterSim::execute(RunSpec::new(&p, &cfg, wl)),
+        Err(SimError::Shape(_))
+    ));
+}
+
+#[test]
+fn parallel_efficiency_reported() {
+    // Perfectly parallel single-rank fill: efficiency near 1.
+    let wl = uniform(1, 40, 0.1, 2);
+    let p = Platform::homogeneous(1, 4);
+    let r = ClusterSim::execute(
+        RunSpec::new(&p, &BalanceConfig::preset(Preset::Baseline), wl).trace(true),
+    )
+    .unwrap();
+    assert!(
+        r.parallel_efficiency > 0.95,
+        "efficiency {}",
+        r.parallel_efficiency
+    );
+    // Imbalanced baseline wastes the light node: efficiency well
+    // below 1 and roughly total-work / (makespan * cores).
+    let heavy: Vec<TaskSpec> = (0..80).map(|_| TaskSpec::compute(0.05)).collect();
+    let light: Vec<TaskSpec> = (0..20).map(|_| TaskSpec::compute(0.05)).collect();
+    let wl = SpecWorkload::iterated(vec![heavy, light], 1);
+    let p = Platform::homogeneous(2, 4);
+    let r = ClusterSim::execute(
+        RunSpec::new(&p, &BalanceConfig::preset(Preset::Baseline), wl).trace(true),
+    )
+    .unwrap();
+    let expected = 5.0 / (r.makespan.as_secs_f64() * 8.0);
+    assert!(
+        (r.parallel_efficiency - expected).abs() < 0.02,
+        "efficiency {} vs expected {expected}",
+        r.parallel_efficiency
+    );
+}
+
+#[test]
+fn shape_errors_rejected() {
+    let wl = uniform(3, 5, 0.01, 1);
+    let p = Platform::homogeneous(2, 4);
+    assert!(matches!(
+        ClusterSim::execute(
+            RunSpec::new(&p, &BalanceConfig::preset(Preset::Baseline), wl).trace(true)
+        ),
+        Err(SimError::Shape(_))
+    ));
+    // Degree too large for the cores.
+    let wl = uniform(4, 5, 0.01, 1);
+    let p = Platform::homogeneous(2, 4);
+    let mut cfg = BalanceConfig::preset(Preset::Offload {
+        degree: 2,
+        drom: DromPolicy::Off,
+    });
+    cfg.degree = 2; // 2 appranks/node * degree 2 = 4 workers on 4 cores: ok
+    assert!(ClusterSim::execute(RunSpec::new(&p, &cfg, wl.clone()).trace(true)).is_ok());
+    cfg.degree = 3; // would need 6 workers > 4 cores... but degree 3 > nodes(2) anyway
+    assert!(ClusterSim::execute(RunSpec::new(&p, &cfg, wl).trace(true)).is_err());
+}
+
+#[test]
+fn perfect_balance_bound_respected() {
+    // Makespan can never beat total_work / capacity.
+    let heavy: Vec<TaskSpec> = (0..64).map(|_| TaskSpec::compute(0.05)).collect();
+    let light: Vec<TaskSpec> = (0..16).map(|_| TaskSpec::compute(0.05)).collect();
+    let wl = SpecWorkload::iterated(vec![heavy, light], 2);
+    let total = wl.total_work();
+    let p = Platform::homogeneous(2, 4);
+    let cfg = BalanceConfig::preset(Preset::Offload {
+        degree: 2,
+        drom: DromPolicy::Global,
+    });
+    let r = ClusterSim::execute(RunSpec::new(&p, &cfg, wl).trace(true)).unwrap();
+    let bound = total / 8.0;
+    assert!(
+        r.makespan.as_secs_f64() >= bound - 1e-9,
+        "makespan {} below physical bound {bound}",
+        r.makespan
+    );
+}
+
+/// Holds a traced run's exports to the bytes recorded before the
+/// exporters streamed and the counters were derived from events: the
+/// counters dump (gauge values are wall-clock, so their names only),
+/// then length and FNV-1a digest of the Chrome and CSV texts. The
+/// Chrome text must also be canonical JSON: parsing and
+/// re-serialising it changes no byte.
+fn assert_exports(trace: &Trace, counters: &str, digests: [(usize, u64); 2]) {
+    let chrome = crate::trace_to_chrome(trace);
+    let reparsed = tlb_json::parse(&chrome).unwrap().to_string_compact();
+    assert!(reparsed == chrome, "Chrome export is not canonical JSON");
+    let gauges = trace.counters.sorted_gauges();
+    let gauges: Vec<&str> = gauges.iter().map(|(name, _)| name.as_str()).collect();
+    let counts = trace.counters.to_json().get("counters").to_string_compact();
+    assert_eq!(format!("{counts} {}", gauges.join(",")), counters);
+    let digest = |text: String| {
+        let fnv = text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        (text.len(), fnv)
+    };
+    let texts = [chrome, crate::trace_to_csv(trace)];
+    assert_eq!(texts.map(digest), digests);
+}
+
+#[test]
+fn trace_events_cover_task_lifecycle() {
+    use std::collections::HashSet;
+    use tlb_trace::EventKind as K;
+    let heavy: Vec<TaskSpec> = (0..60).map(|_| TaskSpec::compute(0.05)).collect();
+    let light: Vec<TaskSpec> = (0..10).map(|_| TaskSpec::compute(0.05)).collect();
+    let wl = SpecWorkload::iterated(vec![heavy, light], 2);
+    let p = Platform::homogeneous(2, 4);
+    let mut cfg = BalanceConfig::preset(Preset::Offload {
+        degree: 2,
+        drom: DromPolicy::Global,
+    });
+    cfg.global_period = SimTime::from_millis(500);
+    let r = ClusterSim::execute(RunSpec::new(&p, &cfg, wl.clone()).trace(true)).unwrap();
+    let log = &r.trace.log;
+    // Exactly one created/ready/started/completed per task.
+    for pred in [
+        (&|k: &K| matches!(k, K::TaskCreated { .. })) as &dyn Fn(&K) -> bool,
+        &|k: &K| matches!(k, K::TaskReady { .. }),
+        &|k: &K| matches!(k, K::TaskStarted { .. }),
+        &|k: &K| matches!(k, K::TaskCompleted { .. }),
+    ] {
+        assert_eq!(log.count(pred), r.total_tasks);
+    }
+    let started: HashSet<_> = log
+        .merged()
+        .iter()
+        .filter_map(|e| match &e.kind {
+            K::TaskStarted { key, .. } => Some(*key),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(started.len(), r.total_tasks, "duplicate start keys");
+    // Every task got at least one scheduling decision; offloads and
+    // iteration boundaries are recorded; the solver left a record.
+    assert!(log.count(|k| matches!(k, K::SchedDecision { .. })) >= r.total_tasks);
+    assert_eq!(
+        log.count(|k| matches!(k, K::TaskOffloaded { .. })),
+        r.offloaded_tasks
+    );
+    assert_eq!(log.count(|k| matches!(k, K::IterationEnd { .. })), 2);
+    assert!(log.count(|k| matches!(k, K::SolverInvoked { .. })) >= 1);
+    // Both DLB mechanisms left a record too.
+    assert!(log.count(|k| matches!(k, K::LewiBorrow { .. })) >= 1);
+    let drom = |k: &K| matches!(k, K::DromOwnership { .. } | K::DromTransfer { .. });
+    assert!(log.count(drom) >= 1);
+    // The Chrome export pairs every task into one complete slice.
+    let phases = |trace: &Trace, ph: &str| {
+        let doc = tlb_json::parse(&crate::trace_to_chrome(trace)).unwrap();
+        let events = doc.get("traceEvents").as_array().unwrap();
+        let with_ph = events.iter().filter(|e| e.get("ph").as_str() == Some(ph));
+        (with_ph.count(), events.len())
+    };
+    assert_eq!(phases(&r.trace, "X").0, r.total_tasks);
+    // Counters agree with the report's own bookkeeping.
+    let c = &r.trace.counters;
+    assert_eq!(c.count("tasks_started"), r.total_tasks as u64);
+    assert_eq!(c.count("tasks_completed"), r.total_tasks as u64);
+    assert_eq!(c.count("tasks_offloaded"), r.offloaded_tasks as u64);
+    assert_eq!(c.count("solver_invocations"), r.solver_runs as u64);
+    assert_eq!(c.count("iterations_completed"), 2);
+    // And the exports are the bytes the parent of this exporter wrote.
+    assert_exports(
+        &r.trace,
+        r#"{"drom_ownership_sets":2,"drom_transfers":2,"iterations_completed":2,"lewi_lends":48,"lewi_reclaims":15,"sched_decisions":141,"solver_invocations":1,"solver_simplex_iterations":5,"steal_attempts":192,"tasks_completed":140,"tasks_created":140,"tasks_held":109,"tasks_offloaded":52,"tasks_ready":140,"tasks_started":140,"tasks_stolen":108} solver_modelled_ms,solver_wall_ms"#,
+        [
+            (122_814, 0x623c_efd9_e5eb_781b),
+            (34_533, 0x35cc_60b8_a778_a181),
+        ],
+    );
+    // Disabled tracing records nothing at all.
+    let off = ClusterSim::execute(RunSpec::new(&p, &cfg, wl)).unwrap();
+    assert!(off.trace.log.is_empty());
+    assert!(off.trace.counters.is_empty());
+    assert_eq!(crate::trace_to_csv(&off.trace).lines().count(), 1);
+    let (metadata, all) = phases(&off.trace, "M");
+    assert_eq!(metadata, all, "a disabled trace exports metadata only");
+}
+
+#[test]
+fn trace_event_stream_is_deterministic() {
+    let heavy: Vec<TaskSpec> = (0..40).map(|_| TaskSpec::compute(0.02)).collect();
+    let light: Vec<TaskSpec> = (0..10).map(|_| TaskSpec::compute(0.02)).collect();
+    let wl = SpecWorkload::iterated(vec![heavy, light], 2);
+    let p = Platform::homogeneous(2, 4);
+    let cfg = BalanceConfig::preset(Preset::Offload {
+        degree: 2,
+        drom: DromPolicy::Global,
+    });
+    let a = ClusterSim::execute(RunSpec::new(&p, &cfg, wl.clone()).trace(true)).unwrap();
+    let b = ClusterSim::execute(RunSpec::new(&p, &cfg, wl).trace(true)).unwrap();
+    assert_eq!(a.trace.log.merged(), b.trace.log.merged());
+    assert_eq!(
+        a.trace.counters.sorted_counts(),
+        b.trace.counters.sorted_counts()
+    );
+}
+
+#[test]
+fn transfer_costs_are_charged() {
+    // Huge payloads make offloading unattractive in time even though
+    // the scheduler still sends tasks: makespan grows vs zero-byte.
+    let mk = |bytes: usize| -> SpecWorkload {
+        let heavy: Vec<TaskSpec> = (0..60).map(|_| TaskSpec::with_bytes(0.02, bytes)).collect();
+        let light: Vec<TaskSpec> = (0..10).map(|_| TaskSpec::compute(0.02)).collect();
+        SpecWorkload::iterated(vec![heavy, light], 2)
+    };
+    let mut p = Platform::homogeneous(2, 4);
+    p.net_bandwidth = 1e8; // slow network to make the effect visible
+    let cfg = BalanceConfig::preset(Preset::Offload {
+        degree: 2,
+        drom: DromPolicy::Global,
+    });
+    let small = ClusterSim::execute(RunSpec::new(&p, &cfg, mk(0)).trace(true)).unwrap();
+    let big = ClusterSim::execute(RunSpec::new(&p, &cfg, mk(4_000_000)).trace(true)).unwrap();
+    assert!(
+        big.makespan > small.makespan,
+        "transfer cost not charged: {} vs {}",
+        big.makespan,
+        small.makespan
+    );
+}
+
+/// An imbalanced two-node workload under the global DROM policy; the
+/// shape every fault test drives.
+fn faulty_setup() -> (Platform, BalanceConfig, SpecWorkload) {
+    let heavy: Vec<TaskSpec> = (0..80).map(|_| TaskSpec::compute(0.05)).collect();
+    let light: Vec<TaskSpec> = (0..20).map(|_| TaskSpec::compute(0.05)).collect();
+    let wl = SpecWorkload::iterated(vec![heavy, light], 4);
+    let p = Platform::homogeneous(2, 4);
+    let mut cfg = BalanceConfig::preset(Preset::Offload {
+        degree: 2,
+        drom: DromPolicy::Global,
+    });
+    // Tick fast enough that mid-run fault windows cover solver runs.
+    cfg.global_period = SimTime::from_millis(500);
+    (p, cfg, wl)
+}
+
+/// Every fault kind at once: a straggler burst, two kills, an outage
+/// spanning global ticks, lossy sends with retries, a degraded link.
+fn every_fault_kind() -> FaultPlan {
+    FaultPlan::new(42)
+        .with_straggler(0.4, 1, 3.0, 1.0)
+        .with_kill(0.6)
+        .with_kill_of(1.2, 0, 1)
+        .with_outage(0.5, 1.5, LpError::IterationLimit)
+        .with_loss(0.0, 3.0, 0.4, 3, 0.002)
+        .with_delay(0.0, 3.0, 0.001)
+}
+
+fn run_plan(plan: &FaultPlan) -> SimReport {
+    let (p, cfg, wl) = faulty_setup();
+    ClusterSim::execute(RunSpec::new(&p, &cfg, wl).trace(true).faults(plan)).unwrap()
+}
+
+#[test]
+fn empty_fault_plan_is_bitwise_identical() {
+    let (p, cfg, wl) = faulty_setup();
+    let a = ClusterSim::execute(RunSpec::new(&p, &cfg, wl.clone()).trace(true)).unwrap();
+    let b = ClusterSim::execute(
+        RunSpec::new(&p, &cfg, wl)
+            .trace(true)
+            .faults(&FaultPlan::none()),
+    )
+    .unwrap();
+    assert_eq!(a.makespan, b.makespan);
+    assert_eq!(a.iteration_times, b.iteration_times);
+    assert_eq!(a.events, b.events);
+    assert_eq!(a.offloaded_tasks, b.offloaded_tasks);
+    assert_eq!(a.solver_runs, b.solver_runs);
+    assert_eq!(b.faults, FaultStats::default());
+    assert_eq!(a.trace.log.merged(), b.trace.log.merged());
+    assert_eq!(
+        a.trace.counters.sorted_counts(),
+        b.trace.counters.sorted_counts()
+    );
+}
+
+#[test]
+fn solver_outage_falls_back_for_every_error_kind() {
+    let (_, _, wl) = faulty_setup();
+    let baseline = {
+        let (p, cfg, _) = faulty_setup();
+        ClusterSim::execute(RunSpec::new(&p, &cfg, wl.clone()).trace(true)).unwrap()
+    };
+    for error in [
+        LpError::IterationLimit,
+        LpError::Infeasible,
+        LpError::Unbounded,
+    ] {
+        // The outage covers several global ticks in the middle of the
+        // run; every covered tick must fall back, none may abort.
+        let plan = FaultPlan::new(7).with_outage(0.3, 1.0, error.clone());
+        let r = run_plan(&plan);
+        assert!(
+            r.faults.solver_fallbacks >= 1,
+            "{error:?}: no fallback recorded"
+        );
+        assert_eq!(r.total_tasks, baseline.total_tasks, "{error:?}");
+        assert_eq!(
+            r.faults.injected,
+            r.faults.recovered + r.faults.absorbed,
+            "{error:?}: unaccounted faults"
+        );
+        // Degraded, never dead: the run completes in bounded time.
+        assert!(
+            r.makespan.as_secs_f64() < 10.0 * baseline.makespan.as_secs_f64(),
+            "{error:?}: degradation unbounded"
+        );
+    }
+}
+
+#[test]
+fn killed_worker_hands_back_tasks_and_cores() {
+    // Kill apprank 0's helper mid-run: its queued/in-flight tasks must
+    // re-run at home and the run still completes every task.
+    let plan = FaultPlan::new(11).with_kill_of(0.35, 0, 1);
+    completes_exactly_once(&plan, 1);
+    // The same with every other fault kind firing around two kills;
+    // each kind demonstrably fired, and the trace agrees with the stats.
+    let r = completes_exactly_once(&every_fault_kind(), 2);
+    let f = r.faults;
+    assert!(f.tasks_requeued >= 1 && f.messages_dropped >= 1, "{f:?}");
+    assert!(f.solver_fallbacks >= 1, "{f:?}");
+    let count = |pred: fn(&EventKind) -> bool| r.trace.log.count(pred);
+    assert_eq!(count(|k| matches!(k, EventKind::StragglerStart { .. })), 1);
+    assert_eq!(count(|k| matches!(k, EventKind::StragglerEnd { .. })), 1);
+    let killed = count(|k| matches!(k, EventKind::WorkerKilled { .. }));
+    assert_eq!(killed, f.workers_killed);
+    let fallbacks = count(|k| matches!(k, EventKind::SolverFallback { .. }));
+    assert_eq!(fallbacks, f.solver_fallbacks);
+}
+
+fn completes_exactly_once(plan: &FaultPlan, kills: usize) -> SimReport {
+    let r = run_plan(plan);
+    assert_eq!(r.faults.workers_killed, kills);
+    assert_eq!(r.total_tasks, 4 * 100);
+    assert_eq!(r.iteration_times.len(), 4);
+    assert_eq!(r.faults.injected, r.faults.recovered + r.faults.absorbed);
+    // Exact-once: every created task completed exactly once.
+    use std::collections::HashMap as Map;
+    let mut completed: Map<(u32, u32, u32), usize> = Map::new();
+    for ev in r.trace.log.merged() {
+        if let EventKind::TaskCompleted { key, .. } = ev.kind {
+            *completed
+                .entry((key.iteration, key.apprank, key.task))
+                .or_default() += 1;
+        }
+    }
+    assert_eq!(completed.len(), r.total_tasks, "tasks lost");
+    assert!(
+        completed.values().all(|&c| c == 1),
+        "a task ran more than once"
+    );
+    r
+}
+
+#[test]
+fn seeded_kill_picks_deterministic_victim() {
+    let plan = FaultPlan::new(5).with_kill(0.4);
+    let a = run_plan(&plan);
+    let b = run_plan(&plan);
+    assert_eq!(a.faults.workers_killed, 1);
+    assert_eq!(a.makespan, b.makespan);
+    assert_eq!(a.trace.log.merged(), b.trace.log.merged());
+}
+
+#[test]
+fn straggler_burst_slows_run_then_recovers() {
+    let clean = run_plan(&FaultPlan::none());
+    let plan = FaultPlan::new(3).with_straggler(0.2, 0, 4.0, 1.0);
+    let r = run_plan(&plan);
+    assert!(
+        r.makespan > clean.makespan,
+        "straggler had no effect: {} vs {}",
+        r.makespan,
+        clean.makespan
+    );
+    assert_eq!(r.faults.injected, 1);
+    assert_eq!(r.faults.recovered, 1);
+    assert_eq!(r.total_tasks, clean.total_tasks);
+}
+
+#[test]
+fn message_loss_retries_and_fails_over() {
+    // Aggressive loss: most offload sends drop; with 2 retries many
+    // fail over to the home rank. The run must still complete.
+    let plan = FaultPlan::new(17).with_loss(0.0, 1e9, 0.9, 2, 0.002);
+    let r = run_plan(&plan);
+    assert!(r.faults.messages_dropped > 0, "no drops with rate 0.9");
+    assert!(r.faults.message_failovers > 0, "no failovers with rate 0.9");
+    assert_eq!(r.total_tasks, 4 * 100);
+    assert_eq!(r.faults.injected, r.faults.recovered + r.faults.absorbed);
+}
+
+/// The fault setup with a full four-strategy portfolio racing on the
+/// global ticks.
+fn portfolio_setup() -> (Platform, BalanceConfig, SpecWorkload) {
+    let (p, mut cfg, wl) = faulty_setup();
+    cfg.portfolio = Some(tlb_portfolio::PortfolioConfig::default());
+    (p, cfg, wl)
+}
+
+#[test]
+fn portfolio_run_completes_and_accounts_every_solve() {
+    let (p, cfg, wl) = portfolio_setup();
+    let r = ClusterSim::execute(
+        RunSpec::new(&p, &cfg, wl)
+            .trace(true)
+            .faults(&FaultPlan::none()),
+    )
+    .unwrap();
+    assert_eq!(r.total_tasks, 4 * 100);
+    let stats = r.portfolio.expect("portfolio stats missing");
+    assert_eq!(stats.solves, r.solver_runs, "one race per solver run");
+    assert_eq!(stats.no_winner, 0);
+    let wins: usize = Strategy::ALL.iter().map(|&s| stats.of(s).wins).sum();
+    assert_eq!(wins, stats.solves, "every race crowned a winner");
+    // Every enabled strategy raced every time (nothing demoted in the
+    // non-adaptive default).
+    for &s in &Strategy::ALL {
+        assert_eq!(stats.of(s).attempts, stats.solves, "{}", s.name());
+    }
+    // Portfolio events landed on the global stream, a pick per race,
+    // and no pick scores worse than a candidate of its race.
+    let merged = r.trace.log.merged();
+    let solves = merged.iter().filter_map(|e| match &e.kind {
+        EventKind::PortfolioSolve(rec) => Some(rec),
+        _ => None,
+    });
+    let picks = merged.iter().filter_map(|e| match e.kind {
+        EventKind::PortfolioPick { score, .. } => Some(score),
+        _ => None,
+    });
+    assert_eq!(solves.clone().count(), stats.solves);
+    assert_eq!(picks.clone().count(), stats.solves);
+    for (rec, pick) in solves.zip(picks) {
+        let mut scored = rec.candidates.iter().filter(|c| c.score >= 0.0);
+        assert!(scored.all(|c| pick <= c.score + 1e-12), "{rec:?}");
+    }
+}
+
+#[test]
+fn faulty_portfolio_run_exports_the_pinned_bytes() {
+    // The same byte identity as in `trace_events_cover_task_lifecycle`,
+    // on a run that fires the fault and portfolio kinds too.
+    let (p, cfg, wl) = portfolio_setup();
+    let plan = every_fault_kind();
+    let r = ClusterSim::execute(RunSpec::new(&p, &cfg, wl).trace(true).faults(&plan)).unwrap();
+    assert_exports(
+        &r.trace,
+        r#"{"drom_ownership_sets":16,"drom_transfers":2,"fault_kills":2,"fault_messages_dropped":9,"fault_outages":1,"fault_stragglers":1,"fault_tasks_requeued":1,"fault_workers_killed":2,"iterations_completed":4,"lewi_lends":34,"lewi_reclaims":17,"portfolio_solves":5,"portfolio_wins_simplex":5,"sched_decisions":468,"solver_fallbacks":2,"solver_invocations":5,"solver_simplex_iterations":25,"steal_attempts":548,"tasks_completed":400,"tasks_created":400,"tasks_held":350,"tasks_offloaded":42,"tasks_ready":400,"tasks_started":400,"tasks_stolen":282} portfolio_race_modelled_ms,solver_modelled_ms,solver_wall_ms"#,
+        [
+            (338_170, 0x3bc8_b447_ca86_d278),
+            (92_246, 0x3a3e_26f7_7f43_70cc),
+        ],
+    );
+}
+
+/// The worker table, DLB and the solver mask are told of every spawn and
+/// every death together: after a run that grows the table by dynamic
+/// spreading *and* loses two helpers, table liveness equals DLB's retired
+/// flags and every node's cores are all owned.
+#[test]
+fn table_and_dlb_agree_after_spawns_and_kills() {
+    let heavy: Vec<TaskSpec> = (0..160).map(|_| TaskSpec::compute(0.05)).collect();
+    let light: Vec<TaskSpec> = (0..20).map(|_| TaskSpec::compute(0.05)).collect();
+    let wl = SpecWorkload::iterated(vec![heavy, light.clone(), light.clone(), light], 8);
+    let p = Platform::homogeneous(4, 4);
+    let mut cfg = BalanceConfig::preset(Preset::DynamicSpread { max_degree: 3 });
+    cfg.global_period = SimTime::from_millis(300);
+    let plan = FaultPlan::new(9).with_kill(1.0).with_kill(1.6);
+    let (state, _) = setup::simulate(RunSpec::new(&p, &cfg, wl).faults(&plan)).unwrap();
+    assert!(state.spawned_helpers >= 2, "{}", state.spawned_helpers);
+    assert_eq!(state.faults.stats.workers_killed, 2);
+    for node in 0..p.nodes {
+        let dlb = &state.dlbs[node];
+        let alive = &state.layout.alive()[node];
+        assert_eq!(alive.len(), state.layout.workers_on(node).len());
+        for (proc, &alive) in alive.iter().enumerate() {
+            assert_eq!(
+                alive,
+                !dlb.is_retired(ProcId(proc)),
+                "node {node} proc {proc}"
+            );
+        }
+        let owned: usize = (0..alive.len()).map(|p| dlb.owned_count(ProcId(p))).sum();
+        assert_eq!(owned, p.cores_per_node, "node {node}");
+    }
+}
+
+#[test]
+fn portfolio_requires_global_drom() {
+    let (p, mut cfg, wl) = portfolio_setup();
+    cfg.policy = PolicySpec::named("lewi+drom-local").unwrap();
+    cfg.dynamic = None;
+    match ClusterSim::execute(RunSpec::new(&p, &cfg, wl).faults(&FaultPlan::none())) {
+        Err(SimError::Shape(msg)) => assert!(msg.contains("global DROM"), "{msg}"),
+        other => panic!("expected shape error, got {other:?}"),
+    }
+}
+
+#[test]
+fn strategy_outage_requires_matching_portfolio() {
+    // Strategy-scoped outage without any portfolio: setup error.
+    let (p, cfg, wl) = faulty_setup();
+    let plan =
+        FaultPlan::new(1).with_strategy_outage(0.3, 1.0, LpError::IterationLimit, Strategy::Flow);
+    match ClusterSim::execute(RunSpec::new(&p, &cfg, wl).faults(&plan)) {
+        Err(SimError::Shape(msg)) => assert!(msg.contains("portfolio"), "{msg}"),
+        other => panic!("expected shape error, got {other:?}"),
+    }
+    // Outage of a strategy the portfolio does not race: setup error.
+    let (p, mut cfg, wl) = portfolio_setup();
+    cfg.portfolio = Some(tlb_portfolio::PortfolioConfig::parse("simplex,flow").unwrap());
+    let plan =
+        FaultPlan::new(1).with_strategy_outage(0.3, 1.0, LpError::IterationLimit, Strategy::Greedy);
+    match ClusterSim::execute(RunSpec::new(&p, &cfg, wl).faults(&plan)) {
+        Err(SimError::Shape(msg)) => assert!(msg.contains("not raced"), "{msg}"),
+        other => panic!("expected shape error, got {other:?}"),
+    }
+}
+
+#[test]
+fn strategy_outage_degrades_the_race_then_recovers() {
+    let (p, cfg, wl) = portfolio_setup();
+    // Knock the simplex strategy out over the middle of the run; the
+    // remaining three keep the global policy solving (no fallback).
+    let plan = FaultPlan::new(1).with_strategy_outage(
+        0.3,
+        1.0,
+        LpError::IterationLimit,
+        Strategy::Simplex,
+    );
+    let r = ClusterSim::execute(RunSpec::new(&p, &cfg, wl).trace(true).faults(&plan)).unwrap();
+    assert_eq!(r.total_tasks, 4 * 100);
+    assert_eq!(r.faults.injected, 1);
+    assert_eq!(r.faults.recovered, 1);
+    assert_eq!(r.faults.solver_fallbacks, 0, "three strategies remained");
+    let stats = r.portfolio.expect("portfolio stats missing");
+    assert!(
+        stats.of(Strategy::Simplex).attempts < stats.solves,
+        "simplex sat out some races: {} of {}",
+        stats.of(Strategy::Simplex).attempts,
+        stats.solves
+    );
+    assert_eq!(stats.of(Strategy::Flow).attempts, stats.solves);
+}
+
+/// Satellite: with *every* strategy fault-disabled over a window, the
+/// portfolio path degrades exactly like a whole-solver outage of the
+/// same window — the PR 3 fallback ladder, bit for bit. The outage
+/// events themselves necessarily differ (four injections vs one, and
+/// with them the sequence numbers on the global stream), so the
+/// comparison is of every other event, by time, stream and payload.
+#[test]
+fn all_strategies_down_matches_whole_solver_outage_bitwise() {
+    let mut all_down = FaultPlan::new(1);
+    for &s in &Strategy::ALL {
+        all_down = all_down.with_strategy_outage(0.3, 1.0, LpError::Infeasible, s);
+    }
+    let whole = FaultPlan::new(1).with_outage(0.3, 1.0, LpError::Infeasible);
+    let run = |plan: &FaultPlan| {
+        let (p, cfg, wl) = portfolio_setup();
+        ClusterSim::execute(RunSpec::new(&p, &cfg, wl).trace(true).faults(plan)).unwrap()
+    };
+    let a = run(&all_down);
+    let b = run(&whole);
+    assert!(a.faults.solver_fallbacks >= 1, "outage covered no tick");
+    assert_eq!(a.faults.solver_fallbacks, b.faults.solver_fallbacks);
+    assert_eq!(a.makespan, b.makespan);
+    assert_eq!(a.iteration_times, b.iteration_times);
+    assert_eq!(a.total_tasks, b.total_tasks);
+    let beside_outages = |r: &SimReport| {
+        let events = r.trace.log.merged().into_iter();
+        events
+            .filter(|e| !matches!(e.kind, EventKind::SolverOutage { .. }))
+            .map(|e| (e.at, e.stream, e.kind))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(beside_outages(&a), beside_outages(&b));
+}

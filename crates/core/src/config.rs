@@ -202,7 +202,7 @@ pub struct BalanceConfig {
     /// Offloading degree: nodes per apprank including home (1 = no
     /// offloading, the baseline).
     pub degree: usize,
-    /// The balancing policy, from the registry in [`crate::balance`].
+    /// The balancing policy, from the registry ([`crate::POLICY_REGISTRY`]).
     /// LeWI on/off is part of the policy's identity (`drom-global` vs
     /// `lewi+drom-global`), not a separate switch.
     pub policy: PolicySpec,

@@ -21,20 +21,26 @@ impl WorkerRef {
     }
 }
 
-/// The mapping of worker processes to nodes plus initial core ownership,
-/// derived from the expander graph (paper Fig. 2): each apprank has its
-/// main process on its home node and one helper rank on every other
-/// adjacent node. Helper ranks initially own one core (the DLB minimum);
-/// the remaining cores are divided equally among the node's main
-/// processes (§5.4).
+/// The worker table: which worker processes live where and are alive,
+/// plus the initial core ownership. Derived from the expander graph
+/// (paper Fig. 2): each apprank has its main process on its home node and
+/// one helper rank on every other adjacent node. Helper ranks initially
+/// own one core (the DLB minimum); the remaining cores are divided equally
+/// among the node's main processes (§5.4). The table maps both ways —
+/// node → workers and `(apprank, slot)` → `(node, proc)` — grows when a
+/// helper is spawned ([`ProcessLayout::push_worker`]) and keeps a retired
+/// worker addressable ([`ProcessLayout::retire`]): indices never shift.
 #[derive(Clone, Debug)]
 pub struct ProcessLayout {
     /// `workers[n]` = the worker processes hosted on node `n`, mains
     /// first (by apprank), then helpers (by apprank).
     workers: Vec<Vec<WorkerRef>>,
-    /// `proc_index[a][k]` = index of apprank `a`'s slot-`k` worker within
-    /// `workers[adjacency[a][k]]` — the per-node DLB process id.
-    proc_index: Vec<Vec<usize>>,
+    /// `placement[a][k]` = `(node, proc)` of apprank `a`'s slot-`k`
+    /// worker: `workers[node][proc]` is that worker, and `proc` is its
+    /// per-node DLB process id.
+    placement: Vec<Vec<(usize, usize)>>,
+    /// `alive[n][p]`: the worker `workers[n][p]` has not been retired.
+    alive: Vec<Vec<bool>>,
     /// Initial ownership counts, aligned with `workers[n]`.
     initial_ownership: Vec<Vec<usize>>,
     cores_per_node: usize,
@@ -67,15 +73,16 @@ impl ProcessLayout {
             }
         }
         // Reverse index.
-        let mut proc_index: Vec<Vec<usize>> = (0..graph.appranks())
-            .map(|a| vec![usize::MAX; graph.nodes_of(a).len()])
+        let mut placement: Vec<Vec<(usize, usize)>> = (0..graph.appranks())
+            .map(|a| vec![(usize::MAX, usize::MAX); graph.nodes_of(a).len()])
             .collect();
         for (n, ws) in workers.iter().enumerate() {
             for (i, w) in ws.iter().enumerate() {
                 debug_assert_eq!(graph.nodes_of(w.apprank)[w.slot], n);
-                proc_index[w.apprank][w.slot] = i;
+                placement[w.apprank][w.slot] = (n, i);
             }
         }
+        let alive = workers.iter().map(|ws| vec![true; ws.len()]).collect();
         // Initial ownership.
         let mut initial_ownership = Vec::with_capacity(nodes);
         for ws in &workers {
@@ -105,7 +112,8 @@ impl ProcessLayout {
         }
         ProcessLayout {
             workers,
-            proc_index,
+            placement,
+            alive,
             initial_ownership,
             cores_per_node,
         }
@@ -121,14 +129,40 @@ impl ProcessLayout {
         self.workers.len()
     }
 
-    /// Cores per node the layout was built for.
-    pub fn cores_per_node(&self) -> usize {
-        self.cores_per_node
+    /// The node hosting apprank `a`'s slot-`k` worker (slot 0 = home).
+    pub fn node_of(&self, apprank: usize, slot: usize) -> usize {
+        self.placement[apprank][slot].0
     }
 
     /// The per-node DLB process index of apprank `a`'s slot-`k` worker.
     pub fn proc_of(&self, apprank: usize, slot: usize) -> usize {
-        self.proc_index[apprank][slot]
+        self.placement[apprank][slot].1
+    }
+
+    /// Per-apprank worker placement as `(node, proc)` pairs in slot
+    /// order, home first; retired workers keep their entry.
+    pub fn placement(&self) -> &[Vec<(usize, usize)>] {
+        &self.placement
+    }
+
+    /// Per-node, per-proc liveness, aligned with
+    /// [`ProcessLayout::workers_on`].
+    pub fn alive(&self) -> &[Vec<bool>] {
+        &self.alive
+    }
+
+    /// Re-arrange per-`(apprank, slot)` core counts (a solver's view)
+    /// into per-node vectors aligned with [`ProcessLayout::workers_on`],
+    /// ready for `NodeDlb::set_ownership`.
+    pub fn counts_by_node(&self, cores: &[Vec<usize>]) -> Vec<Vec<usize>> {
+        let mut per_node: Vec<Vec<usize>> =
+            self.workers.iter().map(|ws| vec![0; ws.len()]).collect();
+        for (row, placed) in cores.iter().zip(&self.placement) {
+            for (&c, &(node, proc)) in row.iter().zip(placed) {
+                per_node[node][proc] = c;
+            }
+        }
+        per_node
     }
 
     /// Initial ownership counts aligned with [`ProcessLayout::workers_on`].
@@ -151,13 +185,26 @@ impl ProcessLayout {
             self.workers[node].len() < self.cores_per_node,
             "node {node} cannot host another worker"
         );
-        let slot = self.proc_index[apprank].len();
+        let slot = self.placement[apprank].len();
         assert!(slot >= 1, "dynamic workers are always helpers");
         let proc = self.workers[node].len();
         self.workers[node].push(WorkerRef { apprank, slot });
-        self.proc_index[apprank].push(proc);
+        self.placement[apprank].push((node, proc));
+        self.alive[node].push(true);
         self.initial_ownership[node].push(1);
         (slot, proc)
+    }
+
+    /// Mark apprank `a`'s slot-`k` helper retired (fail-stop). Its
+    /// entries stay in place, so every other worker keeps its indices.
+    ///
+    /// # Panics
+    /// Panics on slot 0: the home worker *is* the apprank and cannot be
+    /// retired.
+    pub fn retire(&mut self, apprank: usize, slot: usize) {
+        assert!(slot != 0, "home worker cannot be retired");
+        let (node, proc) = self.placement[apprank][slot];
+        self.alive[node][proc] = false;
     }
 }
 
@@ -243,6 +290,69 @@ mod tests {
         );
         assert_eq!(l.proc_of(0, 1), proc);
         assert_eq!(l.total_workers(), 5);
+    }
+
+    /// Seeded random graphs under random spawn / retire sequences: the
+    /// two directions of the table stay mutual inverses, a retired worker
+    /// keeps its address, and nobody else's indices move.
+    #[test]
+    fn table_stays_consistent_under_spawns_and_retirements() {
+        use tlb_rng::Rng;
+        for seed in 0..32u64 {
+            let mut rng = Rng::seed_from_u64(seed);
+            let nodes = rng.range_usize(2, 9);
+            let per_node = rng.range_usize(1, 3);
+            let degree = rng.range_usize(1, nodes.min(3) + 1);
+            let cfg = ExpanderConfig::new(nodes * per_node, nodes, degree).with_seed(seed);
+            let g = BipartiteGraph::generate(&cfg).unwrap();
+            let cores = per_node * degree + 2;
+            let mut l = ProcessLayout::new(&g, cores);
+            let mut retired: Vec<(usize, usize, (usize, usize))> = Vec::new();
+            for _ in 0..24 {
+                let a = rng.range_usize(0, l.placement().len());
+                let n = rng.range_usize(0, nodes);
+                let hosts = |l: &ProcessLayout| l.placement()[a].iter().any(|&(m, _)| m == n);
+                if rng.chance(0.6) {
+                    if l.workers_on(n).len() < cores && !hosts(&l) {
+                        let (slot, proc) = l.push_worker(a, n);
+                        assert_eq!(l.placement()[a][slot], (n, proc));
+                    }
+                } else if l.placement()[a].len() > 1 {
+                    let slot = rng.range_usize(1, l.placement()[a].len());
+                    l.retire(a, slot);
+                    retired.push((a, slot, l.placement()[a][slot]));
+                }
+                for (a, placed) in l.placement().iter().enumerate() {
+                    for (k, &(n, p)) in placed.iter().enumerate() {
+                        let w = WorkerRef {
+                            apprank: a,
+                            slot: k,
+                        };
+                        assert_eq!(l.workers_on(n)[p], w);
+                        assert_eq!((l.node_of(a, k), l.proc_of(a, k)), (n, p));
+                    }
+                    assert!(l.alive()[placed[0].0][placed[0].1], "home of {a} retired");
+                }
+                for n in 0..nodes {
+                    assert_eq!(l.alive()[n].len(), l.workers_on(n).len());
+                    for (p, w) in l.workers_on(n).iter().enumerate() {
+                        assert_eq!(l.placement()[w.apprank][w.slot], (n, p));
+                    }
+                }
+                for &(a, k, at) in &retired {
+                    assert_eq!(l.placement()[a][k], at, "retired worker moved");
+                    assert!(!l.alive()[at.0][at.1]);
+                }
+                let total: usize = l.placement().iter().map(Vec::len).sum();
+                assert_eq!(l.total_workers(), total);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "home worker")]
+    fn home_worker_cannot_be_retired() {
+        ProcessLayout::new(&ring(4, 4, 2), 8).retire(1, 0);
     }
 
     #[test]

@@ -5,10 +5,11 @@
 //! of whether tasks run in virtual time (`tlb-cluster`) or on real threads
 //! (`tlb-smprt`):
 //!
-//! * [`ProcessLayout`] — how appranks and helper ranks map onto nodes,
-//!   derived from the expander graph (paper Fig. 2 / Fig. 4), including
-//!   the initial DROM core ownership (helpers own one core; appranks
-//!   split the rest, §5.4).
+//! * [`ProcessLayout`] — the worker table: how appranks and helper ranks
+//!   map onto nodes (both ways) and which of them are alive, derived from
+//!   the expander graph (paper Fig. 2 / Fig. 4), including the initial
+//!   DROM core ownership (helpers own one core; appranks split the rest,
+//!   §5.4).
 //! * [`choose_node`] — the offload scheduler rule (§5.5): locality-best
 //!   node if it holds fewer than two tasks per *owned* core, else another
 //!   adjacent node under the threshold, else hold the task for stealing.
@@ -19,8 +20,7 @@
 //!   linear program over the whole expander graph, solved every two
 //!   seconds via `tlb-linprog` (simplex or parametric max-flow).
 //! * [`imbalance`] and friends — the paper's dimensionless imbalance
-//!   metric (Eq. 2) and the perfect-balance execution-time bound used for
-//!   the "perfect" reference lines in Figs. 6–8.
+//!   metric (Eq. 2).
 //! * [`BalanceConfig`] / [`Platform`] — experiment configuration,
 //!   including presets for the paper's two machines (MareNostrum 4 and
 //!   Nord3).
@@ -56,9 +56,6 @@ pub use config::{
     StealGate, WorkSignal,
 };
 pub use layout::{ProcessLayout, WorkerRef};
-pub use metrics::{imbalance, node_imbalance, perfect_time, Loads};
+pub use metrics::{imbalance, node_imbalance, Loads};
 pub use policy::{GlobalPolicy, LocalPolicy};
-pub use sched::{
-    choose_node, choose_node_explained, CandidateState, ChoiceReason, Placement,
-    QUEUE_DEPTH_PER_CORE,
-};
+pub use sched::{choose_node, choose_node_explained, CandidateState, ChoiceReason, Placement};

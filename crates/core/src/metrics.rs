@@ -1,6 +1,4 @@
-//! Imbalance metrics (paper §6.1) and ideal-time bounds.
-
-use crate::Platform;
+//! Imbalance metrics (paper §6.1).
 
 /// A collection of per-entity loads (per apprank or per node).
 pub type Loads = [f64];
@@ -28,20 +26,6 @@ pub fn node_imbalance(node_busy: &Loads) -> f64 {
     imbalance(node_busy)
 }
 
-/// Lower bound on execution time with perfect load balancing: the larger
-/// of `total work / effective machine capacity` and the critical path.
-/// This is the paper's grey "perfect" reference line.
-///
-/// `total_work` is in core·seconds at nominal speed; `critical_path` in
-/// seconds.
-pub fn perfect_time(total_work: f64, critical_path: f64, platform: &Platform) -> f64 {
-    let capacity = platform.effective_capacity();
-    if capacity <= 0.0 {
-        return f64::INFINITY;
-    }
-    (total_work / capacity).max(critical_path)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -66,24 +50,5 @@ mod tests {
     fn degenerate_inputs() {
         assert_eq!(imbalance(&[]), 1.0);
         assert_eq!(imbalance(&[0.0, 0.0]), 1.0);
-    }
-
-    #[test]
-    fn perfect_time_capacity_bound() {
-        let p = Platform::homogeneous(2, 4); // 8 effective cores
-        assert!((perfect_time(80.0, 1.0, &p) - 10.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn perfect_time_critical_path_bound() {
-        let p = Platform::homogeneous(2, 4);
-        assert!((perfect_time(8.0, 5.0, &p) - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn perfect_time_respects_slow_nodes() {
-        let p = Platform::homogeneous(2, 4).with_slowdown(1, 2.0);
-        // Effective capacity 4 + 2 = 6.
-        assert!((perfect_time(60.0, 0.0, &p) - 10.0).abs() < 1e-12);
     }
 }

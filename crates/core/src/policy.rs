@@ -179,17 +179,7 @@ impl GlobalPolicy {
         layout: &ProcessLayout,
         solution: &AllocationSolution,
     ) -> Vec<Vec<usize>> {
-        let mut per_node: Vec<Vec<usize>> = (0..layout.nodes())
-            .map(|n| vec![0usize; layout.workers_on(n).len()])
-            .collect();
-        for (a, row) in solution.cores.iter().enumerate() {
-            for (k, &c) in row.iter().enumerate() {
-                let node = self.problem.adjacency[a][k];
-                let proc = layout.proc_of(a, k);
-                per_node[node][proc] = c;
-            }
-        }
-        per_node
+        layout.counts_by_node(&solution.cores)
     }
 
     /// The underlying problem (for benches that measure solver scaling).
@@ -213,11 +203,6 @@ impl GlobalPolicy {
         );
         self.problem.adjacency[apprank].push(node);
         self.dead[apprank].push(false);
-    }
-
-    /// Continuous per-node loads implied by a solution's work split.
-    pub fn node_loads(&self, solution: &AllocationSolution) -> Vec<f64> {
-        solution.node_load(&self.problem)
     }
 }
 

@@ -1,10 +1,5 @@
 //! The offload scheduler decision rule (paper §5.5).
 
-/// The paper's queue-depth threshold: "two tasks per core allows one task
-/// to be executing and another to have the data transfer initiated in
-/// advance".
-pub const QUEUE_DEPTH_PER_CORE: usize = 2;
-
 /// Snapshot of one candidate worker (an apprank's presence on one node)
 /// at scheduling time.
 #[derive(Clone, Copy, Debug, PartialEq)]

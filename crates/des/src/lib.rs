@@ -45,6 +45,6 @@ mod time;
 mod timeline;
 
 pub use queue::{Ctx, EventQueue, Simulator, World};
-pub use stats::{BusyIntegral, RunningStats};
+pub use stats::BusyIntegral;
 pub use time::SimTime;
 pub use timeline::{Timeline, TimelineSample};

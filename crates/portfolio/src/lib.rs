@@ -11,12 +11,11 @@
 //!
 //! Design constraints, in order:
 //!
-//! 1. **Determinism.** The race may execute on the `tlb-smprt` pool, but
-//!    every strategy is a pure function of the [`AllocationProblem`] and
-//!    results land in pre-assigned slots. The winner is selected *after*
-//!    the race by `(score, fixed strategy priority)` — never by wall-clock
-//!    arrival order — so a run is bitwise-identical across 1/2/4/8 pool
-//!    threads.
+//! 1. **Determinism.** Every strategy is a pure function of the
+//!    [`AllocationProblem`], run inline on the caller in priority order,
+//!    and the winner is selected by `(score, fixed strategy priority)`.
+//!    The race is concurrent in *virtual* time only (its cost model,
+//!    below); no run touches a thread pool.
 //! 2. **Shared objective.** Every candidate is scored with
 //!    `max_a work_a / (speed-weighted cores of a)` minus the paper's
 //!    `1e-6` non-offloaded-core incentive as tiebreak ([`score`]). Lower
@@ -36,10 +35,8 @@
 //! every `probe_every`-th solve where demoted strategies get a probe run
 //! and are reinstated if they win.
 
-use std::sync::OnceLock;
 use tlb_des::SimTime;
 use tlb_linprog::{solve_flow, solve_lp, AllocationProblem, AllocationSolution, LpError};
-use tlb_smprt::Pool;
 
 /// Bisection tolerance handed to the parametric max-flow solver — the
 /// same value `GlobalPolicy` uses for its single-solver path.
@@ -129,9 +126,6 @@ pub struct PortfolioConfig {
     /// Every `probe_every`-th solve re-races demoted strategies so they
     /// can win their way back in.
     pub probe_every: usize,
-    /// smprt pool threads used for the race; `0` or `1` solves inline on
-    /// the caller. The answer is bitwise-identical either way.
-    pub pool_threads: usize,
 }
 
 impl Default for PortfolioConfig {
@@ -142,7 +136,6 @@ impl Default for PortfolioConfig {
             adaptive: false,
             demote_after: 8,
             probe_every: 8,
-            pool_threads: 0,
         }
     }
 }
@@ -180,12 +173,6 @@ impl PortfolioConfig {
     /// Builder: override the race budget.
     pub fn with_budget(mut self, budget: SimTime) -> Self {
         self.budget = budget;
-        self
-    }
-
-    /// Builder: race on an smprt pool of `threads` threads.
-    pub fn with_pool_threads(mut self, threads: usize) -> Self {
-        self.pool_threads = threads;
         self
     }
 
@@ -278,11 +265,10 @@ pub struct PortfolioOutcome {
     pub race_cost: SimTime,
 }
 
-/// The racing engine. Owns an optional smprt pool; all mutable state is
-/// deterministic accounting (stats, fault masks, bandit streaks).
+/// The racing engine. All mutable state is deterministic accounting
+/// (stats, fault masks, bandit streaks).
 pub struct PortfolioEngine {
     config: PortfolioConfig,
-    pool: Option<Pool>,
     /// Nesting count of active fault-injected outages per strategy.
     fault_disabled: [usize; Strategy::COUNT],
     /// Consecutive races lost, per strategy (adaptive mode).
@@ -292,13 +278,11 @@ pub struct PortfolioEngine {
 }
 
 impl PortfolioEngine {
-    /// Build an engine; spawns the smprt pool when `pool_threads >= 2`.
+    /// Build an engine for a valid `config`.
     pub fn new(config: PortfolioConfig) -> Result<Self, String> {
         config.validate()?;
-        let pool = (config.pool_threads >= 2).then(|| Pool::new(config.pool_threads));
         Ok(PortfolioEngine {
             config,
-            pool,
             fault_disabled: [0; Strategy::COUNT],
             loss_streak: [0; Strategy::COUNT],
             demoted: [false; Strategy::COUNT],
@@ -359,27 +343,16 @@ impl PortfolioEngine {
             return Err(LpError::Infeasible);
         }
 
-        // The race: one pre-assigned slot per strategy; each strategy is a
-        // pure function of `problem`, so pool scheduling cannot affect the
-        // result, only the wall-clock of computing it.
-        let slots: Vec<OnceLock<(Result<AllocationSolution, LpError>, SimTime)>> =
-            (0..runnable.len()).map(|_| OnceLock::new()).collect();
-        let body = |i: usize| {
-            let _ = slots[i].set(run_strategy(runnable[i], problem));
-        };
-        match &self.pool {
-            Some(pool) => pool.parallel_for(runnable.len(), 1, body),
-            None => (0..runnable.len()).for_each(body),
-        }
-
-        // Sequential, deterministic post-processing in priority order.
+        // The race, in priority order: each strategy is a pure function
+        // of `problem`, and its modelled cost — not the order it ran in —
+        // decides whether its answer counts.
         let budget = self.config.budget;
         let mut candidates = Vec::with_capacity(runnable.len());
         let mut best: Option<(f64, usize, AllocationSolution)> = None;
         let mut first_err: Option<LpError> = None;
         let mut race_cost = SimTime::ZERO;
         for (i, &s) in runnable.iter().enumerate() {
-            let (result, cost) = slots[i].get().expect("race slot filled").clone();
+            let (result, cost) = run_strategy(s, problem);
             let stat = &mut self.stats.per_strategy[s.code() as usize];
             stat.attempts += 1;
             let charged = cost.min(budget);
@@ -846,26 +819,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn race_is_bitwise_identical_across_pool_threads() {
-        let problems: Vec<AllocationProblem> =
-            (0..6).map(|i| ring_problem(6 + i, 3, 2, 24)).collect();
-        let run = |threads: usize| {
-            let cfg = PortfolioConfig::default().with_pool_threads(threads);
-            let mut engine = PortfolioEngine::new(cfg).unwrap();
-            let mut picks = Vec::new();
-            for p in &problems {
-                let out = engine.solve(p).unwrap();
-                picks.push((out.winner, out.score.to_bits(), out.solution.cores));
-            }
-            (picks, engine.stats().clone())
-        };
-        let reference = run(1);
-        for threads in [2, 4, 8] {
-            assert_eq!(run(threads), reference, "threads={threads}");
         }
     }
 

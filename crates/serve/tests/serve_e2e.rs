@@ -87,6 +87,22 @@ fn served_report_is_bitwise_identical_to_offline_sweep() {
     let server = start(Some(cache.clone()), 2, 64);
     let scenario_json = scenario_json("serve-e2e", &[1]);
 
+    // First a scenario no run can survive: one of its points used to
+    // panic in the simulator and take the dispatcher thread with it, so
+    // the daemon kept answering `ping` while every later sweep hung
+    // after its ack. It is refused at admission, clause named.
+    let mut hostile = scenario_json.clone();
+    if let Value::Object(fields) = &mut hostile {
+        let spec = "straggler@0.1,node=0,slow=inf";
+        fields.push(("faults".to_string(), spec.into()));
+    }
+    let mut first = Client::connect(server.local_addr()).unwrap();
+    match first.sweep(&hostile).unwrap() {
+        SweepResponse::Error(message) => assert!(message.contains("straggler@0.1"), "{message}"),
+        other => panic!("expected an error reply, got {other:?}"),
+    }
+
+    // Then a healthy sweep on a second connection.
     let mut client = Client::connect(server.local_addr()).unwrap();
     let response = client.sweep(&scenario_json).unwrap();
     let (ack, points, report) = match response {

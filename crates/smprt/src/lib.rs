@@ -19,8 +19,6 @@
 //! * [`GraphRun`] — a task graph plus one closure per task; [`Pool::run`]
 //!   executes it respecting all dependencies and reports per-worker
 //!   statistics.
-//! * [`parallel_for`] — a small scoped-thread data-parallel helper for
-//!   one-shot use outside a pool.
 //!
 //! # Example
 //!
@@ -47,10 +45,8 @@
 //! ```
 
 mod deque;
-mod par;
 mod pool;
 mod run;
 
-pub use par::parallel_for;
-pub use pool::{Occupancy, Pool, PoolProfile, RegionProfile, RunStats, TaskCtx};
+pub use pool::{Occupancy, Pool, PoolProfile, RunStats, TaskCtx};
 pub use run::GraphRun;

@@ -56,29 +56,10 @@ impl Occupancy {
     }
 }
 
-/// Accumulated wall-clock profile of one named `parallel_for` region
-/// (see [`Pool::parallel_for_named`]).
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct RegionProfile {
-    /// Region name given by the caller.
-    pub name: String,
-    /// Number of `parallel_for_named` invocations.
-    pub calls: u64,
-    /// Total indices executed across those calls.
-    pub indices: u64,
-    /// Total wall-clock time spent inside the region.
-    pub wall: Duration,
-}
-
-/// Snapshot of a pool's lifetime profiling state ([`Pool::profile`]).
-///
-/// Region wall-clocks are only accumulated while profiling is enabled
-/// ([`Pool::set_profiling`]); the park/steal counters are plain atomics
-/// and always on.
+/// Snapshot of a pool's lifetime park/steal counters
+/// ([`Pool::profile`]); plain atomics, always on.
 #[derive(Clone, Debug, Default)]
 pub struct PoolProfile {
-    /// Named `parallel_for` regions, in first-use order.
-    pub regions: Vec<RegionProfile>,
     /// Times a worker parked because it was above the active limit
     /// (malleability: DLB shrank the pool).
     pub malleability_parks: u64,
@@ -129,12 +110,10 @@ struct Shared {
     dp: Mutex<Option<Arc<DpJob>>>,
     work_cv: Condvar,
     done_cv: Condvar,
-    // Lifetime profiling (see `PoolProfile`).
-    profiling: AtomicBool,
+    // Lifetime counters (see `PoolProfile`).
     malleability_parks: AtomicU64,
     idle_parks: AtomicU64,
     steals_total: AtomicU64,
-    regions: Mutex<Vec<RegionProfile>>,
 }
 
 impl Shared {
@@ -177,11 +156,9 @@ impl Pool {
             dp: Mutex::new(None),
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
-            profiling: AtomicBool::new(false),
             malleability_parks: AtomicU64::new(0),
             idle_parks: AtomicU64::new(0),
             steals_total: AtomicU64::new(0),
-            regions: Mutex::new(Vec::new()),
         });
         let handles = deques
             .into_iter()
@@ -329,54 +306,9 @@ impl Pool {
             .unwrap_or_else(std::sync::PoisonError::into_inner) = None;
     }
 
-    /// Enable or disable wall-clock profiling of named `parallel_for`
-    /// regions. Off by default; when off, [`Pool::parallel_for_named`]
-    /// costs exactly one relaxed atomic load over `parallel_for`.
-    pub fn set_profiling(&self, on: bool) {
-        self.shared.profiling.store(on, Ordering::Relaxed);
-    }
-
-    /// [`Pool::parallel_for`] that attributes its wall-clock time to the
-    /// named region when profiling is enabled (see [`Pool::profile`]).
-    pub fn parallel_for_named<F>(&self, name: &str, n: usize, chunk: usize, body: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        if !self.shared.profiling.load(Ordering::Relaxed) {
-            return self.parallel_for(n, chunk, body);
-        }
-        let started = std::time::Instant::now();
-        self.parallel_for(n, chunk, body);
-        let wall = started.elapsed();
-        let mut regions = self
-            .shared
-            .regions
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let entry = match regions.iter_mut().find(|r| r.name == name) {
-            Some(r) => r,
-            None => {
-                regions.push(RegionProfile {
-                    name: name.to_string(),
-                    ..RegionProfile::default()
-                });
-                regions.last_mut().expect("just pushed")
-            }
-        };
-        entry.calls += 1;
-        entry.indices += n as u64;
-        entry.wall += wall;
-    }
-
-    /// Snapshot the pool's lifetime profiling state.
+    /// Snapshot the pool's lifetime park/steal counters.
     pub fn profile(&self) -> PoolProfile {
         PoolProfile {
-            regions: self
-                .shared
-                .regions
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .clone(),
             malleability_parks: self.shared.malleability_parks.load(Ordering::Relaxed),
             idle_parks: self.shared.idle_parks.load(Ordering::Relaxed),
             steals: self.shared.steals_total.load(Ordering::Relaxed),
@@ -950,36 +882,6 @@ mod tests {
             });
             assert_eq!(sum.load(Ordering::Relaxed), 99 * 100 / 2);
         }
-    }
-
-    #[test]
-    fn profiling_accumulates_named_regions() {
-        let pool = Pool::new(2);
-        pool.set_profiling(true);
-        let sum = AtomicUsize::new(0);
-        for _ in 0..3 {
-            pool.parallel_for_named("cg_sweep", 1000, 64, |i| {
-                sum.fetch_add(i, Ordering::Relaxed);
-            });
-        }
-        pool.parallel_for_named("forces", 100, 8, |_| {});
-        let p = pool.profile();
-        assert_eq!(p.regions.len(), 2);
-        let cg = &p.regions[0];
-        assert_eq!(
-            (cg.name.as_str(), cg.calls, cg.indices),
-            ("cg_sweep", 3, 3000)
-        );
-        assert!(cg.wall > Duration::ZERO);
-        assert_eq!(p.regions[1].name, "forces");
-        assert_eq!(sum.load(Ordering::Relaxed), 3 * (999 * 1000 / 2));
-    }
-
-    #[test]
-    fn profiling_disabled_records_no_regions() {
-        let pool = Pool::new(2);
-        pool.parallel_for_named("ignored", 1000, 64, |_| {});
-        assert!(pool.profile().regions.is_empty());
     }
 
     #[test]

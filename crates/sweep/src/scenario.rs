@@ -308,7 +308,9 @@ impl Scenario {
     }
 
     /// Semantic validation beyond shape: positive counts, degrees within
-    /// the node count, and parseable fault/portfolio specs.
+    /// the node count, a parseable portfolio spec, and a fault spec that
+    /// parses and passes `FaultPlan::validate` for every machine shape on
+    /// the axes.
     pub fn validate(&self) -> Result<(), ScenarioError> {
         if self.nodes == 0 || self.iterations == 0 {
             return Err(ScenarioError(
@@ -336,19 +338,21 @@ impl Scenario {
                 )));
             }
         }
+        let portfolio = self.portfolio_config()?;
         if let Some(spec) = &self.faults {
-            tlb_cluster::FaultPlan::parse(spec, self.fault_seed)
-                .map_err(|e| ScenarioError(format!("faults: {e}")))?;
-        }
-        if let Some(spec) = &self.portfolio {
-            PortfolioConfig::parse(spec).map_err(|e| ScenarioError(format!("portfolio: {e}")))?;
-            if !self.axes.policy.iter().any(|p| p.uses_solver()) {
-                return Err(ScenarioError(
-                    "portfolio requires a solver-using policy ('drom-global' or \
-                     'lewi+drom-global') in the policy axis"
-                        .into(),
-                ));
+            let faults = |e| ScenarioError(format!("faults: {e}"));
+            let plan = tlb_cluster::FaultPlan::parse(spec, self.fault_seed).map_err(faults)?;
+            for &apn in &self.axes.appranks_per_node {
+                plan.validate(self.nodes, self.nodes * apn, portfolio.as_ref())
+                    .map_err(faults)?;
             }
+        }
+        if portfolio.is_some() && !self.axes.policy.iter().any(|p| p.uses_solver()) {
+            return Err(ScenarioError(
+                "portfolio requires a solver-using policy ('drom-global' or \
+                 'lewi+drom-global') in the policy axis"
+                    .into(),
+            ));
         }
         if let Some(budget) = self.portfolio_budget {
             if self.portfolio.is_none() {
@@ -462,27 +466,31 @@ impl Scenario {
     /// Build the balancing configuration for one point: the policy axis
     /// fixes the registry policy, the degree axis the offloading degree,
     /// and the seed axis the expander seed. The scenario's portfolio spec is
-    /// attached to the points whose policy runs the global solver, with
-    /// the racing pool forced inline so the only live threads during a
-    /// sweep are the sweep workers themselves (results are bitwise
-    /// independent of the portfolio pool size).
+    /// attached to the points whose policy runs the global solver.
     pub fn config(&self, point: &SweepPoint) -> Result<BalanceConfig, ScenarioError> {
         let mut cfg = BalanceConfig::default()
             .with_policy(point.policy.clone())
             .with_degree(point.degree)
             .with_seed(point.seed);
         if point.policy.uses_solver() {
-            if let Some(spec) = &self.portfolio {
-                let mut pc = PortfolioConfig::parse(spec)
-                    .map_err(|e| ScenarioError(format!("portfolio: {e}")))?
-                    .with_pool_threads(0);
-                if let Some(budget) = self.portfolio_budget {
-                    pc = pc.with_budget(SimTime::from_secs_f64(budget));
-                }
+            if let Some(pc) = self.portfolio_config()? {
                 cfg = cfg.with_portfolio(pc);
             }
         }
         Ok(cfg)
+    }
+
+    /// The scenario's solver portfolio, parsed, with its budget override.
+    fn portfolio_config(&self) -> Result<Option<PortfolioConfig>, ScenarioError> {
+        let Some(spec) = &self.portfolio else {
+            return Ok(None);
+        };
+        let pc =
+            PortfolioConfig::parse(spec).map_err(|e| ScenarioError(format!("portfolio: {e}")))?;
+        Ok(Some(match self.portfolio_budget {
+            Some(budget) => pc.with_budget(SimTime::from_secs_f64(budget)),
+            None => pc,
+        }))
     }
 }
 

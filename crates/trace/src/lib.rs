@@ -9,12 +9,12 @@
 //!
 //! Design constraints, in order:
 //!
-//! 1. **Determinism.** Events carry *virtual* timestamps ([`SimTime`])
-//!    and are buffered per stream with sequence numbers; [`TraceLog::merged`]
-//!    orders them by `(time, stream, seq)`, so the merged event list — and
-//!    therefore every export — is bitwise-identical across smprt thread
-//!    counts and host machines. Anything wall-clock (solver wall time,
-//!    pool region profiles) lives in the [`Counters`] gauges or in bench
+//! 1. **Determinism.** Events carry *virtual* timestamps
+//!    ([`tlb_des::SimTime`]) and are buffered per stream with sequence
+//!    numbers; [`TraceLog::merged`] orders them by `(time, stream, seq)`,
+//!    so the merged event list — and therefore every export — is
+//!    bitwise-identical across host machines. Anything wall-clock
+//!    (solver wall time) lives in the [`Counters`] gauges or in bench
 //!    JSON, never in the event stream.
 //! 2. **Near-zero cost when disabled.** What records is one level
 //!    ([`TraceConfig`]); below [`TraceConfig::all`] a handler tests that

@@ -10,7 +10,7 @@ use tlb::apps::nbody::{
 };
 use tlb::cluster::{ClusterSim, RunSpec};
 use tlb::core::{BalanceConfig, DromPolicy, Platform, Preset};
-use tlb::smprt::parallel_for;
+use tlb::smprt::Pool;
 
 fn main() {
     // --- Real kernel: one Barnes–Hut step on this machine. ---
@@ -32,8 +32,9 @@ fn main() {
     let acc: Vec<std::sync::Mutex<[f64; 3]>> =
         (0..n).map(|_| std::sync::Mutex::new([0.0; 3])).collect();
     let threads = std::thread::available_parallelism().map_or(4, |v| v.get());
+    let pool = Pool::new(threads);
     let t0 = std::time::Instant::now();
-    parallel_for(n, 256, threads, |i| {
+    pool.parallel_for(n, 256, |i| {
         *acc[i].lock().unwrap() = tree.acceleration(&bodies[i].pos, Some(i));
     });
     println!(
