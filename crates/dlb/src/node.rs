@@ -72,8 +72,8 @@ struct Core {
 ///
 /// `NodeDlb` knows nothing about virtual time or trace streams; it just
 /// appends transitions (when recording is on) and the simulation drains
-/// them with [`NodeDlb::drain_events`], attaching timestamps itself.
-/// This keeps `tlb-dlb` dependency-free so `tlb-smprt` can keep using it.
+/// them with [`NodeDlb::drain_events`], attaching timestamps itself,
+/// which keeps `tlb-dlb` dependency-free.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum DlbEvent {
     /// LeWI: `proc` borrowed idle `core` lent by `owner`.
@@ -130,16 +130,47 @@ fn count_cores(cores: &[Core], counts: &mut [ProcCounts]) -> usize {
     busy
 }
 
+/// Word and bit of `core` in a core mask.
+fn bit(core: usize) -> (usize, u64) {
+    (core / 64, 1 << (core % 64))
+}
+
+/// Lowest core whose bit is set in a mask given word by word.
+fn lowest_core(mask: impl Iterator<Item = u64>) -> Option<usize> {
+    mask.enumerate()
+        .find(|&(_, word)| word != 0)
+        .map(|(w, word)| w * 64 + word.trailing_zeros() as usize)
+}
+
+/// The `idle` mask and the `procs` `owned` masks (one after another) that
+/// `cores` imply.
+fn core_masks(cores: &[Core], procs: usize) -> (Vec<u64>, Vec<u64>) {
+    let words = cores.len().div_ceil(64);
+    let (mut idle, mut owned) = (vec![0; words], vec![0; procs * words]);
+    for (i, c) in cores.iter().enumerate() {
+        let (w, b) = bit(i);
+        owned[c.owner.0 * words + w] |= b;
+        if c.user.is_none() {
+            idle[w] |= b;
+        }
+    }
+    (idle, owned)
+}
+
 /// DLB state for the cores of one node.
 ///
-/// [`owned_count`](NodeDlb::owned_count), [`used_count`](NodeDlb::used_count)
-/// and [`busy_count`](NodeDlb::busy_count) are O(1): `acquire` and
-/// `release` keep the counts current as they go. `acquire` searches the
-/// cores (O(cores)) only while one is idle, and walks them to post
-/// reclaims only while the process has an unreclaimed core lent out, so a
-/// refused acquire on a saturated node is O(1) too. The ownership
-/// transactions (`set_ownership`, `add_process`, `retire_process`) are
-/// rare, stay O(procs × cores) and recount everything when they finish.
+/// Beside the per-core records the node keeps what real DLB keeps in
+/// shared memory: counts per process and CPU masks (`u64` words, one on a
+/// 48-core node). [`owned_count`](NodeDlb::owned_count),
+/// [`used_count`](NodeDlb::used_count) and
+/// [`busy_count`](NodeDlb::busy_count) are array reads. `acquire` finds
+/// its core with a word operation — the lowest set bit of `idle & owned`,
+/// then of `idle` — and posts reclaims by walking the set bits of
+/// `owned & !idle`, only while the process has an unreclaimed core lent
+/// out; `release` is O(1). Both flip the bits and counts as they flip a
+/// core's user or owner. The ownership transactions (`set_ownership`,
+/// `add_process`, `retire_process`) are rare, stay O(procs × cores) and
+/// rebuild counts and masks from the cores when they finish.
 #[derive(Clone, Debug)]
 pub struct NodeDlb {
     cores: Vec<Core>,
@@ -147,6 +178,11 @@ pub struct NodeDlb {
     counts: Vec<ProcCounts>,
     /// Cores in use by any process.
     busy: usize,
+    /// Mask of the cores nobody is using.
+    idle: Vec<u64>,
+    /// Per-process masks of the cores owned, `idle.len()` words each, for
+    /// every process `recount` last saw (which covers every owner).
+    owned: Vec<u64>,
     lewi: bool,
     num_procs: usize,
     /// `retired[p]`: process `p` is dead. Retired processes own no cores
@@ -176,6 +212,8 @@ impl NodeDlb {
                 .collect(),
             counts: Vec::new(),
             busy: 0,
+            idle: Vec::new(),
+            owned: Vec::new(),
             lewi,
             num_procs,
             retired: vec![false; num_procs],
@@ -186,12 +224,20 @@ impl NodeDlb {
         node
     }
 
-    /// Rebuild the cached counts from the cores, after an ownership
-    /// transaction (which may also have added processes).
+    /// Rebuild the cached counts and masks from the cores, after an
+    /// ownership transaction (which may also have added processes).
     fn recount(&mut self) {
         let procs = self.num_procs.max(self.counts.len());
         self.counts.resize(procs, ProcCounts::default());
         self.busy = count_cores(&self.cores, &mut self.counts);
+        (self.idle, self.owned) = core_masks(&self.cores, procs);
+    }
+
+    /// Word `w` of the mask of cores `proc` owns (a process the node has
+    /// never counted owns none).
+    fn owned_word(&self, proc: ProcId, w: usize) -> u64 {
+        let at = proc.0 * self.idle.len() + w;
+        self.owned.get(at).copied().unwrap_or(0)
     }
 
     /// Enable/disable transition recording (off by default; enabling it
@@ -292,27 +338,18 @@ impl NodeDlb {
         // On a saturated node no core is idle, so neither search can succeed.
         if self.busy < self.cores.len() {
             // (1) idle own core.
-            if let Some(i) = self
-                .cores
-                .iter()
-                .position(|c| c.owner == proc && c.user.is_none())
-            {
-                self.cores[i].user = Some(proc);
-                self.cores[i].reclaim = false;
-                self.note_use(proc);
+            let own = (0..self.idle.len()).map(|w| self.idle[w] & self.owned_word(proc, w));
+            if let Some(i) = lowest_core(own) {
+                self.start_on(proc, i);
                 return Some(i);
             }
-            // (2) borrow an idle foreign core, but never one whose owner
-            // has posted a reclaim (it is on its way home).
+            // (2) borrow an idle foreign core. Every idle core qualifies:
+            // none carries a reclaim or a deferred transfer (`release`
+            // clears both; `check_invariants` rejects either).
             if self.lewi {
-                if let Some(i) = self
-                    .cores
-                    .iter()
-                    .position(|c| c.user.is_none() && !c.reclaim && c.transfer_to.is_none())
-                {
-                    self.cores[i].user = Some(proc);
+                if let Some(i) = lowest_core(self.idle.iter().copied()) {
+                    self.start_on(proc, i);
                     let owner = self.cores[i].owner;
-                    self.note_use(proc);
                     self.counts[owner.0].reclaimable += 1;
                     self.log(DlbEvent::Borrowed {
                         proc,
@@ -325,12 +362,15 @@ impl NodeDlb {
         }
         // Nothing free: reclaim our lent-out cores.
         if self.counts.get(proc.0).is_some_and(|c| c.reclaimable > 0) {
-            for core in 0..self.cores.len() {
-                let c = &mut self.cores[core];
-                let Some(borrower) = c.user.filter(|&u| u != proc) else {
-                    continue;
-                };
-                if c.owner == proc && !c.reclaim {
+            for w in 0..self.idle.len() {
+                let mut in_use = self.owned_word(proc, w) & !self.idle[w];
+                while in_use != 0 {
+                    let core = w * 64 + in_use.trailing_zeros() as usize;
+                    in_use &= in_use - 1;
+                    let c = &mut self.cores[core];
+                    let Some(borrower) = c.user.filter(|&u| u != proc && !c.reclaim) else {
+                        continue;
+                    };
                     c.reclaim = true;
                     self.log(DlbEvent::ReclaimPosted {
                         core,
@@ -344,9 +384,12 @@ impl NodeDlb {
         None
     }
 
-    /// Count one more core in use by `proc` (a process the node has not
-    /// seen before may borrow, so the table grows on demand).
-    fn note_use(&mut self, proc: ProcId) {
+    /// Put `proc` on idle `core` (a process the node has not seen before
+    /// may borrow, so the count table grows on demand).
+    fn start_on(&mut self, proc: ProcId, core: usize) {
+        self.cores[core].user = Some(proc);
+        let (w, b) = bit(core);
+        self.idle[w] &= !b;
         if proc.0 >= self.counts.len() {
             self.counts.resize(proc.0 + 1, ProcCounts::default());
         }
@@ -362,6 +405,8 @@ impl NodeDlb {
             return Err(DlbError::NotUser { proc, core });
         }
         c.user = None;
+        let (w, b) = bit(core);
+        self.idle[w] |= b;
         self.counts[proc.0].used -= 1;
         self.busy -= 1;
         if c.owner != proc && !c.reclaim {
@@ -373,6 +418,9 @@ impl NodeDlb {
             c.reclaim = false;
             self.counts[from.0].owned -= 1;
             self.counts[to.0].owned += 1;
+            let words = self.idle.len();
+            self.owned[from.0 * words + w] &= !b;
+            self.owned[to.0 * words + w] |= b;
             self.log(DlbEvent::TransferApplied { core, from, to });
         } else if c.reclaim {
             // The borrower returned it; it is now an idle owned core.
@@ -638,6 +686,18 @@ impl NodeDlb {
             return Err(format!(
                 "P{p}: {:?} cached, {:?} scanned",
                 self.counts[p], fresh[p]
+            ));
+        }
+        // So are the masks, which hold one `owned` mask per counted owner.
+        let procs = self.owned.len() / self.cores.len().div_ceil(64);
+        if let Some(i) = self.cores.iter().position(|c| c.owner.0 >= procs) {
+            return Err(format!("core {i}: its owner has no mask"));
+        }
+        let (idle, owned) = core_masks(&self.cores, procs);
+        if (&idle, &owned) != (&self.idle, &self.owned) {
+            return Err(format!(
+                "idle {:x?} / owned {:x?} cached, {idle:x?} / {owned:x?} scanned",
+                self.idle, self.owned
             ));
         }
         Ok(())

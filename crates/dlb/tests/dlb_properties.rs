@@ -33,29 +33,75 @@ fn check_global_invariants(node: &NodeDlb, procs: usize, holding: &[Vec<usize>])
     }
 }
 
+/// The core `acquire(p)` must hand out, by the scan over the per-core
+/// records that `NodeDlb` answered with before it kept masks: the
+/// lowest-index idle core owned by `p`, else (LeWI on) the lowest-index
+/// idle core. The byte-pinned trace exports depend on lowest-index-first.
+fn reference_acquire(node: &NodeDlb, p: ProcId) -> Option<usize> {
+    if node.is_retired(p) {
+        return None;
+    }
+    let idle = |&c: &usize| node.core_state(c).user.is_none();
+    (0..node.num_cores())
+        .find(|c| idle(c) && node.core_state(*c).owner == p)
+        .or_else(|| {
+            (0..node.num_cores())
+                .find(idle)
+                .filter(|_| node.lewi_enabled())
+        })
+}
+
+/// `acquire(p)`, held against [`reference_acquire`]; a refusal must leave
+/// a reclaim on every core of a living `p` that another process runs on.
+fn checked_acquire(node: &mut NodeDlb, p: usize, holding: &mut [Vec<usize>]) {
+    let expected = reference_acquire(node, ProcId(p));
+    let got = node.acquire(ProcId(p));
+    assert_eq!(got, expected, "acquire(P{p})");
+    match got {
+        Some(c) => holding[p].push(c),
+        None if node.is_retired(ProcId(p)) => {}
+        None => {
+            for c in 0..node.num_cores() {
+                let s = node.core_state(c);
+                if s.owner == ProcId(p) && s.user.is_some_and(|u| u != s.owner) {
+                    assert!(
+                        node.reclaim_pending(c),
+                        "P{p} refused, core {c} not reclaimed"
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// Any interleaving of the five mutating operations, with LeWI on and
-/// off: `check_invariants` (which also compares the cached owned / used /
-/// busy counts with a fresh scan) holds after every step.
+/// off, on a one-word and a two-word node: `check_invariants` (which also
+/// compares the cached counts and core masks with a fresh scan) holds
+/// after every step, and every `acquire` answers what the reference scan
+/// answers.
 #[test]
 fn random_ops_preserve_invariants() {
     let root = Rng::seed_from_u64(0xD1B_0001);
     for case in 0..64u64 {
         let mut rng = root.split_u64(case);
-        let cores = 12usize;
+        let cores = if case % 4 < 2 { 12usize } else { 70 };
         let mut live: Vec<usize> = (0..rng.range_usize(2, 5)).collect();
         let mut counts = vec![1usize; live.len()];
         counts[0] = cores - (live.len() - 1);
         let mut node = NodeDlb::with_counts(&counts, case % 2 == 0);
         // `holding[p]`: cores process `p` (living or retired) still runs on.
         let mut holding: Vec<Vec<usize>> = vec![Vec::new(); live.len()];
+        // The wide node starts nearly full, so that the steps below also
+        // saturate it and lend out the cores of its second word.
+        for _ in 12..cores {
+            checked_acquire(&mut node, 0, &mut holding);
+        }
 
         for step in 0..300 {
             match rng.range_u64(0, 11) {
                 0..=3 => {
                     let p = rng.range_usize(0, holding.len());
-                    if let Some(c) = node.acquire(ProcId(p)) {
-                        holding[p].push(c);
-                    }
+                    checked_acquire(&mut node, p, &mut holding);
                 }
                 4..=6 => {
                     let p = rng.range_usize(0, holding.len());

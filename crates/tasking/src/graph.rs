@@ -39,11 +39,11 @@ impl fmt::Display for GraphError {
 
 impl std::error::Error for GraphError {}
 
+/// What only `submit`, `complete` and the read-only queries need of a
+/// task; its state and pending-predecessor count live in `TaskGraph`'s
+/// `state` and `pending` arrays.
 struct TaskNode {
     def: TaskDef,
-    state: TaskState,
-    /// Predecessors not yet completed.
-    pending_deps: usize,
     /// Successor edges (dependents released on completion).
     successors: Vec<TaskId>,
     /// Predecessor edges (kept for critical-path computation and tests).
@@ -65,13 +65,22 @@ struct TaskNode {
 /// behind all of them.
 pub struct TaskGraph {
     tasks: Vec<TaskNode>,
+    /// `state[i]` / `pending[i]`: state and predecessors not yet completed
+    /// of `tasks[i]`. Claiming and releasing a task touch only these five
+    /// bytes, not its `TaskNode`.
+    state: Vec<TaskState>,
+    pending: Vec<u32>,
     /// Active accesses per dependency domain (keyed by parent; `None` key
     /// encoded as u64::MAX). The interval index answers "which active
     /// accesses overlap this region" in O(log n + k).
     domains: HashMap<u64, IntervalIndex<(TaskId, AccessMode)>>,
-    /// Ready tasks in the order they became ready. Executors claim
-    /// mostly from the front, which `start` and `pop_ready` do in O(1).
+    /// Tasks in the order they became ready. `start` claims a task by
+    /// flipping its state and drops its entry only once it is at the
+    /// front, so an entry counts while its task is `Ready` (a state no
+    /// task returns to) and the front entry always counts.
     ready: VecDeque<TaskId>,
+    /// Entries of `ready` that count.
+    ready_len: usize,
     completed_count: usize,
 }
 
@@ -90,8 +99,11 @@ impl TaskGraph {
     pub fn new() -> Self {
         TaskGraph {
             tasks: Vec::new(),
+            state: Vec::new(),
+            pending: Vec::new(),
             domains: HashMap::new(),
             ready: VecDeque::new(),
+            ready_len: 0,
             completed_count: 0,
         }
     }
@@ -100,12 +112,9 @@ impl TaskGraph {
     /// siblings are computed here.
     pub fn submit(&mut self, def: TaskDef) -> Result<TaskId, GraphError> {
         if let Some(p) = def.parent {
-            let node = self
-                .tasks
-                .get(p.0 as usize)
-                .ok_or(GraphError::BadParent(p))?;
-            if node.state == TaskState::Completed {
-                return Err(GraphError::BadParent(p));
+            match self.state.get(p.0 as usize) {
+                None | Some(TaskState::Completed) => return Err(GraphError::BadParent(p)),
+                Some(_) => {}
             }
         }
         let id = TaskId(self.tasks.len() as u64);
@@ -131,20 +140,19 @@ impl TaskGraph {
         if let Some(p) = def.parent {
             self.tasks[p.0 as usize].live_children += 1;
         }
-        let pending = preds.len();
         for &p in &preds {
             self.tasks[p.0 as usize].successors.push(id);
         }
-        let state = if pending == 0 {
-            self.ready.push_back(id);
-            TaskState::Ready
+        if preds.is_empty() {
+            self.make_ready(id);
+            self.state.push(TaskState::Ready);
         } else {
-            TaskState::Blocked
-        };
+            self.state.push(TaskState::Blocked);
+        }
+        self.pending
+            .push(u32::try_from(preds.len()).expect("fewer than 2^32 predecessors"));
         self.tasks.push(TaskNode {
             def,
-            state,
-            pending_deps: pending,
             successors: Vec::new(),
             predecessors: preds,
             live_children: 0,
@@ -157,43 +165,53 @@ impl TaskGraph {
     /// at submission in submission order, each batch released by a
     /// [`TaskGraph::complete`] appended behind whatever was ready then.
     /// Draining is the executor's job: call [`TaskGraph::start`] to claim
-    /// one.
+    /// one. O(queue length): entries claimed out of order are skipped.
     pub fn ready(&self) -> Vec<TaskId> {
-        self.ready.iter().copied().collect()
+        let still_ready = |t: &TaskId| self.state[t.0 as usize] == TaskState::Ready;
+        self.ready.iter().copied().filter(still_ready).collect()
     }
 
-    /// Number of ready tasks.
+    /// Number of ready tasks. O(1).
     pub fn ready_count(&self) -> usize {
-        self.ready.len()
+        self.ready_len
+    }
+
+    fn make_ready(&mut self, id: TaskId) {
+        self.ready.push_back(id);
+        self.ready_len += 1;
     }
 
     /// Pop the first task of [`TaskGraph::ready`], if any, marking it
-    /// running.
+    /// running. Amortised O(1), as [`TaskGraph::start`] is.
     pub fn pop_ready(&mut self) -> Option<TaskId> {
-        let id = self.ready.pop_front()?;
-        self.tasks[id.0 as usize].state = TaskState::Running;
-        Some(id)
+        // `start` leaves no claimed entry at the front of the queue.
+        let id = *self.ready.front()?;
+        self.start(id).ok().map(|()| id)
     }
 
-    /// Claim a specific ready task for execution.
+    /// Claim a specific ready task for execution. Amortised O(1) wherever
+    /// the task is in [`TaskGraph::ready`]: it flips the task's state, and
+    /// drops from the front of the queue the entries claimed already.
     pub fn start(&mut self, id: TaskId) -> Result<(), GraphError> {
-        let node = self
-            .tasks
+        let state = self
+            .state
             .get_mut(id.0 as usize)
             .ok_or(GraphError::NoSuchTask(id))?;
-        if node.state != TaskState::Ready {
+        if *state != TaskState::Ready {
             return Err(GraphError::BadState {
                 task: id,
-                state: node.state,
+                state: *state,
                 wanted: TaskState::Ready,
             });
         }
-        node.state = TaskState::Running;
-        // Found at once and removed without a shift when claimed in ready
-        // order; otherwise a search from the front and one positional remove.
-        let pos = self.ready.iter().position(|&r| r == id);
-        self.ready
-            .remove(pos.expect("a Ready task is in the ready queue"));
+        *state = TaskState::Running;
+        self.ready_len -= 1;
+        while let Some(&front) = self.ready.front() {
+            if self.state[front.0 as usize] == TaskState::Ready {
+                break;
+            }
+            self.ready.pop_front();
+        }
         Ok(())
     }
 
@@ -201,17 +219,15 @@ impl TaskGraph {
     /// that became ready as a result (in submission order).
     pub fn complete(&mut self, id: TaskId) -> Result<Vec<TaskId>, GraphError> {
         let idx = id.0 as usize;
-        {
-            let node = self.tasks.get_mut(idx).ok_or(GraphError::NoSuchTask(id))?;
-            if node.state != TaskState::Running {
-                return Err(GraphError::BadState {
-                    task: id,
-                    state: node.state,
-                    wanted: TaskState::Running,
-                });
-            }
-            node.state = TaskState::Completed;
+        let state = self.state.get_mut(idx).ok_or(GraphError::NoSuchTask(id))?;
+        if *state != TaskState::Running {
+            return Err(GraphError::BadState {
+                task: id,
+                state: *state,
+                wanted: TaskState::Running,
+            });
         }
+        *state = TaskState::Completed;
         self.completed_count += 1;
         // Retire this task's accesses from its dependency domain.
         let key = domain_key(self.tasks[idx].def.parent);
@@ -229,11 +245,11 @@ impl TaskGraph {
         let successors = std::mem::take(&mut self.tasks[idx].successors);
         let mut newly_ready = Vec::new();
         for s in successors {
-            let node = &mut self.tasks[s.0 as usize];
-            node.pending_deps -= 1;
-            if node.pending_deps == 0 && node.state == TaskState::Blocked {
-                node.state = TaskState::Ready;
-                self.ready.push_back(s);
+            let i = s.0 as usize;
+            self.pending[i] -= 1;
+            if self.pending[i] == 0 && self.state[i] == TaskState::Blocked {
+                self.state[i] = TaskState::Ready;
+                self.make_ready(s);
                 newly_ready.push(s);
             }
         }
@@ -247,7 +263,7 @@ impl TaskGraph {
 
     /// Current state of a task.
     pub fn state(&self, id: TaskId) -> TaskState {
-        self.tasks[id.0 as usize].state
+        self.state[id.0 as usize]
     }
 
     /// Predecessor ids of a task (dependency edges into it).
@@ -273,7 +289,8 @@ impl TaskGraph {
             None => self
                 .tasks
                 .iter()
-                .filter(|t| t.def.parent.is_none() && t.state != TaskState::Completed)
+                .zip(&self.state)
+                .filter(|(t, &state)| t.def.parent.is_none() && state != TaskState::Completed)
                 .count(),
         }
     }
@@ -310,19 +327,17 @@ impl TaskGraph {
 
     /// Summary counters.
     pub fn stats(&self) -> TaskStats {
-        let mut s = TaskStats {
+        TaskStats {
             submitted: self.tasks.len(),
             completed: self.completed_count,
-            ready: self.ready.len(),
-            ..TaskStats::default()
-        };
-        for t in &self.tasks {
-            if t.state == TaskState::Running {
-                s.running += 1;
-            }
-            s.edges += t.predecessors.len();
+            ready: self.ready_len,
+            running: self
+                .state
+                .iter()
+                .filter(|&&state| state == TaskState::Running)
+                .count(),
+            edges: self.tasks.iter().map(|t| t.predecessors.len()).sum(),
         }
-        s
     }
 }
 

@@ -1,6 +1,7 @@
 //! Task definitions: the Rust equivalent of `#pragma oss task`.
 
 use crate::DataRegion;
+use std::borrow::Cow;
 use std::fmt;
 
 /// Opaque task identifier, unique within one [`crate::TaskGraph`].
@@ -78,8 +79,9 @@ pub enum TaskState {
 /// the runtime hints our executors use.
 #[derive(Clone, Debug)]
 pub struct TaskDef {
-    /// Human-readable label (kernel name); shows up in traces.
-    pub label: String,
+    /// Human-readable label (kernel name). A `&'static str` label is
+    /// borrowed, so a task named by a literal allocates nothing for it.
+    pub label: Cow<'static, str>,
     /// Declared data accesses.
     pub accesses: Vec<Access>,
     /// Cost hint in abstract work units (virtual seconds of single-core
@@ -99,7 +101,7 @@ pub struct TaskDef {
 
 impl TaskDef {
     /// A task with no accesses, unit cost, offloadable, top-level.
-    pub fn new(label: impl Into<String>) -> Self {
+    pub fn new(label: impl Into<Cow<'static, str>>) -> Self {
         TaskDef {
             label: label.into(),
             accesses: Vec::new(),

@@ -57,21 +57,26 @@ fn oracle_edges(tasks: &[Vec<GenAccess>]) -> Vec<(usize, usize)> {
     edges
 }
 
+/// `def` with the generated accesses declared on it.
+fn with_accesses(mut def: TaskDef, accs: &[GenAccess]) -> TaskDef {
+    for a in accs {
+        let r = DataRegion::new(a.base, a.len);
+        def = match a.mode {
+            AccessMode::In => def.reads(r),
+            AccessMode::Out => def.writes(r),
+            AccessMode::InOut => def.reads_writes(r),
+        };
+    }
+    def
+}
+
 fn build_graph(tasks: &[Vec<GenAccess>]) -> (TaskGraph, Vec<tlb_tasking::TaskId>) {
     let mut g = TaskGraph::new();
     let ids = tasks
         .iter()
         .enumerate()
         .map(|(i, accs)| {
-            let mut def = TaskDef::new(format!("t{i}"));
-            for a in accs {
-                let r = DataRegion::new(a.base, a.len);
-                def = match a.mode {
-                    AccessMode::In => def.reads(r),
-                    AccessMode::Out => def.writes(r),
-                    AccessMode::InOut => def.reads_writes(r),
-                };
-            }
+            let def = with_accesses(TaskDef::new(format!("t{i}")), accs);
             g.submit(def).unwrap()
         })
         .collect();
@@ -176,5 +181,101 @@ fn conflict_symmetry() {
             bb.conflicts_with(&aa),
             "case {case}"
         );
+    }
+}
+
+/// `TaskGraph` against a naive model under a random interleaving of
+/// `submit`, `start` of a random ready task, `pop_ready`, `complete` and
+/// `start` of a task that is not ready. The model is a state per task and
+/// a `Vec<TaskId>` ready list edited with `retain`; after every step the
+/// graph must show the same ready list, count and states.
+#[test]
+fn ready_queue_matches_a_naive_model() {
+    use tlb_tasking::{GraphError, TaskId, TaskState};
+    // `TaskId`s are per-graph indices: a larger graph supplies ids this
+    // one has and ids it has not.
+    let mut foreign = TaskGraph::new();
+    let any_id: Vec<TaskId> = (0..256)
+        .map(|_| foreign.submit(TaskDef::new("id")).unwrap())
+        .collect();
+    let root = Rng::seed_from_u64(0xDE9_0005);
+    for case in 0..CASES {
+        let mut rng = root.split_u64(case as u64);
+        let mut g = TaskGraph::new();
+        let mut ready: Vec<TaskId> = Vec::new();
+        let mut states: Vec<TaskState> = Vec::new();
+        for step in 0..200 {
+            let at = format!("case {case} step {step}");
+            let running: Vec<TaskId> = (any_id.iter().zip(&states))
+                .filter(|(_, &s)| s == TaskState::Running)
+                .map(|(&t, _)| t)
+                .collect();
+            match rng.range_u64(0, 10) {
+                0..=3 => {
+                    let accs: Vec<GenAccess> = (0..rng.range_usize(0, 3))
+                        .map(|_| gen_access(&mut rng))
+                        .collect();
+                    let id = g.submit(with_accesses(TaskDef::new("t"), &accs)).unwrap();
+                    assert_eq!(id, any_id[states.len()], "{at}");
+                    if g.predecessors(id).is_empty() {
+                        states.push(TaskState::Ready);
+                        ready.push(id);
+                    } else {
+                        states.push(TaskState::Blocked);
+                    }
+                }
+                4..=5 if !ready.is_empty() => {
+                    let id = ready[rng.range_usize(0, ready.len())];
+                    assert_eq!(g.start(id), Ok(()), "{at}");
+                    ready.retain(|&t| t != id);
+                    states[id.raw() as usize] = TaskState::Running;
+                }
+                6 => {
+                    let popped = g.pop_ready();
+                    assert_eq!(popped, ready.first().copied(), "{at}");
+                    if let Some(id) = popped {
+                        ready.remove(0);
+                        states[id.raw() as usize] = TaskState::Running;
+                    }
+                }
+                7..=8 if !running.is_empty() => {
+                    let id = running[rng.range_usize(0, running.len())];
+                    states[id.raw() as usize] = TaskState::Completed;
+                    // Released: the blocked tasks, in submission order,
+                    // whose predecessors have now all completed.
+                    let done = |p: &TaskId| states[p.raw() as usize] == TaskState::Completed;
+                    let released: Vec<TaskId> = (any_id.iter().zip(&states))
+                        .filter(|(_, &s)| s == TaskState::Blocked)
+                        .map(|(&t, _)| t)
+                        .filter(|&t| g.predecessors(t).iter().all(done))
+                        .collect();
+                    assert_eq!(g.complete(id).as_deref(), Ok(&released[..]), "{at}");
+                    for &t in &released {
+                        states[t.raw() as usize] = TaskState::Ready;
+                    }
+                    ready.extend(released);
+                }
+                _ => {
+                    // A start the graph must refuse, changing nothing.
+                    let id = any_id[rng.range_usize(0, states.len() + 2)];
+                    let refused = match states.get(id.raw() as usize) {
+                        Some(TaskState::Ready) => continue,
+                        Some(&state) => GraphError::BadState {
+                            task: id,
+                            state,
+                            wanted: TaskState::Ready,
+                        },
+                        None => GraphError::NoSuchTask(id),
+                    };
+                    assert_eq!(g.start(id), Err(refused), "{at}");
+                }
+            }
+            assert_eq!(g.ready(), ready, "{at}");
+            assert_eq!(g.ready_count(), ready.len(), "{at}");
+            assert_eq!(g.stats().ready, ready.len(), "{at}");
+            for (&id, &state) in any_id.iter().zip(&states) {
+                assert_eq!(g.state(id), state, "{at}: {id:?}");
+            }
+        }
     }
 }
