@@ -7,55 +7,91 @@ use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 use tlb_des::SimTime;
+use tlb_json::write_i64;
+
+/// Append `t` in seconds as `{:.9}` of [`SimTime::as_secs_f64`] prints
+/// it, from the integer: the seconds, a point, nine zero-padded digits.
+/// Below 2^52 ns the double is off by under half a unit of the ninth
+/// decimal, so `{:.9}` rounds it back to exactly these digits; from
+/// there on the `fmt` form it is.
+fn write_secs(out: &mut String, t: SimTime) {
+    let nanos = t.as_nanos();
+    if nanos >= 1 << 52 {
+        let _ = write!(out, "{:.9}", t.as_secs_f64());
+        return;
+    }
+    write_i64(out, (nanos / 1_000_000_000) as i64);
+    let (mut frac, mut r) = (*b".000000000", nanos % 1_000_000_000);
+    for digit in frac[1..].iter_mut().rev() {
+        *digit += (r % 10) as u8;
+        r /= 10;
+    }
+    out.push_str(std::str::from_utf8(&frac).expect("ASCII digits"));
+}
+
+/// Append `v` as `{}` prints an `f64`. The values of a trace are mostly
+/// counts, and an integral double below 2^53 prints as that integer
+/// (`-0.0` as `-0`); anything else goes through `fmt`.
+fn write_value(out: &mut String, v: f64) {
+    if v.fract() == 0.0 && v.abs() < (1u64 << 53) as f64 {
+        if v.is_sign_negative() {
+            out.push('-');
+        }
+        write_i64(out, v.abs() as i64);
+    } else {
+        let _ = write!(out, "{v}");
+    }
+}
+
+/// One row `kind,node,proc,apprank,time_s,value`.
+fn write_row(out: &mut String, kind: &str, ids: [i64; 3], at: SimTime, value: f64) {
+    out.push_str(kind);
+    for id in ids {
+        out.push(',');
+        write_i64(out, id);
+    }
+    out.push(',');
+    write_secs(out, at);
+    out.push(',');
+    write_value(out, value);
+    out.push('\n');
+}
 
 /// Export every worker timeline as long-format CSV:
 /// `kind,node,proc,apprank,time_s,value` — one row per sample, directly
 /// loadable by pandas/R/gnuplot.
 pub fn trace_to_csv(trace: &Trace) -> String {
-    let mut out = String::from("kind,node,proc,apprank,time_s,value\n");
-    let mut emit =
-        |kind: &str, node: usize, proc: usize, apprank: usize, tl: &tlb_des::Timeline| {
-            for s in tl.samples() {
-                let _ = writeln!(
-                    out,
-                    "{kind},{node},{proc},{apprank},{:.9},{}",
-                    s.at.as_secs_f64(),
-                    s.value
-                );
+    let workers = trace.busy.iter().chain(&trace.owned).flatten();
+    let samples = workers.chain(&trace.node_busy).map(|tl| tl.samples().len());
+    let rows = samples.sum::<usize>() + trace.iteration_ends.len() + trace.log.len();
+    // One reservation: a row is a kind name, three small ids, a time and
+    // a value, 40 bytes or so.
+    let mut out = String::with_capacity(64 + rows * 48);
+    out.push_str("kind,node,proc,apprank,time_s,value\n");
+    for (kind, timelines) in [("busy", &trace.busy), ("owned", &trace.owned)] {
+        for (node, workers) in timelines.iter().enumerate() {
+            for (proc, tl) in workers.iter().enumerate() {
+                let apprank = trace.worker_apprank[node][proc];
+                let ids = [node as i64, proc as i64, apprank as i64];
+                for s in tl.samples() {
+                    write_row(&mut out, kind, ids, s.at, s.value);
+                }
             }
-        };
-    for (node, workers) in trace.busy.iter().enumerate() {
-        for (proc, tl) in workers.iter().enumerate() {
-            emit("busy", node, proc, trace.worker_apprank[node][proc], tl);
-        }
-    }
-    for (node, workers) in trace.owned.iter().enumerate() {
-        for (proc, tl) in workers.iter().enumerate() {
-            emit("owned", node, proc, trace.worker_apprank[node][proc], tl);
         }
     }
     // Fields that do not apply to a row carry a `-1` sentinel rather than
     // an empty string, so numeric CSV readers never see mixed dtypes.
     for (node, tl) in trace.node_busy.iter().enumerate() {
         for s in tl.samples() {
-            let _ = writeln!(
-                out,
-                "node_busy,{node},-1,-1,{:.9},{}",
-                s.at.as_secs_f64(),
-                s.value
-            );
+            write_row(&mut out, "node_busy", [node as i64, -1, -1], s.at, s.value);
         }
     }
     for (i, t) in trace.iteration_ends.iter().enumerate() {
-        let _ = writeln!(out, "iteration_end,-1,-1,-1,{:.9},{i}", t.as_secs_f64());
+        write_row(&mut out, "iteration_end", [-1; 3], *t, i as f64);
     }
     for ev in trace.log.iter() {
         let (kind, node, proc, apprank, value) = ev.csv_fields();
-        let _ = writeln!(
-            out,
-            "{kind},{node},{proc},{apprank},{:.9},{value}",
-            ev.at.as_secs_f64()
-        );
+        write_row(&mut out, kind, [node, proc, apprank], ev.at, value);
     }
     out
 }
@@ -169,6 +205,49 @@ mod tests {
     #[test]
     fn away_fraction_empty_is_zero() {
         assert_eq!(away_fraction(&[vec![0.0, 0.0]], &[0]), 0.0);
+    }
+
+    /// The two number writers of a CSV row against the `fmt` forms they
+    /// replaced, on both sides of each one's fallback bound.
+    #[test]
+    fn csv_numbers_match_the_fmt_forms() {
+        let mut rng = tlb_rng::Rng::seed_from_u64(24);
+        let mut times: Vec<u64> = (0..2_000)
+            .chain((1 << 52) - 1_000..(1 << 52) + 1_000)
+            .collect();
+        let mut values = vec![
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            0.5,
+            -2.75,
+            1e300,
+            f64::NAN,
+            f64::INFINITY,
+        ];
+        values.extend([-1.0, 0.0, 1.0, 2.0].map(|d| (1u64 << 53) as f64 + d));
+        for exp in 1..20 {
+            times.extend(10u64.pow(exp) - 1..=10u64.pow(exp) + 1);
+        }
+        for _ in 0..50_000 {
+            let bits = rng.next_u64();
+            times.extend([bits >> 12, bits >> (bits % 64)]);
+            let v = f64::from_bits(bits);
+            values.extend([v, v.trunc(), (bits as i32) as f64, (bits >> 10) as f64]);
+        }
+        let mut out = String::new();
+        for nanos in times {
+            out.clear();
+            let t = SimTime::from_nanos(nanos);
+            write_secs(&mut out, t);
+            assert_eq!(out, format!("{:.9}", t.as_secs_f64()), "{nanos} ns");
+        }
+        for v in values {
+            out.clear();
+            write_value(&mut out, v);
+            assert_eq!(out, format!("{v}"), "{:#x}", v.to_bits());
+        }
     }
 
     fn push_task_pair(t: &mut Trace) {

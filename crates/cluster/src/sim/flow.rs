@@ -374,8 +374,8 @@ impl<W: Workload> State<W> {
             if !has_queued && !may_steal {
                 break;
             }
-            if !has_queued {
-                self.trace.count("steal_attempts", 1);
+            if !has_queued && self.trace.events() {
+                self.trace.counters.steal_attempt();
             }
             let Some(core) = self.dlbs[node].acquire(proc) else {
                 break;

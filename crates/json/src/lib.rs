@@ -10,8 +10,15 @@
 //! Objects preserve insertion order (they are stored as `Vec<(String,
 //! Value)>`), so serialisation is deterministic — important for the
 //! benchmark artefacts that get diffed across PRs.
+//!
+//! There is one number and one string format, in three public byte
+//! kernels: [`write_i64`], [`write_f64`] and [`write_escaped`]. The tree
+//! writer calls them, and so do the writers that stream JSON text
+//! without a tree (the Chrome trace export, 19.8 MB a traced run), so
+//! none goes through `fmt` or a temporary `String` where it can write
+//! the bytes itself.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON document node.
 #[derive(Clone, Debug, PartialEq)]
@@ -143,7 +150,7 @@ impl Value {
             Value::Null => out.push_str("null"),
             Value::Bool(true) => out.push_str("true"),
             Value::Bool(false) => out.push_str("false"),
-            Value::Int(i) => out.push_str(&i.to_string()),
+            Value::Int(i) => write_i64(out, *i),
             Value::Float(f) => write_f64(out, *f),
             Value::Str(s) => write_escaped(out, s),
             Value::Array(items) => {
@@ -198,16 +205,13 @@ fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
 
 /// Append `f` the way [`Value::Float`] serialises: shortest
 /// round-trippable form with a decimal point, `null` when not finite.
-/// Public so writers that stream JSON text without building a [`Value`]
-/// share the one number format.
+/// `{f}` is formatted straight into `out`.
 pub fn write_f64(out: &mut String, f: f64) {
     if f.is_finite() {
-        // Round-trippable shortest form; force a decimal point so the
-        // value re-parses as Float.
-        let s = format!("{f}");
-        let has_marker = s.contains(['.', 'e', 'E']);
-        out.push_str(&s);
-        if !has_marker {
+        let start = out.len();
+        let _ = write!(out, "{f}");
+        if !out.as_bytes()[start..].iter().any(|b| b".eE".contains(b)) {
+            // Force a decimal point so the value re-parses as Float.
             out.push_str(".0");
         }
     } else {
@@ -216,23 +220,53 @@ pub fn write_f64(out: &mut String, f: f64) {
     }
 }
 
-/// Append `s` as a quoted, escaped JSON string (the [`Value::Str`] and
-/// object-key format).
-pub fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+/// Append `i` in decimal, the way [`Value::Int`] serialises and
+/// `i.to_string()` prints: digits filled backwards into a stack buffer
+/// (`i64::MIN` is a sign and 19 of them), then one `push_str`.
+pub fn write_i64(out: &mut String, i: i64) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    let mut n = i.unsigned_abs();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
         }
     }
+    if i < 0 {
+        at -= 1;
+        buf[at] = b'-';
+    }
+    out.push_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits and sign"));
+}
+
+/// Append `s` as a quoted, escaped JSON string (the [`Value::Str`] and
+/// object-key format). Scans bytes and copies the run between two
+/// escapes with one `push_str`; every escaped byte is ASCII, so a run
+/// always starts and ends on a character boundary.
+pub fn write_escaped(out: &mut String, s: &str) {
+    out.push('"');
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+    }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -642,6 +676,133 @@ mod tests {
         assert_eq!(v.as_str(), Some("18446744073709551615"));
         let v = Value::from(5u64);
         assert_eq!(v.as_i64(), Some(5));
+    }
+
+    /// `tlb_rng::splitmix64`, copied: this crate sits under every other
+    /// one and takes no dependency, not even for its tests.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn write_i64_matches_to_string() {
+        let mut cases = vec![i64::MIN, i64::MAX, 0, 1, -1];
+        for exp in 0..19 {
+            let p = 10i64.pow(exp);
+            cases.extend([p - 1, p, p + 1, 1 - p, -p, -p - 1]);
+        }
+        let mut seed = 24;
+        for _ in 0..100_000 {
+            // Every length from 1 to 19 digits, both signs.
+            let bits = next(&mut seed);
+            cases.push(bits as i64 >> (next(&mut seed) % 64));
+        }
+        let mut out = String::new();
+        for i in cases {
+            out.clear();
+            write_i64(&mut out, i);
+            assert_eq!(out, i.to_string());
+            assert_eq!(Value::Int(i).to_string_compact(), out);
+        }
+    }
+
+    /// The per-`char` writer that `write_escaped` replaced, kept as its
+    /// reference.
+    fn write_escaped_by_char(out: &mut String, s: &str) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    out.push_str(&format!("\\u{:04x}", c as u32));
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    #[test]
+    fn write_escaped_matches_the_per_char_writer() {
+        // Plain ASCII, the two escaped printables, all 32 control bytes,
+        // DEL (not escaped), and 2-, 3- and 4-byte UTF-8.
+        let mut alphabet: Vec<char> = "abcXYZ 09/\"\\\u{7f}\u{e9}\u{df}\u{20ac}\u{4e16}\u{1F600}"
+            .chars()
+            .collect();
+        alphabet.extend((0u8..0x20).map(char::from));
+        let mut cases: Vec<String> = [
+            "",
+            "\"",
+            "\\",
+            "\u{0}",
+            "\u{1f}\u{1f}",
+            "\"a\"",
+            "\\\\\"\"",
+            "\u{1F600}\n\u{e9}",
+        ]
+        .map(String::from)
+        .to_vec();
+        let mut seed = 24;
+        for _ in 0..20_000 {
+            let len = next(&mut seed) % 13;
+            let pick = |_| alphabet[(next(&mut seed) % alphabet.len() as u64) as usize];
+            cases.push((0..len).map(pick).collect());
+        }
+        let (mut out, mut reference) = (String::new(), String::new());
+        for s in &cases {
+            out.clear();
+            reference.clear();
+            write_escaped(&mut out, s);
+            write_escaped_by_char(&mut reference, s);
+            assert_eq!(out, reference, "{s:?}");
+            assert_eq!(parse(&out).unwrap().as_str(), Some(s.as_str()), "{s:?}");
+        }
+    }
+
+    #[test]
+    fn write_f64_matches_the_format_form() {
+        let mut cases = vec![
+            0.0,
+            -0.0,
+            1.0,
+            -17.0,
+            0.1,
+            1e21,
+            1e-7,
+            5e-324,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+        ];
+        cases.extend([f64::NAN, f64::INFINITY, f64::NEG_INFINITY]);
+        let mut seed = 24;
+        for _ in 0..50_000 {
+            let bits = next(&mut seed);
+            // Any bit pattern, a subnormal, an integral value.
+            cases.extend([
+                f64::from_bits(bits),
+                f64::from_bits(bits >> 12),
+                (bits as i32) as f64,
+            ]);
+        }
+        let mut out = String::new();
+        for f in cases {
+            out.clear();
+            write_f64(&mut out, f);
+            let reference = match format!("{f}") {
+                _ if !f.is_finite() => "null".to_string(),
+                s if s.contains(['.', 'e', 'E']) => s,
+                s => s + ".0",
+            };
+            assert_eq!(out, reference, "{:#x}", f.to_bits());
+        }
     }
 
     #[test]

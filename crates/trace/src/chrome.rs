@@ -7,26 +7,37 @@
 //! nanoseconds converted to the format's microseconds, so the output is
 //! bitwise-identical across runs, hosts, and thread counts.
 //!
-//! The text is written event by event into one `String` — no document
-//! tree is built — in exactly the compact form `tlb_json::Value` would
-//! serialise to, so `parse(&text).to_string_compact() == text`.
+//! The text is written event by event into one `String`, reserved once
+//! from the event count — no document tree is built — in exactly the
+//! compact form `tlb_json::Value` would serialise to, so
+//! `parse(&text).to_string_compact() == text`. What a byte costs: a key
+//! is a compile-time literal with its quotes and colon (`k!`, one
+//! `push_str`), strings and numbers go through `tlb-json`'s own kernels
+//! (`write_escaped`, `write_i64`, `write_f64`), and a timestamp is
+//! written from its integer nanoseconds (`Obj::micros`: at most 15
+//! significant digits, hence already the double's shortest form).
 
 use crate::event::{Event, EventKind, TaskKey};
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use tlb_des::SimTime;
-use tlb_json::{write_escaped, write_f64};
+use tlb_json::{write_escaped, write_f64, write_i64};
 
 /// Global-track pid used for solver / iteration instants: the `-1` that
 /// [`Event::csv_fields`] gives an event with no node.
 const GLOBAL_PID: i64 = -1;
 
-fn micros(t: SimTime) -> f64 {
-    t.as_nanos() as f64 / 1000.0
+/// An object key as the text it exports as, `"name":`. Every key of the
+/// format is a plain identifier, so nothing in it needs escaping, and
+/// `concat!` takes literals only: a key costs one `push_str`.
+macro_rules! k {
+    ($key:literal) => {
+        concat!("\"", $key, "\":")
+    };
 }
 
 /// One JSON object being written into `out`: `{"key":value,...}`, keys
-/// in call order, numbers and strings in `tlb-json`'s formats.
+/// (each a [`k!`] literal) in call order, numbers and strings in
+/// `tlb-json`'s formats.
 struct Obj<'a> {
     out: &'a mut String,
     first: bool,
@@ -44,31 +55,52 @@ impl<'a> Obj<'a> {
 
     /// Write `"key":` (after a comma unless first) and hand back the
     /// text for the value to follow.
-    fn key(&mut self, key: &str) -> &mut String {
+    fn key(&mut self, key: &'static str) -> &mut String {
         if !std::mem::take(&mut self.first) {
             self.out.push(',');
         }
-        write_escaped(self.out, key);
-        self.out.push(':');
+        self.out.push_str(key);
         self.out
     }
 
-    fn str(&mut self, key: &str, v: &str) -> &mut Self {
+    fn str(&mut self, key: &'static str, v: &str) -> &mut Self {
         write_escaped(self.key(key), v);
         self
     }
 
-    fn int(&mut self, key: &str, v: impl Into<i64>) -> &mut Self {
-        let _ = write!(self.key(key), "{}", v.into());
+    fn int(&mut self, key: &'static str, v: impl Into<i64>) -> &mut Self {
+        write_i64(self.key(key), v.into());
         self
     }
 
-    fn float(&mut self, key: &str, v: f64) -> &mut Self {
+    fn float(&mut self, key: &'static str, v: f64) -> &mut Self {
         write_f64(self.key(key), v);
         self
     }
 
-    fn bool(&mut self, key: &str, v: bool) -> &mut Self {
+    /// `t` in the format's microseconds, as [`Obj::float`] would write
+    /// `nanos as f64 / 1000.0`, from the integer: `q.rrr`, trailing zeros
+    /// trimmed down to `q.0`. Equal below 10^15 ns (see the module doc);
+    /// from there on a few values in a hundred differ, so `float` it is.
+    fn micros(&mut self, key: &'static str, t: SimTime) -> &mut Self {
+        let nanos = t.as_nanos();
+        if nanos >= 10u64.pow(15) {
+            return self.float(key, nanos as f64 / 1000.0);
+        }
+        let out = self.key(key);
+        write_i64(out, (nanos / 1000) as i64);
+        let (mut frac, mut r) = (*b".000", nanos % 1000);
+        for digit in frac[1..].iter_mut().rev() {
+            *digit += (r % 10) as u8;
+            r /= 10;
+        }
+        let frac = std::str::from_utf8(&frac).expect("ASCII digits");
+        out.push_str(&frac[..2]);
+        out.push_str(frac[2..].trim_end_matches('0'));
+        self
+    }
+
+    fn bool(&mut self, key: &'static str, v: bool) -> &mut Self {
         self.key(key).push_str(if v { "true" } else { "false" });
         self
     }
@@ -76,7 +108,7 @@ impl<'a> Obj<'a> {
     /// `"key":[...]`, each item written by `each`.
     fn array<T>(
         &mut self,
-        key: &str,
+        key: &'static str,
         items: impl IntoIterator<Item = T>,
         mut each: impl FnMut(&mut String, T),
     ) -> &mut Self {
@@ -92,29 +124,40 @@ impl<'a> Obj<'a> {
         self
     }
 
-    fn counts(&mut self, key: &str, vs: &[usize]) -> &mut Self {
-        self.array(key, vs, |out, v| {
-            let _ = write!(out, "{v}");
-        })
+    fn counts(&mut self, key: &'static str, vs: &[usize]) -> &mut Self {
+        self.array(key, vs, |out, &v| write_i64(out, v as i64))
     }
 
-    fn floats(&mut self, key: &str, vs: &[f64]) -> &mut Self {
+    fn floats(&mut self, key: &'static str, vs: &[f64]) -> &mut Self {
         self.array(key, vs, |out, &v| write_f64(out, v))
     }
 
     /// `"key":{...}`, filled by `fill`.
-    fn object(&mut self, key: &str, fill: impl FnOnce(&mut Obj)) -> &mut Self {
+    fn object(&mut self, key: &'static str, fill: impl FnOnce(&mut Obj)) -> &mut Self {
         let mut inner = Obj::open(self.key(key));
         fill(&mut inner);
         inner.close();
         self
     }
 
+    /// `"name":"aA.iI.tT"`, the label of a task's slice.
+    fn slice_name(&mut self, key: &TaskKey) -> &mut Self {
+        let out = self.key(k!("name"));
+        out.push_str("\"a");
+        write_i64(out, key.apprank.into());
+        out.push_str(".i");
+        write_i64(out, key.iteration.into());
+        out.push_str(".t");
+        write_i64(out, key.task.into());
+        out.push('"');
+        self
+    }
+
     /// The three fields that identify a task.
     fn task(&mut self, key: &TaskKey) -> &mut Self {
-        self.int("iteration", key.iteration)
-            .int("apprank", key.apprank)
-            .int("task", key.task)
+        self.int(k!("iteration"), key.iteration)
+            .int(k!("apprank"), key.apprank)
+            .int(k!("task"), key.task)
     }
 }
 
@@ -138,12 +181,14 @@ impl Doc {
     /// `(pid, tid)`.
     fn metadata(&mut self, name: &str, pid: i64, tid: Option<i64>, label: &str) {
         let mut ev = self.event();
-        ev.str("name", name).str("ph", "M").int("pid", pid);
+        ev.str(k!("name"), name)
+            .str(k!("ph"), "M")
+            .int(k!("pid"), pid);
         if let Some(tid) = tid {
-            ev.int("tid", tid);
+            ev.int(k!("tid"), tid);
         }
-        ev.object("args", |a| {
-            a.str("name", label);
+        ev.object(k!("args"), |a| {
+            a.str(k!("name"), label);
         });
         ev.close();
     }
@@ -152,13 +197,13 @@ impl Doc {
     /// in `args`.
     fn instant(&mut self, name: &str, at: SimTime, pid: i64, tid: i64, kind: &EventKind) {
         let mut ev = self.event();
-        ev.str("name", name)
-            .str("ph", "i")
-            .float("ts", micros(at))
-            .int("pid", pid)
-            .int("tid", tid)
-            .str("s", "t")
-            .object("args", |a| write_args(a, kind));
+        ev.str(k!("name"), name)
+            .str(k!("ph"), "i")
+            .micros(k!("ts"), at)
+            .int(k!("pid"), pid)
+            .int(k!("tid"), tid)
+            .str(k!("s"), "t")
+            .object(k!("args"), |a| write_args(a, kind));
         ev.close();
     }
 }
@@ -168,7 +213,7 @@ fn write_args(a: &mut Obj, kind: &EventKind) {
     match kind {
         // Exported as paired "X" slices, never as instants.
         EventKind::TaskStarted { .. } | EventKind::TaskCompleted { .. } => a,
-        EventKind::TaskCreated { key, cost } => a.task(key).float("cost_s", *cost),
+        EventKind::TaskCreated { key, cost } => a.task(key).float(k!("cost_s"), *cost),
         EventKind::TaskReady { key } => a.task(key),
         EventKind::SchedDecision {
             key,
@@ -181,12 +226,12 @@ fn write_args(a: &mut Obj, kind: &EventKind) {
             ..
         } => a
             .task(key)
-            .str("reason", reason.name())
-            .int("chosen_node", *chosen_node)
-            .int("home_queued", *home_queued)
-            .int("home_owned", *home_owned)
-            .int("chosen_queued", *chosen_queued)
-            .int("chosen_owned", *chosen_owned),
+            .str(k!("reason"), reason.name())
+            .int(k!("chosen_node"), *chosen_node)
+            .int(k!("home_queued"), *home_queued)
+            .int(k!("home_owned"), *home_owned)
+            .int(k!("chosen_queued"), *chosen_queued)
+            .int(k!("chosen_owned"), *chosen_owned),
         EventKind::TaskOffloaded {
             key,
             from_node,
@@ -194,49 +239,57 @@ fn write_args(a: &mut Obj, kind: &EventKind) {
             stolen,
         } => a
             .task(key)
-            .int("from_node", *from_node)
-            .int("to_node", *to_node)
-            .bool("stolen", *stolen),
-        EventKind::LewiBorrow { core, owner, .. } => a.int("core", *core).int("owner", *owner),
-        EventKind::LewiReclaim { core, borrower, .. } => {
-            a.int("core", *core).int("borrower", *borrower)
+            .int(k!("from_node"), *from_node)
+            .int(k!("to_node"), *to_node)
+            .bool(k!("stolen"), *stolen),
+        EventKind::LewiBorrow { core, owner, .. } => {
+            a.int(k!("core"), *core).int(k!("owner"), *owner)
         }
-        EventKind::DromTransfer { core, from, .. } => a.int("core", *core).int("from", *from),
-        EventKind::DromOwnership { counts, .. } => a.counts("counts", counts),
-        EventKind::TalpWindow { busy, .. } => a.floats("busy_core_s", busy),
+        EventKind::LewiReclaim { core, borrower, .. } => {
+            a.int(k!("core"), *core).int(k!("borrower"), *borrower)
+        }
+        EventKind::DromTransfer { core, from, .. } => {
+            a.int(k!("core"), *core).int(k!("from"), *from)
+        }
+        EventKind::DromOwnership { counts, .. } => a.counts(k!("counts"), counts),
+        EventKind::TalpWindow { busy, .. } => a.floats(k!("busy_core_s"), busy),
         EventKind::SolverInvoked(rec) => a
-            .floats("demand", &rec.demand)
-            .counts("cores", &rec.cores)
-            .int("simplex_iterations", rec.simplex_iterations as i64)
-            .float("objective", rec.objective)
-            .float("modelled_cost_us", micros(rec.modelled_cost)),
-        EventKind::HelperSpawned { apprank, .. } => a.int("apprank", *apprank),
-        EventKind::IterationEnd { iteration } => a.int("iteration", *iteration),
-        EventKind::StragglerStart { factor, .. } => a.float("factor", *factor),
+            .floats(k!("demand"), &rec.demand)
+            .counts(k!("cores"), &rec.cores)
+            .int(k!("simplex_iterations"), rec.simplex_iterations as i64)
+            .float(k!("objective"), rec.objective)
+            .micros(k!("modelled_cost_us"), rec.modelled_cost),
+        EventKind::HelperSpawned { apprank, .. } => a.int(k!("apprank"), *apprank),
+        EventKind::IterationEnd { iteration } => a.int(k!("iteration"), *iteration),
+        EventKind::StragglerStart { factor, .. } => a.float(k!("factor"), *factor),
         EventKind::StragglerEnd { .. } => a,
         EventKind::WorkerKilled {
             apprank, requeued, ..
-        } => a.int("apprank", *apprank).int("requeued", *requeued),
-        EventKind::MessageDropped { key, attempt, .. } => a.task(key).int("attempt", *attempt),
-        EventKind::MessageFailover { key, attempts, .. } => a.task(key).int("attempts", *attempts),
-        EventKind::SolverOutage { active } => a.bool("active", *active),
-        EventKind::SolverFallback { reason } => a.str("reason", reason.name()),
+        } => a
+            .int(k!("apprank"), *apprank)
+            .int(k!("requeued"), *requeued),
+        EventKind::MessageDropped { key, attempt, .. } => a.task(key).int(k!("attempt"), *attempt),
+        EventKind::MessageFailover { key, attempts, .. } => {
+            a.task(key).int(k!("attempts"), *attempts)
+        }
+        EventKind::SolverOutage { active } => a.bool(k!("active"), *active),
+        EventKind::SolverFallback { reason } => a.str(k!("reason"), reason.name()),
         EventKind::PortfolioSolve(rec) => a
-            .array("candidates", &rec.candidates, |out, c| {
+            .array(k!("candidates"), &rec.candidates, |out, c| {
                 let mut o = Obj::open(out);
-                o.str("strategy", c.name)
-                    .float("score", c.score)
-                    .float("cost_s", c.cost_s)
-                    .bool("timed_out", c.timed_out);
+                o.str(k!("strategy"), c.name)
+                    .float(k!("score"), c.score)
+                    .float(k!("cost_s"), c.cost_s)
+                    .bool(k!("timed_out"), c.timed_out);
                 o.close();
             })
-            .float("budget_s", rec.budget_s),
+            .float(k!("budget_s"), rec.budget_s),
         EventKind::PortfolioPick {
             name, score, raced, ..
         } => a
-            .str("strategy", name)
-            .float("score", *score)
-            .int("raced", *raced),
+            .str(k!("strategy"), name)
+            .float(k!("score"), *score)
+            .int(k!("raced"), *raced),
     };
 }
 
@@ -250,10 +303,12 @@ pub fn chrome_trace_string<'a>(
     events: impl IntoIterator<Item = &'a Event>,
     worker_apprank: &[Vec<usize>],
 ) -> String {
-    let mut doc = Doc {
-        out: String::from("{\"traceEvents\":["),
-        events: 0,
-    };
+    let events = events.into_iter();
+    // One reservation: `trace.chrome_bytes_per_event` is 136 in the ledger
+    // (a start and an end share one slice), an instant runs to 250.
+    let mut out = String::with_capacity(32 + events.size_hint().0 * 144);
+    out.push_str("{\"traceEvents\":[");
+    let mut doc = Doc { out, events: 0 };
     // Track metadata first: one process per node plus the global track.
     if !worker_apprank.is_empty() {
         doc.metadata("process_name", GLOBAL_PID, None, "global");
@@ -283,16 +338,15 @@ pub fn chrome_trace_string<'a>(
                 let (start, snode, sproc, stolen) =
                     open.remove(key).unwrap_or((ev.at, *node, *proc, false));
                 debug_assert_eq!((snode, sproc), (*node, *proc));
-                let name = format!("a{}.i{}.t{}", key.apprank, key.iteration, key.task);
                 let mut x = doc.event();
-                x.str("name", &name)
-                    .str("ph", "X")
-                    .float("ts", micros(start))
-                    .float("dur", micros(ev.at.saturating_sub(start)))
-                    .int("pid", *node)
-                    .int("tid", *proc)
-                    .object("args", |a| {
-                        a.task(key).bool("stolen", stolen);
+                x.slice_name(key)
+                    .str(k!("ph"), "X")
+                    .micros(k!("ts"), start)
+                    .micros(k!("dur"), ev.at.saturating_sub(start))
+                    .int(k!("pid"), *node)
+                    .int(k!("tid"), *proc)
+                    .object(k!("args"), |a| {
+                        a.task(key).bool(k!("stolen"), stolen);
                     });
                 x.close();
             }
@@ -536,6 +590,38 @@ mod tests {
     fn golden_covers_every_kind() {
         let text = chrome_trace_string(every_kind_log().iter(), &[vec![0, 1], vec![1]]);
         assert_eq!(text, include_str!("chrome_golden.json").trim_end());
+    }
+
+    /// The integer timestamp against the float form it replaced: equal
+    /// wherever it is used, and not beyond (from 10^15 ns on a few
+    /// percent of the `q.rrr` texts are not the double's shortest form,
+    /// so a fallback bound moved up fails here).
+    #[test]
+    fn micros_matches_the_float_form() {
+        const BOUND: u64 = 10u64.pow(15);
+        let mut cases: Vec<u64> = (0..200_000).collect();
+        for exp in 1..20 {
+            let p = 10u64.pow(exp);
+            cases.extend(p - 2_000.min(p)..p + 2_000);
+        }
+        cases.extend(BOUND - 100_000..BOUND + 100_000);
+        let mut seed = 24;
+        for _ in 0..100_000 {
+            let bits = crate::splitmix64(&mut seed);
+            // Up to 2^50 at every magnitude, then the decade past the
+            // bound.
+            cases.push(bits >> 14);
+            cases.push(bits >> (14 + bits % 50));
+            cases.push(BOUND + bits % (9 * BOUND));
+        }
+        let (mut out, mut reference) = (String::new(), String::new());
+        for nanos in cases {
+            out.clear();
+            reference.clear();
+            Obj::open(&mut out).micros(k!("ts"), SimTime::from_nanos(nanos));
+            Obj::open(&mut reference).float(k!("ts"), nanos as f64 / 1000.0);
+            assert_eq!(out, reference, "{nanos} ns");
+        }
     }
 
     #[test]

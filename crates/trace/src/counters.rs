@@ -3,10 +3,12 @@
 use crate::event::{DecisionReason, EventKind, KINDS};
 use tlb_json::Value;
 
-/// Slots of [`Counters::note`] past the per-kind ones: scheduling
-/// decisions that held the task, and held tasks an idle worker took.
+/// Slots past the per-kind ones: decisions that held the task, held
+/// tasks an idle worker took, and offers of a core to a worker with
+/// nothing queued ([`Counters::steal_attempt`]; no event stands for one).
 const TASKS_HELD: usize = KINDS.len();
 const TASKS_STOLEN: usize = KINDS.len() + 1;
+const STEAL_ATTEMPTS: usize = KINDS.len() + 2;
 
 /// Runtime counters: monotonic `u64` counts plus `f64` gauges.
 ///
@@ -15,11 +17,11 @@ const TASKS_STOLEN: usize = KINDS.len() + 1;
 /// derived (solver wall milliseconds) and are therefore kept out of the
 /// deterministic event stream. A count that counts an event kind is
 /// derived where the event is pushed ([`Counters::note`]: an array bump,
-/// named only when dumped); the few with no event behind them are bumped
-/// by name ([`Counters::add`], a linear scan over a handful of names).
+/// named only when dumped), as is `steal_attempts`; the few cold ones are
+/// bumped by name ([`Counters::add`], a linear scan over a handful of names).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Counters {
-    by_event: [u64; KINDS.len() + 2],
+    by_event: [u64; KINDS.len() + 3],
     counts: Vec<(String, u64)>,
     gauges: Vec<(String, f64)>,
 }
@@ -29,6 +31,7 @@ fn slot_name(slot: usize) -> Option<&'static str> {
     match slot {
         TASKS_HELD => Some("tasks_held"),
         TASKS_STOLEN => Some("tasks_stolen"),
+        STEAL_ATTEMPTS => Some("steal_attempts"),
         kind => KINDS[kind].1,
     }
 }
@@ -59,6 +62,12 @@ impl Counters {
             _ => kind.index(),
         };
         self.by_event[slot] += 1;
+    }
+
+    /// Count one steal attempt — bumped per scheduling question, not
+    /// per event, so it has a slot instead of a name to find.
+    pub fn steal_attempt(&mut self) {
+        self.by_event[STEAL_ATTEMPTS] += 1;
     }
 
     /// Add `delta` to the by-name counter `name`, creating it at zero

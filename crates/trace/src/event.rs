@@ -441,6 +441,16 @@ impl Event {
     }
 }
 
+/// Events per chunk of a stream (56 KiB).
+const CHUNK: usize = 1024;
+
+/// One producer's events in append order: full chunks, then a filling one.
+#[derive(Clone, Debug, Default, PartialEq)]
+struct Stream {
+    chunks: Vec<Vec<Event>>,
+    len: usize,
+}
+
 /// Per-stream buffered event log.
 ///
 /// Each producer (the global scheduler, each node) appends to its own
@@ -448,9 +458,14 @@ impl Event {
 /// order `(at, stream, seq)`. Because both the virtual timestamps and
 /// the per-stream append order come from the deterministic simulation,
 /// the merged list is identical across runs and thread counts.
+///
+/// A stream is a list of chunks of 1,024 events, each allocated at full
+/// capacity: [`TraceLog::push`] writes one 56-byte event in place, and
+/// a stored event never moves again (one growing `Vec` copied all it
+/// held each time it doubled). Only the list of chunk pointers grows.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct TraceLog {
-    streams: Vec<Vec<Event>>,
+    streams: Vec<Stream>,
 }
 
 /// Stream id for global events (solver, iteration boundaries).
@@ -470,20 +485,29 @@ impl TraceLog {
     /// Append an event to `stream` at virtual time `at`.
     pub fn push(&mut self, stream: usize, at: SimTime, kind: EventKind) {
         if self.streams.len() <= stream {
-            self.streams.resize_with(stream + 1, Vec::new);
+            self.streams.resize_with(stream + 1, Stream::default);
         }
-        let seq = self.streams[stream].len() as u32;
-        self.streams[stream].push(Event {
+        let s = &mut self.streams[stream];
+        if s.len.is_multiple_of(CHUNK) {
+            s.chunks.push(Vec::with_capacity(CHUNK));
+        }
+        s.chunks[s.len / CHUNK].push(Event {
             at,
             stream: stream as u32,
-            seq,
+            seq: s.len as u32,
             kind,
         });
+        s.len += 1;
+    }
+
+    /// Every event in stream order, each stream in append order.
+    fn unordered(&self) -> impl Iterator<Item = &Event> {
+        self.streams.iter().flat_map(|s| s.chunks.iter().flatten())
     }
 
     /// Total recorded events across all streams.
     pub fn len(&self) -> usize {
-        self.streams.iter().map(Vec::len).sum()
+        self.streams.iter().map(|s| s.len).sum()
     }
 
     /// True if no events were recorded.
@@ -496,7 +520,8 @@ impl TraceLog {
     /// sorted by time (an iteration end is stamped after its barrier,
     /// ahead of the clock), so this sorts references, not a k-way merge.
     pub fn iter(&self) -> impl Iterator<Item = &Event> {
-        let mut all: Vec<&Event> = self.streams.iter().flatten().collect();
+        let mut all: Vec<&Event> = Vec::with_capacity(self.len());
+        all.extend(self.unordered());
         all.sort_by_key(|e| (e.at, e.stream, e.seq));
         all.into_iter()
     }
@@ -508,11 +533,7 @@ impl TraceLog {
 
     /// Count events matching a predicate.
     pub fn count(&self, pred: impl Fn(&EventKind) -> bool) -> usize {
-        self.streams
-            .iter()
-            .flatten()
-            .filter(|e| pred(&e.kind))
-            .count()
+        self.unordered().filter(|e| pred(&e.kind)).count()
     }
 }
 
@@ -544,7 +565,7 @@ mod tests {
         log.push(2, t1, EventKind::TaskReady { key: key(4) });
         log.push(0, t1, EventKind::IterationEnd { iteration: 1 });
         log.push(0, t0, EventKind::TaskReady { key: key(5) });
-        let mut reference: Vec<Event> = log.streams.iter().flatten().cloned().collect();
+        let mut reference: Vec<Event> = log.unordered().cloned().collect();
         reference.sort_by_key(|e| (e.at, e.stream, e.seq));
         assert!(log.iter().eq(reference.iter()));
         let merged = log.merged();
@@ -596,6 +617,64 @@ mod tests {
     #[test]
     fn event_is_56_bytes() {
         assert_eq!(std::mem::size_of::<Event>(), 56);
+    }
+
+    /// The chunked log against a flat `Vec<Event>` built by the same
+    /// pushes, every stream at a size on one side of a chunk boundary.
+    #[test]
+    fn chunked_log_matches_a_flat_model() {
+        let mut seed = 24;
+        let sizes = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK - 72];
+        for (per_stream, streams) in sizes.into_iter().zip([1, 1, 2, 3, 4, 2]) {
+            let n = per_stream * streams;
+            let (mut log, mut twin) = (TraceLog::new(), TraceLog::new());
+            let mut model: Vec<Event> = Vec::new();
+            for task in 0..n {
+                let bits = crate::splitmix64(&mut seed);
+                // A handful of instants: many ties, no order in a stream.
+                let at = SimTime::from_nanos(bits & 31);
+                let kind = match bits >> 8 & 1 {
+                    0 => EventKind::TaskReady {
+                        key: key(task as u32),
+                    },
+                    _ => EventKind::IterationEnd {
+                        iteration: task as u32,
+                    },
+                };
+                log.push(task % streams, at, kind.clone());
+                twin.push(task % streams, at, kind.clone());
+                model.push(Event {
+                    at,
+                    stream: (task % streams) as u32,
+                    seq: (task / streams) as u32,
+                    kind,
+                });
+            }
+            assert_eq!((log.len(), log.is_empty()), (n, n == 0));
+            assert!(log == twin && log.clone() == log, "{n} events");
+            let ready = |k: &EventKind| matches!(k, EventKind::TaskReady { .. });
+            let ready_in_model = model.iter().filter(|e| ready(&e.kind)).count();
+            assert_eq!(log.count(ready), ready_in_model);
+            // A full chunk was never outgrown, so never copied.
+            for s in &log.streams {
+                assert_eq!(s.chunks.len(), per_stream.div_ceil(CHUNK));
+                assert!(s.chunks.iter().all(|c| c.capacity() == CHUNK));
+            }
+            // `seq` is the position in the stream: the model's event of
+            // the same task carries the same one.
+            assert!(log.unordered().all(|e| *e == model[task_of(e)]));
+            model.sort_by_key(|e| (e.at, e.stream, e.seq));
+            assert!(log.iter().eq(model.iter()), "{n} events");
+            assert_eq!(log.merged(), model);
+        }
+    }
+
+    fn task_of(e: &Event) -> usize {
+        match &e.kind {
+            EventKind::TaskReady { key } => key.task as usize,
+            EventKind::IterationEnd { iteration } => *iteration as usize,
+            other => panic!("unexpected {other:?}"),
+        }
     }
 
     #[test]
