@@ -47,7 +47,9 @@ impl<W: Workload> State<W> {
                 ));
                 return;
             }
-            self.pump_dlb(now, node);
+            if self.trace.events() {
+                self.pump_dlb(now, node);
+            }
         }
         self.drain_holds(ctx);
         for node in 0..self.platform.nodes {
@@ -396,7 +398,9 @@ impl<W: Workload> State<W> {
                 ));
                 return;
             }
-            self.pump_dlb(ctx.now(), node);
+            if self.trace.events() {
+                self.pump_dlb(ctx.now(), node);
+            }
         }
         self.drain_holds(ctx);
         for node in 0..self.platform.nodes {

@@ -261,8 +261,8 @@ impl<W: Workload> State<W> {
                 requeued: requeued as u32,
             };
             self.trace.emit(TraceLog::node_stream(w.node), now, ev);
+            self.pump_dlb(now, w.node);
         }
-        self.pump_dlb(now, w.node);
         // Freed cores may serve the survivors immediately.
         self.drain_holds(ctx);
         self.try_start_node(ctx, w.node);

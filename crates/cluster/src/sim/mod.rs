@@ -283,11 +283,9 @@ impl<W: Workload> State<W> {
     }
 
     /// Drain `node`'s DLB event buffer into its trace stream, stamping
-    /// each record with `now` (the DLB layer itself is time-free).
+    /// each record with `now` (the DLB layer itself is time-free). Called
+    /// only when events record (a `NodeDlb` buffers nothing otherwise).
     fn pump_dlb(&mut self, now: SimTime, node: usize) {
-        if !self.trace.events() {
-            return;
-        }
         for ev in self.dlbs[node].drain_events() {
             let kind = match ev {
                 DlbEvent::Borrowed { proc, core, owner } => EventKind::LewiBorrow {

@@ -988,6 +988,104 @@ fn faulty_portfolio_run_exports_the_pinned_bytes() {
     );
 }
 
+/// Rank 0's ready batches mix offloadable, pinned, `mpi_send` and
+/// `mpi_recv` tasks well past the point where the rank saturates: 36 at
+/// iteration start, and 16 readers of one region released together when
+/// its writer completes. Rank 1 answers every message. Offload sends are
+/// lossy enough to fail over home.
+fn held_batch_run(traced: bool) -> SimReport {
+    use tlb_tasking::DataRegion;
+    let shared = DataRegion::new(0x1000, 64);
+    let mut r0: Vec<TaskSpec> = (0..36u64)
+        .map(|i| match i % 6 {
+            1 => TaskSpec::pinned(0.01),
+            3 => TaskSpec::mpi_send(0.001, 1, i, 1000),
+            5 => TaskSpec::mpi_recv(0.001, 1, 100 + i),
+            _ => TaskSpec::compute(0.02),
+        })
+        .collect();
+    r0.push(TaskSpec::compute(0.03).writes(shared));
+    r0.extend((0..16u64).map(|i| {
+        let task = match i % 4 {
+            1 => TaskSpec::pinned(0.01),
+            3 if i % 8 == 3 => TaskSpec::mpi_send(0.001, 1, 200 + i, 1000),
+            3 => TaskSpec::mpi_recv(0.001, 1, 300 + i),
+            _ => TaskSpec::compute(0.02),
+        };
+        task.reads(shared)
+    }));
+    let mut r1: Vec<TaskSpec> = (0..8).map(|_| TaskSpec::compute(0.02)).collect();
+    for t in &r0 {
+        match t.mpi {
+            Some(crate::MpiOp::Send { tag, .. }) => r1.push(TaskSpec::mpi_recv(0.001, 0, tag)),
+            Some(crate::MpiOp::Recv { tag, .. }) => {
+                r1.push(TaskSpec::mpi_send(0.001, 0, tag, 1000))
+            }
+            None => {}
+        }
+    }
+    let wl = SpecWorkload::iterated(vec![r0, r1], 2);
+    let p = Platform::homogeneous(2, 4);
+    let mut cfg = BalanceConfig::preset(Preset::Offload {
+        degree: 2,
+        drom: DromPolicy::Global,
+    });
+    cfg.global_period = SimTime::from_millis(100);
+    let plan = FaultPlan::new(23).with_loss(0.0, 1e9, 0.5, 1, 0.002);
+    ClusterSim::execute(RunSpec::new(&p, &cfg, wl).trace(traced).faults(&plan)).unwrap()
+}
+
+#[test]
+fn held_batches_export_the_pinned_bytes() {
+    let r = held_batch_run(true);
+    assert_eq!(r.total_tasks, 2 * (53 + 24));
+    assert!(r.faults.message_failovers > 0, "{:?}", r.faults);
+    // Some batch decided a pinned task after a Hold and held again after
+    // it: on one stream at one instant, Queued, placed, Queued.
+    let mut decisions: Vec<((u32, SimTime), bool)> = Vec::new();
+    for e in r.trace.log.merged() {
+        if let EventKind::SchedDecision { chosen_node, .. } = e.kind {
+            decisions.push(((e.stream, e.at), chosen_node < 0));
+        }
+    }
+    let mixed = decisions
+        .windows(3)
+        .any(|w| w.iter().all(|d| d.0 == w[0].0) && w[0].1 && !w[1].1 && w[2].1);
+    assert!(mixed, "no batch placed a task between two holds");
+    assert_exports(
+        &r.trace,
+        r#"{"drom_ownership_sets":4,"fault_message_failovers":6,"fault_messages_dropped":17,"fault_tasks_requeued":6,"iterations_completed":2,"lewi_lends":58,"lewi_reclaims":30,"sched_decisions":154,"solver_invocations":2,"solver_simplex_iterations":10,"steal_attempts":51,"tasks_completed":154,"tasks_created":154,"tasks_held":25,"tasks_offloaded":34,"tasks_ready":154,"tasks_started":154,"tasks_stolen":25} solver_modelled_ms,solver_wall_ms"#,
+        [
+            (116_881, 0xc180_6038_b686_481c),
+            (37_612, 0xa781_50d2_4c6d_6188),
+        ],
+    );
+    // Recording changes nothing that is simulated.
+    let u = held_batch_run(false);
+    assert_eq!(u.makespan, r.makespan);
+    assert_eq!(u.iteration_times, r.iteration_times);
+    assert_eq!(u.events, r.events);
+    assert_eq!(
+        (
+            u.offloaded_tasks,
+            u.total_tasks,
+            u.solver_runs,
+            u.solver_time
+        ),
+        (
+            r.offloaded_tasks,
+            r.total_tasks,
+            r.solver_runs,
+            r.solver_time
+        )
+    );
+    assert_eq!(u.faults, r.faults);
+    assert_eq!(
+        u.parallel_efficiency.to_bits(),
+        r.parallel_efficiency.to_bits()
+    );
+}
+
 /// The worker table, DLB and the solver mask are told of every spawn and
 /// every death together: after a run that grows the table by dynamic
 /// spreading *and* loses two helpers, table liveness equals DLB's retired

@@ -4,7 +4,7 @@
 //! converges when drained.
 //! Seeded `tlb-rng` loops stand in for proptest (no registry deps).
 
-use tlb_dlb::{NodeDlb, ProcId};
+use tlb_dlb::{DlbEvent, NodeDlb, ProcId};
 use tlb_rng::Rng;
 
 fn check_global_invariants(node: &NodeDlb, procs: usize, holding: &[Vec<usize>]) {
@@ -51,16 +51,54 @@ fn reference_acquire(node: &NodeDlb, p: ProcId) -> Option<usize> {
         })
 }
 
-/// `acquire(p)`, held against [`reference_acquire`]; a refusal must leave
-/// a reclaim on every core of a living `p` that another process runs on.
+/// The `(core, borrower)` reclaims a refused `acquire(p)` must post, by
+/// the walk `NodeDlb` made before it kept `lent` masks: the busy cores
+/// `p` owns (`owned & !idle`) in ascending order, less those `p` runs
+/// itself and those reclaimed already.
+fn reference_reclaims(node: &NodeDlb, p: ProcId) -> Vec<(usize, ProcId)> {
+    (0..node.num_cores())
+        .filter(|&c| node.core_state(c).owner == p)
+        .filter_map(|c| {
+            let s = node.core_state(c);
+            let borrower = s.user.filter(|&u| u != p && !s.reclaim)?;
+            Some((c, borrower))
+        })
+        .collect()
+}
+
+/// `acquire(p)`, held against [`reference_acquire`]; a refusal must post
+/// exactly the [`reference_reclaims`], in order, and leave a reclaim on
+/// every core of a living `p` that another process runs on. The node
+/// must be recording.
 fn checked_acquire(node: &mut NodeDlb, p: usize, holding: &mut [Vec<usize>]) {
     let expected = reference_acquire(node, ProcId(p));
+    let reclaims = reference_reclaims(node, ProcId(p));
+    node.drain_events();
     let got = node.acquire(ProcId(p));
     assert_eq!(got, expected, "acquire(P{p})");
+    let posted: Vec<(usize, ProcId)> = node
+        .drain_events()
+        .into_iter()
+        .filter_map(|ev| match ev {
+            DlbEvent::ReclaimPosted {
+                core,
+                owner,
+                borrower,
+            } => {
+                assert_eq!(owner, ProcId(p), "reclaim posted for another owner");
+                Some((core, borrower))
+            }
+            _ => None,
+        })
+        .collect();
     match got {
-        Some(c) => holding[p].push(c),
-        None if node.is_retired(ProcId(p)) => {}
+        Some(c) => {
+            assert!(posted.is_empty(), "acquire(P{p}) succeeded and reclaimed");
+            holding[p].push(c);
+        }
+        None if node.is_retired(ProcId(p)) => assert!(posted.is_empty()),
         None => {
+            assert_eq!(posted, reclaims, "reclaims posted by refused acquire(P{p})");
             for c in 0..node.num_cores() {
                 let s = node.core_state(c);
                 if s.owner == ProcId(p) && s.user.is_some_and(|u| u != s.owner) {
@@ -76,9 +114,9 @@ fn checked_acquire(node: &mut NodeDlb, p: usize, holding: &mut [Vec<usize>]) {
 
 /// Any interleaving of the five mutating operations, with LeWI on and
 /// off, on a one-word and a two-word node: `check_invariants` (which also
-/// compares the cached counts and core masks with a fresh scan) holds
-/// after every step, and every `acquire` answers what the reference scan
-/// answers.
+/// compares the cached counts and core masks, `lent` included, with a
+/// fresh scan) holds after every step, and every `acquire` answers and
+/// reclaims what the reference scans do.
 #[test]
 fn random_ops_preserve_invariants() {
     let root = Rng::seed_from_u64(0xD1B_0001);
@@ -89,6 +127,7 @@ fn random_ops_preserve_invariants() {
         let mut counts = vec![1usize; live.len()];
         counts[0] = cores - (live.len() - 1);
         let mut node = NodeDlb::with_counts(&counts, case % 2 == 0);
+        node.set_recording(true);
         // `holding[p]`: cores process `p` (living or retired) still runs on.
         let mut holding: Vec<Vec<usize>> = vec![Vec::new(); live.len()];
         // The wide node starts nearly full, so that the steps below also

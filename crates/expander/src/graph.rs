@@ -340,9 +340,12 @@ impl BipartiteGraph {
     }
 
     /// The vertex isoperimetric number: `min |N(A)| / |A|` over nonempty
-    /// apprank subsets `A` with `|A| <= appranks/2`. Exact (exhaustive) for
-    /// up to 20 appranks, sampled otherwise. This is the paper's minimal
-    /// `1 + eps`.
+    /// apprank subsets `A` with `|A| <= appranks/2`. This is the paper's
+    /// minimal `1 + eps`. Exact (exhaustive) for up to 20 appranks;
+    /// above that, the minimum over the subsets
+    /// [`isoperimetric_sampled`](crate::isoperimetric_sampled) tries,
+    /// which is an upper bound: the true number may be lower, so a large
+    /// graph carries no expansion guarantee from this value.
     pub fn isoperimetric_number(&self) -> f64 {
         if self.config.appranks <= 20 {
             crate::isoperimetric::isoperimetric_exact(self)

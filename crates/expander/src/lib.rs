@@ -18,7 +18,8 @@
 //!   known-optimal solution" for small graphs);
 //! * screening: connectivity and the vertex isoperimetric number
 //!   (the minimal `|N(A)|/|A|`, i.e. the paper's minimal `1 + eps`),
-//!   exact for small graphs and sampled for large ones;
+//!   exact for small graphs, and for large ones the minimum over sampled
+//!   subsets, which bounds it from above;
 //! * JSON (de)serialisation so a generated graph is "stored for future
 //!   executions", as the paper does.
 //!

@@ -222,6 +222,58 @@ pub fn solve_lp(problem: &AllocationProblem) -> Result<AllocationSolution, LpErr
             iterations: 0,
         });
     }
+    let (lp, edge_of) = allocation_program(problem);
+    let z_var = lp.num_vars() - 1;
+    let sol = lp.solve()?;
+    let z = sol.x[z_var];
+    // Continuous core targets (floor added back).
+    let x_cont: Vec<Vec<f64>> = edge_of
+        .iter()
+        .map(|row| row.iter().map(|&v| 1.0 + sol.x[v].max(0.0)).collect())
+        .collect();
+    // Implied work split for reporting: W_a spread over workers in
+    // proportion to their effective (speed-scaled) cores.
+    let work_share: Vec<Vec<f64>> = problem
+        .adjacency
+        .iter()
+        .enumerate()
+        .map(|(a, adj)| {
+            let eff: Vec<f64> = adj
+                .iter()
+                .zip(&x_cont[a])
+                .map(|(&n, &x)| x * problem.node_speed[n])
+                .collect();
+            let total: f64 = eff.iter().sum();
+            eff.iter()
+                .map(|e| {
+                    if total > 0.0 {
+                        problem.work[a] * e / total
+                    } else {
+                        0.0
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    let cores = integerize_cores(problem, &x_cont);
+    let objective = if z > 1e-12 {
+        1.0 / z
+    } else {
+        // No work anywhere: the load bound is zero.
+        0.0
+    };
+    Ok(AllocationSolution {
+        objective,
+        work_share,
+        cores,
+        iterations: sol.iterations,
+    })
+}
+
+/// The LP [`solve_lp`] solves for a problem with some work: the program
+/// and `edge_of[a][k]`, the variable of apprank `a`'s `k`-th worker (the
+/// last variable is `z`).
+pub(crate) fn allocation_program(problem: &AllocationProblem) -> (LinearProgram, Vec<Vec<usize>>) {
     let appranks = problem.appranks();
     // Variable layout: x' edges first (in adjacency order), then z.
     let mut edge_of = Vec::with_capacity(appranks); // edge_of[a][k] = var index
@@ -276,50 +328,7 @@ pub fn solve_lp(problem: &AllocationProblem) -> Result<AllocationSolution, LpErr
             (problem.node_cores[n] - workers[n]) as f64,
         );
     }
-    let sol = lp.solve()?;
-    let z = sol.x[z_var];
-    // Continuous core targets (floor added back).
-    let x_cont: Vec<Vec<f64>> = edge_of
-        .iter()
-        .map(|row| row.iter().map(|&v| 1.0 + sol.x[v].max(0.0)).collect())
-        .collect();
-    // Implied work split for reporting: W_a spread over workers in
-    // proportion to their effective (speed-scaled) cores.
-    let work_share: Vec<Vec<f64>> = problem
-        .adjacency
-        .iter()
-        .enumerate()
-        .map(|(a, adj)| {
-            let eff: Vec<f64> = adj
-                .iter()
-                .zip(&x_cont[a])
-                .map(|(&n, &x)| x * problem.node_speed[n])
-                .collect();
-            let total: f64 = eff.iter().sum();
-            eff.iter()
-                .map(|e| {
-                    if total > 0.0 {
-                        problem.work[a] * e / total
-                    } else {
-                        0.0
-                    }
-                })
-                .collect()
-        })
-        .collect();
-    let cores = integerize_cores(problem, &x_cont);
-    let objective = if z > 1e-12 {
-        1.0 / z
-    } else {
-        // No work anywhere: the load bound is zero.
-        0.0
-    };
-    Ok(AllocationSolution {
-        objective,
-        work_share,
-        cores,
-        iterations: sol.iterations,
-    })
+    (lp, edge_of)
 }
 
 /// Largest-remainder integerisation of continuous per-worker core targets,

@@ -4,6 +4,13 @@
 //! the small, dense allocation programs this project generates (hundreds of
 //! rows/columns); no sparsity or revised-simplex machinery is needed at
 //! that scale, and a tableau implementation is easy to audit.
+//!
+//! Pricing runs in row order: the reduced costs start as
+//! `cost[..col_limit]`, and each row whose basic cost `cb` is nonzero
+//! subtracts `cb · a[i][..col_limit]` in one contiguous pass. Every column
+//! gets the operations, in the order, that walking it down the rows gave
+//! it, so every entering column is bit-identical to that walk's. An
+//! `in_basis` mask replaces searching the basis.
 
 use std::fmt;
 
@@ -145,6 +152,8 @@ struct Tableau {
     b: Vec<f64>,
     /// Basis variable per row.
     basis: Vec<usize>,
+    /// `in_basis[j]`: column `j` is some row's basis variable.
+    in_basis: Vec<bool>,
     structural: usize,
     cols: usize,
     artificial_start: usize,
@@ -206,10 +215,15 @@ impl Tableau {
                 }
             }
         }
+        let mut in_basis = vec![false; cols];
+        for &j in &basis {
+            in_basis[j] = true;
+        }
         Tableau {
             a,
             b,
             basis,
+            in_basis,
             structural,
             cols,
             artificial_start,
@@ -285,31 +299,9 @@ impl Tableau {
                     bland = true;
                 }
             }
-            // Reduced cost of column j: c_j - sum_i c_basis[i] * a[i][j].
-            // Entering column: Dantzig (most negative) normally, lowest
-            // index under Bland.
-            let mut entering = None;
-            let mut best_rc = -EPS;
-            for j in 0..col_limit {
-                if self.basis.contains(&j) {
-                    continue;
-                }
-                let mut rc = cost[j];
-                for i in 0..rows {
-                    let cb = cost[self.basis[i]];
-                    if cb != 0.0 {
-                        rc -= cb * self.a[i][j];
-                    }
-                }
-                if rc < best_rc {
-                    if bland {
-                        entering = Some(j);
-                        break;
-                    }
-                    best_rc = rc;
-                    entering = Some(j);
-                }
-            }
+            let entering = self.price(cost, col_limit, bland);
+            #[cfg(test)]
+            let entering = tests::reference_pricing(self, cost, col_limit, bland, entering);
             let Some(enter) = entering else {
                 // Optimal: compute objective.
                 let mut obj = 0.0;
@@ -339,6 +331,35 @@ impl Tableau {
             };
             self.pivot(leave, enter);
         }
+    }
+
+    /// The entering column for `cost` among `0..col_limit`: Dantzig's
+    /// (most negative reduced cost, first on ties) normally, the lowest
+    /// index with a negative one under Bland.
+    fn price(&self, cost: &[f64], col_limit: usize, bland: bool) -> Option<usize> {
+        // Reduced cost of column j: c_j - sum_i c_basis[i] * a[i][j],
+        // accumulated row by row.
+        let mut rc = cost[..col_limit].to_vec();
+        for (row, &bv) in self.a.iter().zip(&self.basis) {
+            let cb = cost[bv];
+            if cb != 0.0 {
+                for (r, &a) in rc.iter_mut().zip(&row[..col_limit]) {
+                    *r -= cb * a;
+                }
+            }
+        }
+        let mut entering = None;
+        let mut best_rc = -EPS;
+        for (j, &r) in rc.iter().enumerate() {
+            if r < best_rc && !self.in_basis[j] {
+                if bland {
+                    return Some(j);
+                }
+                best_rc = r;
+                entering = Some(j);
+            }
+        }
+        entering
     }
 
     /// After phase 1, replace any artificial variable still (degenerately)
@@ -390,6 +411,10 @@ impl Tableau {
             self.b[i] -= factor * self.b[row];
             self.a[i][col] = 0.0; // exact zero to stop drift
         }
+        #[cfg(test)]
+        tests::PIVOTS.with(|p| p.borrow_mut().push((row, col)));
+        self.in_basis[self.basis[row]] = false;
+        self.in_basis[col] = true;
         self.basis[row] = col;
     }
 }
@@ -405,9 +430,183 @@ fn flip(rel: Relation) -> Relation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::allocation::{allocation_program, AllocationProblem};
+    use std::cell::{Cell, RefCell};
 
     fn assert_close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-6, "{a} != {b}");
+    }
+
+    thread_local! {
+        /// Every `(row, col)` pivot of this thread, in order.
+        pub(super) static PIVOTS: RefCell<Vec<(usize, usize)>> = const { RefCell::new(Vec::new()) };
+        /// Enter the column the reference pricing picks instead.
+        static COLUMN_ORDER: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// Under `COLUMN_ORDER`, the entering column of the pricing this
+    /// module had before the row-order pass: each column walked down the
+    /// rows after a linear search of the basis. Otherwise `picked`.
+    pub(super) fn reference_pricing(
+        t: &Tableau,
+        cost: &[f64],
+        col_limit: usize,
+        bland: bool,
+        picked: Option<usize>,
+    ) -> Option<usize> {
+        if !COLUMN_ORDER.with(Cell::get) {
+            return picked;
+        }
+        let mut entering = None;
+        let mut best_rc = -EPS;
+        for j in 0..col_limit {
+            if t.basis.contains(&j) {
+                continue;
+            }
+            let mut rc = cost[j];
+            for i in 0..t.a.len() {
+                let cb = cost[t.basis[i]];
+                if cb != 0.0 {
+                    rc -= cb * t.a[i][j];
+                }
+            }
+            if rc < best_rc {
+                if bland {
+                    entering = Some(j);
+                    break;
+                }
+                best_rc = rc;
+                entering = Some(j);
+            }
+        }
+        entering
+    }
+
+    /// `lp` solved with the reference or the row-order pricing, and the
+    /// pivots it made.
+    fn solve_logged(
+        lp: &LinearProgram,
+        column_order: bool,
+    ) -> (Result<LpSolution, LpError>, Vec<(usize, usize)>) {
+        COLUMN_ORDER.with(|c| c.set(column_order));
+        PIVOTS.with(|p| p.borrow_mut().clear());
+        let result = lp.solve();
+        COLUMN_ORDER.with(|c| c.set(false));
+        (result, PIVOTS.with(|p| p.take()))
+    }
+
+    /// Row-order pricing makes the pivots, iterations and bits of the
+    /// reference pricing on `lp`.
+    fn assert_pricing_unchanged(lp: &LinearProgram, what: &str) {
+        let (want, want_pivots) = solve_logged(lp, true);
+        let (got, got_pivots) = solve_logged(lp, false);
+        assert_eq!(got_pivots, want_pivots, "{what}: pivots");
+        match (got, want) {
+            (Ok(got), Ok(want)) => {
+                assert_eq!(got.iterations, want.iterations, "{what}: iterations");
+                let bits = |s: &LpSolution| s.x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "{what}: x");
+                assert_eq!(
+                    got.objective.to_bits(),
+                    want.objective.to_bits(),
+                    "{what}: objective"
+                );
+            }
+            (got, want) => assert_eq!(got.err(), want.err(), "{what}: outcome"),
+        }
+    }
+
+    /// A random allocation problem: `nodes` nodes, 1–3 appranks per node,
+    /// each on its home plus up to three distinct random helpers, random,
+    /// all-zero or single-hot work, and some slow nodes.
+    fn random_allocation(rng: &mut tlb_rng::Rng, nodes: usize) -> AllocationProblem {
+        let per = rng.range_usize(1, 4);
+        let degree = rng.range_usize(1, nodes.min(4) + 1);
+        let appranks = nodes * per;
+        let adjacency: Vec<Vec<usize>> = (0..appranks)
+            .map(|a| {
+                let mut adj = vec![a / per];
+                while adj.len() < degree {
+                    let n = rng.range_usize(0, nodes);
+                    if !adj.contains(&n) {
+                        adj.push(n);
+                    }
+                }
+                adj[1..].sort_unstable();
+                adj
+            })
+            .collect();
+        let hot = rng.range_usize(0, appranks);
+        let work = match rng.range_u64(0, 4) {
+            0 => vec![0.0; appranks],
+            1 => (0..appranks)
+                .map(|a| if a == hot { 100.0 } else { 0.0 })
+                .collect(),
+            _ => (0..appranks).map(|_| rng.range_f64(0.0, 60.0)).collect(),
+        };
+        let mut workers = vec![0; nodes];
+        adjacency.iter().flatten().for_each(|&n| workers[n] += 1);
+        AllocationProblem {
+            work,
+            adjacency,
+            node_cores: workers.iter().map(|w| w + rng.range_usize(0, 24)).collect(),
+            node_speed: (0..nodes)
+                .map(|_| if rng.chance(0.2) { 0.6 } else { 1.0 })
+                .collect(),
+            keep_local_incentive: 1e-6,
+        }
+    }
+
+    #[test]
+    fn row_order_pricing_replays_column_order_pivots() {
+        let mut rng = tlb_rng::Rng::seed_from_u64(0x51_3c7);
+        for case in 0..200 {
+            // Mostly small shapes, every twentieth up to 64 nodes.
+            let nodes = if case % 20 == 0 {
+                rng.range_usize(17, 65)
+            } else {
+                rng.range_usize(2, 17)
+            };
+            let p = random_allocation(&mut rng, nodes);
+            let (lp, _) = allocation_program(&p);
+            assert_pricing_unchanged(&lp, &format!("case {case} ({nodes} nodes)"));
+        }
+        // And the hand-built programs below: degenerate, Beale's cycle
+        // (which switches to Bland's rule), redundant rows.
+        let mut degenerate = LinearProgram::new(2);
+        degenerate.set_objective(0, -1.0).set_objective(1, -1.0);
+        degenerate.add_constraint([(0, 1.0), (1, 1.0)], Relation::Le, 1.0);
+        degenerate.add_constraint([(0, 1.0)], Relation::Le, 1.0);
+        degenerate.add_constraint([(1, 1.0)], Relation::Le, 1.0);
+        degenerate.add_constraint([(0, 2.0), (1, 1.0)], Relation::Le, 2.0);
+        let mut beale = LinearProgram::new(4);
+        beale
+            .set_objective(0, -0.75)
+            .set_objective(1, 150.0)
+            .set_objective(2, -0.02)
+            .set_objective(3, 6.0);
+        beale.add_constraint(
+            [(0, 0.25), (1, -60.0), (2, -0.04), (3, 9.0)],
+            Relation::Le,
+            0.0,
+        );
+        beale.add_constraint(
+            [(0, 0.5), (1, -90.0), (2, -0.02), (3, 3.0)],
+            Relation::Le,
+            0.0,
+        );
+        beale.add_constraint([(2, 1.0)], Relation::Le, 1.0);
+        let mut redundant = LinearProgram::new(2);
+        redundant.set_objective(0, 1.0);
+        redundant.add_constraint([(0, 1.0), (1, 1.0)], Relation::Eq, 2.0);
+        redundant.add_constraint([(0, 1.0), (1, 1.0)], Relation::Eq, 2.0);
+        for (lp, what) in [
+            (degenerate, "degenerate"),
+            (beale, "beale"),
+            (redundant, "redundant"),
+        ] {
+            assert_pricing_unchanged(&lp, what);
+        }
     }
 
     #[test]

@@ -1,5 +1,11 @@
 //! The dependency graph: Nanos6's region-overlap dependency computation in
 //! sequential submission order, with per-parent dependency domains.
+//!
+//! Claiming, releasing and completing a task touch arrays indexed by task
+//! (`state`, `pending`, `linked`). A task with no accesses opens no
+//! dependency domain and has no successors; without a parent either, it
+//! is not `linked`, and completing it never reads its ≈ 170-byte
+//! `TaskNode` (every task of the simulator's synthetic workload).
 
 use crate::index::{EntryId, IntervalIndex};
 use crate::{AccessMode, TaskDef, TaskId, TaskState};
@@ -70,6 +76,9 @@ pub struct TaskGraph {
     /// bytes, not its `TaskNode`.
     state: Vec<TaskState>,
     pending: Vec<u32>,
+    /// `linked[i]`: `tasks[i]` has a parent or accesses, so completing it
+    /// updates a live-children count, a domain or successors.
+    linked: Vec<bool>,
     /// Active accesses per dependency domain (keyed by parent; `None` key
     /// encoded as u64::MAX). The interval index answers "which active
     /// accesses overlap this region" in O(log n + k).
@@ -101,6 +110,7 @@ impl TaskGraph {
             tasks: Vec::new(),
             state: Vec::new(),
             pending: Vec::new(),
+            linked: Vec::new(),
             domains: HashMap::new(),
             ready: VecDeque::new(),
             ready_len: 0,
@@ -118,25 +128,26 @@ impl TaskGraph {
             }
         }
         let id = TaskId(self.tasks.len() as u64);
-        let key = domain_key(def.parent);
-        let active = self.domains.entry(key).or_default();
-
+        self.linked
+            .push(def.parent.is_some() || !def.accesses.is_empty());
         // Collect unique predecessor ids among conflicting active accesses:
         // regions overlap and at least one side writes.
         let mut preds: Vec<TaskId> = Vec::new();
-        for acc in &def.accesses {
-            active.for_each_overlap(acc.region, |_, &(task, mode)| {
-                if (acc.mode.writes() || mode.writes()) && !preds.contains(&task) {
-                    preds.push(task);
-                }
-            });
+        let mut access_entries: Vec<EntryId> = Vec::new();
+        if !def.accesses.is_empty() {
+            let active = self.domains.entry(domain_key(def.parent)).or_default();
+            for acc in &def.accesses {
+                active.for_each_overlap(acc.region, |_, &(task, mode)| {
+                    if (acc.mode.writes() || mode.writes()) && !preds.contains(&task) {
+                        preds.push(task);
+                    }
+                });
+            }
+            preds.sort_unstable();
+            access_entries = (def.accesses.iter())
+                .map(|acc| active.insert(acc.region, (id, acc.mode)))
+                .collect();
         }
-        preds.sort_unstable();
-        let access_entries: Vec<EntryId> = def
-            .accesses
-            .iter()
-            .map(|acc| active.insert(acc.region, (id, acc.mode)))
-            .collect();
         if let Some(p) = def.parent {
             self.tasks[p.0 as usize].live_children += 1;
         }
@@ -229,6 +240,9 @@ impl TaskGraph {
         }
         *state = TaskState::Completed;
         self.completed_count += 1;
+        if !self.linked[idx] {
+            return Ok(Vec::new());
+        }
         // Retire this task's accesses from its dependency domain.
         let key = domain_key(self.tasks[idx].def.parent);
         let entries = std::mem::take(&mut self.tasks[idx].access_entries);
@@ -653,6 +667,113 @@ mod tests {
         assert!(popped.iter().all(|t| !started.contains(t)));
         assert_eq!(g.pop_ready(), None);
         assert_eq!(g.stats().running, 8);
+    }
+
+    /// Random graphs of tasks with a parent, accesses, both or neither,
+    /// submitted and completed in a random interleaving, against a model
+    /// that recomputes everything from the task list: the ready set, each
+    /// completion's released tasks and every parent's live children agree
+    /// at every step, and only tasks with accesses open a domain.
+    #[test]
+    fn mixed_graphs_match_a_naive_model() {
+        use crate::Access;
+        let mut rng = tlb_rng::Rng::seed_from_u64(0x71_4ed);
+        for case in 0..64 {
+            let mut g = TaskGraph::new();
+            // Model: per task its parent, accesses, state and predecessors.
+            let mut parent: Vec<Option<usize>> = Vec::new();
+            let mut accesses: Vec<Vec<Access>> = Vec::new();
+            let mut state: Vec<TaskState> = Vec::new();
+            let mut preds: Vec<Vec<usize>> = Vec::new();
+            for step in 0..120 {
+                let at = format!("case {case} step {step}");
+                let live: Vec<usize> = (0..state.len())
+                    .filter(|&t| state[t] != TaskState::Completed)
+                    .collect();
+                let running: Vec<usize> = (0..state.len())
+                    .filter(|&t| state[t] == TaskState::Running)
+                    .collect();
+                if rng.chance(0.5) || running.is_empty() {
+                    let mut def = TaskDef::new("t");
+                    let p = (rng.chance(0.4) && !live.is_empty())
+                        .then(|| live[rng.range_usize(0, live.len())]);
+                    if let Some(p) = p {
+                        def = def.child_of(TaskId(p as u64));
+                    }
+                    for _ in 0..rng.range_usize(0, 3) {
+                        let r =
+                            DataRegion::new(rng.range_usize(0, 8) * 4, 4 * rng.range_usize(1, 3));
+                        def = if rng.chance(0.5) {
+                            def.reads(r)
+                        } else {
+                            def.writes(r)
+                        };
+                    }
+                    let mine: Vec<usize> = (0..state.len())
+                        .filter(|&t| state[t] != TaskState::Completed && parent[t] == p)
+                        .filter(|&t| {
+                            accesses[t]
+                                .iter()
+                                .any(|a| def.accesses.iter().any(|b| a.conflicts_with(b)))
+                        })
+                        .collect();
+                    let id = g.submit(def.clone()).unwrap();
+                    assert_eq!(id, TaskId(state.len() as u64), "{at}");
+                    state.push(if mine.is_empty() {
+                        TaskState::Ready
+                    } else {
+                        TaskState::Blocked
+                    });
+                    preds.push(mine);
+                    parent.push(p);
+                    accesses.push(def.accesses);
+                } else {
+                    let t = running[rng.range_usize(0, running.len())];
+                    state[t] = TaskState::Completed;
+                    let released: Vec<TaskId> = (0..state.len())
+                        .filter(|&s| state[s] == TaskState::Blocked)
+                        .filter(|&s| preds[s].iter().all(|&p| state[p] == TaskState::Completed))
+                        .map(|s| TaskId(s as u64))
+                        .collect();
+                    for r in &released {
+                        state[r.0 as usize] = TaskState::Ready;
+                    }
+                    assert_eq!(g.complete(TaskId(t as u64)), Ok(released), "{at}");
+                }
+                // Start a random ready task now and then.
+                let ready: Vec<usize> = (0..state.len())
+                    .filter(|&t| state[t] == TaskState::Ready)
+                    .collect();
+                if !ready.is_empty() && rng.chance(0.6) {
+                    let t = ready[rng.range_usize(0, ready.len())];
+                    g.start(TaskId(t as u64)).unwrap();
+                    state[t] = TaskState::Running;
+                }
+                let mut got: Vec<TaskId> = g.ready();
+                got.sort_unstable();
+                let want: Vec<TaskId> = (0..state.len())
+                    .filter(|&t| state[t] == TaskState::Ready)
+                    .map(|t| TaskId(t as u64))
+                    .collect();
+                assert_eq!(got, want, "{at}");
+                for p in 0..state.len() {
+                    let children = (0..state.len())
+                        .filter(|&c| parent[c] == Some(p) && state[c] != TaskState::Completed)
+                        .count();
+                    assert_eq!(g.pending_children(Some(TaskId(p as u64))), children, "{at}");
+                }
+                let opened = |t: usize| !accesses[t].is_empty();
+                let mut domains: Vec<u64> = (0..state.len())
+                    .filter(|&t| opened(t))
+                    .map(|t| domain_key(parent[t].map(|p| TaskId(p as u64))))
+                    .collect();
+                domains.sort_unstable();
+                domains.dedup();
+                let mut keys: Vec<u64> = g.domains.keys().copied().collect();
+                keys.sort_unstable();
+                assert_eq!(keys, domains, "{at}");
+            }
+        }
     }
 
     #[test]
