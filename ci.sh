@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Offline CI gate, and the only list of its steps (the GitHub workflow
 # runs this script): format, clippy, rustdoc, benchmark-harness tests,
-# build, tier-1 tests, the figure claims, then the drift gate.
+# build, tier-1 tests, one run of each example, the figure claims, then
+# the drift gate.
 #
 # One mechanism per question: invariants and bitwise identity are tier-1
 # tests, reproduced claims are `figures` + the checked-in results, and
@@ -29,6 +30,11 @@ cargo build --workspace --release --offline
 
 echo "== tier-1: cargo test"
 cargo test --workspace -q --offline
+
+echo "== examples: each runs once in release (no test runs them, so a panic would go unnoticed)"
+for example in examples/*.rs; do
+    cargo run --release --offline --quiet --example "$(basename "$example" .rs)" > /dev/null
+done
 
 echo "== figures (--quick): every evaluated claim holds"
 cargo run --release --offline -p tlb-bench --bin figures -- --quick

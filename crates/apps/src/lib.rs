@@ -1,35 +1,31 @@
-//! Workloads: the three benchmarks of the paper's evaluation (§6.2).
+//! Workloads: the three benchmarks of the paper's evaluation (§6.2), plus
+//! two more shapes. Every one is a cost model that the cluster
+//! simulation consumes; none runs a numeric kernel.
 //!
 //! * [`synthetic`] — the configurable-imbalance synthetic benchmark:
 //!   100 tasks per core per iteration, 50 ms mean duration, per-rank
 //!   durations chosen to hit a target imbalance (Eq. 2), with the
 //!   worst-case rank at `50 ms × imbalance`.
-//! * [`micropp`] — a micro-scale solid-mechanics FE kernel in the mould
-//!   of Alya MicroPP: every task solves one micro-scale subproblem on a
-//!   3D hex grid with CG; a per-rank fraction of subproblems is
-//!   *non-linear* (multiple Newton steps), which is exactly MicroPP's
-//!   source of load imbalance ("the mix of linear and non-linear finite
-//!   elements"). The real kernel runs on `tlb-smprt`; the cluster
-//!   simulation consumes its calibrated per-task costs.
-//! * [`nbody`] — a Barnes–Hut n-body simulation with Orthogonal
-//!   Recursive Bisection repartitioning each timestep. ORB equalises
-//!   *bodies* per rank under a uniform-speed cost model, which is why a
-//!   slow node defeats it (paper §7.1, Fig. 6c) — the scenario our
-//!   runtime then rescues.
-//! * [`cholesky`] — blocked Cholesky factorisation: the canonical
-//!   OmpSs-2 task-DAG workload (potrf/trsm/syrk/gemm over block regions),
-//!   used to exercise the dependency system with a verifiable numerical
-//!   result.
+//! * [`micropp`] — the cost structure of Alya MicroPP: every task is a
+//!   batch of micro-scale subproblems, a per-rank fraction of which are
+//!   *non-linear*, which is exactly MicroPP's source of load imbalance
+//!   ("the mix of linear and non-linear finite elements"). The costs are
+//!   model constants (0.001 s per linear subproblem, ×8.0 non-linear).
+//! * [`nbody`] — a Barnes–Hut n-body cost model with Orthogonal
+//!   Recursive Bisection repartitioning real body positions each
+//!   timestep. ORB equalises *bodies* per rank under a uniform-speed
+//!   cost model, which is why a slow node defeats it (paper §7.1,
+//!   Fig. 6c) — the scenario our runtime then rescues.
 //! * [`stencil`] — a heat-diffusion stencil with halo exchange: the
 //!   canonical MPI+OmpSs-2 shape of the paper's programming model (§4),
 //!   with non-offloadable MPI tasks and region dependencies; not one of
 //!   the paper's benchmarks, but the pattern its model section targets.
+//! * [`amr`] — adaptive mesh refinement whose hot spot moves between
+//!   iterations.
 
 pub mod amr;
-pub mod cholesky;
 pub mod micropp;
 pub mod nbody;
-pub(crate) mod par;
 pub mod stencil;
 pub mod synthetic;
 

@@ -3,23 +3,14 @@
 //! Alya MicroPP is a 3D finite-element library for micro-scale solid
 //! mechanics in composite materials; its load imbalance comes from the mix
 //! of *linear* and *non-linear* finite elements per MPI rank. We reproduce
-//! that cost structure with a real compute kernel:
-//!
-//! * [`MicroProblem`] — one micro-scale subproblem: a 3-dof displacement
-//!   field on an `n³` hex grid, an elasticity-like stencil operator, and a
-//!   conjugate-gradient solve. Non-linear subproblems run several Newton
-//!   steps (each a CG solve with an updated stiffness), costing a
-//!   multiple of the linear ones — exactly the imbalance signature the
-//!   paper exploits.
-//! * [`micropp_workload`] — per-rank batches of subproblem tasks for the
-//!   cluster simulation, with a seeded per-rank non-linear fraction
-//!   (material heterogeneity) creating application-level imbalance.
-//! * [`calibrate`] — measure the real kernel's linear/non-linear cost on
-//!   the host so examples can feed measured (rather than assumed) task
-//!   durations to the simulator.
+//! that cost structure as a model, not a kernel:
+//! [`micropp_workload`] builds per-rank batches of subproblem tasks for
+//! the cluster simulation. A linear subproblem costs `linear_secs`
+//! (0.001 s) and a non-linear one `nonlinear_ratio` (×8.0) times that;
+//! both are model constants of [`MicroPpConfig`]. A seeded per-rank
+//! non-linear fraction (material heterogeneity) creates the
+//! application-level imbalance.
 
-mod kernel;
 mod workload;
 
-pub use kernel::{calibrate, Calibration, MicroProblem, SolveStats};
 pub use workload::{micropp_workload, MicroPpConfig};

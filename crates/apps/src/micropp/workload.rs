@@ -1,6 +1,5 @@
 //! MicroPP workload generation for the cluster simulation.
 
-use crate::micropp::Calibration;
 use tlb_cluster::{SpecWorkload, TaskSpec};
 use tlb_rng::Rng;
 
@@ -13,11 +12,11 @@ pub struct MicroPpConfig {
     pub subproblems_per_rank: usize,
     /// Subproblems batched into one offloadable task.
     pub subproblems_per_task: usize,
-    /// Cost of one linear subproblem in seconds (calibrate on the host
-    /// with [`crate::micropp::calibrate`], or use the default which
-    /// matches a ~12³ grid on a current core).
+    /// Cost of one linear subproblem in seconds: a model constant
+    /// (0.001 s by default), not measured on any host.
     pub linear_secs: f64,
-    /// Cost ratio non-linear / linear (Newton steps × CG growth).
+    /// Cost ratio non-linear / linear (Newton steps × CG growth): a model
+    /// constant (8.0 by default) that no run derives.
     pub nonlinear_ratio: f64,
     /// Per-rank non-linear fraction is drawn as
     /// `lo + (hi-lo)·u^gamma`, u ~ U(0,1): the material-zone mix that
@@ -39,8 +38,10 @@ pub struct MicroPpConfig {
 }
 
 impl MicroPpConfig {
-    /// Defaults tuned to the paper's imbalance regime (rank imbalance
-    /// around 2 for a few dozen ranks).
+    /// Defaults tuned to the paper's imbalance regime. Measured with
+    /// Eq. 2 (`tlb_core::imbalance`) on iteration 0 of the default draw,
+    /// the rank imbalance is 2.94 at 64 appranks (Fig. 6(b) at 32
+    /// nodes), 2.99 at 16 and 3.17 at 32.
     pub fn new(appranks: usize) -> Self {
         MicroPpConfig {
             appranks,
@@ -56,13 +57,6 @@ impl MicroPpConfig {
             seed: 7,
             fractions_override: None,
         }
-    }
-
-    /// Apply measured kernel costs from a calibration run.
-    pub fn with_calibration(mut self, cal: &Calibration) -> Self {
-        self.linear_secs = cal.linear_secs;
-        self.nonlinear_ratio = cal.ratio();
-        self
     }
 }
 
@@ -125,14 +119,18 @@ mod tests {
 
     #[test]
     fn workload_is_imbalanced_but_bounded() {
-        let cfg = MicroPpConfig::new(16);
-        let wl = micropp_workload(&cfg);
-        let work = wl.rank_work(0);
-        let imb = imbalance(&work);
-        assert!(
-            (1.5..4.5).contains(&imb),
-            "rank imbalance {imb} outside the MicroPP regime: {work:?}"
-        );
+        // 16 appranks: inside the MicroPP regime. 64 appranks (Fig. 6(b)
+        // at 32 nodes × 2): the Eq. 2 value `MicroPpConfig::new` states,
+        // ±5 %.
+        for (appranks, band) in [(16, 1.5..4.5), (64, 2.94 * 0.95..2.94 * 1.05)] {
+            let wl = micropp_workload(&MicroPpConfig::new(appranks));
+            let work = wl.rank_work(0);
+            let imb = imbalance(&work);
+            assert!(
+                band.contains(&imb),
+                "{appranks} appranks: rank imbalance {imb} outside {band:?}: {work:?}"
+            );
+        }
     }
 
     #[test]
@@ -173,17 +171,6 @@ mod tests {
         assert_eq!(t.bytes, cfg.bytes_per_task);
         // Every task costs at least the all-linear batch.
         assert!(t.duration >= cfg.subproblems_per_task as f64 * cfg.linear_secs - 1e-12);
-    }
-
-    #[test]
-    fn calibration_feeds_costs() {
-        let cal = Calibration {
-            linear_secs: 0.004,
-            nonlinear_secs: 0.040,
-        };
-        let cfg = MicroPpConfig::new(2).with_calibration(&cal);
-        assert_eq!(cfg.linear_secs, 0.004);
-        assert!((cfg.nonlinear_ratio - 10.0).abs() < 1e-12);
     }
 
     #[test]

@@ -5,19 +5,17 @@
 //! cost model assumes uniform node speed, so a slow node leaves its ranks
 //! behind (Fig. 6c) — the scenario the transparent balancer then rescues.
 //!
-//! * [`Body`], [`Octree`] — a real Barnes–Hut force kernel (octree with
-//!   centre-of-mass approximation, opening angle θ), plus a direct O(n²)
-//!   reference for accuracy tests and a leapfrog integrator.
-//! * [`orb_partition`] — orthogonal recursive bisection of bodies into
-//!   per-rank groups of (near-)equal size.
+//! * [`Body`], [`orb_partition`] — point masses and the orthogonal
+//!   recursive bisection of them into per-rank groups of (near-)equal
+//!   size.
 //! * [`NBodyWorkload`] — the cluster-simulation workload: per-rank force
-//!   tasks whose cost follows the Barnes–Hut `n log n` law, repartitioned
-//!   by ORB after every timestep.
+//!   tasks whose cost is the model `force_cost × block × log2(n)` (the
+//!   Barnes–Hut `n log n` law; `force_cost` is a constant, 1 µs by
+//!   default, not a measurement), scaled by a block-density factor and
+//!   repartitioned by ORB after every timestep.
 
-mod kernel;
 mod orb;
 mod workload;
 
-pub use kernel::{calibrate_force_cost, direct_accelerations, Body, Octree};
-pub use orb::orb_partition;
+pub use orb::{orb_partition, Body};
 pub use workload::{NBodyConfig, NBodyWorkload};

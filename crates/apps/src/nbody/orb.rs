@@ -1,6 +1,26 @@
 //! Orthogonal Recursive Bisection over body positions.
 
-use crate::nbody::Body;
+/// A point mass.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Body {
+    /// Position.
+    pub pos: [f64; 3],
+    /// Velocity.
+    pub vel: [f64; 3],
+    /// Mass.
+    pub mass: f64,
+}
+
+impl Body {
+    /// A body at rest.
+    pub fn at(pos: [f64; 3], mass: f64) -> Self {
+        Body {
+            pos,
+            vel: [0.0; 3],
+            mass,
+        }
+    }
+}
 
 /// Partition `bodies` into `ranks` groups by recursively bisecting space
 /// along the widest axis of each subset's bounding box, splitting body

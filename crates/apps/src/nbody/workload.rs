@@ -14,8 +14,8 @@ pub struct NBodyConfig {
     /// Bodies per force task (the blocking of the `calculate_forces`
     /// task in the paper's Fig. 3).
     pub bodies_per_task: usize,
-    /// Seconds of compute per body per `log2(total bodies)` — calibrate
-    /// with [`crate::nbody::calibrate_force_cost`] or keep the default.
+    /// Seconds of compute per body per `log2(total bodies)`: a model
+    /// constant (1 µs by default), not measured on any host.
     pub force_cost: f64,
     /// Timesteps.
     pub iterations: usize,
@@ -186,9 +186,8 @@ impl Workload for NBodyWorkload {
     }
 
     fn end_iteration(&mut self, _iteration: usize, _rank_seconds: &[f64]) {
-        // Drift positions slightly (cheap surrogate for the integrator —
-        // the real kernel integrates in the examples) and re-run ORB, as
-        // the application does every timestep.
+        // Drift positions slightly (a cheap surrogate for the integrator)
+        // and re-run ORB, as the application does every timestep.
         for b in self.bodies.iter_mut() {
             for d in 0..3 {
                 b.pos[d] += self.rng.range_f64(-0.01, 0.01);

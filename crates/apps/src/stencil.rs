@@ -10,92 +10,11 @@
 //! halo rows, so they order behind the exchange tasks — exactly how the
 //! OmpSs-2 single mechanism turns message arrival into task ordering.
 //!
-//! Two artefacts live here:
-//!
-//! * [`JacobiGrid`] — a real 5-point Jacobi kernel (used by the examples
-//!   and to calibrate per-row compute cost);
-//! * [`StencilWorkload`] — the cluster-simulation workload with a
-//!   per-rank cost factor (heterogeneous material) as the imbalance
-//!   source.
+//! [`StencilWorkload`] is the cluster-simulation workload, with a
+//! per-rank cost factor (heterogeneous material) as the imbalance source.
 
 use tlb_cluster::{TaskSpec, Workload};
 use tlb_tasking::DataRegion;
-
-/// A real 5-point Jacobi relaxation on a `width × height` grid with
-/// fixed boundary values.
-#[derive(Clone, Debug)]
-pub struct JacobiGrid {
-    width: usize,
-    height: usize,
-    cells: Vec<f64>,
-    scratch: Vec<f64>,
-}
-
-impl JacobiGrid {
-    /// A grid with `1.0` on the top boundary and `0.0` elsewhere.
-    pub fn new(width: usize, height: usize) -> Self {
-        assert!(width >= 3 && height >= 3, "grid too small for a stencil");
-        let mut cells = vec![0.0; width * height];
-        cells[..width].fill(1.0);
-        JacobiGrid {
-            width,
-            height,
-            scratch: cells.clone(),
-            cells,
-        }
-    }
-
-    /// Grid width.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Grid height.
-    pub fn height(&self) -> usize {
-        self.height
-    }
-
-    /// Cell value at `(x, y)`.
-    pub fn get(&self, x: usize, y: usize) -> f64 {
-        self.cells[y * self.width + x]
-    }
-
-    /// One Jacobi sweep; returns the max absolute update (residual).
-    pub fn step(&mut self) -> f64 {
-        let w = self.width;
-        let mut residual = 0.0f64;
-        for y in 1..self.height - 1 {
-            for x in 1..w - 1 {
-                let i = y * w + x;
-                let new = 0.25
-                    * (self.cells[i - 1]
-                        + self.cells[i + 1]
-                        + self.cells[i - w]
-                        + self.cells[i + w]);
-                residual = residual.max((new - self.cells[i]).abs());
-                self.scratch[i] = new;
-            }
-        }
-        // Boundaries stay fixed; copy the interior back.
-        for y in 1..self.height - 1 {
-            let row = y * w;
-            self.cells[row + 1..row + w - 1].copy_from_slice(&self.scratch[row + 1..row + w - 1]);
-        }
-        residual
-    }
-
-    /// Run sweeps until the residual drops below `tol` (or `max` sweeps).
-    pub fn solve(&mut self, tol: f64, max: usize) -> (usize, f64) {
-        let mut res = f64::INFINITY;
-        for it in 0..max {
-            res = self.step();
-            if res < tol {
-                return (it + 1, res);
-            }
-        }
-        (max, res)
-    }
-}
 
 /// Configuration of the distributed stencil workload.
 #[derive(Clone, Debug)]
@@ -108,7 +27,7 @@ pub struct StencilConfig {
     pub cols: usize,
     /// Rows per compute task (block height).
     pub rows_per_task: usize,
-    /// Compute seconds per row (calibrate with [`JacobiGrid`]).
+    /// Compute seconds per row: a model constant (0.1 ms by default).
     pub secs_per_row: f64,
     /// Per-rank cost multipliers (heterogeneous material zones); length
     /// must equal `appranks`. `vec![1.0; n]` is balanced.
@@ -269,32 +188,6 @@ mod tests {
     use super::*;
     use tlb_cluster::{ClusterSim, RunSpec, Workload};
     use tlb_core::{BalanceConfig, DromPolicy, Platform, Preset};
-
-    #[test]
-    fn jacobi_converges_and_respects_boundaries() {
-        let mut g = JacobiGrid::new(32, 32);
-        let (iters, res) = g.solve(1e-4, 10_000);
-        assert!(res < 1e-4, "residual {res} after {iters} sweeps");
-        assert!(iters > 10, "non-trivial convergence expected");
-        // Top boundary fixed at 1, bottom at 0; interior monotone in y.
-        assert_eq!(g.get(5, 0), 1.0);
-        assert_eq!(g.get(5, 31), 0.0);
-        assert!(g.get(16, 1) > g.get(16, 30));
-        // Harmonic function: interior strictly between boundary values.
-        let v = g.get(16, 16);
-        assert!(v > 0.0 && v < 1.0, "interior value {v}");
-    }
-
-    #[test]
-    fn jacobi_step_reduces_residual() {
-        let mut g = JacobiGrid::new(16, 16);
-        let r1 = g.step();
-        let mut last = r1;
-        for _ in 0..50 {
-            last = g.step();
-        }
-        assert!(last < r1, "residual should shrink: {r1} -> {last}");
-    }
 
     #[test]
     fn halo_tasks_are_pinned_mpi_and_block_edge_computes() {

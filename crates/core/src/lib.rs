@@ -1,9 +1,8 @@
 //! The paper's primary contribution: transparent load balancing of MPI
 //! programs by combining OmpSs-2@Cluster task offloading with DLB.
 //!
-//! This crate holds the *decision logic* — everything that is independent
-//! of whether tasks run in virtual time (`tlb-cluster`) or on real threads
-//! (`tlb-smprt`):
+//! This crate holds the *decision logic* that the virtual-time runtime
+//! (`tlb-cluster`) drives:
 //!
 //! * [`ProcessLayout`] — the worker table: how appranks and helper ranks
 //!   map onto nodes (both ways) and which of them are alive, derived from

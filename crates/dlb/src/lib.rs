@@ -17,9 +17,8 @@
 //!   both of the paper's allocation policies consume.
 //!
 //! The implementation is a deterministic state machine driven by the
-//! simulation (or by the real shared-memory runtime in `tlb-smprt`): all
-//! timing is supplied by the caller, so the same code serves virtual-time
-//! and wall-clock executions.
+//! simulation: all timing is supplied by the caller, so nothing in it
+//! depends on wall-clock time.
 //!
 //! # Example
 //!

@@ -12,9 +12,10 @@
 //! * [`Scenario::expand`] — the deterministic cartesian product of the
 //!   axes, in a fixed nesting order, so point *N* means the same
 //!   configuration on every machine and at every `--jobs` level.
-//! * [`run_sweep`] — shards the points across a `tlb-smprt` work-stealing
-//!   pool (one simulation per slot; each simulation is the ordinary
-//!   single-threaded DES), then aggregates sequentially in point order.
+//! * [`run_sweep`] — shards the points across a `tlb-smprt` pool's
+//!   `parallel_for` (one simulation per index and one result slot per
+//!   point; each simulation is the ordinary single-threaded DES), then
+//!   aggregates sequentially in point order.
 //!   The sweep report is **bitwise identical** across 1/2/4/8 pool
 //!   threads because nothing about the parallel schedule feeds into the
 //!   output.

@@ -1,15 +1,15 @@
 //! The dependency graph: Nanos6's region-overlap dependency computation in
-//! sequential submission order, with per-parent dependency domains.
+//! sequential submission order, over one dependency domain.
 //!
 //! Claiming, releasing and completing a task touch arrays indexed by task
-//! (`state`, `pending`, `linked`). A task with no accesses opens no
-//! dependency domain and has no successors; without a parent either, it
-//! is not `linked`, and completing it never reads its ≈ 170-byte
-//! `TaskNode` (every task of the simulator's synthetic workload).
+//! (`state`, `pending`, `linked`). A task with no accesses is not
+//! `linked`: it enters no domain and has no successors, and completing it
+//! never reads its ≈ 144-byte `TaskNode` (every task of the simulator's
+//! synthetic workload).
 
 use crate::index::{EntryId, IntervalIndex};
 use crate::{AccessMode, TaskDef, TaskId, TaskState};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 /// Errors from graph operations.
@@ -23,8 +23,6 @@ pub enum GraphError {
         state: TaskState,
         wanted: TaskState,
     },
-    /// Parent referenced at submit time does not exist or is completed.
-    BadParent(TaskId),
 }
 
 impl fmt::Display for GraphError {
@@ -38,7 +36,6 @@ impl fmt::Display for GraphError {
             } => {
                 write!(f, "task {task:?} is {state:?}, expected {wanted:?}")
             }
-            GraphError::BadParent(t) => write!(f, "invalid parent {t:?}"),
         }
     }
 }
@@ -54,8 +51,6 @@ struct TaskNode {
     successors: Vec<TaskId>,
     /// Predecessor edges (kept for critical-path computation and tests).
     predecessors: Vec<TaskId>,
-    /// Children not yet completed (for taskwait).
-    live_children: usize,
     /// Interval-index entries of this task's accesses, removed when the
     /// task completes (accesses stop generating dependencies then).
     access_entries: Vec<EntryId>,
@@ -65,8 +60,9 @@ struct TaskNode {
 ///
 /// Tasks are submitted in sequential program order (the order the OmpSs-2
 /// source would create them); a submitted task depends on every earlier
-/// *sibling* (same dependency domain / parent) task, not yet completed,
-/// with a conflicting access — overlap where at least one side writes.
+/// task, not yet completed, with a conflicting access — overlap where at
+/// least one side writes. There is no nesting: every task is top-level
+/// and all share one dependency domain.
 /// Readers between two writers run concurrently; the second writer orders
 /// behind all of them.
 pub struct TaskGraph {
@@ -76,13 +72,13 @@ pub struct TaskGraph {
     /// bytes, not its `TaskNode`.
     state: Vec<TaskState>,
     pending: Vec<u32>,
-    /// `linked[i]`: `tasks[i]` has a parent or accesses, so completing it
-    /// updates a live-children count, a domain or successors.
+    /// `linked[i]`: `tasks[i]` has accesses, so completing it updates the
+    /// domain and its successors.
     linked: Vec<bool>,
-    /// Active accesses per dependency domain (keyed by parent; `None` key
-    /// encoded as u64::MAX). The interval index answers "which active
-    /// accesses overlap this region" in O(log n + k).
-    domains: HashMap<u64, IntervalIndex<(TaskId, AccessMode)>>,
+    /// Active accesses of the dependency domain. The interval index
+    /// answers "which active accesses overlap this region" in
+    /// O(log n + k).
+    domain: IntervalIndex<(TaskId, AccessMode)>,
     /// Tasks in the order they became ready. `start` claims a task by
     /// flipping its state and drops its entry only once it is at the
     /// front, so an entry counts while its task is `Ready` (a state no
@@ -99,10 +95,6 @@ impl Default for TaskGraph {
     }
 }
 
-fn domain_key(parent: Option<TaskId>) -> u64 {
-    parent.map_or(u64::MAX, |t| t.0)
-}
-
 impl TaskGraph {
     /// An empty graph.
     pub fn new() -> Self {
@@ -111,7 +103,7 @@ impl TaskGraph {
             state: Vec::new(),
             pending: Vec::new(),
             linked: Vec::new(),
-            domains: HashMap::new(),
+            domain: IntervalIndex::new(),
             ready: VecDeque::new(),
             ready_len: 0,
             completed_count: 0,
@@ -119,23 +111,16 @@ impl TaskGraph {
     }
 
     /// Submit a task; returns its id. Dependencies on earlier conflicting
-    /// siblings are computed here.
+    /// tasks are computed here.
     pub fn submit(&mut self, def: TaskDef) -> Result<TaskId, GraphError> {
-        if let Some(p) = def.parent {
-            match self.state.get(p.0 as usize) {
-                None | Some(TaskState::Completed) => return Err(GraphError::BadParent(p)),
-                Some(_) => {}
-            }
-        }
         let id = TaskId(self.tasks.len() as u64);
-        self.linked
-            .push(def.parent.is_some() || !def.accesses.is_empty());
+        self.linked.push(!def.accesses.is_empty());
         // Collect unique predecessor ids among conflicting active accesses:
         // regions overlap and at least one side writes.
         let mut preds: Vec<TaskId> = Vec::new();
         let mut access_entries: Vec<EntryId> = Vec::new();
         if !def.accesses.is_empty() {
-            let active = self.domains.entry(domain_key(def.parent)).or_default();
+            let active = &mut self.domain;
             for acc in &def.accesses {
                 active.for_each_overlap(acc.region, |_, &(task, mode)| {
                     if (acc.mode.writes() || mode.writes()) && !preds.contains(&task) {
@@ -147,9 +132,6 @@ impl TaskGraph {
             access_entries = (def.accesses.iter())
                 .map(|acc| active.insert(acc.region, (id, acc.mode)))
                 .collect();
-        }
-        if let Some(p) = def.parent {
-            self.tasks[p.0 as usize].live_children += 1;
         }
         for &p in &preds {
             self.tasks[p.0 as usize].successors.push(id);
@@ -166,7 +148,6 @@ impl TaskGraph {
             def,
             successors: Vec::new(),
             predecessors: preds,
-            live_children: 0,
             access_entries,
         });
         Ok(id)
@@ -243,16 +224,9 @@ impl TaskGraph {
         if !self.linked[idx] {
             return Ok(Vec::new());
         }
-        // Retire this task's accesses from its dependency domain.
-        let key = domain_key(self.tasks[idx].def.parent);
-        let entries = std::mem::take(&mut self.tasks[idx].access_entries);
-        if let Some(active) = self.domains.get_mut(&key) {
-            for e in entries {
-                active.remove(e);
-            }
-        }
-        if let Some(p) = self.tasks[idx].def.parent {
-            self.tasks[p.0 as usize].live_children -= 1;
+        // Retire this task's accesses from the dependency domain.
+        for e in std::mem::take(&mut self.tasks[idx].access_entries) {
+            self.domain.remove(e);
         }
         // A completed task gains no further successors: its accesses left
         // the domain above.
@@ -293,20 +267,6 @@ impl TaskGraph {
     /// Whether no tasks were submitted.
     pub fn is_empty(&self) -> bool {
         self.tasks.is_empty()
-    }
-
-    /// Number of not-yet-completed children of `parent` (`None` = the main
-    /// function): the quantity a `taskwait` blocks on.
-    pub fn pending_children(&self, parent: Option<TaskId>) -> usize {
-        match parent {
-            Some(p) => self.tasks[p.0 as usize].live_children,
-            None => self
-                .tasks
-                .iter()
-                .zip(&self.state)
-                .filter(|(t, &state)| t.def.parent.is_none() && state != TaskState::Completed)
-                .count(),
-        }
     }
 
     /// Whether every submitted task has completed.
@@ -485,46 +445,6 @@ mod tests {
     }
 
     #[test]
-    fn sibling_domains_are_independent() {
-        let mut g = TaskGraph::new();
-        let r = DataRegion::new(0, 8);
-        let p1 = g.submit(TaskDef::new("p1")).unwrap();
-        let p2 = g.submit(TaskDef::new("p2")).unwrap();
-        // Same region, different parents: OmpSs-2 dependency domains are
-        // per nesting level, so no cross-domain edge.
-        let c1 = g.submit(TaskDef::new("c1").writes(r).child_of(p1)).unwrap();
-        let c2 = g.submit(TaskDef::new("c2").writes(r).child_of(p2)).unwrap();
-        assert_eq!(g.state(c1), TaskState::Ready);
-        assert_eq!(g.state(c2), TaskState::Ready);
-    }
-
-    #[test]
-    fn taskwait_counts_children() {
-        let mut g = TaskGraph::new();
-        let p = g.submit(TaskDef::new("p")).unwrap();
-        let c1 = g.submit(TaskDef::new("c1").child_of(p)).unwrap();
-        let c2 = g.submit(TaskDef::new("c2").child_of(p)).unwrap();
-        assert_eq!(g.pending_children(Some(p)), 2);
-        g.start(c1).unwrap();
-        g.complete(c1).unwrap();
-        assert_eq!(g.pending_children(Some(p)), 1);
-        g.start(c2).unwrap();
-        g.complete(c2).unwrap();
-        assert_eq!(g.pending_children(Some(p)), 0);
-    }
-
-    #[test]
-    fn top_level_taskwait() {
-        let mut g = TaskGraph::new();
-        let a = g.submit(TaskDef::new("a")).unwrap();
-        let _b = g.submit(TaskDef::new("b")).unwrap();
-        assert_eq!(g.pending_children(None), 2);
-        g.start(a).unwrap();
-        g.complete(a).unwrap();
-        assert_eq!(g.pending_children(None), 1);
-    }
-
-    #[test]
     fn cannot_complete_unstarted() {
         let mut g = TaskGraph::new();
         let a = g.submit(TaskDef::new("a")).unwrap();
@@ -544,16 +464,6 @@ mod tests {
         let _w = g.submit(TaskDef::new("w").writes(r)).unwrap();
         let rd = g.submit(TaskDef::new("r").reads(r)).unwrap();
         assert!(g.start(rd).is_err());
-    }
-
-    #[test]
-    fn bad_parent_rejected() {
-        let mut g = TaskGraph::new();
-        let bogus = TaskId(42);
-        assert_eq!(
-            g.submit(TaskDef::new("c").child_of(bogus)).unwrap_err(),
-            GraphError::BadParent(bogus)
-        );
     }
 
     #[test]
@@ -669,37 +579,28 @@ mod tests {
         assert_eq!(g.stats().running, 8);
     }
 
-    /// Random graphs of tasks with a parent, accesses, both or neither,
-    /// submitted and completed in a random interleaving, against a model
-    /// that recomputes everything from the task list: the ready set, each
-    /// completion's released tasks and every parent's live children agree
-    /// at every step, and only tasks with accesses open a domain.
+    /// Random graphs of tasks with and without accesses, submitted and
+    /// completed in a random interleaving, against a model that
+    /// recomputes everything from the task list: the ready set and each
+    /// completion's released tasks agree at every step, and the domain
+    /// holds exactly the accesses of the tasks not yet completed.
     #[test]
     fn mixed_graphs_match_a_naive_model() {
         use crate::Access;
         let mut rng = tlb_rng::Rng::seed_from_u64(0x71_4ed);
         for case in 0..64 {
             let mut g = TaskGraph::new();
-            // Model: per task its parent, accesses, state and predecessors.
-            let mut parent: Vec<Option<usize>> = Vec::new();
+            // Model: per task its accesses, state and predecessors.
             let mut accesses: Vec<Vec<Access>> = Vec::new();
             let mut state: Vec<TaskState> = Vec::new();
             let mut preds: Vec<Vec<usize>> = Vec::new();
             for step in 0..120 {
                 let at = format!("case {case} step {step}");
-                let live: Vec<usize> = (0..state.len())
-                    .filter(|&t| state[t] != TaskState::Completed)
-                    .collect();
                 let running: Vec<usize> = (0..state.len())
                     .filter(|&t| state[t] == TaskState::Running)
                     .collect();
                 if rng.chance(0.5) || running.is_empty() {
                     let mut def = TaskDef::new("t");
-                    let p = (rng.chance(0.4) && !live.is_empty())
-                        .then(|| live[rng.range_usize(0, live.len())]);
-                    if let Some(p) = p {
-                        def = def.child_of(TaskId(p as u64));
-                    }
                     for _ in 0..rng.range_usize(0, 3) {
                         let r =
                             DataRegion::new(rng.range_usize(0, 8) * 4, 4 * rng.range_usize(1, 3));
@@ -710,7 +611,7 @@ mod tests {
                         };
                     }
                     let mine: Vec<usize> = (0..state.len())
-                        .filter(|&t| state[t] != TaskState::Completed && parent[t] == p)
+                        .filter(|&t| state[t] != TaskState::Completed)
                         .filter(|&t| {
                             accesses[t]
                                 .iter()
@@ -725,7 +626,6 @@ mod tests {
                         TaskState::Blocked
                     });
                     preds.push(mine);
-                    parent.push(p);
                     accesses.push(def.accesses);
                 } else {
                     let t = running[rng.range_usize(0, running.len())];
@@ -756,22 +656,11 @@ mod tests {
                     .map(|t| TaskId(t as u64))
                     .collect();
                 assert_eq!(got, want, "{at}");
-                for p in 0..state.len() {
-                    let children = (0..state.len())
-                        .filter(|&c| parent[c] == Some(p) && state[c] != TaskState::Completed)
-                        .count();
-                    assert_eq!(g.pending_children(Some(TaskId(p as u64))), children, "{at}");
-                }
-                let opened = |t: usize| !accesses[t].is_empty();
-                let mut domains: Vec<u64> = (0..state.len())
-                    .filter(|&t| opened(t))
-                    .map(|t| domain_key(parent[t].map(|p| TaskId(p as u64))))
-                    .collect();
-                domains.sort_unstable();
-                domains.dedup();
-                let mut keys: Vec<u64> = g.domains.keys().copied().collect();
-                keys.sort_unstable();
-                assert_eq!(keys, domains, "{at}");
+                let active: usize = (0..state.len())
+                    .filter(|&t| state[t] != TaskState::Completed)
+                    .map(|t| accesses[t].len())
+                    .sum();
+                assert_eq!(g.domain.len(), active, "{at}");
             }
         }
     }

@@ -10,14 +10,16 @@
 //! * [`DataRegion`] — a half-open range in the program's common virtual
 //!   address space (OmpSs-2@Cluster keeps the same layout on every node,
 //!   so a region is cluster-wide meaningful).
-//! * [`TaskDef`] — label, accesses, cost hint, offloadable flag, nesting
-//!   parent. Tasks marked non-offloadable stay on their apprank, which is
-//!   what makes MPI calls inside them legal (paper §4).
+//! * [`TaskDef`] — label, accesses, cost hint, offloadable flag. Tasks
+//!   marked non-offloadable stay on their apprank, which is what makes
+//!   MPI calls inside them legal (paper §4).
 //! * [`TaskGraph`] — computes the dependency DAG from access overlap in
-//!   sequential submission order, tracks readiness, supports `taskwait`
-//!   (all children of a parent) and per-parent dependency domains as in
-//!   OmpSs-2's nesting model, and computes the cost-weighted critical
-//!   path (used for the paper's "perfect load balance" reference lines).
+//!   sequential submission order over one dependency domain, tracks
+//!   readiness, and computes the cost-weighted critical path (used for
+//!   the paper's "perfect load balance" reference lines). There is no
+//!   nesting and no `taskwait` primitive: every task is top-level, and
+//!   the simulator ends an iteration when all of its tasks completed,
+//!   which is the `taskwait` the paper's applications issue.
 //!
 //! # Example
 //!

@@ -91,23 +91,19 @@ pub struct TaskDef {
     /// Whether the task may execute on a node other than its apprank's.
     /// Tasks that perform MPI calls must be non-offloadable (paper §4).
     pub offloadable: bool,
-    /// Nesting parent: dependencies are computed among siblings of the
-    /// same parent, as in OmpSs-2's per-level dependency domains.
-    pub parent: Option<TaskId>,
     /// Bytes that must be transferred to execute remotely (over-approximated
     /// as the sum of read-access region sizes); filled in automatically.
     pub transfer_bytes: usize,
 }
 
 impl TaskDef {
-    /// A task with no accesses, unit cost, offloadable, top-level.
+    /// A task with no accesses, unit cost, offloadable.
     pub fn new(label: impl Into<Cow<'static, str>>) -> Self {
         TaskDef {
             label: label.into(),
             accesses: Vec::new(),
             cost: 1.0,
             offloadable: true,
-            parent: None,
             transfer_bytes: 0,
         }
     }
@@ -150,12 +146,6 @@ impl TaskDef {
     /// Mark the task as non-offloadable (pinned to its apprank).
     pub fn not_offloadable(mut self) -> Self {
         self.offloadable = false;
-        self
-    }
-
-    /// Set the nesting parent.
-    pub fn child_of(mut self, parent: TaskId) -> Self {
-        self.parent = Some(parent);
         self
     }
 }

@@ -1,22 +1,25 @@
-//! n-body with one slow node: first a *real* Barnes–Hut step (octree +
-//! forces + leapfrog) on threads, then the paper's Fig. 6(c) scenario in
-//! the cluster simulator — ORB equalises body counts, the slow node lags,
-//! and transparent offloading recovers the loss.
+//! n-body with one slow node, the paper's Fig. 6(c) scenario: first ORB
+//! equalising body counts over ranks, then the cluster simulator showing
+//! that the slow node lags and transparent offloading recovers the loss.
 //!
 //! Run with: `cargo run --release --example nbody_slow_node`
 
-use tlb::apps::nbody::{
-    direct_accelerations, orb_partition, Body, NBodyConfig, NBodyWorkload, Octree,
-};
+use tlb::apps::nbody::{orb_partition, Body, NBodyConfig, NBodyWorkload};
 use tlb::cluster::{ClusterSim, RunSpec};
-use tlb::core::{BalanceConfig, DromPolicy, Platform, Preset};
-use tlb::smprt::Pool;
+use tlb::core::{BalanceConfig, Platform, PolicySpec};
+
+/// A registry policy at an offloading degree, every other knob at its
+/// default.
+fn config(policy: &str, degree: usize) -> BalanceConfig {
+    BalanceConfig::default()
+        .with_degree(degree)
+        .with_policy(PolicySpec::named(policy).expect("a registered policy"))
+}
 
 fn main() {
-    // --- Real kernel: one Barnes–Hut step on this machine. ---
+    // --- ORB partitioning: equal body counts per rank. ---
     let mut rng = tlb::core::rng::Rng::seed_from_u64(11);
-    let n = 20_000;
-    let bodies: Vec<Body> = (0..n)
+    let bodies: Vec<Body> = (0..20_000)
         .map(|_| {
             Body::at(
                 [
@@ -28,28 +31,6 @@ fn main() {
             )
         })
         .collect();
-    let tree = Octree::build(&bodies, 0.5);
-    let acc: Vec<std::sync::Mutex<[f64; 3]>> =
-        (0..n).map(|_| std::sync::Mutex::new([0.0; 3])).collect();
-    let threads = std::thread::available_parallelism().map_or(4, |v| v.get());
-    let pool = Pool::new(threads);
-    let t0 = std::time::Instant::now();
-    pool.parallel_for(n, 256, |i| {
-        *acc[i].lock().unwrap() = tree.acceleration(&bodies[i].pos, Some(i));
-    });
-    println!(
-        "Barnes-Hut forces for {n} bodies on {threads} threads: {:.1?}",
-        t0.elapsed()
-    );
-    // Spot-check against the direct sum on a small subset.
-    let sample: Vec<Body> = bodies.iter().take(200).copied().collect();
-    let direct = direct_accelerations(&sample);
-    let a0 = *acc[0].lock().unwrap();
-    let rel = (0..3).map(|d| (a0[d] - direct[0][d]).abs()).sum::<f64>()
-        / direct[0].iter().map(|v| v.abs()).sum::<f64>().max(1e-12);
-    println!("force error vs direct (body 0, partial sum basis): {rel:.3}\n");
-
-    // ORB partitioning of the same bodies.
     let parts = orb_partition(&bodies, 8);
     let mut counts = vec![0usize; 8];
     for &r in &parts {
@@ -68,15 +49,9 @@ fn main() {
         NBodyWorkload::new(cfg)
     };
     for (name, cfg) in [
-        ("baseline", BalanceConfig::preset(Preset::Baseline)),
-        ("single-node DLB", BalanceConfig::preset(Preset::NodeDlb)),
-        (
-            "degree-3 offloading",
-            BalanceConfig::preset(Preset::Offload {
-                degree: 3,
-                drom: DromPolicy::Global,
-            }),
-        ),
+        ("baseline", config("baseline", 1)),
+        ("single-node DLB", config("lewi+drom-local", 1)),
+        ("degree-3 offloading", config("lewi+drom-global", 3)),
     ] {
         let r = ClusterSim::execute(RunSpec::new(&platform, &cfg, mk())).unwrap();
         println!("{name:22} {:7.3} s/iter", r.mean_iteration_secs(2));

@@ -1,81 +1,23 @@
-//! Heat-diffusion stencil: first the *real* Jacobi kernel as OmpSs-2-style
-//! tasks on real threads (halo rows expressed as data regions, so edge
-//! blocks automatically order behind their neighbours), then the
-//! distributed halo-exchange workload in the cluster simulator with an
-//! imbalanced material profile.
+//! Heat-diffusion stencil: the distributed halo-exchange workload in the
+//! cluster simulator with an imbalanced material profile. Halo rows are
+//! MPI tasks pinned to their apprank; edge blocks order behind them
+//! through their declared data regions.
 //!
 //! Run with: `cargo run --release --example stencil_halo`
 
-use std::sync::Arc;
-use tlb::apps::stencil::{JacobiGrid, StencilConfig, StencilWorkload};
+use tlb::apps::stencil::{StencilConfig, StencilWorkload};
 use tlb::cluster::{ClusterSim, RunSpec};
-use tlb::core::{BalanceConfig, DromPolicy, Platform, Preset};
-use tlb::smprt::{GraphRun, Pool};
-use tlb::tasking::{DataRegion, TaskDef};
+use tlb::core::{BalanceConfig, Platform, PolicySpec};
+
+/// A registry policy at an offloading degree, every other knob at its
+/// default.
+fn config(policy: &str, degree: usize) -> BalanceConfig {
+    BalanceConfig::default()
+        .with_degree(degree)
+        .with_policy(PolicySpec::named(policy).expect("a registered policy"))
+}
 
 fn main() {
-    // --- Real kernel, serial reference. ---
-    let mut grid = JacobiGrid::new(256, 256);
-    let t0 = std::time::Instant::now();
-    let (iters, res) = grid.solve(1e-4, 2000);
-    println!(
-        "serial Jacobi 256x256: {iters} sweeps to residual {res:.2e} in {:.2?}",
-        t0.elapsed()
-    );
-
-    // --- The same sweeps as tasks with region dependencies. ---
-    // Each task re-runs `sweeps_per_task` sweeps of a private sub-grid;
-    // region annotations order tasks that share strip boundaries.
-    let pool = Pool::new(
-        std::thread::available_parallelism()
-            .map_or(4, |n| n.get())
-            .min(8),
-    );
-    let strips = 8usize;
-    let mut run = GraphRun::new();
-    let grids: Vec<Arc<parking::Mutex<JacobiGrid>>> = (0..strips)
-        .map(|_| Arc::new(parking::Mutex::new(JacobiGrid::new(128, 64))))
-        .collect();
-    // Double-buffered virtual layout: bank b, strip k owns
-    // [bank_base(b) + k*0x1000, ...). Each step reads its neighbourhood in
-    // one bank and writes the other, so strips of the same step run in
-    // parallel while consecutive steps order through the banks.
-    let strip_region =
-        |bank: usize, k: usize| DataRegion::new(0x10_0000 + bank * 0x100_0000 + k * 0x1000, 0x1000);
-    for step in 0..4 {
-        let (read_bank, write_bank) = (step % 2, (step + 1) % 2);
-        for (k, g) in grids.iter().enumerate() {
-            let g = Arc::clone(g);
-            let mut def = TaskDef::new(format!("sweep s{step} k{k}"))
-                .reads(strip_region(read_bank, k))
-                .writes(strip_region(write_bank, k));
-            // Edge coupling: also read the neighbouring strips.
-            if k > 0 {
-                def = def.reads(strip_region(read_bank, k - 1));
-            }
-            if k + 1 < strips {
-                def = def.reads(strip_region(read_bank, k + 1));
-            }
-            run.task(def, move || {
-                let mut g = g.lock();
-                for _ in 0..10 {
-                    g.step();
-                }
-            })
-            .unwrap();
-        }
-    }
-    let t0 = std::time::Instant::now();
-    let stats = pool.run(run);
-    println!(
-        "tasked sweeps: {} tasks over {} workers in {:.2?} ({} steals)\n",
-        stats.tasks_executed,
-        stats.per_worker.iter().filter(|&&n| n > 0).count(),
-        t0.elapsed(),
-        stats.steals,
-    );
-
-    // --- Distributed stencil with an imbalanced material gradient. ---
     let nodes = 4;
     let platform = Platform::homogeneous(nodes, 8);
     let mk = || {
@@ -86,21 +28,9 @@ fn main() {
         StencilWorkload::new(cfg)
     };
     for (name, mut cfg) in [
-        ("baseline", BalanceConfig::preset(Preset::Baseline)),
-        (
-            "degree-2 global",
-            BalanceConfig::preset(Preset::Offload {
-                degree: 2,
-                drom: DromPolicy::Global,
-            }),
-        ),
-        (
-            "degree-3 global",
-            BalanceConfig::preset(Preset::Offload {
-                degree: 3,
-                drom: DromPolicy::Global,
-            }),
-        ),
+        ("baseline", config("baseline", 1)),
+        ("degree-2 global", config("lewi+drom-global", 2)),
+        ("degree-3 global", config("lewi+drom-global", 3)),
     ] {
         cfg.global_period = tlb::des::SimTime::from_millis(100);
         let r = ClusterSim::execute(RunSpec::new(&platform, &cfg, mk())).unwrap();
@@ -110,18 +40,5 @@ fn main() {
             100.0 * r.offload_fraction(),
             r.parallel_efficiency,
         );
-    }
-}
-
-// Tiny unwrapping-mutex shim to keep the example dependency-free.
-mod parking {
-    pub struct Mutex<T>(std::sync::Mutex<T>);
-    impl<T> Mutex<T> {
-        pub fn new(v: T) -> Self {
-            Mutex(std::sync::Mutex::new(v))
-        }
-        pub fn lock(&self) -> std::sync::MutexGuard<'_, T> {
-            self.0.lock().unwrap()
-        }
     }
 }

@@ -13,12 +13,12 @@
 //! * [`linprog`] — simplex, max-flow, and the core allocation program;
 //! * [`tasking`] — OmpSs-2-style task graphs from data accesses;
 //! * [`dlb`] — LeWI / DROM / TALP;
-//! * [`smprt`] — real-thread malleable work-stealing runtime;
+//! * [`smprt`] — the `parallel_for` thread pool sweeps run points on;
 //! * [`core`] — layout, scheduler rule, policies, metrics, configs;
 //! * [`cluster`] — the simulated OmpSs-2@Cluster distributed runtime;
 //! * [`sweep`] — declarative scenario sweeps with caching and sharding;
-//! * [`apps`] — MicroPP, Barnes–Hut n-body with ORB, and the synthetic
-//!   benchmark.
+//! * [`apps`] — workload cost models: MicroPP, Barnes–Hut n-body with
+//!   ORB, the synthetic benchmark, a stencil and AMR.
 //!
 //! ## Quickstart
 //!
