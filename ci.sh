@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Offline CI gate, and the only list of its steps (the GitHub workflow
 # runs this script): format, clippy, rustdoc, benchmark-harness tests,
-# build, tier-1 tests, one run of each example, the figure claims, then
-# the drift gate.
+# build, tier-1 tests, one run of each example, the figure claims, the
+# drift gate, then a print of the non-test line count per crate.
 #
 # One mechanism per question: invariants and bitwise identity are tier-1
 # tests, reproduced claims are `figures` + the checked-in results, and
@@ -41,5 +41,18 @@ cargo run --release --offline -p tlb-bench --bin figures -- --quick
 
 echo "== drift: nothing above rewrote a tracked file (results/quick included)"
 git diff --exit-code
+
+echo "== size: non-test lines per crate (prints only, not a gate)"
+# The number ROADMAP aim 2 is judged by: each .rs file under crates/*/src
+# up to its first top-level #[cfg(test)], with sim/tests.rs (a test
+# module in a file of its own) left out.
+total=0
+for crate in crates/*/; do
+    lines=$(find "${crate}src" -name '*.rs' ! -path '*/sim/tests.rs' -print0 |
+        xargs -0 awk '/^#\[cfg\(test\)\]/ { nextfile } { n++ } END { print n + 0 }')
+    printf '%-10s %6d\n' "$(basename "$crate")" "$lines"
+    total=$((total + lines))
+done
+printf '%-10s %6d\n' total "$total"
 
 echo "CI gate passed."

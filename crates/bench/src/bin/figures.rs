@@ -886,11 +886,11 @@ fn solver_table(effort: Effort) -> Vec<Experiment> {
         // per-solve cost against the single solvers above.
         let mut engine =
             PortfolioEngine::new(PortfolioConfig::default()).expect("default portfolio");
+        let mut problem = policy.problem().clone();
+        problem.work.copy_from_slice(&work);
         let portfolio = time_ms(&mut || {
-            policy
-                .allocate_with(&work, |p| engine.solve(p).map(|o| o.solution))
-                .expect("portfolio solve")
-                .objective
+            let race = engine.solve(&problem).expect("portfolio solve");
+            race.solution.objective
         });
         for (total, &s) in wins.iter_mut().zip(Strategy::ALL.iter()) {
             *total += engine.stats().of(s).wins;

@@ -431,6 +431,63 @@ pub fn nbody_slow_node(nodes: usize, effort: Effort) -> (Platform, impl Fn() -> 
     })
 }
 
+/// Render a piecewise-constant timeline as an ASCII bar: one character
+/// per time bucket, eight intensity levels from ' ' to '█' scaled to
+/// `max_value`. The visual counterpart of one Paraver row in the paper's
+/// Figs. 5 and 9.
+pub fn render_timeline(
+    timeline: &tlb_des::Timeline,
+    end: tlb_des::SimTime,
+    width: usize,
+    max_value: f64,
+) -> String {
+    const LEVELS: [char; 9] = [' ', '▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
+    assert!(width >= 2, "trace bar needs at least two columns");
+    let mut out = String::with_capacity(width * 3);
+    for i in 0..width {
+        let from = tlb_des::SimTime::from_nanos(end.as_nanos() * i as u64 / width as u64);
+        let to = tlb_des::SimTime::from_nanos(end.as_nanos() * (i as u64 + 1) / width as u64);
+        let mean = if to > from {
+            timeline.mean(from, to)
+        } else {
+            0.0
+        };
+        let level = if max_value <= 0.0 {
+            0
+        } else {
+            ((mean / max_value * 8.0).round() as usize).min(8)
+        };
+        out.push(LEVELS[level]);
+    }
+    out
+}
+
+/// Render every worker's busy-core timeline of a trace as labelled ASCII
+/// rows, grouped by node — a terminal rendition of the paper's trace
+/// figures.
+pub fn render_trace(trace: &tlb_cluster::Trace, end: tlb_des::SimTime, width: usize) -> String {
+    use std::fmt::Write;
+    let mut out = String::new();
+    let max = trace
+        .busy
+        .iter()
+        .flatten()
+        .flat_map(|tl| tl.samples().iter().map(|s| s.value))
+        .fold(1.0f64, f64::max);
+    for (node, workers) in trace.busy.iter().enumerate() {
+        let _ = writeln!(out, "node {node}:");
+        for (proc, tl) in workers.iter().enumerate() {
+            let apprank = trace.worker_apprank[node][proc];
+            let _ = writeln!(
+                out,
+                "  a{apprank:<3} |{}|",
+                render_timeline(tl, end, width, max)
+            );
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -501,63 +558,6 @@ mod tests {
         );
         assert_eq!(claims[1].get("headline").as_bool(), Some(false));
     }
-}
-
-/// Render a piecewise-constant timeline as an ASCII bar: one character
-/// per time bucket, eight intensity levels from ' ' to '█' scaled to
-/// `max_value`. The visual counterpart of one Paraver row in the paper's
-/// Figs. 5 and 9.
-pub fn render_timeline(
-    timeline: &tlb_des::Timeline,
-    end: tlb_des::SimTime,
-    width: usize,
-    max_value: f64,
-) -> String {
-    const LEVELS: [char; 9] = [' ', '▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
-    assert!(width >= 2, "trace bar needs at least two columns");
-    let mut out = String::with_capacity(width * 3);
-    for i in 0..width {
-        let from = tlb_des::SimTime::from_nanos(end.as_nanos() * i as u64 / width as u64);
-        let to = tlb_des::SimTime::from_nanos(end.as_nanos() * (i as u64 + 1) / width as u64);
-        let mean = if to > from {
-            timeline.mean(from, to)
-        } else {
-            0.0
-        };
-        let level = if max_value <= 0.0 {
-            0
-        } else {
-            ((mean / max_value * 8.0).round() as usize).min(8)
-        };
-        out.push(LEVELS[level]);
-    }
-    out
-}
-
-/// Render every worker's busy-core timeline of a trace as labelled ASCII
-/// rows, grouped by node — a terminal rendition of the paper's trace
-/// figures.
-pub fn render_trace(trace: &tlb_cluster::Trace, end: tlb_des::SimTime, width: usize) -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    let max = trace
-        .busy
-        .iter()
-        .flatten()
-        .flat_map(|tl| tl.samples().iter().map(|s| s.value))
-        .fold(1.0f64, f64::max);
-    for (node, workers) in trace.busy.iter().enumerate() {
-        let _ = writeln!(out, "node {node}:");
-        for (proc, tl) in workers.iter().enumerate() {
-            let apprank = trace.worker_apprank[node][proc];
-            let _ = writeln!(
-                out,
-                "  a{apprank:<3} |{}|",
-                render_timeline(tl, end, width, max)
-            );
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -4,7 +4,10 @@
 
 use super::{Ev, State};
 use crate::Workload;
-use tlb_core::{DynamicSpreading, GlobalAction, LocalAction, LocalPolicy, SignalView, WorkSignal};
+use tlb_core::{
+    allocate_living, DynamicSpreading, GlobalAction, LocalAction, LocalPolicy, SignalView,
+    WorkSignal,
+};
 use tlb_des::{Ctx, SimTime};
 use tlb_dlb::ProcId;
 use tlb_linprog::{AllocationSolution, LpError};
@@ -191,18 +194,13 @@ impl<W: Workload> State<W> {
         work: Vec<f64>,
         deltas: &[Vec<f64>],
     ) {
-        let Some(mut solved) = self.solve_global(now, &work) else {
-            return;
-        };
+        let mut solved = self.solve_global(now, &work);
         // Dynamic work spreading (paper §5.2 future work): the solved bound
         // identifies capacity-constrained appranks; spawn helpers for them
         // and re-solve so the new capacity is used immediately.
         if let (Ok(solution), Some(dynamic)) = (&solved, self.config.dynamic) {
             if self.maybe_spawn_helpers(now, &work, solution, dynamic) {
-                let Some(again) = self.solve_global(now, &work) else {
-                    return;
-                };
-                solved = again;
+                solved = self.solve_global(now, &work);
             }
         }
         // A failed solve still charges its modelled cost — a timeout burns
@@ -260,28 +258,29 @@ impl<W: Workload> State<W> {
         ctx.schedule_in(self.config.global_period, Ev::GlobalTick);
     }
 
-    /// One global allocation solve: the injected error while a
-    /// whole-solver outage is open, else the portfolio race when
-    /// configured (recording its trace events and counters), else the
-    /// single configured solver. Failures of any kind come back as the
-    /// reason the caller's degradation ladder records. `None` when the
-    /// run has no global policy to solve with.
+    /// One global allocation solve over the worker table's living
+    /// workers: the injected error while a whole-solver outage is open,
+    /// else the portfolio race when configured (recording its trace
+    /// events and counters), else the single configured solver. Failures
+    /// of any kind come back as the reason the caller's degradation
+    /// ladder records.
     fn solve_global(
         &mut self,
         now: SimTime,
         work: &[f64],
-    ) -> Option<Result<AllocationSolution, FallbackReason>> {
-        let policy = self.global_policy.as_mut()?;
+    ) -> Result<AllocationSolution, FallbackReason> {
         if let Some(err) = &self.faults.outage_error {
-            return Some(Err(fallback_reason(err)));
+            return Err(fallback_reason(err));
         }
+        let (layout, platform) = (&self.layout, &self.platform);
         let Some(engine) = self.portfolio.as_mut() else {
-            let solved = policy.allocate(work, self.config.solver);
-            return Some(solved.map_err(|e| fallback_reason(&e)));
+            let strategy = Strategy::from(self.config.solver);
+            let solved = allocate_living(layout, platform, work, |p| strategy.solve(p));
+            return solved.map_err(|e| fallback_reason(&e));
         };
         let budget_s = engine.config().budget.as_secs_f64();
         let mut picked = None;
-        let result = policy.allocate_with(work, |p| {
+        let result = allocate_living(layout, platform, work, |p| {
             let out = engine.solve(p)?;
             picked = Some((out.winner, out.score, out.candidates, out.race_cost));
             Ok(out.solution)
@@ -321,7 +320,7 @@ impl<W: Workload> State<W> {
                 self.trace.emit(GLOBAL_STREAM, now, pick);
             }
         }
-        Some(result.map_err(|e| fallback_reason(&e)))
+        result.map_err(|e| fallback_reason(&e))
     }
 
     /// Spawn helper ranks for capacity-constrained appranks (the paper's

@@ -122,15 +122,13 @@ impl Faults {
 
 impl<W: Workload> State<W> {
     /// Recompute a node's effective speed from its base speed and any
-    /// active straggler bursts, and tell the global solver. The stacked
-    /// factors are floored, so no plan can stop a node.
+    /// active straggler bursts; the next global solve reads it off the
+    /// platform. The stacked factors are floored, so no plan can stop a
+    /// node.
     fn refresh_speed(&mut self, node: usize) {
         let stacked: f64 = self.faults.straggler_factors[node].iter().product();
         let speed = self.faults.base_speed[node] * stacked.max(MIN_SPEED_FACTOR);
         self.platform.node_speed[node] = speed;
-        if let Some(policy) = self.global_policy.as_mut() {
-            policy.set_node_speed(node, speed);
-        }
     }
 
     /// DVFS/thermal event: tasks already running keep their start-time

@@ -25,9 +25,7 @@ use faults::Faults;
 use flow::{ApprankState, Inst, MsgState, WorkerState};
 use std::collections::HashMap;
 use std::fmt;
-use tlb_core::{
-    BalanceConfig, BalancePolicy, CandidateState, GlobalPolicy, Platform, ProcessLayout,
-};
+use tlb_core::{BalanceConfig, BalancePolicy, CandidateState, Platform, ProcessLayout};
 use tlb_des::{Ctx, SimTime, World};
 use tlb_dlb::{DlbEvent, NodeDlb, ProcId, Talp};
 use tlb_expander::ExpanderError;
@@ -165,7 +163,6 @@ struct State<W: Workload> {
     /// The balancing policy object driving the tick hooks (see
     /// `tlb_core::BalancePolicy`), instantiated from `config.policy`.
     balance_policy: Box<dyn BalancePolicy>,
-    global_policy: Option<GlobalPolicy>,
     /// The racing solver portfolio (`BalanceConfig::portfolio`); its
     /// per-strategy stats end up in `SimReport::portfolio`.
     portfolio: Option<PortfolioEngine>,
@@ -198,8 +195,8 @@ impl<W: Workload> State<W> {
     }
 
     /// Add a helper of `apprank` on `node` (dynamic work spreading): one
-    /// more row in the table and in everything indexed like it, and the
-    /// new edge told to the global solver.
+    /// more row in the table and in everything indexed like it. The next
+    /// global solve reads the new edge off the table.
     fn spawn_worker(&mut self, now: SimTime, apprank: usize, node: usize) {
         let (slot, proc) = self.layout.push_worker(apprank, node);
         let dlb_proc = self.dlbs[node].add_process();
@@ -210,9 +207,6 @@ impl<W: Workload> State<W> {
         self.trace.add_worker(node, apprank);
         self.appranks[apprank].workers.push(WorkerState::default());
         debug_assert_eq!(self.appranks[apprank].workers.len() - 1, slot);
-        if let Some(policy) = self.global_policy.as_mut() {
-            policy.add_edge(apprank, node);
-        }
         self.spawned_helpers += 1;
         if self.trace.events() {
             let ev = EventKind::HelperSpawned {
@@ -224,10 +218,10 @@ impl<W: Workload> State<W> {
         self.record_node(now, node);
     }
 
-    /// Retire helper `w` (fail-stop): dead in the table, its DROM-owned
-    /// cores handed to the node's survivors, and masked out of the global
-    /// allocation. Returns `false` after recording the error if DLB
-    /// refuses.
+    /// Retire helper `w` (fail-stop): dead in the table, which masks it
+    /// out of the global allocation, and its DROM-owned cores handed to
+    /// the node's survivors. Returns `false` after recording the error if
+    /// DLB refuses.
     fn retire_worker(&mut self, w: Worker) -> bool {
         if let Err(e) = self.dlbs[w.node].retire_process(w.proc) {
             self.fail(format!(
@@ -237,9 +231,6 @@ impl<W: Workload> State<W> {
             return false;
         }
         self.layout.retire(w.apprank, w.slot);
-        if let Some(policy) = self.global_policy.as_mut() {
-            policy.retire_worker(w.apprank, w.slot);
-        }
         true
     }
 

@@ -6,11 +6,11 @@ use super::flow::ApprankState;
 use super::{Ev, SimError, State};
 use crate::{FaultPlan, SimReport, Trace, Workload};
 use std::collections::HashMap;
-use tlb_core::{BalanceConfig, GlobalPolicy, Platform, ProcessLayout};
+use tlb_core::{allocation_problem, BalanceConfig, Platform, ProcessLayout};
 use tlb_des::{SimTime, Simulator};
 use tlb_dlb::{NodeDlb, Talp};
 use tlb_expander::{BipartiteGraph, ExpanderConfig};
-use tlb_portfolio::PortfolioEngine;
+use tlb_portfolio::{PortfolioEngine, Strategy};
 use tlb_trace::TraceConfig;
 
 /// Declarative description of one simulation run — the single argument
@@ -206,14 +206,14 @@ pub(super) fn simulate<W: Workload>(spec: RunSpec<'_, W>) -> Result<(State<W>, u
         .map(|n| vec![0.0; layout.workers_on(n).len()])
         .collect();
 
-    let mut global_policy = uses_solver.then(|| GlobalPolicy::new(&graph, &platform));
     // Setup-time feasibility: a program that cannot be solved for zero
     // demand can never be solved mid-run. Fail hard here, so the only
     // solver errors left at run time are transient ones the fallback
     // ladder absorbs.
-    if let Some(policy) = global_policy.as_mut() {
-        policy
-            .allocate(&vec![0.0; appranks], config.solver)
+    if uses_solver {
+        let probe = allocation_problem(&layout, &platform, &vec![0.0; appranks]);
+        Strategy::from(config.solver)
+            .solve(&probe)
             .map_err(SimError::Solver)?;
     }
     // Racing solver portfolio: only meaningful where the global solver
@@ -284,7 +284,6 @@ pub(super) fn simulate<W: Workload>(spec: RunSpec<'_, W>) -> Result<(State<W>, u
         total_tasks: 0,
         created_work: vec![0.0; appranks],
         balance_policy,
-        global_policy,
         portfolio,
         last_total,
         last_created: vec![0.0; appranks],

@@ -1086,35 +1086,140 @@ fn held_batches_export_the_pinned_bytes() {
     );
 }
 
-/// The worker table, DLB and the solver mask are told of every spawn and
-/// every death together: after a run that grows the table by dynamic
-/// spreading *and* loses two helpers, table liveness equals DLB's retired
-/// flags and every node's cores are all owned.
+/// One pinned report of a solver run: times in nanoseconds,
+/// `parallel_efficiency` by bit pattern.
+struct Golden {
+    makespan_ns: u64,
+    iteration_ns: [u64; 8],
+    events: u64,
+    solver_runs: usize,
+    solver_time_ns: u64,
+    spawned_helpers: usize,
+    workers_killed: usize,
+    parallel_efficiency_bits: u64,
+}
+
+/// The worker table, DLB and the global solve see every spawn, every
+/// death and every speed change together: after a run that grows the
+/// table by dynamic spreading, slows a node with a straggler burst and
+/// loses two helpers, table liveness equals DLB's retired flags, every
+/// node's cores are all owned, and the report is the one pinned below,
+/// bit for bit — once with the single simplex solver and once with the
+/// default four-strategy portfolio. The numbers were captured while the
+/// global solver still kept its own copy of adjacency, liveness and node
+/// speed; each of those three facts, left stale, changes them.
 #[test]
 fn table_and_dlb_agree_after_spawns_and_kills() {
     let heavy: Vec<TaskSpec> = (0..160).map(|_| TaskSpec::compute(0.05)).collect();
     let light: Vec<TaskSpec> = (0..20).map(|_| TaskSpec::compute(0.05)).collect();
     let wl = SpecWorkload::iterated(vec![heavy, light.clone(), light.clone(), light], 8);
     let p = Platform::homogeneous(4, 4);
-    let mut cfg = BalanceConfig::preset(Preset::DynamicSpread { max_degree: 3 });
-    cfg.global_period = SimTime::from_millis(300);
-    let plan = FaultPlan::new(9).with_kill(1.0).with_kill(1.6);
-    let (state, _) = setup::simulate(RunSpec::new(&p, &cfg, wl).faults(&plan)).unwrap();
-    assert!(state.spawned_helpers >= 2, "{}", state.spawned_helpers);
-    assert_eq!(state.faults.stats.workers_killed, 2);
-    for node in 0..p.nodes {
-        let dlb = &state.dlbs[node];
-        let alive = &state.layout.alive()[node];
-        assert_eq!(alive.len(), state.layout.workers_on(node).len());
-        for (proc, &alive) in alive.iter().enumerate() {
-            assert_eq!(
-                alive,
-                !dlb.is_retired(ProcId(proc)),
-                "node {node} proc {proc}"
-            );
+    let plan = FaultPlan::new(9)
+        .with_straggler(0.5, 0, 3.0, 1.5)
+        .with_kill(1.0)
+        .with_kill(1.6)
+        .with_kill(4.0);
+    let cases = [
+        (
+            "simplex",
+            None,
+            Golden {
+                makespan_ns: 16_250_032_000,
+                iteration_ns: [
+                    3_000_004_000,
+                    1_250_004_000,
+                    2_000_004_000,
+                    2_000_004_000,
+                    2_000_004_000,
+                    2_000_004_000,
+                    2_000_004_000,
+                    2_000_004_000,
+                ],
+                events: 2756,
+                solver_runs: 54,
+                solver_time_ns: 54_000_000,
+                spawned_helpers: 2,
+                workers_killed: 2,
+                parallel_efficiency_bits: 0x3fd6_a568_e665_dd66,
+            },
+        ),
+        (
+            "portfolio",
+            Some(tlb_portfolio::PortfolioConfig::default()),
+            Golden {
+                makespan_ns: 16_250_032_000,
+                iteration_ns: [
+                    3_000_004_000,
+                    1_250_004_000,
+                    2_000_004_000,
+                    2_000_004_000,
+                    2_000_004_000,
+                    2_000_004_000,
+                    2_000_004_000,
+                    2_000_004_000,
+                ],
+                events: 2756,
+                solver_runs: 54,
+                solver_time_ns: 54_000_000,
+                spawned_helpers: 2,
+                workers_killed: 2,
+                parallel_efficiency_bits: 0x3fd6_a568_e665_dd66,
+            },
+        ),
+    ];
+    for (label, portfolio, want) in cases {
+        let mut cfg = BalanceConfig::preset(Preset::DynamicSpread { max_degree: 3 });
+        cfg.global_period = SimTime::from_millis(300);
+        cfg.portfolio = portfolio;
+        let spec = || RunSpec::new(&p, &cfg, wl.clone()).faults(&plan);
+        let (state, _) = setup::simulate(spec()).unwrap();
+        assert!(
+            state.spawned_helpers >= 2,
+            "{label}: {}",
+            state.spawned_helpers
+        );
+        for node in 0..p.nodes {
+            let dlb = &state.dlbs[node];
+            let alive = &state.layout.alive()[node];
+            assert_eq!(alive.len(), state.layout.workers_on(node).len());
+            for (proc, &alive) in alive.iter().enumerate() {
+                assert_eq!(
+                    alive,
+                    !dlb.is_retired(ProcId(proc)),
+                    "{label}: node {node} proc {proc}"
+                );
+            }
+            let owned: usize = (0..alive.len()).map(|p| dlb.owned_count(ProcId(p))).sum();
+            assert_eq!(owned, p.cores_per_node, "{label}: node {node}");
         }
-        let owned: usize = (0..alive.len()).map(|p| dlb.owned_count(ProcId(p))).sum();
-        assert_eq!(owned, p.cores_per_node, "node {node}");
+        let got = ClusterSim::execute(spec()).unwrap();
+        let iteration_ns: Vec<u64> = got.iteration_times.iter().map(|t| t.as_nanos()).collect();
+        assert_eq!(
+            got.makespan.as_nanos(),
+            want.makespan_ns,
+            "{label}: makespan"
+        );
+        assert_eq!(iteration_ns, want.iteration_ns, "{label}: iteration_times");
+        assert_eq!(got.events, want.events, "{label}: events");
+        assert_eq!(got.solver_runs, want.solver_runs, "{label}: solver_runs");
+        assert_eq!(
+            got.solver_time.as_nanos(),
+            want.solver_time_ns,
+            "{label}: solver_time"
+        );
+        assert_eq!(
+            got.spawned_helpers, want.spawned_helpers,
+            "{label}: spawned_helpers"
+        );
+        assert_eq!(
+            got.faults.workers_killed, want.workers_killed,
+            "{label}: workers_killed"
+        );
+        assert_eq!(
+            got.parallel_efficiency.to_bits(),
+            want.parallel_efficiency_bits,
+            "{label}: parallel_efficiency"
+        );
     }
 }
 

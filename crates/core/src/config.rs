@@ -2,7 +2,7 @@
 
 use crate::PolicySpec;
 use tlb_des::SimTime;
-use tlb_portfolio::PortfolioConfig;
+use tlb_portfolio::{PortfolioConfig, Strategy};
 
 /// A scheduled change of one node's speed (DVFS step, thermal throttle,
 /// turbo variation — the system-level imbalance sources of the paper's
@@ -138,6 +138,17 @@ pub enum GlobalSolverKind {
     Simplex,
     /// Parametric bisection with a max-flow feasibility oracle (ablation).
     Flow,
+}
+
+/// A single solver is the portfolio strategy of the same name: the one
+/// strategy → solver table ([`Strategy::solve`]) serves both.
+impl From<GlobalSolverKind> for Strategy {
+    fn from(kind: GlobalSolverKind) -> Strategy {
+        match kind {
+            GlobalSolverKind::Simplex => Strategy::Simplex,
+            GlobalSolverKind::Flow => Strategy::Flow,
+        }
+    }
 }
 
 /// Demand signal fed to the global solver (§5.4.2).
@@ -329,12 +340,6 @@ impl BalanceConfig {
         self
     }
 
-    /// Builder: set the global solver backend.
-    pub fn with_solver(mut self, solver: GlobalSolverKind) -> Self {
-        self.solver = solver;
-        self
-    }
-
     /// Builder: race a solver portfolio on every global tick.
     pub fn with_portfolio(mut self, portfolio: PortfolioConfig) -> Self {
         self.portfolio = Some(portfolio);
@@ -402,12 +407,10 @@ mod tests {
         let c = BalanceConfig::preset(Preset::Baseline)
             .with_degree(2)
             .with_policy(PolicySpec::named("drom-global").unwrap())
-            .with_solver(GlobalSolverKind::Flow)
             .with_seed(9);
         assert_eq!(c.degree, 2);
         assert_eq!(c.policy.name(), "drom-global");
         assert!(!c.policy.lewi() && c.policy.uses_solver());
-        assert_eq!(c.solver, GlobalSolverKind::Flow);
         assert_eq!(c.seed, 9);
     }
 }

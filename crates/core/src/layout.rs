@@ -2,6 +2,7 @@
 //! initial DROM core ownership.
 
 use tlb_expander::BipartiteGraph;
+use tlb_linprog::largest_remainder;
 
 /// One worker process: the representative of `apprank` on a node. `slot`
 /// is the index of the node in the apprank's adjacency list (0 = the main
@@ -92,17 +93,14 @@ impl ProcessLayout {
                 ws.len()
             );
             let mains = ws.iter().filter(|w| w.is_main()).count();
-            let helpers = ws.len() - mains;
-            let for_mains = cores_per_node - helpers;
-            let per_main = for_mains.checked_div(mains).unwrap_or(0);
-            let mut extra = for_mains.checked_rem(mains).unwrap_or(0);
+            let for_mains = cores_per_node - (ws.len() - mains);
+            let even = vec![for_mains as f64 / mains as f64; mains];
+            let mut split = largest_remainder(&even, 0, for_mains).into_iter();
             let counts = ws
                 .iter()
                 .map(|w| {
                     if w.is_main() {
-                        let c = per_main + usize::from(extra > 0);
-                        extra = extra.saturating_sub(1);
-                        c
+                        split.next().expect("one share per main")
                     } else {
                         1
                     }
@@ -168,11 +166,6 @@ impl ProcessLayout {
     /// Initial ownership counts aligned with [`ProcessLayout::workers_on`].
     pub fn initial_ownership(&self, node: usize) -> &[usize] {
         &self.initial_ownership[node]
-    }
-
-    /// Total worker processes in the system.
-    pub fn total_workers(&self) -> usize {
-        self.workers.iter().map(|w| w.len()).sum()
     }
 
     /// Register a dynamically spawned helper of `apprank` on `node`
@@ -271,7 +264,7 @@ mod tests {
                 assert_eq!(w.slot, k);
             }
         }
-        assert_eq!(l.total_workers(), 24);
+        assert_eq!(l.placement().iter().map(Vec::len).sum::<usize>(), 24);
     }
 
     #[test]
@@ -289,7 +282,7 @@ mod tests {
             }
         );
         assert_eq!(l.proc_of(0, 1), proc);
-        assert_eq!(l.total_workers(), 5);
+        assert_eq!(l.placement().iter().map(Vec::len).sum::<usize>(), 5);
     }
 
     /// Seeded random graphs under random spawn / retire sequences: the
@@ -344,7 +337,8 @@ mod tests {
                     assert!(!l.alive()[at.0][at.1]);
                 }
                 let total: usize = l.placement().iter().map(Vec::len).sum();
-                assert_eq!(l.total_workers(), total);
+                let hosted: usize = (0..nodes).map(|n| l.workers_on(n).len()).sum();
+                assert_eq!(hosted, total);
             }
         }
     }

@@ -15,9 +15,11 @@
 //! * [`LocalPolicy`] — the local-convergence DROM policy (§5.4.1):
 //!   per-node core ownership proportional to each worker's average busy
 //!   cores.
-//! * [`GlobalPolicy`] — the global solver policy (§5.4.2): the min-max
-//!   linear program over the whole expander graph, solved every two
-//!   seconds via `tlb-linprog` (simplex or parametric max-flow).
+//! * [`allocation_problem`] / [`allocate_living`] — the global solver
+//!   policy (§5.4.2): the min-max program over the worker table's living
+//!   workers, built afresh at each solve (every two seconds) and solved
+//!   by one `tlb-portfolio` strategy or the race; [`GlobalPolicy`] is the
+//!   same program for a fixed expander graph.
 //! * [`imbalance`] and friends — the paper's dimensionless imbalance
 //!   metric (Eq. 2).
 //! * [`BalanceConfig`] / [`Platform`] — experiment configuration,
@@ -56,5 +58,5 @@ pub use config::{
 };
 pub use layout::{ProcessLayout, WorkerRef};
 pub use metrics::{imbalance, node_imbalance, Loads};
-pub use policy::{GlobalPolicy, LocalPolicy};
+pub use policy::{allocate_living, allocation_problem, GlobalPolicy, LocalPolicy};
 pub use sched::{choose_node, choose_node_explained, CandidateState, ChoiceReason, Placement};

@@ -255,7 +255,7 @@ mod tests {
         let g = generate_random(&cfg, 1).unwrap();
         for a in 0..8 {
             assert_eq!(g.home_node(a), a / 2);
-            assert!(g.can_offload_to(a, a / 2));
+            assert!(g.nodes_of(a).contains(&(a / 2)));
         }
     }
 
@@ -327,7 +327,7 @@ mod tests {
         let g = BipartiteGraph::generate(&cfg).unwrap();
         for a in 0..4 {
             for n in 0..4 {
-                assert!(g.can_offload_to(a, n));
+                assert!(g.nodes_of(a).contains(&n));
             }
         }
     }

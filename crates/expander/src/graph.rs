@@ -51,12 +51,6 @@ impl ExpanderConfig {
         self
     }
 
-    /// Require a minimum vertex isoperimetric number.
-    pub fn with_min_expansion(mut self, min_expansion: f64) -> Self {
-        self.min_expansion = min_expansion;
-        self
-    }
-
     /// Appranks per node implied by the shape.
     pub fn appranks_per_node(&self) -> usize {
         self.appranks / self.nodes
@@ -229,25 +223,9 @@ impl BipartiteGraph {
         &self.adj[apprank]
     }
 
-    /// Helper nodes of `apprank` (its adjacency minus the home node).
-    pub fn helper_nodes_of(&self, apprank: usize) -> &[usize] {
-        &self.adj[apprank][1..]
-    }
-
     /// Appranks with a worker process on `node` (home or helper).
     pub fn appranks_on(&self, node: usize) -> &[usize] {
         &self.hosted[node]
-    }
-
-    /// Appranks whose *home* is `node`.
-    pub fn home_appranks_on(&self, node: usize) -> impl Iterator<Item = usize> + '_ {
-        let per = self.config.appranks_per_node();
-        node * per..(node + 1) * per
-    }
-
-    /// Whether `apprank` may execute tasks on `node`.
-    pub fn can_offload_to(&self, apprank: usize, node: usize) -> bool {
-        self.adj[apprank].contains(&node)
     }
 
     /// Expected home node from the block placement rule.
@@ -463,7 +441,7 @@ mod tests {
         let c = ExpanderConfig::new(2, 2, 1);
         let g = BipartiteGraph::from_adjacency(c, vec![vec![0], vec![1]]).unwrap();
         assert!(!g.is_connected());
-        assert!(!g.can_offload_to(0, 1));
+        assert!(!g.nodes_of(0).contains(&1));
     }
 
     #[test]
@@ -474,7 +452,6 @@ mod tests {
         assert!(g.is_connected());
         assert_eq!(g.node_degree(), 2);
         assert_eq!(g.appranks_on(1), &[0, 1]);
-        assert_eq!(g.helper_nodes_of(0), &[1]);
     }
 
     #[test]
@@ -497,14 +474,5 @@ mod tests {
         let g2 = BipartiteGraph::load_json(&path).unwrap();
         assert_eq!(g2.nodes_of(2), g.nodes_of(2));
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn home_appranks_iterator() {
-        let cfg = ExpanderConfig::new(4, 2, 1);
-        let adj = vec![vec![0], vec![0], vec![1], vec![1]];
-        let g = BipartiteGraph::from_adjacency(cfg, adj).unwrap();
-        assert_eq!(g.home_appranks_on(0).collect::<Vec<_>>(), vec![0, 1]);
-        assert_eq!(g.home_appranks_on(1).collect::<Vec<_>>(), vec![2, 3]);
     }
 }

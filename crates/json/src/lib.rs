@@ -349,11 +349,19 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Parse a complete JSON document (trailing whitespace allowed).
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so without a bound one line of `[` overflows the
+/// stack of the thread parsing it (a daemon connection handler included).
+const MAX_DEPTH: usize = 128;
+
+/// Parse a complete JSON document (trailing whitespace allowed). Nesting
+/// deeper than 128 arrays and objects is an error at the offending
+/// bracket.
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -367,6 +375,8 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -411,12 +421,27 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parse an array or object one level deeper, refusing past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, ParseError> {
@@ -611,6 +636,21 @@ mod tests {
         assert_eq!(v.get("d").as_bool(), Some(true));
         assert!(v.get("missing").is_null());
         assert!(v.at(99).is_null());
+    }
+
+    /// A line of brackets fails at the first bracket past the limit
+    /// instead of overflowing the stack; the limit itself still parses.
+    #[test]
+    fn nesting_is_bounded() {
+        let err = parse(&"[".repeat(100_000)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(err.message.contains("128 levels"), "{}", err.message);
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&deepest).is_ok());
+        let objects = format!("{}1{}", r#"{"a":"#.repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(parse(&objects).is_ok());
+        let one_more = format!("[{deepest}]");
+        assert_eq!(parse(&one_more).unwrap_err().offset, MAX_DEPTH);
     }
 
     #[test]

@@ -111,17 +111,6 @@ impl AllocationProblem {
     }
 }
 
-/// One worker's integer core ownership.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct WorkerAllocation {
-    /// The apprank the worker belongs to.
-    pub apprank: usize,
-    /// The node it runs on.
-    pub node: usize,
-    /// Cores it owns after rounding.
-    pub cores: usize,
-}
-
 /// Solution of the allocation program.
 #[derive(Clone, Debug)]
 pub struct AllocationSolution {
@@ -150,29 +139,6 @@ impl AllocationSolution {
         }
         load
     }
-
-    /// Total offloaded (non-home) work in the continuous split.
-    pub fn offloaded_work(&self) -> f64 {
-        self.work_share
-            .iter()
-            .map(|s| s[1..].iter().sum::<f64>())
-            .sum()
-    }
-
-    /// Flatten to per-worker allocations.
-    pub fn workers(&self, problem: &AllocationProblem) -> Vec<WorkerAllocation> {
-        let mut out = Vec::new();
-        for (a, cores) in self.cores.iter().enumerate() {
-            for (k, &c) in cores.iter().enumerate() {
-                out.push(WorkerAllocation {
-                    apprank: a,
-                    node: problem.adjacency[a][k],
-                    cores: c,
-                });
-            }
-        }
-        out
-    }
 }
 
 /// Solve via the paper's LP (simplex): core counts are the variables.
@@ -196,31 +162,8 @@ impl AllocationSolution {
 pub fn solve_lp(problem: &AllocationProblem) -> Result<AllocationSolution, LpError> {
     problem.validate()?;
     if problem.work.iter().sum::<f64>() <= 0.0 {
-        // No work anywhere: z would be unbounded. Split capacity evenly.
-        let x_cont: Vec<Vec<f64>> = problem
-            .adjacency
-            .iter()
-            .map(|adj| vec![1.0; adj.len()])
-            .collect();
-        let work_share = problem
-            .adjacency
-            .iter()
-            .map(|adj| vec![0.0; adj.len()])
-            .collect();
-        let mut even = x_cont.clone();
-        let workers = problem.workers_per_node();
-        for (a, adj) in problem.adjacency.iter().enumerate() {
-            for (k, &n) in adj.iter().enumerate() {
-                even[a][k] = problem.node_cores[n] as f64 / workers[n] as f64;
-            }
-        }
-        let cores = integerize_cores(problem, &even);
-        return Ok(AllocationSolution {
-            objective: 0.0,
-            work_share,
-            cores,
-            iterations: 0,
-        });
+        // No work anywhere: z would be unbounded.
+        return Ok(idle_solution(problem));
     }
     let (lp, edge_of) = allocation_program(problem);
     let z_var = lp.num_vars() - 1;
@@ -332,65 +275,110 @@ pub(crate) fn allocation_program(problem: &AllocationProblem) -> (LinearProgram,
 }
 
 /// Largest-remainder integerisation of continuous per-worker core targets,
-/// preserving the ≥ 1 floor and exact node sums.
+/// lifted to the ≥ 1 floor, with exact node sums.
 pub fn integerize_cores(problem: &AllocationProblem, x_cont: &[Vec<f64>]) -> Vec<Vec<usize>> {
-    let nodes = problem.nodes();
-    let mut cores: Vec<Vec<usize>> = problem
+    round_by_node(problem, |_, workers| {
+        workers
+            .iter()
+            .map(|&(a, k)| x_cont[a][k].max(1.0))
+            .collect()
+    })
+}
+
+/// The allocation when no apprank has work: nothing to place, and each
+/// node's cores split evenly over its workers.
+fn idle_solution(problem: &AllocationProblem) -> AllocationSolution {
+    let work_share: Vec<Vec<f64>> = problem
         .adjacency
         .iter()
-        .map(|adj| vec![0usize; adj.len()])
+        .map(|adj| vec![0.0; adj.len()])
         .collect();
-    let mut by_node: Vec<Vec<(usize, usize)>> = vec![Vec::new(); nodes];
+    let cores = round_cores(problem, &work_share);
+    AllocationSolution {
+        objective: 0.0,
+        work_share,
+        cores,
+        iterations: 0,
+    }
+}
+
+/// Round every node's continuous core targets with [`largest_remainder`]
+/// (one-core floor, node sum exact): `quotas(n, workers)` gives the
+/// targets of node `n`'s `(apprank, slot)` workers, listed by apprank
+/// then slot.
+fn round_by_node<F>(problem: &AllocationProblem, quotas: F) -> Vec<Vec<usize>>
+where
+    F: Fn(usize, &[(usize, usize)]) -> Vec<f64>,
+{
+    let mut by_node: Vec<Vec<(usize, usize)>> = vec![Vec::new(); problem.nodes()];
     for (a, adj) in problem.adjacency.iter().enumerate() {
         for (k, &n) in adj.iter().enumerate() {
             by_node[n].push((a, k));
         }
     }
-    for n in 0..nodes {
-        let workers = &by_node[n];
-        if workers.is_empty() {
-            continue;
+    let mut cores: Vec<Vec<usize>> = problem
+        .adjacency
+        .iter()
+        .map(|adj| vec![0usize; adj.len()])
+        .collect();
+    for (n, workers) in by_node.iter().enumerate() {
+        let split = largest_remainder(&quotas(n, workers), 1, problem.node_cores[n]);
+        for (&(a, k), c) in workers.iter().zip(split) {
+            cores[a][k] = c;
         }
-        let cap = problem.node_cores[n];
-        let mut assigned = 0usize;
-        let mut remainders: Vec<(f64, usize)> = Vec::with_capacity(workers.len());
-        for (i, &(a, k)) in workers.iter().enumerate() {
-            let want = x_cont[a][k].max(1.0);
-            let whole = (want.floor() as usize).max(1).min(cap);
-            cores[a][k] = whole;
-            assigned += whole;
-            remainders.push((want - whole as f64, i));
-        }
-        remainders.sort_by(|x, y| y.0.partial_cmp(&x.0).unwrap().then(x.1.cmp(&y.1)));
-        // Hand out any deficit; reclaim any excess from the smallest
-        // remainders (never below the one-core floor).
-        let mut idx = 0;
-        while assigned < cap {
-            let (a, k) = workers[remainders[idx % remainders.len()].1];
-            cores[a][k] += 1;
-            assigned += 1;
-            idx += 1;
-        }
-        let mut idx = remainders.len();
-        while assigned > cap {
-            idx = if idx == 0 {
-                remainders.len() - 1
-            } else {
-                idx - 1
-            };
-            let (a, k) = workers[remainders[idx].1];
-            if cores[a][k] > 1 {
-                cores[a][k] -= 1;
-                assigned -= 1;
-            }
-        }
-        debug_assert_eq!(
-            workers.iter().map(|&(a, k)| cores[a][k]).sum::<usize>(),
-            cap,
-            "node {n} core sum mismatch"
-        );
     }
     cores
+}
+
+/// Round continuous `quotas` to whole units that sum to exactly `total`,
+/// by the largest-remainder method — the one rounding every core split
+/// in the workspace goes through.
+///
+/// Each entry starts at its quota's floor, raised to `floor` and capped
+/// at `total`. Entries are ranked by remainder (quota minus that start;
+/// largest first, ties to the lower index). A deficit is handed out one
+/// unit at a time in rank order, cycling if needed; an excess is
+/// reclaimed one unit at a time from the smallest remainder up, cycling,
+/// never taking an entry below `floor`.
+///
+/// # Panics
+/// Panics if a quota is NaN or `floor * quotas.len() > total`.
+pub fn largest_remainder(quotas: &[f64], floor: usize, total: usize) -> Vec<usize> {
+    assert!(floor * quotas.len() <= total, "floors exceed the total");
+    let mut out: Vec<usize> = quotas
+        .iter()
+        .map(|&q| (q.floor() as usize).max(floor).min(total))
+        .collect();
+    let remainder: Vec<f64> = quotas
+        .iter()
+        .zip(&out)
+        .map(|(&q, &c)| q - c as f64)
+        .collect();
+    let mut order: Vec<usize> = (0..quotas.len()).collect();
+    order.sort_by(|&i, &j| {
+        remainder[j]
+            .partial_cmp(&remainder[i])
+            .expect("quotas are not NaN")
+            .then(i.cmp(&j))
+    });
+    let mut assigned: usize = out.iter().sum();
+    for &i in order.iter().cycle() {
+        if assigned >= total {
+            break;
+        }
+        out[i] += 1;
+        assigned += 1;
+    }
+    for &i in order.iter().rev().cycle() {
+        if assigned <= total {
+            break;
+        }
+        if out[i] > floor {
+            out[i] -= 1;
+            assigned -= 1;
+        }
+    }
+    out
 }
 
 /// Solve via bisection on `t` with a max-flow feasibility oracle.
@@ -403,19 +391,7 @@ pub fn solve_flow(problem: &AllocationProblem, tol: f64) -> Result<AllocationSol
     let total_work: f64 = problem.work.iter().sum();
 
     if total_work <= 0.0 {
-        // No work: keep everything home with an even trivial split.
-        let work_share: Vec<Vec<f64>> = problem
-            .adjacency
-            .iter()
-            .map(|adj| vec![0.0; adj.len()])
-            .collect();
-        let cores = round_cores(problem, &work_share);
-        return Ok(AllocationSolution {
-            objective: 0.0,
-            work_share,
-            cores,
-            iterations: 0,
-        });
+        return Ok(idle_solution(problem));
     }
 
     // Vertices: 0 = source, 1..=A appranks, A+1..=A+N nodes, last = sink.
@@ -521,35 +497,11 @@ pub fn solve_flow(problem: &AllocationProblem, tol: f64) -> Result<AllocationSol
 ///
 /// Per node: every hosted worker gets 1 core (the DLB minimum), and the
 /// remaining cores are distributed proportionally to the workers' work
-/// shares by the largest-remainder method. Deterministic: remainder ties
-/// break towards the lower (apprank, slot) pair.
+/// shares by [`largest_remainder`]. Deterministic: remainder ties break
+/// towards the lower (apprank, slot) pair.
 pub fn round_cores(problem: &AllocationProblem, work_share: &[Vec<f64>]) -> Vec<Vec<usize>> {
-    let nodes = problem.nodes();
-    let mut cores: Vec<Vec<usize>> = problem
-        .adjacency
-        .iter()
-        .map(|adj| vec![0usize; adj.len()])
-        .collect();
-
-    // Index workers by node.
-    let mut by_node: Vec<Vec<(usize, usize)>> = vec![Vec::new(); nodes]; // (apprank, slot)
-    for (a, adj) in problem.adjacency.iter().enumerate() {
-        for (k, &n) in adj.iter().enumerate() {
-            by_node[n].push((a, k));
-        }
-    }
-
-    for n in 0..nodes {
-        let workers = &by_node[n];
-        if workers.is_empty() {
-            continue;
-        }
+    round_by_node(problem, |n, workers| {
         let cap = problem.node_cores[n];
-        assert!(
-            cap >= workers.len(),
-            "node {n}: {} workers exceed {cap} cores",
-            workers.len()
-        );
         let total: f64 = workers.iter().map(|&(a, k)| work_share[a][k]).sum();
         // Continuous targets proportional to work over the FULL capacity,
         // then lift every worker to the one-core DLB minimum by
@@ -596,33 +548,8 @@ pub fn round_cores(problem: &AllocationProblem, work_share: &[Vec<f64>]) -> Vec<
                 }
             }
         }
-        // Largest-remainder rounding of the continuous targets, keeping
-        // every worker at ≥ 1 core and the node sum exact.
-        let mut assigned = 0usize;
-        let mut remainders: Vec<(f64, usize)> = Vec::with_capacity(workers.len());
-        for (i, &(a, k)) in workers.iter().enumerate() {
-            let whole = (want[i].floor() as usize).max(1);
-            cores[a][k] = whole;
-            assigned += whole;
-            remainders.push((want[i] - whole as f64, i));
-        }
-        remainders.sort_by(|x, y| y.0.partial_cmp(&x.0).unwrap().then(x.1.cmp(&y.1)));
-        let mut left = cap - assigned;
-        for &(_, i) in &remainders {
-            if left == 0 {
-                break;
-            }
-            let (a, k) = workers[i];
-            cores[a][k] += 1;
-            left -= 1;
-        }
-        debug_assert_eq!(
-            workers.iter().map(|&(a, k)| cores[a][k]).sum::<usize>(),
-            cap,
-            "node {n} core sum mismatch"
-        );
-    }
-    cores
+        want
+    })
 }
 
 #[cfg(test)]
@@ -678,7 +605,12 @@ mod tests {
         assert!((s.objective - 10.0 / 4.0).abs() < 1e-4);
         // The only "offloaded" work is what the mandatory floor cores
         // would execute (one of each rank's four effective cores).
-        assert!(s.offloaded_work() <= 2.0 * 2.5 + 1e-6);
+        let offloaded: f64 = s
+            .work_share
+            .iter()
+            .map(|row| row[1..].iter().sum::<f64>())
+            .sum();
+        assert!(offloaded <= 2.0 * 2.5 + 1e-6);
     }
 
     #[test]
@@ -780,9 +712,11 @@ mod tests {
         assert_eq!(s.objective, 0.0);
         // Cores still fully owned: 4 per node.
         let mut per_node = vec![0usize; 2];
-        for w in s.workers(&p) {
-            per_node[w.node] += w.cores;
-            assert!(w.cores >= 1);
+        for (cores, adj) in s.cores.iter().zip(&p.adjacency) {
+            for (&c, &n) in cores.iter().zip(adj) {
+                per_node[n] += c;
+                assert!(c >= 1);
+            }
         }
         assert_eq!(per_node, vec![4, 4]);
     }
@@ -792,9 +726,11 @@ mod tests {
         let p = AllocationProblem::new(vec![100.0, 1.0, 1.0, 1.0], ring_adjacency(4, 4, 3), 48, 4);
         let s = solve_lp(&p).unwrap();
         let mut per_node = vec![0usize; 4];
-        for w in s.workers(&p) {
-            assert!(w.cores >= 1, "worker below DLB minimum");
-            per_node[w.node] += w.cores;
+        for (cores, adj) in s.cores.iter().zip(&p.adjacency) {
+            for (&c, &n) in cores.iter().zip(adj) {
+                assert!(c >= 1, "worker below DLB minimum");
+                per_node[n] += c;
+            }
         }
         assert_eq!(per_node, vec![48; 4]);
     }
@@ -848,9 +784,11 @@ mod tests {
             );
             // And the LP's integer cores are always a valid ownership.
             let mut per_node = vec![0usize; p.nodes()];
-            for w in lp.workers(&p) {
-                assert!(w.cores >= 1, "case {case}: worker below floor");
-                per_node[w.node] += w.cores;
+            for (cores, adj) in lp.cores.iter().zip(&p.adjacency) {
+                for (&c, &n) in cores.iter().zip(adj) {
+                    assert!(c >= 1, "case {case}: worker below floor");
+                    per_node[n] += c;
+                }
             }
             assert_eq!(per_node, p.node_cores, "case {case}: node sums");
         }

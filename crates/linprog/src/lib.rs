@@ -19,15 +19,16 @@
 //! * [`allocation`] — the min-max core allocation program itself, with both
 //!   solvers (they agree to within bisection tolerance — an ablation bench
 //!   compares their speed), the paper's `1 + 1e-6` keep-local incentive,
-//!   and largest-remainder rounding to integer core ownership respecting
-//!   the ≥ 1 core per worker rule.
+//!   and [`largest_remainder`], the workspace's one rounding of a
+//!   continuous core split to whole cores (a floor, an exact total, ties
+//!   to the lower index), here with the ≥ 1 core per worker floor.
 
 pub mod allocation;
 pub mod maxflow;
 pub mod simplex;
 
 pub use allocation::{
-    round_cores, solve_flow, solve_lp, AllocationProblem, AllocationSolution, WorkerAllocation,
+    largest_remainder, round_cores, solve_flow, solve_lp, AllocationProblem, AllocationSolution,
 };
 pub use maxflow::FlowNetwork;
 pub use simplex::{Constraint, LinearProgram, LpError, LpSolution, Relation};

@@ -33,11 +33,6 @@ impl FlowNetwork {
         }
     }
 
-    /// Number of vertices.
-    pub fn vertices(&self) -> usize {
-        self.graph.len()
-    }
-
     /// Add a directed edge with the given capacity; returns a handle usable
     /// with [`FlowNetwork::flow_on`] after `max_flow`.
     ///

@@ -99,11 +99,6 @@ impl LinearProgram {
         self.num_vars
     }
 
-    /// Number of constraints added so far.
-    pub fn num_constraints(&self) -> usize {
-        self.constraints.len()
-    }
-
     /// Set the objective coefficient of variable `var` (minimisation).
     pub fn set_objective(&mut self, var: usize, coeff: f64) -> &mut Self {
         assert!(var < self.num_vars, "objective variable out of range");

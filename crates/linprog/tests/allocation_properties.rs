@@ -60,9 +60,11 @@ fn lp_bounds_and_valid_cores() {
         }
         // Integer cores: node sums exact, every worker ≥ 1.
         let mut per_node = vec![0usize; p.nodes()];
-        for w in sol.workers(&p) {
-            assert!(w.cores >= 1, "case {case}");
-            per_node[w.node] += w.cores;
+        for (cores, adj) in sol.cores.iter().zip(&p.adjacency) {
+            for (&c, &n) in cores.iter().zip(adj) {
+                assert!(c >= 1, "case {case}");
+                per_node[n] += c;
+            }
         }
         assert_eq!(per_node, p.node_cores.clone(), "case {case}");
         // Work shares conserve each apprank's work.

@@ -20,7 +20,7 @@ use tlb_rng::Rng;
 
 /// Bisection tolerance for the flow solver: tight enough that its
 /// truncation error is far below the agreement threshold.
-const FLOW_TOL: f64 = 1e-12;
+const TIGHT_TOL: f64 = 1e-12;
 
 /// Agreement demanded between the two solvers. The flow solver's
 /// feasibility check carries an internal ~1e-9 *relative* slack, so the
@@ -66,7 +66,7 @@ fn slack_instance(rng: &mut Rng) -> AllocationProblem {
 /// shrinker can produce degenerate instances; those are not mismatches).
 fn objectives(p: &AllocationProblem) -> Option<(f64, f64)> {
     let lp = solve_lp(p).ok()?;
-    let fl = solve_flow(p, FLOW_TOL).ok()?;
+    let fl = solve_flow(p, TIGHT_TOL).ok()?;
     Some((lp.objective, fl.objective))
 }
 

@@ -36,10 +36,12 @@
 //! and are reinstated if they win.
 
 use tlb_des::SimTime;
-use tlb_linprog::{solve_flow, solve_lp, AllocationProblem, AllocationSolution, LpError};
+use tlb_linprog::{
+    largest_remainder, solve_flow, solve_lp, AllocationProblem, AllocationSolution, LpError,
+};
 
-/// Bisection tolerance handed to the parametric max-flow solver — the
-/// same value `GlobalPolicy` uses for its single-solver path.
+/// Bisection tolerance handed to the parametric max-flow solver by
+/// [`Strategy::solve`], the one place any solver is dispatched from.
 pub const FLOW_TOL: f64 = 1e-6;
 
 /// Virtual seconds charged per modelled elementary solver operation.
@@ -81,11 +83,6 @@ impl Strategy {
         self as u32
     }
 
-    /// Inverse of [`Strategy::code`].
-    pub fn from_code(code: u32) -> Option<Strategy> {
-        Self::ALL.get(code as usize).copied()
-    }
-
     /// Lower-case name used by `--portfolio` and trace events.
     pub fn name(self) -> &'static str {
         match self {
@@ -93,6 +90,18 @@ impl Strategy {
             Strategy::Flow => "flow",
             Strategy::Greedy => "greedy",
             Strategy::Local => "local",
+        }
+    }
+
+    /// Solve `problem` with this strategy: the one strategy → solver
+    /// table, shared by the race, `GlobalPolicy::allocate` and the
+    /// simulator's single-solver path.
+    pub fn solve(self, problem: &AllocationProblem) -> Result<AllocationSolution, LpError> {
+        match self {
+            Strategy::Simplex => solve_lp(problem),
+            Strategy::Flow => solve_flow(problem, FLOW_TOL),
+            Strategy::Greedy => greedy_waterfill(problem),
+            Strategy::Local => local_converge(problem),
         }
     }
 
@@ -437,12 +446,7 @@ fn run_strategy(
     s: Strategy,
     problem: &AllocationProblem,
 ) -> (Result<AllocationSolution, LpError>, SimTime) {
-    let result = match s {
-        Strategy::Simplex => solve_lp(problem),
-        Strategy::Flow => solve_flow(problem, FLOW_TOL),
-        Strategy::Greedy => greedy_waterfill(problem),
-        Strategy::Local => local_converge(problem),
-    };
+    let result = s.solve(problem);
     let iterations = result.as_ref().map(|sol| sol.iterations).unwrap_or(0);
     (result, modelled_cost(s, problem, iterations))
 }
@@ -474,11 +478,7 @@ pub fn score(problem: &AllocationProblem, sol: &AllocationSolution) -> f64 {
     let mut load: f64 = 0.0;
     let mut home_cores = 0usize;
     for (a, cores) in sol.cores.iter().enumerate() {
-        let eff: f64 = cores
-            .iter()
-            .zip(&problem.adjacency[a])
-            .map(|(&c, &n)| c as f64 * problem.node_speed[n])
-            .sum();
+        let eff = effective_cores(problem, a, cores);
         home_cores += cores[0];
         if problem.work[a] > 0.0 {
             if eff <= 0.0 {
@@ -516,30 +516,57 @@ fn valid_solution(problem: &AllocationProblem, sol: &AllocationSolution) -> bool
         .all(|(&u, &cap)| u <= cap)
 }
 
-/// Largest-remainder split of `total` units proportional to `weights`
-/// (ties to the lower index). All-zero weights split evenly.
-fn largest_remainder(total: usize, weights: &[f64]) -> Vec<usize> {
+/// Speed-weighted cores of apprank `a` under the per-slot `cores`.
+fn effective_cores(problem: &AllocationProblem, a: usize, cores: &[usize]) -> f64 {
+    cores
+        .iter()
+        .zip(&problem.adjacency[a])
+        .map(|(&c, &n)| c as f64 * problem.node_speed[n])
+        .sum()
+}
+
+/// The 1-core DLB floor for every worker, and the cores each node has
+/// left over it.
+fn floor_cores(problem: &AllocationProblem) -> (Vec<Vec<usize>>, Vec<usize>) {
+    let cores = problem
+        .adjacency
+        .iter()
+        .map(|adj| vec![1usize; adj.len()])
+        .collect();
+    let mut free = problem.node_cores.clone();
+    for &n in problem.adjacency.iter().flatten() {
+        free[n] -= 1; // validate() guarantees this cannot underflow
+    }
+    (cores, free)
+}
+
+/// Add node `n`'s `spare` cores to its workers in even shares.
+fn spread_evenly(problem: &AllocationProblem, cores: &mut [Vec<usize>], n: usize, spare: usize) {
+    let workers: Vec<(usize, usize)> = (0..problem.appranks())
+        .flat_map(|a| {
+            problem.adjacency[a]
+                .iter()
+                .enumerate()
+                .filter(move |&(_, &m)| m == n)
+                .map(move |(k, _)| (a, k))
+        })
+        .collect();
+    for (&(a, k), extra) in workers.iter().zip(split(spare, &vec![1.0; workers.len()])) {
+        cores[a][k] += extra;
+    }
+}
+
+/// Split `total` units proportional to `weights` by
+/// [`largest_remainder`] (ties to the lower index). All-zero weights
+/// split evenly.
+fn split(total: usize, weights: &[f64]) -> Vec<usize> {
     let sum: f64 = weights.iter().sum();
     let quotas: Vec<f64> = if sum > 0.0 {
         weights.iter().map(|w| total as f64 * w / sum).collect()
     } else {
         vec![total as f64 / weights.len().max(1) as f64; weights.len()]
     };
-    let mut out: Vec<usize> = quotas.iter().map(|q| q.floor() as usize).collect();
-    let mut left = total - out.iter().sum::<usize>();
-    let mut order: Vec<usize> = (0..weights.len()).collect();
-    order.sort_by(|&i, &j| {
-        let (ri, rj) = (quotas[i] - quotas[i].floor(), quotas[j] - quotas[j].floor());
-        rj.partial_cmp(&ri).unwrap().then(i.cmp(&j))
-    });
-    for &i in &order {
-        if left == 0 {
-            break;
-        }
-        out[i] += 1;
-        left -= 1;
-    }
-    out
+    largest_remainder(&quotas, 0, total)
 }
 
 /// Greedy water-filling (the portfolio's own heuristic): after the 1-core
@@ -550,46 +577,15 @@ fn largest_remainder(total: usize, weights: &[f64]) -> Vec<usize> {
 pub fn greedy_waterfill(problem: &AllocationProblem) -> Result<AllocationSolution, LpError> {
     problem.validate()?;
     let appranks = problem.appranks();
-    let mut cores: Vec<Vec<usize>> = problem
-        .adjacency
-        .iter()
-        .map(|adj| vec![1usize; adj.len()])
-        .collect();
-    let mut free = problem.node_cores.clone();
-    for adj in &problem.adjacency {
-        for &n in adj {
-            free[n] -= 1; // validate() guarantees this cannot underflow
-        }
-    }
-    let eff = |cores: &[Vec<usize>], a: usize| -> f64 {
-        cores[a]
-            .iter()
-            .zip(&problem.adjacency[a])
-            .map(|(&c, &n)| c as f64 * problem.node_speed[n])
-            .sum()
-    };
+    let (mut cores, mut free) = floor_cores(problem);
+    let eff = |cores: &[Vec<usize>], a: usize| effective_cores(problem, a, &cores[a]);
     let total_work: f64 = problem.work.iter().sum();
     let spare: usize = free.iter().sum();
     if total_work <= 0.0 {
         // Nothing to balance: split each node's spare cores evenly over
         // its workers (mirrors the LP's no-work path).
         for (n, &spare_n) in free.iter().enumerate() {
-            let workers: Vec<(usize, usize)> = (0..appranks)
-                .flat_map(|a| {
-                    problem.adjacency[a]
-                        .iter()
-                        .enumerate()
-                        .filter(move |&(_, &m)| m == n)
-                        .map(move |(k, _)| (a, k))
-                })
-                .collect();
-            if workers.is_empty() {
-                continue;
-            }
-            let split = largest_remainder(spare_n, &vec![1.0; workers.len()]);
-            for ((a, k), extra) in workers.into_iter().zip(split) {
-                cores[a][k] += extra;
-            }
+            spread_evenly(problem, &mut cores, n, spare_n);
         }
     } else {
         for _ in 0..spare {
@@ -643,17 +639,7 @@ pub fn greedy_waterfill(problem: &AllocationProblem) -> Result<AllocationSolutio
 pub fn local_converge(problem: &AllocationProblem) -> Result<AllocationSolution, LpError> {
     problem.validate()?;
     let appranks = problem.appranks();
-    let mut cores: Vec<Vec<usize>> = problem
-        .adjacency
-        .iter()
-        .map(|adj| vec![1usize; adj.len()])
-        .collect();
-    let mut free = problem.node_cores.clone();
-    for adj in &problem.adjacency {
-        for &n in adj {
-            free[n] -= 1;
-        }
-    }
+    let (mut cores, free) = floor_cores(problem);
     for (n, &spare_n) in free.iter().enumerate() {
         if spare_n == 0 {
             continue;
@@ -663,28 +649,13 @@ pub fn local_converge(problem: &AllocationProblem) -> Result<AllocationSolution,
             .collect();
         if !home.is_empty() {
             let weights: Vec<f64> = home.iter().map(|&a| problem.work[a]).collect();
-            for (&a, extra) in home.iter().zip(largest_remainder(spare_n, &weights)) {
+            for (&a, extra) in home.iter().zip(split(spare_n, &weights)) {
                 cores[a][0] += extra;
             }
         } else {
             // No home apprank (possible in dead-node sub-problems): split
             // evenly over whatever helpers live here.
-            let helpers: Vec<(usize, usize)> = (0..appranks)
-                .flat_map(|a| {
-                    problem.adjacency[a]
-                        .iter()
-                        .enumerate()
-                        .filter(move |&(_, &m)| m == n)
-                        .map(move |(k, _)| (a, k))
-                })
-                .collect();
-            if helpers.is_empty() {
-                continue;
-            }
-            let split = largest_remainder(spare_n, &vec![1.0; helpers.len()]);
-            for ((a, k), extra) in helpers.into_iter().zip(split) {
-                cores[a][k] += extra;
-            }
+            spread_evenly(problem, &mut cores, n, spare_n);
         }
     }
     let mut objective: f64 = 0.0;
@@ -699,12 +670,7 @@ pub fn local_converge(problem: &AllocationProblem) -> Result<AllocationSolution,
         if problem.work[a] <= 0.0 {
             continue;
         }
-        let eff: f64 = cores_a
-            .iter()
-            .zip(&problem.adjacency[a])
-            .map(|(&c, &n)| c as f64 * problem.node_speed[n])
-            .sum();
-        objective = objective.max(problem.work[a] / eff);
+        objective = objective.max(problem.work[a] / effective_cores(problem, a, cores_a));
     }
     Ok(AllocationSolution {
         objective,
@@ -737,7 +703,6 @@ mod tests {
     #[test]
     fn strategy_codes_round_trip() {
         for s in Strategy::ALL {
-            assert_eq!(Strategy::from_code(s.code()), Some(s));
             assert_eq!(Strategy::parse(s.name()), Ok(s));
         }
         assert!(Strategy::parse("cplex").is_err());

@@ -121,12 +121,6 @@ impl Rng {
         result
     }
 
-    /// Next 32 uniformly random bits.
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform in `[0, 1)` with 53-bit resolution.
     #[inline]
     pub fn f64_unit(&mut self) -> f64 {
@@ -177,13 +171,6 @@ impl Rng {
     #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
         self.f64_unit() < p
-    }
-
-    /// Standard normal deviate (Box–Muller; uses two uniform draws).
-    pub fn gaussian(&mut self) -> f64 {
-        let u1 = self.f64_unit().max(1e-300);
-        let u2 = self.f64_unit();
-        (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
     }
 
     /// In-place Fisher–Yates shuffle.
@@ -314,22 +301,6 @@ mod tests {
             v, sorted,
             "shuffle left the identity (astronomically unlikely)"
         );
-    }
-
-    #[test]
-    fn gaussian_moments() {
-        let mut rng = Rng::seed_from_u64(11);
-        let n = 50_000;
-        let (mut sum, mut sq) = (0.0, 0.0);
-        for _ in 0..n {
-            let g = rng.gaussian();
-            sum += g;
-            sq += g * g;
-        }
-        let mean = sum / n as f64;
-        let var = sq / n as f64 - mean * mean;
-        assert!(mean.abs() < 0.02, "mean {mean}");
-        assert!((var - 1.0).abs() < 0.05, "var {var}");
     }
 
     #[test]

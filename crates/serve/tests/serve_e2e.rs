@@ -384,6 +384,32 @@ fn overlapping_concurrent_sweeps_stress_cache_consistency() {
     let _ = std::fs::remove_dir_all(&offline_cache);
 }
 
+/// A 10,000-deep line of `[` once overflowed the handler thread's stack
+/// and aborted the whole daemon; now it is one `error` reply, and the
+/// daemon keeps answering on that connection and on new ones.
+#[test]
+fn deeply_nested_line_is_an_error_not_a_crash() {
+    use std::io::{BufRead, BufReader, Write};
+    let server = start(None, 1, 8);
+    let mut stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut reply = |line: &str| {
+        stream.write_all(format!("{line}\n").as_bytes()).unwrap();
+        let mut text = String::new();
+        reader.read_line(&mut text).unwrap();
+        tlb_json::parse(text.trim_end()).unwrap()
+    };
+    let deep = reply(&"[".repeat(10_000));
+    assert_eq!(deep.get("type").as_str(), Some("error"));
+    assert!(deep.get("message").as_str().unwrap().contains("nesting"));
+    let pong = reply(r#"{"cmd":"ping"}"#);
+    assert_eq!(pong.get("type").as_str(), Some("pong"));
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    assert_eq!(client.ping().unwrap().get("type").as_str(), Some("pong"));
+    client.shutdown().unwrap();
+    server.join();
+}
+
 #[test]
 fn protocol_errors_keep_the_connection_usable() {
     let server = start(None, 1, 8);

@@ -21,15 +21,6 @@ impl DataRegion {
         DataRegion { base, len }
     }
 
-    /// The region occupied by a slice in this process (for shared-memory
-    /// executions where regions come from real data).
-    pub fn of_slice<T>(slice: &[T]) -> Self {
-        DataRegion {
-            base: slice.as_ptr() as usize,
-            len: std::mem::size_of_val(slice),
-        }
-    }
-
     /// Start address.
     pub const fn base(&self) -> usize {
         self.base
@@ -66,13 +57,6 @@ impl DataRegion {
         let base = self.base.max(other.base);
         let end = self.end().min(other.end());
         (end > base).then(|| DataRegion::new(base, end - base))
-    }
-
-    /// Smallest region covering both.
-    pub fn hull(&self, other: &DataRegion) -> DataRegion {
-        let base = self.base.min(other.base);
-        let end = self.end().max(other.end());
-        DataRegion::new(base, end - base)
     }
 
     /// Split into `parts` contiguous chunks (last chunk takes the
@@ -141,13 +125,6 @@ mod tests {
     }
 
     #[test]
-    fn hull_covers_both() {
-        let a = DataRegion::new(0, 10);
-        let b = DataRegion::new(50, 10);
-        assert_eq!(a.hull(&b), DataRegion::new(0, 60));
-    }
-
-    #[test]
     fn chunks_partition_exactly() {
         let r = DataRegion::new(100, 103);
         let parts = r.chunks(4);
@@ -156,14 +133,6 @@ mod tests {
         assert_eq!(parts[3], DataRegion::new(175, 28)); // remainder
         let total: usize = parts.iter().map(|p| p.len()).sum();
         assert_eq!(total, 103);
-    }
-
-    #[test]
-    fn of_slice_matches_address() {
-        let data = [0u64; 8];
-        let r = DataRegion::of_slice(&data);
-        assert_eq!(r.base(), data.as_ptr() as usize);
-        assert_eq!(r.len(), 64);
     }
 
     // Seeded randomized properties (in-tree `tlb-rng` instead of proptest:

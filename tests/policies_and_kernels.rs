@@ -19,7 +19,7 @@ fn global_policy_drom_roundtrip() {
     let mut policy = GlobalPolicy::new(&g, &platform);
     let work: Vec<f64> = (0..16).map(|a| 1.0 + (a as f64 * 2.7) % 9.0).collect();
     let sol = policy.allocate(&work, GlobalSolverKind::Simplex).unwrap();
-    let per_node = policy.ownership_by_node(&layout, &sol);
+    let per_node = layout.counts_by_node(&sol.cores);
     for (n, counts) in per_node.iter().enumerate() {
         assert_eq!(counts.iter().sum::<usize>(), 12, "node {n}");
         assert!(counts.iter().all(|&c| c >= 1), "node {n}: {counts:?}");
