@@ -15,6 +15,7 @@
 //! the peak walks around the rank space while everything stays a
 //! deterministic function of the seed.
 
+use std::sync::Arc;
 use tlb_cluster::{TaskSpec, Workload};
 use tlb_core::Platform;
 use tlb_rng::Rng;
@@ -139,7 +140,7 @@ impl Workload for AmrWorkload {
         self.cfg.iterations
     }
 
-    fn tasks(&mut self, rank: usize, iteration: usize) -> Vec<TaskSpec> {
+    fn tasks(&mut self, rank: usize, iteration: usize) -> Arc<[TaskSpec]> {
         let phase = iteration / self.cfg.phase_iterations;
         if phase != self.phase || self.factors.is_empty() {
             self.factors = phase_factors(&self.cfg, phase);
@@ -228,7 +229,7 @@ mod tests {
         assert_eq!(a5.len(), b5.len());
         assert!(a5
             .iter()
-            .zip(&b5)
+            .zip(b5.iter())
             .all(|(x, y)| (x.duration - y.duration).abs() < 1e-12));
         let mut cfg2 = cfg.clone();
         cfg2.seed = 43;

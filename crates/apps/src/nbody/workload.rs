@@ -1,6 +1,7 @@
 //! The n-body workload for the cluster simulation.
 
 use crate::nbody::{orb_partition, Body};
+use std::sync::Arc;
 use tlb_cluster::{TaskSpec, Workload};
 use tlb_rng::Rng;
 
@@ -163,12 +164,12 @@ impl Workload for NBodyWorkload {
         self.cfg.iterations
     }
 
-    fn tasks(&mut self, rank: usize, _iteration: usize) -> Vec<TaskSpec> {
+    fn tasks(&mut self, rank: usize, _iteration: usize) -> Arc<[TaskSpec]> {
         let mut mine: Vec<usize> = (0..self.bodies.len())
             .filter(|&i| self.assignment[i] == rank)
             .collect();
         if mine.is_empty() {
-            return Vec::new();
+            return Arc::default();
         }
         // Blocks must be spatially coherent (the real code blocks the
         // octree traversal): order by Morton code before chunking.

@@ -13,6 +13,7 @@
 //! [`StencilWorkload`] is the cluster-simulation workload, with a
 //! per-rank cost factor (heterogeneous material) as the imbalance source.
 
+use std::sync::Arc;
 use tlb_cluster::{TaskSpec, Workload};
 use tlb_tasking::DataRegion;
 
@@ -114,7 +115,7 @@ impl Workload for StencilWorkload {
         self.cfg.iterations
     }
 
-    fn tasks(&mut self, rank: usize, iteration: usize) -> Vec<TaskSpec> {
+    fn tasks(&mut self, rank: usize, iteration: usize) -> Arc<[TaskSpec]> {
         let cfg = &self.cfg;
         let first_row = rank * cfg.rows_per_rank;
         let (read_buf, write_buf) = if iteration.is_multiple_of(2) {
@@ -179,7 +180,7 @@ impl Workload for StencilWorkload {
             );
             row += rows;
         }
-        out
+        out.into()
     }
 }
 
@@ -214,7 +215,7 @@ mod tests {
         let mut sends = Vec::new();
         let mut recvs = Vec::new();
         for r in 0..4 {
-            for t in wl.tasks(r, 0) {
+            for t in wl.tasks(r, 0).iter() {
                 match t.mpi {
                     Some(MpiOp::Send { to, tag, .. }) => sends.push((r, to, tag)),
                     Some(MpiOp::Recv { from, tag }) => recvs.push((from, r, tag)),

@@ -18,6 +18,7 @@ use super::{Ev, State, Worker};
 use crate::collective::barrier_cost;
 use crate::{MpiOp, TaskSpec, Workload};
 use std::collections::VecDeque;
+use std::sync::Arc;
 use tlb_core::{choose_node_explained, CandidateState, ChoiceReason, Placement, StealGate};
 use tlb_des::{Ctx, SimTime};
 use tlb_dlb::ProcId;
@@ -81,8 +82,10 @@ impl WorkerState {
 
 /// Per-apprank runtime state for the current iteration.
 pub(super) struct ApprankState {
+    /// Reused from iteration to iteration through `TaskGraph::clear`.
     graph: TaskGraph,
-    specs: Vec<TaskSpec>,
+    /// The workload's list for this iteration, shared with it.
+    specs: Arc<[TaskSpec]>,
     /// `kinds[t]` = `TaskKind::of(&specs[t])`.
     kinds: Vec<TaskKind>,
     /// Ready tasks held back by the scheduler, awaiting stealing.
@@ -98,7 +101,7 @@ impl ApprankState {
     pub(super) fn new(workers: usize) -> Self {
         ApprankState {
             graph: TaskGraph::new(),
-            specs: Vec::new(),
+            specs: Arc::default(),
             kinds: Vec::new(),
             hold: VecDeque::new(),
             done: 0,
@@ -563,7 +566,7 @@ impl<W: Workload> State<W> {
         for a in 0..self.appranks.len() {
             let specs = self.workload.tasks(a, iteration);
             let st = &mut self.appranks[a];
-            st.graph = TaskGraph::new();
+            st.graph.clear();
             st.hold.clear();
             st.done = 0;
             st.total = specs.len();

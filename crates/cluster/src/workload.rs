@@ -1,5 +1,6 @@
 //! Workloads: the application side of the simulation.
 
+use std::sync::Arc;
 use tlb_tasking::{Access, AccessMode, DataRegion};
 
 /// A point-to-point MPI operation performed by a task (paper §4: MPI
@@ -150,8 +151,11 @@ pub trait Workload {
     /// Total number of iterations.
     fn iterations(&self) -> usize;
 
-    /// Tasks apprank `rank` creates in `iteration`.
-    fn tasks(&mut self, rank: usize, iteration: usize) -> Vec<TaskSpec>;
+    /// Tasks apprank `rank` creates in `iteration`. The list is shared,
+    /// not copied: a workload that stores its lists (such as
+    /// [`SpecWorkload`]) hands out another pointer to one, and a
+    /// generator collects a fresh list straight into the `Arc`.
+    fn tasks(&mut self, rank: usize, iteration: usize) -> Arc<[TaskSpec]>;
 
     /// Feedback hook after an iteration completes: per-apprank elapsed
     /// time in seconds (the application-level measurement an internal
@@ -170,7 +174,7 @@ impl<W: Workload + ?Sized> Workload for Box<W> {
         (**self).iterations()
     }
 
-    fn tasks(&mut self, rank: usize, iteration: usize) -> Vec<TaskSpec> {
+    fn tasks(&mut self, rank: usize, iteration: usize) -> Arc<[TaskSpec]> {
         (**self).tasks(rank, iteration)
     }
 
@@ -179,16 +183,24 @@ impl<W: Workload + ?Sized> Workload for Box<W> {
     }
 }
 
-/// A workload given by explicit task lists.
+/// A workload given by explicit task lists. Cloning it copies one
+/// pointer per (iteration, rank), not the tasks.
 #[derive(Clone, Debug)]
 pub struct SpecWorkload {
     /// `specs[iteration][rank]` = that rank's tasks.
-    specs: Vec<Vec<Vec<TaskSpec>>>,
+    specs: Vec<Vec<Arc<[TaskSpec]>>>,
 }
 
 impl SpecWorkload {
     /// Build from per-iteration, per-rank task lists.
     pub fn new(specs: Vec<Vec<Vec<TaskSpec>>>) -> Self {
+        let shared = specs
+            .into_iter()
+            .map(|it| it.into_iter().map(Arc::from).collect());
+        SpecWorkload::shared(shared.collect())
+    }
+
+    fn shared(specs: Vec<Vec<Arc<[TaskSpec]>>>) -> Self {
         assert!(!specs.is_empty(), "workload needs at least one iteration");
         let ranks = specs[0].len();
         assert!(ranks > 0, "workload needs at least one apprank");
@@ -199,10 +211,12 @@ impl SpecWorkload {
         SpecWorkload { specs }
     }
 
-    /// Repeat one iteration's per-rank task lists `iterations` times.
+    /// Repeat one iteration's per-rank task lists `iterations` times:
+    /// every iteration shares each rank's one list.
     pub fn iterated(per_rank: Vec<Vec<TaskSpec>>, iterations: usize) -> Self {
         assert!(iterations > 0, "need at least one iteration");
-        SpecWorkload::new(vec![per_rank; iterations])
+        let per_rank: Vec<Arc<[TaskSpec]>> = per_rank.into_iter().map(Arc::from).collect();
+        SpecWorkload::shared(vec![per_rank; iterations])
     }
 
     /// Total nominal work (core·seconds) over the whole run.
@@ -210,7 +224,7 @@ impl SpecWorkload {
         self.specs
             .iter()
             .flatten()
-            .flatten()
+            .flat_map(|tasks| tasks.iter())
             .map(|t| t.duration)
             .sum()
     }
@@ -233,8 +247,8 @@ impl Workload for SpecWorkload {
         self.specs.len()
     }
 
-    fn tasks(&mut self, rank: usize, iteration: usize) -> Vec<TaskSpec> {
-        self.specs[iteration][rank].clone()
+    fn tasks(&mut self, rank: usize, iteration: usize) -> Arc<[TaskSpec]> {
+        Arc::clone(&self.specs[iteration][rank])
     }
 }
 
@@ -255,6 +269,23 @@ mod tests {
         assert_eq!(wl.iterations(), 4);
         assert!((wl.total_work() - 4.0 * 5.0).abs() < 1e-12);
         assert_eq!(wl.rank_work(0), vec![3.0, 2.0]);
+    }
+
+    #[test]
+    fn iterated_shares_one_list_per_rank() {
+        let mut wl = SpecWorkload::iterated(
+            vec![vec![TaskSpec::compute(1.0); 3], vec![TaskSpec::pinned(2.0)]],
+            4,
+        );
+        for rank in 0..2 {
+            let first = wl.tasks(rank, 0);
+            for it in 1..4 {
+                assert!(Arc::ptr_eq(&first, &wl.tasks(rank, it)), "rank {rank}");
+            }
+        }
+        assert!(!Arc::ptr_eq(&wl.tasks(0, 0), &wl.tasks(1, 0)));
+        let copy = wl.clone();
+        assert!(Arc::ptr_eq(&copy.specs[2][1], &wl.tasks(1, 2)));
     }
 
     #[test]

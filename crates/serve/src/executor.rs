@@ -19,6 +19,7 @@
 //! run twice.
 
 use std::collections::{HashMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
@@ -376,7 +377,13 @@ impl Executor {
             let items = &batch;
             self.pool.parallel_for(items.len(), 1, |i| {
                 let item = &items[i];
-                let result = run_point(&item.scenario, &item.point);
+                // A panicking point is that point's error: unwinding into
+                // the pool would re-raise it here and kill the dispatcher.
+                let run = || run_point(&item.scenario, &item.point);
+                let (result, panicked) = match catch_unwind(AssertUnwindSafe(run)) {
+                    Ok(result) => (result, false),
+                    Err(payload) => (Err(panic_message(payload.as_ref())), true),
+                };
                 if let (Ok(record), Some(cache)) = (&result, &self.cache) {
                     // Flush before publication so a subscriber (or a
                     // racing admission) never observes a completed key
@@ -386,7 +393,9 @@ impl Executor {
                 let subscribers = {
                     let mut state = self.lock_state();
                     state.counters.inc("serve.points_executed");
-                    if result.is_err() {
+                    if panicked {
+                        state.counters.inc("serve.point_panics");
+                    } else if result.is_err() {
                         state.counters.inc("serve.point_errors");
                     }
                     state.inflight.remove(&item.key).unwrap_or_default()
@@ -401,6 +410,14 @@ impl Executor {
             state.ema_point_secs = 0.7 * state.ema_point_secs + 0.3 * per_point;
         }
     }
+}
+
+/// The error a point that panicked with `payload` is published as.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    let what = (payload.downcast_ref::<&str>().copied())
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload");
+    format!("point panicked: {what}")
 }
 
 /// Copy one completed record into every expansion slot sharing its key.

@@ -27,6 +27,10 @@ use crate::protocol::{
 /// How often blocked reads wake up to poll the stop flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
 
+/// Longest request line accepted, in bytes without its newline. A longer
+/// one is answered with an `error` and discarded unbuffered.
+const MAX_LINE_BYTES: usize = 1 << 20;
+
 /// A running daemon: listener address, executor, and thread handles.
 pub struct Server {
     addr: SocketAddr,
@@ -142,12 +146,26 @@ impl Drop for Server {
 
 /// Incremental line reader over a stream with a read timeout, so
 /// handlers can poll the stop flag while idle without dropping bytes
-/// of a partially received line.
+/// of a partially received line. Each byte is searched for `\n` once,
+/// and at most [`MAX_LINE_BYTES`] plus one read are buffered.
 struct LineReader {
     stream: TcpStream,
     buf: Vec<u8>,
+    /// `buf[..scanned]` holds no `\n`.
+    scanned: usize,
+    /// The line being received is over the limit: its bytes are dropped
+    /// up to and including its newline.
+    discarding: bool,
     /// The one read made after the stop flag was seen has happened.
     last_read_done: bool,
+}
+
+/// What [`LineReader::next_line`] hands out.
+enum Line {
+    /// A complete line, without its newline.
+    Text(String),
+    /// A line longer than [`MAX_LINE_BYTES`], refused.
+    TooLong,
 }
 
 impl LineReader {
@@ -156,6 +174,8 @@ impl LineReader {
         Ok(LineReader {
             stream,
             buf: Vec::new(),
+            scanned: 0,
+            discarding: false,
             last_read_done: false,
         })
     }
@@ -166,12 +186,33 @@ impl LineReader {
     /// a client that sends on seeing another connection's
     /// `shutdown_ack` is answered — a sweep with the `draining` shed —
     /// instead of finding the socket closed under it.
-    fn next_line(&mut self, stop: &AtomicBool) -> Option<String> {
+    fn next_line(&mut self, stop: &AtomicBool) -> Option<Line> {
         let mut chunk = [0u8; 4096];
         loop {
-            if let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
-                let line: Vec<u8> = self.buf.drain(..=pos).collect();
-                return Some(String::from_utf8_lossy(&line[..line.len() - 1]).into_owned());
+            let newline = self.buf[self.scanned..].iter().position(|&b| b == b'\n');
+            if let Some(end) = newline.map(|pos| self.scanned + pos) {
+                let line = if std::mem::take(&mut self.discarding) {
+                    None // the tail of a line refused already
+                } else if end > MAX_LINE_BYTES {
+                    Some(Line::TooLong)
+                } else {
+                    let text = String::from_utf8_lossy(&self.buf[..end]).into_owned();
+                    Some(Line::Text(text))
+                };
+                self.buf.drain(..=end);
+                self.scanned = 0;
+                if line.is_some() {
+                    return line;
+                }
+                continue;
+            }
+            self.scanned = self.buf.len();
+            if self.discarding || self.scanned > MAX_LINE_BYTES {
+                self.buf.clear();
+                self.scanned = 0;
+                if !std::mem::replace(&mut self.discarding, true) {
+                    return Some(Line::TooLong);
+                }
             }
             if self.last_read_done {
                 return None;
@@ -205,6 +246,16 @@ fn handle_connection(stream: TcpStream, executor: Arc<Executor>, stop: Arc<Atomi
         Err(_) => return,
     };
     while let Some(line) = reader.next_line(&stop) {
+        let line = match line {
+            Line::Text(text) => text,
+            Line::TooLong => {
+                let message = format!("request line longer than {MAX_LINE_BYTES} bytes");
+                if write_reply(&mut out, &error_reply(&message)).is_err() {
+                    return;
+                }
+                continue;
+            }
+        };
         if line.trim().is_empty() {
             continue;
         }

@@ -444,3 +444,71 @@ fn protocol_errors_keep_the_connection_usable() {
     client.shutdown().unwrap();
     server.join();
 }
+
+/// A point that panics is that point's error. A scenario with no
+/// iterations, which `validate` refuses but `Executor::admit` does not
+/// check, once panicked inside the simulator; the pool re-raised the
+/// panic on the dispatcher thread, which died, and every request after
+/// it waited forever. Now the subscriber gets an error, and the same
+/// daemon goes on serving sweeps and pings.
+#[test]
+fn a_panicking_point_is_an_error_not_a_dead_dispatcher() {
+    use std::time::Duration;
+    use tlb_serve::Admission;
+    let server = start(None, 1, 8);
+    let mut scenario = Scenario::from_json(&scenario_json("serve-panic", &[5])).unwrap();
+    scenario.iterations = 0;
+    let Admission::Admitted(request) = server.executor().admit(&scenario) else {
+        panic!("an idle executor shed the request");
+    };
+    assert!(request.pending > 0);
+    for _ in 0..request.pending {
+        let (_key, result) = request
+            .rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the panicking point is published within 5 s");
+        let message = result.expect_err("a panicking point is an error");
+        assert!(message.starts_with("point panicked: "), "{message}");
+    }
+
+    let healthy = scenario_json("serve-after-panic", &[6]);
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    match client.sweep(&healthy).unwrap() {
+        SweepResponse::Completed { points, .. } => assert_eq!(points.len(), 4),
+        other => panic!("expected completion, got {other:?}"),
+    }
+    assert_eq!(client.ping().unwrap().get("type").as_str(), Some("pong"));
+    let panics = counter(&client.stats().unwrap(), "serve.point_panics");
+    assert_eq!(panics, request.pending as u64);
+    client.shutdown().unwrap();
+    server.join();
+}
+
+/// A request line over 1 MiB is refused with an `error` naming the
+/// limit (here a well-formed 2 MiB `ping`, which would otherwise be
+/// answered), its bytes are dropped unbuffered, and the next line on
+/// the same connection is served.
+#[test]
+fn an_over_long_line_is_refused_and_the_connection_stays_usable() {
+    use std::io::{BufRead, BufReader, Write};
+    let server = start(None, 1, 8);
+    let mut stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut read_reply = || {
+        let mut text = String::new();
+        reader.read_line(&mut text).unwrap();
+        tlb_json::parse(text.trim_end()).unwrap()
+    };
+    let long = format!(r#"{{"cmd":"ping","pad":"{}"}}"#, "x".repeat(2 << 20));
+    stream.write_all(format!("{long}\n").as_bytes()).unwrap();
+    let refused = read_reply();
+    assert_eq!(refused.get("type").as_str(), Some("error"));
+    let message = refused.get("message").as_str().unwrap();
+    assert!(message.contains("1048576 bytes"), "{message}");
+    stream.write_all(b"{\"cmd\":\"ping\"}\n").unwrap();
+    assert_eq!(read_reply().get("type").as_str(), Some("pong"));
+    drop(stream);
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    client.shutdown().unwrap();
+    server.join();
+}

@@ -1,11 +1,12 @@
 //! The dependency graph: Nanos6's region-overlap dependency computation in
 //! sequential submission order, over one dependency domain.
 //!
-//! Claiming, releasing and completing a task touch arrays indexed by task
-//! (`state`, `pending`, `linked`). A task with no accesses is not
-//! `linked`: it enters no domain and has no successors, and completing it
-//! never reads its ≈ 144-byte `TaskNode` (every task of the simulator's
-//! synthetic workload).
+//! A task is four array entries: its cost, state, pending-predecessor
+//! count and node index. Only a task with accesses gets a `TaskNode` (its
+//! edges and domain entries); a task without accesses enters no domain,
+//! has no successors, and claiming, releasing or completing it touches
+//! only its array entries (every task of the simulator's synthetic
+//! workload). The graph keeps no `TaskDef`.
 
 use crate::index::{EntryId, IntervalIndex};
 use crate::{AccessMode, TaskDef, TaskId, TaskState};
@@ -42,11 +43,8 @@ impl fmt::Display for GraphError {
 
 impl std::error::Error for GraphError {}
 
-/// What only `submit`, `complete` and the read-only queries need of a
-/// task; its state and pending-predecessor count live in `TaskGraph`'s
-/// `state` and `pending` arrays.
+/// The edges and domain entries of a task with accesses.
 struct TaskNode {
-    def: TaskDef,
     /// Successor edges (dependents released on completion).
     successors: Vec<TaskId>,
     /// Predecessor edges (kept for critical-path computation and tests).
@@ -55,6 +53,9 @@ struct TaskNode {
     /// task completes (accesses stop generating dependencies then).
     access_entries: Vec<EntryId>,
 }
+
+/// `node[i]` of a task without accesses.
+const NO_NODE: u32 = u32::MAX;
 
 /// The task dependency graph.
 ///
@@ -66,15 +67,16 @@ struct TaskNode {
 /// Readers between two writers run concurrently; the second writer orders
 /// behind all of them.
 pub struct TaskGraph {
-    tasks: Vec<TaskNode>,
-    /// `state[i]` / `pending[i]`: state and predecessors not yet completed
-    /// of `tasks[i]`. Claiming and releasing a task touch only these five
-    /// bytes, not its `TaskNode`.
+    /// `cost[i]` / `state[i]` / `pending[i]`: cost hint, state and
+    /// predecessors not yet completed of task `i`. Claiming and releasing
+    /// a task touch only `state` and `pending`.
+    cost: Vec<f64>,
     state: Vec<TaskState>,
     pending: Vec<u32>,
-    /// `linked[i]`: `tasks[i]` has accesses, so completing it updates the
-    /// domain and its successors.
-    linked: Vec<bool>,
+    /// `node[i]`: index into `nodes` of task `i`, or `NO_NODE` when the
+    /// task has no accesses.
+    node: Vec<u32>,
+    nodes: Vec<TaskNode>,
     /// Active accesses of the dependency domain. The interval index
     /// answers "which active accesses overlap this region" in
     /// O(log n + k).
@@ -99,10 +101,11 @@ impl TaskGraph {
     /// An empty graph.
     pub fn new() -> Self {
         TaskGraph {
-            tasks: Vec::new(),
+            cost: Vec::new(),
             state: Vec::new(),
             pending: Vec::new(),
-            linked: Vec::new(),
+            node: Vec::new(),
+            nodes: Vec::new(),
             domain: IntervalIndex::new(),
             ready: VecDeque::new(),
             ready_len: 0,
@@ -110,16 +113,31 @@ impl TaskGraph {
         }
     }
 
+    /// Empty the graph, keeping its allocations: afterwards it behaves
+    /// exactly as [`TaskGraph::new`] does, ids restarting at 0.
+    pub fn clear(&mut self) {
+        self.cost.clear();
+        self.state.clear();
+        self.pending.clear();
+        self.node.clear();
+        self.nodes.clear();
+        self.domain.clear();
+        self.ready.clear();
+        self.ready_len = 0;
+        self.completed_count = 0;
+    }
+
     /// Submit a task; returns its id. Dependencies on earlier conflicting
     /// tasks are computed here.
     pub fn submit(&mut self, def: TaskDef) -> Result<TaskId, GraphError> {
-        let id = TaskId(self.tasks.len() as u64);
-        self.linked.push(!def.accesses.is_empty());
-        // Collect unique predecessor ids among conflicting active accesses:
-        // regions overlap and at least one side writes.
-        let mut preds: Vec<TaskId> = Vec::new();
-        let mut access_entries: Vec<EntryId> = Vec::new();
-        if !def.accesses.is_empty() {
+        let id = TaskId(self.state.len() as u64);
+        let mut pending = 0;
+        if def.accesses.is_empty() {
+            self.node.push(NO_NODE);
+        } else {
+            // Collect unique predecessor ids among conflicting active
+            // accesses: regions overlap and at least one side writes.
+            let mut preds: Vec<TaskId> = Vec::new();
             let active = &mut self.domain;
             for acc in &def.accesses {
                 active.for_each_overlap(acc.region, |_, &(task, mode)| {
@@ -129,27 +147,34 @@ impl TaskGraph {
                 });
             }
             preds.sort_unstable();
-            access_entries = (def.accesses.iter())
+            pending = preds.len();
+            let access_entries = (def.accesses.iter())
                 .map(|acc| active.insert(acc.region, (id, acc.mode)))
                 .collect();
+            for &p in &preds {
+                // A predecessor shares an access, so it has a node.
+                let n = self.node[p.0 as usize] as usize;
+                self.nodes[n].successors.push(id);
+            }
+            let n = (u32::try_from(self.nodes.len()).ok())
+                .filter(|&n| n != NO_NODE)
+                .expect("fewer than 2^32 - 1 tasks with accesses");
+            self.node.push(n);
+            self.nodes.push(TaskNode {
+                successors: Vec::new(),
+                predecessors: preds,
+                access_entries,
+            });
         }
-        for &p in &preds {
-            self.tasks[p.0 as usize].successors.push(id);
-        }
-        if preds.is_empty() {
+        if pending == 0 {
             self.make_ready(id);
             self.state.push(TaskState::Ready);
         } else {
             self.state.push(TaskState::Blocked);
         }
         self.pending
-            .push(u32::try_from(preds.len()).expect("fewer than 2^32 predecessors"));
-        self.tasks.push(TaskNode {
-            def,
-            successors: Vec::new(),
-            predecessors: preds,
-            access_entries,
-        });
+            .push(u32::try_from(pending).expect("fewer than 2^32 predecessors"));
+        self.cost.push(def.cost);
         Ok(id)
     }
 
@@ -221,16 +246,16 @@ impl TaskGraph {
         }
         *state = TaskState::Completed;
         self.completed_count += 1;
-        if !self.linked[idx] {
+        let Some(node) = self.nodes.get_mut(self.node[idx] as usize) else {
             return Ok(Vec::new());
-        }
+        };
         // Retire this task's accesses from the dependency domain.
-        for e in std::mem::take(&mut self.tasks[idx].access_entries) {
+        for e in std::mem::take(&mut node.access_entries) {
             self.domain.remove(e);
         }
         // A completed task gains no further successors: its accesses left
         // the domain above.
-        let successors = std::mem::take(&mut self.tasks[idx].successors);
+        let successors = std::mem::take(&mut node.successors);
         let mut newly_ready = Vec::new();
         for s in successors {
             let i = s.0 as usize;
@@ -244,11 +269,6 @@ impl TaskGraph {
         Ok(newly_ready)
     }
 
-    /// Definition of a task.
-    pub fn def(&self, id: TaskId) -> &TaskDef {
-        &self.tasks[id.0 as usize].def
-    }
-
     /// Current state of a task.
     pub fn state(&self, id: TaskId) -> TaskState {
         self.state[id.0 as usize]
@@ -256,22 +276,25 @@ impl TaskGraph {
 
     /// Predecessor ids of a task (dependency edges into it).
     pub fn predecessors(&self, id: TaskId) -> &[TaskId] {
-        &self.tasks[id.0 as usize].predecessors
+        match self.nodes.get(self.node[id.0 as usize] as usize) {
+            Some(node) => &node.predecessors,
+            None => &[],
+        }
     }
 
     /// Number of submitted tasks.
     pub fn len(&self) -> usize {
-        self.tasks.len()
+        self.state.len()
     }
 
     /// Whether no tasks were submitted.
     pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
+        self.state.is_empty()
     }
 
     /// Whether every submitted task has completed.
     pub fn all_complete(&self) -> bool {
-        self.completed_count == self.tasks.len()
+        self.completed_count == self.state.len()
     }
 
     /// Cost-weighted critical path: the longest chain of dependent task
@@ -279,30 +302,27 @@ impl TaskGraph {
     /// cannot go below `max(critical_path, total_cost / total_cores)` —
     /// the paper's "perfect load balancing" reference line.
     pub fn critical_path(&self) -> f64 {
-        let n = self.tasks.len();
-        let mut finish = vec![0.0f64; n];
+        let mut finish = vec![0.0f64; self.len()];
         // Tasks are indexed in submission order and edges go forward only,
         // so a single forward pass computes longest paths.
-        for i in 0..n {
-            let start = self.tasks[i]
-                .predecessors
-                .iter()
+        for i in 0..finish.len() {
+            let start = (self.predecessors(TaskId(i as u64)).iter())
                 .map(|p| finish[p.0 as usize])
                 .fold(0.0f64, f64::max);
-            finish[i] = start + self.tasks[i].def.cost;
+            finish[i] = start + self.cost[i];
         }
         finish.into_iter().fold(0.0, f64::max)
     }
 
     /// Total cost of all submitted tasks.
     pub fn total_cost(&self) -> f64 {
-        self.tasks.iter().map(|t| t.def.cost).sum()
+        self.cost.iter().sum()
     }
 
     /// Summary counters.
     pub fn stats(&self) -> TaskStats {
         TaskStats {
-            submitted: self.tasks.len(),
+            submitted: self.len(),
             completed: self.completed_count,
             ready: self.ready_len,
             running: self
@@ -310,7 +330,7 @@ impl TaskGraph {
                 .iter()
                 .filter(|&&state| state == TaskState::Running)
                 .count(),
-            edges: self.tasks.iter().map(|t| t.predecessors.len()).sum(),
+            edges: self.nodes.iter().map(|n| n.predecessors.len()).sum(),
         }
     }
 }

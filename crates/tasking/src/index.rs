@@ -59,6 +59,18 @@ impl<T> IntervalIndex<T> {
         }
     }
 
+    /// Remove every interval, keeping the allocations: afterwards the
+    /// index behaves exactly as [`IntervalIndex::new`] does.
+    pub fn clear(&mut self) {
+        self.nodes.clear();
+        self.free.clear();
+        *self = IntervalIndex {
+            nodes: std::mem::take(&mut self.nodes),
+            free: std::mem::take(&mut self.free),
+            ..IntervalIndex::new()
+        };
+    }
+
     /// Number of stored intervals.
     pub fn len(&self) -> usize {
         self.len

@@ -189,9 +189,25 @@ fn conflict_symmetry() {
 /// `start` of a task that is not ready. The model is a state per task and
 /// a `Vec<TaskId>` ready list edited with `retain`; after every step the
 /// graph must show the same ready list, count and states.
+///
+/// Every case also runs, step for step, on one graph reused through
+/// `clear()` after the previous (unrelated) case, or after an unrelated
+/// half-run graph for the first: its ids, `ready()` order, released
+/// tasks and critical path equal the fresh graph's.
 #[test]
 fn ready_queue_matches_a_naive_model() {
     use tlb_tasking::{GraphError, TaskId, TaskState};
+    let mut reused = TaskGraph::new();
+    let mut warm = Rng::seed_from_u64(0xDE9_0006);
+    for accs in gen_tasks(&mut warm) {
+        reused
+            .submit(with_accesses(TaskDef::new("old"), &accs))
+            .unwrap();
+    }
+    if let Some(t) = reused.pop_ready() {
+        reused.complete(t).unwrap();
+    }
+    reused.pop_ready();
     // `TaskId`s are per-graph indices: a larger graph supplies ids this
     // one has and ids it has not.
     let mut foreign = TaskGraph::new();
@@ -202,6 +218,7 @@ fn ready_queue_matches_a_naive_model() {
     for case in 0..CASES {
         let mut rng = root.split_u64(case as u64);
         let mut g = TaskGraph::new();
+        reused.clear();
         let mut ready: Vec<TaskId> = Vec::new();
         let mut states: Vec<TaskState> = Vec::new();
         for step in 0..200 {
@@ -215,8 +232,11 @@ fn ready_queue_matches_a_naive_model() {
                     let accs: Vec<GenAccess> = (0..rng.range_usize(0, 3))
                         .map(|_| gen_access(&mut rng))
                         .collect();
-                    let id = g.submit(with_accesses(TaskDef::new("t"), &accs)).unwrap();
+                    let def = with_accesses(TaskDef::new("t"), &accs);
+                    let def = def.cost(rng.range_usize(1, 5) as f64);
+                    let id = g.submit(def.clone()).unwrap();
                     assert_eq!(id, any_id[states.len()], "{at}");
+                    assert_eq!(reused.submit(def), Ok(id), "{at}");
                     if g.predecessors(id).is_empty() {
                         states.push(TaskState::Ready);
                         ready.push(id);
@@ -227,12 +247,14 @@ fn ready_queue_matches_a_naive_model() {
                 4..=5 if !ready.is_empty() => {
                     let id = ready[rng.range_usize(0, ready.len())];
                     assert_eq!(g.start(id), Ok(()), "{at}");
+                    assert_eq!(reused.start(id), Ok(()), "{at}");
                     ready.retain(|&t| t != id);
                     states[id.raw() as usize] = TaskState::Running;
                 }
                 6 => {
                     let popped = g.pop_ready();
                     assert_eq!(popped, ready.first().copied(), "{at}");
+                    assert_eq!(reused.pop_ready(), popped, "{at}");
                     if let Some(id) = popped {
                         ready.remove(0);
                         states[id.raw() as usize] = TaskState::Running;
@@ -250,6 +272,7 @@ fn ready_queue_matches_a_naive_model() {
                         .filter(|&t| g.predecessors(t).iter().all(done))
                         .collect();
                     assert_eq!(g.complete(id).as_deref(), Ok(&released[..]), "{at}");
+                    assert_eq!(reused.complete(id).as_deref(), Ok(&released[..]), "{at}");
                     for &t in &released {
                         states[t.raw() as usize] = TaskState::Ready;
                     }
@@ -267,15 +290,22 @@ fn ready_queue_matches_a_naive_model() {
                         },
                         None => GraphError::NoSuchTask(id),
                     };
-                    assert_eq!(g.start(id), Err(refused), "{at}");
+                    assert_eq!(g.start(id), Err(refused.clone()), "{at}");
+                    assert_eq!(reused.start(id), Err(refused), "{at}");
                 }
             }
             assert_eq!(g.ready(), ready, "{at}");
+            assert_eq!(reused.ready(), ready, "{at}");
             assert_eq!(g.ready_count(), ready.len(), "{at}");
             assert_eq!(g.stats().ready, ready.len(), "{at}");
             for (&id, &state) in any_id.iter().zip(&states) {
                 assert_eq!(g.state(id), state, "{at}: {id:?}");
+                assert_eq!(reused.predecessors(id), g.predecessors(id), "{at}: {id:?}");
             }
         }
+        let at = format!("case {case}");
+        assert_eq!(reused.critical_path(), g.critical_path(), "{at}");
+        assert_eq!(reused.total_cost(), g.total_cost(), "{at}");
+        assert_eq!(reused.stats(), g.stats(), "{at}");
     }
 }

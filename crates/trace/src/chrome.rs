@@ -357,14 +357,10 @@ pub fn chrome_trace_string<'a>(
                 // which the CSV files under the chosen node and the
                 // timeline shows where it was taken, at home.
                 let (name, node, proc, ..) = ev.csv_fields();
-                let decision;
                 let (name, pid) = match kind {
                     EventKind::SchedDecision {
                         reason, home_node, ..
-                    } => {
-                        decision = format!("decision:{}", reason.name());
-                        (decision.as_str(), *home_node as i64)
-                    }
+                    } => (reason.instant_name(), *home_node as i64),
                     // `_ev` tells the CSV kind from the timeline's own
                     // `iteration_end` rows; Chrome has no such clash.
                     EventKind::IterationEnd { .. } => ("iteration_end", node),

@@ -2,8 +2,9 @@
 
 use tlb_des::SimTime;
 
-/// Identity of a task across the whole run. `TaskGraph`s are rebuilt per
-/// iteration, so the raw task id alone is ambiguous — the triple is not.
+/// Identity of a task across the whole run. Task ids restart at 0 in
+/// every iteration (each apprank's `TaskGraph` is cleared between
+/// iterations), so the raw task id alone is ambiguous — the triple is not.
 ///
 /// Fields are `u32`: hot paths copy millions of events into the stream
 /// buffers, so the schema keeps every id narrow (4 G iterations, appranks
@@ -40,6 +41,17 @@ impl DecisionReason {
             DecisionReason::AdjacentSpill => "adjacent_spill",
             DecisionReason::Queued => "queued",
             DecisionReason::Stolen => "stolen",
+        }
+    }
+
+    /// `decision:` and [`DecisionReason::name`]: the Chrome instant's
+    /// name, a literal so the exporter allocates nothing for it.
+    pub fn instant_name(&self) -> &'static str {
+        match self {
+            DecisionReason::LocalityHit => "decision:locality_hit",
+            DecisionReason::AdjacentSpill => "decision:adjacent_spill",
+            DecisionReason::Queued => "decision:queued",
+            DecisionReason::Stolen => "decision:stolen",
         }
     }
 }
@@ -580,6 +592,15 @@ mod tests {
         assert_eq!(merged.len(), 7);
         assert_eq!(merged[0].stream, 0); // t0 stream0 before t0 stream1
         assert_eq!(merged[2].stream, 1);
+    }
+
+    #[test]
+    fn instant_name_is_decision_and_the_reason_name() {
+        use DecisionReason::*;
+        for reason in [LocalityHit, AdjacentSpill, Queued, Stolen] {
+            let name = format!("decision:{}", reason.name());
+            assert_eq!(reason.instant_name(), name);
+        }
     }
 
     #[test]
