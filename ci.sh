@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Offline CI gate, and the only list of its steps (the GitHub workflow
-# runs this script): format, clippy, rustdoc, benchmark-harness tests,
-# build, tier-1 tests, one run of each example, the figure claims, the
-# drift gate, then a print of the non-test line count per crate.
+# runs this script): format, clippy, rustdoc, the single-threaded
+# simulator guard, benchmark-harness tests, build, tier-1 tests, one run
+# of each example, the figure claims, the drift gate, then a print of the
+# non-test line count per crate.
 #
 # One mechanism per question: invariants and bitwise identity are tier-1
 # tests, reproduced claims are `figures` + the checked-in results, and
@@ -21,6 +22,21 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "== cargo doc -D warnings (rustdoc is the only tool that notices a link to a moved or deleted item)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
+echo "== single-threaded simulator: no crate below tlb-sweep spawns a thread"
+# A simulated run executes on its caller's thread; the only pool is
+# tlb-smprt's, driven by sweep and serve. Scans non-test code the way the
+# size step below cuts it (each file up to its first top-level #[cfg(test)]).
+spawns=$(for crate in des expander linprog tasking dlb rng json trace portfolio core cluster apps; do
+    find "crates/$crate/src" -name '*.rs' ! -path '*/sim/tests.rs' -print0 |
+        xargs -0 awk '/^#\[cfg\(test\)\]/ { nextfile }
+            /thread::(spawn|scope|Builder)|available_parallelism/ { print FILENAME ":" FNR ": " $0 }'
+done)
+if [ -n "$spawns" ]; then
+    printf '%s\n' "$spawns"
+    echo "a crate below tlb-sweep spawns threads (see above)" >&2
+    exit 1
+fi
 
 echo "== benchmark harness: its own tests against the library API (a renamed counter or a changed trace level fails here, not in the PR driver)"
 cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml

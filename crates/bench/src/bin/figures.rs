@@ -713,10 +713,7 @@ fn ablations(effort: Effort) -> Vec<Experiment> {
 /// sufficient to compensate for the extra implementation complexity".
 fn ext_dynamic(effort: Effort) -> Vec<Experiment> {
     let mut dynamic = config(GLOBAL, 1);
-    dynamic.dynamic = Some(DynamicSpreading {
-        max_degree: 4,
-        ..DynamicSpreading::default()
-    });
+    dynamic.dynamic = Some(DynamicSpreading { max_degree: 4 });
     let lines = [
         ("static d2", config(GLOBAL, 2)),
         ("static d4", config(GLOBAL, 4)),

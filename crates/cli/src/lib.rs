@@ -132,8 +132,7 @@ pub const USAGE: &str = "usage: tlb-run [trace|sweep|serve] [options]
   --portfolio STRATEGIES                  race allocation solvers on every
                                           global tick; STRATEGIES is 'all' or
                                           a comma list of simplex,flow,
-                                          greedy,local, optionally prefixed
-                                          'adaptive:' (requires a policy
+                                          greedy,local (requires a policy
                                           that runs the global solver)
   --portfolio-budget SECS                 virtual-time budget per race
                                           (default 0.25; needs --portfolio)
@@ -453,7 +452,6 @@ pub fn format_json(args: &Args, report: &SimReport, perfect: f64) -> String {
                         ("infeasible", st.infeasible.into()),
                         ("errors", st.errors.into()),
                         ("timeouts", st.timeouts.into()),
-                        ("demotions", st.demotions.into()),
                         ("virtual_cost_s", st.virtual_cost.as_secs_f64().into()),
                     ]),
                 )
@@ -847,7 +845,17 @@ mod tests {
             let cli = tlb_json::parse(&format_json(&a, &report, perfect)).unwrap();
             let sc = one_point_scenario(app, machine, policy);
             let swept = tlb_sweep::run_point(&sc, &sc.expand()[0]).unwrap();
-            for key in ["makespan_s", "iteration_times_s", "perfect_bound_s"] {
+            // Every key the report shares with the sweep record holds
+            // the same value.
+            let shared: Vec<&str> = cli
+                .as_object()
+                .unwrap()
+                .iter()
+                .map(|(key, _)| key.as_str())
+                .filter(|&key| !swept.get(key).is_null())
+                .collect();
+            assert_eq!(shared.len(), 11, "{app}: shared keys {shared:?}");
+            for key in shared {
                 assert_eq!(
                     cli.get(key).to_string_compact(),
                     swept.get(key).to_string_compact(),
@@ -1029,10 +1037,9 @@ mod tests {
         assert!(args("--portfolio-budget 0.1").is_err());
         assert!(args("--portfolio all --portfolio-budget 0").is_err());
         assert!(args("--portfolio all --portfolio-budget nan").is_err());
-        // Adaptive prefix and defaults.
-        let b = args("--portfolio adaptive:simplex,greedy").unwrap();
+        // A strategy list and the default.
+        let b = args("--portfolio simplex,greedy").unwrap();
         let pc = config(&b).portfolio.unwrap();
-        assert!(pc.adaptive);
         assert_eq!(pc.strategies, vec![Strategy::Simplex, Strategy::Greedy]);
         assert_eq!(config(&args("").unwrap()).portfolio, None);
     }

@@ -14,6 +14,10 @@ use tlb_linprog::{AllocationSolution, LpError};
 use tlb_portfolio::Strategy;
 use tlb_trace::{EventKind, FallbackReason, TraceLog, GLOBAL_STREAM};
 
+/// Dynamic spreading spawns helpers only when the solved bound exceeds
+/// the machine-wide mean load by this factor (10 % above perfect balance).
+const OVERLOAD_THRESHOLD: f64 = 1.1;
+
 impl<W: Workload> State<W> {
     pub(super) fn local_tick(&mut self, ctx: &mut Ctx<Ev>) {
         if self.finished {
@@ -342,7 +346,7 @@ impl<W: Workload> State<W> {
             return false;
         }
         let mean_load = total_work / self.platform.effective_capacity();
-        if solution.objective <= dynamic.overload_threshold * mean_load {
+        if solution.objective <= OVERLOAD_THRESHOLD * mean_load {
             return false; // the static graph already balances well enough
         }
         // Node load under the solved split (pressure to avoid).

@@ -453,7 +453,6 @@ impl<W: Workload> State<W> {
                         let idle = self.dlbs[node].num_cores() - self.dlbs[node].busy_count();
                         load < depth * owned + idle
                     }
-                    StealGate::Unbounded => true,
                 }
             };
             if !has_queued && !may_steal {

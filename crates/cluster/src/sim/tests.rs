@@ -947,8 +947,7 @@ fn portfolio_run_completes_and_accounts_every_solve() {
     assert_eq!(stats.no_winner, 0);
     let wins: usize = Strategy::ALL.iter().map(|&s| stats.of(s).wins).sum();
     assert_eq!(wins, stats.solves, "every race crowned a winner");
-    // Every enabled strategy raced every time (nothing demoted in the
-    // non-adaptive default).
+    // Every enabled strategy raced every time (no outage in this run).
     for &s in &Strategy::ALL {
         assert_eq!(stats.of(s).attempts, stats.solves, "{}", s.name());
     }

@@ -32,10 +32,10 @@ fn gen_shape(rng: &mut Rng) -> Shape {
         (false, _) => "drom-global",
         (true, _) => "lewi+drom-global",
     };
-    let gate = match rng.range_u64(0, 3) {
-        0 => StealGate::Owned,
-        1 => StealGate::Usable,
-        _ => StealGate::Unbounded,
+    let gate = if rng.chance(0.5) {
+        StealGate::Owned
+    } else {
+        StealGate::Usable
     };
     let signal = if rng.chance(0.5) {
         WorkSignal::BusyPending

@@ -179,9 +179,6 @@ pub enum StealGate {
     /// floods an idle neighbour node (Fig. 9c) yet stays
     /// ownership-proportional when the machine is saturated.
     Usable,
-    /// No gate: steal whenever a core is acquirable (most work-conserving,
-    /// most placement-myopic).
-    Unbounded,
 }
 
 /// Dynamic work spreading (the paper's §5.2 future-work extension):
@@ -191,18 +188,6 @@ pub enum StealGate {
 pub struct DynamicSpreading {
     /// Hard cap on nodes per apprank (home included).
     pub max_degree: usize,
-    /// Spawn when the solved bound exceeds the machine-wide mean load by
-    /// this factor (e.g. 1.1 = 10% above perfect balance).
-    pub overload_threshold: f64,
-}
-
-impl Default for DynamicSpreading {
-    fn default() -> Self {
-        DynamicSpreading {
-            max_degree: 4,
-            overload_threshold: 1.1,
-        }
-    }
 }
 
 /// All balancing knobs for one execution. What balances — LeWI
@@ -320,10 +305,7 @@ impl BalanceConfig {
         BalanceConfig {
             degree,
             policy: named(policy),
-            dynamic: max_degree.map(|max_degree| DynamicSpreading {
-                max_degree,
-                ..DynamicSpreading::default()
-            }),
+            dynamic: max_degree.map(|max_degree| DynamicSpreading { max_degree }),
             ..BalanceConfig::default()
         }
     }

@@ -187,6 +187,7 @@ pub struct NodeDlb {
     /// Per-process masks, laid out like `owned`, of the cores owned that
     /// another process uses and that carry no reclaim yet.
     lent: Vec<u64>,
+    /// LeWI lending, fixed at construction.
     lewi: bool,
     num_procs: usize,
     /// `retired[p]`: process `p` is dead. Retired processes own no cores
@@ -279,16 +280,6 @@ impl NodeDlb {
     /// Number of cores on the node.
     pub fn num_cores(&self) -> usize {
         self.cores.len()
-    }
-
-    /// Whether LeWI lending is enabled.
-    pub fn lewi_enabled(&self) -> bool {
-        self.lewi
-    }
-
-    /// Enable/disable LeWI.
-    pub fn set_lewi(&mut self, on: bool) {
-        self.lewi = on;
     }
 
     /// Snapshot of one core's state.

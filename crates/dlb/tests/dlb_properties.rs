@@ -37,18 +37,14 @@ fn check_global_invariants(node: &NodeDlb, procs: usize, holding: &[Vec<usize>])
 /// records that `NodeDlb` answered with before it kept masks: the
 /// lowest-index idle core owned by `p`, else (LeWI on) the lowest-index
 /// idle core. The byte-pinned trace exports depend on lowest-index-first.
-fn reference_acquire(node: &NodeDlb, p: ProcId) -> Option<usize> {
+fn reference_acquire(node: &NodeDlb, p: ProcId, lewi: bool) -> Option<usize> {
     if node.is_retired(p) {
         return None;
     }
     let idle = |&c: &usize| node.core_state(c).user.is_none();
     (0..node.num_cores())
         .find(|c| idle(c) && node.core_state(*c).owner == p)
-        .or_else(|| {
-            (0..node.num_cores())
-                .find(idle)
-                .filter(|_| node.lewi_enabled())
-        })
+        .or_else(|| (0..node.num_cores()).find(idle).filter(|_| lewi))
 }
 
 /// The `(core, borrower)` reclaims a refused `acquire(p)` must post, by
@@ -70,8 +66,8 @@ fn reference_reclaims(node: &NodeDlb, p: ProcId) -> Vec<(usize, ProcId)> {
 /// exactly the [`reference_reclaims`], in order, and leave a reclaim on
 /// every core of a living `p` that another process runs on. The node
 /// must be recording.
-fn checked_acquire(node: &mut NodeDlb, p: usize, holding: &mut [Vec<usize>]) {
-    let expected = reference_acquire(node, ProcId(p));
+fn checked_acquire(node: &mut NodeDlb, lewi: bool, p: usize, holding: &mut [Vec<usize>]) {
+    let expected = reference_acquire(node, ProcId(p), lewi);
     let reclaims = reference_reclaims(node, ProcId(p));
     node.drain_events();
     let got = node.acquire(ProcId(p));
@@ -112,8 +108,8 @@ fn checked_acquire(node: &mut NodeDlb, p: usize, holding: &mut [Vec<usize>]) {
     }
 }
 
-/// Any interleaving of the five mutating operations, with LeWI on and
-/// off, on a one-word and a two-word node: `check_invariants` (which also
+/// Any interleaving of the five mutating operations, with LeWI on or off
+/// (fixed at construction), on a one-word and a two-word node: `check_invariants` (which also
 /// compares the cached counts and core masks, `lent` included, with a
 /// fresh scan) holds after every step, and every `acquire` answers and
 /// reclaims what the reference scans do.
@@ -126,21 +122,22 @@ fn random_ops_preserve_invariants() {
         let mut live: Vec<usize> = (0..rng.range_usize(2, 5)).collect();
         let mut counts = vec![1usize; live.len()];
         counts[0] = cores - (live.len() - 1);
-        let mut node = NodeDlb::with_counts(&counts, case % 2 == 0);
+        let lewi = case % 2 == 0;
+        let mut node = NodeDlb::with_counts(&counts, lewi);
         node.set_recording(true);
         // `holding[p]`: cores process `p` (living or retired) still runs on.
         let mut holding: Vec<Vec<usize>> = vec![Vec::new(); live.len()];
         // The wide node starts nearly full, so that the steps below also
         // saturate it and lend out the cores of its second word.
         for _ in 12..cores {
-            checked_acquire(&mut node, 0, &mut holding);
+            checked_acquire(&mut node, lewi, 0, &mut holding);
         }
 
         for step in 0..300 {
-            match rng.range_u64(0, 11) {
+            match rng.range_u64(0, 10) {
                 0..=3 => {
                     let p = rng.range_usize(0, holding.len());
-                    checked_acquire(&mut node, p, &mut holding);
+                    checked_acquire(&mut node, lewi, p, &mut holding);
                 }
                 4..=6 => {
                     let p = rng.range_usize(0, holding.len());
@@ -171,15 +168,11 @@ fn random_ops_preserve_invariants() {
                         holding.push(Vec::new());
                     }
                 }
-                9 => {
+                _ => {
                     if live.len() > 2 {
                         let p = live.swap_remove(rng.range_usize(0, live.len()));
                         node.retire_process(ProcId(p)).unwrap();
                     }
-                }
-                _ => {
-                    let on = node.lewi_enabled();
-                    node.set_lewi(!on);
                 }
             }
             check_global_invariants(&node, holding.len(), &holding);

@@ -23,27 +23,10 @@ fn screen_candidate(config: &ExpanderConfig, rng: Rng) -> Option<(f64, Bipartite
 /// when the shape is so constrained that almost all random matchings have
 /// multi-edges.
 ///
-/// Candidates are screened in parallel (scoped threads, one per candidate
-/// up to the machine's parallelism); each candidate derives its own RNG
-/// substream via [`Rng::split_u64`], so results are identical to the
-/// serial screening regardless of thread count or completion order: the
-/// winner is the highest isoperimetric number, ties broken by lowest
-/// candidate index (the serial "first best wins" rule).
+/// Candidates are screened serially on the caller; each derives its own
+/// RNG substream via [`Rng::split_u64`], and the winner is the highest
+/// isoperimetric number, ties broken by lowest candidate index.
 pub(crate) fn generate(config: &ExpanderConfig) -> Result<BipartiteGraph, ExpanderError> {
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    generate_with_workers(config, workers)
-}
-
-/// [`BipartiteGraph::generate`] with an explicit screening thread count
-/// (1 = serial). Results are identical for every `workers` value; the
-/// knob exists for scaling measurements and for the test that says so
-/// (`expander_properties.rs::generation_is_deterministic`).
-pub fn generate_with_workers(
-    config: &ExpanderConfig,
-    workers: usize,
-) -> Result<BipartiteGraph, ExpanderError> {
     config.validate()?;
     if config.degree == 1 {
         // Baseline: no offloading, the graph is just the home placement.
@@ -51,53 +34,28 @@ pub fn generate_with_workers(
     }
 
     let root = Rng::seed_from_u64(config.seed);
-    let workers = workers.min(config.candidates).max(1);
-    let mut results: Vec<Option<(f64, BipartiteGraph)>> = Vec::new();
-    if workers <= 1 || config.candidates <= 1 {
-        for candidate in 0..config.candidates {
-            results.push(screen_candidate(config, root.split_u64(candidate as u64)));
-        }
-    } else {
-        results.resize_with(config.candidates, || None);
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let slots = std::sync::Mutex::new(&mut results);
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let candidate = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if candidate >= config.candidates {
-                        return;
-                    }
-                    let r = screen_candidate(config, root.split_u64(candidate as u64));
-                    slots.lock().unwrap()[candidate] = r;
-                });
-            }
-        });
-    }
     let mut best: Option<(f64, BipartiteGraph)> = None;
-    // Reduce in candidate order: ties keep the earliest candidate, exactly
-    // as the serial loop's strict `iso > best` comparison did.
-    for r in results.into_iter().flatten() {
-        let (iso, g) = r;
+    for candidate in 0..config.candidates {
+        let Some((iso, g)) = screen_candidate(config, root.split_u64(candidate as u64)) else {
+            continue;
+        };
+        // Strict `>`: ties keep the earliest candidate.
         if best.as_ref().is_none_or(|(b, _)| iso > *b) {
             best = Some((iso, g));
         }
     }
-    match best {
-        Some((iso, g)) if iso >= config.min_expansion || config.min_expansion <= 1.0 => Ok(g),
-        Some((_, g)) => Ok(g), // keep best-effort graph; caller may re-screen
-        None => {
-            // Deterministic fallback: circulant strides 1, 2, ..., degree-1.
-            let strides: Vec<usize> = (1..config.degree).collect();
-            let g = generate_circulant(config, &strides)?;
-            if g.is_connected() {
-                Ok(g)
-            } else {
-                Err(ExpanderError::GenerationFailed {
-                    attempts: config.candidates,
-                })
-            }
-        }
+    if let Some((_, g)) = best {
+        return Ok(g);
+    }
+    // Deterministic fallback: circulant strides 1, 2, ..., degree-1.
+    let strides: Vec<usize> = (1..config.degree).collect();
+    let g = generate_circulant(config, &strides)?;
+    if g.is_connected() {
+        Ok(g)
+    } else {
+        Err(ExpanderError::GenerationFailed {
+            attempts: config.candidates,
+        })
     }
 }
 
@@ -117,8 +75,8 @@ pub fn generate_random(
     generate_random_from(config, Rng::seed_from_u64(seed))
 }
 
-/// [`generate_random`] driven by an already-derived RNG stream (the
-/// parallel candidate screening hands each candidate its own substream).
+/// [`generate_random`] driven by an already-derived RNG stream (candidate
+/// screening hands each candidate its own substream).
 fn generate_random_from(
     config: &ExpanderConfig,
     mut rng: Rng,
@@ -215,23 +173,6 @@ pub fn generate_circulant(
         adj.push(nodes);
     }
     BipartiteGraph::from_adjacency(config.clone(), adj)
-}
-
-/// Convenience used by tests and benches: generate with retry over seeds
-/// until a connected graph appears (guaranteed to terminate for any shape
-/// where the circulant fallback is connected).
-pub(crate) fn _generate_connected(
-    config: &ExpanderConfig,
-    rng: &mut Rng,
-) -> Result<BipartiteGraph, ExpanderError> {
-    for _ in 0..32 {
-        let g = generate_random(config, rng.next_u64())?;
-        if g.is_connected() {
-            return Ok(g);
-        }
-    }
-    let strides: Vec<usize> = (1..config.degree).collect();
-    generate_circulant(config, &strides)
 }
 
 #[cfg(test)]

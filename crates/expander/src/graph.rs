@@ -2,8 +2,6 @@
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::io;
-use std::path::Path;
 
 /// Parameters for generating an expander layout.
 #[derive(Clone, Debug, PartialEq)]
@@ -20,14 +18,10 @@ pub struct ExpanderConfig {
     /// How many random candidates to draw; the one with the best sampled
     /// isoperimetric number wins (the paper's screening of "bad graphs").
     pub candidates: usize,
-    /// Minimum acceptable isoperimetric number `1 + eps`; candidates below
-    /// are rejected when the check is feasible. 1.0 accepts everything
-    /// connected.
-    pub min_expansion: f64,
 }
 
 impl ExpanderConfig {
-    /// Config with default seed (0), 16 candidates, and no expansion floor.
+    /// Config with default seed (0) and 16 candidates.
     pub fn new(appranks: usize, nodes: usize, degree: usize) -> Self {
         ExpanderConfig {
             appranks,
@@ -35,7 +29,6 @@ impl ExpanderConfig {
             degree,
             seed: 0,
             candidates: 16,
-            min_expansion: 1.0,
         }
     }
 
@@ -93,10 +86,8 @@ pub enum ExpanderError {
     DegreeTooLarge { degree: usize, nodes: usize },
     /// Random construction failed to produce a simple biregular graph.
     GenerationFailed { attempts: usize },
-    /// A deserialised graph violated structural invariants.
+    /// Adjacency lists that violate a structural invariant.
     Invalid(String),
-    /// I/O failure while loading or saving.
-    Io(String),
 }
 
 impl fmt::Display for ExpanderError {
@@ -119,18 +110,11 @@ impl fmt::Display for ExpanderError {
                 )
             }
             ExpanderError::Invalid(msg) => write!(f, "invalid graph: {msg}"),
-            ExpanderError::Io(msg) => write!(f, "graph i/o error: {msg}"),
         }
     }
 }
 
 impl std::error::Error for ExpanderError {}
-
-impl From<io::Error> for ExpanderError {
-    fn from(e: io::Error) -> Self {
-        ExpanderError::Io(e.to_string())
-    }
-}
 
 /// The bipartite apprank↔node adjacency. Immutable once generated.
 ///
@@ -331,71 +315,6 @@ impl BipartiteGraph {
             crate::isoperimetric::isoperimetric_sampled(self, self.config.seed, 4000)
         }
     }
-
-    /// Serialise to a JSON file so the graph can be reused across runs.
-    pub fn save_json(&self, path: &Path) -> Result<(), ExpanderError> {
-        let c = &self.config;
-        let config = tlb_json::Value::object(vec![
-            ("appranks", c.appranks.into()),
-            ("nodes", c.nodes.into()),
-            ("degree", c.degree.into()),
-            ("seed", c.seed.into()),
-            ("candidates", c.candidates.into()),
-            ("min_expansion", c.min_expansion.into()),
-        ]);
-        let adj: Vec<tlb_json::Value> = self
-            .adj
-            .iter()
-            .map(|row| tlb_json::Value::from(row.clone()))
-            .collect();
-        let doc = tlb_json::Value::object(vec![
-            ("config", config),
-            ("adj", tlb_json::Value::Array(adj)),
-        ]);
-        std::fs::write(path, doc.to_string_pretty())?;
-        Ok(())
-    }
-
-    /// Load a previously saved graph, re-checking invariants.
-    pub fn load_json(path: &Path) -> Result<Self, ExpanderError> {
-        let json = std::fs::read_to_string(path)?;
-        let doc =
-            tlb_json::parse(&json).map_err(|e| ExpanderError::Io(format!("json parse: {e}")))?;
-        let bad = |what: &str| ExpanderError::Io(format!("malformed graph file: {what}"));
-        let c = doc.get("config");
-        let config = ExpanderConfig {
-            appranks: c
-                .get("appranks")
-                .as_usize()
-                .ok_or_else(|| bad("appranks"))?,
-            nodes: c.get("nodes").as_usize().ok_or_else(|| bad("nodes"))?,
-            degree: c.get("degree").as_usize().ok_or_else(|| bad("degree"))?,
-            seed: c.get("seed").as_u64().ok_or_else(|| bad("seed"))?,
-            candidates: c
-                .get("candidates")
-                .as_usize()
-                .ok_or_else(|| bad("candidates"))?,
-            min_expansion: c
-                .get("min_expansion")
-                .as_f64()
-                .ok_or_else(|| bad("min_expansion"))?,
-        };
-        let adj = doc
-            .get("adj")
-            .as_array()
-            .ok_or_else(|| bad("adj"))?
-            .iter()
-            .map(|row| {
-                row.as_array()
-                    .ok_or_else(|| bad("adj row"))?
-                    .iter()
-                    .map(|v| v.as_usize().ok_or_else(|| bad("adj entry")))
-                    .collect::<Result<Vec<usize>, _>>()
-            })
-            .collect::<Result<Vec<Vec<usize>>, _>>()?;
-        // `from_adjacency` rebuilds `hosted` and re-checks every invariant.
-        Self::from_adjacency(config, adj)
-    }
 }
 
 #[cfg(test)]
@@ -460,19 +379,5 @@ mod tests {
         // Node 1 hosts 3 workers, node 3 hosts 1: not biregular.
         let adj = vec![vec![0, 1], vec![1, 2], vec![2, 1], vec![3, 0]];
         assert!(BipartiteGraph::from_adjacency(c, adj).is_err());
-    }
-
-    #[test]
-    fn save_and_load_roundtrip() {
-        let c = ExpanderConfig::new(4, 4, 2);
-        let adj = vec![vec![0, 1], vec![1, 2], vec![2, 3], vec![3, 0]];
-        let g = BipartiteGraph::from_adjacency(c, adj).unwrap();
-        let dir = std::env::temp_dir().join("tlb_expander_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("ring.json");
-        g.save_json(&path).unwrap();
-        let g2 = BipartiteGraph::load_json(&path).unwrap();
-        assert_eq!(g2.nodes_of(2), g.nodes_of(2));
-        std::fs::remove_file(&path).ok();
     }
 }

@@ -19,9 +19,11 @@
 //! * screening: connectivity and the vertex isoperimetric number
 //!   (the minimal `|N(A)|/|A|`, i.e. the paper's minimal `1 + eps`),
 //!   exact for small graphs, and for large ones the minimum over sampled
-//!   subsets, which bounds it from above;
-//! * JSON (de)serialisation so a generated graph is "stored for future
-//!   executions", as the paper does.
+//!   subsets, which bounds it from above.
+//!
+//! A graph is a pure function of its shape and seed, and screening runs
+//! serially on the caller, so nothing is stored: where the paper keeps a
+//! generated graph "for future executions", a run here regenerates it.
 //!
 //! # Example
 //!
@@ -40,6 +42,6 @@ mod generate;
 mod graph;
 mod isoperimetric;
 
-pub use generate::{generate_circulant, generate_random, generate_with_workers};
+pub use generate::{generate_circulant, generate_random};
 pub use graph::{BipartiteGraph, ExpanderConfig, ExpanderError};
 pub use isoperimetric::{isoperimetric_exact, isoperimetric_sampled};

@@ -29,11 +29,6 @@
 //!    (solver-outage windows); the portfolio keeps racing whatever is
 //!    left, and only when *nothing* is runnable does the caller fall back
 //!    to the PR 3 degradation ladder.
-//!
-//! The optional `adaptive` mode is a tiny deterministic bandit: a strategy
-//! that loses `demote_after` races in a row stops being raced, except on
-//! every `probe_every`-th solve where demoted strategies get a probe run
-//! and are reinstated if they win.
 
 use tlb_des::SimTime;
 use tlb_linprog::{
@@ -127,14 +122,6 @@ pub struct PortfolioConfig {
     /// Virtual-time budget per race; a strategy whose modelled cost
     /// exceeds it counts as a timeout and its answer is discarded.
     pub budget: SimTime,
-    /// Enable the bandit-style demotion of persistent losers.
-    pub adaptive: bool,
-    /// Consecutive losses after which an adaptive portfolio demotes a
-    /// strategy.
-    pub demote_after: usize,
-    /// Every `probe_every`-th solve re-races demoted strategies so they
-    /// can win their way back in.
-    pub probe_every: usize,
 }
 
 impl Default for PortfolioConfig {
@@ -142,31 +129,25 @@ impl Default for PortfolioConfig {
         PortfolioConfig {
             strategies: Strategy::ALL.to_vec(),
             budget: SimTime::from_millis(250),
-            adaptive: false,
-            demote_after: 8,
-            probe_every: 8,
         }
     }
 }
 
 impl PortfolioConfig {
-    /// Parse a `--portfolio` spec: `all`, a comma list of strategy names,
-    /// either optionally prefixed with `adaptive:`. Examples:
-    /// `all`, `simplex,greedy`, `adaptive:all`.
+    /// Parse a `--portfolio` spec: `all` or a comma list of strategy
+    /// names. Examples: `all`, `simplex,greedy`.
     pub fn parse(spec: &str) -> Result<Self, String> {
         let mut cfg = PortfolioConfig::default();
-        let mut rest = spec.trim();
-        if let Some(r) = rest.strip_prefix("adaptive:") {
-            cfg.adaptive = true;
-            rest = r;
-        }
+        let rest = spec.trim();
         if rest.is_empty() {
             return Err("empty --portfolio spec (try 'all')".to_string());
         }
         if rest != "all" {
             let mut strategies = Vec::new();
             for part in rest.split(',') {
-                let s = Strategy::parse(part.trim())?;
+                let s = Strategy::parse(part.trim()).map_err(|e| {
+                    format!("{e}; a portfolio is 'all' or a comma list of strategies")
+                })?;
                 if strategies.contains(&s) {
                     return Err(format!("duplicate strategy '{}'", s.name()));
                 }
@@ -186,7 +167,7 @@ impl PortfolioConfig {
     }
 
     /// Check internal consistency (non-empty, sorted-unique strategies,
-    /// positive budget and bandit parameters).
+    /// positive budget).
     pub fn validate(&self) -> Result<(), String> {
         if self.strategies.is_empty() {
             return Err("portfolio needs at least one strategy".to_string());
@@ -198,9 +179,6 @@ impl PortfolioConfig {
         }
         if self.budget <= SimTime::ZERO {
             return Err("portfolio budget must be positive".to_string());
-        }
-        if self.demote_after == 0 || self.probe_every == 0 {
-            return Err("demote_after and probe_every must be >= 1".to_string());
         }
         Ok(())
     }
@@ -224,8 +202,6 @@ pub struct StrategyStats {
     pub errors: usize,
     /// Attempts whose modelled cost exceeded the budget.
     pub timeouts: usize,
-    /// Times the adaptive mode demoted this strategy.
-    pub demotions: usize,
     /// Total modelled virtual solve cost, capped at the budget per race.
     pub virtual_cost: SimTime,
 }
@@ -275,14 +251,11 @@ pub struct PortfolioOutcome {
 }
 
 /// The racing engine. All mutable state is deterministic accounting
-/// (stats, fault masks, bandit streaks).
+/// (stats, fault masks).
 pub struct PortfolioEngine {
     config: PortfolioConfig,
     /// Nesting count of active fault-injected outages per strategy.
     fault_disabled: [usize; Strategy::COUNT],
-    /// Consecutive races lost, per strategy (adaptive mode).
-    loss_streak: [usize; Strategy::COUNT],
-    demoted: [bool; Strategy::COUNT],
     stats: PortfolioStats,
 }
 
@@ -293,8 +266,6 @@ impl PortfolioEngine {
         Ok(PortfolioEngine {
             config,
             fault_disabled: [0; Strategy::COUNT],
-            loss_streak: [0; Strategy::COUNT],
-            demoted: [false; Strategy::COUNT],
             stats: PortfolioStats::default(),
         })
     }
@@ -323,21 +294,14 @@ impl PortfolioEngine {
         self.fault_disabled[s.code() as usize] > 0
     }
 
-    /// True if the adaptive mode currently demotes `s`.
-    pub fn is_demoted(&self, s: Strategy) -> bool {
-        self.demoted[s.code() as usize]
-    }
-
-    /// Strategies that would be raced on the next solve.
+    /// Strategies that would be raced on the next solve: the configured
+    /// ones not under a fault-injected outage.
     pub fn runnable(&self) -> Vec<Strategy> {
-        let probe =
-            self.config.adaptive && self.stats.solves.is_multiple_of(self.config.probe_every);
         self.config
             .strategies
             .iter()
             .copied()
             .filter(|&s| !self.is_fault_disabled(s))
-            .filter(|&s| !self.config.adaptive || probe || !self.is_demoted(s))
             .collect()
     }
 
@@ -412,25 +376,6 @@ impl PortfolioEngine {
         };
         let winner = runnable[win_idx];
         self.stats.per_strategy[winner.code() as usize].wins += 1;
-        for &s in &runnable {
-            let code = s.code() as usize;
-            if s == winner {
-                self.loss_streak[code] = 0;
-                if self.demoted[code] {
-                    // A demoted strategy that wins its probe is reinstated.
-                    self.demoted[code] = false;
-                }
-            } else {
-                self.loss_streak[code] += 1;
-                if self.config.adaptive
-                    && !self.demoted[code]
-                    && self.loss_streak[code] >= self.config.demote_after
-                {
-                    self.demoted[code] = true;
-                    self.stats.per_strategy[code].demotions += 1;
-                }
-            }
-        }
         Ok(PortfolioOutcome {
             solution,
             winner,
@@ -712,13 +657,13 @@ mod tests {
     fn config_parse_variants() {
         let all = PortfolioConfig::parse("all").unwrap();
         assert_eq!(all.strategies, Strategy::ALL.to_vec());
-        assert!(!all.adaptive);
 
         let two = PortfolioConfig::parse("greedy,simplex").unwrap();
         assert_eq!(two.strategies, vec![Strategy::Simplex, Strategy::Greedy]);
 
-        let ad = PortfolioConfig::parse("adaptive:all").unwrap();
-        assert!(ad.adaptive);
+        let err = PortfolioConfig::parse("adaptive:all").unwrap_err();
+        assert!(err.contains("'all' or a comma list"), "{err}");
+        assert!(err.contains("simplex, flow, greedy or local"), "{err}");
 
         assert!(PortfolioConfig::parse("").is_err());
         assert!(PortfolioConfig::parse("simplex,simplex").is_err());
@@ -816,40 +761,6 @@ mod tests {
             engine.enable_strategy(s);
         }
         assert_eq!(engine.runnable().len(), Strategy::COUNT);
-    }
-
-    #[test]
-    fn adaptive_demotes_persistent_losers_and_probes_them() {
-        let cfg = PortfolioConfig {
-            adaptive: true,
-            demote_after: 3,
-            probe_every: 5,
-            ..PortfolioConfig::default()
-        };
-        let mut engine = PortfolioEngine::new(cfg).unwrap();
-        let p = ring_problem(8, 4, 3, 16);
-        for _ in 0..4 {
-            engine.solve(&p).unwrap();
-        }
-        // Some strategy must have lost 3 races in a row by now.
-        let demoted: Vec<Strategy> = Strategy::ALL
-            .iter()
-            .copied()
-            .filter(|&s| engine.is_demoted(s))
-            .collect();
-        assert!(!demoted.is_empty(), "expected at least one demotion");
-        let racing = engine.stats().of(demoted[0]).attempts;
-        // Solves 5, 6 ... skip demoted strategies except the probe at
-        // solves % 5 == 0.
-        for _ in 4..11 {
-            engine.solve(&p).unwrap();
-        }
-        let after = engine.stats().of(demoted[0]).attempts;
-        assert!(
-            after > racing,
-            "probe races must include demoted strategies"
-        );
-        assert!(after < racing + 7, "demoted strategy must skip most races");
     }
 
     #[test]

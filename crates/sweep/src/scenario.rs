@@ -620,7 +620,7 @@ mod tests {
             r#"{"schema_version": 1, "name": "paper", "app": "micropp", "machine": "nord3",
                 "nodes": 8, "iterations": 10, "imbalance": 3.5,
                 "faults": "straggler@0.1,node=0", "fault_seed": 9,
-                "portfolio": "adaptive:simplex,flow", "portfolio_budget": 0.5,
+                "portfolio": "simplex,flow", "portfolio_budget": 0.5,
                 "axes": {"appranks_per_node": [1, 2], "degree": [1, 2, 4],
                          "policy": ["baseline", "lewi+drom-global"], "seed": [1, 2, 3]}}"#,
             r#"{"schema_version": 1, "name": "families", "app": "amr",

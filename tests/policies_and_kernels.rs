@@ -275,20 +275,3 @@ fn new_policies_run_deterministically_without_the_solver() {
         assert_eq!(a.total_tasks, 4 * 280, "{policy}: all tasks completed");
     }
 }
-
-/// An expander graph survives a save/load round trip and still validates.
-#[test]
-fn expander_persistence_roundtrip() {
-    let cfg = ExpanderConfig::new(32, 16, 3).with_seed(13);
-    let g = BipartiteGraph::generate(&cfg).unwrap();
-    let dir = std::env::temp_dir().join("tlb_integration");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("graph32x16.json");
-    g.save_json(&path).unwrap();
-    let g2 = BipartiteGraph::load_json(&path).unwrap();
-    assert!(g2.is_connected());
-    for a in 0..32 {
-        assert_eq!(g.nodes_of(a), g2.nodes_of(a));
-    }
-    std::fs::remove_file(&path).ok();
-}
