@@ -23,6 +23,8 @@
 //! * [`amr`] — adaptive mesh refinement whose hot spot moves between
 //!   iterations.
 
+#![forbid(unsafe_code)]
+
 pub mod amr;
 pub mod micropp;
 pub mod nbody;

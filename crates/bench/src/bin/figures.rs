@@ -8,6 +8,8 @@
 //! prints `ok`, `FAIL` or `skipped(<why>)`; the run ends with
 //! `checked N, failed M, skipped K` and exits 1 when M > 0.
 
+#![forbid(unsafe_code)]
+
 use tlb_apps::micropp::{micropp_workload, MicroPpConfig};
 use tlb_apps::synthetic::{synthetic_workload, SyntheticConfig};
 use tlb_bench::{

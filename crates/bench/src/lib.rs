@@ -13,6 +13,8 @@
 //! [`Experiment::claim`]s, the [`sweep`] runner, the recurring set-ups
 //! ([`micropp_mn4`], [`nbody_slow_node`]) and [`config`].
 
+#![forbid(unsafe_code)]
+
 use std::ops::{Bound, RangeBounds};
 use std::path::PathBuf;
 use tlb_apps::micropp::{micropp_workload, MicroPpConfig};

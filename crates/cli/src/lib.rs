@@ -16,6 +16,8 @@
 //! tlb-run serve --addr 127.0.0.1:7070 --jobs 4 --cache-dir tlb_sweep_cache
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 use tlb_cluster::{FaultStats, SimReport};
 use tlb_core::{known_policy_names, BalanceConfig, PolicySpec, Strategy};

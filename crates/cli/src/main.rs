@@ -1,6 +1,8 @@
 //! `tlb-run`: run one transparent-load-balancing experiment from the
 //! command line. See `tlb-run --help`.
 
+#![forbid(unsafe_code)]
+
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.first().map(String::as_str) == Some("sweep") {

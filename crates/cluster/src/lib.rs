@@ -42,6 +42,8 @@
 //! assert!(balanced.makespan < baseline.makespan);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod collective;
 mod export;
 mod fault;

@@ -31,6 +31,8 @@
 //!   and `diffusion`) parsed from one `name(k=v,...)` string form
 //!   everywhere; the only policy field of [`BalanceConfig`].
 
+#![forbid(unsafe_code)]
+
 mod balance;
 mod config;
 mod layout;

@@ -39,6 +39,8 @@
 //! assert_eq!(end, SimTime::from_millis(20));
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod queue;
 mod stats;
 mod time;

@@ -42,6 +42,8 @@
 //! # let _ = (a, b);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod node;
 mod talp;
 

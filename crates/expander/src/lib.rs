@@ -38,6 +38,8 @@
 //! assert!(g.is_connected());
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod generate;
 mod graph;
 mod isoperimetric;

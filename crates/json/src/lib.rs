@@ -18,6 +18,8 @@
 //! none goes through `fmt` or a temporary `String` where it can write
 //! the bytes itself.
 
+#![forbid(unsafe_code)]
+
 use std::fmt::{self, Write as _};
 
 /// A JSON document node.

@@ -23,6 +23,8 @@
 //!   continuous core split to whole cores (a floor, an exact total, ties
 //!   to the lower index), here with the ≥ 1 core per worker floor.
 
+#![forbid(unsafe_code)]
+
 pub mod allocation;
 pub mod maxflow;
 pub mod simplex;

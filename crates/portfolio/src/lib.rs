@@ -30,6 +30,8 @@
 //!    left, and only when *nothing* is runnable does the caller fall back
 //!    to the PR 3 degradation ladder.
 
+#![forbid(unsafe_code)]
+
 use tlb_des::SimTime;
 use tlb_linprog::{
     largest_remainder, solve_flow, solve_lp, AllocationProblem, AllocationSolution, LpError,

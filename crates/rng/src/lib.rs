@@ -29,6 +29,8 @@
 //! This is what lets per-candidate expander searches and per-task workload
 //! draws run in parallel while staying bitwise reproducible.
 
+#![forbid(unsafe_code)]
+
 /// SplitMix64 step: advance `state` and return the next mixed output.
 /// The standard constants from Steele, Lea & Flood (2014).
 #[inline]

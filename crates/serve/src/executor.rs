@@ -1,15 +1,20 @@
-//! The point executor: a bounded admission queue in front of the
-//! `tlb-smprt` pool, with an in-flight registry that dedupes identical
-//! points across concurrent requests.
+//! The point executor: a bounded admission queue drained by `jobs`
+//! lanes, with an in-flight registry that dedupes identical points
+//! across concurrent requests.
 //!
 //! Admission is a single atomic classification under one lock: every
 //! distinct point of a request is either *cached* (served immediately,
-//! the pool never sees it), *in flight* (another request is already
+//! no lane ever sees it), *in flight* (another request is already
 //! computing it — subscribe to its completion), or *new* (enqueue).
 //! A request whose new points would overflow the bounded queue is shed
 //! whole — nothing is enqueued, nothing is subscribed — with a
-//! retry-after hint derived from the queue depth, the pool occupancy,
-//! and an EMA of recent point execution times.
+//! retry-after hint derived from the points queued and executing, the
+//! lane count, and an EMA of recent point execution times.
+//!
+//! The lanes are one `tlb-smprt` `parallel_for(jobs, 1, ..)` that lasts
+//! the daemon's lifetime: each lane pops one point, runs it, publishes
+//! it, and pops the next, so a point admitted behind a long one starts
+//! as soon as any lane frees up.
 //!
 //! Completion publishes in a fixed order: store to cache **then** take
 //! the subscriber list out of the registry **then** send. A racing
@@ -21,9 +26,8 @@
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use tlb_json::Value;
@@ -34,7 +38,7 @@ use tlb_trace::Counters;
 /// How the executor is provisioned.
 #[derive(Clone, Debug)]
 pub struct ExecutorConfig {
-    /// Pool threads executing points.
+    /// Lanes executing points, one thread each.
     pub jobs: usize,
     /// Maximum number of points waiting in the admission queue; a
     /// request whose new points would push the depth past this bound
@@ -72,12 +76,14 @@ struct State {
     queue: VecDeque<WorkItem>,
     /// key → subscribers awaiting that point's completion. Presence in
     /// this map *is* the in-flight marker; the queue holds the subset
-    /// not yet picked up by the dispatcher.
+    /// no lane has picked up yet.
     inflight: HashMap<u64, Vec<Sender<PointResult>>>,
     /// EMA of recent point execution times, seeding the retry-after
     /// hint. Starts at a conservative guess and converges quickly.
     ema_point_secs: f64,
     counters: Counters,
+    /// Set by [`Executor::drain`]: admission sheds, and a lane that
+    /// finds the queue empty returns.
     draining: bool,
 }
 
@@ -132,34 +138,33 @@ pub struct ExecutorStats {
     /// Distinct points admitted but not yet completed (queued or
     /// executing).
     pub inflight: usize,
-    /// Pool saturation (outstanding work per active thread).
+    /// Points executing per lane: 0 when idle, 1 when every lane runs
+    /// one.
     pub pool_saturation: f64,
     /// Monotonic counters (`serve.*`) since startup.
     pub counters: Value,
 }
 
-/// The resident executor: admission queue + dispatcher thread + pool.
+/// The resident executor: admission queue + the dispatcher thread that
+/// runs the lanes.
 pub struct Executor {
     config: ExecutorConfig,
     cache: Option<Cache>,
-    pool: Arc<Pool>,
     state: Mutex<State>,
-    /// Signals the dispatcher (work arrived / draining) and waiters in
-    /// [`Executor::drain`] (a batch completed).
+    /// Signals the lanes (work arrived / draining) and waiters in
+    /// [`Executor::drain`] (a point completed).
     cond: Condvar,
-    stop: AtomicBool,
     dispatcher: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
 impl Executor {
-    /// Provision the pool, open the cache, and start the dispatcher.
+    /// Open the cache and start the dispatcher on its `jobs` lanes.
     pub fn start(config: ExecutorConfig) -> std::io::Result<Arc<Executor>> {
         let cache = match &config.cache_dir {
             Some(dir) => Some(Cache::open(dir)?),
             None => None,
         };
         let exec = Arc::new(Executor {
-            pool: Arc::new(Pool::new(config.jobs.max(1))),
             cache,
             state: Mutex::new(State {
                 queue: VecDeque::new(),
@@ -169,14 +174,16 @@ impl Executor {
                 draining: false,
             }),
             cond: Condvar::new(),
-            stop: AtomicBool::new(false),
             dispatcher: Mutex::new(None),
             config,
         });
         let worker = Arc::clone(&exec);
         let handle = std::thread::Builder::new()
             .name("tlb-serve-dispatch".into())
-            .spawn(move || worker.dispatch_loop())?;
+            .spawn(move || {
+                let lanes = worker.lanes();
+                Pool::new(lanes).parallel_for(lanes, 1, |_| worker.run_lane());
+            })?;
         *exec.dispatcher.lock().unwrap() = Some(handle);
         Ok(exec)
     }
@@ -223,16 +230,6 @@ impl Executor {
         let (tx, rx) = std::sync::mpsc::channel::<PointResult>();
         let mut state = self.lock_state();
         state.counters.inc("serve.requests");
-        if state.draining {
-            state.counters.inc("serve.shed");
-            let retry = self.retry_after_ms(&state);
-            return Admission::Shed {
-                retry_after_ms: retry,
-                queue_depth: state.queue.len(),
-                queue_bound: self.config.queue_bound,
-                draining: true,
-            };
-        }
 
         // Classify the unresolved keys under the lock. Nothing is
         // registered or enqueued until the shed decision is made, so a
@@ -251,14 +248,15 @@ impl Executor {
             }
         }
 
-        if state.queue.len() + fresh.len() > self.config.queue_bound {
+        if state.draining || state.queue.len() + fresh.len() > self.config.queue_bound {
             state.counters.inc("serve.shed");
-            let retry = self.retry_after_ms(&state);
+            // The backlog is every point queued or executing.
+            let backlog = state.inflight.len();
             return Admission::Shed {
-                retry_after_ms: retry,
+                retry_after_ms: retry_after_ms(backlog, self.lanes(), state.ema_point_secs),
                 queue_depth: state.queue.len(),
                 queue_bound: self.config.queue_bound,
-                draining: false,
+                draining: state.draining,
             };
         }
 
@@ -311,10 +309,11 @@ impl Executor {
     /// Load snapshot for `/stats` and admission hints.
     pub fn stats(&self) -> ExecutorStats {
         let state = self.lock_state();
+        let executing = state.inflight.len() - state.queue.len();
         ExecutorStats {
             queue_depth: state.queue.len(),
             inflight: state.inflight.len(),
-            pool_saturation: self.pool.occupancy().saturation(),
+            pool_saturation: executing as f64 / self.lanes() as f64,
             counters: state.counters.to_json(),
         }
     }
@@ -323,93 +322,92 @@ impl Executor {
     /// returns once the queue is empty and every in-flight point has
     /// completed (and therefore been flushed to the cache). Idempotent.
     pub fn drain(&self) {
-        {
-            let mut state = self.lock_state();
-            state.draining = true;
-        }
-        self.cond.notify_all();
         let mut state = self.lock_state();
+        state.draining = true;
+        self.cond.notify_all();
         while !(state.queue.is_empty() && state.inflight.is_empty()) {
-            state = self.cond.wait(state).unwrap();
+            state = self.wait(state);
         }
         drop(state);
-        self.stop.store(true, Ordering::Release);
-        self.cond.notify_all();
         if let Some(handle) = self.dispatcher.lock().unwrap().take() {
             let _ = handle.join();
         }
     }
 
-    fn lock_state(&self) -> std::sync::MutexGuard<'_, State> {
-        self.state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    fn lock_state(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Retry hint: expected time for the backlog to clear through
-    /// `jobs` lanes, floored at 10ms so clients never spin.
-    fn retry_after_ms(&self, state: &State) -> u64 {
-        let backlog = state.queue.len() as f64 + self.pool.occupancy().outstanding() as f64;
-        let lanes = self.config.jobs.max(1) as f64;
-        let secs = (backlog / lanes + 1.0) * state.ema_point_secs;
-        ((secs * 1000.0).ceil() as u64).max(10)
+    fn wait<'a>(&self, state: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
+        self.cond
+            .wait(state)
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Dispatcher: pop a batch, execute it on the pool (one point per
-    /// pool slot), publish each completion as it lands. The batch size
-    /// caps latency for requests arriving behind a large one.
-    fn dispatch_loop(self: Arc<Self>) {
-        let batch_cap = self.config.jobs.max(1) * 4;
+    fn lanes(&self) -> usize {
+        self.config.jobs.max(1)
+    }
+
+    /// One lane: pop a point, run it, publish it, repeat; return once
+    /// the executor drains and the queue is empty.
+    fn run_lane(&self) {
         loop {
-            let batch: Vec<WorkItem> = {
-                let mut state = self.lock_state();
-                while state.queue.is_empty() && !self.stop.load(Ordering::Acquire) {
-                    state = self.cond.wait(state).unwrap();
+            let mut state = self.lock_state();
+            let item = loop {
+                if let Some(item) = state.queue.pop_front() {
+                    break item;
                 }
-                if state.queue.is_empty() && self.stop.load(Ordering::Acquire) {
+                if state.draining {
                     return;
                 }
-                let take = state.queue.len().min(batch_cap);
-                state.queue.drain(..take).collect()
+                state = self.wait(state);
             };
-
-            let started = Instant::now();
-            let items = &batch;
-            self.pool.parallel_for(items.len(), 1, |i| {
-                let item = &items[i];
-                // A panicking point is that point's error: unwinding into
-                // the pool would re-raise it here and kill the dispatcher.
-                let run = || run_point(&item.scenario, &item.point);
-                let (result, panicked) = match catch_unwind(AssertUnwindSafe(run)) {
-                    Ok(result) => (result, false),
-                    Err(payload) => (Err(panic_message(payload.as_ref())), true),
-                };
-                if let (Ok(record), Some(cache)) = (&result, &self.cache) {
-                    // Flush before publication so a subscriber (or a
-                    // racing admission) never observes a completed key
-                    // that is absent from the cache.
-                    let _ = cache.store(item.key, &item.key_input, record);
-                }
-                let subscribers = {
-                    let mut state = self.lock_state();
-                    state.counters.inc("serve.points_executed");
-                    if panicked {
-                        state.counters.inc("serve.point_panics");
-                    } else if result.is_err() {
-                        state.counters.inc("serve.point_errors");
-                    }
-                    state.inflight.remove(&item.key).unwrap_or_default()
-                };
-                self.cond.notify_all();
-                for tx in subscribers {
-                    let _ = tx.send((item.key, result.clone()));
-                }
-            });
-            let per_point = started.elapsed().as_secs_f64() / batch.len().max(1) as f64;
-            let mut state = self.lock_state();
-            state.ema_point_secs = 0.7 * state.ema_point_secs + 0.3 * per_point;
+            drop(state);
+            self.execute(&item);
         }
     }
+
+    /// Run one point and publish it: cache store, registry removal, send.
+    fn execute(&self, item: &WorkItem) {
+        let started = Instant::now();
+        // A panicking point is that point's error: unwinding would end
+        // the lane's `parallel_for` and with it the dispatcher.
+        let run = || run_point(&item.scenario, &item.point);
+        let (result, panicked) = match catch_unwind(AssertUnwindSafe(run)) {
+            Ok(result) => (result, false),
+            Err(payload) => (Err(panic_message(payload.as_ref())), true),
+        };
+        let secs = started.elapsed().as_secs_f64();
+        if let (Ok(record), Some(cache)) = (&result, &self.cache) {
+            // Flush before publication so a subscriber (or a racing
+            // admission) never observes a completed key that is absent
+            // from the cache.
+            let _ = cache.store(item.key, &item.key_input, record);
+        }
+        let subscribers = {
+            let mut state = self.lock_state();
+            state.ema_point_secs = 0.7 * state.ema_point_secs + 0.3 * secs;
+            state.counters.inc("serve.points_executed");
+            if panicked {
+                state.counters.inc("serve.point_panics");
+            } else if result.is_err() {
+                state.counters.inc("serve.point_errors");
+            }
+            state.inflight.remove(&item.key).unwrap_or_default()
+        };
+        self.cond.notify_all();
+        for tx in subscribers {
+            let _ = tx.send((item.key, result.clone()));
+        }
+    }
+}
+
+/// Retry hint: the expected time for `backlog` points to clear through
+/// `lanes` lanes at `ema_point_secs` each, plus one point, floored at
+/// 10 ms so clients never spin.
+fn retry_after_ms(backlog: usize, lanes: usize, ema_point_secs: f64) -> u64 {
+    let secs = (backlog as f64 / lanes.max(1) as f64 + 1.0) * ema_point_secs;
+    ((secs * 1000.0).ceil() as u64).max(10)
 }
 
 /// The error a point that panicked with `payload` is published as.
@@ -426,5 +424,18 @@ fn fill_slots(slots: &mut [Option<Value>], keys: &[u64], key: u64, record: &Valu
         if k == key {
             slots[i] = Some(record.clone());
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn retry_hint_scales_with_the_backlog_per_lane() {
+        assert_eq!(retry_after_ms(0, 2, 0.001), 10);
+        assert_eq!(retry_after_ms(8, 2, 0.05), 250);
+        let hints: Vec<u64> = (0..100).map(|b| retry_after_ms(b, 3, 0.02)).collect();
+        assert!(hints.windows(2).all(|w| w[0] <= w[1]), "{hints:?}");
     }
 }

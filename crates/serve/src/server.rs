@@ -68,11 +68,15 @@ impl Server {
                                 let _ = stream.set_nodelay(true);
                                 let executor = Arc::clone(&executor);
                                 let stop = Arc::clone(&stop);
-                                let handle = std::thread::Builder::new()
+                                let spawned = std::thread::Builder::new()
                                     .name("tlb-serve-conn".into())
-                                    .spawn(move || handle_connection(stream, executor, stop))
-                                    .expect("spawn connection handler");
-                                handlers.lock().unwrap().push(handle);
+                                    .spawn(move || handle_connection(stream, executor, stop));
+                                // A handler that cannot be spawned takes its
+                                // stream with it (the client sees EOF); the
+                                // loop keeps accepting.
+                                if let Ok(handle) = spawned {
+                                    handlers.lock().unwrap().push(handle);
+                                }
                             }
                             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                                 std::thread::sleep(POLL_INTERVAL);
@@ -118,6 +122,10 @@ impl Server {
     /// The normal daemon lifecycle is `start(...)` then `join()`; the
     /// process leaves `join` when some client sends `shutdown`.
     pub fn join(mut self) {
+        self.join_threads();
+    }
+
+    fn join_threads(&mut self) {
         if let Some(handle) = self.accept.take() {
             let _ = handle.join();
         }
@@ -134,13 +142,7 @@ impl Drop for Server {
         // stop accepting and unblock handlers. (Does not drain; call
         // `shutdown()` first for a graceful exit.)
         self.stop.store(true, Ordering::Release);
-        if let Some(handle) = self.accept.take() {
-            let _ = handle.join();
-        }
-        let handles: Vec<_> = std::mem::take(&mut *self.handlers.lock().unwrap());
-        for handle in handles {
-            let _ = handle.join();
-        }
+        self.join_threads();
     }
 }
 

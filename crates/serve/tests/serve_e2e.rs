@@ -2,7 +2,8 @@
 //! driven through the real wire protocol.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use tlb_json::Value;
 use tlb_serve::{Client, ExecutorConfig, Server, SweepResponse};
@@ -382,6 +383,71 @@ fn overlapping_concurrent_sweeps_stress_cache_consistency() {
     assert_eq!(cache_entries(&cache), cache_entries(&offline_cache));
     let _ = std::fs::remove_dir_all(&cache);
     let _ = std::fs::remove_dir_all(&offline_cache);
+}
+
+/// A one-point synthetic scenario on `nodes` nodes.
+fn one_point(name: &str, nodes: usize, iterations: usize) -> Value {
+    Value::object(vec![
+        ("schema_version", 1i64.into()),
+        ("name", name.into()),
+        ("app", "synthetic".into()),
+        ("nodes", nodes.into()),
+        ("iterations", iterations.into()),
+    ])
+}
+
+/// Each lane pops the next point as soon as it frees up: a cheap point
+/// admitted while a slow one runs takes the other lane at once, so its
+/// report arrives while the slow request is still pending. The
+/// saturation `/stats` reports counts the executing point.
+#[test]
+fn a_cheap_point_is_not_held_behind_a_running_one() {
+    let server = start(None, 2, 64);
+    let addr = server.local_addr();
+    let slow_done = Arc::new(AtomicBool::new(false));
+    let slow = {
+        let slow_done = Arc::clone(&slow_done);
+        std::thread::spawn(move || {
+            let mut client = Client::connect(addr).unwrap();
+            let response = client.sweep(&one_point("serve-slow", 16, 10)).unwrap();
+            slow_done.store(true, Ordering::Release);
+            matches!(response, SweepResponse::Completed { .. })
+        })
+    };
+    let mut watcher = Client::connect(addr).unwrap();
+    let executing = loop {
+        let stats = watcher.stats().unwrap();
+        let queued = stats.get("queue_depth").as_usize();
+        if stats.get("inflight").as_usize() == Some(1) && queued == Some(0) {
+            break stats;
+        }
+        assert!(
+            !slow_done.load(Ordering::Acquire),
+            "never saw the slow point run"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    };
+    let saturation = executing.get("pool_saturation").as_f64().unwrap();
+    assert!(
+        saturation > 0.0,
+        "saturation {saturation} while a point runs"
+    );
+
+    let mut cheap = Client::connect(addr).unwrap();
+    match cheap.sweep(&one_point("serve-cheap", 2, 2)).unwrap() {
+        SweepResponse::Completed { points, .. } => assert_eq!(points.len(), 1),
+        other => panic!("expected completion, got {other:?}"),
+    }
+    assert!(
+        !slow_done.load(Ordering::Acquire),
+        "the cheap report waited for the slow point"
+    );
+
+    assert!(slow.join().unwrap(), "the slow request did not complete");
+    let idle = watcher.stats().unwrap();
+    assert_eq!(idle.get("pool_saturation").as_f64(), Some(0.0));
+    watcher.shutdown().unwrap();
+    server.join();
 }
 
 /// A 10,000-deep line of `[` once overflowed the handler thread's stack

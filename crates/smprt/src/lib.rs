@@ -4,9 +4,8 @@
 //! Every simulated run is single-threaded virtual time (`tlb-cluster`);
 //! real threads only run independent points side by side. [`Pool`] does
 //! that with one primitive, [`Pool::parallel_for`]: the calling thread
-//! and the pool's workers claim chunks of an index range from one atomic
-//! counter. [`Pool::occupancy`] is the admission signal the `tlb-serve`
-//! daemon reads, and [`Pool::profile`] counts idle parks.
+//! and up to `threads - 1` helpers, scoped to that call, claim chunks of
+//! an index range from one atomic counter.
 //!
 //! # Example
 //!
@@ -22,6 +21,8 @@
 //! assert_eq!(sum.load(Ordering::Relaxed), 4950);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod pool;
 
-pub use pool::{Occupancy, Pool, PoolProfile};
+pub use pool::{Pool, PoolProfile};

@@ -39,6 +39,8 @@
 //! assert_eq!(out.stats.executed, 4);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod cache;
 mod engine;
 mod scenario;

@@ -37,6 +37,8 @@
 //! assert!((g.critical_path() - 3.0).abs() < 1e-12);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod graph;
 mod index;
 mod region;

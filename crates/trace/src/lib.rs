@@ -28,6 +28,8 @@
 //!    `tlb-json`) and long-format CSV rows in the `trace_to_csv` schema
 //!    ([`Event::csv_fields`]).
 
+#![forbid(unsafe_code)]
+
 mod chrome;
 mod counters;
 mod event;

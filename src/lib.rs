@@ -38,6 +38,8 @@
 //! assert!(bal.makespan < base.makespan);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use tlb_apps as apps;
 pub use tlb_cluster as cluster;
 pub use tlb_core as core;
