@@ -5,8 +5,7 @@
 use super::{Ev, State};
 use crate::Workload;
 use tlb_core::{
-    allocate_living, DynamicSpreading, GlobalAction, LocalAction, LocalPolicy, SignalView,
-    WorkSignal,
+    allocate_living, DynamicSpreading, GlobalAction, LocalPolicy, SignalView, WorkSignal,
 };
 use tlb_des::{Ctx, SimTime};
 use tlb_dlb::ProcId;
@@ -22,13 +21,6 @@ impl<W: Workload> State<W> {
     pub(super) fn local_tick(&mut self, ctx: &mut Ctx<Ev>) {
         if self.finished {
             return;
-        }
-        match self.balance_policy.on_local_tick() {
-            LocalAction::Converge => {}
-            LocalAction::Keep => {
-                ctx.schedule_in(self.config.local_period, Ev::LocalTick);
-                return;
-            }
         }
         let now = ctx.now();
         for node in 0..self.platform.nodes {

@@ -582,18 +582,15 @@ impl<W: Workload> State<W> {
             let mut ready = Vec::new();
             for ti in 0..self.appranks[a].total {
                 let spec = &self.appranks[a].specs[ti];
-                let (duration, offloadable) = (spec.duration, spec.offloadable);
-                if spec.mpi.is_some() && offloadable {
+                let duration = spec.duration;
+                if spec.mpi.is_some() && spec.offloadable {
                     self.fail(format!(
                         "apprank {a}: iteration {iteration} task {ti} is an MPI task \
                          marked offloadable; MPI tasks must be non-offloadable (paper §4)"
                     ));
                     return;
                 }
-                let mut def = TaskDef::new("task").cost(duration);
-                if !offloadable {
-                    def = def.not_offloadable();
-                }
+                let mut def = TaskDef::new("task");
                 def.accesses.extend(spec.accesses.iter().copied());
                 let was_ready = self.appranks[a].graph.ready_count();
                 let tid = match self.appranks[a].graph.submit(def) {

@@ -6,8 +6,6 @@
 //! * a stable **name** plus **typed parameters**, parsed from and
 //!   rendered to the same `name(k=v,...)` string form everywhere
 //!   (scenario JSON, CLI flags, cache keys, reports);
-//! * a **per-local-tick hook** ([`BalancePolicy::on_local_tick`]) that
-//!   decides whether the LeWI-style intra-node convergence step runs;
 //! * a **per-global-tick hook** ([`BalancePolicy::on_global_tick`])
 //!   that sees a [`SignalView`] of what the TALP/counters layer already
 //!   measures — per-apprank demand, per-process busy time (hence MPI
@@ -19,9 +17,10 @@
 //! The paper's configurations are the product of LeWI on/off and DROM
 //! off/local/global, and each is its own entry — `baseline`, `lewi`,
 //! `drom-local`, `drom-global`, `lewi+drom-local`, `lewi+drom-global`
-//! — so Fig. 9's four series are four names. Their hooks are the trait
-//! defaults (converge locally, solve globally). Two solver-free
-//! families ride on the same interface:
+//! — so Fig. 9's four series are four names. Their hook is the trait
+//! default (solve globally); the `local_tick` flag of their
+//! [`PolicyDef`] decides whether the §5.4.1 convergence step runs.
+//! Two solver-free families ride on the same interface:
 //!
 //! * [`reactive-offload`](ReactiveOffload) — no solver at all: core
 //!   ownership shifts between co-located processes whenever a rank's
@@ -464,15 +463,6 @@ fn unknown_policy(name: &str) -> PolicyError {
     ))
 }
 
-/// What the per-local-tick hook tells the simulator to do.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LocalAction {
-    /// Run the §5.4.1 per-node convergence step.
-    Converge,
-    /// Leave ownership as it is this tick.
-    Keep,
-}
-
 /// What the per-global-tick hook tells the simulator to do.
 #[derive(Clone, Debug, PartialEq)]
 pub enum GlobalAction {
@@ -568,15 +558,11 @@ impl SignalView<'_> {
 
 /// A balancing policy: the stateful object form of one [`PolicySpec`]
 /// (which stays in `BalanceConfig.policy`). The simulator consults the
-/// hooks at the cadence the spec declares; the default hook bodies are
-/// the paper's DROM policies, so a policy only overrides what it
-/// changes.
+/// hook at the cadence the spec declares; the default hook body is the
+/// paper's global DROM policy, so a policy only overrides what it
+/// changes. The local convergence step has no hook: a spec's
+/// `local_tick` flag alone decides whether it runs.
 pub trait BalancePolicy {
-    /// Called at each per-node local tick (when the spec wants them).
-    fn on_local_tick(&mut self) -> LocalAction {
-        LocalAction::Converge
-    }
-
     /// Called at each global tick (when the spec wants them) with the
     /// freshly measured signal view.
     fn on_global_tick(&mut self, _view: &SignalView<'_>) -> GlobalAction {
@@ -584,8 +570,8 @@ pub trait BalancePolicy {
     }
 }
 
-/// The paper's six LeWI × DROM policies: the hooks are the defaults,
-/// and the spec's tick flags decide which of them ever fire (bitwise
+/// The paper's six LeWI × DROM policies: the hook is the default, and
+/// the spec's tick flags decide which ticks ever fire (bitwise
 /// results are pinned by the golden per-`Preset` test).
 struct PaperPolicy;
 

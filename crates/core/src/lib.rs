@@ -51,8 +51,8 @@ pub use tlb_portfolio as portfolio;
 pub use tlb_portfolio::{PortfolioConfig, PortfolioEngine, PortfolioStats, Strategy};
 
 pub use balance::{
-    known_policy_names, BalancePolicy, Diffusion, GlobalAction, LocalAction, ParamDef, ParamKind,
-    PolicyDef, PolicyError, PolicySpec, ReactiveOffload, SignalView, POLICY_REGISTRY,
+    known_policy_names, BalancePolicy, Diffusion, GlobalAction, ParamDef, ParamKind, PolicyDef,
+    PolicyError, PolicySpec, ReactiveOffload, SignalView, POLICY_REGISTRY,
 };
 pub use config::{
     BalanceConfig, DromPolicy, DynamicSpreading, GlobalSolverKind, Platform, Preset, SpeedEvent,

@@ -74,16 +74,6 @@ impl BusyIntegral {
         self.window_base = total;
         avg
     }
-
-    /// Average busy cores over the current window without restarting it.
-    pub fn peek_window(&self, now: SimTime) -> f64 {
-        let span = (now - self.window_start).as_secs_f64();
-        if span > 0.0 {
-            (self.total(now) - self.window_base) / span
-        } else {
-            self.current
-        }
-    }
 }
 
 #[cfg(test)]
@@ -110,14 +100,6 @@ mod tests {
         // Window [2s,4s): 1s at 4.0 + 1s at 0.0 → avg 2.0
         let avg = b.take_window(SimTime::from_secs(4));
         assert!((avg - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn peek_window_does_not_reset() {
-        let mut b = BusyIntegral::new();
-        b.set(SimTime::ZERO, 2.0);
-        assert!((b.peek_window(SimTime::from_secs(1)) - 2.0).abs() < 1e-12);
-        assert!((b.peek_window(SimTime::from_secs(2)) - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -68,6 +68,13 @@ struct Core {
     transfer_to: Option<ProcId>,
 }
 
+impl Core {
+    /// The owner once a deferred transfer lands.
+    fn eff_owner(&self) -> ProcId {
+        self.transfer_to.unwrap_or(self.owner)
+    }
+}
+
 /// One observable DLB state transition, buffered for tracing.
 ///
 /// `NodeDlb` knows nothing about virtual time or trace streams; it just
@@ -424,6 +431,33 @@ impl NodeDlb {
         Ok(())
     }
 
+    /// A core `donor` effectively owns, the lowest idle one first, else
+    /// the lowest busy one.
+    fn pick_core(&self, donor: ProcId) -> Option<usize> {
+        let owned_by = |c: &Core| c.eff_owner() == donor;
+        let idle = self
+            .cores
+            .iter()
+            .position(|c| owned_by(c) && c.user.is_none());
+        idle.or_else(|| self.cores.iter().position(owned_by))
+    }
+
+    /// Give core `i` to `to`: at once if the core is idle or `to` already
+    /// runs on it, else when the core is released. A transfer routed back
+    /// to the core's current owner (a second DROM pass may do that)
+    /// cancels the pending one rather than recording a self-transfer.
+    /// The caller recounts.
+    fn move_core(&mut self, i: usize, to: ProcId) {
+        let c = &mut self.cores[i];
+        if c.user.is_none() || c.user == Some(to) {
+            c.owner = to;
+            c.transfer_to = None;
+            c.reclaim = false;
+        } else {
+            c.transfer_to = (to != c.owner).then_some(to);
+        }
+    }
+
     /// DROM: reassign ownership so that process `p` owns `counts[p]` cores.
     ///
     /// Counts must sum to the core total and be ≥ 1 for every process that
@@ -452,15 +486,9 @@ impl NodeDlb {
         self.num_procs = self.num_procs.max(counts.len());
         self.retired.resize(self.num_procs, false);
 
-        // Effective current ownership counting pending transfers as done.
-        let eff_owner = |c: &Core| c.transfer_to.unwrap_or(c.owner);
-        let mut have = vec![0usize; counts.len()];
-        for c in &self.cores {
-            let p = eff_owner(c).0;
-            if p < have.len() {
-                have[p] += 1;
-            }
-        }
+        // Effective current ownership counting pending transfers as done
+        // (`num_procs >= counts.len()` entries; `zip` reads the first).
+        let have = self.target_ownership();
         // Donors give, receivers take, one core at a time (deterministic:
         // lowest core index first, idle cores preferred).
         let mut need: Vec<isize> = counts
@@ -475,34 +503,10 @@ impl NodeDlb {
                 let Some(donor) = need.iter().position(|&n| n < 0) else {
                     break;
                 };
-                // Pick a core effectively owned by the donor: idle first.
-                let pick = self
-                    .cores
-                    .iter()
-                    .position(|c| eff_owner(c).0 == donor && c.user.is_none())
-                    .or_else(|| self.cores.iter().position(|c| eff_owner(c).0 == donor));
-                let Some(i) = pick else { break };
-                let c = &mut self.cores[i];
-                match c.user {
-                    None => {
-                        c.owner = ProcId(recv);
-                        c.transfer_to = None;
-                        c.reclaim = false;
-                    }
-                    Some(u) if u == ProcId(recv) => {
-                        // Future owner already runs here: immediate.
-                        c.owner = ProcId(recv);
-                        c.transfer_to = None;
-                        c.reclaim = false;
-                    }
-                    Some(_) => {
-                        // A second DROM pass may route a still-pending
-                        // transfer back to the core's original owner; that
-                        // cancels the transfer rather than recording a
-                        // self-transfer.
-                        c.transfer_to = (ProcId(recv) != c.owner).then_some(ProcId(recv));
-                    }
-                }
+                let Some(i) = self.pick_core(ProcId(donor)) else {
+                    break;
+                };
+                self.move_core(i, ProcId(recv));
                 need[donor] += 1; // donor gave one (need moves toward 0)
                 need[recv] -= 1;
             }
@@ -528,11 +532,7 @@ impl NodeDlb {
         self.num_procs += 1;
         self.retired.resize(self.num_procs, false);
         // Donor: the process owning the most cores (ties → lowest id).
-        let mut counts = vec![0usize; self.num_procs];
-        for c in &self.cores {
-            let p = c.transfer_to.unwrap_or(c.owner).0;
-            counts[p] += 1;
-        }
+        let counts = self.target_ownership();
         let donor = ProcId(
             (0..self.num_procs)
                 .max_by_key(|&p| counts[p])
@@ -542,25 +542,8 @@ impl NodeDlb {
             counts[donor.0] >= 2,
             "no process can spare a core for a new worker"
         );
-        let eff_owner = |c: &Core| c.transfer_to.unwrap_or(c.owner);
-        let pick = self
-            .cores
-            .iter()
-            .position(|c| eff_owner(c) == donor && c.user.is_none())
-            .or_else(|| self.cores.iter().position(|c| eff_owner(c) == donor))
-            .expect("donor owns a core");
-        let c = &mut self.cores[pick];
-        match c.user {
-            None => {
-                c.owner = new;
-                c.transfer_to = None;
-                c.reclaim = false;
-            }
-            Some(u) if u == new => unreachable!("new process cannot be running"),
-            Some(_) => {
-                c.transfer_to = Some(new);
-            }
-        }
+        let pick = self.pick_core(donor).expect("donor owns a core");
+        self.move_core(pick, new);
         self.recount();
         new
     }
@@ -590,15 +573,11 @@ impl NodeDlb {
             return Err(DlbError::NoSurvivor);
         }
         self.retired[proc.0] = true;
-        let eff_owner = |c: &Core| c.transfer_to.unwrap_or(c.owner);
         // Effective ownership of every living process, for receiver choice.
-        let mut have = vec![0usize; self.num_procs];
-        for c in &self.cores {
-            have[eff_owner(c).0] += 1;
-        }
+        let mut have = self.target_ownership();
         let mut moved = 0usize;
         for i in 0..self.cores.len() {
-            if eff_owner(&self.cores[i]) != proc {
+            if self.cores[i].eff_owner() != proc {
                 continue;
             }
             let recv = (0..self.num_procs)
@@ -607,26 +586,9 @@ impl NodeDlb {
                 .ok_or(DlbError::NoSurvivor)?;
             have[recv] += 1;
             moved += 1;
-            let recv = ProcId(recv);
-            let c = &mut self.cores[i];
-            match c.user {
-                // Idle, or already used by the receiver: move immediately.
-                None => {
-                    c.owner = recv;
-                    c.transfer_to = None;
-                    c.reclaim = false;
-                }
-                Some(u) if u == recv => {
-                    c.owner = recv;
-                    c.transfer_to = None;
-                    c.reclaim = false;
-                }
-                // Busy (the dead process's final task, or a borrower):
-                // defer until release, like any DROM transfer.
-                Some(_) => {
-                    c.transfer_to = (recv != c.owner).then_some(recv);
-                }
-            }
+            // A busy core (the dead process's final task, or a borrower)
+            // transfers on release, like any DROM transfer.
+            self.move_core(i, ProcId(recv));
         }
         self.recount();
         self.log(DlbEvent::OwnershipSet {
@@ -640,7 +602,7 @@ impl NodeDlb {
     pub fn target_ownership(&self) -> Vec<usize> {
         let mut counts = vec![0usize; self.num_procs];
         for c in &self.cores {
-            let p = c.transfer_to.unwrap_or(c.owner).0;
+            let p = c.eff_owner().0;
             if p >= counts.len() {
                 counts.resize(p + 1, 0);
             }
@@ -666,7 +628,7 @@ impl NodeDlb {
                     return Err(format!("core {i}: deferred transfer on idle core"));
                 }
             }
-            let eff = c.transfer_to.unwrap_or(c.owner);
+            let eff = c.eff_owner();
             if self.is_retired(eff) {
                 return Err(format!("core {i}: effectively owned by retired {eff:?}"));
             }

@@ -40,16 +40,6 @@ impl Talp {
         self.per_proc[proc].set(at, cores as f64);
     }
 
-    /// Current busy-core count of `proc`.
-    pub fn current(&self, proc: usize) -> f64 {
-        self.per_proc[proc].current()
-    }
-
-    /// Average busy cores of `proc` over its window, restarting the window.
-    pub fn take_window(&mut self, proc: usize, now: SimTime) -> f64 {
-        self.per_proc[proc].take_window(now)
-    }
-
     /// Average busy cores of every process, restarting all windows.
     pub fn take_all_windows(&mut self, now: SimTime) -> Vec<f64> {
         self.per_proc
@@ -58,25 +48,9 @@ impl Talp {
             .collect()
     }
 
-    /// Average busy cores without restarting the window.
-    pub fn peek_window(&self, proc: usize, now: SimTime) -> f64 {
-        self.per_proc[proc].peek_window(now)
-    }
-
     /// Total busy core·seconds of `proc` since the start.
     pub fn total(&self, proc: usize, now: SimTime) -> f64 {
         self.per_proc[proc].total(now)
-    }
-
-    /// Parallel efficiency over `[0, now)` given `cores` available:
-    /// the TALP end-of-run report.
-    pub fn parallel_efficiency(&self, now: SimTime, cores: usize) -> f64 {
-        let span = now.as_secs_f64();
-        if span <= 0.0 || cores == 0 {
-            return 0.0;
-        }
-        let useful: f64 = (0..self.per_proc.len()).map(|p| self.total(p, now)).sum();
-        useful / (span * cores as f64)
     }
 }
 
@@ -95,24 +69,19 @@ mod tests {
         assert_eq!(w[1], 0.0);
         // Next window starts fresh.
         t.set_busy(0, SimTime::from_secs(3), 0);
-        let w0 = t.take_window(0, SimTime::from_secs(4));
-        assert!((w0 - 1.0).abs() < 1e-12); // 1s at 2 cores, 1s at 0
+        let w = t.take_all_windows(SimTime::from_secs(4));
+        assert!((w[0] - 1.0).abs() < 1e-12); // 1s at 2 cores, 1s at 0
+        assert_eq!(w[1], 0.0);
     }
 
     #[test]
-    fn efficiency_full_and_half() {
+    fn total_counts_busy_core_seconds_since_the_start() {
         let mut t = Talp::new(1);
         t.set_busy(0, SimTime::ZERO, 4);
-        assert!((t.parallel_efficiency(SimTime::from_secs(2), 4) - 1.0).abs() < 1e-12);
+        assert!((t.total(0, SimTime::from_secs(2)) - 8.0).abs() < 1e-12);
         t.set_busy(0, SimTime::from_secs(2), 0);
-        assert!((t.parallel_efficiency(SimTime::from_secs(4), 4) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn efficiency_degenerate_inputs() {
-        let t = Talp::new(1);
-        assert_eq!(t.parallel_efficiency(SimTime::ZERO, 4), 0.0);
-        assert_eq!(t.parallel_efficiency(SimTime::from_secs(1), 0), 0.0);
+        t.take_all_windows(SimTime::from_secs(3)); // windows leave it be
+        assert!((t.total(0, SimTime::from_secs(4)) - 8.0).abs() < 1e-12);
     }
 
     #[test]
@@ -123,14 +92,5 @@ mod tests {
         assert_eq!(p, 1);
         t.set_busy(p, SimTime::from_secs(1), 3);
         assert!((t.total(p, SimTime::from_secs(2)) - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn peek_does_not_reset() {
-        let mut t = Talp::new(1);
-        t.set_busy(0, SimTime::ZERO, 2);
-        assert!((t.peek_window(0, SimTime::from_secs(1)) - 2.0).abs() < 1e-12);
-        assert!((t.peek_window(0, SimTime::from_secs(2)) - 2.0).abs() < 1e-12);
-        assert!((t.take_window(0, SimTime::from_secs(2)) - 2.0).abs() < 1e-12);
     }
 }

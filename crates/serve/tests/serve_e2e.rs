@@ -511,6 +511,34 @@ fn protocol_errors_keep_the_connection_usable() {
     server.join();
 }
 
+/// A scenario whose axes expand to more than `MAX_POINTS` points is a
+/// structured `error` naming the cap, and the same connection then
+/// answers `ping`. Without the cap the expansion was sized by an
+/// unchecked product of the axis lengths.
+#[test]
+fn a_grid_over_the_point_cap_is_an_error() {
+    let server = start(None, 1, 8);
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let seeds: Vec<Value> = (0..=tlb_sweep::MAX_POINTS as u64)
+        .map(Value::from)
+        .collect();
+    let scenario = Value::object(vec![
+        ("schema_version", 1i64.into()),
+        ("name", "too-many-points".into()),
+        ("app", "synthetic".into()),
+        ("axes", Value::object(vec![("seed", Value::Array(seeds))])),
+    ]);
+    match client.sweep(&scenario).unwrap() {
+        SweepResponse::Error(message) => {
+            assert!(message.contains("more than 10000 points"), "{message}")
+        }
+        other => panic!("expected an error reply, got {other:?}"),
+    }
+    assert_eq!(client.ping().unwrap().get("type").as_str(), Some("pong"));
+    client.shutdown().unwrap();
+    server.join();
+}
+
 /// A point that panics is that point's error. A scenario with no
 /// iterations, which `validate` refuses but `Executor::admit` does not
 /// check, once panicked inside the simulator; the pool re-raised the

@@ -51,5 +51,5 @@ pub use engine::{
     SweepStats,
 };
 pub use scenario::{
-    Axes, Scenario, ScenarioError, SweepApp, SweepMachine, SweepPoint, SCHEMA_VERSION,
+    Axes, Scenario, ScenarioError, SweepApp, SweepMachine, SweepPoint, MAX_POINTS, SCHEMA_VERSION,
 };

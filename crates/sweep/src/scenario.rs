@@ -10,6 +10,11 @@ use tlb_json::Value;
 /// rather than a silently different experiment.
 pub const SCHEMA_VERSION: u64 = 1;
 
+/// Most grid points one scenario may expand to: [`Scenario::validate`]
+/// refuses a larger axis product, so one request cannot ask the engine
+/// or the daemon for an unbounded expansion.
+pub const MAX_POINTS: usize = 10_000;
+
 /// Which application a scenario runs (`tlb-run --app` parses into this
 /// too).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -307,11 +312,16 @@ impl Scenario {
         Ok(sc)
     }
 
-    /// Semantic validation beyond shape: positive counts, degrees within
-    /// the node count, a parseable portfolio spec, and a fault spec that
-    /// parses and passes `FaultPlan::validate` for every machine shape on
-    /// the axes.
+    /// Semantic validation beyond shape: at most [`MAX_POINTS`] grid
+    /// points, positive counts, degrees within the node count, a
+    /// parseable portfolio spec, and a fault spec that parses and passes
+    /// `FaultPlan::validate` for every machine shape on the axes.
     pub fn validate(&self) -> Result<(), ScenarioError> {
+        if self.point_count().is_none_or(|n| n > MAX_POINTS) {
+            return Err(ScenarioError(format!(
+                "the axes expand to more than {MAX_POINTS} points, the cap per scenario"
+            )));
+        }
         if self.nodes == 0 || self.iterations == 0 {
             return Err(ScenarioError(
                 "nodes and iterations must be positive".into(),
@@ -426,16 +436,19 @@ impl Scenario {
         Value::object(fields)
     }
 
+    /// The size of the axis product, `None` if it overflows `usize`.
+    fn point_count(&self) -> Option<usize> {
+        let a = &self.axes;
+        [a.degree.len(), a.policy.len(), a.seed.len()]
+            .into_iter()
+            .try_fold(a.appranks_per_node.len(), usize::checked_mul)
+    }
+
     /// Expand the axis product into the deterministic, dense run list.
     /// Nesting order (outer to inner): appranks-per-node, degree,
     /// policy, seed.
     pub fn expand(&self) -> Vec<SweepPoint> {
-        let mut points = Vec::with_capacity(
-            self.axes.appranks_per_node.len()
-                * self.axes.degree.len()
-                * self.axes.policy.len()
-                * self.axes.seed.len(),
-        );
+        let mut points = Vec::with_capacity(self.point_count().unwrap_or(0));
         for &apn in &self.axes.appranks_per_node {
             for &degree in &self.axes.degree {
                 for policy in &self.axes.policy {
@@ -594,6 +607,29 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.0.contains("lewi+drom-global"), "{err}");
+    }
+
+    #[test]
+    fn more_points_than_the_cap_rejected() {
+        let mut sc = Scenario::default();
+        sc.axes.seed = (0..MAX_POINTS as u64).collect();
+        assert_eq!(sc.validate(), Ok(()));
+        sc.axes.seed.push(MAX_POINTS as u64);
+        let err = sc.validate().unwrap_err();
+        assert!(err.0.contains("more than 10000 points"), "{err}");
+    }
+
+    #[test]
+    fn an_axis_product_that_overflows_is_an_error() {
+        // Four axes of 2^16 values: the product wraps a 64-bit `usize`.
+        let mut sc = Scenario::default();
+        let n = 1 << 16;
+        sc.axes.appranks_per_node = vec![1; n];
+        sc.axes.degree = vec![1; n];
+        sc.axes.policy = vec![PolicySpec::named("baseline").unwrap(); n];
+        sc.axes.seed = vec![1; n];
+        let err = sc.validate().unwrap_err();
+        assert!(err.0.contains("more than 10000 points"), "{err}");
     }
 
     #[test]

@@ -1,16 +1,15 @@
 //! The dependency graph: Nanos6's region-overlap dependency computation in
 //! sequential submission order, over one dependency domain.
 //!
-//! A task is four array entries: its cost, state, pending-predecessor
-//! count and node index. Only a task with accesses gets a `TaskNode` (its
-//! edges and domain entries); a task without accesses enters no domain,
-//! has no successors, and claiming, releasing or completing it touches
-//! only its array entries (every task of the simulator's synthetic
-//! workload). The graph keeps no `TaskDef`.
+//! A task is three array entries: its state, pending-predecessor count
+//! and node index. Only a task with accesses gets a `TaskNode` (its
+//! successor edges and domain entries); a task without accesses enters no
+//! domain, has no successors, and claiming, releasing or completing it
+//! touches only its array entries (every task of the simulator's
+//! synthetic workload). The graph keeps no `TaskDef`.
 
 use crate::index::{EntryId, IntervalIndex};
 use crate::{AccessMode, TaskDef, TaskId, TaskState};
-use std::collections::VecDeque;
 use std::fmt;
 
 /// Errors from graph operations.
@@ -45,10 +44,9 @@ impl std::error::Error for GraphError {}
 
 /// The edges and domain entries of a task with accesses.
 struct TaskNode {
-    /// Successor edges (dependents released on completion).
+    /// Successor edges (dependents released on completion), in
+    /// submission order.
     successors: Vec<TaskId>,
-    /// Predecessor edges (kept for critical-path computation and tests).
-    predecessors: Vec<TaskId>,
     /// Interval-index entries of this task's accesses, removed when the
     /// task completes (accesses stop generating dependencies then).
     access_entries: Vec<EntryId>,
@@ -67,10 +65,9 @@ const NO_NODE: u32 = u32::MAX;
 /// Readers between two writers run concurrently; the second writer orders
 /// behind all of them.
 pub struct TaskGraph {
-    /// `cost[i]` / `state[i]` / `pending[i]`: cost hint, state and
-    /// predecessors not yet completed of task `i`. Claiming and releasing
-    /// a task touch only `state` and `pending`.
-    cost: Vec<f64>,
+    /// `state[i]` / `pending[i]`: state and predecessors not yet
+    /// completed of task `i`. Claiming and releasing a task touch only
+    /// these.
     state: Vec<TaskState>,
     pending: Vec<u32>,
     /// `node[i]`: index into `nodes` of task `i`, or `NO_NODE` when the
@@ -81,14 +78,8 @@ pub struct TaskGraph {
     /// answers "which active accesses overlap this region" in
     /// O(log n + k).
     domain: IntervalIndex<(TaskId, AccessMode)>,
-    /// Tasks in the order they became ready. `start` claims a task by
-    /// flipping its state and drops its entry only once it is at the
-    /// front, so an entry counts while its task is `Ready` (a state no
-    /// task returns to) and the front entry always counts.
-    ready: VecDeque<TaskId>,
-    /// Entries of `ready` that count.
+    /// Tasks in state `Ready`.
     ready_len: usize,
-    completed_count: usize,
 }
 
 impl Default for TaskGraph {
@@ -101,152 +92,113 @@ impl TaskGraph {
     /// An empty graph.
     pub fn new() -> Self {
         TaskGraph {
-            cost: Vec::new(),
             state: Vec::new(),
             pending: Vec::new(),
             node: Vec::new(),
             nodes: Vec::new(),
             domain: IntervalIndex::new(),
-            ready: VecDeque::new(),
             ready_len: 0,
-            completed_count: 0,
         }
     }
 
     /// Empty the graph, keeping its allocations: afterwards it behaves
     /// exactly as [`TaskGraph::new`] does, ids restarting at 0.
     pub fn clear(&mut self) {
-        self.cost.clear();
         self.state.clear();
         self.pending.clear();
         self.node.clear();
         self.nodes.clear();
         self.domain.clear();
-        self.ready.clear();
         self.ready_len = 0;
-        self.completed_count = 0;
     }
 
     /// Submit a task; returns its id. Dependencies on earlier conflicting
-    /// tasks are computed here.
+    /// tasks are computed here: the task is ready at once, raising
+    /// [`TaskGraph::ready_count`] by one, iff it has none.
     pub fn submit(&mut self, def: TaskDef) -> Result<TaskId, GraphError> {
         let id = TaskId(self.state.len() as u64);
-        let mut pending = 0;
+        let mut pending = 0u32;
         if def.accesses.is_empty() {
             self.node.push(NO_NODE);
         } else {
-            // Collect unique predecessor ids among conflicting active
-            // accesses: regions overlap and at least one side writes.
-            let mut preds: Vec<TaskId> = Vec::new();
-            let active = &mut self.domain;
+            // Each earlier task with a conflicting active access (regions
+            // overlap and at least one side writes) gains one edge to
+            // `id`. A second conflict with the same task finds `id` at
+            // the end of its successors already: no list held `id` before.
             for acc in &def.accesses {
-                active.for_each_overlap(acc.region, |_, &(task, mode)| {
-                    if (acc.mode.writes() || mode.writes()) && !preds.contains(&task) {
-                        preds.push(task);
-                    }
-                });
+                self.domain
+                    .for_each_overlap(acc.region, |_, &(task, mode)| {
+                        if !(acc.mode.writes() || mode.writes()) {
+                            return;
+                        }
+                        // A task in the domain has accesses, so it has a node.
+                        let n = self.node[task.0 as usize] as usize;
+                        let succ = &mut self.nodes[n].successors;
+                        if succ.last() != Some(&id) {
+                            succ.push(id);
+                            pending += 1;
+                        }
+                    });
             }
-            preds.sort_unstable();
-            pending = preds.len();
             let access_entries = (def.accesses.iter())
-                .map(|acc| active.insert(acc.region, (id, acc.mode)))
+                .map(|acc| self.domain.insert(acc.region, (id, acc.mode)))
                 .collect();
-            for &p in &preds {
-                // A predecessor shares an access, so it has a node.
-                let n = self.node[p.0 as usize] as usize;
-                self.nodes[n].successors.push(id);
-            }
             let n = (u32::try_from(self.nodes.len()).ok())
                 .filter(|&n| n != NO_NODE)
                 .expect("fewer than 2^32 - 1 tasks with accesses");
             self.node.push(n);
             self.nodes.push(TaskNode {
                 successors: Vec::new(),
-                predecessors: preds,
                 access_entries,
             });
         }
         if pending == 0 {
-            self.make_ready(id);
+            self.ready_len += 1;
             self.state.push(TaskState::Ready);
         } else {
             self.state.push(TaskState::Blocked);
         }
-        self.pending
-            .push(u32::try_from(pending).expect("fewer than 2^32 predecessors"));
-        self.cost.push(def.cost);
+        self.pending.push(pending);
         Ok(id)
     }
 
-    /// Tasks currently ready, in the order they became ready: tasks ready
-    /// at submission in submission order, each batch released by a
-    /// [`TaskGraph::complete`] appended behind whatever was ready then.
-    /// Draining is the executor's job: call [`TaskGraph::start`] to claim
-    /// one. O(queue length): entries claimed out of order are skipped.
-    pub fn ready(&self) -> Vec<TaskId> {
-        let still_ready = |t: &TaskId| self.state[t.0 as usize] == TaskState::Ready;
-        self.ready.iter().copied().filter(still_ready).collect()
-    }
-
-    /// Number of ready tasks. O(1).
+    /// Number of ready tasks: submitted or released, not yet started.
+    /// O(1).
     pub fn ready_count(&self) -> usize {
         self.ready_len
     }
 
-    fn make_ready(&mut self, id: TaskId) {
-        self.ready.push_back(id);
-        self.ready_len += 1;
-    }
-
-    /// Pop the first task of [`TaskGraph::ready`], if any, marking it
-    /// running. Amortised O(1), as [`TaskGraph::start`] is.
-    pub fn pop_ready(&mut self) -> Option<TaskId> {
-        // `start` leaves no claimed entry at the front of the queue.
-        let id = *self.ready.front()?;
-        self.start(id).ok().map(|()| id)
-    }
-
-    /// Claim a specific ready task for execution. Amortised O(1) wherever
-    /// the task is in [`TaskGraph::ready`]: it flips the task's state, and
-    /// drops from the front of the queue the entries claimed already.
-    pub fn start(&mut self, id: TaskId) -> Result<(), GraphError> {
+    /// Move task `id` from state `from` to `to`; any other state is
+    /// refused and changes nothing.
+    fn advance(&mut self, id: TaskId, from: TaskState, to: TaskState) -> Result<(), GraphError> {
         let state = self
             .state
             .get_mut(id.0 as usize)
             .ok_or(GraphError::NoSuchTask(id))?;
-        if *state != TaskState::Ready {
+        if *state != from {
             return Err(GraphError::BadState {
                 task: id,
                 state: *state,
-                wanted: TaskState::Ready,
+                wanted: from,
             });
         }
-        *state = TaskState::Running;
-        self.ready_len -= 1;
-        while let Some(&front) = self.ready.front() {
-            if self.state[front.0 as usize] == TaskState::Ready {
-                break;
-            }
-            self.ready.pop_front();
-        }
+        *state = to;
         Ok(())
     }
 
-    /// Complete a running task: releases successors and returns the tasks
-    /// that became ready as a result (in submission order).
+    /// Claim a ready task for execution. O(1).
+    pub fn start(&mut self, id: TaskId) -> Result<(), GraphError> {
+        self.advance(id, TaskState::Ready, TaskState::Running)?;
+        self.ready_len -= 1;
+        Ok(())
+    }
+
+    /// Complete a running task: releases its successors and returns those
+    /// that became ready as a result, in submission order — the tasks
+    /// whose last conflicting earlier task this was.
     pub fn complete(&mut self, id: TaskId) -> Result<Vec<TaskId>, GraphError> {
-        let idx = id.0 as usize;
-        let state = self.state.get_mut(idx).ok_or(GraphError::NoSuchTask(id))?;
-        if *state != TaskState::Running {
-            return Err(GraphError::BadState {
-                task: id,
-                state: *state,
-                wanted: TaskState::Running,
-            });
-        }
-        *state = TaskState::Completed;
-        self.completed_count += 1;
-        let Some(node) = self.nodes.get_mut(self.node[idx] as usize) else {
+        self.advance(id, TaskState::Running, TaskState::Completed)?;
+        let Some(node) = self.nodes.get_mut(self.node[id.0 as usize] as usize) else {
             return Ok(Vec::new());
         };
         // Retire this task's accesses from the dependency domain.
@@ -254,32 +206,24 @@ impl TaskGraph {
             self.domain.remove(e);
         }
         // A completed task gains no further successors: its accesses left
-        // the domain above.
-        let successors = std::mem::take(&mut node.successors);
-        let mut newly_ready = Vec::new();
-        for s in successors {
+        // the domain above. A successor still pending is still blocked.
+        let mut released = std::mem::take(&mut node.successors);
+        released.retain(|s| {
             let i = s.0 as usize;
             self.pending[i] -= 1;
-            if self.pending[i] == 0 && self.state[i] == TaskState::Blocked {
+            let ready = self.pending[i] == 0;
+            if ready {
                 self.state[i] = TaskState::Ready;
-                self.make_ready(s);
-                newly_ready.push(s);
             }
-        }
-        Ok(newly_ready)
+            ready
+        });
+        self.ready_len += released.len();
+        Ok(released)
     }
 
     /// Current state of a task.
     pub fn state(&self, id: TaskId) -> TaskState {
         self.state[id.0 as usize]
-    }
-
-    /// Predecessor ids of a task (dependency edges into it).
-    pub fn predecessors(&self, id: TaskId) -> &[TaskId] {
-        match self.nodes.get(self.node[id.0 as usize] as usize) {
-            Some(node) => &node.predecessors,
-            None => &[],
-        }
     }
 
     /// Number of submitted tasks.
@@ -291,63 +235,6 @@ impl TaskGraph {
     pub fn is_empty(&self) -> bool {
         self.state.is_empty()
     }
-
-    /// Whether every submitted task has completed.
-    pub fn all_complete(&self) -> bool {
-        self.completed_count == self.state.len()
-    }
-
-    /// Cost-weighted critical path: the longest chain of dependent task
-    /// costs. With perfect load balance and no overheads, execution time
-    /// cannot go below `max(critical_path, total_cost / total_cores)` —
-    /// the paper's "perfect load balancing" reference line.
-    pub fn critical_path(&self) -> f64 {
-        let mut finish = vec![0.0f64; self.len()];
-        // Tasks are indexed in submission order and edges go forward only,
-        // so a single forward pass computes longest paths.
-        for i in 0..finish.len() {
-            let start = (self.predecessors(TaskId(i as u64)).iter())
-                .map(|p| finish[p.0 as usize])
-                .fold(0.0f64, f64::max);
-            finish[i] = start + self.cost[i];
-        }
-        finish.into_iter().fold(0.0, f64::max)
-    }
-
-    /// Total cost of all submitted tasks.
-    pub fn total_cost(&self) -> f64 {
-        self.cost.iter().sum()
-    }
-
-    /// Summary counters.
-    pub fn stats(&self) -> TaskStats {
-        TaskStats {
-            submitted: self.len(),
-            completed: self.completed_count,
-            ready: self.ready_len,
-            running: self
-                .state
-                .iter()
-                .filter(|&&state| state == TaskState::Running)
-                .count(),
-            edges: self.nodes.iter().map(|n| n.predecessors.len()).sum(),
-        }
-    }
-}
-
-/// Counters describing graph progress.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TaskStats {
-    /// Tasks submitted.
-    pub submitted: usize,
-    /// Tasks completed.
-    pub completed: usize,
-    /// Tasks currently ready.
-    pub ready: usize,
-    /// Tasks currently running.
-    pub running: usize,
-    /// Dependency edges.
-    pub edges: usize,
 }
 
 #[cfg(test)]
@@ -355,17 +242,20 @@ mod tests {
     use super::*;
     use crate::DataRegion;
 
-    fn run_to_completion(g: &mut TaskGraph) -> Vec<TaskId> {
-        let mut order = Vec::new();
-        while let Some(t) = g.pop_ready() {
-            g.complete(t).unwrap();
-            order.push(t);
-        }
-        order
+    /// Submit `def`; returns its id and whether it was ready at once.
+    fn submit(g: &mut TaskGraph, def: TaskDef) -> (TaskId, bool) {
+        let before = g.ready_count();
+        let id = g.submit(def).unwrap();
+        (id, g.ready_count() == before + 1)
+    }
+
+    fn run(g: &mut TaskGraph, id: TaskId) -> Vec<TaskId> {
+        g.start(id).unwrap();
+        g.complete(id).unwrap()
     }
 
     #[test]
-    fn pop_ready_drains_in_submission_order() {
+    fn chain_releases_one_task_at_a_time() {
         let mut g = TaskGraph::new();
         let r = DataRegion::new(0, 8);
         let ids: Vec<_> = (0..5)
@@ -374,22 +264,26 @@ mod tests {
                     .unwrap()
             })
             .collect();
-        let order = run_to_completion(&mut g);
-        assert_eq!(order, ids); // chain executes strictly in order
-        assert!(g.all_complete());
+        assert_eq!(g.ready_count(), 1);
+        for w in ids.windows(2) {
+            assert_eq!(run(&mut g, w[0]), vec![w[1]]); // strictly in order
+            assert_eq!(g.ready_count(), 1);
+        }
+        assert_eq!(run(&mut g, ids[4]), vec![]);
+        assert_eq!(g.ready_count(), 0);
+        assert!(ids.iter().all(|&t| g.state(t) == TaskState::Completed));
     }
 
     #[test]
     fn raw_chain_orders() {
         let mut g = TaskGraph::new();
         let r = DataRegion::new(0, 8);
-        let w = g.submit(TaskDef::new("w").writes(r)).unwrap();
-        let rd = g.submit(TaskDef::new("r").reads(r)).unwrap();
-        assert_eq!(g.ready(), vec![w]);
+        let (w, w_ready) = submit(&mut g, TaskDef::new("w").writes(r));
+        let (rd, rd_ready) = submit(&mut g, TaskDef::new("r").reads(r));
+        assert!(w_ready && !rd_ready);
         assert_eq!(g.state(rd), TaskState::Blocked);
-        g.start(w).unwrap();
-        let released = g.complete(w).unwrap();
-        assert_eq!(released, vec![rd]);
+        assert_eq!(run(&mut g, w), vec![rd]);
+        assert_eq!(g.state(rd), TaskState::Ready);
     }
 
     #[test]
@@ -400,29 +294,22 @@ mod tests {
         let r1 = g.submit(TaskDef::new("r1").reads(r)).unwrap();
         let r2 = g.submit(TaskDef::new("r2").reads(r)).unwrap();
         let w2 = g.submit(TaskDef::new("w2").writes(r)).unwrap();
-        g.start(w).unwrap();
-        let rel = g.complete(w).unwrap();
-        assert_eq!(rel, vec![r1, r2]); // both readers release together
-                                       // Second writer waits on both readers (WAR).
-        assert_eq!(g.predecessors(w2).len(), 3); // w (WAW) + r1 + r2
-        g.start(r1).unwrap();
-        g.complete(r1).unwrap();
+        // Both readers release together; the second writer waits on w
+        // (WAW) and on both readers (WAR).
+        assert_eq!(run(&mut g, w), vec![r1, r2]);
+        assert_eq!(run(&mut g, r1), vec![]);
         assert_eq!(g.state(w2), TaskState::Blocked);
-        g.start(r2).unwrap();
-        let rel = g.complete(r2).unwrap();
-        assert_eq!(rel, vec![w2]);
+        assert_eq!(run(&mut g, r2), vec![w2]);
     }
 
     #[test]
     fn disjoint_regions_are_independent() {
         let mut g = TaskGraph::new();
-        let a = g
-            .submit(TaskDef::new("a").writes(DataRegion::new(0, 8)))
-            .unwrap();
-        let b = g
-            .submit(TaskDef::new("b").writes(DataRegion::new(8, 8)))
-            .unwrap();
-        assert_eq!(g.ready(), vec![a, b]);
+        let a = g.submit(TaskDef::new("a").writes(DataRegion::new(0, 8)));
+        let b = g.submit(TaskDef::new("b").writes(DataRegion::new(8, 8)));
+        assert_eq!(g.ready_count(), 2);
+        assert_eq!(g.state(a.unwrap()), TaskState::Ready);
+        assert_eq!(g.state(b.unwrap()), TaskState::Ready);
     }
 
     #[test]
@@ -443,11 +330,15 @@ mod tests {
         let r = DataRegion::new(0, 8);
         let w = g.submit(TaskDef::new("w").writes(r)).unwrap();
         g.start(w).unwrap();
-        g.complete(w).unwrap();
+        // Running: still a predecessor.
+        let (w1, ready) = submit(&mut g, TaskDef::new("w1").writes(r));
+        assert!(!ready);
+        assert_eq!(g.complete(w), Ok(vec![w1]));
+        run(&mut g, w1);
         // Submitted after completion: no dependency.
-        let w2 = g.submit(TaskDef::new("w2").writes(r)).unwrap();
+        let (w2, ready) = submit(&mut g, TaskDef::new("w2").writes(r));
+        assert!(ready);
         assert_eq!(g.state(w2), TaskState::Ready);
-        assert!(g.predecessors(w2).is_empty());
     }
 
     #[test]
@@ -456,12 +347,14 @@ mod tests {
         let r1 = DataRegion::new(0, 8);
         let r2 = DataRegion::new(8, 8);
         let w = g.submit(TaskDef::new("w").writes(r1).writes(r2)).unwrap();
-        // Conflicts with both of w's accesses, but only one edge.
+        // Conflicts with both of w's accesses, but only one edge. (A
+        // second edge would cost a second decrement and leave the release
+        // unchanged, so only the successor list shows it.)
         let rd = g.submit(TaskDef::new("r").reads(r1).reads(r2)).unwrap();
-        assert_eq!(g.predecessors(rd), &[w]);
-        g.start(w).unwrap();
-        let rel = g.complete(w).unwrap();
-        assert_eq!(rel, vec![rd]); // single decrement, single release
+        assert_eq!(g.nodes[0].successors, [rd]);
+        assert_eq!(g.pending[1], 1);
+        assert_eq!(run(&mut g, w), vec![rd]);
+        assert_eq!(g.ready_count(), 1);
     }
 
     #[test]
@@ -486,39 +379,6 @@ mod tests {
         assert!(g.start(rd).is_err());
     }
 
-    #[test]
-    fn critical_path_chain_vs_fan() {
-        let mut g = TaskGraph::new();
-        let r = DataRegion::new(0, 8);
-        // Chain of 3 writers, cost 2 each → CP = 6.
-        for i in 0..3 {
-            g.submit(TaskDef::new(format!("w{i}")).reads_writes(r).cost(2.0))
-                .unwrap();
-        }
-        // Plus 10 independent cost-1 tasks: CP unchanged.
-        for i in 0..10 {
-            g.submit(TaskDef::new(format!("x{i}")).cost(1.0)).unwrap();
-        }
-        assert!((g.critical_path() - 6.0).abs() < 1e-12);
-        assert!((g.total_cost() - 16.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn stats_track_progress() {
-        let mut g = TaskGraph::new();
-        let r = DataRegion::new(0, 8);
-        let w = g.submit(TaskDef::new("w").writes(r)).unwrap();
-        let _r = g.submit(TaskDef::new("r").reads(r)).unwrap();
-        let s = g.stats();
-        assert_eq!(s.submitted, 2);
-        assert_eq!(s.edges, 1);
-        assert_eq!(s.ready, 1);
-        g.start(w).unwrap();
-        assert_eq!(g.stats().running, 1);
-        g.complete(w).unwrap();
-        assert_eq!(g.stats().completed, 1);
-    }
-
     fn independent(g: &mut TaskGraph, n: usize) -> Vec<TaskId> {
         (0..n)
             .map(|i| g.submit(TaskDef::new(format!("t{i}"))).unwrap())
@@ -526,28 +386,22 @@ mod tests {
     }
 
     #[test]
-    fn out_of_order_start_keeps_the_rest_in_order() {
+    fn out_of_order_starts_keep_the_count_exact() {
         let mut g = TaskGraph::new();
         let ids = independent(&mut g, 6);
-        // Middle, front, back: the survivors keep their relative order.
-        for (claimed, left) in [
-            (3, vec![0, 1, 2, 4, 5]),
-            (0, vec![1, 2, 4, 5]),
-            (5, vec![1, 2, 4]),
-        ] {
+        // Middle, front, back.
+        for (k, claimed) in [3, 0, 5].into_iter().enumerate() {
             g.start(ids[claimed]).unwrap();
-            let left: Vec<TaskId> = left.into_iter().map(|i| ids[i]).collect();
-            assert_eq!(g.ready(), left);
-            assert_eq!(g.ready_count(), left.len());
+            assert_eq!(g.state(ids[claimed]), TaskState::Running);
+            assert_eq!(g.ready_count(), 5 - k);
         }
-        // Successors released later queue behind what was ready already.
+        // A release adds to what is ready already.
         let r = DataRegion::new(0, 8);
         let w = g.submit(TaskDef::new("w").writes(r)).unwrap();
         let rd = g.submit(TaskDef::new("r").reads(r)).unwrap();
-        let late = g.submit(TaskDef::new("late")).unwrap();
-        g.start(w).unwrap();
-        g.complete(w).unwrap();
-        assert_eq!(g.ready(), vec![ids[1], ids[2], ids[4], late, rd]);
+        assert_eq!(g.ready_count(), 4);
+        assert_eq!(run(&mut g, w), vec![rd]);
+        assert_eq!(g.ready_count(), 4);
     }
 
     #[test]
@@ -555,8 +409,7 @@ mod tests {
         let mut g = TaskGraph::new();
         let r = DataRegion::new(0, 8);
         let done = g.submit(TaskDef::new("done")).unwrap();
-        g.start(done).unwrap();
-        g.complete(done).unwrap();
+        run(&mut g, done);
         let running = g.submit(TaskDef::new("w").writes(r)).unwrap();
         let blocked = g.submit(TaskDef::new("r").reads(r)).unwrap();
         let waiting = independent(&mut g, 2);
@@ -575,35 +428,18 @@ mod tests {
                 })
             );
             assert_eq!(g.state(id), state);
-            assert_eq!(g.ready(), waiting);
+            assert!(waiting.iter().all(|&t| g.state(t) == TaskState::Ready));
             assert_eq!(g.ready_count(), 2);
         }
         assert_eq!(g.start(TaskId(99)), Err(GraphError::NoSuchTask(TaskId(99))));
     }
 
-    #[test]
-    fn pop_ready_never_returns_a_started_task() {
-        let mut g = TaskGraph::new();
-        let ids = independent(&mut g, 8);
-        let mut started = Vec::new();
-        let mut popped = Vec::new();
-        // Claim from the back, the middle and the front between pops.
-        for claim in [7, 3, 2, 5] {
-            g.start(ids[claim]).unwrap();
-            started.push(ids[claim]);
-            popped.push(g.pop_ready().unwrap());
-        }
-        assert_eq!(popped, vec![ids[0], ids[1], ids[4], ids[6]]);
-        assert!(popped.iter().all(|t| !started.contains(t)));
-        assert_eq!(g.pop_ready(), None);
-        assert_eq!(g.stats().running, 8);
-    }
-
     /// Random graphs of tasks with and without accesses, submitted and
     /// completed in a random interleaving, against a model that
-    /// recomputes everything from the task list: the ready set and each
-    /// completion's released tasks agree at every step, and the domain
-    /// holds exactly the accesses of the tasks not yet completed.
+    /// recomputes everything from the task list: every state, the ready
+    /// count and each completion's released tasks agree at every step,
+    /// and the domain holds exactly the accesses of the tasks not yet
+    /// completed.
     #[test]
     fn mixed_graphs_match_a_naive_model() {
         use crate::Access;
@@ -669,48 +505,51 @@ mod tests {
                     g.start(TaskId(t as u64)).unwrap();
                     state[t] = TaskState::Running;
                 }
-                let mut got: Vec<TaskId> = g.ready();
-                got.sort_unstable();
-                let want: Vec<TaskId> = (0..state.len())
-                    .filter(|&t| state[t] == TaskState::Ready)
-                    .map(|t| TaskId(t as u64))
-                    .collect();
-                assert_eq!(got, want, "{at}");
+                for (t, &s) in state.iter().enumerate() {
+                    assert_eq!(g.state(TaskId(t as u64)), s, "{at}: T{t}");
+                }
+                let want_ready = state.iter().filter(|&&s| s == TaskState::Ready).count();
+                assert_eq!(g.ready_count(), want_ready, "{at}");
                 let active: usize = (0..state.len())
                     .filter(|&t| state[t] != TaskState::Completed)
                     .map(|t| accesses[t].len())
                     .sum();
-                assert_eq!(g.domain.len(), active, "{at}");
+                let mut stored = 0;
+                g.domain
+                    .for_each_overlap(DataRegion::new(0, 64), |_, _| stored += 1);
+                assert_eq!(stored, active, "{at}");
             }
         }
     }
 
     #[test]
     fn any_completion_order_is_consistent() {
-        // Property: executing ready tasks in any (here: reverse) order
-        // never violates dependencies and always drains the graph.
+        // Property: executing ready tasks in any (here: newest first)
+        // order never violates dependencies and always drains the graph.
         let mut g = TaskGraph::new();
         let r = DataRegion::new(0, 64);
         let chunks = r.chunks(4);
-        for c in &chunks {
-            g.submit(TaskDef::new("init").writes(*c)).unwrap();
-        }
-        for c in &chunks {
-            g.submit(TaskDef::new("use").reads(*c)).unwrap();
-        }
-        g.submit(TaskDef::new("reduce").reads(r)).unwrap();
-        let mut done = 0;
-        loop {
-            let ready = g.ready();
-            if ready.is_empty() {
-                break;
+        let mut ready = Vec::new();
+        let mut submit_all = |g: &mut TaskGraph, def: TaskDef| {
+            let (id, now_ready) = submit(g, def);
+            if now_ready {
+                ready.push(id);
             }
-            let t = *ready.last().unwrap();
-            g.start(t).unwrap();
-            g.complete(t).unwrap();
+        };
+        for c in &chunks {
+            submit_all(&mut g, TaskDef::new("init").writes(*c));
+        }
+        for c in &chunks {
+            submit_all(&mut g, TaskDef::new("use").reads(*c));
+        }
+        submit_all(&mut g, TaskDef::new("reduce").reads(r));
+        let mut done = 0;
+        while let Some(t) = ready.pop() {
+            ready.extend(run(&mut g, t));
             done += 1;
         }
         assert_eq!(done, 9);
-        assert!(g.all_complete());
+        assert_eq!(g.ready_count(), 0);
+        assert!((0..9).all(|t| g.state(TaskId(t)) == TaskState::Completed));
     }
 }

@@ -16,7 +16,7 @@ use crate::DataRegion;
 
 /// Handle to an inserted interval (stable until removed).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct EntryId(usize);
+pub(crate) struct EntryId(usize);
 
 struct Node<T> {
     region: DataRegion,
@@ -31,19 +31,12 @@ struct Node<T> {
 }
 
 /// A dynamic interval index over [`DataRegion`]s with attached values.
-pub struct IntervalIndex<T> {
+pub(crate) struct IntervalIndex<T> {
     nodes: Vec<Option<Node<T>>>,
     free: Vec<usize>,
     root: Option<usize>,
-    len: usize,
     rng_state: u64,
     next_seq: u64,
-}
-
-impl<T> Default for IntervalIndex<T> {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl<T> IntervalIndex<T> {
@@ -53,7 +46,6 @@ impl<T> IntervalIndex<T> {
             nodes: Vec::new(),
             free: Vec::new(),
             root: None,
-            len: 0,
             rng_state: 0x853C_49E6_748F_EA9B,
             next_seq: 0,
         }
@@ -69,16 +61,6 @@ impl<T> IntervalIndex<T> {
             free: std::mem::take(&mut self.free),
             ..IntervalIndex::new()
         };
-    }
-
-    /// Number of stored intervals.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the index is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     fn next_priority(&mut self) -> u64 {
@@ -186,7 +168,6 @@ impl<T> IntervalIndex<T> {
         let (l, r) = self.split(self.root, (region.base(), seq));
         let lm = self.merge(l, Some(idx));
         self.root = self.merge(lm, r);
-        self.len += 1;
         EntryId(idx)
     }
 
@@ -206,7 +187,6 @@ impl<T> IntervalIndex<T> {
         self.root = self.merge(l, r);
         let node = self.nodes[id.0].take().expect("entry already removed");
         self.free.push(id.0);
-        self.len -= 1;
         node.value
     }
 
@@ -234,21 +214,22 @@ impl<T> IntervalIndex<T> {
             self.visit(n.right, query, f);
         }
     }
-
-    /// Collect clones of overlapping values (convenience for tests).
-    pub fn overlaps(&self, query: DataRegion) -> Vec<T>
-    where
-        T: Clone,
-    {
-        let mut out = Vec::new();
-        self.for_each_overlap(query, |_, v| out.push(v.clone()));
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The values of every stored interval overlapping `query`, in
+    /// start order.
+    fn overlaps<T: Clone>(ix: &IntervalIndex<T>, query: DataRegion) -> Vec<T> {
+        let mut out = Vec::new();
+        ix.for_each_overlap(query, |_, v| out.push(v.clone()));
+        out
+    }
+
+    /// Everything the tests store lies in `[0, 2000)`.
+    const ALL: DataRegion = DataRegion::new(0, 2000);
 
     #[test]
     fn insert_query_remove_roundtrip() {
@@ -256,13 +237,13 @@ mod tests {
         let a = ix.insert(DataRegion::new(0, 10), "a");
         let _b = ix.insert(DataRegion::new(20, 10), "b");
         let _c = ix.insert(DataRegion::new(5, 10), "c");
-        assert_eq!(ix.len(), 3);
-        let hits = ix.overlaps(DataRegion::new(8, 4));
+        assert_eq!(overlaps(&ix, ALL).len(), 3);
+        let hits = overlaps(&ix, DataRegion::new(8, 4));
         assert_eq!(hits, vec!["a", "c"]);
         assert_eq!(ix.remove(a), "a");
-        let hits = ix.overlaps(DataRegion::new(8, 4));
+        let hits = overlaps(&ix, DataRegion::new(8, 4));
         assert_eq!(hits, vec!["c"]);
-        assert_eq!(ix.len(), 2);
+        assert_eq!(overlaps(&ix, ALL).len(), 2);
     }
 
     #[test]
@@ -270,8 +251,8 @@ mod tests {
         let mut ix = IntervalIndex::new();
         ix.insert(DataRegion::new(5, 0), "empty");
         ix.insert(DataRegion::new(0, 10), "full");
-        assert!(ix.overlaps(DataRegion::new(5, 0)).is_empty());
-        assert_eq!(ix.overlaps(DataRegion::new(4, 2)), vec!["full"]);
+        assert!(overlaps(&ix, DataRegion::new(5, 0)).is_empty());
+        assert_eq!(overlaps(&ix, DataRegion::new(4, 2)), vec!["full"]);
     }
 
     #[test]
@@ -279,11 +260,11 @@ mod tests {
         let mut ix = IntervalIndex::new();
         let r = DataRegion::new(100, 50);
         let ids: Vec<EntryId> = (0..10).map(|i| ix.insert(r, i)).collect();
-        assert_eq!(ix.overlaps(r).len(), 10);
+        assert_eq!(overlaps(&ix, r).len(), 10);
         for (k, id) in ids.into_iter().enumerate() {
             assert_eq!(ix.remove(id), k);
         }
-        assert!(ix.is_empty());
+        assert!(overlaps(&ix, ALL).is_empty());
     }
 
     #[test]
@@ -332,7 +313,7 @@ mod tests {
             }
             if step % 50 == 0 {
                 let q = DataRegion::new((next() % 1000) as usize, (next() % 100) as usize);
-                let mut got: Vec<u64> = ix.overlaps(q);
+                let mut got: Vec<u64> = overlaps(&ix, q);
                 got.sort_unstable();
                 let mut want: Vec<u64> = oracle
                     .iter()

@@ -10,16 +10,16 @@
 //! * [`DataRegion`] — a half-open range in the program's common virtual
 //!   address space (OmpSs-2@Cluster keeps the same layout on every node,
 //!   so a region is cluster-wide meaningful).
-//! * [`TaskDef`] — label, accesses, cost hint, offloadable flag. Tasks
-//!   marked non-offloadable stay on their apprank, which is what makes
-//!   MPI calls inside them legal (paper §4).
+//! * [`TaskDef`] — label, accesses and cost hint; the graph reads only
+//!   the accesses.
 //! * [`TaskGraph`] — computes the dependency DAG from access overlap in
-//!   sequential submission order over one dependency domain, tracks
-//!   readiness, and computes the cost-weighted critical path (used for
-//!   the paper's "perfect load balance" reference lines). There is no
-//!   nesting and no `taskwait` primitive: every task is top-level, and
-//!   the simulator ends an iteration when all of its tasks completed,
-//!   which is the `taskwait` the paper's applications issue.
+//!   sequential submission order over one dependency domain and tracks
+//!   readiness: [`TaskGraph::submit`], [`TaskGraph::ready_count`],
+//!   [`TaskGraph::start`] and [`TaskGraph::complete`] are what the
+//!   simulator calls. There is no nesting and no `taskwait` primitive:
+//!   every task is top-level, and the simulator ends an iteration when
+//!   all of its tasks completed, which is the `taskwait` the paper's
+//!   applications issue.
 //!
 //! # Example
 //!
@@ -28,13 +28,12 @@
 //!
 //! let mut g = TaskGraph::new();
 //! let buf = DataRegion::new(0x1000, 64);
-//! let producer = g.submit(TaskDef::new("produce").writes(buf).cost(1.0)).unwrap();
-//! let consumer = g.submit(TaskDef::new("consume").reads(buf).cost(2.0)).unwrap();
-//! assert_eq!(g.ready(), vec![producer]);      // consumer waits (RAW)
+//! let producer = g.submit(TaskDef::new("produce").writes(buf)).unwrap();
+//! let consumer = g.submit(TaskDef::new("consume").reads(buf)).unwrap();
+//! assert_eq!(g.ready_count(), 1); // consumer waits (RAW)
 //! g.start(producer).unwrap();
-//! g.complete(producer).unwrap();
-//! assert_eq!(g.ready(), vec![consumer]);
-//! assert!((g.critical_path() - 3.0).abs() < 1e-12);
+//! assert_eq!(g.complete(producer).unwrap(), vec![consumer]);
+//! g.start(consumer).unwrap();
 //! ```
 
 #![forbid(unsafe_code)]
@@ -44,7 +43,6 @@ mod index;
 mod region;
 mod task;
 
-pub use graph::{GraphError, TaskGraph, TaskStats};
-pub use index::{EntryId, IntervalIndex};
+pub use graph::{GraphError, TaskGraph};
 pub use region::DataRegion;
 pub use task::{Access, AccessMode, TaskDef, TaskId, TaskState};

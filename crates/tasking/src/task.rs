@@ -75,36 +75,28 @@ pub enum TaskState {
     Completed,
 }
 
-/// Definition of a task prior to submission — the pragma annotation plus
-/// the runtime hints our executors use.
+/// Definition of a task prior to submission — the pragma annotation.
+/// [`crate::TaskGraph::submit`] reads only its accesses.
 #[derive(Clone, Debug)]
 pub struct TaskDef {
-    /// Human-readable label (kernel name). A `&'static str` label is
-    /// borrowed, so a task named by a literal allocates nothing for it.
+    /// Human-readable label (kernel name); not read by the graph. A
+    /// `&'static str` label is borrowed, so a task named by a literal
+    /// allocates nothing for it.
     pub label: Cow<'static, str>,
     /// Declared data accesses.
     pub accesses: Vec<Access>,
-    /// Cost hint in abstract work units (virtual seconds of single-core
-    /// compute for the simulation workloads; ignored by the real threaded
-    /// executor, which just runs the closure).
+    /// Cost hint in abstract single-core work units; not read by the
+    /// graph (the simulator takes durations from its task specs).
     pub cost: f64,
-    /// Whether the task may execute on a node other than its apprank's.
-    /// Tasks that perform MPI calls must be non-offloadable (paper §4).
-    pub offloadable: bool,
-    /// Bytes that must be transferred to execute remotely (over-approximated
-    /// as the sum of read-access region sizes); filled in automatically.
-    pub transfer_bytes: usize,
 }
 
 impl TaskDef {
-    /// A task with no accesses, unit cost, offloadable.
+    /// A task with no accesses and unit cost.
     pub fn new(label: impl Into<Cow<'static, str>>) -> Self {
         TaskDef {
             label: label.into(),
             accesses: Vec::new(),
             cost: 1.0,
-            offloadable: true,
-            transfer_bytes: 0,
         }
     }
 
@@ -114,7 +106,6 @@ impl TaskDef {
             region,
             mode: AccessMode::In,
         });
-        self.transfer_bytes += region.len();
         self
     }
 
@@ -133,19 +124,13 @@ impl TaskDef {
             region,
             mode: AccessMode::InOut,
         });
-        self.transfer_bytes += region.len();
         self
     }
 
-    /// Set the cost hint (abstract single-core work units).
+    /// Set the cost hint (abstract single-core work units; not read by
+    /// the graph).
     pub fn cost(mut self, cost: f64) -> Self {
         self.cost = cost;
-        self
-    }
-
-    /// Mark the task as non-offloadable (pinned to its apprank).
-    pub fn not_offloadable(mut self) -> Self {
-        self.offloadable = false;
         self
     }
 }
@@ -192,17 +177,15 @@ mod tests {
     }
 
     #[test]
-    fn builder_accumulates_accesses_and_transfer_bytes() {
+    fn builder_accumulates_accesses_in_order() {
         let t = TaskDef::new("kernel")
             .reads(DataRegion::new(0, 100))
             .writes(DataRegion::new(200, 50))
             .reads_writes(DataRegion::new(300, 25))
             .cost(2.5);
-        assert_eq!(t.accesses.len(), 3);
+        let modes: Vec<AccessMode> = t.accesses.iter().map(|a| a.mode).collect();
+        assert_eq!(modes, [AccessMode::In, AccessMode::Out, AccessMode::InOut]);
+        assert_eq!(t.accesses[2].region, DataRegion::new(300, 25));
         assert_eq!(t.cost, 2.5);
-        // Only read data transfers: 100 (in) + 25 (inout).
-        assert_eq!(t.transfer_bytes, 125);
-        assert!(t.offloadable);
-        assert!(!t.clone().not_offloadable().offloadable);
     }
 }

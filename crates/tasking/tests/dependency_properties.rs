@@ -1,10 +1,14 @@
-//! Randomized tests: the incremental dependency computation must match a
-//! brute-force oracle, and every execution schedule must respect program
-//! order semantics. Uses seeded `tlb-rng` loops (the workspace carries no
-//! registry dependencies, so no proptest).
+//! Randomized tests: what a caller of the graph observes — whether a
+//! task is ready at `submit` (the `ready_count` delta) and the tasks each
+//! `complete` releases — must match a brute-force conflict oracle, and
+//! every execution schedule must respect program order semantics. Uses
+//! seeded `tlb-rng` loops (the workspace carries no registry
+//! dependencies, so no proptest).
 
 use tlb_rng::Rng;
-use tlb_tasking::{Access, AccessMode, DataRegion, TaskDef, TaskGraph};
+use tlb_tasking::{
+    Access, AccessMode, DataRegion, GraphError, TaskDef, TaskGraph, TaskId, TaskState,
+};
 
 /// A compact generated access: (base bucket, length bucket, mode).
 #[derive(Clone, Debug)]
@@ -36,25 +40,25 @@ fn gen_tasks(rng: &mut Rng) -> Vec<Vec<GenAccess>> {
         .collect()
 }
 
-/// Brute-force oracle: task j depends on i < j iff (no intermediate
-/// completion happens during submission here) some access pair conflicts.
-fn oracle_edges(tasks: &[Vec<GenAccess>]) -> Vec<(usize, usize)> {
-    let mut edges = Vec::new();
-    for j in 0..tasks.len() {
-        for i in 0..j {
-            let conflict = tasks[i].iter().any(|a| {
-                tasks[j].iter().any(|b| {
-                    let ra = DataRegion::new(a.base, a.len);
-                    let rb = DataRegion::new(b.base, b.len);
-                    (a.mode.writes() || b.mode.writes()) && ra.overlaps(&rb)
-                })
-            });
-            if conflict {
-                edges.push((i, j));
-            }
-        }
-    }
-    edges
+/// Whether two tasks' access lists conflict: some pair of regions
+/// overlaps and at least one side writes.
+fn conflict(a: &[GenAccess], b: &[GenAccess]) -> bool {
+    a.iter().any(|x| {
+        b.iter().any(|y| {
+            let rx = DataRegion::new(x.base, x.len);
+            let ry = DataRegion::new(y.base, y.len);
+            (x.mode.writes() || y.mode.writes()) && rx.overlaps(&ry)
+        })
+    })
+}
+
+/// Brute-force oracle: `preds[j]` lists, ascending, every `i < j` whose
+/// accesses conflict with task `j`'s (no completion happens during
+/// submission here).
+fn oracle_preds(tasks: &[Vec<GenAccess>]) -> Vec<Vec<usize>> {
+    (0..tasks.len())
+        .map(|j| (0..j).filter(|&i| conflict(&tasks[i], &tasks[j])).collect())
+        .collect()
 }
 
 /// `def` with the generated accesses declared on it.
@@ -70,44 +74,71 @@ fn with_accesses(mut def: TaskDef, accs: &[GenAccess]) -> TaskDef {
     def
 }
 
-fn build_graph(tasks: &[Vec<GenAccess>]) -> (TaskGraph, Vec<tlb_tasking::TaskId>) {
+/// Submit `def`; returns its id and whether it was ready at once (the
+/// `ready_count` delta, which is how the simulator asks).
+fn submit(g: &mut TaskGraph, def: TaskDef) -> (TaskId, bool) {
+    let before = g.ready_count();
+    let id = g.submit(def).unwrap();
+    let after = g.ready_count();
+    assert!(after == before || after == before + 1);
+    (id, after > before)
+}
+
+/// The graph of `tasks`, its ids, and the ids ready at submission.
+fn build_graph(tasks: &[Vec<GenAccess>]) -> (TaskGraph, Vec<TaskId>, Vec<TaskId>) {
     let mut g = TaskGraph::new();
-    let ids = tasks
-        .iter()
-        .enumerate()
-        .map(|(i, accs)| {
-            let def = with_accesses(TaskDef::new(format!("t{i}")), accs);
-            g.submit(def).unwrap()
-        })
-        .collect();
-    (g, ids)
+    let (mut ids, mut ready) = (Vec::new(), Vec::new());
+    for (i, accs) in tasks.iter().enumerate() {
+        let (id, now_ready) = submit(&mut g, with_accesses(TaskDef::new(format!("t{i}")), accs));
+        ids.push(id);
+        if now_ready {
+            ready.push(id);
+        }
+    }
+    (g, ids, ready)
 }
 
 const CASES: usize = 128;
 
-/// The graph's predecessor sets equal the brute-force conflict oracle.
+/// A task is ready at submission iff the oracle gives it no
+/// predecessor, and later becomes ready exactly when its last
+/// predecessor completes: each `complete` returns, in submission order,
+/// the successors of the completed task whose predecessors have now all
+/// completed. Ready tasks run in a random order.
 #[test]
 fn dependencies_match_oracle() {
     let root = Rng::seed_from_u64(0xDE9_0001);
     for case in 0..CASES {
         let mut rng = root.split_u64(case as u64);
         let tasks = gen_tasks(&mut rng);
-        let (g, ids) = build_graph(&tasks);
-        let mut expected = oracle_edges(&tasks);
-        let mut actual = Vec::new();
-        for (j, &id) in ids.iter().enumerate() {
-            for p in g.predecessors(id) {
-                actual.push((p.raw() as usize, j));
-            }
+        let preds = oracle_preds(&tasks);
+        let (mut g, ids, mut ready) = build_graph(&tasks);
+        let want: Vec<TaskId> = (0..ids.len())
+            .filter(|&j| preds[j].is_empty())
+            .map(|j| ids[j])
+            .collect();
+        assert_eq!(ready, want, "case {case}: ready at submission");
+        let mut done = vec![false; ids.len()];
+        while !ready.is_empty() {
+            let t = ready.swap_remove(rng.range_usize(0, ready.len()));
+            g.start(t).unwrap();
+            let released = g.complete(t).unwrap();
+            let t = t.raw() as usize;
+            done[t] = true;
+            let want: Vec<TaskId> = (t + 1..ids.len())
+                .filter(|&j| preds[j].contains(&t) && preds[j].iter().all(|&p| done[p]))
+                .map(|j| ids[j])
+                .collect();
+            assert_eq!(released, want, "case {case}: completing T{t}");
+            assert_eq!(g.ready_count(), ready.len() + released.len(), "case {case}");
+            ready.extend(released);
         }
-        actual.sort_unstable();
-        expected.sort_unstable();
-        assert_eq!(actual, expected, "case {case}");
+        assert!(done.iter().all(|&d| d), "case {case}: graph deadlocked");
     }
 }
 
-/// Greedy execution always drains the graph (no deadlock), and every
-/// task runs after all its predecessors.
+/// Greedy execution (oldest or newest ready task first) always drains
+/// the graph, and every task runs after all its oracle predecessors.
 #[test]
 fn greedy_execution_respects_order() {
     let root = Rng::seed_from_u64(0xDE9_0002);
@@ -115,49 +146,83 @@ fn greedy_execution_respects_order() {
         let mut rng = root.split_u64(case as u64);
         let tasks = gen_tasks(&mut rng);
         let pick_last = rng.chance(0.5);
-        let (mut g, ids) = build_graph(&tasks);
+        let preds = oracle_preds(&tasks);
+        let (mut g, ids, mut ready) = build_graph(&tasks);
         let mut completed_at = vec![usize::MAX; ids.len()];
         let mut step = 0;
-        loop {
-            let ready = g.ready();
-            if ready.is_empty() {
-                break;
-            }
+        while !ready.is_empty() {
             let t = if pick_last {
-                *ready.last().unwrap()
+                ready.pop().unwrap()
             } else {
-                ready[0]
+                ready.remove(0)
             };
             g.start(t).unwrap();
-            g.complete(t).unwrap();
+            ready.extend(g.complete(t).unwrap());
             completed_at[t.raw() as usize] = step;
             step += 1;
         }
-        assert!(g.all_complete(), "case {case}: graph deadlocked");
+        assert_eq!(step, ids.len(), "case {case}: graph deadlocked");
+        assert_eq!(g.ready_count(), 0, "case {case}");
         for (j, &id) in ids.iter().enumerate() {
-            for p in g.predecessors(id) {
+            assert_eq!(g.state(id), TaskState::Completed, "case {case}");
+            for &p in &preds[j] {
                 assert!(
-                    completed_at[p.raw() as usize] < completed_at[j],
-                    "case {case}: task {} ran before its predecessor {}",
-                    j,
-                    p.raw()
+                    completed_at[p] < completed_at[j],
+                    "case {case}: task {j} ran before its predecessor {p}"
                 );
             }
         }
     }
 }
 
-/// Critical path is at most total cost and at least the max single cost.
+/// Readers between two writers of the same data run concurrently: the
+/// first writer's completion releases all of them at once, and the
+/// second writer waits for the last of them. Each reader reads the data
+/// in several pieces and each writer writes it in several, so one pair
+/// of tasks conflicts through several accesses: each task is still
+/// released once, by the completion that leaves it nothing to wait for.
 #[test]
-fn critical_path_bounds() {
-    let root = Rng::seed_from_u64(0xDE9_0003);
+fn readers_between_writers_run_concurrently() {
+    let root = Rng::seed_from_u64(0xDE9_0007);
     for case in 0..CASES {
         let mut rng = root.split_u64(case as u64);
-        let tasks = gen_tasks(&mut rng);
-        let (g, _) = build_graph(&tasks);
-        let cp = g.critical_path();
-        assert!(cp <= g.total_cost() + 1e-9, "case {case}");
-        assert!(cp >= 1.0 - 1e-9, "case {case}"); // all costs are 1.0 by default
+        let data = DataRegion::new(0, 64);
+        let pieces = |rng: &mut Rng, mode| -> Vec<GenAccess> {
+            let parts = rng.range_usize(1, 5);
+            (data.chunks(parts).iter())
+                .map(|c| GenAccess {
+                    base: c.base(),
+                    len: c.len(),
+                    mode,
+                })
+                .collect()
+        };
+        let readers = rng.range_usize(1, 7);
+        let mut tasks = vec![pieces(&mut rng, AccessMode::Out)];
+        tasks.extend((0..readers).map(|_| pieces(&mut rng, AccessMode::In)));
+        tasks.push(pieces(&mut rng, AccessMode::InOut));
+        assert_eq!(oracle_preds(&tasks)[readers + 1].len(), readers + 1);
+        let (mut g, ids, ready) = build_graph(&tasks);
+        assert_eq!(ready, vec![ids[0]], "case {case}");
+        g.start(ids[0]).unwrap();
+        assert_eq!(
+            g.complete(ids[0]).unwrap(),
+            &ids[1..=readers],
+            "case {case}"
+        );
+        assert_eq!(g.ready_count(), readers, "case {case}");
+        let mut running: Vec<TaskId> = ids[1..=readers].to_vec();
+        for &r in &running {
+            g.start(r).unwrap();
+        }
+        while !running.is_empty() {
+            let r = running.swap_remove(rng.range_usize(0, running.len()));
+            let released = g.complete(r).unwrap();
+            let last = running.is_empty();
+            let want = if last { vec![ids[readers + 1]] } else { vec![] };
+            assert_eq!(released, want, "case {case}");
+            assert_eq!(g.ready_count(), usize::from(last), "case {case}");
+        }
     }
 }
 
@@ -185,29 +250,29 @@ fn conflict_symmetry() {
 }
 
 /// `TaskGraph` against a naive model under a random interleaving of
-/// `submit`, `start` of a random ready task, `pop_ready`, `complete` and
-/// `start` of a task that is not ready. The model is a state per task and
-/// a `Vec<TaskId>` ready list edited with `retain`; after every step the
-/// graph must show the same ready list, count and states.
+/// `submit`, `start` of a random ready task, `complete` of a random
+/// running one and `start` of a task that is not ready. The model keeps
+/// a state and the oracle's predecessors per task: a submitted task
+/// depends on every earlier task not yet completed whose accesses
+/// conflict with its own. After every step the graph must show the same
+/// states and ready count, and each `complete` must release the blocked
+/// tasks, in submission order, whose predecessors have all completed.
 ///
 /// Every case also runs, step for step, on one graph reused through
 /// `clear()` after the previous (unrelated) case, or after an unrelated
-/// half-run graph for the first: its ids, `ready()` order, released
-/// tasks and critical path equal the fresh graph's.
+/// half-run graph for the first: its ids, refusals, released tasks,
+/// states and ready count equal the fresh graph's.
 #[test]
-fn ready_queue_matches_a_naive_model() {
-    use tlb_tasking::{GraphError, TaskId, TaskState};
-    let mut reused = TaskGraph::new();
+fn reused_graph_matches_a_fresh_one_and_the_model() {
     let mut warm = Rng::seed_from_u64(0xDE9_0006);
-    for accs in gen_tasks(&mut warm) {
-        reused
-            .submit(with_accesses(TaskDef::new("old"), &accs))
-            .unwrap();
+    let (mut reused, _, old_ready) = build_graph(&gen_tasks(&mut warm));
+    if let [first, rest @ ..] = &old_ready[..] {
+        reused.start(*first).unwrap();
+        reused.complete(*first).unwrap();
+        if let Some(&second) = rest.first() {
+            reused.start(second).unwrap();
+        }
     }
-    if let Some(t) = reused.pop_ready() {
-        reused.complete(t).unwrap();
-    }
-    reused.pop_ready();
     // `TaskId`s are per-graph indices: a larger graph supplies ids this
     // one has and ids it has not.
     let mut foreign = TaskGraph::new();
@@ -219,64 +284,60 @@ fn ready_queue_matches_a_naive_model() {
         let mut rng = root.split_u64(case as u64);
         let mut g = TaskGraph::new();
         reused.clear();
-        let mut ready: Vec<TaskId> = Vec::new();
         let mut states: Vec<TaskState> = Vec::new();
+        let mut accesses: Vec<Vec<GenAccess>> = Vec::new();
+        let mut preds: Vec<Vec<usize>> = Vec::new();
         for step in 0..200 {
             let at = format!("case {case} step {step}");
-            let running: Vec<TaskId> = (any_id.iter().zip(&states))
-                .filter(|(_, &s)| s == TaskState::Running)
-                .map(|(&t, _)| t)
-                .collect();
+            let in_state = |want: TaskState| -> Vec<TaskId> {
+                (any_id.iter().zip(&states))
+                    .filter(|(_, &s)| s == want)
+                    .map(|(&t, _)| t)
+                    .collect()
+            };
+            let (ready, running) = (in_state(TaskState::Ready), in_state(TaskState::Running));
             match rng.range_u64(0, 10) {
                 0..=3 => {
                     let accs: Vec<GenAccess> = (0..rng.range_usize(0, 3))
                         .map(|_| gen_access(&mut rng))
                         .collect();
+                    let mine: Vec<usize> = (0..states.len())
+                        .filter(|&t| states[t] != TaskState::Completed)
+                        .filter(|&t| conflict(&accesses[t], &accs))
+                        .collect();
                     let def = with_accesses(TaskDef::new("t"), &accs);
-                    let def = def.cost(rng.range_usize(1, 5) as f64);
-                    let id = g.submit(def.clone()).unwrap();
+                    let (id, now_ready) = submit(&mut g, def.clone());
                     assert_eq!(id, any_id[states.len()], "{at}");
-                    assert_eq!(reused.submit(def), Ok(id), "{at}");
-                    if g.predecessors(id).is_empty() {
-                        states.push(TaskState::Ready);
-                        ready.push(id);
+                    assert_eq!(submit(&mut reused, def), (id, now_ready), "{at}");
+                    assert_eq!(now_ready, mine.is_empty(), "{at}");
+                    states.push(if now_ready {
+                        TaskState::Ready
                     } else {
-                        states.push(TaskState::Blocked);
-                    }
+                        TaskState::Blocked
+                    });
+                    accesses.push(accs);
+                    preds.push(mine);
                 }
-                4..=5 if !ready.is_empty() => {
+                4..=6 if !ready.is_empty() => {
                     let id = ready[rng.range_usize(0, ready.len())];
                     assert_eq!(g.start(id), Ok(()), "{at}");
                     assert_eq!(reused.start(id), Ok(()), "{at}");
-                    ready.retain(|&t| t != id);
                     states[id.raw() as usize] = TaskState::Running;
-                }
-                6 => {
-                    let popped = g.pop_ready();
-                    assert_eq!(popped, ready.first().copied(), "{at}");
-                    assert_eq!(reused.pop_ready(), popped, "{at}");
-                    if let Some(id) = popped {
-                        ready.remove(0);
-                        states[id.raw() as usize] = TaskState::Running;
-                    }
                 }
                 7..=8 if !running.is_empty() => {
                     let id = running[rng.range_usize(0, running.len())];
                     states[id.raw() as usize] = TaskState::Completed;
-                    // Released: the blocked tasks, in submission order,
-                    // whose predecessors have now all completed.
-                    let done = |p: &TaskId| states[p.raw() as usize] == TaskState::Completed;
-                    let released: Vec<TaskId> = (any_id.iter().zip(&states))
-                        .filter(|(_, &s)| s == TaskState::Blocked)
-                        .map(|(&t, _)| t)
-                        .filter(|&t| g.predecessors(t).iter().all(done))
+                    let done = |&p: &usize| states[p] == TaskState::Completed;
+                    let released: Vec<TaskId> = (0..states.len())
+                        .filter(|&t| states[t] == TaskState::Blocked)
+                        .filter(|&t| preds[t].iter().all(done))
+                        .map(|t| any_id[t])
                         .collect();
                     assert_eq!(g.complete(id).as_deref(), Ok(&released[..]), "{at}");
                     assert_eq!(reused.complete(id).as_deref(), Ok(&released[..]), "{at}");
                     for &t in &released {
                         states[t.raw() as usize] = TaskState::Ready;
                     }
-                    ready.extend(released);
                 }
                 _ => {
                     // A start the graph must refuse, changing nothing.
@@ -294,18 +355,14 @@ fn ready_queue_matches_a_naive_model() {
                     assert_eq!(reused.start(id), Err(refused), "{at}");
                 }
             }
-            assert_eq!(g.ready(), ready, "{at}");
-            assert_eq!(reused.ready(), ready, "{at}");
-            assert_eq!(g.ready_count(), ready.len(), "{at}");
-            assert_eq!(g.stats().ready, ready.len(), "{at}");
+            let want_ready = states.iter().filter(|&&s| s == TaskState::Ready).count();
+            assert_eq!(g.ready_count(), want_ready, "{at}");
+            assert_eq!(reused.ready_count(), want_ready, "{at}");
+            assert_eq!(reused.len(), states.len(), "{at}");
             for (&id, &state) in any_id.iter().zip(&states) {
                 assert_eq!(g.state(id), state, "{at}: {id:?}");
-                assert_eq!(reused.predecessors(id), g.predecessors(id), "{at}: {id:?}");
+                assert_eq!(reused.state(id), state, "{at}: {id:?}");
             }
         }
-        let at = format!("case {case}");
-        assert_eq!(reused.critical_path(), g.critical_path(), "{at}");
-        assert_eq!(reused.total_cost(), g.total_cost(), "{at}");
-        assert_eq!(reused.stats(), g.stats(), "{at}");
     }
 }

@@ -5,7 +5,7 @@
 //! The input stores each iteration's tasks once: iterations share one
 //! list per rank, so the workload costs about a quarter of a
 //! `TaskSpec` per simulated task. `ClusterSim::execute` adds a few bytes
-//! per task of one iteration: the task graph keeps four small arrays per
+//! per task of one iteration: the task graph keeps three small arrays per
 //! task and no per-task record for tasks without accesses, and it is
 //! reused from iteration to iteration.
 //!
