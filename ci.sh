@@ -2,8 +2,8 @@
 # Offline CI gate, and the only list of its steps (the GitHub workflow
 # runs this script): format, clippy, rustdoc, the single-threaded
 # simulator guard, benchmark-harness tests, build, tier-1 tests, one run
-# of each example, the figure claims, the drift gate, then a print of the
-# non-test line count per crate.
+# of each example, the figure claims, the drift gate (changed, deleted or
+# untracked files), then a print of the non-test line count per crate.
 #
 # One mechanism per question: invariants and bitwise identity are tier-1
 # tests, reproduced claims are `figures` + the checked-in results, and
@@ -53,10 +53,19 @@ for example in examples/*.rs; do
 done
 
 echo "== figures (--quick): every evaluated claim holds"
+# Regenerated from nothing, so a tracked result that no figure writes any
+# more shows up in the drift step as deleted.
+rm -f results/quick/*.json
 cargo run --release --offline -p tlb-bench --bin figures -- --quick
 
-echo "== drift: nothing above rewrote a tracked file (results/quick included)"
+echo "== drift: nothing above rewrote, dropped or added a file (results/quick included)"
 git diff --exit-code
+orphans=$(git ls-files --others --exclude-standard results)
+if [ -n "$orphans" ]; then
+    printf '%s\n' "$orphans"
+    echo "untracked files under results/ (see above)" >&2
+    exit 1
+fi
 
 echo "== size: non-test lines per crate (prints only, not a gate)"
 # The number ROADMAP aim 2 is judged by: each .rs file under crates/*/src

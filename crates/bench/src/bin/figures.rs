@@ -52,7 +52,6 @@ const FIGURES: &[Figure] = &[
     ("ablations", &["ablations"], ablations),
     ("ext_dynamic", &["ext_dynamic"], ext_dynamic),
     ("ext_throttle", &["ext_throttle"], ext_throttle),
-    ("ext_portfolio", &["ext_portfolio"], ext_portfolio),
     (SOLVER_TABLE, &[SOLVER_TABLE], solver_table),
 ];
 
@@ -808,52 +807,6 @@ line within one 2 s solver period",
     vec![exp]
 }
 
-/// Extension (DESIGN.md §9): what each lane of the default four-strategy
-/// race is asked, wins and costs in virtual time, on a Fig. 5-style
-/// MicroPP run and a Fig. 8-style synthetic one — the evidence for
-/// keeping a lane in the default race or dropping it.
-fn ext_portfolio(effort: Effort) -> Vec<Experiment> {
-    let platform = Platform::mn4(4);
-    let mut cfg = config(GLOBAL, 2);
-    // Tick fast enough that even the quick run races several times.
-    cfg.global_period = SimTime::from_millis(500);
-    cfg.portfolio = Some(PortfolioConfig::default());
-    let mut scfg = SyntheticConfig::new(4, 2.5);
-    scfg.iterations = effort.pick(6, 3);
-    scfg.seed = 1;
-
-    let mut exp = Experiment::new(
-        "ext_portfolio",
-        "solver portfolio, 4 nodes, degree 2: attempts, wins and virtual cost per strategy",
-        "strategy (0=simplex,1=flow,2=greedy,3=local)",
-        "count, or seconds of virtual cost",
-    );
-    let (mut races, mut cheap_wins) = (0, 0);
-    for (name, wl) in [
-        ("micropp_fig05", skewed_micropp(effort.pick(6, 3))),
-        ("synthetic_fig08", synthetic_workload(&scfg, &platform)),
-    ] {
-        let report = run(&platform, &cfg, wl, false);
-        let stats = report.portfolio.expect("a portfolio run reports its stats");
-        let lanes = |y: &dyn Fn(Strategy) -> f64| {
-            let xs = (0u8..).map(f64::from);
-            let lane = |(x, s)| Point { x, y: y(s) };
-            xs.zip(Strategy::ALL).map(lane).collect()
-        };
-        let attempts = lanes(&|s| stats.of(s).attempts as f64);
-        exp.push_series(format!("{name} attempts"), attempts);
-        exp.push_series(format!("{name} wins"), lanes(&|s| stats.of(s).wins as f64));
-        let cost = lanes(&|s| stats.of(s).virtual_cost.as_secs_f64());
-        exp.push_series(format!("{name} virtual cost (s)"), cost);
-        races += stats.solves;
-        cheap_wins += stats.of(Strategy::Greedy).wins + stats.of(Strategy::Local).wins;
-    }
-    exp.note(format!(
-        "greedy and local won {cheap_wins} of {races} races"
-    ));
-    vec![exp]
-}
-
 /// §5.4.2 solver cost: the paper measures ≈57 ms per global solve at 32
 /// nodes (CVXOPT) with roughly quadratic growth in the graph size. This
 /// times our simplex, parametric max-flow and the four-strategy
@@ -887,12 +840,9 @@ fn solver_table(effort: Effort) -> Vec<Experiment> {
             PortfolioEngine::new(PortfolioConfig::default()).expect("default portfolio");
         let mut problem = policy.problem().clone();
         problem.work.copy_from_slice(&work);
-        let portfolio = time_ms(&mut || {
-            let race = engine.solve(&problem).expect("portfolio solve");
-            race.solution.objective
-        });
-        for (total, &s) in wins.iter_mut().zip(Strategy::ALL.iter()) {
-            *total += engine.stats().of(s).wins;
+        let portfolio = time_ms(&mut || engine.solve(&problem).expect("portfolio solve").objective);
+        for (total, won) in wins.iter_mut().zip(engine.wins()) {
+            *total += won;
         }
         for (points, y) in series.iter_mut().zip([simplex, flow, portfolio]) {
             points.push(Point { x: nodes as f64, y });

@@ -20,7 +20,7 @@
 
 use std::fmt;
 use tlb_cluster::{FaultStats, SimReport};
-use tlb_core::{known_policy_names, BalanceConfig, PolicySpec, Strategy};
+use tlb_core::{known_policy_names, BalanceConfig, PolicySpec};
 use tlb_sweep::{simulate_point, Scenario, SweepApp, SweepMachine, SweepPoint};
 
 /// Parsed command line.
@@ -125,19 +125,10 @@ pub const USAGE: &str = "usage: tlb-run [trace|sweep|serve] [options]
                                           kill@T[,apprank=A,slot=K]
                                           outage@T[,for=D][,error=timeout|
                                             infeasible|unbounded]
-                                            [,strategy=simplex|flow|greedy|
-                                            local]
                                           loss@T[,for=D][,rate=R][,retries=N]
                                             [,backoff=B]
                                           delay@T[,for=D][,extra=X]
   --fault-seed S                          seed for fault draws (default 1)
-  --portfolio STRATEGIES                  race allocation solvers on every
-                                          global tick; STRATEGIES is 'all' or
-                                          a comma list of simplex,flow,
-                                          greedy,local (requires a policy
-                                          that runs the global solver)
-  --portfolio-budget SECS                 virtual-time budget per race
-                                          (default 0.25; needs --portfolio)
   --help                                  this text";
 
 /// The paper policies that differ only in LeWI, as (off, on) registry
@@ -220,10 +211,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, Parse
             "--json" => args.json = true,
             "--faults" => sc.faults = Some(value(&mut it, "--faults")?),
             "--fault-seed" => sc.fault_seed = parse_num(&mut it, "--fault-seed")?,
-            "--portfolio" => sc.portfolio = Some(value(&mut it, "--portfolio")?),
-            "--portfolio-budget" => {
-                sc.portfolio_budget = Some(parse_num(&mut it, "--portfolio-budget")?)
-            }
             "--help" | "-h" => return Err(ParseError(USAGE.to_string())),
             other => return Err(ParseError(format!("unknown flag '{other}'\n{USAGE}"))),
         }
@@ -352,31 +339,6 @@ pub fn format_text(args: &Args, report: &SimReport, perfect: f64) -> String {
             f.solver_fallbacks
         );
     }
-    if let Some(p) = &report.portfolio {
-        let _ = writeln!(
-            out,
-            "portfolio:           {} races, {} without a winner",
-            p.solves, p.no_winner
-        );
-        for &s in &Strategy::ALL {
-            let st = p.of(s);
-            if st.attempts == 0 && st.wins == 0 {
-                continue;
-            }
-            let _ = writeln!(
-                out,
-                "  {:<8} attempts {:<4} wins {:<4} infeasible {} errors {} \
-                 timeouts {} cost {:.4} s",
-                s.name(),
-                st.attempts,
-                st.wins,
-                st.infeasible,
-                st.errors,
-                st.timeouts,
-                st.virtual_cost.as_secs_f64()
-            );
-        }
-    }
     if !report.trace.counters.is_empty() {
         let _ = writeln!(out, "counters:");
         for (name, value) in report.trace.counters.sorted_counts() {
@@ -438,33 +400,6 @@ pub fn format_json(args: &Args, report: &SimReport, perfect: f64) -> String {
                 ("messages_dropped", f.messages_dropped.into()),
                 ("message_failovers", f.message_failovers.into()),
                 ("solver_fallbacks", f.solver_fallbacks.into()),
-            ]),
-        ));
-    }
-    if let Some(p) = &report.portfolio {
-        let per_strategy = Strategy::ALL
-            .iter()
-            .map(|&s| {
-                let st = p.of(s);
-                (
-                    s.name(),
-                    Value::object(vec![
-                        ("attempts", st.attempts.into()),
-                        ("wins", st.wins.into()),
-                        ("infeasible", st.infeasible.into()),
-                        ("errors", st.errors.into()),
-                        ("timeouts", st.timeouts.into()),
-                        ("virtual_cost_s", st.virtual_cost.as_secs_f64().into()),
-                    ]),
-                )
-            })
-            .collect();
-        fields.push((
-            "portfolio",
-            Value::object(vec![
-                ("solves", p.solves.into()),
-                ("no_winner", p.no_winner.into()),
-                ("per_strategy", Value::object(per_strategy)),
             ]),
         ));
     }
@@ -726,6 +661,9 @@ mod tests {
         assert!(args("--imbalance 0.5").is_err());
         assert!(args("--frobnicate").is_err());
         assert!(args("--nodes").is_err());
+        // One solver runs; there is no race to switch on.
+        let err = args("--portfolio all").unwrap_err();
+        assert!(err.0.starts_with("unknown flag '--portfolio'"), "{err}");
     }
 
     #[test]
@@ -1021,61 +959,6 @@ mod tests {
         assert!(!format_text(&clean, &r2, p2).contains("faults:"));
         let j2 = tlb_json::parse(&format_json(&clean, &r2, p2)).unwrap();
         assert!(j2.get("faults").is_null());
-    }
-
-    #[test]
-    fn portfolio_flags_parse_and_validate() {
-        let config = |a: &Args| a.scenario.config(&a.point()).unwrap();
-        let a = args("--portfolio all --portfolio-budget 0.1").unwrap();
-        assert_eq!(a.scenario.portfolio.as_deref(), Some("all"));
-        assert_eq!(a.scenario.portfolio_budget, Some(0.1));
-        let pc = config(&a).portfolio.expect("portfolio config set");
-        assert_eq!(pc.strategies.len(), 4);
-        assert_eq!(pc.budget.as_secs_f64(), 0.1);
-        // Spec and combination errors are parse errors (exit 2).
-        assert!(args("--portfolio cplex").is_err());
-        assert!(args("--portfolio simplex,simplex").is_err());
-        assert!(args("--portfolio all --policy local").is_err());
-        assert!(args("--portfolio-budget 0.1").is_err());
-        assert!(args("--portfolio all --portfolio-budget 0").is_err());
-        assert!(args("--portfolio all --portfolio-budget nan").is_err());
-        // A strategy list and the default.
-        let b = args("--portfolio simplex,greedy").unwrap();
-        let pc = config(&b).portfolio.unwrap();
-        assert_eq!(pc.strategies, vec![Strategy::Simplex, Strategy::Greedy]);
-        assert_eq!(config(&args("").unwrap()).portfolio, None);
-    }
-
-    #[test]
-    fn portfolio_run_reports_stats() {
-        let a = args(
-            "--app synthetic --nodes 4 --degree 2 --iterations 3 --machine ideal \
-             --portfolio all",
-        )
-        .unwrap();
-        let (report, perfect) = run(&a).unwrap();
-        let p = report.portfolio.as_ref().expect("portfolio stats");
-        assert!(p.solves > 0, "no races ran");
-        let text = format_text(&a, &report, perfect);
-        assert!(text.contains("portfolio:"), "{text}");
-        let json = tlb_json::parse(&format_json(&a, &report, perfect)).unwrap();
-        assert_eq!(
-            json.get("portfolio").get("solves").as_usize(),
-            Some(p.solves)
-        );
-        assert!(json
-            .get("portfolio")
-            .get("per_strategy")
-            .get("simplex")
-            .get("attempts")
-            .as_usize()
-            .is_some());
-
-        // Portfolio-free runs keep the report clean.
-        let clean = args("--app synthetic --nodes 4 --degree 2 --iterations 3 --machine ideal");
-        let (r2, p2) = run(&clean.unwrap()).unwrap();
-        assert!(r2.portfolio.is_none());
-        assert!(!format_text(&a, &r2, p2).contains("portfolio:"));
     }
 
     #[test]

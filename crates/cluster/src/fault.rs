@@ -19,7 +19,6 @@
 
 use tlb_des::SimTime;
 use tlb_linprog::LpError;
-use tlb_portfolio::{PortfolioConfig, Strategy};
 
 /// Floor on the product of a node's stacked straggler factors (its speed
 /// relative to fault-free): overlapping bursts can slow a node this far
@@ -85,11 +84,7 @@ pub struct WorkerKillFault {
 
 /// A window during which the global LP solver fails instead of solving.
 /// Every global tick inside the window falls back to the degradation
-/// ladder rather than aborting the run. When the run races a solver
-/// portfolio, an outage can instead target one `strategy`: that strategy
-/// stops being raced for the window and the portfolio degrades gracefully
-/// to whatever is left; the fallback ladder only engages when *every*
-/// strategy is disabled.
+/// ladder rather than aborting the run.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SolverOutageFault {
     /// Virtual time the outage starts.
@@ -99,9 +94,6 @@ pub struct SolverOutageFault {
     /// The error the solver reports (timeouts map to
     /// [`LpError::IterationLimit`]).
     pub error: LpError,
-    /// Portfolio strategy taken down, or `None` for the whole solver.
-    /// Strategy-scoped outages require a configured portfolio.
-    pub strategy: Option<Strategy>,
 }
 
 /// Message loss on the offload control path: within the window each send
@@ -206,33 +198,11 @@ impl FaultPlan {
     }
 
     /// Add a solver outage window (builder style).
-    pub fn with_outage(self, at: f64, duration: f64, error: LpError) -> Self {
-        self.push_outage(at, duration, error, None)
-    }
-
-    /// Add an outage of a single portfolio strategy (builder style).
-    pub fn with_strategy_outage(
-        self,
-        at: f64,
-        duration: f64,
-        error: LpError,
-        strategy: Strategy,
-    ) -> Self {
-        self.push_outage(at, duration, error, Some(strategy))
-    }
-
-    fn push_outage(
-        mut self,
-        at: f64,
-        dur: f64,
-        error: LpError,
-        strategy: Option<Strategy>,
-    ) -> Self {
+    pub fn with_outage(mut self, at: f64, duration: f64, error: LpError) -> Self {
         self.outages.push(SolverOutageFault {
             at: secs(at),
-            duration: secs(dur),
+            duration: secs(duration),
             error,
-            strategy,
         });
         self
     }
@@ -267,24 +237,18 @@ impl FaultPlan {
     }
 
     /// Judge the plan's values against the run it is for: `nodes` and
-    /// `appranks` of the machine, and the solver `portfolio` if one
-    /// races. This is the only place a plan is checked — [`parse`] reads
-    /// syntax, the builders store what they are given, and
-    /// `ClusterSim::execute` and `Scenario::validate` both call this.
+    /// `appranks` of the machine. This is the only place a plan is
+    /// checked — [`parse`] reads syntax, the builders store what they
+    /// are given, and `ClusterSim::execute` and `Scenario::validate`
+    /// both call this.
     /// Accepted: start times, durations, backoff and extra latency in
     /// `[0, 1e6]` seconds; a window that ends after it starts; `slow` in
     /// `[1, 1e6]`; `rate` in `[0, 1)`; at most 100 retries; straggler
-    /// nodes and kill victims that exist (victims are helpers, slot ≥ 1);
-    /// strategy-scoped outages only of strategies the portfolio races.
+    /// nodes and kill victims that exist (victims are helpers, slot ≥ 1).
     /// The error names the clause.
     ///
     /// [`parse`]: FaultPlan::parse
-    pub fn validate(
-        &self,
-        nodes: usize,
-        appranks: usize,
-        portfolio: Option<&PortfolioConfig>,
-    ) -> Result<(), String> {
+    pub fn validate(&self, nodes: usize, appranks: usize) -> Result<(), String> {
         let clause = |kind: &str, at: SimTime| {
             if at > MAX_TIME {
                 return format!("{kind}@<bad time>");
@@ -330,20 +294,7 @@ impl FaultPlan {
             )?;
         }
         for o in &self.outages {
-            let name = o.strategy.map_or("", Strategy::name);
-            let rules = [
-                in_range("start time", o.at),
-                in_range("'for'", o.duration),
-                (
-                    o.strategy.is_none() || portfolio.is_some(),
-                    format!("strategy-scoped outage ('{name}') requires a solver portfolio"),
-                ),
-                (
-                    o.strategy
-                        .is_none_or(|s| portfolio.is_none_or(|pc| pc.enabled(s))),
-                    format!("strategy '{name}' is not raced by the portfolio"),
-                ),
-            ];
+            let rules = [in_range("start time", o.at), in_range("'for'", o.duration)];
             check(clause("outage", o.at), rules)?;
         }
         if let Some(l) = &self.loss {
@@ -381,11 +332,9 @@ impl FaultPlan {
     ///   slower (default 4) for `D` seconds (default 1).
     /// * `kill@T[,apprank=A,slot=K]` — kill a helper worker at `T`;
     ///   without an explicit victim one is picked from the fault seed.
-    /// * `outage@T[,for=D][,error=E][,strategy=S]` — the global solver
-    ///   fails for `D` seconds (default 1); `E` ∈ `timeout` (default),
-    ///   `iteration_limit`, `infeasible`, `unbounded`. With `strategy=S`
-    ///   (`S` ∈ `simplex`, `flow`, `greedy`, `local`) only that portfolio
-    ///   strategy is taken down (requires `--portfolio`).
+    /// * `outage@T[,for=D][,error=E]` — the global solver fails for `D`
+    ///   seconds (default 1); `E` ∈ `timeout` (default),
+    ///   `iteration_limit`, `infeasible`, `unbounded`.
     /// * `loss@T[,for=D][,rate=R][,retries=N][,backoff=B]` — offload
     ///   messages drop with probability `R` (default 0.5) from `T` for
     ///   `D` seconds (default: rest of run), retried `N` times (default 3)
@@ -465,7 +414,7 @@ impl FaultPlan {
                     };
                 }
                 "outage" => {
-                    known(&["for", "error", "strategy"])?;
+                    known(&["for", "error"])?;
                     let dur = get_f64("for", 1.0)?;
                     let error = match get("error").unwrap_or("timeout") {
                         "timeout" | "iteration_limit" => LpError::IterationLimit,
@@ -473,13 +422,7 @@ impl FaultPlan {
                         "unbounded" => LpError::Unbounded,
                         other => return Err(format!("clause '{clause}': unknown error '{other}'")),
                     };
-                    let strategy = match get("strategy") {
-                        Some(s) => Some(
-                            Strategy::parse(s).map_err(|e| format!("clause '{clause}': {e}"))?,
-                        ),
-                        None => None,
-                    };
-                    plan = plan.push_outage(at, dur, error, strategy);
+                    plan = plan.with_outage(at, dur, error);
                 }
                 "loss" => {
                     known(&["for", "rate", "retries", "backoff"])?;
@@ -588,19 +531,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_strategy_outage() {
-        let plan = FaultPlan::parse("outage@1,for=0.5,strategy=flow", 0).unwrap();
-        assert_eq!(plan.outages[0].strategy, Some(Strategy::Flow));
-        assert_eq!(plan.outages[0].error, LpError::IterationLimit);
-        let plan = FaultPlan::parse("outage@1", 0).unwrap();
-        assert_eq!(
-            plan.outages[0].strategy, None,
-            "default is the whole solver"
-        );
-        assert!(FaultPlan::parse("outage@1,strategy=cplex", 0).is_err());
-    }
-
-    #[test]
     fn parse_rejects_bad_syntax() {
         for bad in [
             "straggler@1",   // missing node
@@ -614,13 +544,16 @@ mod tests {
         ] {
             assert!(FaultPlan::parse(bad, 0).is_err(), "accepted '{bad}'");
         }
+        // Outages take the whole solver down; there is no other scope.
+        let err = FaultPlan::parse("outage@1,strategy=flow", 0).unwrap_err();
+        assert!(err.contains("unknown key 'strategy'"), "{err}");
         assert!(FaultPlan::parse("", 0).unwrap().is_empty());
     }
 
     #[test]
     fn validate_judges_every_value() {
-        // A 2-node, 2-apprank run without a portfolio. Each spec parses;
-        // `validate` names the clause, then the value it refuses.
+        // A 2-node, 2-apprank run. Each spec parses; `validate` names
+        // the clause, then the value it refuses.
         for (spec, refusal) in [
             (
                 "straggler@0.1,node=99",
@@ -647,28 +580,19 @@ mod tests {
             ("kill@nan", "kill@<bad time>: start time"),
             ("outage@1e7", "outage@<bad time>: start time"),
             ("outage@1,for=inf", "outage@1: 'for'"),
-            ("outage@1,strategy=flow", "outage@1: strategy-scoped"),
         ] {
             let plan = FaultPlan::parse(spec, 0).unwrap();
-            let err = plan.validate(2, 2, None).unwrap_err();
+            let err = plan.validate(2, 2).unwrap_err();
             assert!(err.starts_with(refusal), "'{spec}': {err}");
         }
         // The same judgement for a plan built in code.
         let built = FaultPlan::new(1).with_straggler(0.1, 0, f64::INFINITY, f64::NAN);
-        assert!(built.validate(2, 2, None).is_err());
-        // A strategy-scoped outage needs that strategy in the race.
-        let plan = FaultPlan::parse("outage@1,strategy=greedy", 0).unwrap();
-        let pc = PortfolioConfig::parse("simplex,flow").unwrap();
-        let err = plan.validate(2, 2, Some(&pc)).unwrap_err();
-        assert!(err.contains("not raced"), "{err}");
-        assert!(plan
-            .validate(2, 2, Some(&PortfolioConfig::default()))
-            .is_ok());
+        assert!(built.validate(2, 2).is_err());
         // The edges of every range are inside it.
         let edges = "straggler@0,node=1,slow=1,for=0; straggler@1e6,node=0,slow=1e6,for=1e6; \
                      kill@0,apprank=1,slot=1; loss@0,for=1e-9,rate=0,retries=100,backoff=1e6; \
                      delay@1e6,extra=0";
         let plan = FaultPlan::parse(edges, 0).unwrap();
-        assert_eq!(plan.validate(2, 2, None), Ok(()));
+        assert_eq!(plan.validate(2, 2), Ok(()));
     }
 }

@@ -13,8 +13,8 @@
 //!
 //! Main entry point: [`ClusterSim::execute`], which executes a
 //! [`RunSpec`] — a [`Workload`] under a [`tlb_core::BalanceConfig`] on a
-//! [`tlb_core::Platform`], plus optional tracing, fault injection, and a
-//! solver-portfolio override — and returns a [`SimReport`] with
+//! [`tlb_core::Platform`], plus optional tracing and fault injection —
+//! and returns a [`SimReport`] with
 //! makespan, per-iteration times, and Paraver-style timelines (busy
 //! cores and owned cores per worker) — the raw material for every figure
 //! in the paper.

@@ -2,7 +2,6 @@
 
 use crate::{FaultStats, Trace};
 use tlb_des::SimTime;
-use tlb_portfolio::PortfolioStats;
 
 /// The outcome of one cluster simulation.
 #[derive(Clone, Debug)]
@@ -31,9 +30,6 @@ pub struct SimReport {
     pub parallel_efficiency: f64,
     /// Fault/recovery accounting; all zeros when no faults were injected.
     pub faults: FaultStats,
-    /// Solver-portfolio accounting; `None` unless the run raced a
-    /// portfolio (`BalanceConfig::portfolio`).
-    pub portfolio: Option<PortfolioStats>,
     /// Recorded timelines.
     pub trace: Trace,
 }

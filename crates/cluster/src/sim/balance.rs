@@ -190,13 +190,13 @@ impl<W: Workload> State<W> {
         work: Vec<f64>,
         deltas: &[Vec<f64>],
     ) {
-        let mut solved = self.solve_global(now, &work);
+        let mut solved = self.solve_global(&work);
         // Dynamic work spreading (paper §5.2 future work): the solved bound
         // identifies capacity-constrained appranks; spawn helpers for them
         // and re-solve so the new capacity is used immediately.
         if let (Ok(solution), Some(dynamic)) = (&solved, self.config.dynamic) {
             if self.maybe_spawn_helpers(now, &work, solution, dynamic) {
-                solved = self.solve_global(now, &work);
+                solved = self.solve_global(&work);
             }
         }
         // A failed solve still charges its modelled cost — a timeout burns
@@ -255,68 +255,16 @@ impl<W: Workload> State<W> {
     }
 
     /// One global allocation solve over the worker table's living
-    /// workers: the injected error while a whole-solver outage is open,
-    /// else the portfolio race when configured (recording its trace
-    /// events and counters), else the single configured solver. Failures
-    /// of any kind come back as the reason the caller's degradation
-    /// ladder records.
-    fn solve_global(
-        &mut self,
-        now: SimTime,
-        work: &[f64],
-    ) -> Result<AllocationSolution, FallbackReason> {
+    /// workers: the injected error while a solver outage is open, else
+    /// the configured solver. Failures of any kind come back as the
+    /// reason the caller's degradation ladder records.
+    fn solve_global(&self, work: &[f64]) -> Result<AllocationSolution, FallbackReason> {
         if let Some(err) = &self.faults.outage_error {
             return Err(fallback_reason(err));
         }
-        let (layout, platform) = (&self.layout, &self.platform);
-        let Some(engine) = self.portfolio.as_mut() else {
-            let strategy = Strategy::from(self.config.solver);
-            let solved = allocate_living(layout, platform, work, |p| strategy.solve(p));
-            return solved.map_err(|e| fallback_reason(&e));
-        };
-        let budget_s = engine.config().budget.as_secs_f64();
-        let mut picked = None;
-        let result = allocate_living(layout, platform, work, |p| {
-            let out = engine.solve(p)?;
-            picked = Some((out.winner, out.score, out.candidates, out.race_cost));
-            Ok(out.solution)
-        });
-        if let Some((winner, score, candidates, race_cost)) = picked {
-            if self.trace.events() {
-                let wins = match winner {
-                    Strategy::Simplex => "portfolio_wins_simplex",
-                    Strategy::Flow => "portfolio_wins_flow",
-                    Strategy::Greedy => "portfolio_wins_greedy",
-                    Strategy::Local => "portfolio_wins_local",
-                };
-                self.trace.count(wins, 1);
-                let race_ms = race_cost.as_secs_f64() * 1e3;
-                self.trace.gauge("portfolio_race_modelled_ms", race_ms);
-                let rec = tlb_trace::PortfolioRecord {
-                    candidates: candidates
-                        .iter()
-                        .map(|c| tlb_trace::PortfolioCandidate {
-                            strategy: c.strategy.code(),
-                            name: c.strategy.name(),
-                            score: c.score.unwrap_or(-1.0),
-                            cost_s: c.cost.as_secs_f64(),
-                            timed_out: c.timed_out,
-                        })
-                        .collect(),
-                    budget_s,
-                };
-                let solve = EventKind::PortfolioSolve(Box::new(rec));
-                self.trace.emit(GLOBAL_STREAM, now, solve);
-                let pick = EventKind::PortfolioPick {
-                    strategy: winner.code(),
-                    name: winner.name(),
-                    score,
-                    raced: candidates.len() as u32,
-                };
-                self.trace.emit(GLOBAL_STREAM, now, pick);
-            }
-        }
-        result.map_err(|e| fallback_reason(&e))
+        let strategy = Strategy::from(self.config.solver);
+        allocate_living(&self.layout, &self.platform, work, strategy)
+            .map_err(|e| fallback_reason(&e))
     }
 
     /// Spawn helper ranks for capacity-constrained appranks (the paper's

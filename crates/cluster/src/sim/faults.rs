@@ -266,51 +266,32 @@ impl<W: Workload> State<W> {
         self.try_start_node(ctx, w.node);
     }
 
-    /// Outage window `i` opens. A whole-solver outage (`strategy` `None`)
-    /// makes every global tick inside it see the injected error and take
-    /// the fallback ladder; a strategy-scoped outage merely pulls that
-    /// strategy out of the portfolio race for the window.
+    /// Outage window `i` opens: every global tick inside it sees the
+    /// injected error and takes the fallback ladder.
     pub(super) fn handle_outage(&mut self, ctx: &mut Ctx<Ev>, i: usize) {
         let outage = &self.faults.plan.outages[i];
-        let (duration, strategy) = (outage.duration, outage.strategy);
+        let duration = outage.duration;
         self.faults.stats.injected += 1;
         self.trace.count("fault_outages", 1);
         if self.finished {
             self.faults.stats.recovered += 1;
             return;
         }
-        match strategy {
-            None => {
-                self.faults.outage_active += 1;
-                self.faults.outage_error = Some(outage.error.clone());
-            }
-            Some(s) => {
-                if let Some(engine) = self.portfolio.as_mut() {
-                    engine.disable_strategy(s);
-                }
-            }
-        }
+        self.faults.outage_active += 1;
+        self.faults.outage_error = Some(outage.error.clone());
         if self.trace.events() {
             let ev = EventKind::SolverOutage { active: true };
             self.trace.emit(GLOBAL_STREAM, ctx.now(), ev);
         }
-        ctx.schedule_in(duration, Ev::FaultOutageEnd(i));
+        ctx.schedule_in(duration, Ev::FaultOutageEnd);
     }
 
-    /// Outage window `i` closes.
-    pub(super) fn handle_outage_end(&mut self, ctx: &mut Ctx<Ev>, i: usize) {
-        match self.faults.plan.outages[i].strategy {
-            None => {
-                self.faults.outage_active = self.faults.outage_active.saturating_sub(1);
-                if self.faults.outage_active == 0 {
-                    self.faults.outage_error = None;
-                }
-            }
-            Some(s) => {
-                if let Some(engine) = self.portfolio.as_mut() {
-                    engine.enable_strategy(s);
-                }
-            }
+    /// An outage window closes; the solver is back once every open
+    /// window has closed.
+    pub(super) fn handle_outage_end(&mut self, ctx: &mut Ctx<Ev>) {
+        self.faults.outage_active = self.faults.outage_active.saturating_sub(1);
+        if self.faults.outage_active == 0 {
+            self.faults.outage_error = None;
         }
         self.faults.stats.recovered += 1;
         if self.trace.events() {

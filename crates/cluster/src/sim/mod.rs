@@ -30,7 +30,6 @@ use tlb_des::{Ctx, SimTime, World};
 use tlb_dlb::{DlbEvent, NodeDlb, ProcId, Talp};
 use tlb_expander::ExpanderError;
 use tlb_linprog::LpError;
-use tlb_portfolio::PortfolioEngine;
 use tlb_tasking::TaskId;
 use tlb_trace::{EventKind, TaskKey, TraceLog};
 
@@ -101,7 +100,7 @@ enum Ev {
     FaultStragglerEnd(usize),
     FaultKill(usize),
     FaultOutage(usize),
-    FaultOutageEnd(usize),
+    FaultOutageEnd,
 }
 
 /// One worker process (an apprank's presence on one node), resolved from
@@ -163,9 +162,6 @@ struct State<W: Workload> {
     /// The balancing policy object driving the tick hooks (see
     /// `tlb_core::BalancePolicy`), instantiated from `config.policy`.
     balance_policy: Box<dyn BalancePolicy>,
-    /// The racing solver portfolio (`BalanceConfig::portfolio`); its
-    /// per-strategy stats end up in `SimReport::portfolio`.
-    portfolio: Option<PortfolioEngine>,
     /// TALP totals at the last global tick, per (node, proc).
     last_total: Vec<Vec<f64>>,
     /// `created_work` at the last global tick.
@@ -342,7 +338,7 @@ impl<W: Workload> World for State<W> {
             Ev::FaultStragglerEnd(i) => self.handle_straggler_end(ctx, i),
             Ev::FaultKill(i) => self.handle_kill(ctx, i),
             Ev::FaultOutage(i) => self.handle_outage(ctx, i),
-            Ev::FaultOutageEnd(i) => self.handle_outage_end(ctx, i),
+            Ev::FaultOutageEnd => self.handle_outage_end(ctx),
         }
     }
 }

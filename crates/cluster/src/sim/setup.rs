@@ -10,7 +10,7 @@ use tlb_core::{allocation_problem, BalanceConfig, Platform, ProcessLayout};
 use tlb_des::{SimTime, Simulator};
 use tlb_dlb::{NodeDlb, Talp};
 use tlb_expander::{BipartiteGraph, ExpanderConfig};
-use tlb_portfolio::{PortfolioEngine, Strategy};
+use tlb_portfolio::Strategy;
 use tlb_trace::TraceConfig;
 
 /// Declarative description of one simulation run — the single argument
@@ -124,7 +124,6 @@ impl ClusterSim {
             solver_time: state.solver_time,
             spawned_helpers: state.spawned_helpers,
             faults: state.faults.stats,
-            portfolio: state.portfolio.as_ref().map(|e| e.stats().clone()),
             trace: state.trace,
         })
     }
@@ -216,20 +215,7 @@ pub(super) fn simulate<W: Workload>(spec: RunSpec<'_, W>) -> Result<(State<W>, u
             .solve(&probe)
             .map_err(SimError::Solver)?;
     }
-    // Racing solver portfolio: only meaningful where the global solver
-    // runs, so anything else is a configuration error, not a silent
-    // no-op.
-    let portfolio = match &config.portfolio {
-        Some(pc) if !uses_solver => {
-            return Err(SimError::Shape(format!(
-                "portfolio ({} strategies) requires the global DROM policy",
-                pc.strategies.len()
-            )));
-        }
-        Some(pc) => Some(PortfolioEngine::new(pc.clone()).map_err(SimError::Shape)?),
-        None => None,
-    };
-    plan.validate(platform.nodes, appranks, config.portfolio.as_ref())
+    plan.validate(platform.nodes, appranks)
         .map_err(|e| SimError::Shape(format!("fault plan: {e}")))?;
 
     let mut sim = Simulator::new();
@@ -284,7 +270,6 @@ pub(super) fn simulate<W: Workload>(spec: RunSpec<'_, W>) -> Result<(State<W>, u
         total_tasks: 0,
         created_work: vec![0.0; appranks],
         balance_policy,
-        portfolio,
         last_total,
         last_created: vec![0.0; appranks],
         solver_runs: 0,

@@ -6,7 +6,6 @@ use tlb_core::{BalanceConfig, DromPolicy, Platform, PolicySpec, Preset};
 use tlb_des::SimTime;
 use tlb_dlb::ProcId;
 use tlb_linprog::LpError;
-use tlb_portfolio::Strategy;
 use tlb_trace::EventKind;
 
 fn uniform(ranks: usize, tasks: usize, dur: f64, iters: usize) -> SpecWorkload {
@@ -924,65 +923,19 @@ fn message_loss_retries_and_fails_over() {
     assert_eq!(r.faults.injected, r.faults.recovered + r.faults.absorbed);
 }
 
-/// The fault setup with a full four-strategy portfolio racing on the
-/// global ticks.
-fn portfolio_setup() -> (Platform, BalanceConfig, SpecWorkload) {
-    let (p, mut cfg, wl) = faulty_setup();
-    cfg.portfolio = Some(tlb_portfolio::PortfolioConfig::default());
-    (p, cfg, wl)
-}
-
 #[test]
-fn portfolio_run_completes_and_accounts_every_solve() {
-    let (p, cfg, wl) = portfolio_setup();
-    let r = ClusterSim::execute(
-        RunSpec::new(&p, &cfg, wl)
-            .trace(true)
-            .faults(&FaultPlan::none()),
-    )
-    .unwrap();
-    assert_eq!(r.total_tasks, 4 * 100);
-    let stats = r.portfolio.expect("portfolio stats missing");
-    assert_eq!(stats.solves, r.solver_runs, "one race per solver run");
-    assert_eq!(stats.no_winner, 0);
-    let wins: usize = Strategy::ALL.iter().map(|&s| stats.of(s).wins).sum();
-    assert_eq!(wins, stats.solves, "every race crowned a winner");
-    // Every enabled strategy raced every time (no outage in this run).
-    for &s in &Strategy::ALL {
-        assert_eq!(stats.of(s).attempts, stats.solves, "{}", s.name());
-    }
-    // Portfolio events landed on the global stream, a pick per race,
-    // and no pick scores worse than a candidate of its race.
-    let merged = r.trace.log.merged();
-    let solves = merged.iter().filter_map(|e| match &e.kind {
-        EventKind::PortfolioSolve(rec) => Some(rec),
-        _ => None,
-    });
-    let picks = merged.iter().filter_map(|e| match e.kind {
-        EventKind::PortfolioPick { score, .. } => Some(score),
-        _ => None,
-    });
-    assert_eq!(solves.clone().count(), stats.solves);
-    assert_eq!(picks.clone().count(), stats.solves);
-    for (rec, pick) in solves.zip(picks) {
-        let mut scored = rec.candidates.iter().filter(|c| c.score >= 0.0);
-        assert!(scored.all(|c| pick <= c.score + 1e-12), "{rec:?}");
-    }
-}
-
-#[test]
-fn faulty_portfolio_run_exports_the_pinned_bytes() {
+fn faulty_run_exports_the_pinned_bytes() {
     // The same byte identity as in `trace_events_cover_task_lifecycle`,
-    // on a run that fires the fault and portfolio kinds too.
-    let (p, cfg, wl) = portfolio_setup();
+    // on a run that fires the fault kinds too.
+    let (p, cfg, wl) = faulty_setup();
     let plan = every_fault_kind();
     let r = ClusterSim::execute(RunSpec::new(&p, &cfg, wl).trace(true).faults(&plan)).unwrap();
     assert_exports(
         &r.trace,
-        r#"{"drom_ownership_sets":16,"drom_transfers":2,"fault_kills":2,"fault_messages_dropped":9,"fault_outages":1,"fault_stragglers":1,"fault_tasks_requeued":1,"fault_workers_killed":2,"iterations_completed":4,"lewi_lends":34,"lewi_reclaims":17,"portfolio_solves":5,"portfolio_wins_simplex":5,"sched_decisions":468,"solver_fallbacks":2,"solver_invocations":5,"solver_simplex_iterations":25,"steal_attempts":548,"tasks_completed":400,"tasks_created":400,"tasks_held":350,"tasks_offloaded":42,"tasks_ready":400,"tasks_started":400,"tasks_stolen":282} portfolio_race_modelled_ms,solver_modelled_ms,solver_wall_ms"#,
+        r#"{"drom_ownership_sets":16,"drom_transfers":2,"fault_kills":2,"fault_messages_dropped":9,"fault_outages":1,"fault_stragglers":1,"fault_tasks_requeued":1,"fault_workers_killed":2,"iterations_completed":4,"lewi_lends":34,"lewi_reclaims":17,"sched_decisions":468,"solver_fallbacks":2,"solver_invocations":5,"solver_simplex_iterations":25,"steal_attempts":548,"tasks_completed":400,"tasks_created":400,"tasks_held":350,"tasks_offloaded":42,"tasks_ready":400,"tasks_started":400,"tasks_stolen":282} solver_modelled_ms,solver_wall_ms"#,
         [
-            (338_170, 0x3bc8_b447_ca86_d278),
-            (92_246, 0x3a3e_26f7_7f43_70cc),
+            (335_177, 0xc257_05e2_ba94_acbf),
+            (91_861, 0x20f2_5f16_2927_eaea),
         ],
     );
 }
@@ -1103,10 +1056,9 @@ struct Golden {
 /// table by dynamic spreading, slows a node with a straggler burst and
 /// loses two helpers, table liveness equals DLB's retired flags, every
 /// node's cores are all owned, and the report is the one pinned below,
-/// bit for bit — once with the single simplex solver and once with the
-/// default four-strategy portfolio. The numbers were captured while the
-/// global solver still kept its own copy of adjacency, liveness and node
-/// speed; each of those three facts, left stale, changes them.
+/// bit for bit. The numbers were captured while the global solver still
+/// kept its own copy of adjacency, liveness and node speed; each of
+/// those three facts, left stale, changes them.
 #[test]
 fn table_and_dlb_agree_after_spawns_and_kills() {
     let heavy: Vec<TaskSpec> = (0..160).map(|_| TaskSpec::compute(0.05)).collect();
@@ -1118,198 +1070,63 @@ fn table_and_dlb_agree_after_spawns_and_kills() {
         .with_kill(1.0)
         .with_kill(1.6)
         .with_kill(4.0);
-    let cases = [
-        (
-            "simplex",
-            None,
-            Golden {
-                makespan_ns: 16_250_032_000,
-                iteration_ns: [
-                    3_000_004_000,
-                    1_250_004_000,
-                    2_000_004_000,
-                    2_000_004_000,
-                    2_000_004_000,
-                    2_000_004_000,
-                    2_000_004_000,
-                    2_000_004_000,
-                ],
-                events: 2756,
-                solver_runs: 54,
-                solver_time_ns: 54_000_000,
-                spawned_helpers: 2,
-                workers_killed: 2,
-                parallel_efficiency_bits: 0x3fd6_a568_e665_dd66,
-            },
-        ),
-        (
-            "portfolio",
-            Some(tlb_portfolio::PortfolioConfig::default()),
-            Golden {
-                makespan_ns: 16_250_032_000,
-                iteration_ns: [
-                    3_000_004_000,
-                    1_250_004_000,
-                    2_000_004_000,
-                    2_000_004_000,
-                    2_000_004_000,
-                    2_000_004_000,
-                    2_000_004_000,
-                    2_000_004_000,
-                ],
-                events: 2756,
-                solver_runs: 54,
-                solver_time_ns: 54_000_000,
-                spawned_helpers: 2,
-                workers_killed: 2,
-                parallel_efficiency_bits: 0x3fd6_a568_e665_dd66,
-            },
-        ),
-    ];
-    for (label, portfolio, want) in cases {
-        let mut cfg = BalanceConfig::preset(Preset::DynamicSpread { max_degree: 3 });
-        cfg.global_period = SimTime::from_millis(300);
-        cfg.portfolio = portfolio;
-        let spec = || RunSpec::new(&p, &cfg, wl.clone()).faults(&plan);
-        let (state, _) = setup::simulate(spec()).unwrap();
-        assert!(
-            state.spawned_helpers >= 2,
-            "{label}: {}",
-            state.spawned_helpers
-        );
-        for node in 0..p.nodes {
-            let dlb = &state.dlbs[node];
-            let alive = &state.layout.alive()[node];
-            assert_eq!(alive.len(), state.layout.workers_on(node).len());
-            for (proc, &alive) in alive.iter().enumerate() {
-                assert_eq!(
-                    alive,
-                    !dlb.is_retired(ProcId(proc)),
-                    "{label}: node {node} proc {proc}"
-                );
-            }
-            let owned: usize = (0..alive.len()).map(|p| dlb.owned_count(ProcId(p))).sum();
-            assert_eq!(owned, p.cores_per_node, "{label}: node {node}");
+    let want = Golden {
+        makespan_ns: 16_250_032_000,
+        iteration_ns: [
+            3_000_004_000,
+            1_250_004_000,
+            2_000_004_000,
+            2_000_004_000,
+            2_000_004_000,
+            2_000_004_000,
+            2_000_004_000,
+            2_000_004_000,
+        ],
+        events: 2756,
+        solver_runs: 54,
+        solver_time_ns: 54_000_000,
+        spawned_helpers: 2,
+        workers_killed: 2,
+        parallel_efficiency_bits: 0x3fd6_a568_e665_dd66,
+    };
+    let mut cfg = BalanceConfig::preset(Preset::DynamicSpread { max_degree: 3 });
+    cfg.global_period = SimTime::from_millis(300);
+    let spec = || RunSpec::new(&p, &cfg, wl.clone()).faults(&plan);
+    let (state, _) = setup::simulate(spec()).unwrap();
+    assert!(state.spawned_helpers >= 2, "{}", state.spawned_helpers);
+    for node in 0..p.nodes {
+        let dlb = &state.dlbs[node];
+        let alive = &state.layout.alive()[node];
+        assert_eq!(alive.len(), state.layout.workers_on(node).len());
+        for (proc, &alive) in alive.iter().enumerate() {
+            assert_eq!(
+                alive,
+                !dlb.is_retired(ProcId(proc)),
+                "node {node} proc {proc}"
+            );
         }
-        let got = ClusterSim::execute(spec()).unwrap();
-        let iteration_ns: Vec<u64> = got.iteration_times.iter().map(|t| t.as_nanos()).collect();
-        assert_eq!(
-            got.makespan.as_nanos(),
-            want.makespan_ns,
-            "{label}: makespan"
-        );
-        assert_eq!(iteration_ns, want.iteration_ns, "{label}: iteration_times");
-        assert_eq!(got.events, want.events, "{label}: events");
-        assert_eq!(got.solver_runs, want.solver_runs, "{label}: solver_runs");
-        assert_eq!(
-            got.solver_time.as_nanos(),
-            want.solver_time_ns,
-            "{label}: solver_time"
-        );
-        assert_eq!(
-            got.spawned_helpers, want.spawned_helpers,
-            "{label}: spawned_helpers"
-        );
-        assert_eq!(
-            got.faults.workers_killed, want.workers_killed,
-            "{label}: workers_killed"
-        );
-        assert_eq!(
-            got.parallel_efficiency.to_bits(),
-            want.parallel_efficiency_bits,
-            "{label}: parallel_efficiency"
-        );
+        let owned: usize = (0..alive.len()).map(|p| dlb.owned_count(ProcId(p))).sum();
+        assert_eq!(owned, p.cores_per_node, "node {node}");
     }
-}
-
-#[test]
-fn portfolio_requires_global_drom() {
-    let (p, mut cfg, wl) = portfolio_setup();
-    cfg.policy = PolicySpec::named("lewi+drom-local").unwrap();
-    cfg.dynamic = None;
-    match ClusterSim::execute(RunSpec::new(&p, &cfg, wl).faults(&FaultPlan::none())) {
-        Err(SimError::Shape(msg)) => assert!(msg.contains("global DROM"), "{msg}"),
-        other => panic!("expected shape error, got {other:?}"),
-    }
-}
-
-#[test]
-fn strategy_outage_requires_matching_portfolio() {
-    // Strategy-scoped outage without any portfolio: setup error.
-    let (p, cfg, wl) = faulty_setup();
-    let plan =
-        FaultPlan::new(1).with_strategy_outage(0.3, 1.0, LpError::IterationLimit, Strategy::Flow);
-    match ClusterSim::execute(RunSpec::new(&p, &cfg, wl).faults(&plan)) {
-        Err(SimError::Shape(msg)) => assert!(msg.contains("portfolio"), "{msg}"),
-        other => panic!("expected shape error, got {other:?}"),
-    }
-    // Outage of a strategy the portfolio does not race: setup error.
-    let (p, mut cfg, wl) = portfolio_setup();
-    cfg.portfolio = Some(tlb_portfolio::PortfolioConfig::parse("simplex,flow").unwrap());
-    let plan =
-        FaultPlan::new(1).with_strategy_outage(0.3, 1.0, LpError::IterationLimit, Strategy::Greedy);
-    match ClusterSim::execute(RunSpec::new(&p, &cfg, wl).faults(&plan)) {
-        Err(SimError::Shape(msg)) => assert!(msg.contains("not raced"), "{msg}"),
-        other => panic!("expected shape error, got {other:?}"),
-    }
-}
-
-#[test]
-fn strategy_outage_degrades_the_race_then_recovers() {
-    let (p, cfg, wl) = portfolio_setup();
-    // Knock the simplex strategy out over the middle of the run; the
-    // remaining three keep the global policy solving (no fallback).
-    let plan = FaultPlan::new(1).with_strategy_outage(
-        0.3,
-        1.0,
-        LpError::IterationLimit,
-        Strategy::Simplex,
+    let got = ClusterSim::execute(spec()).unwrap();
+    let iteration_ns: Vec<u64> = got.iteration_times.iter().map(|t| t.as_nanos()).collect();
+    assert_eq!(got.makespan.as_nanos(), want.makespan_ns, "makespan");
+    assert_eq!(iteration_ns, want.iteration_ns, "iteration_times");
+    assert_eq!(got.events, want.events, "events");
+    assert_eq!(got.solver_runs, want.solver_runs, "solver_runs");
+    assert_eq!(
+        got.solver_time.as_nanos(),
+        want.solver_time_ns,
+        "solver_time"
     );
-    let r = ClusterSim::execute(RunSpec::new(&p, &cfg, wl).trace(true).faults(&plan)).unwrap();
-    assert_eq!(r.total_tasks, 4 * 100);
-    assert_eq!(r.faults.injected, 1);
-    assert_eq!(r.faults.recovered, 1);
-    assert_eq!(r.faults.solver_fallbacks, 0, "three strategies remained");
-    let stats = r.portfolio.expect("portfolio stats missing");
-    assert!(
-        stats.of(Strategy::Simplex).attempts < stats.solves,
-        "simplex sat out some races: {} of {}",
-        stats.of(Strategy::Simplex).attempts,
-        stats.solves
+    assert_eq!(got.spawned_helpers, want.spawned_helpers, "spawned_helpers");
+    assert_eq!(
+        got.faults.workers_killed, want.workers_killed,
+        "workers_killed"
     );
-    assert_eq!(stats.of(Strategy::Flow).attempts, stats.solves);
-}
-
-/// Satellite: with *every* strategy fault-disabled over a window, the
-/// portfolio path degrades exactly like a whole-solver outage of the
-/// same window — the PR 3 fallback ladder, bit for bit. The outage
-/// events themselves necessarily differ (four injections vs one, and
-/// with them the sequence numbers on the global stream), so the
-/// comparison is of every other event, by time, stream and payload.
-#[test]
-fn all_strategies_down_matches_whole_solver_outage_bitwise() {
-    let mut all_down = FaultPlan::new(1);
-    for &s in &Strategy::ALL {
-        all_down = all_down.with_strategy_outage(0.3, 1.0, LpError::Infeasible, s);
-    }
-    let whole = FaultPlan::new(1).with_outage(0.3, 1.0, LpError::Infeasible);
-    let run = |plan: &FaultPlan| {
-        let (p, cfg, wl) = portfolio_setup();
-        ClusterSim::execute(RunSpec::new(&p, &cfg, wl).trace(true).faults(plan)).unwrap()
-    };
-    let a = run(&all_down);
-    let b = run(&whole);
-    assert!(a.faults.solver_fallbacks >= 1, "outage covered no tick");
-    assert_eq!(a.faults.solver_fallbacks, b.faults.solver_fallbacks);
-    assert_eq!(a.makespan, b.makespan);
-    assert_eq!(a.iteration_times, b.iteration_times);
-    assert_eq!(a.total_tasks, b.total_tasks);
-    let beside_outages = |r: &SimReport| {
-        let events = r.trace.log.merged().into_iter();
-        events
-            .filter(|e| !matches!(e.kind, EventKind::SolverOutage { .. }))
-            .map(|e| (e.at, e.stream, e.kind))
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(beside_outages(&a), beside_outages(&b));
+    assert_eq!(
+        got.parallel_efficiency.to_bits(),
+        want.parallel_efficiency_bits,
+        "parallel_efficiency"
+    );
 }

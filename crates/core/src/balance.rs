@@ -10,9 +10,8 @@
 //!   that sees a [`SignalView`] of what the TALP/counters layer already
 //!   measures — per-apprank demand, per-process busy time (hence MPI
 //!   wait time), placement, and current core ownership — and returns a
-//!   [`GlobalAction`]: run the §5.4.2 solver (with the whole portfolio
-//!   machinery available), install an explicit ownership map, or keep
-//!   the current allocation.
+//!   [`GlobalAction`]: run the §5.4.2 solver, install an explicit
+//!   ownership map, or keep the current allocation.
 //!
 //! The paper's configurations are the product of LeWI on/off and DROM
 //! off/local/global, and each is its own entry — `baseline`, `lewi`,
@@ -76,8 +75,7 @@ pub struct PolicyDef {
     pub summary: &'static str,
     /// Whether LeWI fine-grained lending runs under this policy.
     pub lewi: bool,
-    /// Whether the §5.4.2 global LP (and thus the solver portfolio)
-    /// is constructed for this policy.
+    /// Whether the §5.4.2 global LP is constructed for this policy.
     pub uses_solver: bool,
     /// Whether the per-node local-convergence tick is scheduled.
     pub local_tick: bool,
@@ -431,7 +429,7 @@ impl PolicySpec {
         self.def.lewi
     }
 
-    /// Whether the global LP (and the portfolio) is built.
+    /// Whether the global LP is built.
     pub fn uses_solver(&self) -> bool {
         self.def.uses_solver
     }
@@ -466,7 +464,7 @@ fn unknown_policy(name: &str) -> PolicyError {
 /// What the per-global-tick hook tells the simulator to do.
 #[derive(Clone, Debug, PartialEq)]
 pub enum GlobalAction {
-    /// Run the §5.4.2 global LP (or the racing portfolio).
+    /// Run the §5.4.2 global LP.
     Solve,
     /// Install an explicit per-node ownership map (one count per
     /// worker process), charged `comm_rounds` interconnect latencies

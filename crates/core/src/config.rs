@@ -2,7 +2,7 @@
 
 use crate::PolicySpec;
 use tlb_des::SimTime;
-use tlb_portfolio::{PortfolioConfig, Strategy};
+use tlb_portfolio::Strategy;
 
 /// A scheduled change of one node's speed (DVFS step, thermal throttle,
 /// turbo variation — the system-level imbalance sources of the paper's
@@ -140,8 +140,8 @@ pub enum GlobalSolverKind {
     Flow,
 }
 
-/// A single solver is the portfolio strategy of the same name: the one
-/// strategy → solver table ([`Strategy::solve`]) serves both.
+/// A solver kind is the strategy of the same name: every solve goes
+/// through the one strategy → solver table ([`Strategy::solve`]).
 impl From<GlobalSolverKind> for Strategy {
     fn from(kind: GlobalSolverKind) -> Strategy {
         match kind {
@@ -224,10 +224,6 @@ pub struct BalanceConfig {
     /// Dynamic helper spawning (requires a solver-using policy);
     /// `degree` is then the *initial* degree, usually 1.
     pub dynamic: Option<DynamicSpreading>,
-    /// Race a solver portfolio on every global tick instead of the single
-    /// `solver` (requires a solver-using policy). `None` keeps the
-    /// paper's single-solver behaviour.
-    pub portfolio: Option<PortfolioConfig>,
 }
 
 impl Default for BalanceConfig {
@@ -244,7 +240,6 @@ impl Default for BalanceConfig {
             work_signal: WorkSignal::CreatedWork,
             steal_gate: StealGate::Usable,
             dynamic: None,
-            portfolio: None,
         }
     }
 }
@@ -319,12 +314,6 @@ impl BalanceConfig {
     /// Builder: set the offloading degree.
     pub fn with_degree(mut self, degree: usize) -> Self {
         self.degree = degree;
-        self
-    }
-
-    /// Builder: race a solver portfolio on every global tick.
-    pub fn with_portfolio(mut self, portfolio: PortfolioConfig) -> Self {
-        self.portfolio = Some(portfolio);
         self
     }
 

@@ -18,7 +18,7 @@
 //! * [`allocation_problem`] / [`allocate_living`] — the global solver
 //!   policy (§5.4.2): the min-max program over the worker table's living
 //!   workers, built afresh at each solve (every two seconds) and solved
-//!   by one `tlb-portfolio` strategy or the race; [`GlobalPolicy`] is the
+//!   by the configured `tlb-portfolio` strategy; [`GlobalPolicy`] is the
 //!   same program for a fixed expander graph.
 //! * [`imbalance`] and friends — the paper's dimensionless imbalance
 //!   metric (Eq. 2).
@@ -45,10 +45,9 @@ mod sched;
 /// (see the `tlb-rng` crate docs for the reproducibility guarantees).
 pub use tlb_rng as rng;
 
-/// The racing solver portfolio behind `BalanceConfig::portfolio` (see the
-/// `tlb-portfolio` crate docs for the determinism guarantees).
-pub use tlb_portfolio as portfolio;
-pub use tlb_portfolio::{PortfolioConfig, PortfolioEngine, PortfolioStats, Strategy};
+/// The strategy → solver table every global solve dispatches through,
+/// and the race the `solver_table` figure times beside it.
+pub use tlb_portfolio::{PortfolioConfig, PortfolioEngine, Strategy};
 
 pub use balance::{
     known_policy_names, BalancePolicy, Diffusion, GlobalAction, ParamDef, ParamKind, PolicyDef,

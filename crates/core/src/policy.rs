@@ -113,20 +113,17 @@ pub fn allocation_problem(
     }
 }
 
-/// Solve [`allocation_problem`] with `solve` (one strategy, or the
-/// portfolio race) and re-expand the solution to slot order: a retired
-/// worker gets zero work and zero cores, so `(apprank, slot)` indices
-/// stay those of [`ProcessLayout::placement`].
-pub fn allocate_living<F>(
+/// Solve [`allocation_problem`] with `strategy` and re-expand the
+/// solution to slot order: a retired worker gets zero work and zero
+/// cores, so `(apprank, slot)` indices stay those of
+/// [`ProcessLayout::placement`].
+pub fn allocate_living(
     layout: &ProcessLayout,
     platform: &Platform,
     work: &[f64],
-    solve: F,
-) -> Result<AllocationSolution, LpError>
-where
-    F: FnOnce(&AllocationProblem) -> Result<AllocationSolution, LpError>,
-{
-    let mut sol = solve(&allocation_problem(layout, platform, work))?;
+    strategy: Strategy,
+) -> Result<AllocationSolution, LpError> {
+    let mut sol = strategy.solve(&allocation_problem(layout, platform, work))?;
     let alive = layout.alive();
     let rows = sol.work_share.iter_mut().zip(&mut sol.cores);
     for (placed, (work_share, cores)) in layout.placement().iter().zip(rows) {
@@ -215,7 +212,7 @@ mod tests {
         let work = [30.0, 2.0, 2.0, 2.0];
         layout.retire(0, 1); // kill apprank 0's (hot) helper
         for strategy in Strategy::ALL {
-            let sol = allocate_living(&layout, &platform, &work, |p| strategy.solve(p)).unwrap();
+            let sol = allocate_living(&layout, &platform, &work, strategy).unwrap();
             assert_eq!(sol.cores[0][1], 0, "dead slot pinned to zero");
             assert_eq!(sol.work_share[0][1], 0.0);
             let per_node = layout.counts_by_node(&sol.cores);
@@ -250,7 +247,7 @@ mod tests {
 
 /// The largest-remainder routines that `tlb_linprog::largest_remainder`
 /// replaced, kept verbatim as reference models (`LocalPolicy::ownership`,
-/// `integerize_cores`, `round_cores`, the portfolio's own split and
+/// `integerize_cores`, `round_cores`, the strategies' own split and
 /// `ProcessLayout`'s even split of a node among its mains), and a seeded
 /// test that every caller of the kernel still returns exactly what its
 /// routine returned.
@@ -261,6 +258,7 @@ mod rounding_reference {
     use crate::{ProcessLayout, WorkerRef};
     use tlb_expander::{generate_circulant, ExpanderConfig};
     use tlb_linprog::AllocationProblem;
+    use tlb_portfolio::Strategy;
     use tlb_rng::Rng;
 
     /// `ProcessLayout::new`'s initial ownership of one node's workers.
@@ -557,7 +555,7 @@ mod rounding_reference {
             .collect()
     }
 
-    /// What the portfolio's local strategy assigned with the retired
+    /// What the local strategy assigned with the retired
     /// split: home appranks share a node's spare cores by work, and a
     /// node with no home apprank splits them evenly over its helpers.
     fn local_cores(p: &AllocationProblem) -> Vec<Vec<usize>> {
@@ -634,7 +632,7 @@ mod rounding_reference {
                 "case {case}: round_cores"
             );
 
-            let local = tlb_portfolio::local_converge(&p).unwrap();
+            let local = Strategy::Local.solve(&p).unwrap();
             assert_eq!(local.cores, local_cores(&p), "case {case}: local_converge");
             let idle = AllocationProblem {
                 work: vec![0.0; p.appranks()],
@@ -652,7 +650,7 @@ mod rounding_reference {
                     even[a][k] += extra;
                 }
             }
-            let greedy = tlb_portfolio::greedy_waterfill(&idle).unwrap();
+            let greedy = Strategy::Greedy.solve(&idle).unwrap();
             assert_eq!(greedy.cores, even, "case {case}: greedy_waterfill, no work");
             // With no work the LP split each node evenly through
             // `integerize_cores`; it now shares the flow solver's path.

@@ -48,11 +48,6 @@ impl BusyIntegral {
         self.last_change = at;
     }
 
-    /// The busy-core count currently holding.
-    pub fn current(&self) -> f64 {
-        self.current
-    }
-
     /// Total core·seconds accumulated from time zero to `now`.
     pub fn total(&self, now: SimTime) -> f64 {
         assert!(now >= self.last_change);
@@ -87,7 +82,6 @@ mod tests {
         b.set(SimTime::from_secs(1), 2.0);
         // 4 cores for 1s + 2 cores for 1s = 6 core·s
         assert!((b.total(SimTime::from_secs(2)) - 6.0).abs() < 1e-12);
-        assert_eq!(b.current(), 2.0);
     }
 
     #[test]

@@ -531,7 +531,7 @@ impl NodeDlb {
         let new = ProcId(self.num_procs);
         self.num_procs += 1;
         self.retired.resize(self.num_procs, false);
-        // Donor: the process owning the most cores (ties → lowest id).
+        // Donor: the process owning the most cores (ties → highest id).
         let counts = self.target_ownership();
         let donor = ProcId(
             (0..self.num_procs)
@@ -848,6 +848,11 @@ mod tests {
         assert_eq!(n.owned_count(p), 1);
         // The new process can acquire its core.
         assert!(n.acquire(p).is_some());
+        n.check_invariants().unwrap();
+        // Between equal owners the highest id donates.
+        let mut n = NodeDlb::with_counts(&[2, 2], true);
+        n.add_process();
+        assert_eq!(n.target_ownership(), vec![2, 1, 1]);
         n.check_invariants().unwrap();
     }
 

@@ -484,27 +484,34 @@ fn protocol_errors_keep_the_connection_usable() {
     let bad_json = client.request(&Value::Str("not an object".into())).unwrap();
     assert_eq!(bad_json.get("type").as_str(), Some("error"));
 
-    // Strict scenario validation: unknown keys are a structured error,
-    // not a dropped connection or an exit code.
-    let reply = client
-        .request(&Value::object(vec![
-            ("cmd", "sweep".into()),
-            (
-                "scenario",
-                Value::object(vec![
-                    ("schema_version", 1i64.into()),
-                    ("name", "typo".into()),
-                    ("nodse", 2usize.into()),
-                ]),
-            ),
-        ]))
-        .unwrap();
-    assert_eq!(reply.get("type").as_str(), Some("error"));
-    assert!(reply
-        .get("message")
-        .as_str()
-        .unwrap()
-        .contains("invalid scenario"));
+    // Strict scenario validation: unknown keys (a typo, or a solver race
+    // the simulator does not have) are a structured error, not a dropped
+    // connection or an exit code.
+    let typo = Value::object(vec![
+        ("schema_version", 1i64.into()),
+        ("name", "typo".into()),
+        ("nodse", 2usize.into()),
+    ]);
+    let race = Value::object(vec![
+        ("schema_version", 1i64.into()),
+        ("name", "race".into()),
+        ("app", "synthetic".into()),
+        ("portfolio", "all".into()),
+    ]);
+    for scenario in [typo, race] {
+        let reply = client
+            .request(&Value::object(vec![
+                ("cmd", "sweep".into()),
+                ("scenario", scenario),
+            ]))
+            .unwrap();
+        assert_eq!(reply.get("type").as_str(), Some("error"));
+        assert!(reply
+            .get("message")
+            .as_str()
+            .unwrap()
+            .contains("invalid scenario"));
+    }
 
     assert_eq!(client.ping().unwrap().get("type").as_str(), Some("pong"));
     client.shutdown().unwrap();

@@ -2,7 +2,7 @@
 //!
 //! The key hashes the canonical JSON of everything that can change a
 //! point's result: the engine version, the scenario's code-relevant
-//! knobs (application, machine, sizes, faults, portfolio), and the
+//! knobs (application, machine, sizes, faults), and the
 //! point's own axis values. The cosmetic scenario `name` is excluded,
 //! so renaming a sweep keeps its cache warm, while editing any knob
 //! changes every affected key and forces re-execution.
@@ -70,12 +70,6 @@ pub fn point_key_input(scenario: &Scenario, point: &SweepPoint) -> Value {
     if let Some(f) = &scenario.faults {
         fields.push(("faults", f.as_str().into()));
         fields.push(("fault_seed", scenario.fault_seed.into()));
-    }
-    if let Some(p) = &scenario.portfolio {
-        fields.push(("portfolio", p.as_str().into()));
-        if let Some(b) = scenario.portfolio_budget {
-            fields.push(("portfolio_budget", b.into()));
-        }
     }
     Value::object(fields)
 }

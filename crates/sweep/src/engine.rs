@@ -192,7 +192,7 @@ pub fn simulate_point(
     platform: &Platform,
     trace: bool,
 ) -> Result<(SimReport, f64), String> {
-    let config = scenario.config(point).map_err(|e| e.to_string())?;
+    let config = scenario.config(point);
     let plan = match &scenario.faults {
         Some(spec) => FaultPlan::parse(spec, scenario.fault_seed)?,
         None => FaultPlan::none(),
@@ -322,15 +322,6 @@ fn point_record(
                 ("recovered", report.faults.recovered.into()),
                 ("absorbed", report.faults.absorbed.into()),
                 ("solver_fallbacks", report.faults.solver_fallbacks.into()),
-            ]),
-        ));
-    }
-    if let Some(p) = &report.portfolio {
-        fields.push((
-            "portfolio",
-            Value::object(vec![
-                ("solves", p.solves.into()),
-                ("no_winner", p.no_winner.into()),
             ]),
         ));
     }

@@ -1,8 +1,7 @@
 //! The declarative sweep description and its strict, versioned schema.
 
 use std::fmt;
-use tlb_core::{BalanceConfig, Platform, PolicySpec, PortfolioConfig};
-use tlb_des::SimTime;
+use tlb_core::{BalanceConfig, Platform, PolicySpec};
 use tlb_json::Value;
 
 /// Version of the scenario JSON schema this build reads and writes.
@@ -139,11 +138,6 @@ pub struct Scenario {
     pub faults: Option<String>,
     /// Seed for the fault plan's deterministic draws.
     pub fault_seed: u64,
-    /// Solver-portfolio spec (`PortfolioConfig::parse` syntax); applied
-    /// to the points whose policy uses the global solver.
-    pub portfolio: Option<String>,
-    /// Portfolio virtual-time budget override, in seconds.
-    pub portfolio_budget: Option<f64>,
     /// The varying dimensions.
     pub axes: Axes,
 }
@@ -159,8 +153,6 @@ impl Default for Scenario {
             imbalance: 2.0,
             faults: None,
             fault_seed: 1,
-            portfolio: None,
-            portfolio_budget: None,
             axes: Axes::default(),
         }
     }
@@ -275,24 +267,12 @@ impl Scenario {
                     }
                 }
                 "fault_seed" => sc.fault_seed = as_u64(key, v)?,
-                "portfolio" => {
-                    sc.portfolio = match v {
-                        Value::Null => None,
-                        other => Some(as_str(key, other)?.to_string()),
-                    }
-                }
-                "portfolio_budget" => {
-                    sc.portfolio_budget = match v {
-                        Value::Null => None,
-                        other => Some(as_f64(key, other)?),
-                    }
-                }
                 "axes" => sc.axes = parse_axes(v)?,
                 other => {
                     return Err(ScenarioError(format!(
                         "unknown key '{other}' (strict schema; known keys: schema_version, \
                          name, app, machine, nodes, iterations, imbalance, faults, fault_seed, \
-                         portfolio, portfolio_budget, axes)"
+                         axes)"
                     )))
                 }
             }
@@ -313,9 +293,9 @@ impl Scenario {
     }
 
     /// Semantic validation beyond shape: at most [`MAX_POINTS`] grid
-    /// points, positive counts, degrees within the node count, a
-    /// parseable portfolio spec, and a fault spec that parses and passes
-    /// `FaultPlan::validate` for every machine shape on the axes.
+    /// points, positive counts, degrees within the node count, and a
+    /// fault spec that parses and passes `FaultPlan::validate` for every
+    /// machine shape on the axes.
     pub fn validate(&self) -> Result<(), ScenarioError> {
         if self.point_count().is_none_or(|n| n > MAX_POINTS) {
             return Err(ScenarioError(format!(
@@ -348,30 +328,12 @@ impl Scenario {
                 )));
             }
         }
-        let portfolio = self.portfolio_config()?;
         if let Some(spec) = &self.faults {
             let faults = |e| ScenarioError(format!("faults: {e}"));
             let plan = tlb_cluster::FaultPlan::parse(spec, self.fault_seed).map_err(faults)?;
             for &apn in &self.axes.appranks_per_node {
-                plan.validate(self.nodes, self.nodes * apn, portfolio.as_ref())
+                plan.validate(self.nodes, self.nodes * apn)
                     .map_err(faults)?;
-            }
-        }
-        if portfolio.is_some() && !self.axes.policy.iter().any(|p| p.uses_solver()) {
-            return Err(ScenarioError(
-                "portfolio requires a solver-using policy ('drom-global' or \
-                 'lewi+drom-global') in the policy axis"
-                    .into(),
-            ));
-        }
-        if let Some(budget) = self.portfolio_budget {
-            if self.portfolio.is_none() {
-                return Err(ScenarioError("portfolio_budget needs portfolio".into()));
-            }
-            if !budget.is_finite() || budget <= 0.0 {
-                return Err(ScenarioError(format!(
-                    "portfolio_budget must be a positive number of seconds, got {budget}"
-                )));
             }
         }
         Ok(())
@@ -393,12 +355,6 @@ impl Scenario {
         if let Some(f) = &self.faults {
             fields.push(("faults", f.as_str().into()));
             fields.push(("fault_seed", self.fault_seed.into()));
-        }
-        if let Some(p) = &self.portfolio {
-            fields.push(("portfolio", p.as_str().into()));
-        }
-        if let Some(b) = self.portfolio_budget {
-            fields.push(("portfolio_budget", b.into()));
         }
         fields.push((
             "axes",
@@ -478,32 +434,12 @@ impl Scenario {
 
     /// Build the balancing configuration for one point: the policy axis
     /// fixes the registry policy, the degree axis the offloading degree,
-    /// and the seed axis the expander seed. The scenario's portfolio spec is
-    /// attached to the points whose policy runs the global solver.
-    pub fn config(&self, point: &SweepPoint) -> Result<BalanceConfig, ScenarioError> {
-        let mut cfg = BalanceConfig::default()
+    /// and the seed axis the expander seed.
+    pub fn config(&self, point: &SweepPoint) -> BalanceConfig {
+        BalanceConfig::default()
             .with_policy(point.policy.clone())
             .with_degree(point.degree)
-            .with_seed(point.seed);
-        if point.policy.uses_solver() {
-            if let Some(pc) = self.portfolio_config()? {
-                cfg = cfg.with_portfolio(pc);
-            }
-        }
-        Ok(cfg)
-    }
-
-    /// The scenario's solver portfolio, parsed, with its budget override.
-    fn portfolio_config(&self) -> Result<Option<PortfolioConfig>, ScenarioError> {
-        let Some(spec) = &self.portfolio else {
-            return Ok(None);
-        };
-        let pc =
-            PortfolioConfig::parse(spec).map_err(|e| ScenarioError(format!("portfolio: {e}")))?;
-        Ok(Some(match self.portfolio_budget {
-            Some(budget) => pc.with_budget(SimTime::from_secs_f64(budget)),
-            None => pc,
-        }))
+            .with_seed(point.seed)
     }
 }
 
@@ -572,6 +508,12 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.0.contains("unknown key 'nodez'"), "{err}");
+        // A scenario runs one solver; there is no race to configure.
+        let err = Scenario::from_json_str(
+            r#"{"schema_version": 1, "name": "t", "app": "synthetic", "portfolio": "all"}"#,
+        )
+        .unwrap_err();
+        assert!(err.0.contains("unknown key 'portfolio'"), "{err}");
         let err = Scenario::from_json_str(
             r#"{"schema_version": 1, "name": "t", "app": "synthetic",
                 "axes": {"degrees": [1]}}"#,
@@ -597,16 +539,6 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.0.contains("degree 4"), "{err}");
-    }
-
-    #[test]
-    fn portfolio_without_global_policy_rejected() {
-        let err = Scenario::from_json_str(
-            r#"{"schema_version": 1, "name": "t", "app": "synthetic",
-                "portfolio": "all", "axes": {"policy": ["lewi"]}}"#,
-        )
-        .unwrap_err();
-        assert!(err.0.contains("lewi+drom-global"), "{err}");
     }
 
     #[test]
@@ -656,7 +588,6 @@ mod tests {
             r#"{"schema_version": 1, "name": "paper", "app": "micropp", "machine": "nord3",
                 "nodes": 8, "iterations": 10, "imbalance": 3.5,
                 "faults": "straggler@0.1,node=0", "fault_seed": 9,
-                "portfolio": "simplex,flow", "portfolio_budget": 0.5,
                 "axes": {"appranks_per_node": [1, 2], "degree": [1, 2, 4],
                          "policy": ["baseline", "lewi+drom-global"], "seed": [1, 2, 3]}}"#,
             r#"{"schema_version": 1, "name": "families", "app": "amr",
@@ -682,7 +613,7 @@ mod tests {
         )
         .unwrap();
         for (point, lewi) in sc.expand().iter().zip([false, true, false, true]) {
-            let cfg = sc.config(point).unwrap();
+            let cfg = sc.config(point);
             assert_eq!(cfg.policy, point.policy);
             assert_eq!(cfg.policy.lewi(), lewi, "{}", point.policy);
             assert_eq!((cfg.degree, cfg.seed), (2, 1));

@@ -274,22 +274,6 @@ fn write_args(a: &mut Obj, kind: &EventKind) {
         }
         EventKind::SolverOutage { active } => a.bool(k!("active"), *active),
         EventKind::SolverFallback { reason } => a.str(k!("reason"), reason.name()),
-        EventKind::PortfolioSolve(rec) => a
-            .array(k!("candidates"), &rec.candidates, |out, c| {
-                let mut o = Obj::open(out);
-                o.str(k!("strategy"), c.name)
-                    .float(k!("score"), c.score)
-                    .float(k!("cost_s"), c.cost_s)
-                    .bool(k!("timed_out"), c.timed_out);
-                o.close();
-            })
-            .float(k!("budget_s"), rec.budget_s),
-        EventKind::PortfolioPick {
-            name, score, raced, ..
-        } => a
-            .str(k!("strategy"), name)
-            .float(k!("score"), *score)
-            .int(k!("raced"), *raced),
     };
 }
 
@@ -429,9 +413,7 @@ mod tests {
     /// Exhaustive and wildcard-free on purpose: a new [`EventKind`]
     /// variant does not compile until it has a place in the golden.
     fn next_kind(kind: &EventKind) -> Option<EventKind> {
-        use crate::event::{
-            DecisionReason, FallbackReason, PortfolioCandidate, PortfolioRecord, SolverRecord,
-        };
+        use crate::event::{DecisionReason, FallbackReason, SolverRecord};
         Some(match kind {
             EventKind::TaskCreated { .. } => EventKind::TaskReady { key: key(0) },
             EventKind::TaskReady { .. } => EventKind::SchedDecision {
@@ -524,34 +506,7 @@ mod tests {
             EventKind::SolverOutage { .. } => EventKind::SolverFallback {
                 reason: FallbackReason::Infeasible,
             },
-            EventKind::SolverFallback { .. } => {
-                EventKind::PortfolioSolve(Box::new(PortfolioRecord {
-                    candidates: vec![
-                        PortfolioCandidate {
-                            strategy: 0,
-                            name: "simplex",
-                            score: 0.5,
-                            cost_s: 0.057,
-                            timed_out: false,
-                        },
-                        PortfolioCandidate {
-                            strategy: 2,
-                            name: "greedy",
-                            score: -1.0,
-                            cost_s: f64::INFINITY,
-                            timed_out: true,
-                        },
-                    ],
-                    budget_s: 0.1,
-                }))
-            }
-            EventKind::PortfolioSolve(..) => EventKind::PortfolioPick {
-                strategy: 0,
-                name: "simplex",
-                score: 0.5,
-                raced: 2,
-            },
-            EventKind::PortfolioPick { .. } => return None,
+            EventKind::SolverFallback { .. } => return None,
         })
     }
 

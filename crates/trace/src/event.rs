@@ -112,34 +112,6 @@ pub struct SolverRecord {
     pub modelled_cost: SimTime,
 }
 
-/// One raced strategy's outcome inside a [`PortfolioRecord`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct PortfolioCandidate {
-    /// Stable strategy code (`tlb_portfolio::Strategy::code`).
-    pub strategy: u32,
-    /// Strategy name (static, from the portfolio crate).
-    pub name: &'static str,
-    /// Shared portfolio score; `-1.0` when the strategy failed or timed
-    /// out (scores are non-negative up to the tiny keep-local tiebreak,
-    /// so the sentinel is unambiguous).
-    pub score: f64,
-    /// Modelled virtual solve cost in seconds (uncapped).
-    pub cost_s: f64,
-    /// True when the modelled cost exceeded the race budget.
-    pub timed_out: bool,
-}
-
-/// Payload of one portfolio race: every raced strategy in priority order
-/// with its score and modelled cost. Boxed inside [`EventKind`] like
-/// [`SolverRecord`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct PortfolioRecord {
-    /// Raced candidates in priority order.
-    pub candidates: Vec<PortfolioCandidate>,
-    /// Race budget in seconds.
-    pub budget_s: f64,
-}
-
 /// One structured trace event. All payloads are derived from virtual
 /// simulation state only — never wall clocks — so the event stream is
 /// reproducible bit-for-bit. Ids are `u32`/`i32` to keep the enum small:
@@ -243,17 +215,6 @@ pub enum EventKind {
     /// Fault absorption: a solver invocation failed and the runtime fell
     /// back to the local-convergence / last-good allocation.
     SolverFallback { reason: FallbackReason },
-    /// Portfolio: one race of the solver portfolio completed (boxed
-    /// payload — see [`PortfolioRecord`]).
-    PortfolioSolve(Box<PortfolioRecord>),
-    /// Portfolio: the deterministic `(score, priority)` pick. `raced` is
-    /// the number of strategies that took part.
-    PortfolioPick {
-        strategy: u32,
-        name: &'static str,
-        score: f64,
-        raced: u32,
-    },
 }
 
 impl EventKind {
@@ -283,8 +244,6 @@ impl EventKind {
             EventKind::MessageFailover { .. } => 18,
             EventKind::SolverOutage { .. } => 19,
             EventKind::SolverFallback { .. } => 20,
-            EventKind::PortfolioSolve(..) => 21,
-            EventKind::PortfolioPick { .. } => 22,
         }
     }
 
@@ -297,7 +256,7 @@ impl EventKind {
 /// Per variant, in declaration order: the export name, and the counter
 /// that counts the kind's events, if one does. A `SchedDecision`
 /// is counted by its reason as well, see `Counters::note`.
-pub(crate) const KINDS: [(&str, Option<&str>); 23] = [
+pub(crate) const KINDS: [(&str, Option<&str>); 21] = [
     ("task_created", Some("tasks_created")),
     ("task_ready", Some("tasks_ready")),
     ("sched_decision", Some("sched_decisions")),
@@ -319,8 +278,6 @@ pub(crate) const KINDS: [(&str, Option<&str>); 23] = [
     ("message_failover", Some("fault_message_failovers")),
     ("solver_outage", None),
     ("solver_fallback", Some("solver_fallbacks")),
-    ("portfolio_solve", Some("portfolio_solves")),
-    ("portfolio_pick", None),
 ];
 
 /// A recorded event with its virtual timestamp and merge key.
@@ -447,8 +404,6 @@ impl Event {
                 (name, -1, -1, -1, if *active { 1.0 } else { 0.0 })
             }
             EventKind::SolverFallback { reason } => (name, -1, -1, -1, reason.code() as f64),
-            EventKind::PortfolioSolve(rec) => (name, -1, -1, -1, rec.candidates.len() as f64),
-            EventKind::PortfolioPick { strategy, .. } => (name, -1, -1, -1, *strategy as f64),
         }
     }
 }

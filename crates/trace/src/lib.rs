@@ -37,8 +37,8 @@ mod event;
 pub use chrome::chrome_trace_string;
 pub use counters::Counters;
 pub use event::{
-    DecisionReason, Event, EventKind, FallbackReason, PortfolioCandidate, PortfolioRecord,
-    SolverRecord, TaskKey, TraceLog, GLOBAL_STREAM,
+    DecisionReason, Event, EventKind, FallbackReason, SolverRecord, TaskKey, TraceLog,
+    GLOBAL_STREAM,
 };
 
 /// How much a traced run records — the one distinction there is. A run
