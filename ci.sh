@@ -14,6 +14,16 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# Run the awk PROGRAM over the non-test code of CRATE: each .rs file
+# under crates/CRATE/src up to its first top-level #[cfg(test)], with
+# sim/tests.rs (a test module in a file of its own) left out. The
+# single-threaded guard and the size step both read code through this.
+non_test() {
+    local crate=$1 program=$2
+    find "crates/$crate/src" -name '*.rs' ! -path '*/sim/tests.rs' -print0 |
+        xargs -0 awk '/^#\[cfg\(test\)\]/ { nextfile } '"$program"
+}
+
 echo "== cargo fmt --check"
 cargo fmt --all --check
 
@@ -25,12 +35,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "== single-threaded simulator: no crate below tlb-sweep spawns a thread"
 # A simulated run executes on its caller's thread; the only pool is
-# tlb-smprt's, driven by sweep and serve. Scans non-test code the way the
-# size step below cuts it (each file up to its first top-level #[cfg(test)]).
+# tlb-smprt's, driven by sweep and serve.
 spawns=$(for crate in des expander linprog tasking dlb rng json trace portfolio core cluster apps; do
-    find "crates/$crate/src" -name '*.rs' ! -path '*/sim/tests.rs' -print0 |
-        xargs -0 awk '/^#\[cfg\(test\)\]/ { nextfile }
-            /thread::(spawn|scope|Builder)|available_parallelism/ { print FILENAME ":" FNR ": " $0 }'
+    non_test "$crate" '/thread::(spawn|scope|Builder)|available_parallelism/ { print FILENAME ":" FNR ": " $0 }'
 done)
 if [ -n "$spawns" ]; then
     printf '%s\n' "$spawns"
@@ -68,14 +75,12 @@ if [ -n "$orphans" ]; then
 fi
 
 echo "== size: non-test lines per crate (prints only, not a gate)"
-# The number ROADMAP aim 2 is judged by: each .rs file under crates/*/src
-# up to its first top-level #[cfg(test)], with sim/tests.rs (a test
-# module in a file of its own) left out.
+# The number ROADMAP aim 2 is judged by: the non-test lines of each crate.
 total=0
-for crate in crates/*/; do
-    lines=$(find "${crate}src" -name '*.rs' ! -path '*/sim/tests.rs' -print0 |
-        xargs -0 awk '/^#\[cfg\(test\)\]/ { nextfile } { n++ } END { print n + 0 }')
-    printf '%-10s %6d\n' "$(basename "$crate")" "$lines"
+for dir in crates/*/; do
+    crate=$(basename "$dir")
+    lines=$(non_test "$crate" '{ n++ } END { print n + 0 }')
+    printf '%-10s %6d\n' "$crate" "$lines"
     total=$((total + lines))
 done
 printf '%-10s %6d\n' total "$total"

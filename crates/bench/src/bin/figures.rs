@@ -16,7 +16,9 @@ use tlb_bench::{
     config, micropp_mn4, nbody_slow_node, perfect_bound, render_trace, results_dir, run, sweep,
     tally, Effort, Experiment, Point, Status,
 };
-use tlb_cluster::{away_fraction, work_matrix, SpecWorkload, TaskSpec};
+use tlb_cluster::{
+    away_fraction, work_matrix, ClusterSim, FaultPlan, RunSpec, SpecWorkload, TaskSpec,
+};
 use tlb_core::{
     BalanceConfig, DynamicSpreading, GlobalPolicy, GlobalSolverKind, Platform, PortfolioConfig,
     PortfolioEngine, StealGate, Strategy, WorkSignal,
@@ -77,7 +79,7 @@ fn main() {
         std::process::exit(2);
     }
     let headline = wanted.is_empty() || wanted.iter().any(|w| w == HEADLINE);
-    let dir = results_dir(effort);
+    let dir = results_dir(effort, std::env::var_os("CARGO_MANIFEST_DIR").as_deref());
     let save = |exp: &Experiment| match exp.save(&dir) {
         Ok(path) => println!("saved: {}\n", path.display()),
         Err(e) => {
@@ -769,10 +771,10 @@ fn ext_throttle(effort: Effort) -> Vec<Experiment> {
     let calm = Platform::mn4(nodes);
     let wl = synthetic_workload(&scfg, &calm);
     let per_iter = wl.rank_work(0).iter().sum::<f64>();
-    // Throttle node 0 to half speed after a third of the nominal runtime.
+    // Throttle node 0 to half speed from a third of the nominal runtime on.
     let nominal_iter = per_iter / calm.effective_capacity();
-    let throttle_at = SimTime::from_secs_f64(nominal_iter * iterations as f64 / 3.0);
-    let platform = Platform::mn4(nodes).with_speed_event(throttle_at, 0, 0.5);
+    let throttle_at = nominal_iter * iterations as f64 / 3.0;
+    let throttle = FaultPlan::new(0).with_straggler(throttle_at, 0, 2.0, 1e6);
 
     let mut exp = Experiment::new(
         "ext_throttle",
@@ -785,7 +787,8 @@ fn ext_throttle(effort: Effort) -> Vec<Experiment> {
         ("dlb", dlb()),
         ("degree 4 global", config(GLOBAL, 4)),
     ] {
-        let report = run(&platform, &cfg, wl.clone(), false);
+        let spec = RunSpec::new(&calm, &cfg, wl.clone()).faults(&throttle);
+        let report = ClusterSim::execute(spec).expect("the throttle run is valid");
         let times = report.iteration_times.iter().enumerate();
         let points = times.map(|(i, t)| Point {
             x: i as f64,
@@ -890,7 +893,7 @@ mod tests {
         assert_eq!(names.len(), FIGURES.len(), "a figure name repeats");
 
         for effort in [Effort::Full, Effort::Quick] {
-            let dir = results_dir(effort);
+            let dir = results_dir(effort, std::env::var_os("CARGO_MANIFEST_DIR").as_deref());
             let entries = std::fs::read_dir(&dir).expect("results are checked in");
             let files = entries.map(|e| e.unwrap().path());
             let json: Vec<_> = files

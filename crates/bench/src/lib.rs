@@ -334,11 +334,12 @@ pub fn tally(experiments: &[Experiment]) -> (usize, usize, usize) {
 }
 
 /// Directory for JSON results: `results/` at full effort and
-/// `results/quick/` under `--quick` (workspace root if run via cargo,
-/// else the current directory), so a quick run never overwrites the
-/// paper-scale evidence.
-pub fn results_dir(effort: Effort) -> PathBuf {
-    let root = std::env::var_os("CARGO_MANIFEST_DIR")
+/// `results/quick/` under `--quick`, so a quick run never overwrites the
+/// paper-scale evidence. The root is the workspace's when `manifest_dir`
+/// (`CARGO_MANIFEST_DIR`'s value) is set and not empty, else the cwd.
+pub fn results_dir(effort: Effort, manifest_dir: Option<&std::ffi::OsStr>) -> PathBuf {
+    let root = manifest_dir
+        .filter(|d| !d.is_empty())
         .map(|d| PathBuf::from(d).join("../../results"))
         .unwrap_or_else(|| PathBuf::from("results"));
     effort.pick(root.clone(), root.join("quick"))
@@ -508,6 +509,21 @@ mod tests {
         assert!(t.contains("note: hello"));
         // Missing point renders as '-'.
         assert!(t.lines().any(|l| l.contains('-') && l.contains("4.000")));
+    }
+
+    #[test]
+    fn results_dir_ignores_an_empty_manifest_dir() {
+        use std::ffi::OsStr;
+        let here = PathBuf::from("results");
+        for unset in [None, Some(OsStr::new(""))] {
+            assert_eq!(results_dir(Effort::Full, unset), here);
+            assert_eq!(results_dir(Effort::Quick, unset), here.join("quick"));
+        }
+        let crate_dir = Some(OsStr::new("/src/crates/bench"));
+        assert_eq!(
+            results_dir(Effort::Quick, crate_dir),
+            PathBuf::from("/src/crates/bench/../../results/quick")
+        );
     }
 
     #[test]

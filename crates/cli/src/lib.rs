@@ -11,7 +11,6 @@
 //!         --degree 4 --policy lewi+drom-global --iterations 10 \
 //!         [--machine mn4|nord3|ideal] [--slow-node 0]
 //!         [--trace-csv out.csv] [--chrome out.json] [--json]
-//! tlb-run trace --app nbody --nodes 4   # traced run, Chrome JSON export
 //! tlb-run sweep --scenario examples/policy_matrix.json --jobs 8 --resume
 //! tlb-run serve --addr 127.0.0.1:7070 --jobs 4 --cache-dir tlb_sweep_cache
 //! ```
@@ -20,7 +19,7 @@
 
 use std::fmt;
 use tlb_cluster::{FaultStats, SimReport};
-use tlb_core::{known_policy_names, BalanceConfig, PolicySpec};
+use tlb_core::{BalanceConfig, PolicySpec};
 use tlb_sweep::{simulate_point, Scenario, SweepApp, SweepMachine, SweepPoint};
 
 /// Parsed command line.
@@ -34,8 +33,6 @@ pub struct Args {
     pub trace_csv: Option<String>,
     /// Write the trace as Chrome trace-event JSON here.
     pub chrome: Option<String>,
-    /// `trace` subcommand: force tracing on and default the Chrome export.
-    pub trace_mode: bool,
     /// Emit the report as JSON instead of text.
     pub json: bool,
 }
@@ -51,7 +48,6 @@ impl Default for Args {
             slow_node: None,
             trace_csv: None,
             chrome: None,
-            trace_mode: false,
             json: false,
         }
     }
@@ -77,18 +73,13 @@ impl fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 /// Usage text.
-pub const USAGE: &str = "usage: tlb-run [trace|sweep|serve] [options]
+pub const USAGE: &str = "usage: tlb-run [sweep|serve] [options]
   sweep                                   subcommand: batch-run a scenario
                                           file over its axis grid (see
                                           tlb-run sweep --help)
   serve                                   subcommand: resident sweep daemon
                                           over TCP (see tlb-run serve
                                           --help)
-  trace                                   subcommand: record the structured
-                                          event trace and write a Chrome
-                                          trace-event JSON (default
-                                          tlb_trace.chrome.json; open in
-                                          Perfetto / chrome://tracing)
   --app micropp|nbody|synthetic|stencil|amr
                                           workload (default synthetic)
   --nodes N                               node count (default 4)
@@ -101,14 +92,7 @@ pub const USAGE: &str = "usage: tlb-run [trace|sweep|serve] [options]
                                           diffusion — optionally with typed
                                           parameters, e.g.
                                           'reactive-offload(hi=0.4)'
-                                          (default lewi+drom-global).
-                                          Shorthands: off|local|global =
-                                          lewi|lewi+drom-local|
-                                          lewi+drom-global
-  --lewi on|off                           shorthand: switch to the policy's
-                                          LeWI-on/off sibling (baseline/lewi,
-                                          drom-X/lewi+drom-X); an error for
-                                          policies without one
+                                          (default lewi+drom-global)
   --iterations N                          timesteps (default 6)
   --machine mn4|nord3|ideal               platform preset (default mn4)
   --slow-node I                           run node I (< --nodes) at 1.8/3.0
@@ -116,8 +100,9 @@ pub const USAGE: &str = "usage: tlb-run [trace|sweep|serve] [options]
   --imbalance X                           synthetic imbalance, >= 1 (default
                                           2.0)
   --seed S                                expander seed (default 1)
-  --trace-csv PATH                        dump the trace as CSV
-  --chrome PATH                           dump the trace as Chrome JSON
+  --trace-csv PATH                        trace the run; write it as CSV
+  --chrome PATH                           trace the run; write Chrome JSON
+                                          (Perfetto / chrome://tracing)
   --json                                  print the report as JSON
   --faults SPEC                           inject faults; SPEC is ';'-separated
                                           clauses kind@time[,k=v...], kinds:
@@ -131,44 +116,10 @@ pub const USAGE: &str = "usage: tlb-run [trace|sweep|serve] [options]
   --fault-seed S                          seed for fault draws (default 1)
   --help                                  this text";
 
-/// The paper policies that differ only in LeWI, as (off, on) registry
-/// names: what `--lewi` switches between.
-const LEWI_SIBLINGS: [(&str, &str); 3] = [
-    ("baseline", "lewi"),
-    ("drom-local", "lewi+drom-local"),
-    ("drom-global", "lewi+drom-global"),
-];
-
-/// Resolve the `--lewi on|off` shorthand: the registry policy that is
-/// `spec` with LeWI switched as asked. A policy with no such sibling
-/// (`diffusion --lewi off`) is an error listing the registry.
-fn resolve_lewi(spec: &PolicySpec, on: bool) -> Result<PolicySpec, ParseError> {
-    if spec.lewi() == on {
-        return Ok(spec.clone());
-    }
-    LEWI_SIBLINGS
-        .iter()
-        .find(|&&(off, with)| spec.name() == if on { off } else { with })
-        .and_then(|&(off, with)| PolicySpec::named(if on { with } else { off }).ok())
-        .ok_or_else(|| {
-            ParseError(format!(
-                "--lewi {}: policy '{}' has no such variant (known: {})",
-                if on { "on" } else { "off" },
-                spec.name(),
-                known_policy_names().join(", ")
-            ))
-        })
-}
-
 /// Parse an argument list (without the program name).
 pub fn parse_args<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, ParseError> {
     let mut args = Args::default();
-    let mut lewi = None;
-    let mut it = argv.into_iter().peekable();
-    if it.peek().map(String::as_str) == Some("trace") {
-        it.next();
-        args.trace_mode = true;
-    }
+    let mut it = argv.into_iter();
     let sc = &mut args.scenario;
     while let Some(flag) = it.next() {
         match flag.as_str() {
@@ -179,24 +130,8 @@ pub fn parse_args<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, Parse
             }
             "--degree" => sc.axes.degree = vec![parse_num(&mut it, "--degree")?],
             "--policy" => {
-                // `off|local|global` are shorthands for the LeWI-on
-                // paper policies; everything else is a registry name.
-                let given = value(&mut it, "--policy")?;
-                let text = match given.as_str() {
-                    "off" => "lewi",
-                    "local" => "lewi+drom-local",
-                    "global" => "lewi+drom-global",
-                    other => other,
-                };
-                let spec = PolicySpec::parse(text);
+                let spec = PolicySpec::parse(&value(&mut it, "--policy")?);
                 sc.axes.policy = vec![spec.map_err(|e| ParseError(format!("--policy: {e}")))?];
-            }
-            "--lewi" => {
-                lewi = match value(&mut it, "--lewi")?.as_str() {
-                    "on" => Some(true),
-                    "off" => Some(false),
-                    other => return Err(ParseError(format!("--lewi on|off, got '{other}'"))),
-                }
             }
             "--iterations" => sc.iterations = parse_num(&mut it, "--iterations")?,
             "--machine" => {
@@ -214,9 +149,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, Parse
             "--help" | "-h" => return Err(ParseError(USAGE.to_string())),
             other => return Err(ParseError(format!("unknown flag '{other}'\n{USAGE}"))),
         }
-    }
-    if let Some(on) = lewi {
-        sc.axes.policy[0] = resolve_lewi(&sc.axes.policy[0], on)?;
     }
     sc.validate().map_err(usage_error)?;
     if let Some(n) = args.slow_node {
@@ -251,14 +183,6 @@ where
         .map_err(|e| ParseError(format!("{flag}: {e}")))
 }
 
-/// The Chrome trace-event output path implied by the arguments, if any:
-/// an explicit `--chrome PATH`, or the default name in `trace` mode.
-pub fn chrome_path(args: &Args) -> Option<String> {
-    args.chrome
-        .clone()
-        .or_else(|| args.trace_mode.then(|| "tlb_trace.chrome.json".to_string()))
-}
-
 /// Build the scenario's single point exactly as a sweep would, add the
 /// CLI-only bits (`--slow-node`, tracing and its output files), and run;
 /// returns the report plus the perfect-balance bound in seconds per
@@ -269,14 +193,14 @@ pub fn run(args: &Args) -> Result<(SimReport, f64), String> {
     if let Some(n) = args.slow_node {
         platform.node_speed[n] = 1.8 / 3.0;
     }
-    let trace = args.trace_mode || args.trace_csv.is_some() || args.chrome.is_some();
+    let trace = args.trace_csv.is_some() || args.chrome.is_some();
     let (report, perfect) = simulate_point(scenario, &args.point(), &platform, trace)?;
     if let Some(path) = &args.trace_csv {
         tlb_cluster::save_trace_csv(&report.trace, std::path::Path::new(path))
             .map_err(|e| format!("writing {path}: {e}"))?;
     }
-    if let Some(path) = chrome_path(args) {
-        tlb_cluster::save_trace_chrome(&report.trace, std::path::Path::new(&path))
+    if let Some(path) = &args.chrome {
+        tlb_cluster::save_trace_chrome(&report.trace, std::path::Path::new(path))
             .map_err(|e| format!("writing {path}: {e}"))?;
     }
     Ok((report, perfect))
@@ -617,6 +541,7 @@ pub fn serve_config(args: &ServeArgs) -> tlb_serve::ExecutorConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tlb_core::known_policy_names;
 
     fn args(s: &str) -> Result<Args, ParseError> {
         parse_args(s.split_whitespace().map(String::from))
@@ -636,7 +561,7 @@ mod tests {
     fn full_flag_set() {
         let a = args(
             "--app micropp --nodes 8 --appranks-per-node 2 --degree 3 \
-             --policy local --lewi off --iterations 9 --machine nord3 \
+             --policy drom-local --iterations 9 --machine nord3 \
              --slow-node 0 --seed 5 --json",
         )
         .unwrap();
@@ -664,6 +589,18 @@ mod tests {
         // One solver runs; there is no race to switch on.
         let err = args("--portfolio all").unwrap_err();
         assert!(err.0.starts_with("unknown flag '--portfolio'"), "{err}");
+        // A policy has one spelling, its registry name: no LeWI switch,
+        // no DROM shorthands, and tracing is asked for by its output file.
+        let err = args("--lewi on").unwrap_err();
+        assert!(err.0.starts_with("unknown flag '--lewi'"), "{err}");
+        for shorthand in ["off", "local", "global"] {
+            let err = args(&format!("--policy {shorthand}")).unwrap_err();
+            for known in known_policy_names() {
+                assert!(err.0.contains(known), "should list '{known}': {err}");
+            }
+        }
+        let err = args("trace --nodes 2").unwrap_err();
+        assert!(err.0.starts_with("unknown flag 'trace'"), "{err}");
     }
 
     #[test]
@@ -700,50 +637,10 @@ mod tests {
     }
 
     #[test]
-    fn policy_and_lewi_shorthands_resolve_to_registry_names() {
-        let resolved = |s: &str| args(s).map(|a| a.point().policy.canonical());
-        for (flags, name) in [
-            ("--policy off", "lewi"),
-            ("--policy local", "lewi+drom-local"),
-            ("--policy global", "lewi+drom-global"),
-            // All six (policy, lewi) pairs that cross to a sibling...
-            ("--policy baseline --lewi on", "lewi"),
-            ("--policy lewi --lewi off", "baseline"),
-            ("--policy drom-local --lewi on", "lewi+drom-local"),
-            ("--policy lewi+drom-local --lewi off", "drom-local"),
-            ("--policy drom-global --lewi on", "lewi+drom-global"),
-            ("--policy lewi+drom-global --lewi off", "drom-global"),
-            // ...the old spellings of baseline and Fig. 9's DROM series,
-            // in either flag order...
-            ("--policy off --lewi off", "baseline"),
-            ("--lewi off --policy global", "drom-global"),
-            // ...and a `--lewi` that restates what the policy says.
-            ("--policy lewi --lewi on", "lewi"),
-            (
-                "--policy diffusion(order=2) --lewi on",
-                "diffusion(order=2)",
-            ),
-        ] {
-            assert_eq!(resolved(flags).as_deref(), Ok(name), "{flags}");
-        }
-        let err = resolved("--policy diffusion --lewi off").unwrap_err();
-        assert!(err.0.contains("--lewi off"), "{err}");
-        for known in known_policy_names() {
-            assert!(err.0.contains(known), "should list '{known}': {err}");
-        }
-        assert!(resolved("--lewi maybe").is_err());
-    }
-
-    #[test]
     fn reports_name_the_policy_that_ran() {
-        // Regression: `--policy baseline --lewi on` ran LeWI but was
-        // reported (and would have been cached) as "baseline".
         let flags = "--nodes 2 --degree 2 --iterations 2 --machine ideal";
-        let a = args(&format!("{flags} --policy baseline --lewi on")).unwrap();
-        let b = args(&format!("{flags} --policy lewi")).unwrap();
+        let a = args(&format!("{flags} --policy lewi")).unwrap();
         let (ra, pa) = run(&a).unwrap();
-        let (rb, pb) = run(&b).unwrap();
-        assert_eq!(format_json(&a, &ra, pa), format_json(&b, &rb, pb));
         let json = tlb_json::parse(&format_json(&a, &ra, pa)).unwrap();
         assert_eq!(json.get("policy").as_str(), Some("lewi"));
         assert_eq!(json.get("lewi").as_bool(), Some(true));
@@ -851,26 +748,16 @@ mod tests {
     }
 
     #[test]
-    fn trace_subcommand_parses_and_defaults_chrome() {
-        let a = args("trace --nodes 2 --degree 2").unwrap();
-        assert!(a.trace_mode);
-        assert_eq!(chrome_path(&a).as_deref(), Some("tlb_trace.chrome.json"));
-        let b = args("trace --chrome my.json").unwrap();
-        assert_eq!(chrome_path(&b).as_deref(), Some("my.json"));
-        // "trace" is only a subcommand in leading position.
-        assert!(args("--nodes 2 trace").is_err());
-        let c = args("--nodes 2 --degree 2").unwrap();
-        assert!(!c.trace_mode);
-        assert_eq!(chrome_path(&c), None);
-    }
-
-    #[test]
     fn traced_run_writes_chrome_and_reports_counters() {
         let dir = std::env::temp_dir().join("tlb_cli_chrome_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("run.chrome.json");
-        let mut a = args("trace --nodes 2 --degree 2 --iterations 2 --machine ideal").unwrap();
-        a.chrome = Some(path.to_string_lossy().into_owned());
+        // `--chrome PATH` alone turns tracing on and writes the file.
+        let mut a = args(&format!(
+            "--nodes 2 --degree 2 --iterations 2 --machine ideal --chrome {}",
+            path.display()
+        ))
+        .unwrap();
         a.json = true;
         let (report, perfect) = run(&a).unwrap();
         let chrome = std::fs::read_to_string(&path).unwrap();

@@ -54,8 +54,9 @@ fn secs(s: f64) -> SimTime {
     }
 }
 
-/// A sustained slowdown of one node, beyond DVFS noise: at `at`, the
-/// node's speed is multiplied by `1 / slowdown` until `at + duration`.
+/// A sustained slowdown of one node — a straggler, or a DVFS/thermal
+/// throttle: at `at`, the node's speed is multiplied by `1 / slowdown`
+/// until `at + duration`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StragglerFault {
     /// Virtual time the burst starts.
@@ -242,9 +243,10 @@ impl FaultPlan {
     /// are given, and `ClusterSim::execute` and `Scenario::validate`
     /// both call this.
     /// Accepted: start times, durations, backoff and extra latency in
-    /// `[0, 1e6]` seconds; a window that ends after it starts; `slow` in
-    /// `[1, 1e6]`; `rate` in `[0, 1)`; at most 100 retries; straggler
-    /// nodes and kill victims that exist (victims are helpers, slot ≥ 1).
+    /// `[0, 1e6]` seconds; a window of any kind that ends after it starts
+    /// (`for` > 0); `slow` in `[1, 1e6]`; `rate` in `[0, 1)`; at most 100
+    /// retries; straggler nodes and kill victims that exist (victims are
+    /// helpers, slot ≥ 1).
     /// The error names the clause.
     ///
     /// [`parse`]: FaultPlan::parse
@@ -269,6 +271,7 @@ impl FaultPlan {
             let rules = [
                 in_range("start time", s.at),
                 in_range("'for'", s.duration),
+                window(SimTime::ZERO, s.duration),
                 (
                     s.node < nodes,
                     format!("node {} out of range ({nodes} nodes)", s.node),
@@ -294,7 +297,11 @@ impl FaultPlan {
             )?;
         }
         for o in &self.outages {
-            let rules = [in_range("start time", o.at), in_range("'for'", o.duration)];
+            let rules = [
+                in_range("start time", o.at),
+                in_range("'for'", o.duration),
+                window(SimTime::ZERO, o.duration),
+            ];
             check(clause("outage", o.at), rules)?;
         }
         if let Some(l) = &self.loss {
@@ -569,6 +576,8 @@ mod tests {
             ("loss@2,for=nan", "loss@2: 'for'"),
             ("loss@2,for=-1", "loss@2: 'for'"),
             ("delay@0,for=0", "delay@0: 'for'"),
+            ("outage@1,for=0", "outage@1: 'for'"),
+            ("straggler@1,node=0,for=0", "straggler@1: 'for'"),
             ("delay@0,extra=-1", "delay@0: extra"),
             ("straggler@0.1,node=0,slow=0.5", "straggler@0.1: slow"),
             ("straggler@0.1,node=0,slow=inf", "straggler@0.1: slow"),
@@ -589,9 +598,9 @@ mod tests {
         let built = FaultPlan::new(1).with_straggler(0.1, 0, f64::INFINITY, f64::NAN);
         assert!(built.validate(2, 2).is_err());
         // The edges of every range are inside it.
-        let edges = "straggler@0,node=1,slow=1,for=0; straggler@1e6,node=0,slow=1e6,for=1e6; \
+        let edges = "straggler@0,node=1,slow=1,for=1e-9; straggler@1e6,node=0,slow=1e6,for=1e6; \
                      kill@0,apprank=1,slot=1; loss@0,for=1e-9,rate=0,retries=100,backoff=1e6; \
-                     delay@1e6,extra=0";
+                     outage@0,for=1e-9; delay@1e6,extra=0";
         let plan = FaultPlan::parse(edges, 0).unwrap();
         assert_eq!(plan.validate(2, 2), Ok(()));
     }

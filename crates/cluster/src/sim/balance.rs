@@ -259,7 +259,7 @@ impl<W: Workload> State<W> {
     /// the configured solver. Failures of any kind come back as the
     /// reason the caller's degradation ladder records.
     fn solve_global(&self, work: &[f64]) -> Result<AllocationSolution, FallbackReason> {
-        if let Some(err) = &self.faults.outage_error {
+        if let Some(err) = self.faults.outage_error() {
             return Err(fallback_reason(err));
         }
         let strategy = Strategy::from(self.config.solver);

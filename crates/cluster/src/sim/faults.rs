@@ -13,16 +13,16 @@ use tlb_trace::{EventKind, TaskKey, TraceLog, GLOBAL_STREAM};
 /// Everything the fault machinery keeps between events.
 pub(super) struct Faults {
     plan: FaultPlan,
-    /// Node speed excluding straggler effects (noise- and DVFS-scaled);
-    /// `platform.node_speed` is this times the active straggler factors.
+    /// Node speed excluding straggler effects (noise-scaled, fixed at
+    /// setup); `platform.node_speed` is this times the active straggler
+    /// factors.
     base_speed: Vec<f64>,
     /// Speed multipliers (< 1) of the straggler bursts currently active
     /// on each node. Empty ⇒ the node runs at `base_speed` exactly.
     straggler_factors: Vec<Vec<f64>>,
-    /// Nesting count of active whole-solver outage windows and the error
-    /// the solver reports while any is open.
-    outage_active: usize,
-    pub(super) outage_error: Option<LpError>,
+    /// Plan indices of the solver outage windows currently open, in the
+    /// order they opened.
+    open_outages: Vec<usize>,
     pub(super) stats: FaultStats,
 }
 
@@ -32,8 +32,7 @@ impl Faults {
             plan,
             straggler_factors: vec![Vec::new(); base_speed.len()],
             base_speed,
-            outage_active: 0,
-            outage_error: None,
+            open_outages: Vec::new(),
             stats: FaultStats::default(),
         }
     }
@@ -49,6 +48,13 @@ impl Faults {
         for (i, o) in self.plan.outages.iter().enumerate() {
             sim.schedule_at(o.at, Ev::FaultOutage(i));
         }
+    }
+
+    /// The error the solver reports now: that of the most recently
+    /// opened outage window still open, if any.
+    pub(super) fn outage_error(&self) -> Option<&LpError> {
+        let &i = self.open_outages.last()?;
+        Some(&self.plan.outages[i].error)
     }
 
     /// What the offload control path does to one send at `now`: the
@@ -129,17 +135,6 @@ impl<W: Workload> State<W> {
         let stacked: f64 = self.faults.straggler_factors[node].iter().product();
         let speed = self.faults.base_speed[node] * stacked.max(MIN_SPEED_FACTOR);
         self.platform.node_speed[node] = speed;
-    }
-
-    /// DVFS/thermal event: tasks already running keep their start-time
-    /// duration; everything dispatched afterwards sees the new speed, and
-    /// the global solver reasons with it from the next tick. Straggler
-    /// factors stack on top of the new base speed.
-    pub(super) fn handle_speed_change(&mut self, ctx: &mut Ctx<Ev>, node: usize, speed: f64) {
-        self.faults.base_speed[node] = speed;
-        self.refresh_speed(node);
-        self.drain_holds(ctx);
-        self.try_start_node(ctx, node);
     }
 
     /// Straggler burst `i` begins: its node's speed drops by `slowdown`.
@@ -277,22 +272,19 @@ impl<W: Workload> State<W> {
             self.faults.stats.recovered += 1;
             return;
         }
-        self.faults.outage_active += 1;
-        self.faults.outage_error = Some(outage.error.clone());
+        self.faults.open_outages.push(i);
         if self.trace.events() {
             let ev = EventKind::SolverOutage { active: true };
             self.trace.emit(GLOBAL_STREAM, ctx.now(), ev);
         }
-        ctx.schedule_in(duration, Ev::FaultOutageEnd);
+        ctx.schedule_in(duration, Ev::FaultOutageEnd(i));
     }
 
-    /// An outage window closes; the solver is back once every open
-    /// window has closed.
-    pub(super) fn handle_outage_end(&mut self, ctx: &mut Ctx<Ev>) {
-        self.faults.outage_active = self.faults.outage_active.saturating_sub(1);
-        if self.faults.outage_active == 0 {
-            self.faults.outage_error = None;
-        }
+    /// Outage window `i` closes; the solver is back once every open
+    /// window has closed, and until then reports the error of the latest
+    /// one still open.
+    pub(super) fn handle_outage_end(&mut self, ctx: &mut Ctx<Ev>, i: usize) {
+        self.faults.open_outages.retain(|&open| open != i);
         self.faults.stats.recovered += 1;
         if self.trace.events() {
             let ev = EventKind::SolverOutage { active: false };

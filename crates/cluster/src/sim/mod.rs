@@ -72,11 +72,6 @@ enum Ev {
         to: usize,
         tag: u64,
     },
-    /// DVFS/thermal event: node speed changes (already noise-scaled).
-    SpeedChange {
-        node: usize,
-        speed: f64,
-    },
     Arrive {
         apprank: usize,
         slot: usize,
@@ -100,7 +95,7 @@ enum Ev {
     FaultStragglerEnd(usize),
     FaultKill(usize),
     FaultOutage(usize),
-    FaultOutageEnd,
+    FaultOutageEnd(usize),
 }
 
 /// One worker process (an apprank's presence on one node), resolved from
@@ -330,7 +325,6 @@ impl<W: Workload> World for State<W> {
                 tid,
             } => self.handle_end(ctx, apprank, slot, core, tid),
             Ev::MsgDeliver { from, to, tag } => self.handle_msg_deliver(ctx, from, to, tag),
-            Ev::SpeedChange { node, speed } => self.handle_speed_change(ctx, node, speed),
             Ev::LocalTick => self.local_tick(ctx),
             Ev::GlobalTick => self.global_tick(ctx),
             Ev::ApplyOwnership { per_node } => self.apply_ownership(ctx, per_node),
@@ -338,7 +332,7 @@ impl<W: Workload> World for State<W> {
             Ev::FaultStragglerEnd(i) => self.handle_straggler_end(ctx, i),
             Ev::FaultKill(i) => self.handle_kill(ctx, i),
             Ev::FaultOutage(i) => self.handle_outage(ctx, i),
-            Ev::FaultOutageEnd => self.handle_outage_end(ctx),
+            Ev::FaultOutageEnd(i) => self.handle_outage_end(ctx, i),
         }
     }
 }

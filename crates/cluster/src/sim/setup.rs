@@ -179,14 +179,10 @@ pub(super) fn simulate<W: Workload>(spec: RunSpec<'_, W>) -> Result<(State<W>, u
     // polling and dependency state. Modelled as a uniform slowdown of
     // the node proportional to its worker count.
     let mut platform = platform.clone();
-    let noise_scale: Vec<f64> = (0..platform.nodes)
-        .map(|n| {
-            let workers = layout.workers_on(n).len() as f64;
-            1.0 - (platform.worker_noise * workers / platform.cores_per_node as f64).min(0.5)
-        })
-        .collect();
-    for (speed, scale) in platform.node_speed.iter_mut().zip(&noise_scale) {
-        *speed *= scale;
+    for (n, speed) in platform.node_speed.iter_mut().enumerate() {
+        let workers = layout.workers_on(n).len() as f64;
+        let noise = (platform.worker_noise * workers / platform.cores_per_node as f64).min(0.5);
+        *speed *= 1.0 - noise;
     }
 
     let mut dlbs: Vec<NodeDlb> = (0..platform.nodes)
@@ -220,21 +216,6 @@ pub(super) fn simulate<W: Workload>(spec: RunSpec<'_, W>) -> Result<(State<W>, u
 
     let mut sim = Simulator::new();
     sim.schedule_at(SimTime::ZERO, Ev::StartIteration);
-    for ev in &platform.speed_events {
-        if ev.node >= platform.nodes {
-            return Err(SimError::Shape(format!(
-                "speed event node {} out of range",
-                ev.node
-            )));
-        }
-        sim.schedule_at(
-            ev.at,
-            Ev::SpeedChange {
-                node: ev.node,
-                speed: ev.speed * noise_scale[ev.node],
-            },
-        );
-    }
     if config.policy.wants_local_tick() {
         sim.schedule_at(config.local_period, Ev::LocalTick);
     }

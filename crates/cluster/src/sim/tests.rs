@@ -404,23 +404,22 @@ fn offloadable_mpi_task_rejected() {
 }
 
 #[test]
-fn speed_event_throttles_and_offloading_recovers() {
-    use tlb_des::SimTime;
-    // Balanced workload; node 1 throttles to one third speed midway.
+fn throttle_window_slows_a_node_and_offloading_recovers() {
+    // Balanced workload; node 1 throttles to one third speed midway and
+    // stays there (the window outlasts the run).
     let wl = uniform(2, 120, 0.05, 8);
-    let p = Platform::homogeneous(2, 4).with_speed_event(SimTime::from_secs(3), 1, 1.0 / 3.0);
-    let base = ClusterSim::execute(RunSpec::new(
-        &p,
-        &BalanceConfig::preset(Preset::Baseline),
-        wl.clone(),
-    ))
+    let p = Platform::homogeneous(2, 4);
+    let throttle = FaultPlan::new(0).with_straggler(3.0, 1, 3.0, 1e6);
+    let base = ClusterSim::execute(
+        RunSpec::new(&p, &BalanceConfig::preset(Preset::Baseline), wl.clone()).faults(&throttle),
+    )
     .unwrap();
     let mut cfg = BalanceConfig::preset(Preset::Offload {
         degree: 2,
         drom: DromPolicy::Global,
     });
     cfg.global_period = SimTime::from_millis(500);
-    let bal = ClusterSim::execute(RunSpec::new(&p, &cfg, wl.clone())).unwrap();
+    let bal = ClusterSim::execute(RunSpec::new(&p, &cfg, wl.clone()).faults(&throttle)).unwrap();
     // Without throttling both would take ~6s; with it the baseline's
     // later iterations stretch ~3x on node 1 while the balanced run
     // re-spreads the work.
@@ -430,10 +429,9 @@ fn speed_event_throttles_and_offloading_recovers() {
         bal.makespan,
         base.makespan
     );
-    // And a no-event control shows the event really was the cause.
-    let calm = Platform::homogeneous(2, 4);
+    // And a throttle-free control shows the throttle really was the cause.
     let calm_base = ClusterSim::execute(RunSpec::new(
-        &calm,
+        &p,
         &BalanceConfig::preset(Preset::Baseline),
         wl,
     ))
@@ -442,18 +440,17 @@ fn speed_event_throttles_and_offloading_recovers() {
 }
 
 #[test]
-fn speed_events_are_deterministic() {
-    use tlb_des::SimTime;
+fn throttle_windows_are_deterministic() {
+    // Node 0 runs at half speed from 200 ms to 500 ms.
     let wl = uniform(2, 40, 0.02, 3);
-    let p = Platform::homogeneous(2, 4)
-        .with_speed_event(SimTime::from_millis(200), 0, 0.5)
-        .with_speed_event(SimTime::from_millis(500), 0, 1.0);
+    let p = Platform::homogeneous(2, 4);
+    let throttle = FaultPlan::new(0).with_straggler(0.2, 0, 2.0, 0.3);
     let cfg = BalanceConfig::preset(Preset::Offload {
         degree: 2,
         drom: DromPolicy::Global,
     });
-    let a = ClusterSim::execute(RunSpec::new(&p, &cfg, wl.clone())).unwrap();
-    let b = ClusterSim::execute(RunSpec::new(&p, &cfg, wl)).unwrap();
+    let a = ClusterSim::execute(RunSpec::new(&p, &cfg, wl.clone()).faults(&throttle)).unwrap();
+    let b = ClusterSim::execute(RunSpec::new(&p, &cfg, wl).faults(&throttle)).unwrap();
     assert_eq!(a.makespan, b.makespan);
     assert_eq!(a.events, b.events);
 }
@@ -838,6 +835,37 @@ fn solver_outage_falls_back_for_every_error_kind() {
             "{error:?}: degradation unbounded"
         );
     }
+}
+
+#[test]
+fn nested_outages_report_the_innermost_open_window() {
+    // An `iteration_limit` window inside an `infeasible` one: ticks inside
+    // both see the inner error, ticks after it closes the outer one's.
+    let plan = FaultPlan::new(7)
+        .with_outage(0.4, 2.0, LpError::Infeasible)
+        .with_outage(0.9, 0.5, LpError::IterationLimit);
+    let r = run_plan(&plan);
+    let reasons: Vec<(u64, &str)> = r
+        .trace
+        .log
+        .merged()
+        .into_iter()
+        .filter_map(|e| match e.kind {
+            EventKind::SolverFallback { reason } => {
+                Some((e.at.as_nanos() / 1_000_000, reason.name()))
+            }
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        reasons,
+        [
+            (500, "infeasible"),
+            (1000, "iteration_limit"),
+            (1500, "infeasible"),
+            (2000, "infeasible"),
+        ]
+    );
 }
 
 #[test]

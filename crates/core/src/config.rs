@@ -4,21 +4,6 @@ use crate::PolicySpec;
 use tlb_des::SimTime;
 use tlb_portfolio::Strategy;
 
-/// A scheduled change of one node's speed (DVFS step, thermal throttle,
-/// turbo variation — the system-level imbalance sources of the paper's
-/// introduction).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SpeedEvent {
-    /// When the change takes effect.
-    pub at: SimTime,
-    /// Which node.
-    pub node: usize,
-    /// New relative speed (1.0 = nominal). Tasks already executing keep
-    /// their start-time duration; tasks started afterwards use the new
-    /// speed.
-    pub speed: f64,
-}
-
 /// Description of the (virtual) machine an experiment runs on.
 #[derive(Clone, Debug)]
 pub struct Platform {
@@ -37,8 +22,6 @@ pub struct Platform {
     /// (control messages, eager data copies, distributed dependency
     /// bookkeeping — §5.1).
     pub offload_cpu_overhead: SimTime,
-    /// Scheduled mid-run speed changes (DVFS/thermal events).
-    pub speed_events: Vec<SpeedEvent>,
     /// Background CPU consumed by each worker *process* on a node
     /// (message polling, distributed dependency state), as a fraction of
     /// one core. More helper ranks per node mean more such noise — the
@@ -61,7 +44,6 @@ impl Platform {
             net_latency: SimTime::from_micros(2),
             net_bandwidth: 12.5e9, // 100 Gb/s Omni-Path
             offload_cpu_overhead: SimTime::ZERO,
-            speed_events: Vec::new(),
             worker_noise: 0.0,
         }
     }
@@ -93,14 +75,6 @@ impl Platform {
     pub fn with_slowdown(mut self, node: usize, factor: f64) -> Self {
         assert!(factor > 0.0, "slowdown factor must be positive");
         self.node_speed[node] = 1.0 / factor;
-        self
-    }
-
-    /// Schedule a mid-run speed change (DVFS step / thermal throttle).
-    pub fn with_speed_event(mut self, at: SimTime, node: usize, speed: f64) -> Self {
-        assert!(speed > 0.0, "speed must be positive");
-        assert!(node < self.nodes, "node out of range");
-        self.speed_events.push(SpeedEvent { at, node, speed });
         self
     }
 

@@ -54,8 +54,8 @@ pub use balance::{
     PolicyError, PolicySpec, ReactiveOffload, SignalView, POLICY_REGISTRY,
 };
 pub use config::{
-    BalanceConfig, DromPolicy, DynamicSpreading, GlobalSolverKind, Platform, Preset, SpeedEvent,
-    StealGate, WorkSignal,
+    BalanceConfig, DromPolicy, DynamicSpreading, GlobalSolverKind, Platform, Preset, StealGate,
+    WorkSignal,
 };
 pub use layout::{ProcessLayout, WorkerRef};
 pub use metrics::{imbalance, node_imbalance, Loads};
