@@ -3,21 +3,23 @@
 //! off its Paraver timelines.
 
 use crate::Trace;
-use std::fmt::Write as _;
-use std::io;
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use tlb_des::SimTime;
 use tlb_json::write_i64;
+use tlb_trace::{spill, EXPORT_CHUNK};
 
 /// Append `t` in seconds as `{:.9}` of [`SimTime::as_secs_f64`] prints
 /// it, from the integer: the seconds, a point, nine zero-padded digits.
 /// Below 2^52 ns the double is off by under half a unit of the ninth
 /// decimal, so `{:.9}` rounds it back to exactly these digits; from
 /// there on the `fmt` form it is.
-fn write_secs(out: &mut String, t: SimTime) {
+#[inline]
+fn write_secs(out: &mut Vec<u8>, t: SimTime) {
     let nanos = t.as_nanos();
     if nanos >= 1 << 52 {
-        let _ = write!(out, "{:.9}", t.as_secs_f64());
+        write!(out, "{:.9}", t.as_secs_f64()).expect("writing into a Vec cannot fail");
         return;
     }
     write_i64(out, (nanos / 1_000_000_000) as i64);
@@ -26,55 +28,51 @@ fn write_secs(out: &mut String, t: SimTime) {
         *digit += (r % 10) as u8;
         r /= 10;
     }
-    out.push_str(std::str::from_utf8(&frac).expect("ASCII digits"));
+    out.extend_from_slice(&frac);
 }
 
 /// Append `v` as `{}` prints an `f64`. The values of a trace are mostly
 /// counts, and an integral double below 2^53 prints as that integer
 /// (`-0.0` as `-0`); anything else goes through `fmt`.
-fn write_value(out: &mut String, v: f64) {
+#[inline]
+fn write_value(out: &mut Vec<u8>, v: f64) {
     if v.fract() == 0.0 && v.abs() < (1u64 << 53) as f64 {
         if v.is_sign_negative() {
-            out.push('-');
+            out.push(b'-');
         }
         write_i64(out, v.abs() as i64);
     } else {
-        let _ = write!(out, "{v}");
+        write!(out, "{v}").expect("writing into a Vec cannot fail");
     }
 }
 
 /// One row `kind,node,proc,apprank,time_s,value`.
-fn write_row(out: &mut String, kind: &str, ids: [i64; 3], at: SimTime, value: f64) {
-    out.push_str(kind);
+#[inline]
+fn write_row(out: &mut Vec<u8>, kind: &str, ids: [i64; 3], at: SimTime, value: f64) {
+    out.extend_from_slice(kind.as_bytes());
     for id in ids {
-        out.push(',');
+        out.push(b',');
         write_i64(out, id);
     }
-    out.push(',');
+    out.push(b',');
     write_secs(out, at);
-    out.push(',');
+    out.push(b',');
     write_value(out, value);
-    out.push('\n');
+    out.push(b'\n');
 }
 
-/// Export every worker timeline as long-format CSV:
-/// `kind,node,proc,apprank,time_s,value` — one row per sample, directly
-/// loadable by pandas/R/gnuplot.
-pub fn trace_to_csv(trace: &Trace) -> String {
-    let workers = trace.busy.iter().chain(&trace.owned).flatten();
-    let samples = workers.chain(&trace.node_busy).map(|tl| tl.samples().len());
-    let rows = samples.sum::<usize>() + trace.iteration_ends.len() + trace.log.len();
-    // One reservation: a row is a kind name, three small ids, a time and
-    // a value, 40 bytes or so.
-    let mut out = String::with_capacity(64 + rows * 48);
-    out.push_str("kind,node,proc,apprank,time_s,value\n");
+/// Append [`trace_to_csv`]'s rows to `out`, handing them to `sink`
+/// chunk by chunk if there is one ([`spill`]).
+fn write_csv(trace: &Trace, out: &mut Vec<u8>, mut sink: Option<&mut dyn Write>) -> io::Result<()> {
+    out.extend_from_slice(b"kind,node,proc,apprank,time_s,value\n");
     for (kind, timelines) in [("busy", &trace.busy), ("owned", &trace.owned)] {
         for (node, workers) in timelines.iter().enumerate() {
             for (proc, tl) in workers.iter().enumerate() {
                 let apprank = trace.worker_apprank[node][proc];
                 let ids = [node as i64, proc as i64, apprank as i64];
                 for s in tl.samples() {
-                    write_row(&mut out, kind, ids, s.at, s.value);
+                    write_row(out, kind, ids, s.at, s.value);
+                    spill(out, &mut sink)?;
                 }
             }
         }
@@ -83,34 +81,66 @@ pub fn trace_to_csv(trace: &Trace) -> String {
     // an empty string, so numeric CSV readers never see mixed dtypes.
     for (node, tl) in trace.node_busy.iter().enumerate() {
         for s in tl.samples() {
-            write_row(&mut out, "node_busy", [node as i64, -1, -1], s.at, s.value);
+            write_row(out, "node_busy", [node as i64, -1, -1], s.at, s.value);
+            spill(out, &mut sink)?;
         }
     }
     for (i, t) in trace.iteration_ends.iter().enumerate() {
-        write_row(&mut out, "iteration_end", [-1; 3], *t, i as f64);
+        write_row(out, "iteration_end", [-1; 3], *t, i as f64);
+        spill(out, &mut sink)?;
     }
     for ev in trace.log.iter() {
         let (kind, node, proc, apprank, value) = ev.csv_fields();
-        write_row(&mut out, kind, [node, proc, apprank], ev.at, value);
+        write_row(out, kind, [node, proc, apprank], ev.at, value);
+        spill(out, &mut sink)?;
     }
+    Ok(())
+}
+
+/// Export every worker timeline as long-format CSV:
+/// `kind,node,proc,apprank,time_s,value` — one row per sample, directly
+/// loadable by pandas/R/gnuplot. The bytes are ASCII.
+pub fn trace_to_csv(trace: &Trace) -> Vec<u8> {
+    let workers = trace.busy.iter().chain(&trace.owned).flatten();
+    let samples = workers.chain(&trace.node_busy).map(|tl| tl.samples().len());
+    let rows = samples.sum::<usize>() + trace.iteration_ends.len() + trace.log.len();
+    // One reservation: a row is a kind name, three small ids, a time and
+    // a value, 40 bytes or so.
+    let mut out = Vec::with_capacity(64 + rows * 48);
+    write_csv(trace, &mut out, None).expect("appending to memory cannot fail");
     out
 }
 
 /// Export the structured event log as Chrome trace-event JSON (one
 /// process track per node, one thread per worker; loadable in Perfetto
-/// or `chrome://tracing`).
-pub fn trace_to_chrome(trace: &Trace) -> String {
-    tlb_trace::chrome_trace_string(trace.log.iter(), &trace.worker_apprank)
+/// or `chrome://tracing`). The bytes are UTF-8 JSON text.
+pub fn trace_to_chrome(trace: &Trace) -> Vec<u8> {
+    tlb_trace::chrome_trace(trace.log.iter(), &trace.worker_apprank)
 }
 
-/// Write [`trace_to_chrome`] to a file.
+/// Create `path` and stream into it what `write` appends to its buffer,
+/// which never holds more than a chunk and a row or event beyond it.
+fn save(
+    path: &Path,
+    write: impl FnOnce(&mut Vec<u8>, Option<&mut dyn Write>) -> io::Result<()>,
+) -> io::Result<()> {
+    let mut file = BufWriter::new(File::create(path)?);
+    let mut buf = Vec::with_capacity(2 * EXPORT_CHUNK);
+    write(&mut buf, Some(&mut file))?;
+    file.write_all(&buf)?;
+    file.flush()
+}
+
+/// Write [`trace_to_chrome`]'s bytes to a file, a chunk at a time.
 pub fn save_trace_chrome(trace: &Trace, path: &Path) -> io::Result<()> {
-    std::fs::write(path, trace_to_chrome(trace))
+    save(path, |buf, sink| {
+        tlb_trace::write_chrome_trace(trace.log.iter(), &trace.worker_apprank, buf, sink)
+    })
 }
 
-/// Write [`trace_to_csv`] to a file.
+/// Write [`trace_to_csv`]'s bytes to a file, a chunk at a time.
 pub fn save_trace_csv(trace: &Trace, path: &Path) -> io::Result<()> {
-    std::fs::write(path, trace_to_csv(trace))
+    save(path, |buf, sink| write_csv(trace, buf, sink))
 }
 
 /// How much work (core·seconds) each apprank executed on each node over a
@@ -176,10 +206,18 @@ mod tests {
         t
     }
 
+    fn csv_text(t: &Trace) -> String {
+        String::from_utf8(trace_to_csv(t)).expect("CSV export is ASCII")
+    }
+
+    fn chrome_text(t: &Trace) -> String {
+        String::from_utf8(trace_to_chrome(t)).expect("Chrome export is UTF-8")
+    }
+
     #[test]
     fn csv_has_all_kinds_and_parses() {
         let t = sample_trace();
-        let csv = trace_to_csv(&t);
+        let csv = csv_text(&t);
         assert!(csv.starts_with("kind,node,proc,apprank,time_s,value"));
         for kind in ["busy,", "owned,", "node_busy,", "iteration_end,"] {
             assert!(csv.contains(kind), "missing {kind} rows");
@@ -236,30 +274,40 @@ mod tests {
             let v = f64::from_bits(bits);
             values.extend([v, v.trunc(), (bits as i32) as f64, (bits >> 10) as f64]);
         }
-        let mut out = String::new();
+        let mut out = Vec::new();
         for nanos in times {
             out.clear();
             let t = SimTime::from_nanos(nanos);
             write_secs(&mut out, t);
-            assert_eq!(out, format!("{:.9}", t.as_secs_f64()), "{nanos} ns");
+            assert_eq!(
+                out,
+                format!("{:.9}", t.as_secs_f64()).as_bytes(),
+                "{nanos} ns"
+            );
         }
         for v in values {
             out.clear();
             write_value(&mut out, v);
-            assert_eq!(out, format!("{v}"), "{:#x}", v.to_bits());
+            assert_eq!(out, format!("{v}").as_bytes(), "{:#x}", v.to_bits());
         }
     }
 
     fn push_task_pair(t: &mut Trace) {
+        push_task(t, 3, SimTime::ZERO);
+    }
+
+    /// Task `task` of apprank 0 runs on worker 0 of node 0 from `at` for
+    /// one second.
+    fn push_task(t: &mut Trace, task: u32, at: SimTime) {
         use tlb_trace::{EventKind, TaskKey, TraceLog};
         let key = TaskKey {
             iteration: 0,
             apprank: 0,
-            task: 3,
+            task,
         };
         t.log.push(
             TraceLog::node_stream(0),
-            SimTime::ZERO,
+            at,
             EventKind::TaskStarted {
                 key,
                 node: 0,
@@ -269,7 +317,7 @@ mod tests {
         );
         t.log.push(
             TraceLog::node_stream(0),
-            SimTime::from_secs(1),
+            at + SimTime::from_secs(1),
             EventKind::TaskCompleted {
                 key,
                 node: 0,
@@ -282,7 +330,7 @@ mod tests {
     fn csv_uses_sentinels_and_includes_event_rows() {
         let mut t = sample_trace();
         push_task_pair(&mut t);
-        let csv = trace_to_csv(&t);
+        let csv = csv_text(&t);
         // Rows without a proc/apprank carry -1, never an empty field.
         assert!(csv.contains("node_busy,0,-1,-1,"), "{csv}");
         assert!(csv.contains("iteration_end,-1,-1,-1,"), "{csv}");
@@ -299,7 +347,7 @@ mod tests {
     fn chrome_export_round_trips() {
         let mut t = sample_trace();
         push_task_pair(&mut t);
-        let s = trace_to_chrome(&t);
+        let s = chrome_text(&t);
         let doc = tlb_json::parse(&s).expect("chrome export must parse");
         let events = doc.get("traceEvents").as_array().unwrap();
         let x: Vec<_> = events
@@ -316,12 +364,36 @@ mod tests {
             })
             .count();
         assert_eq!(procs, 1 + t.worker_apprank.len());
-        // Disk round-trip is byte-identical.
+        // The file is the bytes in memory, on a trace of one chunk and
+        // on one of several.
+        assert_saved_equals_memory(&t, "trace.json", save_trace_chrome, trace_to_chrome);
+        let big = many_tasks();
+        assert!(trace_to_chrome(&big).len() > 4 * EXPORT_CHUNK);
+        assert_saved_equals_memory(&big, "big.json", save_trace_chrome, trace_to_chrome);
+    }
+
+    /// The sample trace plus 3,000 one-second tasks: exports of several
+    /// [`EXPORT_CHUNK`]s.
+    fn many_tasks() -> Trace {
+        let mut t = sample_trace();
+        for task in 0..3_000 {
+            push_task(&mut t, task, SimTime::from_millis(u64::from(task)));
+        }
+        t
+    }
+
+    /// `save` writes to a file exactly what `to_bytes` returns.
+    fn assert_saved_equals_memory(
+        t: &Trace,
+        file: &str,
+        save: fn(&Trace, &Path) -> io::Result<()>,
+        to_bytes: fn(&Trace) -> Vec<u8>,
+    ) {
         let dir = std::env::temp_dir().join("tlb_export_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("trace.json");
-        save_trace_chrome(&t, &path).unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), s);
+        let path = dir.join(file);
+        save(t, &path).unwrap();
+        assert!(std::fs::read(&path).unwrap() == to_bytes(t), "{file}");
         std::fs::remove_file(&path).ok();
     }
 
@@ -330,8 +402,8 @@ mod tests {
         let g = generate_circulant(&ExpanderConfig::new(2, 2, 2), &[1]).unwrap();
         let layout = ProcessLayout::new(&g, 4);
         let t = Trace::new(&layout, None);
-        assert_eq!(trace_to_csv(&t), "kind,node,proc,apprank,time_s,value\n");
-        let doc = tlb_json::parse(&trace_to_chrome(&t)).unwrap();
+        assert_eq!(csv_text(&t), "kind,node,proc,apprank,time_s,value\n");
+        let doc = tlb_json::parse(&chrome_text(&t)).unwrap();
         let events = doc.get("traceEvents").as_array().unwrap();
         assert!(!events.is_empty(), "track metadata still present");
         for e in events {
@@ -341,13 +413,9 @@ mod tests {
 
     #[test]
     fn csv_roundtrip_to_disk() {
-        let t = sample_trace();
-        let dir = std::env::temp_dir().join("tlb_export_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("trace.csv");
-        save_trace_csv(&t, &path).unwrap();
-        let back = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(back, trace_to_csv(&t));
-        std::fs::remove_file(&path).ok();
+        assert_saved_equals_memory(&sample_trace(), "trace.csv", save_trace_csv, trace_to_csv);
+        let big = many_tasks();
+        assert!(trace_to_csv(&big).len() > 2 * EXPORT_CHUNK);
+        assert_saved_equals_memory(&big, "big.csv", save_trace_csv, trace_to_csv);
     }
 }

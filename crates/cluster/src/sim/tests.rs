@@ -608,14 +608,15 @@ fn perfect_balance_bound_respected() {
 /// re-serialising it changes no byte.
 fn assert_exports(trace: &Trace, counters: &str, digests: [(usize, u64); 2]) {
     let chrome = crate::trace_to_chrome(trace);
-    let reparsed = tlb_json::parse(&chrome).unwrap().to_string_compact();
-    assert!(reparsed == chrome, "Chrome export is not canonical JSON");
+    let text = std::str::from_utf8(&chrome).expect("Chrome export is UTF-8");
+    let reparsed = tlb_json::parse(text).unwrap().to_string_compact();
+    assert!(reparsed == text, "Chrome export is not canonical JSON");
     let gauges = trace.counters.sorted_gauges();
     let gauges: Vec<&str> = gauges.iter().map(|(name, _)| name.as_str()).collect();
     let counts = trace.counters.to_json().get("counters").to_string_compact();
     assert_eq!(format!("{counts} {}", gauges.join(",")), counters);
-    let digest = |text: String| {
-        let fnv = text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+    let digest = |text: Vec<u8>| {
+        let fnv = text.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
             (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
         });
         (text.len(), fnv)
@@ -672,7 +673,8 @@ fn trace_events_cover_task_lifecycle() {
     assert!(log.count(drom) >= 1);
     // The Chrome export pairs every task into one complete slice.
     let phases = |trace: &Trace, ph: &str| {
-        let doc = tlb_json::parse(&crate::trace_to_chrome(trace)).unwrap();
+        let chrome = crate::trace_to_chrome(trace);
+        let doc = tlb_json::parse(std::str::from_utf8(&chrome).unwrap()).unwrap();
         let events = doc.get("traceEvents").as_array().unwrap();
         let with_ph = events.iter().filter(|e| e.get("ph").as_str() == Some(ph));
         (with_ph.count(), events.len())
@@ -698,7 +700,8 @@ fn trace_events_cover_task_lifecycle() {
     let off = ClusterSim::execute(RunSpec::new(&p, &cfg, wl)).unwrap();
     assert!(off.trace.log.is_empty());
     assert!(off.trace.counters.is_empty());
-    assert_eq!(crate::trace_to_csv(&off.trace).lines().count(), 1);
+    let csv = crate::trace_to_csv(&off.trace);
+    assert_eq!(csv.iter().filter(|&&b| b == b'\n').count(), 1);
     let (metadata, all) = phases(&off.trace, "M");
     assert_eq!(metadata, all, "a disabled trace exports metadata only");
 }

@@ -12,15 +12,21 @@
 //! benchmark artefacts that get diffed across PRs.
 //!
 //! There is one number and one string format, in three public byte
-//! kernels: [`write_i64`], [`write_f64`] and [`write_escaped`]. The tree
-//! writer calls them, and so do the writers that stream JSON text
-//! without a tree (the Chrome trace export, 19.8 MB a traced run), so
-//! none goes through `fmt` or a temporary `String` where it can write
-//! the bytes itself.
+//! kernels over `&mut Vec<u8>`: [`write_i64`], [`write_f64`] and
+//! [`write_escaped`]. The tree writer calls them, and so do the writers
+//! that stream JSON text without a tree (the Chrome trace export, 19.8
+//! MB a traced run). They append bytes and check no UTF-8: a kernel
+//! writes ASCII or copies a whole `&str`, so its output is valid text by
+//! construction, and [`Value::to_string_compact`] /
+//! [`Value::to_string_pretty`] validate a document once, when they turn
+//! its bytes into a `String`. The kernels are `#[inline]`, so a streaming
+//! writer in another crate gets the digits written in place, not a call
+//! per field.
 
 #![forbid(unsafe_code)]
 
-use std::fmt::{self, Write as _};
+use std::fmt;
+use std::io::Write as _;
 
 /// A JSON document node.
 #[derive(Clone, Debug, PartialEq)]
@@ -135,97 +141,106 @@ impl Value {
 
     /// Compact single-line rendering.
     pub fn to_string_compact(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, None, 0);
-        out
+        self.to_string_with(None)
     }
 
     /// Pretty rendering with two-space indentation.
     pub fn to_string_pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, Some(2), 0);
-        out
+        self.to_string_with(Some(2))
     }
 
-    fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
+    fn to_string_with(&self, indent: Option<usize>) -> String {
+        let mut out = Vec::new();
+        self.write(&mut out, indent, 0);
+        String::from_utf8(out).expect("the byte kernels write UTF-8")
+    }
+
+    fn write(&self, out: &mut Vec<u8>, indent: Option<usize>, depth: usize) {
         match self {
-            Value::Null => out.push_str("null"),
-            Value::Bool(true) => out.push_str("true"),
-            Value::Bool(false) => out.push_str("false"),
+            Value::Null => out.extend_from_slice(b"null"),
+            Value::Bool(true) => out.extend_from_slice(b"true"),
+            Value::Bool(false) => out.extend_from_slice(b"false"),
             Value::Int(i) => write_i64(out, *i),
             Value::Float(f) => write_f64(out, *f),
             Value::Str(s) => write_escaped(out, s),
             Value::Array(items) => {
                 if items.is_empty() {
-                    out.push_str("[]");
+                    out.extend_from_slice(b"[]");
                     return;
                 }
-                out.push('[');
+                out.push(b'[');
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
                     newline_indent(out, indent, depth + 1);
                     item.write(out, indent, depth + 1);
                 }
                 newline_indent(out, indent, depth);
-                out.push(']');
+                out.push(b']');
             }
             Value::Object(pairs) => {
                 if pairs.is_empty() {
-                    out.push_str("{}");
+                    out.extend_from_slice(b"{}");
                     return;
                 }
-                out.push('{');
+                out.push(b'{');
                 for (i, (k, v)) in pairs.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
                     newline_indent(out, indent, depth + 1);
                     write_escaped(out, k);
-                    out.push(':');
+                    out.push(b':');
                     if indent.is_some() {
-                        out.push(' ');
+                        out.push(b' ');
                     }
                     v.write(out, indent, depth + 1);
                 }
                 newline_indent(out, indent, depth);
-                out.push('}');
+                out.push(b'}');
             }
         }
     }
 }
 
-fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
+fn newline_indent(out: &mut Vec<u8>, indent: Option<usize>, depth: usize) {
     if let Some(width) = indent {
-        out.push('\n');
-        for _ in 0..width * depth {
-            out.push(' ');
-        }
+        out.push(b'\n');
+        out.resize(out.len() + width * depth, b' ');
     }
 }
 
 /// Append `f` the way [`Value::Float`] serialises: shortest
 /// round-trippable form with a decimal point, `null` when not finite.
 /// `{f}` is formatted straight into `out`.
-pub fn write_f64(out: &mut String, f: f64) {
+#[inline]
+pub fn write_f64(out: &mut Vec<u8>, f: f64) {
     if f.is_finite() {
         let start = out.len();
-        let _ = write!(out, "{f}");
-        if !out.as_bytes()[start..].iter().any(|b| b".eE".contains(b)) {
+        write!(out, "{f}").expect("writing into a Vec cannot fail");
+        if !out[start..].iter().any(|b| b".eE".contains(b)) {
             // Force a decimal point so the value re-parses as Float.
-            out.push_str(".0");
+            out.extend_from_slice(b".0");
         }
     } else {
         // JSON has no Inf/NaN; null is the conventional stand-in.
-        out.push_str("null");
+        out.extend_from_slice(b"null");
     }
 }
 
 /// Append `i` in decimal, the way [`Value::Int`] serialises and
 /// `i.to_string()` prints: digits filled backwards into a stack buffer
-/// (`i64::MIN` is a sign and 19 of them), then one `push_str`.
-pub fn write_i64(out: &mut String, i: i64) {
+/// (`i64::MIN` is a sign and 19 of them), then appended as they are.
+#[inline]
+pub fn write_i64(out: &mut Vec<u8>, i: i64) {
+    if i.unsigned_abs() < 10 {
+        if i < 0 {
+            out.push(b'-');
+        }
+        out.push(b'0' + i.unsigned_abs() as u8);
+        return;
+    }
     let mut buf = [0u8; 20];
     let mut at = buf.len();
     let mut n = i.unsigned_abs();
@@ -241,35 +256,40 @@ pub fn write_i64(out: &mut String, i: i64) {
         at -= 1;
         buf[at] = b'-';
     }
-    out.push_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits and sign"));
+    out.extend_from_slice(&buf[at..]);
 }
 
 /// Append `s` as a quoted, escaped JSON string (the [`Value::Str`] and
 /// object-key format). Scans bytes and copies the run between two
-/// escapes with one `push_str`; every escaped byte is ASCII, so a run
-/// always starts and ends on a character boundary.
-pub fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
+/// escapes whole; every escaped byte is ASCII, so a run always starts
+/// and ends on a character boundary and the output stays UTF-8.
+#[inline]
+pub fn write_escaped(out: &mut Vec<u8>, s: &str) {
+    let bytes = s.as_bytes();
+    out.push(b'"');
     let mut run = 0;
-    for (i, &b) in s.as_bytes().iter().enumerate() {
+    for (i, &b) in bytes.iter().enumerate() {
         if b >= 0x20 && b != b'"' && b != b'\\' {
             continue;
         }
-        out.push_str(&s[run..i]);
+        out.extend_from_slice(&bytes[run..i]);
         run = i + 1;
         match b {
-            b'"' => out.push_str("\\\""),
-            b'\\' => out.push_str("\\\\"),
-            b'\n' => out.push_str("\\n"),
-            b'\r' => out.push_str("\\r"),
-            b'\t' => out.push_str("\\t"),
+            b'"' => out.extend_from_slice(b"\\\""),
+            b'\\' => out.extend_from_slice(b"\\\\"),
+            b'\n' => out.extend_from_slice(b"\\n"),
+            b'\r' => out.extend_from_slice(b"\\r"),
+            b'\t' => out.extend_from_slice(b"\\t"),
             _ => {
-                let _ = write!(out, "\\u{b:04x}");
+                const HEX: &[u8; 16] = b"0123456789abcdef";
+                let hex = [HEX[usize::from(b >> 4)], HEX[usize::from(b & 0xf)]];
+                out.extend_from_slice(b"\\u00");
+                out.extend_from_slice(&hex);
             }
         }
     }
-    out.push_str(&s[run..]);
-    out.push('"');
+    out.extend_from_slice(&bytes[run..]);
+    out.push(b'"');
 }
 
 /// Conversions used by the `to_json` implementations around the workspace.
@@ -743,12 +763,12 @@ mod tests {
             let bits = next(&mut seed);
             cases.push(bits as i64 >> (next(&mut seed) % 64));
         }
-        let mut out = String::new();
+        let mut out = Vec::new();
         for i in cases {
             out.clear();
             write_i64(&mut out, i);
-            assert_eq!(out, i.to_string());
-            assert_eq!(Value::Int(i).to_string_compact(), out);
+            assert_eq!(out, i.to_string().as_bytes());
+            assert_eq!(Value::Int(i).to_string_compact().as_bytes(), out);
         }
     }
 
@@ -798,14 +818,15 @@ mod tests {
             let pick = |_| alphabet[(next(&mut seed) % alphabet.len() as u64) as usize];
             cases.push((0..len).map(pick).collect());
         }
-        let (mut out, mut reference) = (String::new(), String::new());
+        let (mut out, mut reference) = (Vec::new(), String::new());
         for s in &cases {
             out.clear();
             reference.clear();
             write_escaped(&mut out, s);
             write_escaped_by_char(&mut reference, s);
+            let out = std::str::from_utf8(&out).expect("escaped text is UTF-8");
             assert_eq!(out, reference, "{s:?}");
-            assert_eq!(parse(&out).unwrap().as_str(), Some(s.as_str()), "{s:?}");
+            assert_eq!(parse(out).unwrap().as_str(), Some(s.as_str()), "{s:?}");
         }
     }
 
@@ -834,7 +855,7 @@ mod tests {
                 (bits as i32) as f64,
             ]);
         }
-        let mut out = String::new();
+        let mut out = Vec::new();
         for f in cases {
             out.clear();
             write_f64(&mut out, f);
@@ -843,7 +864,7 @@ mod tests {
                 s if s.contains(['.', 'e', 'E']) => s,
                 s => s + ".0",
             };
-            assert_eq!(out, reference, "{:#x}", f.to_bits());
+            assert_eq!(out, reference.as_bytes(), "{:#x}", f.to_bits());
         }
     }
 

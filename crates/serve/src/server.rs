@@ -9,7 +9,7 @@
 //! points (flushing the cache), new sweeps are shed while draining,
 //! and only then is the `shutdown_ack` written.
 
-use std::io::{self, Read, Write};
+use std::io::{self, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -232,10 +232,10 @@ impl LineReader {
     }
 }
 
-fn write_reply(stream: &mut TcpStream, reply: &Value) -> io::Result<()> {
+fn write_reply(out: &mut impl Write, reply: &Value) -> io::Result<()> {
     let mut line = reply.to_string_compact();
     line.push('\n');
-    stream.write_all(line.as_bytes())
+    out.write_all(line.as_bytes())
 }
 
 fn handle_connection(stream: TcpStream, executor: Arc<Executor>, stop: Arc<AtomicBool>) {
@@ -290,8 +290,23 @@ fn handle_connection(stream: TcpStream, executor: Arc<Executor>, stop: Arc<Atomi
     }
 }
 
-/// Validate, admit, stream, and report one sweep request.
+/// Validate, admit, stream, and report one sweep request. The replies go
+/// through one buffer over the connection, written out before each wait
+/// for a point and after the last line: a sweep answered from the cache
+/// is one `write`, and a point that lands is on the wire before the
+/// handler waits for the next.
 fn handle_sweep(executor: &Executor, scenario_json: &Value, out: &mut TcpStream) -> io::Result<()> {
+    let mut out = BufWriter::new(out);
+    stream_sweep(executor, scenario_json, &mut out)?;
+    out.flush()
+}
+
+/// [`handle_sweep`]'s replies, into `out`.
+fn stream_sweep(
+    executor: &Executor,
+    scenario_json: &Value,
+    out: &mut impl Write,
+) -> io::Result<()> {
     // The same strict parser as `tlb-run sweep` — but a schema error
     // becomes a structured reply instead of an exit code.
     let scenario = match Scenario::from_json(scenario_json).and_then(|s| {
@@ -339,6 +354,7 @@ fn handle_sweep(executor: &Executor, scenario_json: &Value, out: &mut TcpStream)
     }
     let mut failure: Option<String> = None;
     for _ in 0..admitted.pending {
+        out.flush()?;
         match admitted.rx.recv() {
             Ok((key, Ok(record))) => {
                 for (i, &k) in admitted.keys.iter().enumerate() {

@@ -7,213 +7,169 @@
 //! nanoseconds converted to the format's microseconds, so the output is
 //! bitwise-identical across runs, hosts, and thread counts.
 //!
-//! The text is written event by event into one `String`, reserved once
-//! from the event count — no document tree is built — in exactly the
-//! compact form `tlb_json::Value` would serialise to, so
-//! `parse(&text).to_string_compact() == text`. What a byte costs: a key
-//! is a compile-time literal with its quotes and colon (`k!`, one
-//! `push_str`), strings and numbers go through `tlb-json`'s own kernels
-//! (`write_escaped`, `write_i64`, `write_f64`), and a timestamp is
-//! written from its integer nanoseconds (`Obj::micros`: at most 15
-//! significant digits, hence already the double's shortest form).
+//! The text is appended as bytes, event by event, into one `Vec<u8>` —
+//! no document tree is built — in exactly the compact form
+//! `tlb_json::Value` would serialise to, so
+//! `parse(&text).to_string_compact() == text`. What a byte costs: the
+//! fixed fragments of an event, keys with their quotes and colons, are
+//! byte literals (`{"name":"`, `","ph":"i","ts":`, `,"args":{`, …), so
+//! one copy writes a run of them; every name is a plain identifier
+//! written between two quotes as it is; integers and the `f64` payloads
+//! go through `tlb-json`'s `#[inline]` byte kernels (`write_i64`,
+//! `write_f64`), so their digits are written in place; and a timestamp
+//! is written from its integer nanoseconds ([`micros`]: at most 15
+//! significant digits, hence already the double's shortest form). Nothing
+//! is checked for UTF-8 on the way: every byte is ASCII or copied from
+//! a `&str`.
+//!
+//! [`chrome_trace`] returns the document; [`write_chrome_trace`] also
+//! streams it, a chunk at a time, into an `io::Write` ([`spill`]).
 
 use crate::event::{Event, EventKind, TaskKey};
 use std::collections::HashMap;
+use std::io::{self, Write};
 use tlb_des::SimTime;
-use tlb_json::{write_escaped, write_f64, write_i64};
+use tlb_json::{write_f64, write_i64};
 
 /// Global-track pid used for solver / iteration instants: the `-1` that
 /// [`Event::csv_fields`] gives an event with no node.
 const GLOBAL_PID: i64 = -1;
 
-/// An object key as the text it exports as, `"name":`. Every key of the
-/// format is a plain identifier, so nothing in it needs escaping, and
-/// `concat!` takes literals only: a key costs one `push_str`.
-macro_rules! k {
-    ($key:literal) => {
-        concat!("\"", $key, "\":")
-    };
+/// Bytes a streamed export gathers before it hands them to its writer.
+pub const EXPORT_CHUNK: usize = 1 << 16;
+
+/// Called by an exporter after each whole event or row it appended to
+/// `out`: with a `sink`, `out` is written into it and emptied once it
+/// holds [`EXPORT_CHUNK`] bytes; without one, `out` is the whole
+/// document and keeps growing.
+#[inline]
+pub fn spill(out: &mut Vec<u8>, sink: &mut Option<&mut dyn Write>) -> io::Result<()> {
+    if let Some(sink) = sink {
+        if out.len() >= EXPORT_CHUNK {
+            sink.write_all(out)?;
+            out.clear();
+        }
+    }
+    Ok(())
 }
 
-/// One JSON object being written into `out`: `{"key":value,...}`, keys
-/// (each a [`k!`] literal) in call order, numbers and strings in
-/// `tlb-json`'s formats.
-struct Obj<'a> {
-    out: &'a mut String,
-    first: bool,
-}
+/// The byte writer an event is appended through. Each method appends
+/// one fragment and returns the writer, so an event reads as the text
+/// it writes.
+struct Out<'a>(&'a mut Vec<u8>);
 
-impl<'a> Obj<'a> {
-    fn open(out: &'a mut String) -> Self {
-        out.push('{');
-        Obj { out, first: true }
-    }
-
-    fn close(self) {
-        self.out.push('}');
-    }
-
-    /// Write `"key":` (after a comma unless first) and hand back the
-    /// text for the value to follow.
-    fn key(&mut self, key: &'static str) -> &mut String {
-        if !std::mem::take(&mut self.first) {
-            self.out.push(',');
-        }
-        self.out.push_str(key);
-        self.out
-    }
-
-    fn str(&mut self, key: &'static str, v: &str) -> &mut Self {
-        write_escaped(self.key(key), v);
+impl Out<'_> {
+    /// A fixed fragment of the format.
+    #[inline]
+    fn lit(&mut self, fragment: &'static str) -> &mut Self {
+        self.0.extend_from_slice(fragment.as_bytes());
         self
     }
 
-    fn int(&mut self, key: &'static str, v: impl Into<i64>) -> &mut Self {
-        write_i64(self.key(key), v.into());
+    /// A name the format quotes but never escapes: every name written is
+    /// a plain identifier (an event kind, a reason, a key).
+    #[inline]
+    fn name(&mut self, name: &str) -> &mut Self {
+        debug_assert!(name.bytes().all(|b| b >= 0x20 && b != b'"' && b != b'\\'));
+        self.0.extend_from_slice(name.as_bytes());
         self
     }
 
-    fn float(&mut self, key: &'static str, v: f64) -> &mut Self {
-        write_f64(self.key(key), v);
+    #[inline]
+    fn int(&mut self, v: impl Into<i64>) -> &mut Self {
+        write_i64(self.0, v.into());
         self
     }
 
-    /// `t` in the format's microseconds, as [`Obj::float`] would write
-    /// `nanos as f64 / 1000.0`, from the integer: `q.rrr`, trailing zeros
-    /// trimmed down to `q.0`. Equal below 10^15 ns (see the module doc);
-    /// from there on a few values in a hundred differ, so `float` it is.
-    fn micros(&mut self, key: &'static str, t: SimTime) -> &mut Self {
-        let nanos = t.as_nanos();
-        if nanos >= 10u64.pow(15) {
-            return self.float(key, nanos as f64 / 1000.0);
-        }
-        let out = self.key(key);
-        write_i64(out, (nanos / 1000) as i64);
-        let (mut frac, mut r) = (*b".000", nanos % 1000);
-        for digit in frac[1..].iter_mut().rev() {
-            *digit += (r % 10) as u8;
-            r /= 10;
-        }
-        let frac = std::str::from_utf8(&frac).expect("ASCII digits");
-        out.push_str(&frac[..2]);
-        out.push_str(frac[2..].trim_end_matches('0'));
+    #[inline]
+    fn float(&mut self, v: f64) -> &mut Self {
+        write_f64(self.0, v);
         self
     }
 
-    fn bool(&mut self, key: &'static str, v: bool) -> &mut Self {
-        self.key(key).push_str(if v { "true" } else { "false" });
+    #[inline]
+    fn micros(&mut self, t: SimTime) -> &mut Self {
+        micros(self.0, t);
         self
     }
 
-    /// `"key":[...]`, each item written by `each`.
-    fn array<T>(
-        &mut self,
-        key: &'static str,
-        items: impl IntoIterator<Item = T>,
-        mut each: impl FnMut(&mut String, T),
-    ) -> &mut Self {
-        let out = self.key(key);
-        out.push('[');
-        for (i, item) in items.into_iter().enumerate() {
+    fn bool(&mut self, v: bool) -> &mut Self {
+        self.lit(if v { "true" } else { "false" })
+    }
+
+    /// `[a,b,...]`, each item written by `each`.
+    fn array<T: Copy>(&mut self, items: &[T], mut each: impl FnMut(&mut Self, T)) -> &mut Self {
+        self.lit("[");
+        for (i, &item) in items.iter().enumerate() {
             if i > 0 {
-                out.push(',');
+                self.lit(",");
             }
-            each(out, item);
+            each(self, item);
         }
-        out.push(']');
-        self
+        self.lit("]")
     }
 
-    fn counts(&mut self, key: &'static str, vs: &[usize]) -> &mut Self {
-        self.array(key, vs, |out, &v| write_i64(out, v as i64))
+    fn counts(&mut self, vs: &[usize]) -> &mut Self {
+        self.array(vs, |out, v| {
+            out.int(v as i64);
+        })
     }
 
-    fn floats(&mut self, key: &'static str, vs: &[f64]) -> &mut Self {
-        self.array(key, vs, |out, &v| write_f64(out, v))
+    fn floats(&mut self, vs: &[f64]) -> &mut Self {
+        self.array(vs, |out, v| {
+            out.float(v);
+        })
     }
 
-    /// `"key":{...}`, filled by `fill`.
-    fn object(&mut self, key: &'static str, fill: impl FnOnce(&mut Obj)) -> &mut Self {
-        let mut inner = Obj::open(self.key(key));
-        fill(&mut inner);
-        inner.close();
-        self
-    }
-
-    /// `"name":"aA.iI.tT"`, the label of a task's slice.
-    fn slice_name(&mut self, key: &TaskKey) -> &mut Self {
-        let out = self.key(k!("name"));
-        out.push_str("\"a");
-        write_i64(out, key.apprank.into());
-        out.push_str(".i");
-        write_i64(out, key.iteration.into());
-        out.push_str(".t");
-        write_i64(out, key.task.into());
-        out.push('"');
-        self
-    }
-
-    /// The three fields that identify a task.
+    /// `"iteration":I,"apprank":A,"task":T`, the fields that identify a
+    /// task.
+    #[inline]
     fn task(&mut self, key: &TaskKey) -> &mut Self {
-        self.int(k!("iteration"), key.iteration)
-            .int(k!("apprank"), key.apprank)
-            .int(k!("task"), key.task)
+        self.lit(r#""iteration":"#)
+            .int(key.iteration)
+            .lit(r#","apprank":"#)
+            .int(key.apprank)
+            .lit(r#","task":"#)
+            .int(key.task)
     }
 }
 
-/// The `traceEvents` array being written: hands out one event object at
-/// a time.
-struct Doc {
-    out: String,
-    events: usize,
-}
-
-impl Doc {
-    fn event(&mut self) -> Obj<'_> {
-        if self.events > 0 {
-            self.out.push(',');
-        }
-        self.events += 1;
-        Obj::open(&mut self.out)
+/// Append `t` in the format's microseconds, as `write_f64` would write
+/// `nanos as f64 / 1000.0`, from the integer: `q.rrr`, trailing zeros
+/// trimmed down to `q.0`. Equal below 10^15 ns (see the module doc);
+/// from there on a few values in a hundred differ, so the float form it
+/// is.
+#[inline]
+fn micros(out: &mut Vec<u8>, t: SimTime) {
+    let nanos = t.as_nanos();
+    if nanos >= 10u64.pow(15) {
+        write_f64(out, nanos as f64 / 1000.0);
+        return;
     }
-
-    /// A track label: `process_name` of a pid, or `thread_name` of a
-    /// `(pid, tid)`.
-    fn metadata(&mut self, name: &str, pid: i64, tid: Option<i64>, label: &str) {
-        let mut ev = self.event();
-        ev.str(k!("name"), name)
-            .str(k!("ph"), "M")
-            .int(k!("pid"), pid);
-        if let Some(tid) = tid {
-            ev.int(k!("tid"), tid);
-        }
-        ev.object(k!("args"), |a| {
-            a.str(k!("name"), label);
-        });
-        ev.close();
-    }
-
-    /// An "i" instant on track `(pid, tid)` with the payload of `kind`
-    /// in `args`.
-    fn instant(&mut self, name: &str, at: SimTime, pid: i64, tid: i64, kind: &EventKind) {
-        let mut ev = self.event();
-        ev.str(k!("name"), name)
-            .str(k!("ph"), "i")
-            .micros(k!("ts"), at)
-            .int(k!("pid"), pid)
-            .int(k!("tid"), tid)
-            .str(k!("s"), "t")
-            .object(k!("args"), |a| write_args(a, kind));
-        ev.close();
-    }
+    write_i64(out, (nanos / 1000) as i64);
+    let r = nanos % 1000;
+    let frac = [
+        b'.',
+        b'0' + (r / 100) as u8,
+        b'0' + (r / 10 % 10) as u8,
+        b'0' + (r % 10) as u8,
+    ];
+    let kept = if frac[3] != b'0' {
+        4
+    } else if frac[2] != b'0' {
+        3
+    } else {
+        2
+    };
+    out.extend_from_slice(&frac[..kept]);
 }
 
 /// Write the `args` payload of the instant that `kind` exports as.
-fn write_args(a: &mut Obj, kind: &EventKind) {
+fn write_args(a: &mut Out, kind: &EventKind) {
     match kind {
         // Exported as paired "X" slices, never as instants.
         EventKind::TaskStarted { .. } | EventKind::TaskCompleted { .. } => a,
-        EventKind::TaskCreated { key, cost } => a.task(key).float(k!("cost_s"), *cost),
+        EventKind::TaskCreated { key, cost } => a.task(key).lit(r#","cost_s":"#).float(*cost),
         EventKind::TaskReady { key } => a.task(key),
         EventKind::SchedDecision {
             key,
@@ -226,12 +182,18 @@ fn write_args(a: &mut Obj, kind: &EventKind) {
             ..
         } => a
             .task(key)
-            .str(k!("reason"), reason.name())
-            .int(k!("chosen_node"), *chosen_node)
-            .int(k!("home_queued"), *home_queued)
-            .int(k!("home_owned"), *home_owned)
-            .int(k!("chosen_queued"), *chosen_queued)
-            .int(k!("chosen_owned"), *chosen_owned),
+            .lit(r#","reason":""#)
+            .name(reason.name())
+            .lit(r#"","chosen_node":"#)
+            .int(*chosen_node)
+            .lit(r#","home_queued":"#)
+            .int(*home_queued)
+            .lit(r#","home_owned":"#)
+            .int(*home_owned)
+            .lit(r#","chosen_queued":"#)
+            .int(*chosen_queued)
+            .lit(r#","chosen_owned":"#)
+            .int(*chosen_owned),
         EventKind::TaskOffloaded {
             key,
             from_node,
@@ -239,41 +201,59 @@ fn write_args(a: &mut Obj, kind: &EventKind) {
             stolen,
         } => a
             .task(key)
-            .int(k!("from_node"), *from_node)
-            .int(k!("to_node"), *to_node)
-            .bool(k!("stolen"), *stolen),
-        EventKind::LewiBorrow { core, owner, .. } => {
-            a.int(k!("core"), *core).int(k!("owner"), *owner)
-        }
-        EventKind::LewiReclaim { core, borrower, .. } => {
-            a.int(k!("core"), *core).int(k!("borrower"), *borrower)
-        }
+            .lit(r#","from_node":"#)
+            .int(*from_node)
+            .lit(r#","to_node":"#)
+            .int(*to_node)
+            .lit(r#","stolen":"#)
+            .bool(*stolen),
+        EventKind::LewiBorrow { core, owner, .. } => a
+            .lit(r#""core":"#)
+            .int(*core)
+            .lit(r#","owner":"#)
+            .int(*owner),
+        EventKind::LewiReclaim { core, borrower, .. } => a
+            .lit(r#""core":"#)
+            .int(*core)
+            .lit(r#","borrower":"#)
+            .int(*borrower),
         EventKind::DromTransfer { core, from, .. } => {
-            a.int(k!("core"), *core).int(k!("from"), *from)
+            a.lit(r#""core":"#).int(*core).lit(r#","from":"#).int(*from)
         }
-        EventKind::DromOwnership { counts, .. } => a.counts(k!("counts"), counts),
-        EventKind::TalpWindow { busy, .. } => a.floats(k!("busy_core_s"), busy),
+        EventKind::DromOwnership { counts, .. } => a.lit(r#""counts":"#).counts(counts),
+        EventKind::TalpWindow { busy, .. } => a.lit(r#""busy_core_s":"#).floats(busy),
         EventKind::SolverInvoked(rec) => a
-            .floats(k!("demand"), &rec.demand)
-            .counts(k!("cores"), &rec.cores)
-            .int(k!("simplex_iterations"), rec.simplex_iterations as i64)
-            .float(k!("objective"), rec.objective)
-            .micros(k!("modelled_cost_us"), rec.modelled_cost),
-        EventKind::HelperSpawned { apprank, .. } => a.int(k!("apprank"), *apprank),
-        EventKind::IterationEnd { iteration } => a.int(k!("iteration"), *iteration),
-        EventKind::StragglerStart { factor, .. } => a.float(k!("factor"), *factor),
+            .lit(r#""demand":"#)
+            .floats(&rec.demand)
+            .lit(r#","cores":"#)
+            .counts(&rec.cores)
+            .lit(r#","simplex_iterations":"#)
+            .int(rec.simplex_iterations as i64)
+            .lit(r#","objective":"#)
+            .float(rec.objective)
+            .lit(r#","modelled_cost_us":"#)
+            .micros(rec.modelled_cost),
+        EventKind::HelperSpawned { apprank, .. } => a.lit(r#""apprank":"#).int(*apprank),
+        EventKind::IterationEnd { iteration } => a.lit(r#""iteration":"#).int(*iteration),
+        EventKind::StragglerStart { factor, .. } => a.lit(r#""factor":"#).float(*factor),
         EventKind::StragglerEnd { .. } => a,
         EventKind::WorkerKilled {
             apprank, requeued, ..
         } => a
-            .int(k!("apprank"), *apprank)
-            .int(k!("requeued"), *requeued),
-        EventKind::MessageDropped { key, attempt, .. } => a.task(key).int(k!("attempt"), *attempt),
-        EventKind::MessageFailover { key, attempts, .. } => {
-            a.task(key).int(k!("attempts"), *attempts)
+            .lit(r#""apprank":"#)
+            .int(*apprank)
+            .lit(r#","requeued":"#)
+            .int(*requeued),
+        EventKind::MessageDropped { key, attempt, .. } => {
+            a.task(key).lit(r#","attempt":"#).int(*attempt)
         }
-        EventKind::SolverOutage { active } => a.bool(k!("active"), *active),
-        EventKind::SolverFallback { reason } => a.str(k!("reason"), reason.name()),
+        EventKind::MessageFailover { key, attempts, .. } => {
+            a.task(key).lit(r#","attempts":"#).int(*attempts)
+        }
+        EventKind::SolverOutage { active } => a.lit(r#""active":"#).bool(*active),
+        EventKind::SolverFallback { reason } => {
+            a.lit(r#""reason":""#).name(reason.name()).lit(r#"""#)
+        }
     };
 }
 
@@ -283,24 +263,59 @@ fn write_args(a: &mut Obj, kind: &EventKind) {
 /// by the bitwise-identity checks. `worker_apprank[node][proc]` labels
 /// the per-worker tracks; it may be empty, in which case only the events
 /// themselves are emitted.
-pub fn chrome_trace_string<'a>(
+pub fn chrome_trace<'a>(
     events: impl IntoIterator<Item = &'a Event>,
     worker_apprank: &[Vec<usize>],
-) -> String {
+) -> Vec<u8> {
     let events = events.into_iter();
     // One reservation: `trace.chrome_bytes_per_event` is 136 in the ledger
     // (a start and an end share one slice), an instant runs to 250.
-    let mut out = String::with_capacity(32 + events.size_hint().0 * 144);
-    out.push_str("{\"traceEvents\":[");
-    let mut doc = Doc { out, events: 0 };
+    let mut out = Vec::with_capacity(32 + events.size_hint().0 * 144);
+    write_chrome_trace(events, worker_apprank, &mut out, None)
+        .expect("appending to memory cannot fail");
+    out
+}
+
+/// Append [`chrome_trace`]'s document to `out`, handing it to `sink`
+/// chunk by chunk if there is one ([`spill`]); the bytes left in `out`
+/// at the end are the document's tail, which the caller writes.
+pub fn write_chrome_trace<'a>(
+    events: impl IntoIterator<Item = &'a Event>,
+    worker_apprank: &[Vec<usize>],
+    out: &mut Vec<u8>,
+    mut sink: Option<&mut dyn Write>,
+) -> io::Result<()> {
+    out.extend_from_slice(br#"{"traceEvents":["#);
+    // Every event but the first opens with the comma that separates it
+    // from the one before.
+    let mut sep = "{";
     // Track metadata first: one process per node plus the global track.
     if !worker_apprank.is_empty() {
-        doc.metadata("process_name", GLOBAL_PID, None, "global");
+        Out(out)
+            .lit(sep)
+            .lit(r#""name":"process_name","ph":"M","pid":"#)
+            .int(GLOBAL_PID)
+            .lit(r#","args":{"name":"global"}}"#);
+        sep = ",{";
         for (node, workers) in worker_apprank.iter().enumerate() {
-            doc.metadata("process_name", node as i64, None, &format!("node {node}"));
-            for (proc, apprank) in workers.iter().enumerate() {
-                let label = format!("proc {proc} (apprank {apprank})");
-                doc.metadata("thread_name", node as i64, Some(proc as i64), &label);
+            Out(out)
+                .lit(sep)
+                .lit(r#""name":"process_name","ph":"M","pid":"#)
+                .int(node as i64)
+                .lit(r#","args":{"name":"node "#)
+                .int(node as i64)
+                .lit(r#""}}"#);
+            for (proc, &apprank) in workers.iter().enumerate() {
+                Out(out)
+                    .lit(r#",{"name":"thread_name","ph":"M","pid":"#)
+                    .int(node as i64)
+                    .lit(r#","tid":"#)
+                    .int(proc as i64)
+                    .lit(r#","args":{"name":"proc "#)
+                    .int(proc as i64)
+                    .lit(" (apprank ")
+                    .int(apprank as i64)
+                    .lit(r#")"}}"#);
             }
         }
     }
@@ -317,22 +332,33 @@ pub fn chrome_trace_string<'a>(
                 stolen,
             } => {
                 open.insert(*key, (ev.at, *node, *proc, *stolen));
+                continue;
             }
             EventKind::TaskCompleted { key, node, proc } => {
                 let (start, snode, sproc, stolen) =
                     open.remove(key).unwrap_or((ev.at, *node, *proc, false));
                 debug_assert_eq!((snode, sproc), (*node, *proc));
-                let mut x = doc.event();
-                x.slice_name(key)
-                    .str(k!("ph"), "X")
-                    .micros(k!("ts"), start)
-                    .micros(k!("dur"), ev.at.saturating_sub(start))
-                    .int(k!("pid"), *node)
-                    .int(k!("tid"), *proc)
-                    .object(k!("args"), |a| {
-                        a.task(key).bool(k!("stolen"), stolen);
-                    });
-                x.close();
+                Out(out)
+                    .lit(sep)
+                    .lit(r#""name":"a"#)
+                    .int(key.apprank)
+                    .lit(".i")
+                    .int(key.iteration)
+                    .lit(".t")
+                    .int(key.task)
+                    .lit(r#"","ph":"X","ts":"#)
+                    .micros(start)
+                    .lit(r#","dur":"#)
+                    .micros(ev.at.saturating_sub(start))
+                    .lit(r#","pid":"#)
+                    .int(*node)
+                    .lit(r#","tid":"#)
+                    .int(*proc)
+                    .lit(r#","args":{"#)
+                    .task(key)
+                    .lit(r#","stolen":"#)
+                    .bool(stolen)
+                    .lit("}}");
             }
             kind => {
                 // An instant sits on the track of the node and worker its
@@ -350,12 +376,26 @@ pub fn chrome_trace_string<'a>(
                     EventKind::IterationEnd { .. } => ("iteration_end", node),
                     _ => (name, node),
                 };
-                doc.instant(name, ev.at, pid, proc.max(0), kind);
+                let mut a = Out(out);
+                a.lit(sep)
+                    .lit(r#""name":""#)
+                    .name(name)
+                    .lit(r#"","ph":"i","ts":"#)
+                    .micros(ev.at)
+                    .lit(r#","pid":"#)
+                    .int(pid)
+                    .lit(r#","tid":"#)
+                    .int(proc.max(0))
+                    .lit(r#","s":"t","args":{"#);
+                write_args(&mut a, kind);
+                a.lit("}}");
             }
         }
+        sep = ",{";
+        spill(out, &mut sink)?;
     }
-    doc.out.push_str("]}");
-    doc.out
+    out.extend_from_slice(b"]}");
+    Ok(())
 }
 
 #[cfg(test)]
@@ -372,9 +412,12 @@ mod tests {
         }
     }
 
+    fn text(log: &TraceLog, worker_apprank: &[Vec<usize>]) -> String {
+        String::from_utf8(chrome_trace(log.iter(), worker_apprank)).expect("chrome trace is UTF-8")
+    }
+
     fn parsed(log: &TraceLog, worker_apprank: &[Vec<usize>]) -> Value {
-        tlb_json::parse(&chrome_trace_string(log.iter(), worker_apprank))
-            .expect("chrome trace must be valid JSON")
+        tlb_json::parse(&text(log, worker_apprank)).expect("chrome trace must be valid JSON")
     }
 
     #[test]
@@ -539,7 +582,7 @@ mod tests {
     /// writer replaced.
     #[test]
     fn golden_covers_every_kind() {
-        let text = chrome_trace_string(every_kind_log().iter(), &[vec![0, 1], vec![1]]);
+        let text = text(&every_kind_log(), &[vec![0, 1], vec![1]]);
         assert_eq!(text, include_str!("chrome_golden.json").trim_end());
     }
 
@@ -565,12 +608,12 @@ mod tests {
             cases.push(bits >> (14 + bits % 50));
             cases.push(BOUND + bits % (9 * BOUND));
         }
-        let (mut out, mut reference) = (String::new(), String::new());
+        let (mut out, mut reference) = (Vec::new(), Vec::new());
         for nanos in cases {
             out.clear();
             reference.clear();
-            Obj::open(&mut out).micros(k!("ts"), SimTime::from_nanos(nanos));
-            Obj::open(&mut reference).float(k!("ts"), nanos as f64 / 1000.0);
+            micros(&mut out, SimTime::from_nanos(nanos));
+            write_f64(&mut reference, nanos as f64 / 1000.0);
             assert_eq!(out, reference, "{nanos} ns");
         }
     }
@@ -578,8 +621,8 @@ mod tests {
     #[test]
     fn output_parses_and_is_stable() {
         let log = every_kind_log();
-        let a = chrome_trace_string(log.iter(), &[vec![0, 1]]);
-        let b = chrome_trace_string(&log.merged(), &[vec![0, 1]]);
+        let a = chrome_trace(log.iter(), &[vec![0, 1]]);
+        let b = chrome_trace(&log.merged(), &[vec![0, 1]]);
         assert_eq!(a, b);
         assert!(parsed(&log, &[]).get("traceEvents").as_array().is_some());
     }

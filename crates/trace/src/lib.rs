@@ -22,11 +22,12 @@
 //! 3. **One road from an occurrence to the file.** An event is pushed
 //!    once; the counter of its kind is derived at the push
 //!    ([`Counters::note`]), and both exporters borrow the log in
-//!    canonical order ([`TraceLog::iter`]) and write text directly:
-//!    Chrome trace-event JSON ([`chrome_trace_string`], loadable in
-//!    Perfetto / `chrome://tracing`, numbers and strings formatted by
-//!    `tlb-json`) and long-format CSV rows in the `trace_to_csv` schema
-//!    ([`Event::csv_fields`]).
+//!    canonical order ([`TraceLog::iter`]) and append bytes directly:
+//!    Chrome trace-event JSON ([`chrome_trace`], loadable in Perfetto /
+//!    `chrome://tracing`, numbers formatted by `tlb-json`'s byte
+//!    kernels) and long-format CSV rows in the `trace_to_csv` schema
+//!    ([`Event::csv_fields`]). Either streams into an `io::Write` a
+//!    chunk at a time ([`spill`]).
 
 #![forbid(unsafe_code)]
 
@@ -34,7 +35,7 @@ mod chrome;
 mod counters;
 mod event;
 
-pub use chrome::chrome_trace_string;
+pub use chrome::{chrome_trace, spill, write_chrome_trace, EXPORT_CHUNK};
 pub use counters::Counters;
 pub use event::{
     DecisionReason, Event, EventKind, FallbackReason, SolverRecord, TaskKey, TraceLog,

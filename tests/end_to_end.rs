@@ -217,3 +217,57 @@ fn trace_core_accounting() {
         }
     }
 }
+
+/// Length and FNV-1a digest of an export.
+fn digest(text: &[u8]) -> (usize, u64) {
+    let fnv = text.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    (text.len(), fnv)
+}
+
+/// The exports of a traced synthetic run shaped like the benchmark's
+/// `trace_synth_4n` (4 MareNostrum-4 nodes, two appranks a node,
+/// imbalance 2, `lewi+drom-global` at degree 4, seed 42) at 10 tasks a
+/// core instead of 25: 56,478 events of every family a global-policy run
+/// records, held to the bytes the per-field `String` writers produced.
+/// (TALP windows are a local-policy event; `golden_covers_every_kind`
+/// pins their export.)
+#[test]
+fn synthetic_4n_exports_the_pinned_bytes() {
+    use tlb_trace::EventKind as K;
+    let platform = Platform::mn4(4);
+    let mut cfg = SyntheticConfig::new(8, 2.0);
+    cfg.tasks_per_core = 10;
+    let wl = synthetic_workload(&cfg, &platform);
+    let balance = BalanceConfig::preset(Preset::Offload {
+        degree: 4,
+        drom: DromPolicy::Global,
+    })
+    .with_seed(42);
+    let r = ClusterSim::execute(RunSpec::new(&platform, &balance, wl).trace(true)).unwrap();
+    let log = &r.trace.log;
+    assert_eq!(log.len(), 56_478);
+    for (family, recorded) in [
+        (
+            "LeWI",
+            log.count(|k| matches!(k, K::LewiBorrow { .. } | K::LewiReclaim { .. })),
+        ),
+        (
+            "DROM",
+            log.count(|k| matches!(k, K::DromOwnership { .. } | K::DromTransfer { .. })),
+        ),
+        ("solver", log.count(|k| matches!(k, K::SolverInvoked(..)))),
+    ] {
+        assert!(recorded > 0, "no {family} event");
+    }
+    let chrome = tlb::cluster::trace_to_chrome(&r.trace);
+    let csv = tlb::cluster::trace_to_csv(&r.trace);
+    assert_eq!(
+        [digest(&chrome), digest(&csv)],
+        [
+            (7_585_274, 0xb2fd_4c9d_856c_0a86),
+            (2_305_593, 0xb348_a8d2_0ef1_ae5e),
+        ]
+    );
+}
