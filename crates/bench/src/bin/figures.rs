@@ -774,7 +774,9 @@ fn ext_throttle(effort: Effort) -> Vec<Experiment> {
     // Throttle node 0 to half speed from a third of the nominal runtime on.
     let nominal_iter = per_iter / calm.effective_capacity();
     let throttle_at = nominal_iter * iterations as f64 / 3.0;
-    let throttle = FaultPlan::new(0).with_straggler(throttle_at, 0, 2.0, 1e6);
+    // `{}` prints the shortest decimal that parses back to the same f64.
+    let spec = format!("straggler@{throttle_at},node=0,slow=2,for=1e6");
+    let throttle = FaultPlan::parse(&spec, 0).expect("the throttle spec parses");
 
     let mut exp = Experiment::new(
         "ext_throttle",

@@ -13,9 +13,11 @@
 //! ([`FaultPlan::none`]) injects nothing and leaves the simulation
 //! bitwise-identical to a run without the fault machinery.
 //!
-//! [`FaultPlan::parse`] reads syntax and [`FaultPlan::validate`] is the
-//! one place a plan's values are judged, whoever built it: a plan that
-//! passes can neither stop a node nor overflow the virtual clock.
+//! [`FaultPlan::parse`] is the one way to build a plan: it reads a spec
+//! string into one list of [`Fault`]s, each a [`FaultKind`] over a start
+//! and an end. [`FaultPlan::validate`] is the one place a plan's values
+//! are judged, whoever built it: a plan that passes can neither stop a
+//! node nor overflow the virtual clock.
 
 use tlb_des::SimTime;
 use tlb_linprog::LpError;
@@ -35,14 +37,6 @@ const MAX_TIME: SimTime = SimTime::from_secs(1_000_000);
 /// summed linear backoff of one send inside the `u64` nanosecond clock.
 const MAX_RETRIES: u32 = 100;
 
-/// The first of a clause's rules that does not hold, as the error.
-fn check<const N: usize>(clause: String, rules: [(bool, String); N]) -> Result<(), String> {
-    match rules.into_iter().find(|(holds, _)| !holds) {
-        Some((_, why)) => Err(format!("{clause}: {why}")),
-        None => Ok(()),
-    }
-}
-
 /// Seconds → virtual time for a plan field, without hiding bad input:
 /// what the field cannot hold (negative, non-finite, past `MAX_TIME`)
 /// becomes [`SimTime::MAX`], which [`FaultPlan::validate`] rejects.
@@ -54,77 +48,92 @@ fn secs(s: f64) -> SimTime {
     }
 }
 
-/// A sustained slowdown of one node — a straggler, or a DVFS/thermal
-/// throttle: at `at`, the node's speed is multiplied by `1 / slowdown`
-/// until `at + duration`.
-#[derive(Clone, Debug, PartialEq)]
-pub struct StragglerFault {
-    /// Virtual time the burst starts.
-    pub at: SimTime,
-    /// Node that straggles.
-    pub node: usize,
-    /// Slowdown factor (≥ 1; 3.0 means the node runs at a third speed).
-    pub slowdown: f64,
-    /// How long the burst lasts.
-    pub duration: SimTime,
+/// The end of a window that opens at `start` and lasts `dur` seconds,
+/// saturating at [`SimTime::MAX`] so a bad `start` still reaches
+/// [`FaultPlan::validate`]'s message. A `dur` that is not a positive,
+/// finite number closes the window where it opens, which `validate`
+/// refuses (`'for' must be a positive, finite number of seconds`).
+fn window_end(start: SimTime, dur: f64) -> SimTime {
+    if !(dur > 0.0 && dur.is_finite()) {
+        return start;
+    }
+    let dur = SimTime::from_secs_f64(dur);
+    start.checked_add(dur).unwrap_or(SimTime::MAX)
 }
 
-/// Fail-stop death of one helper worker process. The victim finishes its
-/// currently running task (fail-stop *after* the task, preserving
-/// exact-once execution), then its queued and in-flight tasks are
-/// re-enqueued at the home apprank and its DROM cores return to the
-/// node's survivors.
+/// What one fault does while it lasts.
 #[derive(Clone, Debug, PartialEq)]
-pub struct WorkerKillFault {
-    /// Virtual time the worker dies.
-    pub at: SimTime,
-    /// Explicit victim `(apprank, helper slot ≥ 1)`, or `None` to pick a
-    /// living helper uniformly from the plan's RNG substream.
-    pub victim: Option<(usize, usize)>,
+pub enum FaultKind {
+    /// A sustained slowdown of one node — a straggler, or a DVFS/thermal
+    /// throttle: the node's speed is multiplied by `1 / slowdown`.
+    Straggler {
+        /// Node that straggles.
+        node: usize,
+        /// Slowdown factor (≥ 1; 3.0 means the node runs at a third speed).
+        slowdown: f64,
+    },
+    /// Fail-stop death of one helper worker process. The victim finishes
+    /// its currently running task (fail-stop *after* the task, preserving
+    /// exact-once execution), then its queued and in-flight tasks are
+    /// re-enqueued at the home apprank and its DROM cores return to the
+    /// node's survivors.
+    Kill {
+        /// Explicit victim `(apprank, helper slot ≥ 1)`, or `None` to pick
+        /// a living helper uniformly from the plan's RNG substream.
+        victim: Option<(usize, usize)>,
+    },
+    /// The global LP solver fails instead of solving: every global tick
+    /// in the window falls back to the degradation ladder rather than
+    /// aborting the run.
+    Outage {
+        /// The error the solver reports (timeouts map to
+        /// [`LpError::IterationLimit`]).
+        error: LpError,
+    },
+    /// Message loss on the offload control path: each send attempt is
+    /// dropped with probability `rate`; drops are retried up to
+    /// `max_retries` times with linear backoff, after which the task
+    /// fails over to home execution.
+    Loss {
+        /// Per-attempt drop probability in `[0, 1)`.
+        rate: f64,
+        /// Retries after the first attempt before failing over.
+        max_retries: u32,
+        /// Backoff before retry `i` (1-based): `backoff * i`.
+        backoff: SimTime,
+    },
+    /// Extra network latency added to every offload transfer (a
+    /// degraded-link fault, distinct from loss).
+    Delay {
+        /// Added latency per transfer.
+        extra: SimTime,
+    },
 }
 
-/// A window during which the global LP solver fails instead of solving.
-/// Every global tick inside the window falls back to the degradation
-/// ladder rather than aborting the run.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SolverOutageFault {
-    /// Virtual time the outage starts.
-    pub at: SimTime,
-    /// How long it lasts.
-    pub duration: SimTime,
-    /// The error the solver reports (timeouts map to
-    /// [`LpError::IterationLimit`]).
-    pub error: LpError,
+impl FaultKind {
+    /// The kind's name in a spec clause.
+    pub fn name(&self) -> &'static str {
+        match self {
+            FaultKind::Straggler { .. } => "straggler",
+            FaultKind::Kill { .. } => "kill",
+            FaultKind::Outage { .. } => "outage",
+            FaultKind::Loss { .. } => "loss",
+            FaultKind::Delay { .. } => "delay",
+        }
+    }
 }
 
-/// Message loss on the offload control path: within the window each send
-/// attempt is dropped with probability `rate`; drops are retried up to
-/// `max_retries` times with linear backoff, after which the task fails
-/// over to home execution.
+/// One fault of a plan: a kind that acts over `[start, end)`. A kill is
+/// an instant (`end == start`); a loss or delay window given no `for`
+/// ends at [`SimTime::MAX`], the rest of the run.
 #[derive(Clone, Debug, PartialEq)]
-pub struct LossFault {
-    /// Window start.
-    pub from: SimTime,
-    /// Window end (exclusive).
-    pub until: SimTime,
-    /// Per-attempt drop probability in `[0, 1)`.
-    pub rate: f64,
-    /// Retries after the first attempt before failing over.
-    pub max_retries: u32,
-    /// Backoff before retry `i` (1-based): `backoff * i`.
-    pub backoff: SimTime,
-}
-
-/// Extra network latency added to every offload transfer in the window
-/// (a degraded-link fault, distinct from loss).
-#[derive(Clone, Debug, PartialEq)]
-pub struct DelayFault {
-    /// Window start.
-    pub from: SimTime,
-    /// Window end (exclusive).
-    pub until: SimTime,
-    /// Added latency per transfer.
-    pub extra: SimTime,
+pub struct Fault {
+    /// Virtual time the fault starts.
+    pub start: SimTime,
+    /// Virtual time it ends (exclusive).
+    pub end: SimTime,
+    /// What it does.
+    pub kind: FaultKind,
 }
 
 /// A complete, deterministic fault schedule for one run.
@@ -133,16 +142,9 @@ pub struct FaultPlan {
     /// Seed for the plan's `tlb-rng` substreams (victim picks, drop
     /// draws). Independent of the workload seed.
     pub seed: u64,
-    /// Straggler bursts.
-    pub stragglers: Vec<StragglerFault>,
-    /// Worker deaths.
-    pub kills: Vec<WorkerKillFault>,
-    /// Global-solver outage windows.
-    pub outages: Vec<SolverOutageFault>,
-    /// Message-loss window, if any.
-    pub loss: Option<LossFault>,
-    /// Message-delay window, if any.
-    pub delay: Option<DelayFault>,
+    /// The faults, in spec order; faults that start at the same instant
+    /// fire in this order.
+    pub faults: Vec<Fault>,
 }
 
 impl FaultPlan {
@@ -152,188 +154,103 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// Empty plan with a seed (for building plans incrementally).
-    pub fn new(seed: u64) -> Self {
-        FaultPlan {
-            seed,
-            ..FaultPlan::default()
-        }
-    }
-
     /// True if the plan injects nothing.
     pub fn is_empty(&self) -> bool {
-        self.stragglers.is_empty()
-            && self.kills.is_empty()
-            && self.outages.is_empty()
-            && self.loss.is_none()
-            && self.delay.is_none()
-    }
-
-    /// Add a straggler burst (builder style).
-    pub fn with_straggler(mut self, at: f64, node: usize, slowdown: f64, duration: f64) -> Self {
-        self.stragglers.push(StragglerFault {
-            at: secs(at),
-            node,
-            slowdown,
-            duration: secs(duration),
-        });
-        self
-    }
-
-    /// Add a worker kill with an RNG-picked victim (builder style).
-    pub fn with_kill(mut self, at: f64) -> Self {
-        self.kills.push(WorkerKillFault {
-            at: secs(at),
-            victim: None,
-        });
-        self
-    }
-
-    /// Add a worker kill of a specific helper (builder style).
-    pub fn with_kill_of(mut self, at: f64, apprank: usize, slot: usize) -> Self {
-        self.kills.push(WorkerKillFault {
-            at: secs(at),
-            victim: Some((apprank, slot)),
-        });
-        self
-    }
-
-    /// Add a solver outage window (builder style).
-    pub fn with_outage(mut self, at: f64, duration: f64, error: LpError) -> Self {
-        self.outages.push(SolverOutageFault {
-            at: secs(at),
-            duration: secs(duration),
-            error,
-        });
-        self
-    }
-
-    /// Set the message-loss window (builder style).
-    pub fn with_loss(
-        mut self,
-        from: f64,
-        until: f64,
-        rate: f64,
-        max_retries: u32,
-        backoff: f64,
-    ) -> Self {
-        self.loss = Some(LossFault {
-            from: secs(from),
-            until: SimTime::from_secs_f64(until),
-            rate,
-            max_retries,
-            backoff: secs(backoff),
-        });
-        self
-    }
-
-    /// Set the message-delay window (builder style).
-    pub fn with_delay(mut self, from: f64, until: f64, extra: f64) -> Self {
-        self.delay = Some(DelayFault {
-            from: secs(from),
-            until: SimTime::from_secs_f64(until),
-            extra: secs(extra),
-        });
-        self
+        self.faults.is_empty()
     }
 
     /// Judge the plan's values against the run it is for: `nodes` and
     /// `appranks` of the machine. This is the only place a plan is
-    /// checked — [`parse`] reads syntax, the builders store what they
-    /// are given, and `ClusterSim::execute` and `Scenario::validate`
-    /// both call this.
-    /// Accepted: start times, durations, backoff and extra latency in
-    /// `[0, 1e6]` seconds; a window of any kind that ends after it starts
-    /// (`for` > 0); `slow` in `[1, 1e6]`; `rate` in `[0, 1)`; at most 100
-    /// retries; straggler nodes and kill victims that exist (victims are
-    /// helpers, slot ≥ 1).
+    /// checked — [`parse`] reads syntax, and `ClusterSim::execute` and
+    /// `Scenario::validate` both call this.
+    /// Accepted: start times, straggler and outage durations, backoff and
+    /// extra latency in `[0, 1e6]` seconds; a window of any kind but a
+    /// kill that ends after it starts (`for` > 0); `slow` in `[1, 1e6]`;
+    /// `rate` in `[0, 1)`; at most 100 retries; straggler nodes and kill
+    /// victims that exist (victims are helpers, slot ≥ 1).
     /// The error names the clause.
     ///
     /// [`parse`]: FaultPlan::parse
     pub fn validate(&self, nodes: usize, appranks: usize) -> Result<(), String> {
-        let clause = |kind: &str, at: SimTime| {
-            if at > MAX_TIME {
-                return format!("{kind}@<bad time>");
-            }
-            format!("{kind}@{}", at.as_secs_f64())
-        };
         // Each rule: what must hold, and what to say if it does not.
         let in_range = |what: &str, t: SimTime| {
             let max = MAX_TIME.as_secs_f64();
             let why = format!("{what} must be a number of seconds in [0, {max:e}]");
             (t <= MAX_TIME, why)
         };
-        let window = |from: SimTime, until: SimTime| {
-            let why = "'for' must be a positive number of seconds";
-            (from < until, why.to_string())
-        };
-        for s in &self.stragglers {
-            let rules = [
-                in_range("start time", s.at),
-                in_range("'for'", s.duration),
-                window(SimTime::ZERO, s.duration),
-                (
-                    s.node < nodes,
-                    format!("node {} out of range ({nodes} nodes)", s.node),
-                ),
-                (
-                    (1.0..=MAX_SLOWDOWN).contains(&s.slowdown),
-                    format!("slow must be a number in [1, {MAX_SLOWDOWN:e}]"),
-                ),
-            ];
-            check(clause("straggler", s.at), rules)?;
-        }
-        for k in &self.kills {
-            // No victim named: the run picks a living helper itself.
-            let (a, slot) = k.victim.unwrap_or((0, 1));
-            let helper = a < appranks && slot >= 1;
-            let why = format!(
-                "victim (apprank {a}, slot {slot}) is not a helper worker \
-                 (apprank < {appranks}, slot >= 1)"
+        for f in &self.faults {
+            let kind = f.kind.name();
+            let clause = if f.start > MAX_TIME {
+                format!("{kind}@<bad time>")
+            } else {
+                format!("{kind}@{}", f.start.as_secs_f64())
+            };
+            let is_kill = matches!(f.kind, FaultKind::Kill { .. });
+            // Only stragglers and outages schedule their end; a loss or
+            // delay window may stay open for the rest of the run.
+            let scheduled_end = matches!(
+                f.kind,
+                FaultKind::Straggler { .. } | FaultKind::Outage { .. }
             );
-            check(
-                clause("kill", k.at),
-                [in_range("start time", k.at), (helper, why)],
-            )?;
-        }
-        for o in &self.outages {
-            let rules = [
-                in_range("start time", o.at),
-                in_range("'for'", o.duration),
-                window(SimTime::ZERO, o.duration),
-            ];
-            check(clause("outage", o.at), rules)?;
-        }
-        if let Some(l) = &self.loss {
-            let rules = [
-                in_range("start time", l.from),
-                window(l.from, l.until),
-                in_range("backoff", l.backoff),
+            let mut rules = vec![
+                in_range("start time", f.start),
                 (
-                    (0.0..1.0).contains(&l.rate),
-                    "loss rate must be a number in [0, 1)".to_string(),
-                ),
-                (
-                    l.max_retries <= MAX_RETRIES,
-                    format!("retries must be at most {MAX_RETRIES}"),
+                    is_kill || f.start < f.end,
+                    "'for' must be a positive, finite number of seconds".to_string(),
                 ),
             ];
-            check(clause("loss", l.from), rules)?;
-        }
-        if let Some(d) = &self.delay {
-            let rules = [
-                in_range("start time", d.from),
-                window(d.from, d.until),
-                in_range("extra", d.extra),
-            ];
-            check(clause("delay", d.from), rules)?;
+            if scheduled_end {
+                rules.push(in_range("'for'", f.end.saturating_sub(f.start)));
+            }
+            match &f.kind {
+                FaultKind::Straggler { node, slowdown } => rules.extend([
+                    (
+                        *node < nodes,
+                        format!("node {node} out of range ({nodes} nodes)"),
+                    ),
+                    (
+                        (1.0..=MAX_SLOWDOWN).contains(slowdown),
+                        format!("slow must be a number in [1, {MAX_SLOWDOWN:e}]"),
+                    ),
+                ]),
+                FaultKind::Kill { victim } => {
+                    // No victim named: the run picks a living helper itself.
+                    let (a, slot) = victim.unwrap_or((0, 1));
+                    let why = format!(
+                        "victim (apprank {a}, slot {slot}) is not a helper worker \
+                         (apprank < {appranks}, slot >= 1)"
+                    );
+                    rules.push((a < appranks && slot >= 1, why));
+                }
+                FaultKind::Outage { .. } => {}
+                FaultKind::Loss {
+                    rate,
+                    max_retries,
+                    backoff,
+                } => rules.extend([
+                    in_range("backoff", *backoff),
+                    (
+                        (0.0..1.0).contains(rate),
+                        "loss rate must be a number in [0, 1)".to_string(),
+                    ),
+                    (
+                        *max_retries <= MAX_RETRIES,
+                        format!("retries must be at most {MAX_RETRIES}"),
+                    ),
+                ]),
+                FaultKind::Delay { extra } => rules.push(in_range("extra", *extra)),
+            }
+            if let Some((_, why)) = rules.into_iter().find(|(holds, _)| !holds) {
+                return Err(format!("{clause}: {why}"));
+            }
         }
         Ok(())
     }
 
-    /// Parse a `--faults` spec string. Clauses are separated by `;`, each
-    /// clause is `kind@time[,key=value,...]` with times/durations in
-    /// (virtual) seconds:
+    /// Parse a `--faults` spec string — the only way to build a plan.
+    /// Clauses are separated by `;`, each clause is
+    /// `kind@time[,for=D][,key=value,...]` with times/durations in
+    /// (virtual) seconds; a key may appear once per clause:
     ///
     /// * `straggler@T,node=N[,slow=S][,for=D]` — node `N` runs `S`×
     ///   slower (default 4) for `D` seconds (default 1).
@@ -345,38 +262,38 @@ impl FaultPlan {
     /// * `loss@T[,for=D][,rate=R][,retries=N][,backoff=B]` — offload
     ///   messages drop with probability `R` (default 0.5) from `T` for
     ///   `D` seconds (default: rest of run), retried `N` times (default 3)
-    ///   with `B`-second linear backoff (default 0.005).
+    ///   with `B`-second linear backoff (default 0.005). One per plan.
     /// * `delay@T[,for=D][,extra=X]` — offload transfers take `X` extra
     ///   seconds (default 0.002) from `T` for `D` seconds (default: rest
-    ///   of run).
+    ///   of run). One per plan.
+    ///
+    /// Values are judged by [`FaultPlan::validate`], not here: a time the
+    /// clock cannot hold is kept as one `validate` refuses by name.
     pub fn parse(spec: &str, seed: u64) -> Result<FaultPlan, String> {
-        let mut plan = FaultPlan::new(seed);
-        for clause in spec.split(';') {
-            let clause = clause.trim();
-            if clause.is_empty() {
-                continue;
-            }
+        let mut faults: Vec<Fault> = Vec::new();
+        for clause in spec.split(';').map(str::trim).filter(|c| !c.is_empty()) {
+            let bad = |what: String| format!("clause '{clause}': {what}");
             let mut parts = clause.split(',');
             let head = parts.next().unwrap_or_default();
-            let (kind, at) = head
+            let (name, at) = head
                 .split_once('@')
-                .ok_or_else(|| format!("clause '{clause}': expected kind@time"))?;
-            let at: f64 = at
-                .parse()
-                .map_err(|_| format!("clause '{clause}': bad time '{at}'"))?;
-            let mut kv = Vec::new();
+                .ok_or_else(|| bad("expected kind@time".to_string()))?;
+            let at: f64 = at.parse().map_err(|_| bad(format!("bad time '{at}'")))?;
+            let mut kv: Vec<(&str, &str)> = Vec::new();
             for part in parts {
-                let (k, v) = part.split_once('=').ok_or_else(|| {
-                    format!("clause '{clause}': expected key=value, got '{part}'")
-                })?;
-                kv.push((k.trim(), v.trim()));
+                let (k, v) = part
+                    .split_once('=')
+                    .ok_or_else(|| bad(format!("expected key=value, got '{part}'")))?;
+                let k = k.trim();
+                if kv.iter().any(|(seen, _)| *seen == k) {
+                    return Err(bad(format!("repeated key '{k}'")));
+                }
+                kv.push((k, v.trim()));
             }
             let get = |key: &str| kv.iter().find(|(k, _)| *k == key).map(|(_, v)| *v);
             let get_f64 = |key: &str, default: f64| -> Result<f64, String> {
                 match get(key) {
-                    Some(v) => v
-                        .parse()
-                        .map_err(|_| format!("clause '{clause}': bad {key}='{v}'")),
+                    Some(v) => v.parse().map_err(|_| bad(format!("bad {key}='{v}'"))),
                     None => Ok(default),
                 }
             };
@@ -385,78 +302,72 @@ impl FaultPlan {
                     Some(v) => v
                         .parse()
                         .map(Some)
-                        .map_err(|_| format!("clause '{clause}': bad {key}='{v}'")),
+                        .map_err(|_| bad(format!("bad {key}='{v}'"))),
                     None => Ok(None),
                 }
             };
             let known = |allowed: &[&str]| -> Result<(), String> {
-                for (k, _) in &kv {
-                    if !allowed.contains(k) {
-                        return Err(format!("clause '{clause}': unknown key '{k}'"));
-                    }
+                match kv.iter().find(|(k, _)| !allowed.contains(k)) {
+                    Some((k, _)) => Err(bad(format!("unknown key '{k}'"))),
+                    None => Ok(()),
                 }
-                Ok(())
             };
-            match kind {
+            // Each kind's keys besides `for`, and its `for` when none is
+            // given: a kill lasts no time, a loss or delay window the
+            // rest of the run.
+            let (kind, default_for) = match name {
                 "straggler" => {
                     known(&["node", "slow", "for"])?;
                     let node = get_usize("node")?
-                        .ok_or_else(|| format!("clause '{clause}': straggler needs node=N"))?;
+                        .ok_or_else(|| bad("straggler needs node=N".to_string()))?;
                     let slowdown = get_f64("slow", 4.0)?;
-                    let dur = get_f64("for", 1.0)?;
-                    plan = plan.with_straggler(at, node, slowdown, dur);
+                    (FaultKind::Straggler { node, slowdown }, 1.0)
                 }
                 "kill" => {
                     known(&["apprank", "slot"])?;
-                    let apprank = get_usize("apprank")?;
-                    let slot = get_usize("slot")?;
-                    plan = match (apprank, slot) {
-                        (Some(a), Some(k)) => plan.with_kill_of(at, a, k),
-                        (None, None) => plan.with_kill(at),
-                        _ => {
-                            return Err(format!(
-                                "clause '{clause}': apprank and slot must be given together"
-                            ))
-                        }
+                    let victim = match (get_usize("apprank")?, get_usize("slot")?) {
+                        (Some(a), Some(k)) => Some((a, k)),
+                        (None, None) => None,
+                        _ => return Err(bad("apprank and slot must be given together".into())),
                     };
+                    (FaultKind::Kill { victim }, 0.0)
                 }
                 "outage" => {
                     known(&["for", "error"])?;
-                    let dur = get_f64("for", 1.0)?;
                     let error = match get("error").unwrap_or("timeout") {
                         "timeout" | "iteration_limit" => LpError::IterationLimit,
                         "infeasible" => LpError::Infeasible,
                         "unbounded" => LpError::Unbounded,
-                        other => return Err(format!("clause '{clause}': unknown error '{other}'")),
+                        other => return Err(bad(format!("unknown error '{other}'"))),
                     };
-                    plan = plan.with_outage(at, dur, error);
+                    (FaultKind::Outage { error }, 1.0)
                 }
                 "loss" => {
                     known(&["for", "rate", "retries", "backoff"])?;
-                    if plan.loss.is_some() {
-                        return Err("only one loss window is supported".to_string());
-                    }
-                    let rate = get_f64("rate", 0.5)?;
                     let retries = get_usize("retries")?.unwrap_or(3);
-                    let retries = u32::try_from(retries).unwrap_or(u32::MAX);
-                    let backoff = get_f64("backoff", 0.005)?;
-                    // No `for`: the window lasts the rest of the run.
-                    let until = at + get_f64("for", f64::MAX)?;
-                    plan = plan.with_loss(at, until, rate, retries, backoff);
+                    let kind = FaultKind::Loss {
+                        rate: get_f64("rate", 0.5)?,
+                        max_retries: u32::try_from(retries).unwrap_or(u32::MAX),
+                        backoff: secs(get_f64("backoff", 0.005)?),
+                    };
+                    (kind, f64::MAX)
                 }
                 "delay" => {
                     known(&["for", "extra"])?;
-                    if plan.delay.is_some() {
-                        return Err("only one delay window is supported".to_string());
-                    }
-                    let extra = get_f64("extra", 0.002)?;
-                    let until = at + get_f64("for", f64::MAX)?;
-                    plan = plan.with_delay(at, until, extra);
+                    let extra = secs(get_f64("extra", 0.002)?);
+                    (FaultKind::Delay { extra }, f64::MAX)
                 }
                 other => return Err(format!("unknown fault kind '{other}'")),
+            };
+            let one_per_plan = matches!(kind, FaultKind::Loss { .. } | FaultKind::Delay { .. });
+            if one_per_plan && faults.iter().any(|f| f.kind.name() == name) {
+                return Err(format!("only one {name} window is supported"));
             }
+            let start = secs(at);
+            let end = window_end(start, get_f64("for", default_for)?);
+            faults.push(Fault { start, end, kind });
         }
-        Ok(plan)
+        Ok(FaultPlan { seed, faults })
     }
 }
 
@@ -495,7 +406,7 @@ mod tests {
     #[test]
     fn empty_plan_is_empty() {
         assert!(FaultPlan::none().is_empty());
-        assert!(!FaultPlan::new(7).with_kill(1.0).is_empty());
+        assert!(!FaultPlan::parse("kill@1", 7).unwrap().is_empty());
     }
 
     #[test]
@@ -508,33 +419,84 @@ mod tests {
         )
         .unwrap();
         assert_eq!(plan.seed, 99);
-        assert_eq!(plan.stragglers.len(), 1);
-        assert_eq!(plan.stragglers[0].node, 1);
-        assert_eq!(plan.stragglers[0].slowdown, 3.0);
-        assert_eq!(plan.stragglers[0].duration, SimTime::from_secs(2));
-        assert_eq!(plan.kills.len(), 2);
-        assert_eq!(plan.kills[0].victim, None);
-        assert_eq!(plan.kills[1].victim, Some((2, 1)));
-        assert_eq!(plan.outages.len(), 1);
-        assert_eq!(plan.outages[0].error, LpError::Infeasible);
-        let loss = plan.loss.unwrap();
-        assert_eq!(loss.rate, 0.25);
-        assert_eq!(loss.max_retries, 2);
-        assert_eq!(loss.until, SimTime::from_secs(4));
-        let delay = plan.delay.unwrap();
-        assert_eq!(delay.until, SimTime::MAX, "no 'for' means rest of run");
-        assert_eq!(delay.extra, SimTime::from_millis(1));
+        let ms = SimTime::from_millis;
+        // One record per clause, in spec order.
+        assert_eq!(
+            plan.faults,
+            [
+                Fault {
+                    start: ms(500),
+                    end: ms(2500),
+                    kind: FaultKind::Straggler {
+                        node: 1,
+                        slowdown: 3.0
+                    },
+                },
+                Fault {
+                    start: ms(1000),
+                    end: ms(1000),
+                    kind: FaultKind::Kill { victim: None },
+                },
+                Fault {
+                    start: ms(1500),
+                    end: ms(1500),
+                    kind: FaultKind::Kill {
+                        victim: Some((2, 1))
+                    },
+                },
+                Fault {
+                    start: ms(2000),
+                    end: ms(2500),
+                    kind: FaultKind::Outage {
+                        error: LpError::Infeasible
+                    },
+                },
+                Fault {
+                    start: SimTime::ZERO,
+                    end: ms(4000),
+                    kind: FaultKind::Loss {
+                        rate: 0.25,
+                        max_retries: 2,
+                        backoff: ms(10),
+                    },
+                },
+                // No 'for' means rest of run.
+                Fault {
+                    start: SimTime::ZERO,
+                    end: SimTime::MAX,
+                    kind: FaultKind::Delay { extra: ms(1) },
+                },
+            ]
+        );
     }
 
     #[test]
     fn parse_defaults() {
         let plan = FaultPlan::parse("straggler@1,node=0;outage@2;loss@0;kill@3", 1).unwrap();
-        assert_eq!(plan.stragglers[0].slowdown, 4.0);
-        assert_eq!(plan.stragglers[0].duration, SimTime::from_secs(1));
-        assert_eq!(plan.outages[0].error, LpError::IterationLimit);
-        let loss = plan.loss.unwrap();
-        assert_eq!(loss.rate, 0.5);
-        assert_eq!(loss.max_retries, 3);
+        let kinds: Vec<&FaultKind> = plan.faults.iter().map(|f| &f.kind).collect();
+        assert_eq!(
+            kinds,
+            [
+                &FaultKind::Straggler {
+                    node: 0,
+                    slowdown: 4.0
+                },
+                &FaultKind::Outage {
+                    error: LpError::IterationLimit
+                },
+                &FaultKind::Loss {
+                    rate: 0.5,
+                    max_retries: 3,
+                    backoff: SimTime::from_millis(5),
+                },
+                &FaultKind::Kill { victim: None },
+            ]
+        );
+        let lasts = |i: usize| plan.faults[i].end - plan.faults[i].start;
+        assert_eq!(lasts(0), SimTime::from_secs(1));
+        assert_eq!(lasts(1), SimTime::from_secs(1));
+        assert_eq!(plan.faults[2].end, SimTime::MAX);
+        assert_eq!(lasts(3), SimTime::ZERO);
     }
 
     #[test]
@@ -554,6 +516,15 @@ mod tests {
         // Outages take the whole solver down; there is no other scope.
         let err = FaultPlan::parse("outage@1,strategy=flow", 0).unwrap_err();
         assert!(err.contains("unknown key 'strategy'"), "{err}");
+        // A key says one thing once: neither the first nor the last wins.
+        for (bad, key) in [
+            ("straggler@1,node=0,node=1", "node"),
+            ("loss@0,rate=0.1,for=1,rate=0.2", "rate"),
+            ("kill@1,apprank=0,slot=1,slot=1", "slot"),
+        ] {
+            let err = FaultPlan::parse(bad, 0).unwrap_err();
+            assert!(err.contains(&format!("repeated key '{key}'")), "{err}");
+        }
         assert!(FaultPlan::parse("", 0).unwrap().is_empty());
     }
 
@@ -594,8 +565,18 @@ mod tests {
             let err = plan.validate(2, 2).unwrap_err();
             assert!(err.starts_with(refusal), "'{spec}': {err}");
         }
-        // The same judgement for a plan built in code.
-        let built = FaultPlan::new(1).with_straggler(0.1, 0, f64::INFINITY, f64::NAN);
+        // The same judgement for a plan that did not come from `parse`.
+        let built = FaultPlan {
+            seed: 1,
+            faults: vec![Fault {
+                start: SimTime::from_millis(100),
+                end: SimTime::MAX,
+                kind: FaultKind::Straggler {
+                    node: 0,
+                    slowdown: f64::INFINITY,
+                },
+            }],
+        };
         assert!(built.validate(2, 2).is_err());
         // The edges of every range are inside it.
         let edges = "straggler@0,node=1,slow=1,for=1e-9; straggler@1e6,node=0,slow=1e6,for=1e6; \

@@ -56,10 +56,7 @@ pub use collective::barrier_cost;
 pub use export::{
     away_fraction, save_trace_chrome, save_trace_csv, trace_to_chrome, trace_to_csv, work_matrix,
 };
-pub use fault::{
-    DelayFault, FaultPlan, FaultStats, LossFault, SolverOutageFault, StragglerFault,
-    WorkerKillFault,
-};
+pub use fault::{Fault, FaultKind, FaultPlan, FaultStats};
 pub use report::SimReport;
 pub use sim::{ClusterSim, RunSpec, SimError};
 pub use trace::Trace;

@@ -114,6 +114,20 @@ impl<W: Workload> State<W> {
             .map(|(total, last)| std::iter::zip(total, last).map(|(t, l)| t - l).collect())
             .collect();
         self.last_total = totals;
+        if wall_start.is_some() {
+            // What TALP measured, whatever the policy does with it: the
+            // average busy cores per proc over the window, as on a local
+            // tick.
+            let window = self.config.global_period.as_secs_f64();
+            for (node, delta) in deltas.iter().enumerate() {
+                let busy = delta.iter().map(|d| d / window).collect();
+                let ev = EventKind::TalpWindow {
+                    node: node as u32,
+                    busy,
+                };
+                self.trace.emit(TraceLog::node_stream(node), now, ev);
+            }
+        }
         let mut work = vec![0.0f64; self.appranks.len()];
         for (w, placed) in work.iter_mut().zip(self.layout.placement()) {
             for &(node, proc) in placed {

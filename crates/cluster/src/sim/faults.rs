@@ -4,7 +4,7 @@
 
 use super::{Ev, Inst, State};
 use crate::fault::MIN_SPEED_FACTOR;
-use crate::{FaultPlan, FaultStats, Trace, Workload};
+use crate::{FaultKind, FaultPlan, FaultStats, Trace, Workload};
 use tlb_des::{Ctx, SimTime, Simulator};
 use tlb_linprog::LpError;
 use tlb_rng::Rng;
@@ -37,16 +37,15 @@ impl Faults {
         }
     }
 
-    /// Put the plan's events on the queue.
+    /// Put the plan's start events on the queue, in plan order, so faults
+    /// that start at the same instant fire in the order the spec gives
+    /// them. Loss and delay windows are read at send time instead
+    /// ([`Faults::draw_send`]).
     pub(super) fn schedule(&self, sim: &mut Simulator<Ev>) {
-        for (i, s) in self.plan.stragglers.iter().enumerate() {
-            sim.schedule_at(s.at, Ev::FaultStraggler(i));
-        }
-        for (i, k) in self.plan.kills.iter().enumerate() {
-            sim.schedule_at(k.at, Ev::FaultKill(i));
-        }
-        for (i, o) in self.plan.outages.iter().enumerate() {
-            sim.schedule_at(o.at, Ev::FaultOutage(i));
+        for (i, f) in self.plan.faults.iter().enumerate() {
+            if !matches!(f.kind, FaultKind::Loss { .. } | FaultKind::Delay { .. }) {
+                sim.schedule_at(f.start, Ev::FaultStart(i));
+            }
         }
     }
 
@@ -54,7 +53,10 @@ impl Faults {
     /// opened outage window still open, if any.
     pub(super) fn outage_error(&self) -> Option<&LpError> {
         let &i = self.open_outages.last()?;
-        Some(&self.plan.outages[i].error)
+        match &self.plan.faults[i].kind {
+            FaultKind::Outage { error } => Some(error),
+            _ => None,
+        }
     }
 
     /// What the offload control path does to one send at `now`: the
@@ -72,17 +74,22 @@ impl Faults {
         to_node: usize,
     ) -> (SimTime, bool) {
         let mut penalty = SimTime::ZERO;
-        if let Some(d) = &self.plan.delay {
-            if now >= d.from && now < d.until {
-                penalty += d.extra;
+        let mut loss = None;
+        let faults = self.plan.faults.iter();
+        for f in faults.filter(|f| f.start <= now && now < f.end) {
+            match f.kind {
+                FaultKind::Delay { extra } => penalty += extra,
+                FaultKind::Loss {
+                    rate,
+                    max_retries,
+                    backoff,
+                } if rate > 0.0 => loss = Some((rate, max_retries, backoff)),
+                _ => {}
             }
         }
-        let Some(l) = &self.plan.loss else {
+        let Some((rate, max_retries, backoff)) = loss else {
             return (penalty, false);
         };
-        if !(now >= l.from && now < l.until && l.rate > 0.0) {
-            return (penalty, false);
-        }
         let to_node = to_node as u32;
         let label =
             ((key.iteration as u64) << 40) ^ ((key.apprank as u64) << 20) ^ (key.task as u64);
@@ -91,7 +98,7 @@ impl Faults {
             .split_u64(label);
         let mut dropped = 0u32;
         // Each pass is one attempt; leaving the loop means it crossed the wire.
-        while stream.chance(l.rate) {
+        while stream.chance(rate) {
             self.stats.injected += 1;
             self.stats.messages_dropped += 1;
             if trace.events() {
@@ -103,7 +110,7 @@ impl Faults {
                 trace.emit(TraceLog::node_stream(home), now, ev);
             }
             dropped += 1;
-            if dropped > l.max_retries {
+            if dropped > max_retries {
                 // Retries exhausted: consciously absorb the fault by
                 // running the task at home.
                 self.stats.absorbed += 1;
@@ -120,7 +127,7 @@ impl Faults {
             }
             // The retry is the recovery: backoff grows linearly.
             self.stats.recovered += 1;
-            penalty += l.backoff.scale(dropped as f64);
+            penalty += backoff.scale(dropped as f64);
         }
         (penalty, false)
     }
@@ -137,10 +144,28 @@ impl<W: Workload> State<W> {
         self.platform.node_speed[node] = speed;
     }
 
+    /// Fault `i` of the plan starts.
+    pub(super) fn fault_start(&mut self, ctx: &mut Ctx<Ev>, i: usize) {
+        match self.faults.plan.faults[i].kind {
+            FaultKind::Straggler { node, slowdown } => self.straggler_start(ctx, i, node, slowdown),
+            FaultKind::Kill { victim } => self.handle_kill(ctx, i, victim),
+            FaultKind::Outage { .. } => self.outage_start(ctx, i),
+            FaultKind::Loss { .. } | FaultKind::Delay { .. } => {}
+        }
+    }
+
+    /// Fault `i` of the plan ends; only windows whose start scheduled an
+    /// end get here.
+    pub(super) fn fault_end(&mut self, ctx: &mut Ctx<Ev>, i: usize) {
+        match self.faults.plan.faults[i].kind {
+            FaultKind::Straggler { node, slowdown } => self.straggler_end(ctx, node, slowdown),
+            FaultKind::Outage { .. } => self.outage_end(ctx, i),
+            _ => {}
+        }
+    }
+
     /// Straggler burst `i` begins: its node's speed drops by `slowdown`.
-    pub(super) fn handle_straggler(&mut self, ctx: &mut Ctx<Ev>, i: usize) {
-        let burst = &self.faults.plan.stragglers[i];
-        let (node, slowdown, duration) = (burst.node, burst.slowdown, burst.duration);
+    fn straggler_start(&mut self, ctx: &mut Ctx<Ev>, i: usize, node: usize, slowdown: f64) {
         self.faults.stats.injected += 1;
         self.trace.count("fault_stragglers", 1);
         if self.finished {
@@ -157,15 +182,13 @@ impl<W: Workload> State<W> {
             };
             self.trace.emit(TraceLog::node_stream(node), ctx.now(), ev);
         }
-        ctx.schedule_in(duration, Ev::FaultStragglerEnd(i));
+        ctx.schedule_at(self.faults.plan.faults[i].end, Ev::FaultEnd(i));
         self.drain_holds(ctx);
         self.try_start_node(ctx, node);
     }
 
-    /// Straggler burst `i` ends: restore its node's speed.
-    pub(super) fn handle_straggler_end(&mut self, ctx: &mut Ctx<Ev>, i: usize) {
-        let burst = &self.faults.plan.stragglers[i];
-        let (node, slowdown) = (burst.node, burst.slowdown);
+    /// A straggler burst on `node` ends: restore its node's speed.
+    fn straggler_end(&mut self, ctx: &mut Ctx<Ev>, node: usize, slowdown: f64) {
         let factor = 1.0 / slowdown;
         let factors = &mut self.faults.straggler_factors[node];
         if let Some(pos) = factors.iter().position(|f| f.to_bits() == factor.to_bits()) {
@@ -183,10 +206,10 @@ impl<W: Workload> State<W> {
         }
     }
 
-    /// Kill `i` of the plan fires. Picks a victim (explicit or seeded by
-    /// `i`) and retires it; with no living helper left the fault is
-    /// absorbed.
-    pub(super) fn handle_kill(&mut self, ctx: &mut Ctx<Ev>, i: usize) {
+    /// Kill `i` of the plan fires. Picks a victim (explicit, or seeded by
+    /// the kill's ordinal among the plan's kills) and retires it; with no
+    /// living helper left the fault is absorbed.
+    fn handle_kill(&mut self, ctx: &mut Ctx<Ev>, i: usize, victim: Option<(usize, usize)>) {
         self.faults.stats.injected += 1;
         self.trace.count("fault_kills", 1);
         if self.finished {
@@ -202,16 +225,21 @@ impl<W: Workload> State<W> {
                     .and_then(|placed| placed.get(k))
                     .is_some_and(|&(node, proc)| alive[node][proc])
         };
-        let victim = match self.faults.plan.kills[i].victim {
+        let victim = match victim {
             Some((a, k)) => living_helper(a, k).then_some((a, k)),
             None => {
                 let living: Vec<(usize, usize)> = (0..placement.len())
                     .flat_map(|a| (1..placement[a].len()).map(move |k| (a, k)))
                     .filter(|&(a, k)| living_helper(a, k))
                     .collect();
+                let faults = &self.faults.plan.faults[..i];
+                let ordinal = faults
+                    .iter()
+                    .filter(|f| matches!(f.kind, FaultKind::Kill { .. }))
+                    .count();
                 let mut stream = Rng::seed_from_u64(self.faults.plan.seed)
                     .split("kill")
-                    .split_u64(i as u64);
+                    .split_u64(ordinal as u64);
                 stream.pick(&living).copied()
             }
         };
@@ -263,9 +291,7 @@ impl<W: Workload> State<W> {
 
     /// Outage window `i` opens: every global tick inside it sees the
     /// injected error and takes the fallback ladder.
-    pub(super) fn handle_outage(&mut self, ctx: &mut Ctx<Ev>, i: usize) {
-        let outage = &self.faults.plan.outages[i];
-        let duration = outage.duration;
+    fn outage_start(&mut self, ctx: &mut Ctx<Ev>, i: usize) {
         self.faults.stats.injected += 1;
         self.trace.count("fault_outages", 1);
         if self.finished {
@@ -277,13 +303,13 @@ impl<W: Workload> State<W> {
             let ev = EventKind::SolverOutage { active: true };
             self.trace.emit(GLOBAL_STREAM, ctx.now(), ev);
         }
-        ctx.schedule_in(duration, Ev::FaultOutageEnd(i));
+        ctx.schedule_at(self.faults.plan.faults[i].end, Ev::FaultEnd(i));
     }
 
     /// Outage window `i` closes; the solver is back once every open
     /// window has closed, and until then reports the error of the latest
     /// one still open.
-    pub(super) fn handle_outage_end(&mut self, ctx: &mut Ctx<Ev>, i: usize) {
+    fn outage_end(&mut self, ctx: &mut Ctx<Ev>, i: usize) {
         self.faults.open_outages.retain(|&open| open != i);
         self.faults.stats.recovered += 1;
         if self.trace.events() {

@@ -88,14 +88,11 @@ enum Ev {
     ApplyOwnership {
         per_node: Vec<Vec<usize>>,
     },
-    /// Injected faults, each by its index in the plan's list of its kind:
-    /// a straggler burst begins and (scheduled by its start) ends, a
-    /// helper worker dies, a solver outage window opens and closes.
-    FaultStraggler(usize),
-    FaultStragglerEnd(usize),
-    FaultKill(usize),
-    FaultOutage(usize),
-    FaultOutageEnd(usize),
+    /// Fault `i` of the plan starts, or (scheduled by its start) ends: a
+    /// straggler burst or solver outage window opens and closes, a helper
+    /// worker dies. Loss and delay act at send time and have no events.
+    FaultStart(usize),
+    FaultEnd(usize),
 }
 
 /// One worker process (an apprank's presence on one node), resolved from
@@ -328,11 +325,8 @@ impl<W: Workload> World for State<W> {
             Ev::LocalTick => self.local_tick(ctx),
             Ev::GlobalTick => self.global_tick(ctx),
             Ev::ApplyOwnership { per_node } => self.apply_ownership(ctx, per_node),
-            Ev::FaultStraggler(i) => self.handle_straggler(ctx, i),
-            Ev::FaultStragglerEnd(i) => self.handle_straggler_end(ctx, i),
-            Ev::FaultKill(i) => self.handle_kill(ctx, i),
-            Ev::FaultOutage(i) => self.handle_outage(ctx, i),
-            Ev::FaultOutageEnd(i) => self.handle_outage_end(ctx, i),
+            Ev::FaultStart(i) => self.fault_start(ctx, i),
+            Ev::FaultEnd(i) => self.fault_end(ctx, i),
         }
     }
 }

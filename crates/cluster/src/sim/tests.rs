@@ -5,7 +5,6 @@ use crate::{FaultPlan, FaultStats, SimReport, SpecWorkload, TaskSpec, Trace};
 use tlb_core::{BalanceConfig, DromPolicy, Platform, PolicySpec, Preset};
 use tlb_des::SimTime;
 use tlb_dlb::ProcId;
-use tlb_linprog::LpError;
 use tlb_trace::EventKind;
 
 fn uniform(ranks: usize, tasks: usize, dur: f64, iters: usize) -> SpecWorkload {
@@ -409,7 +408,7 @@ fn throttle_window_slows_a_node_and_offloading_recovers() {
     // stays there (the window outlasts the run).
     let wl = uniform(2, 120, 0.05, 8);
     let p = Platform::homogeneous(2, 4);
-    let throttle = FaultPlan::new(0).with_straggler(3.0, 1, 3.0, 1e6);
+    let throttle = plan("straggler@3,node=1,slow=3,for=1e6", 0);
     let base = ClusterSim::execute(
         RunSpec::new(&p, &BalanceConfig::preset(Preset::Baseline), wl.clone()).faults(&throttle),
     )
@@ -444,7 +443,7 @@ fn throttle_windows_are_deterministic() {
     // Node 0 runs at half speed from 200 ms to 500 ms.
     let wl = uniform(2, 40, 0.02, 3);
     let p = Platform::homogeneous(2, 4);
-    let throttle = FaultPlan::new(0).with_straggler(0.2, 0, 2.0, 0.3);
+    let throttle = plan("straggler@0.2,node=0,slow=2,for=0.3", 0);
     let cfg = BalanceConfig::preset(Preset::Offload {
         degree: 2,
         drom: DromPolicy::Global,
@@ -690,10 +689,10 @@ fn trace_events_cover_task_lifecycle() {
     // And the exports are the bytes the parent of this exporter wrote.
     assert_exports(
         &r.trace,
-        r#"{"drom_ownership_sets":2,"drom_transfers":2,"iterations_completed":2,"lewi_lends":48,"lewi_reclaims":15,"sched_decisions":141,"solver_invocations":1,"solver_simplex_iterations":5,"steal_attempts":192,"tasks_completed":140,"tasks_created":140,"tasks_held":109,"tasks_offloaded":52,"tasks_ready":140,"tasks_started":140,"tasks_stolen":108} solver_modelled_ms,solver_wall_ms"#,
+        r#"{"drom_ownership_sets":2,"drom_transfers":2,"iterations_completed":2,"lewi_lends":48,"lewi_reclaims":15,"sched_decisions":141,"solver_invocations":1,"solver_simplex_iterations":5,"steal_attempts":192,"talp_windows":2,"tasks_completed":140,"tasks_created":140,"tasks_held":109,"tasks_offloaded":52,"tasks_ready":140,"tasks_started":140,"tasks_stolen":108} solver_modelled_ms,solver_wall_ms"#,
         [
-            (122_814, 0x623c_efd9_e5eb_781b),
-            (34_533, 0x35cc_60b8_a778_a181),
+            (123_039, 0x88c9_2109_11f9_3c1e),
+            (34_635, 0xee78_4704_1f85_da96),
         ],
     );
     // Disabled tracing records nothing at all.
@@ -766,16 +765,19 @@ fn faulty_setup() -> (Platform, BalanceConfig, SpecWorkload) {
     (p, cfg, wl)
 }
 
+/// A plan from its spec string, the one way to build one.
+fn plan(spec: &str, seed: u64) -> FaultPlan {
+    FaultPlan::parse(spec, seed).unwrap()
+}
+
 /// Every fault kind at once: a straggler burst, two kills, an outage
-/// spanning global ticks, lossy sends with retries, a degraded link.
+/// spanning global ticks, lossy sends with retries, a degraded link. The
+/// spec is EXPERIMENTS.md's fault recipe, verbatim.
 fn every_fault_kind() -> FaultPlan {
-    FaultPlan::new(42)
-        .with_straggler(0.4, 1, 3.0, 1.0)
-        .with_kill(0.6)
-        .with_kill_of(1.2, 0, 1)
-        .with_outage(0.5, 1.5, LpError::IterationLimit)
-        .with_loss(0.0, 3.0, 0.4, 3, 0.002)
-        .with_delay(0.0, 3.0, 0.001)
+    plan(
+        "straggler@0.4,node=1,slow=3,for=1;kill@0.6;kill@1.2,apprank=0,slot=1;outage@0.5,for=1.5;loss@0,for=3,rate=0.4,retries=3,backoff=0.002;delay@0,for=3,extra=0.001",
+        42,
+    )
 }
 
 fn run_plan(plan: &FaultPlan) -> SimReport {
@@ -813,29 +815,24 @@ fn solver_outage_falls_back_for_every_error_kind() {
         let (p, cfg, _) = faulty_setup();
         ClusterSim::execute(RunSpec::new(&p, &cfg, wl.clone()).trace(true)).unwrap()
     };
-    for error in [
-        LpError::IterationLimit,
-        LpError::Infeasible,
-        LpError::Unbounded,
-    ] {
+    for error in ["iteration_limit", "infeasible", "unbounded"] {
         // The outage covers several global ticks in the middle of the
         // run; every covered tick must fall back, none may abort.
-        let plan = FaultPlan::new(7).with_outage(0.3, 1.0, error.clone());
-        let r = run_plan(&plan);
+        let r = run_plan(&plan(&format!("outage@0.3,for=1,error={error}"), 7));
         assert!(
             r.faults.solver_fallbacks >= 1,
-            "{error:?}: no fallback recorded"
+            "{error}: no fallback recorded"
         );
-        assert_eq!(r.total_tasks, baseline.total_tasks, "{error:?}");
+        assert_eq!(r.total_tasks, baseline.total_tasks, "{error}");
         assert_eq!(
             r.faults.injected,
             r.faults.recovered + r.faults.absorbed,
-            "{error:?}: unaccounted faults"
+            "{error}: unaccounted faults"
         );
         // Degraded, never dead: the run completes in bounded time.
         assert!(
             r.makespan.as_secs_f64() < 10.0 * baseline.makespan.as_secs_f64(),
-            "{error:?}: degradation unbounded"
+            "{error}: degradation unbounded"
         );
     }
 }
@@ -844,10 +841,10 @@ fn solver_outage_falls_back_for_every_error_kind() {
 fn nested_outages_report_the_innermost_open_window() {
     // An `iteration_limit` window inside an `infeasible` one: ticks inside
     // both see the inner error, ticks after it closes the outer one's.
-    let plan = FaultPlan::new(7)
-        .with_outage(0.4, 2.0, LpError::Infeasible)
-        .with_outage(0.9, 0.5, LpError::IterationLimit);
-    let r = run_plan(&plan);
+    let r = run_plan(&plan(
+        "outage@0.4,for=2,error=infeasible; outage@0.9,for=0.5,error=iteration_limit",
+        7,
+    ));
     let reasons: Vec<(u64, &str)> = r
         .trace
         .log
@@ -875,8 +872,7 @@ fn nested_outages_report_the_innermost_open_window() {
 fn killed_worker_hands_back_tasks_and_cores() {
     // Kill apprank 0's helper mid-run: its queued/in-flight tasks must
     // re-run at home and the run still completes every task.
-    let plan = FaultPlan::new(11).with_kill_of(0.35, 0, 1);
-    completes_exactly_once(&plan, 1);
+    completes_exactly_once(&plan("kill@0.35,apprank=0,slot=1", 11), 1);
     // The same with every other fault kind firing around two kills;
     // each kind demonstrably fired, and the trace agrees with the stats.
     let r = completes_exactly_once(&every_fault_kind(), 2);
@@ -918,7 +914,7 @@ fn completes_exactly_once(plan: &FaultPlan, kills: usize) -> SimReport {
 
 #[test]
 fn seeded_kill_picks_deterministic_victim() {
-    let plan = FaultPlan::new(5).with_kill(0.4);
+    let plan = plan("kill@0.4", 5);
     let a = run_plan(&plan);
     let b = run_plan(&plan);
     assert_eq!(a.faults.workers_killed, 1);
@@ -929,8 +925,7 @@ fn seeded_kill_picks_deterministic_victim() {
 #[test]
 fn straggler_burst_slows_run_then_recovers() {
     let clean = run_plan(&FaultPlan::none());
-    let plan = FaultPlan::new(3).with_straggler(0.2, 0, 4.0, 1.0);
-    let r = run_plan(&plan);
+    let r = run_plan(&plan("straggler@0.2,node=0,slow=4,for=1", 3));
     assert!(
         r.makespan > clean.makespan,
         "straggler had no effect: {} vs {}",
@@ -946,8 +941,7 @@ fn straggler_burst_slows_run_then_recovers() {
 fn message_loss_retries_and_fails_over() {
     // Aggressive loss: most offload sends drop; with 2 retries many
     // fail over to the home rank. The run must still complete.
-    let plan = FaultPlan::new(17).with_loss(0.0, 1e9, 0.9, 2, 0.002);
-    let r = run_plan(&plan);
+    let r = run_plan(&plan("loss@0,for=1e9,rate=0.9,retries=2,backoff=0.002", 17));
     assert!(r.faults.messages_dropped > 0, "no drops with rate 0.9");
     assert!(r.faults.message_failovers > 0, "no failovers with rate 0.9");
     assert_eq!(r.total_tasks, 4 * 100);
@@ -963,10 +957,10 @@ fn faulty_run_exports_the_pinned_bytes() {
     let r = ClusterSim::execute(RunSpec::new(&p, &cfg, wl).trace(true).faults(&plan)).unwrap();
     assert_exports(
         &r.trace,
-        r#"{"drom_ownership_sets":16,"drom_transfers":2,"fault_kills":2,"fault_messages_dropped":9,"fault_outages":1,"fault_stragglers":1,"fault_tasks_requeued":1,"fault_workers_killed":2,"iterations_completed":4,"lewi_lends":34,"lewi_reclaims":17,"sched_decisions":468,"solver_fallbacks":2,"solver_invocations":5,"solver_simplex_iterations":25,"steal_attempts":548,"tasks_completed":400,"tasks_created":400,"tasks_held":350,"tasks_offloaded":42,"tasks_ready":400,"tasks_started":400,"tasks_stolen":282} solver_modelled_ms,solver_wall_ms"#,
+        r#"{"drom_ownership_sets":16,"drom_transfers":2,"fault_kills":2,"fault_messages_dropped":9,"fault_outages":1,"fault_stragglers":1,"fault_tasks_requeued":1,"fault_workers_killed":2,"iterations_completed":4,"lewi_lends":34,"lewi_reclaims":17,"sched_decisions":468,"solver_fallbacks":2,"solver_invocations":5,"solver_simplex_iterations":25,"steal_attempts":548,"talp_windows":14,"tasks_completed":400,"tasks_created":400,"tasks_held":350,"tasks_offloaded":42,"tasks_ready":400,"tasks_started":400,"tasks_stolen":282} solver_modelled_ms,solver_wall_ms"#,
         [
-            (335_177, 0xc257_05e2_ba94_acbf),
-            (91_861, 0x20f2_5f16_2927_eaea),
+            (336_834, 0x8c04_7251_7616_1ce1),
+            (92_556, 0x0ed4_17cf_3063_baff),
         ],
     );
 }
@@ -1014,7 +1008,7 @@ fn held_batch_run(traced: bool) -> SimReport {
         drom: DromPolicy::Global,
     });
     cfg.global_period = SimTime::from_millis(100);
-    let plan = FaultPlan::new(23).with_loss(0.0, 1e9, 0.5, 1, 0.002);
+    let plan = plan("loss@0,for=1e9,rate=0.5,retries=1,backoff=0.002", 23);
     ClusterSim::execute(RunSpec::new(&p, &cfg, wl).trace(traced).faults(&plan)).unwrap()
 }
 
@@ -1037,10 +1031,10 @@ fn held_batches_export_the_pinned_bytes() {
     assert!(mixed, "no batch placed a task between two holds");
     assert_exports(
         &r.trace,
-        r#"{"drom_ownership_sets":4,"fault_message_failovers":6,"fault_messages_dropped":17,"fault_tasks_requeued":6,"iterations_completed":2,"lewi_lends":58,"lewi_reclaims":30,"sched_decisions":154,"solver_invocations":2,"solver_simplex_iterations":10,"steal_attempts":51,"tasks_completed":154,"tasks_created":154,"tasks_held":25,"tasks_offloaded":34,"tasks_ready":154,"tasks_started":154,"tasks_stolen":25} solver_modelled_ms,solver_wall_ms"#,
+        r#"{"drom_ownership_sets":4,"fault_message_failovers":6,"fault_messages_dropped":17,"fault_tasks_requeued":6,"iterations_completed":2,"lewi_lends":58,"lewi_reclaims":30,"sched_decisions":154,"solver_invocations":2,"solver_simplex_iterations":10,"steal_attempts":51,"talp_windows":4,"tasks_completed":154,"tasks_created":154,"tasks_held":25,"tasks_offloaded":34,"tasks_ready":154,"tasks_started":154,"tasks_stolen":25} solver_modelled_ms,solver_wall_ms"#,
         [
-            (116_881, 0xc180_6038_b686_481c),
-            (37_612, 0xa781_50d2_4c6d_6188),
+            (117_394, 0x4968_b3ce_772e_4434),
+            (37_815, 0xce61_f4bf_7bd6_2b36),
         ],
     );
     // Recording changes nothing that is simulated.
@@ -1096,11 +1090,10 @@ fn table_and_dlb_agree_after_spawns_and_kills() {
     let light: Vec<TaskSpec> = (0..20).map(|_| TaskSpec::compute(0.05)).collect();
     let wl = SpecWorkload::iterated(vec![heavy, light.clone(), light.clone(), light], 8);
     let p = Platform::homogeneous(4, 4);
-    let plan = FaultPlan::new(9)
-        .with_straggler(0.5, 0, 3.0, 1.5)
-        .with_kill(1.0)
-        .with_kill(1.6)
-        .with_kill(4.0);
+    let plan = plan(
+        "straggler@0.5,node=0,slow=3,for=1.5; kill@1; kill@1.6; kill@4",
+        9,
+    );
     let want = Golden {
         makespan_ns: 16_250_032_000,
         iteration_ns: [
@@ -1160,4 +1153,42 @@ fn table_and_dlb_agree_after_spawns_and_kills() {
         want.parallel_efficiency_bits,
         "parallel_efficiency"
     );
+}
+
+#[test]
+fn global_ticks_record_talp_windows() {
+    // `lewi+drom-global` has no local tick, so every TALP window in its
+    // trace is a global tick's: one per node, stamped with the tick's
+    // solve, in average busy cores per proc.
+    let (p, cfg, wl) = faulty_setup();
+    assert_eq!(cfg.policy.name(), "lewi+drom-global");
+    let r = ClusterSim::execute(RunSpec::new(&p, &cfg, wl).trace(true)).unwrap();
+    let mut ticks = Vec::new();
+    let mut windows = Vec::new();
+    for e in r.trace.log.merged() {
+        match e.kind {
+            EventKind::SolverInvoked(..) | EventKind::SolverFallback { .. } => ticks.push(e.at),
+            EventKind::TalpWindow { node, busy } => windows.push((e.at, node, busy)),
+            _ => {}
+        }
+    }
+    assert!(ticks.len() >= 2, "{} global ticks", ticks.len());
+    assert_eq!(windows.len(), p.nodes * ticks.len());
+    windows.sort_by_key(|&(at, node, _)| (at, node));
+    let mut busiest = 0.0f64;
+    for (k, &at) in ticks.iter().enumerate() {
+        for node in 0..p.nodes {
+            let (when, of, busy) = &windows[k * p.nodes + node];
+            assert_eq!((*when, *of), (at, node as u32));
+            let cores: f64 = busy.iter().sum();
+            assert!(
+                cores <= p.cores_per_node as f64 + 1e-9,
+                "{cores} busy cores"
+            );
+            busiest = busiest.max(cores);
+        }
+    }
+    // The heavy node keeps its cores busy: a window reads close to the
+    // node's 4 cores, not the 2 core·seconds a 0.5 s window integrates.
+    assert!(busiest > 3.0, "busiest window {busiest}");
 }

@@ -297,8 +297,9 @@ impl PolicySpec {
     }
 
     /// Parse `name` or `name(k=v,...)`. Unknown policies and unknown
-    /// parameters are errors that list the known alternatives; values
-    /// are range-checked against the parameter schema.
+    /// parameters are errors that list the known alternatives; a
+    /// parameter given twice is an error; values are range-checked
+    /// against the parameter schema.
     pub fn parse(text: &str) -> Result<PolicySpec, PolicyError> {
         let text = text.trim();
         let (name, args) = match text.split_once('(') {
@@ -313,6 +314,7 @@ impl PolicySpec {
         };
         let mut spec = PolicySpec::named(name)?;
         if let Some(inner) = args {
+            let mut seen: Vec<&str> = Vec::new();
             for part in inner.split(',') {
                 let part = part.trim();
                 if part.is_empty() {
@@ -323,7 +325,14 @@ impl PolicySpec {
                         "policy '{name}': expected 'key=value', got '{part}'"
                     ))
                 })?;
-                spec.set(key.trim(), value.trim())?;
+                let key = key.trim();
+                if seen.contains(&key) {
+                    return Err(PolicyError(format!(
+                        "policy '{name}': repeated parameter '{key}'"
+                    )));
+                }
+                seen.push(key);
+                spec.set(key, value.trim())?;
             }
         }
         if let Some(check) = spec.def.check {
@@ -835,6 +844,18 @@ mod tests {
         assert!(PolicySpec::parse("diffusion(alpha=nan)").is_err());
         assert!(PolicySpec::parse("diffusion(alpha=").is_err());
         assert!(PolicySpec::parse("diffusion(alpha)").is_err());
+        // A parameter says one thing once: neither the first nor the last
+        // value wins, even when they agree.
+        for (text, key) in [
+            ("reactive-offload(hi=0.3,hi=0.4)", "hi"),
+            ("diffusion(alpha=0.5, order=2, alpha=0.5)", "alpha"),
+        ] {
+            let err = PolicySpec::parse(text).unwrap_err().0;
+            assert!(
+                err.contains(&format!("repeated parameter '{key}'")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

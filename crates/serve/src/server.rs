@@ -307,12 +307,9 @@ fn stream_sweep(
     scenario_json: &Value,
     out: &mut impl Write,
 ) -> io::Result<()> {
-    // The same strict parser as `tlb-run sweep` — but a schema error
-    // becomes a structured reply instead of an exit code.
-    let scenario = match Scenario::from_json(scenario_json).and_then(|s| {
-        s.validate()?;
-        Ok(s)
-    }) {
+    // The same strict parser (and validator) as `tlb-run sweep` — but a
+    // schema error becomes a structured reply instead of an exit code.
+    let scenario = match Scenario::from_json(scenario_json) {
         Ok(s) => s,
         Err(e) => return write_reply(out, &error_reply(&format!("invalid scenario: {e}"))),
     };

@@ -492,6 +492,24 @@ mod tests {
     use super::*;
 
     #[test]
+    fn example_scenarios_parse_and_expand() {
+        // README and EXPERIMENTS.md tell users to run these files.
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples");
+        let mut checked = 0;
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|ext| ext == "json") {
+                let text = std::fs::read_to_string(&path).unwrap();
+                let sc = Scenario::from_json_str(&text)
+                    .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+                assert!(!sc.expand().is_empty(), "{}: no points", path.display());
+                checked += 1;
+            }
+        }
+        assert!(checked >= 1, "no example scenario in {}", dir.display());
+    }
+
+    #[test]
     fn minimal_scenario_parses_with_defaults() {
         let sc =
             Scenario::from_json_str(r#"{"schema_version": 1, "name": "t", "app": "synthetic"}"#)

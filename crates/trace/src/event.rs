@@ -174,7 +174,8 @@ pub enum EventKind {
     },
     /// DROM: an ownership transaction set per-proc core counts on a node.
     DromOwnership { node: u32, counts: Vec<usize> },
-    /// TALP: per-proc busy-core·second deltas collected on a local tick.
+    /// TALP: per-proc average busy cores over the window a local or
+    /// global tick closes.
     TalpWindow { node: u32, busy: Vec<f64> },
     /// Global solver invocation (boxed payload — see [`SolverRecord`]).
     SolverInvoked(Box<SolverRecord>),

@@ -229,10 +229,8 @@ fn digest(text: &[u8]) -> (usize, u64) {
 /// The exports of a traced synthetic run shaped like the benchmark's
 /// `trace_synth_4n` (4 MareNostrum-4 nodes, two appranks a node,
 /// imbalance 2, `lewi+drom-global` at degree 4, seed 42) at 10 tasks a
-/// core instead of 25: 56,478 events of every family a global-policy run
-/// records, held to the bytes the per-field `String` writers produced.
-/// (TALP windows are a local-policy event; `golden_covers_every_kind`
-/// pins their export.)
+/// core instead of 25: every family a global-policy run records — TALP
+/// windows on each global tick included — held to pinned bytes.
 #[test]
 fn synthetic_4n_exports_the_pinned_bytes() {
     use tlb_trace::EventKind as K;
@@ -247,7 +245,7 @@ fn synthetic_4n_exports_the_pinned_bytes() {
     .with_seed(42);
     let r = ClusterSim::execute(RunSpec::new(&platform, &balance, wl).trace(true)).unwrap();
     let log = &r.trace.log;
-    assert_eq!(log.len(), 56_478);
+    assert_eq!(log.len(), 56_482);
     for (family, recorded) in [
         (
             "LeWI",
@@ -258,6 +256,7 @@ fn synthetic_4n_exports_the_pinned_bytes() {
             log.count(|k| matches!(k, K::DromOwnership { .. } | K::DromTransfer { .. })),
         ),
         ("solver", log.count(|k| matches!(k, K::SolverInvoked(..)))),
+        ("TALP", log.count(|k| matches!(k, K::TalpWindow { .. }))),
     ] {
         assert!(recorded > 0, "no {family} event");
     }
@@ -266,8 +265,8 @@ fn synthetic_4n_exports_the_pinned_bytes() {
     assert_eq!(
         [digest(&chrome), digest(&csv)],
         [
-            (7_585_274, 0xb2fd_4c9d_856c_0a86),
-            (2_305_593, 0xb348_a8d2_0ef1_ae5e),
+            (7_586_227, 0x50af_f54e_1e2f_b7a4),
+            (2_305_795, 0x6c31_d89d_c5e6_5448),
         ]
     );
 }
