@@ -691,7 +691,7 @@ fn trace_events_cover_task_lifecycle() {
         &r.trace,
         r#"{"drom_ownership_sets":2,"drom_transfers":2,"iterations_completed":2,"lewi_lends":48,"lewi_reclaims":15,"sched_decisions":141,"solver_invocations":1,"solver_simplex_iterations":5,"steal_attempts":192,"talp_windows":2,"tasks_completed":140,"tasks_created":140,"tasks_held":109,"tasks_offloaded":52,"tasks_ready":140,"tasks_started":140,"tasks_stolen":108} solver_modelled_ms,solver_wall_ms"#,
         [
-            (123_039, 0x88c9_2109_11f9_3c1e),
+            (123_037, 0x8c5a_8b62_bd16_2e74),
             (34_635, 0xee78_4704_1f85_da96),
         ],
     );
@@ -959,7 +959,7 @@ fn faulty_run_exports_the_pinned_bytes() {
         &r.trace,
         r#"{"drom_ownership_sets":16,"drom_transfers":2,"fault_kills":2,"fault_messages_dropped":9,"fault_outages":1,"fault_stragglers":1,"fault_tasks_requeued":1,"fault_workers_killed":2,"iterations_completed":4,"lewi_lends":34,"lewi_reclaims":17,"sched_decisions":468,"solver_fallbacks":2,"solver_invocations":5,"solver_simplex_iterations":25,"steal_attempts":548,"talp_windows":14,"tasks_completed":400,"tasks_created":400,"tasks_held":350,"tasks_offloaded":42,"tasks_ready":400,"tasks_started":400,"tasks_stolen":282} solver_modelled_ms,solver_wall_ms"#,
         [
-            (336_834, 0x8c04_7251_7616_1ce1),
+            (336_820, 0x28cc_3d9d_90c2_1ebd),
             (92_556, 0x0ed4_17cf_3063_baff),
         ],
     );
@@ -1033,7 +1033,7 @@ fn held_batches_export_the_pinned_bytes() {
         &r.trace,
         r#"{"drom_ownership_sets":4,"fault_message_failovers":6,"fault_messages_dropped":17,"fault_tasks_requeued":6,"iterations_completed":2,"lewi_lends":58,"lewi_reclaims":30,"sched_decisions":154,"solver_invocations":2,"solver_simplex_iterations":10,"steal_attempts":51,"talp_windows":4,"tasks_completed":154,"tasks_created":154,"tasks_held":25,"tasks_offloaded":34,"tasks_ready":154,"tasks_started":154,"tasks_stolen":25} solver_modelled_ms,solver_wall_ms"#,
         [
-            (117_394, 0x4968_b3ce_772e_4434),
+            (117_390, 0xca72_7b06_972c_c8c0),
             (37_815, 0xce61_f4bf_7bd6_2b36),
         ],
     );

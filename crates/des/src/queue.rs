@@ -68,21 +68,6 @@ impl<E> EventQueue<E> {
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.heap.pop().map(|p| (p.at, p.event))
     }
-
-    /// Timestamp of the next event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|p| p.at)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether the queue holds no events.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
 }
 
 /// The simulated system: receives events and schedules follow-ups through
@@ -100,7 +85,6 @@ pub trait World {
 pub struct Ctx<E> {
     now: SimTime,
     queue: EventQueue<E>,
-    stop: bool,
 }
 
 impl<E> Ctx<E> {
@@ -129,21 +113,10 @@ impl<E> Ctx<E> {
         let at = self.now.checked_add(delay).expect("virtual clock overflow");
         self.queue.push(at, event);
     }
-
-    /// Request that the run loop stop after the current event is handled.
-    /// Remaining events stay in the queue (inspectable via the simulator).
-    pub fn stop(&mut self) {
-        self.stop = true;
-    }
-
-    /// Number of events still pending.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
 }
 
 /// The simulation driver: owns the event queue and runs a [`World`] until
-/// the queue drains, a horizon passes, or the world requests a stop.
+/// the queue drains.
 pub struct Simulator<E> {
     ctx: Ctx<E>,
     events_processed: u64,
@@ -162,7 +135,6 @@ impl<E> Simulator<E> {
             ctx: Ctx {
                 now: SimTime::ZERO,
                 queue: EventQueue::new(),
-                stop: false,
             },
             events_processed: 0,
         }
@@ -184,30 +156,13 @@ impl<E> Simulator<E> {
         self.events_processed
     }
 
-    /// Run until the event queue is empty or the world calls [`Ctx::stop`].
-    /// Returns the final virtual time.
+    /// Run until the event queue is empty. Returns the final virtual time.
     pub fn run<W: World<Event = E>>(&mut self, world: &mut W) -> SimTime {
-        self.run_until(world, SimTime::MAX)
-    }
-
-    /// Run until the queue is empty, the world stops, or the next event
-    /// would be later than `horizon` (that event remains queued). Returns
-    /// the final virtual time, clamped to `horizon` if the horizon fired.
-    pub fn run_until<W: World<Event = E>>(&mut self, world: &mut W, horizon: SimTime) -> SimTime {
-        self.ctx.stop = false;
-        while let Some(at) = self.ctx.queue.peek_time() {
-            if at > horizon {
-                self.ctx.now = horizon;
-                return horizon;
-            }
-            let (at, event) = self.ctx.queue.pop().expect("peeked event vanished");
+        while let Some((at, event)) = self.ctx.queue.pop() {
             debug_assert!(at >= self.ctx.now, "event queue delivered out of order");
             self.ctx.now = at;
             self.events_processed += 1;
             world.handle(&mut self.ctx, event);
-            if self.ctx.stop {
-                break;
-            }
         }
         self.ctx.now
     }
@@ -271,49 +226,6 @@ mod tests {
         assert_eq!(w.log.len(), 4);
         assert_eq!(w.log[2], (SimTime::from_millis(10), 2));
         assert_eq!(sim.events_processed(), 4);
-    }
-
-    #[test]
-    fn run_until_respects_horizon() {
-        let mut sim = Simulator::new();
-        sim.schedule_at(SimTime::ZERO, Ev::Hop(0));
-        let mut w = Relay {
-            hops: 100,
-            log: Vec::new(),
-        };
-        let end = sim.run_until(&mut w, SimTime::from_millis(12));
-        assert_eq!(end, SimTime::from_millis(12));
-        // Events at 0, 5, 10 ran; 15 did not.
-        assert_eq!(w.log.len(), 3);
-        // The remaining event is still pending and runs on resume.
-        let end = sim.run_until(&mut w, SimTime::from_millis(17));
-        assert_eq!(end, SimTime::from_millis(17));
-        assert_eq!(w.log.len(), 4);
-    }
-
-    struct Stopper {
-        seen: u32,
-    }
-    impl World for Stopper {
-        type Event = u32;
-        fn handle(&mut self, ctx: &mut Ctx<u32>, ev: u32) {
-            self.seen += 1;
-            if ev == 2 {
-                ctx.stop();
-            }
-        }
-    }
-
-    #[test]
-    fn world_can_stop_early() {
-        let mut sim = Simulator::new();
-        for i in 0..10u32 {
-            sim.schedule_at(SimTime::from_secs(i as u64), i);
-        }
-        let mut w = Stopper { seen: 0 };
-        let end = sim.run(&mut w);
-        assert_eq!(w.seen, 3);
-        assert_eq!(end, SimTime::from_secs(2));
     }
 
     #[test]

@@ -16,7 +16,7 @@ pub struct SimTime(u64);
 impl SimTime {
     /// The simulation origin / zero duration.
     pub const ZERO: SimTime = SimTime(0);
-    /// The maximum representable time (used as an "infinite" horizon).
+    /// The maximum representable time (the end of an open window).
     pub const MAX: SimTime = SimTime(u64::MAX);
 
     /// Construct from integer nanoseconds.

@@ -121,19 +121,6 @@ impl Timeline {
             self.mean(from, to)
         }
     }
-
-    /// Resample onto a uniform grid of `n` points covering `[from, to]`,
-    /// producing `(time_seconds, value)` pairs for plotting.
-    pub fn resample(&self, from: SimTime, to: SimTime, n: usize) -> Vec<(f64, f64)> {
-        assert!(n >= 2, "resample needs at least two points");
-        let span = (to - from).as_nanos();
-        (0..n)
-            .map(|i| {
-                let t = SimTime::from_nanos(from.as_nanos() + span * i as u64 / (n as u64 - 1));
-                (t.as_secs_f64(), self.value_at(t).unwrap_or(0.0))
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -218,16 +205,6 @@ mod tests {
         let from = SimTime::ZERO;
         let to = SimTime::from_millis(20);
         assert_eq!(t.mean_or_instant(from, to), t.mean(from, to));
-    }
-
-    #[test]
-    fn resample_grid() {
-        let t = tl(&[(0, 1.0), (50, 2.0)]);
-        let pts = t.resample(SimTime::ZERO, SimTime::from_millis(100), 5);
-        assert_eq!(pts.len(), 5);
-        assert_eq!(pts[0].1, 1.0);
-        assert_eq!(pts[2].1, 2.0); // t=50ms
-        assert_eq!(pts[4].1, 2.0);
     }
 
     #[test]

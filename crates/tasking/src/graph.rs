@@ -2,14 +2,13 @@
 //! sequential submission order, over one dependency domain.
 //!
 //! A task is three array entries: its state, pending-predecessor count
-//! and node index. Only a task with accesses gets a `TaskNode` (its
-//! successor edges and domain entries); a task without accesses enters no
-//! domain, has no successors, and claiming, releasing or completing it
-//! touches only its array entries (every task of the simulator's
-//! synthetic workload). The graph keeps no `TaskDef`.
+//! and node index. Only a task with accesses gets a successor list and
+//! entries in the domain; a task without accesses enters no domain, has
+//! no successors, and claiming, releasing or completing it touches only
+//! its array entries (every task of the simulator's synthetic and AMR
+//! workloads). The graph keeps no `TaskDef`.
 
-use crate::index::{EntryId, IntervalIndex};
-use crate::{AccessMode, TaskDef, TaskId, TaskState};
+use crate::{Access, TaskDef, TaskId, TaskState};
 use std::fmt;
 
 /// Errors from graph operations.
@@ -42,16 +41,6 @@ impl fmt::Display for GraphError {
 
 impl std::error::Error for GraphError {}
 
-/// The edges and domain entries of a task with accesses.
-struct TaskNode {
-    /// Successor edges (dependents released on completion), in
-    /// submission order.
-    successors: Vec<TaskId>,
-    /// Interval-index entries of this task's accesses, removed when the
-    /// task completes (accesses stop generating dependencies then).
-    access_entries: Vec<EntryId>,
-}
-
 /// `node[i]` of a task without accesses.
 const NO_NODE: u32 = u32::MAX;
 
@@ -70,14 +59,20 @@ pub struct TaskGraph {
     /// these.
     state: Vec<TaskState>,
     pending: Vec<u32>,
-    /// `node[i]`: index into `nodes` of task `i`, or `NO_NODE` when the
-    /// task has no accesses.
+    /// `node[i]`: index into `successors` of task `i`, or `NO_NODE`
+    /// when the task has no accesses.
     node: Vec<u32>,
-    nodes: Vec<TaskNode>,
-    /// Active accesses of the dependency domain. The interval index
-    /// answers "which active accesses overlap this region" in
-    /// O(log n + k).
-    domain: IntervalIndex<(TaskId, AccessMode)>,
+    /// Successor edges (dependents released on completion) of each task
+    /// with accesses, in submission order.
+    successors: Vec<Vec<TaskId>>,
+    /// Active accesses of the dependency domain, in submission order:
+    /// those of every task not yet completed. `submit` tests each
+    /// against each new access with [`Access::conflicts_with`], the one
+    /// statement of the conflict rule. A scan suffices: the stencil, the
+    /// one app that declares accesses, keeps at most 36 live per apprank
+    /// at its default block height, and the simulator clears the graph
+    /// every iteration.
+    domain: Vec<(Access, TaskId)>,
     /// Tasks in state `Ready`.
     ready_len: usize,
 }
@@ -95,8 +90,8 @@ impl TaskGraph {
             state: Vec::new(),
             pending: Vec::new(),
             node: Vec::new(),
-            nodes: Vec::new(),
-            domain: IntervalIndex::new(),
+            successors: Vec::new(),
+            domain: Vec::new(),
             ready_len: 0,
         }
     }
@@ -107,7 +102,7 @@ impl TaskGraph {
         self.state.clear();
         self.pending.clear();
         self.node.clear();
-        self.nodes.clear();
+        self.successors.clear();
         self.domain.clear();
         self.ready_len = 0;
     }
@@ -121,36 +116,31 @@ impl TaskGraph {
         if def.accesses.is_empty() {
             self.node.push(NO_NODE);
         } else {
-            // Each earlier task with a conflicting active access (regions
-            // overlap and at least one side writes) gains one edge to
-            // `id`. A second conflict with the same task finds `id` at
-            // the end of its successors already: no list held `id` before.
+            // Each earlier task with a conflicting active access gains one
+            // edge to `id`. A second conflict with the same task finds
+            // `id` at the end of its successors already: no list held
+            // `id` before.
             for acc in &def.accesses {
-                self.domain
-                    .for_each_overlap(acc.region, |_, &(task, mode)| {
-                        if !(acc.mode.writes() || mode.writes()) {
-                            return;
-                        }
-                        // A task in the domain has accesses, so it has a node.
-                        let n = self.node[task.0 as usize] as usize;
-                        let succ = &mut self.nodes[n].successors;
-                        if succ.last() != Some(&id) {
-                            succ.push(id);
-                            pending += 1;
-                        }
-                    });
+                for (active, task) in &self.domain {
+                    if !acc.conflicts_with(active) {
+                        continue;
+                    }
+                    // A task in the domain has accesses, so it has a node.
+                    let n = self.node[task.0 as usize] as usize;
+                    let succ = &mut self.successors[n];
+                    if succ.last() != Some(&id) {
+                        succ.push(id);
+                        pending += 1;
+                    }
+                }
             }
-            let access_entries = (def.accesses.iter())
-                .map(|acc| self.domain.insert(acc.region, (id, acc.mode)))
-                .collect();
-            let n = (u32::try_from(self.nodes.len()).ok())
+            self.domain
+                .extend(def.accesses.iter().map(|&acc| (acc, id)));
+            let n = (u32::try_from(self.successors.len()).ok())
                 .filter(|&n| n != NO_NODE)
                 .expect("fewer than 2^32 - 1 tasks with accesses");
             self.node.push(n);
-            self.nodes.push(TaskNode {
-                successors: Vec::new(),
-                access_entries,
-            });
+            self.successors.push(Vec::new());
         }
         if pending == 0 {
             self.ready_len += 1;
@@ -198,16 +188,14 @@ impl TaskGraph {
     /// whose last conflicting earlier task this was.
     pub fn complete(&mut self, id: TaskId) -> Result<Vec<TaskId>, GraphError> {
         self.advance(id, TaskState::Running, TaskState::Completed)?;
-        let Some(node) = self.nodes.get_mut(self.node[id.0 as usize] as usize) else {
+        let Some(successors) = self.successors.get_mut(self.node[id.0 as usize] as usize) else {
             return Ok(Vec::new());
         };
         // Retire this task's accesses from the dependency domain.
-        for e in std::mem::take(&mut node.access_entries) {
-            self.domain.remove(e);
-        }
+        self.domain.retain(|&(_, task)| task != id);
         // A completed task gains no further successors: its accesses left
         // the domain above. A successor still pending is still blocked.
-        let mut released = std::mem::take(&mut node.successors);
+        let mut released = std::mem::take(successors);
         released.retain(|s| {
             let i = s.0 as usize;
             self.pending[i] -= 1;
@@ -351,7 +339,7 @@ mod tests {
         // second edge would cost a second decrement and leave the release
         // unchanged, so only the successor list shows it.)
         let rd = g.submit(TaskDef::new("r").reads(r1).reads(r2)).unwrap();
-        assert_eq!(g.nodes[0].successors, [rd]);
+        assert_eq!(g.successors[0], [rd]);
         assert_eq!(g.pending[1], 1);
         assert_eq!(run(&mut g, w), vec![rd]);
         assert_eq!(g.ready_count(), 1);
@@ -514,10 +502,7 @@ mod tests {
                     .filter(|&t| state[t] != TaskState::Completed)
                     .map(|t| accesses[t].len())
                     .sum();
-                let mut stored = 0;
-                g.domain
-                    .for_each_overlap(DataRegion::new(0, 64), |_, _| stored += 1);
-                assert_eq!(stored, active, "{at}");
+                assert_eq!(g.domain.len(), active, "{at}");
             }
         }
     }

@@ -14,7 +14,13 @@
 //!   the accesses.
 //! * [`TaskGraph`] — computes the dependency DAG from access overlap in
 //!   sequential submission order over one dependency domain and tracks
-//!   readiness: [`TaskGraph::submit`], [`TaskGraph::ready_count`],
+//!   readiness. The domain is the list of live accesses, which `submit`
+//!   scans with [`Access::conflicts_with`]: the one app that declares
+//!   accesses, the stencil, keeps at most 36 live per apprank at its
+//!   default block height (4 halo tasks × 1 + 16 blocks × 2) and the
+//!   simulator clears the graph every iteration, so an interval index
+//!   would buy nothing.
+//!   [`TaskGraph::submit`], [`TaskGraph::ready_count`],
 //!   [`TaskGraph::start`] and [`TaskGraph::complete`] are what the
 //!   simulator calls. There is no nesting and no `taskwait` primitive:
 //!   every task is top-level, and the simulator ends an iteration when
@@ -39,7 +45,6 @@
 #![forbid(unsafe_code)]
 
 mod graph;
-mod index;
 mod region;
 mod task;
 

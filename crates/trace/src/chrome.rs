@@ -221,7 +221,7 @@ fn write_args(a: &mut Out, kind: &EventKind) {
             a.lit(r#""core":"#).int(*core).lit(r#","from":"#).int(*from)
         }
         EventKind::DromOwnership { counts, .. } => a.lit(r#""counts":"#).counts(counts),
-        EventKind::TalpWindow { busy, .. } => a.lit(r#""busy_core_s":"#).floats(busy),
+        EventKind::TalpWindow { busy, .. } => a.lit(r#""busy_cores":"#).floats(busy),
         EventKind::SolverInvoked(rec) => a
             .lit(r#""demand":"#)
             .floats(&rec.demand)

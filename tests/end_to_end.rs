@@ -265,8 +265,38 @@ fn synthetic_4n_exports_the_pinned_bytes() {
     assert_eq!(
         [digest(&chrome), digest(&csv)],
         [
-            (7_586_227, 0x50af_f54e_1e2f_b7a4),
+            (7_586_223, 0x0b9d_185d_4c3d_44de),
             (2_305_795, 0x6c31_d89d_c5e6_5448),
         ]
+    );
+}
+
+/// The one app whose tasks declare accesses, so the one run that
+/// exercises the dependency domain: a traced stencil (4 nodes of 8
+/// cores, four strips with a 0.5–2.0 cost gradient, 16 blocks a strip)
+/// under `lewi+drom-global` at degree 2, with a 100 ms global period so
+/// ticks fire. Any change to a successor list or a released set moves
+/// the schedule, hence these pins.
+#[test]
+fn stencil_exports_the_pinned_bytes() {
+    use tlb::apps::stencil::{StencilConfig, StencilWorkload};
+    use tlb_trace::EventKind as K;
+    let platform = Platform::homogeneous(4, 8);
+    let mut cfg = StencilConfig::new(4, 256, 128).with_gradient(0.5, 2.0);
+    cfg.secs_per_row = 1e-3;
+    let mut balance = BalanceConfig::preset(Preset::Offload {
+        degree: 2,
+        drom: DromPolicy::Global,
+    })
+    .with_seed(42);
+    balance.global_period = tlb::des::SimTime::from_millis(100);
+    let wl = StencilWorkload::new(cfg);
+    let r = ClusterSim::execute(RunSpec::new(&platform, &balance, wl).trace(true)).unwrap();
+    let ticks = r.trace.log.count(|k| matches!(k, K::TalpWindow { .. }));
+    assert!(ticks > 0, "no global tick fired");
+    let csv = tlb::cluster::trace_to_csv(&r.trace);
+    assert_eq!(
+        (r.makespan.as_nanos(), r.events, digest(&csv)),
+        (385_824_000, 913, (110_845, 0x3186_7d3f_5f0f_024b))
     );
 }
