@@ -21,7 +21,7 @@ use tlb_cluster::{
 };
 use tlb_core::{
     BalanceConfig, DynamicSpreading, GlobalPolicy, GlobalSolverKind, Platform, PortfolioConfig,
-    PortfolioEngine, StealGate, Strategy, WorkSignal,
+    PortfolioEngine, Strategy,
 };
 use tlb_des::{SimTime, Timeline};
 use tlb_expander::{BipartiteGraph, ExpanderConfig};
@@ -658,9 +658,8 @@ fn fig11(effort: Effort) -> Vec<Experiment> {
 }
 
 /// Ablations of the design choices DESIGN.md calls out, on MicroPP under
-/// degree-4 global offloading: scheduler queue depth (paper: 2), counting
-/// LeWI-borrowed cores (paper: don't), the steal gate, the solver's
-/// demand signal, and expander seed sensitivity.
+/// degree-4 global offloading: the reference configuration and the
+/// expander seed spread around it.
 fn ablations(effort: Effort) -> Vec<Experiment> {
     let nodes = effort.pick(16, 8);
     let (platform, wl) = micropp_mn4(nodes, 2, effort.pick(10, 5));
@@ -669,19 +668,6 @@ fn ablations(effort: Effort) -> Vec<Experiment> {
         |cfg: &BalanceConfig| run(&platform, cfg, wl.clone(), false).mean_iteration_secs(skip);
     let reference = config(GLOBAL, 4);
     let mut variants = vec![("reference (depth 2)", time_of(&reference))];
-    let mut vary = |label, edit: fn(&mut BalanceConfig)| {
-        let mut cfg = reference.clone();
-        edit(&mut cfg);
-        variants.push((label, time_of(&cfg)));
-    };
-    vary("queue depth 1", |c| c.queue_depth_per_core = 1);
-    vary("queue depth 4", |c| c.queue_depth_per_core = 4);
-    vary("count borrowed cores", |c| c.count_borrowed_cores = true);
-    vary("steal gate Owned", |c| c.steal_gate = StealGate::Owned);
-    vary("steal gate Usable", |c| c.steal_gate = StealGate::Usable);
-    vary("busy-core work signal", |c| {
-        c.work_signal = WorkSignal::BusyPending
-    });
     // Seed sensitivity of the random expander.
     let seeds = 1..=effort.pick(8u64, 3u64);
     let seeds: Vec<f64> = seeds

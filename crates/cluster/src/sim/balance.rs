@@ -4,9 +4,7 @@
 
 use super::{Ev, State};
 use crate::Workload;
-use tlb_core::{
-    allocate_living, DynamicSpreading, GlobalAction, LocalPolicy, SignalView, WorkSignal,
-};
+use tlb_core::{allocate_living, DynamicSpreading, GlobalAction, LocalPolicy, SignalView};
 use tlb_des::{Ctx, SimTime};
 use tlb_dlb::ProcId;
 use tlb_linprog::{AllocationSolution, LpError};
@@ -96,13 +94,9 @@ impl<W: Workload> State<W> {
         // exactly when events and counters record, so `Some` is also this
         // tick's one trace-level test.
         let wall_start = self.trace.events().then(std::time::Instant::now);
-        // Demand per apprank since the last tick. The paper's signal is the
-        // TALP busy-core integral; we add still-pending work so the solver
-        // sees demand, not just history. The `CreatedWork` signal instead
-        // uses the cost hints of tasks created since the last tick, which
-        // is free of window-phase error (all appranks share iteration
-        // boundaries); it falls back to the busy signal in windows where
-        // nothing was created.
+        // Demand per apprank since the last tick: the paper's signal, the
+        // TALP busy-core integral, plus still-pending (held and queued)
+        // work so the solver sees demand, not just history.
         // Per-proc TALP deltas are kept for the solver-fallback path, which
         // feeds them to the local convergence policy when the LP fails.
         let totals: Vec<Vec<f64>> = self
@@ -143,18 +137,6 @@ impl<W: Workload> State<W> {
                 .map(|i| i.duration)
                 .sum();
             *w += held + queued;
-        }
-        if self.config.work_signal == WorkSignal::CreatedWork {
-            let created: Vec<f64> = self
-                .created_work
-                .iter()
-                .zip(&self.last_created)
-                .map(|(c, l)| c - l)
-                .collect();
-            self.last_created.copy_from_slice(&self.created_work);
-            if created.iter().sum::<f64>() > 1e-9 {
-                work = created;
-            }
         }
         // Assemble the signal view the policy hook sees: everything here
         // is already measured (TALP deltas, demand, current ownership

@@ -19,7 +19,10 @@ use crate::collective::barrier_cost;
 use crate::{MpiOp, TaskSpec, Workload};
 use std::collections::VecDeque;
 use std::sync::Arc;
-use tlb_core::{choose_node_explained, CandidateState, ChoiceReason, Placement, StealGate};
+use tlb_core::{
+    choose_node_explained, steal_allowed, CandidateState, ChoiceReason, Placement,
+    QUEUE_DEPTH_PER_CORE,
+};
 use tlb_des::{Ctx, SimTime};
 use tlb_dlb::ProcId;
 use tlb_tasking::{TaskDef, TaskGraph, TaskId};
@@ -313,12 +316,10 @@ impl<W: Workload> State<W> {
             self.sched_slots.push(k);
             self.sched_candidates.push(self.candidate(w));
         }
-        let (placement, reason) = choose_node_explained(
-            &self.sched_candidates,
-            0,
-            self.config.queue_depth_per_core,
-            self.config.count_borrowed_cores,
-        );
+        // The paper's rule (§5.5): two tasks per owned core, borrowed
+        // cores never count.
+        let (placement, reason) =
+            choose_node_explained(&self.sched_candidates, 0, QUEUE_DEPTH_PER_CORE, false);
         let chosen = match placement {
             Placement::Worker(k) => Some(k),
             Placement::Hold => None,
@@ -440,20 +441,15 @@ impl<W: Workload> State<W> {
         let speed = self.platform.node_speed[node];
         loop {
             let has_queued = !self.appranks[apprank].workers[slot].queued.is_empty();
-            // Stealing from the apprank's hold queue is gated (§5.5): a
-            // worker's appetite for held tasks depends on the configured
-            // rule, never on a task-less acquire.
+            // Stealing from the apprank's hold queue is gated (§5.5,
+            // `steal_allowed`), never decided by a task-less acquire.
             let may_steal = !self.appranks[apprank].hold.is_empty() && {
-                let load = self.appranks[apprank].workers[slot].load();
-                let owned = self.dlbs[node].owned_count(proc);
-                let depth = self.config.queue_depth_per_core;
-                match self.config.steal_gate {
-                    StealGate::Owned => load < depth * owned,
-                    StealGate::Usable => {
-                        let idle = self.dlbs[node].num_cores() - self.dlbs[node].busy_count();
-                        load < depth * owned + idle
-                    }
-                }
+                let dlb = &self.dlbs[node];
+                steal_allowed(
+                    self.appranks[apprank].workers[slot].load(),
+                    dlb.owned_count(proc),
+                    dlb.num_cores() - dlb.busy_count(),
+                )
             };
             if !has_queued && !may_steal {
                 break;
@@ -573,11 +569,6 @@ impl<W: Workload> State<W> {
             st.kinds.clear();
             st.kinds.extend(specs.iter().map(TaskKind::of));
             st.specs = specs;
-            self.created_work[a] += self.appranks[a]
-                .specs
-                .iter()
-                .map(|t| t.duration)
-                .sum::<f64>();
             self.total_tasks += self.appranks[a].total;
             let mut ready = Vec::new();
             for ti in 0..self.appranks[a].total {

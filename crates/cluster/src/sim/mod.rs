@@ -146,9 +146,6 @@ struct State<W: Workload> {
     iteration_times: Vec<SimTime>,
     offloaded_tasks: usize,
     total_tasks: usize,
-    /// Cumulative created work (task cost hints) per apprank — the
-    /// `CreatedWork` demand signal the global tick reads.
-    created_work: Vec<f64>,
 
     // Balance ticks (`balance`).
     /// The balancing policy object driving the tick hooks (see
@@ -156,8 +153,6 @@ struct State<W: Workload> {
     balance_policy: Box<dyn BalancePolicy>,
     /// TALP totals at the last global tick, per (node, proc).
     last_total: Vec<Vec<f64>>,
-    /// `created_work` at the last global tick.
-    last_created: Vec<f64>,
     solver_runs: usize,
     solver_time: SimTime,
     spawned_helpers: usize,

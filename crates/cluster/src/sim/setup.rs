@@ -249,10 +249,8 @@ pub(super) fn simulate<W: Workload>(spec: RunSpec<'_, W>) -> Result<(State<W>, u
         iteration_times: Vec::new(),
         offloaded_tasks: 0,
         total_tasks: 0,
-        created_work: vec![0.0; appranks],
         balance_policy,
         last_total,
-        last_created: vec![0.0; appranks],
         solver_runs: 0,
         solver_time: SimTime::ZERO,
         spawned_helpers: 0,

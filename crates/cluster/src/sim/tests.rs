@@ -691,8 +691,8 @@ fn trace_events_cover_task_lifecycle() {
         &r.trace,
         r#"{"drom_ownership_sets":2,"drom_transfers":2,"iterations_completed":2,"lewi_lends":48,"lewi_reclaims":15,"sched_decisions":141,"solver_invocations":1,"solver_simplex_iterations":5,"steal_attempts":192,"talp_windows":2,"tasks_completed":140,"tasks_created":140,"tasks_held":109,"tasks_offloaded":52,"tasks_ready":140,"tasks_started":140,"tasks_stolen":108} solver_modelled_ms,solver_wall_ms"#,
         [
-            (123_037, 0x8c5a_8b62_bd16_2e74),
-            (34_635, 0xee78_4704_1f85_da96),
+            (123_020, 0x93f9_a10a_9c2c_47a3),
+            (34_634, 0x44fa_33a3_224d_10dd),
         ],
     );
     // Disabled tracing records nothing at all.
@@ -959,8 +959,8 @@ fn faulty_run_exports_the_pinned_bytes() {
         &r.trace,
         r#"{"drom_ownership_sets":16,"drom_transfers":2,"fault_kills":2,"fault_messages_dropped":9,"fault_outages":1,"fault_stragglers":1,"fault_tasks_requeued":1,"fault_workers_killed":2,"iterations_completed":4,"lewi_lends":34,"lewi_reclaims":17,"sched_decisions":468,"solver_fallbacks":2,"solver_invocations":5,"solver_simplex_iterations":25,"steal_attempts":548,"talp_windows":14,"tasks_completed":400,"tasks_created":400,"tasks_held":350,"tasks_offloaded":42,"tasks_ready":400,"tasks_started":400,"tasks_stolen":282} solver_modelled_ms,solver_wall_ms"#,
         [
-            (336_820, 0x28cc_3d9d_90c2_1ebd),
-            (92_556, 0x0ed4_17cf_3063_baff),
+            (336_813, 0xb272_9c9a_637a_caff),
+            (92_555, 0xdc55_93dc_fb09_0379),
         ],
     );
 }
@@ -1031,10 +1031,10 @@ fn held_batches_export_the_pinned_bytes() {
     assert!(mixed, "no batch placed a task between two holds");
     assert_exports(
         &r.trace,
-        r#"{"drom_ownership_sets":4,"fault_message_failovers":6,"fault_messages_dropped":17,"fault_tasks_requeued":6,"iterations_completed":2,"lewi_lends":58,"lewi_reclaims":30,"sched_decisions":154,"solver_invocations":2,"solver_simplex_iterations":10,"steal_attempts":51,"talp_windows":4,"tasks_completed":154,"tasks_created":154,"tasks_held":25,"tasks_offloaded":34,"tasks_ready":154,"tasks_started":154,"tasks_stolen":25} solver_modelled_ms,solver_wall_ms"#,
+        r#"{"drom_ownership_sets":4,"fault_message_failovers":6,"fault_messages_dropped":17,"fault_tasks_requeued":6,"iterations_completed":2,"lewi_lends":58,"lewi_reclaims":30,"sched_decisions":154,"solver_invocations":2,"solver_simplex_iterations":11,"steal_attempts":51,"talp_windows":4,"tasks_completed":154,"tasks_created":154,"tasks_held":25,"tasks_offloaded":34,"tasks_ready":154,"tasks_started":154,"tasks_stolen":25} solver_modelled_ms,solver_wall_ms"#,
         [
-            (117_390, 0xca72_7b06_972c_c8c0),
-            (37_815, 0xce61_f4bf_7bd6_2b36),
+            (117_379, 0x97f4_b461_4a1a_26ea),
+            (37_815, 0x12fd_6c1a_c4e5_5984),
         ],
     );
     // Recording changes nothing that is simulated.

@@ -4,7 +4,7 @@
 //! stand in for proptest (no registry deps).
 
 use tlb_cluster::{ClusterSim, RunSpec, SpecWorkload, TaskSpec};
-use tlb_core::{BalanceConfig, DromPolicy, Platform, PolicySpec, Preset, StealGate, WorkSignal};
+use tlb_core::{BalanceConfig, DromPolicy, Platform, PolicySpec, Preset};
 use tlb_rng::Rng;
 
 #[derive(Clone, Debug)]
@@ -14,8 +14,6 @@ struct Shape {
     cores: usize,
     degree: usize,
     policy: &'static str,
-    gate: StealGate,
-    signal: WorkSignal,
 }
 
 fn gen_shape(rng: &mut Rng) -> Shape {
@@ -32,16 +30,6 @@ fn gen_shape(rng: &mut Rng) -> Shape {
         (false, _) => "drom-global",
         (true, _) => "lewi+drom-global",
     };
-    let gate = if rng.chance(0.5) {
-        StealGate::Owned
-    } else {
-        StealGate::Usable
-    };
-    let signal = if rng.chance(0.5) {
-        WorkSignal::BusyPending
-    } else {
-        WorkSignal::CreatedWork
-    };
     let degree = rng.range_usize(1, 4).min(nodes);
     // Enough cores for the one-core-per-worker floor.
     let cores = (degree * per_node).max(2) + 2;
@@ -51,8 +39,6 @@ fn gen_shape(rng: &mut Rng) -> Shape {
         cores,
         degree,
         policy,
-        gate,
-        signal,
     }
 }
 
@@ -112,8 +98,6 @@ fn simulation_always_completes_and_respects_bounds() {
         let mut cfg = BalanceConfig {
             degree: shape.degree,
             policy: PolicySpec::named(shape.policy).unwrap(),
-            steal_gate: shape.gate,
-            work_signal: shape.signal,
             ..BalanceConfig::default()
         };
         cfg.global_period = tlb_des::SimTime::from_millis(200);

@@ -125,36 +125,6 @@ impl From<GlobalSolverKind> for Strategy {
     }
 }
 
-/// Demand signal fed to the global solver (§5.4.2).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WorkSignal {
-    /// The paper's signal: time-integrated busy cores per worker over the
-    /// window, plus currently pending work. Subject to phase error when
-    /// the window cuts iterations at different points per rank.
-    BusyPending,
-    /// Work *created* per apprank since the last solve, taken from the
-    /// tasks' cost hints. All appranks share iteration boundaries, so the
-    /// signal is exactly proportional to demand; falls back to
-    /// `BusyPending` in windows where no tasks were created. (Nanos6 has
-    /// no duration oracle, hence the paper uses busy cores; our runtime
-    /// has the cost hints anyway. `ablation_signal` quantifies the gap.)
-    CreatedWork,
-}
-
-/// How aggressively a worker may steal held tasks onto cores beyond its
-/// eager queue (paper §5.5: "will be stolen as tasks complete").
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StealGate {
-    /// Steal only while below `depth × owned` tasks — the strict reading
-    /// of §5.5 (borrowed cores never increase steal appetite).
-    Owned,
-    /// Steal while below `depth × (owned + idle cores on the node)`:
-    /// borrowed capacity counts only while it is actually idle, which
-    /// floods an idle neighbour node (Fig. 9c) yet stays
-    /// ownership-proportional when the machine is saturated.
-    Usable,
-}
-
 /// Dynamic work spreading (the paper's §5.2 future-work extension):
 /// instead of a fixed offloading degree, helper ranks are spawned at run
 /// time when the global solver finds an apprank capacity-constrained.
@@ -185,16 +155,6 @@ pub struct BalanceConfig {
     pub global_period: SimTime,
     /// Expander graph seed.
     pub seed: u64,
-    /// Ablation: scheduler threshold of queued tasks per owned core
-    /// (paper uses two, §5.5).
-    pub queue_depth_per_core: usize,
-    /// Ablation: let the scheduler count LeWI-borrowed cores as capacity
-    /// (the paper deliberately does not, §5.5).
-    pub count_borrowed_cores: bool,
-    /// Demand signal for the global solver.
-    pub work_signal: WorkSignal,
-    /// Steal aggressiveness (see [`StealGate`]).
-    pub steal_gate: StealGate,
     /// Dynamic helper spawning (requires a solver-using policy);
     /// `degree` is then the *initial* degree, usually 1.
     pub dynamic: Option<DynamicSpreading>,
@@ -209,10 +169,6 @@ impl Default for BalanceConfig {
             local_period: SimTime::from_millis(100),
             global_period: SimTime::from_secs(2),
             seed: 1,
-            queue_depth_per_core: 2,
-            count_borrowed_cores: false,
-            work_signal: WorkSignal::CreatedWork,
-            steal_gate: StealGate::Usable,
             dynamic: None,
         }
     }
@@ -339,7 +295,6 @@ mod tests {
             let o = BalanceConfig::preset(Preset::Offload { degree: 4, drom });
             assert_eq!((o.degree, o.policy.name()), (4, name));
             assert!(o.policy.lewi());
-            assert_eq!(o.queue_depth_per_core, 2);
         }
         let dy = BalanceConfig::preset(Preset::DynamicSpread { max_degree: 3 });
         assert_eq!((dy.degree, dy.policy.name()), (1, "lewi+drom-global"));

@@ -11,7 +11,8 @@
 //!   §5.4).
 //! * [`choose_node`] — the offload scheduler rule (§5.5): locality-best
 //!   node if it holds fewer than two tasks per *owned* core, else another
-//!   adjacent node under the threshold, else hold the task for stealing.
+//!   adjacent node under the threshold, else hold the task for stealing;
+//!   [`steal_allowed`] is the gate on that stealing.
 //! * [`LocalPolicy`] — the local-convergence DROM policy (§5.4.1):
 //!   per-node core ownership proportional to each worker's average busy
 //!   cores.
@@ -53,11 +54,11 @@ pub use balance::{
     known_policy_names, BalancePolicy, Diffusion, GlobalAction, ParamDef, ParamKind, PolicyDef,
     PolicyError, PolicySpec, ReactiveOffload, SignalView, POLICY_REGISTRY,
 };
-pub use config::{
-    BalanceConfig, DromPolicy, DynamicSpreading, GlobalSolverKind, Platform, Preset, StealGate,
-    WorkSignal,
-};
+pub use config::{BalanceConfig, DromPolicy, DynamicSpreading, GlobalSolverKind, Platform, Preset};
 pub use layout::{ProcessLayout, WorkerRef};
 pub use metrics::{imbalance, node_imbalance, Loads};
 pub use policy::{allocate_living, allocation_problem, GlobalPolicy, LocalPolicy};
-pub use sched::{choose_node, choose_node_explained, CandidateState, ChoiceReason, Placement};
+pub use sched::{
+    choose_node, choose_node_explained, steal_allowed, CandidateState, ChoiceReason, Placement,
+    QUEUE_DEPTH_PER_CORE,
+};

@@ -1,5 +1,9 @@
 //! The offload scheduler decision rule (paper §5.5).
 
+/// The scheduler's threshold: a worker takes new tasks while it holds
+/// fewer than this many per *owned* core (paper §5.5: "fewer than two").
+pub const QUEUE_DEPTH_PER_CORE: usize = 2;
+
 /// Snapshot of one candidate worker (an apprank's presence on one node)
 /// at scheduling time.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -10,10 +14,11 @@ pub struct CandidateState {
     pub queued_tasks: usize,
     /// Cores the worker *owns* via DROM. The scheduler deliberately
     /// ignores LeWI-borrowed cores: "borrowed cores may have to be
-    /// returned at any moment" (§5.5) — unless the ablation flag counts
+    /// returned at any moment" (§5.5) — unless `count_borrowed` counts
     /// them.
     pub owned_cores: usize,
-    /// Cores currently usable including borrowed ones (for the ablation).
+    /// Cores currently usable including borrowed ones (read only when
+    /// `count_borrowed` is set; the simulator never sets it).
     pub usable_cores: usize,
 }
 
@@ -70,8 +75,9 @@ pub enum ChoiceReason {
 /// into `candidates`) if it is under the queue-depth threshold, otherwise
 /// the least-loaded alternative under the threshold, otherwise hold.
 ///
-/// `depth` is tasks-per-owned-core (paper: 2); `count_borrowed` is the
-/// ablation that also counts LeWI-borrowed cores.
+/// `depth` is tasks-per-owned-core (the simulator passes
+/// [`QUEUE_DEPTH_PER_CORE`]); `count_borrowed` also counts LeWI-borrowed
+/// cores as capacity, which the paper and the simulator never do.
 pub fn choose_node(
     candidates: &[CandidateState],
     preferred: usize,
@@ -106,6 +112,17 @@ pub fn choose_node_explained(
         Some((_, i)) => (Placement::Worker(i), ChoiceReason::AdjacentSpill),
         None => (Placement::Hold, ChoiceReason::Saturated),
     }
+}
+
+/// Whether a worker may steal a held task of its apprank onto a free
+/// core (paper §5.5: held tasks "will be stolen as tasks complete"):
+/// `load < 2·owned + idle`, where `load` is the worker's queued and
+/// running tasks, `owned` its DROM-owned cores and `idle` the cores of
+/// its node that no worker is running on. Idle cores widen the gate, so
+/// an idle neighbour node is flooded (Fig. 9c); on a saturated machine
+/// the gate is [`QUEUE_DEPTH_PER_CORE`] tasks per owned core.
+pub fn steal_allowed(load: usize, owned: usize, idle: usize) -> bool {
+    load < QUEUE_DEPTH_PER_CORE * owned + idle
 }
 
 #[cfg(test)]
@@ -147,7 +164,7 @@ mod tests {
         c.usable_cores = 4; // borrowing 3 cores via LeWI
                             // 2 == 2*1: at threshold → hold, despite the borrowed capacity.
         assert_eq!(choose_node(&[c], 0, 2, false), Placement::Hold);
-        // Ablation: counting borrowed cores admits the task.
+        // Counting borrowed cores (the simulator never does) admits it.
         assert_eq!(choose_node(&[c], 0, 2, true), Placement::Worker(0));
     }
 
@@ -191,5 +208,14 @@ mod tests {
         assert_eq!(choose_node(&c, 0, 2, false), Placement::Worker(0));
         let full = [cand(0, 8, 4)];
         assert_eq!(choose_node(&full, 0, 2, false), Placement::Hold);
+    }
+
+    #[test]
+    fn steal_allowed_boundary() {
+        // owned 1, idle 1: the gate is 2·1 + 1 = 3.
+        assert!(steal_allowed(2, 1, 1));
+        assert!(!steal_allowed(3, 1, 1));
+        // owned 1, idle 0: the gate is 2.
+        assert!(!steal_allowed(2, 1, 0));
     }
 }

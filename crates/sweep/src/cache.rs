@@ -30,9 +30,10 @@ use crate::scenario::{Scenario, SweepPoint};
 
 /// Bumped whenever the simulator's observable behaviour changes, so
 /// stale caches from older engine builds can never be replayed as
-/// current results. Version 3: point keys carry the canonical policy
-/// string (name *plus* parameters) instead of the bare policy name.
-pub const ENGINE_VERSION: u64 = 3;
+/// current results (`tests/engine_version.rs` pins it to what one small
+/// grid simulates). Version 4: the global solver reads the busy-core
+/// signal.
+pub const ENGINE_VERSION: u64 = 4;
 
 /// 64-bit FNV-1a over a byte string: tiny, dependency-free, and stable
 /// across platforms — exactly what a content-addressed cache key needs

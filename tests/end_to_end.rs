@@ -265,8 +265,8 @@ fn synthetic_4n_exports_the_pinned_bytes() {
     assert_eq!(
         [digest(&chrome), digest(&csv)],
         [
-            (7_586_223, 0x0b9d_185d_4c3d_44de),
-            (2_305_795, 0x6c31_d89d_c5e6_5448),
+            (7_586_222, 0xb5e1_d6fc_0b62_538c),
+            (2_305_795, 0xb9eb_38c0_d7ba_c032),
         ]
     );
 }
@@ -297,6 +297,6 @@ fn stencil_exports_the_pinned_bytes() {
     let csv = tlb::cluster::trace_to_csv(&r.trace);
     assert_eq!(
         (r.makespan.as_nanos(), r.events, digest(&csv)),
-        (385_824_000, 913, (110_845, 0x3186_7d3f_5f0f_024b))
+        (385_824_000, 917, (110_645, 0x35cf_fdac_7595_1994))
     );
 }
