@@ -1,5 +1,7 @@
 //! MicroPP workload generation for the cluster simulation.
 
+use std::sync::Arc;
+
 use tlb_cluster::{SpecWorkload, TaskSpec};
 use tlb_rng::Rng;
 
@@ -91,7 +93,7 @@ pub fn micropp_workload(cfg: &MicroPpConfig) -> SpecWorkload {
 
     let mut iterations = Vec::with_capacity(cfg.iterations);
     for _ in 0..cfg.iterations {
-        let per_rank: Vec<Vec<TaskSpec>> = fractions
+        let per_rank: Vec<Arc<[TaskSpec]>> = fractions
             .iter()
             .map(|&f| {
                 (0..tasks_per_rank)
@@ -108,7 +110,7 @@ pub fn micropp_workload(cfg: &MicroPpConfig) -> SpecWorkload {
             .collect();
         iterations.push(per_rank);
     }
-    SpecWorkload::new(iterations)
+    SpecWorkload::shared(iterations)
 }
 
 #[cfg(test)]

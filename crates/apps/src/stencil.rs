@@ -198,17 +198,17 @@ mod tests {
         // Middle rank: send+recv per neighbour + compute blocks.
         let halos: Vec<&TaskSpec> = tasks.iter().filter(|t| !t.offloadable).collect();
         assert_eq!(halos.len(), 4);
-        assert!(halos.iter().all(|t| t.mpi.is_some()));
+        assert!(halos.iter().all(|t| t.mpi().is_some()));
         // Every recv's halo write overlaps some compute task's reads.
         for h in halos
             .iter()
-            .filter(|t| matches!(t.mpi, Some(MpiOp::Recv { .. })))
+            .filter(|t| matches!(t.mpi(), Some(MpiOp::Recv { .. })))
         {
-            let hw = h.accesses[0].region;
+            let hw = h.accesses()[0].region;
             let blocked = tasks
                 .iter()
                 .filter(|t| t.offloadable)
-                .any(|t| t.accesses.iter().any(|a| a.region.overlaps(&hw)));
+                .any(|t| t.accesses().iter().any(|a| a.region.overlaps(&hw)));
             assert!(blocked, "halo write {hw:?} blocks no compute task");
         }
         // Sends and recvs of neighbouring ranks match up by tag.
@@ -216,7 +216,7 @@ mod tests {
         let mut recvs = Vec::new();
         for r in 0..4 {
             for t in wl.tasks(r, 0).iter() {
-                match t.mpi {
+                match t.mpi() {
                     Some(MpiOp::Send { to, tag, .. }) => sends.push((r, to, tag)),
                     Some(MpiOp::Recv { from, tag }) => recvs.push((from, r, tag)),
                     None => {}

@@ -9,6 +9,8 @@
 //! respecting the constraints (mean over ranks = 50 ms, all durations
 //! non-negative, none above the worst case).
 
+use std::sync::Arc;
+
 use tlb_cluster::{SpecWorkload, TaskSpec};
 use tlb_core::Platform;
 use tlb_rng::Rng;
@@ -131,7 +133,7 @@ pub fn synthetic_workload(cfg: &SyntheticConfig, platform: &Platform) -> SpecWor
     let cores_per_rank = platform.cores_per_node / per_node;
     let tasks_per_rank = cfg.tasks_per_core * cores_per_rank;
     let factors = rank_factors(cfg);
-    let per_rank: Vec<Vec<TaskSpec>> = factors
+    let per_rank: Vec<Arc<[TaskSpec]>> = factors
         .iter()
         .map(|&f| {
             let dur = cfg.mean_task_secs * f;
@@ -140,7 +142,7 @@ pub fn synthetic_workload(cfg: &SyntheticConfig, platform: &Platform) -> SpecWor
                 .collect()
         })
         .collect();
-    SpecWorkload::iterated(per_rank, cfg.iterations)
+    SpecWorkload::shared(vec![per_rank; cfg.iterations])
 }
 
 #[cfg(test)]

@@ -10,6 +10,8 @@
 
 #![forbid(unsafe_code)]
 
+use std::sync::Arc;
+
 use tlb_apps::micropp::{micropp_workload, MicroPpConfig};
 use tlb_apps::synthetic::{synthetic_workload, SyntheticConfig};
 use tlb_bench::{
@@ -239,14 +241,14 @@ fn fig05(effort: Effort) -> Vec<Experiment> {
     let cores = 32;
     // Phase 1: apprank 0 has ~7x the work. Phase 2: balanced.
     // Iterations of ~0.8 s: a phase lasts 5.6–9.6 s.
-    let tasks = |per_core: usize| -> Vec<TaskSpec> {
+    let tasks = |per_core: usize| -> Arc<[TaskSpec]> {
         (0..cores * per_core)
             .map(|_| TaskSpec::compute(0.1))
             .collect()
     };
     let mut iters = vec![vec![tasks(14), tasks(2)]; phase_iters];
     iters.extend(vec![vec![tasks(8), tasks(8)]; phase_iters]);
-    let wl = SpecWorkload::new(iters);
+    let wl = SpecWorkload::shared(iters);
     let platform = Platform::homogeneous(2, cores);
 
     let trace_of = |(name, policy): (&str, &str)| {

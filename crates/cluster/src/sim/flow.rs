@@ -49,7 +49,7 @@ pub(super) enum TaskKind {
 
 impl TaskKind {
     fn of(spec: &TaskSpec) -> Self {
-        match spec.mpi {
+        match spec.mpi() {
             Some(MpiOp::Send { .. }) => TaskKind::Send,
             Some(MpiOp::Recv { .. }) => TaskKind::Recv,
             None if spec.offloadable => TaskKind::Offloadable,
@@ -345,7 +345,7 @@ impl<W: Workload> State<W> {
     fn dispatch(&mut self, ctx: &mut Ctx<Ev>, apprank: usize, inst: Inst) -> bool {
         let t = inst.tid.raw() as usize;
         let recv = match self.appranks[apprank].kinds[t] {
-            TaskKind::Recv => self.appranks[apprank].specs[t].mpi,
+            TaskKind::Recv => self.appranks[apprank].specs[t].mpi(),
             _ => None,
         };
         if let Some(MpiOp::Recv { from, tag }) = recv {
@@ -574,7 +574,7 @@ impl<W: Workload> State<W> {
             for ti in 0..self.appranks[a].total {
                 let spec = &self.appranks[a].specs[ti];
                 let duration = spec.duration;
-                if spec.mpi.is_some() && spec.offloadable {
+                if spec.mpi().is_some() && spec.offloadable {
                     self.fail(format!(
                         "apprank {a}: iteration {iteration} task {ti} is an MPI task \
                          marked offloadable; MPI tasks must be non-offloadable (paper §4)"
@@ -582,7 +582,7 @@ impl<W: Workload> State<W> {
                     return;
                 }
                 let mut def = TaskDef::new("task");
-                def.accesses.extend(spec.accesses.iter().copied());
+                def.accesses.extend_from_slice(spec.accesses());
                 let was_ready = self.appranks[a].graph.ready_count();
                 let tid = match self.appranks[a].graph.submit(def) {
                     Ok(tid) => tid,
@@ -694,7 +694,7 @@ impl<W: Workload> State<W> {
         }
         let t = tid.raw() as usize;
         let send = match self.appranks[apprank].kinds[t] {
-            TaskKind::Send => self.appranks[apprank].specs[t].mpi,
+            TaskKind::Send => self.appranks[apprank].specs[t].mpi(),
             _ => None,
         };
         if let Some(MpiOp::Send { to, tag, bytes }) = send {

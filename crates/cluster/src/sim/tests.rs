@@ -993,7 +993,7 @@ fn held_batch_run(traced: bool) -> SimReport {
     }));
     let mut r1: Vec<TaskSpec> = (0..8).map(|_| TaskSpec::compute(0.02)).collect();
     for t in &r0 {
-        match t.mpi {
+        match t.mpi() {
             Some(crate::MpiOp::Send { tag, .. }) => r1.push(TaskSpec::mpi_recv(0.001, 0, tag)),
             Some(crate::MpiOp::Recv { tag, .. }) => {
                 r1.push(TaskSpec::mpi_send(0.001, 0, tag, 1000))

@@ -33,6 +33,11 @@ pub enum MpiOp {
 }
 
 /// One task an apprank creates in an iteration.
+///
+/// Every task has a duration, a transfer size and an offload flag; only a
+/// few (the stencil's, the MPI tests') also declare accesses or an MPI
+/// operation. Those rare parts live behind one box allocated only for a
+/// task that has one, so a plain compute task is 32 bytes.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TaskSpec {
     /// Nominal single-core execution time in seconds (divided by the
@@ -44,25 +49,21 @@ pub struct TaskSpec {
     /// Whether the task may execute away from the home node. MPI-calling
     /// tasks are non-offloadable (paper §4).
     pub offloadable: bool,
-    /// Declared data accesses: within an iteration, tasks of the same
-    /// apprank order through region overlap exactly as in `tlb-tasking`
-    /// (the OmpSs-2 "single mechanism", §3.1). Empty = independent.
-    pub accesses: Vec<Access>,
-    /// Point-to-point MPI operation, if this task performs one. Such
-    /// tasks must be non-offloadable.
-    pub mpi: Option<MpiOp>,
+    /// Declared accesses and MPI operation; `None` when it has neither.
+    rare: Option<Box<Rare>>,
+}
+
+/// The parts of a [`TaskSpec`] most tasks leave empty.
+#[derive(Clone, Debug, Default, PartialEq)]
+struct Rare {
+    accesses: Vec<Access>,
+    mpi: Option<MpiOp>,
 }
 
 impl TaskSpec {
     /// A pure compute task with negligible transferred data.
     pub fn compute(duration: f64) -> Self {
-        TaskSpec {
-            duration,
-            bytes: 0,
-            offloadable: true,
-            accesses: Vec::new(),
-            mpi: None,
-        }
+        TaskSpec::with_bytes(duration, 0)
     }
 
     /// A compute task with `bytes` of input data.
@@ -71,72 +72,68 @@ impl TaskSpec {
             duration,
             bytes,
             offloadable: true,
-            accesses: Vec::new(),
-            mpi: None,
+            rare: None,
         }
     }
 
     /// A task pinned to its apprank's node.
     pub fn pinned(duration: f64) -> Self {
         TaskSpec {
-            duration,
-            bytes: 0,
             offloadable: false,
-            accesses: Vec::new(),
-            mpi: None,
+            ..TaskSpec::compute(duration)
         }
     }
 
     /// An MPI send task: `duration` of packing on the home node, then
     /// `bytes` on the wire to apprank `to` under `tag`. Non-offloadable.
     pub fn mpi_send(duration: f64, to: usize, tag: u64, bytes: usize) -> Self {
-        TaskSpec {
-            duration,
-            bytes: 0,
-            offloadable: false,
-            accesses: Vec::new(),
-            mpi: Some(MpiOp::Send { to, tag, bytes }),
-        }
+        TaskSpec::pinned(duration).with_mpi(MpiOp::Send { to, tag, bytes })
     }
 
     /// An MPI receive task: becomes runnable only once the matching send
     /// has completed and the payload has crossed the network, then runs
     /// `duration` of unpacking. Non-offloadable.
     pub fn mpi_recv(duration: f64, from: usize, tag: u64) -> Self {
-        TaskSpec {
-            duration,
-            bytes: 0,
-            offloadable: false,
-            accesses: Vec::new(),
-            mpi: Some(MpiOp::Recv { from, tag }),
-        }
+        TaskSpec::pinned(duration).with_mpi(MpiOp::Recv { from, tag })
+    }
+
+    fn with_mpi(mut self, op: MpiOp) -> Self {
+        self.rare.get_or_insert_default().mpi = Some(op);
+        self
+    }
+
+    fn with_access(mut self, region: DataRegion, mode: AccessMode) -> Self {
+        let access = Access { region, mode };
+        self.rare.get_or_insert_default().accesses.push(access);
+        self
     }
 
     /// Declare an `in` access (builder style).
-    pub fn reads(mut self, region: DataRegion) -> Self {
-        self.accesses.push(Access {
-            region,
-            mode: AccessMode::In,
-        });
-        self
+    pub fn reads(self, region: DataRegion) -> Self {
+        self.with_access(region, AccessMode::In)
     }
 
     /// Declare an `out` access.
-    pub fn writes(mut self, region: DataRegion) -> Self {
-        self.accesses.push(Access {
-            region,
-            mode: AccessMode::Out,
-        });
-        self
+    pub fn writes(self, region: DataRegion) -> Self {
+        self.with_access(region, AccessMode::Out)
     }
 
     /// Declare an `inout` access.
-    pub fn reads_writes(mut self, region: DataRegion) -> Self {
-        self.accesses.push(Access {
-            region,
-            mode: AccessMode::InOut,
-        });
-        self
+    pub fn reads_writes(self, region: DataRegion) -> Self {
+        self.with_access(region, AccessMode::InOut)
+    }
+
+    /// Declared data accesses: within an iteration, tasks of the same
+    /// apprank order through region overlap exactly as in `tlb-tasking`
+    /// (the OmpSs-2 "single mechanism", §3.1). Empty = independent.
+    pub fn accesses(&self) -> &[Access] {
+        self.rare.as_ref().map_or(&[], |r| &r.accesses)
+    }
+
+    /// Point-to-point MPI operation, if this task performs one. Such
+    /// tasks must be non-offloadable.
+    pub fn mpi(&self) -> Option<MpiOp> {
+        self.rare.as_ref().and_then(|r| r.mpi)
     }
 }
 
@@ -185,6 +182,12 @@ impl<W: Workload + ?Sized> Workload for Box<W> {
 
 /// A workload given by explicit task lists. Cloning it copies one
 /// pointer per (iteration, rank), not the tasks.
+///
+/// A generator builds each list once, straight into its `Arc` (collect
+/// an exact-size iterator into `Arc<[TaskSpec]>`), and hands the lists
+/// to [`SpecWorkload::shared`]; [`SpecWorkload::new`] and
+/// [`SpecWorkload::iterated`] take plain `Vec`s and copy each into its
+/// `Arc` once.
 #[derive(Clone, Debug)]
 pub struct SpecWorkload {
     /// `specs[iteration][rank]` = that rank's tasks.
@@ -200,7 +203,9 @@ impl SpecWorkload {
         SpecWorkload::shared(shared.collect())
     }
 
-    fn shared(specs: Vec<Vec<Arc<[TaskSpec]>>>) -> Self {
+    /// Build from per-iteration, per-rank lists that are already shared:
+    /// `specs[iteration][rank]`, and iterations may hold the same `Arc`.
+    pub fn shared(specs: Vec<Vec<Arc<[TaskSpec]>>>) -> Self {
         assert!(!specs.is_empty(), "workload needs at least one iteration");
         let ranks = specs[0].len();
         assert!(ranks > 0, "workload needs at least one apprank");
@@ -255,6 +260,41 @@ impl Workload for SpecWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The input grows with the machine (100 tasks per core per
+    /// iteration): a spec is its three plain fields and one pointer.
+    #[test]
+    fn task_spec_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<TaskSpec>(), 32);
+    }
+
+    #[test]
+    fn rare_parts_read_back_through_the_accessors() {
+        let region = DataRegion::new(0, 64);
+        let plain = TaskSpec::compute(1.0);
+        assert!(plain.accesses().is_empty() && plain.mpi().is_none());
+        let send = TaskSpec::mpi_send(0.5, 1, 7, 100).reads(region);
+        assert!(!send.offloadable);
+        assert_eq!(send.bytes, 0);
+        assert_eq!(
+            send.mpi(),
+            Some(MpiOp::Send {
+                to: 1,
+                tag: 7,
+                bytes: 100
+            })
+        );
+        let modes: Vec<AccessMode> = TaskSpec::compute(1.0)
+            .reads(region)
+            .writes(region)
+            .reads_writes(region)
+            .accesses()
+            .iter()
+            .map(|a| a.mode)
+            .collect();
+        assert_eq!(modes, [AccessMode::In, AccessMode::Out, AccessMode::InOut]);
+        assert_eq!(TaskSpec::with_bytes(1.0, 8).reads(region).mpi(), None);
+    }
 
     #[test]
     fn spec_workload_shape() {

@@ -19,7 +19,7 @@
 //!
 //! The same program is solved by parametric bisection on `t`, where each
 //! feasibility test is a max-flow problem. Both solvers agree to within the
-//! bisection tolerance; `benches/solver_scaling` compares their cost.
+//! bisection tolerance; the `figures` binary's `solver_table` times both.
 
 #![allow(clippy::needless_range_loop)] // index loops touch several arrays at once
 use crate::maxflow::FlowNetwork;

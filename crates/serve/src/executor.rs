@@ -114,6 +114,8 @@ pub struct AdmittedRequest {
     pub points: Vec<SweepPoint>,
     /// Cache key per point (expansion order; duplicates possible).
     pub keys: Vec<u64>,
+    /// The expansion indices of each key.
+    pub(crate) by_key: KeyIndex,
     /// Pre-filled records for points served from cache at admission.
     pub slots: Vec<Option<Value>>,
     /// Distinct keys still pending (in flight or newly enqueued).
@@ -205,15 +207,10 @@ impl Executor {
             .map(|p| point_key_input(&scenario, p))
             .collect();
 
-        // Distinct keys in first-seen order, with the indices they
-        // cover (a request may repeat a point via duplicate axis
-        // values; each distinct key is computed at most once).
-        let mut distinct: Vec<(u64, usize)> = Vec::new();
-        for (i, &k) in keys.iter().enumerate() {
-            if !distinct.iter().any(|&(dk, _)| dk == k) {
-                distinct.push((k, i));
-            }
-        }
+        // A request may repeat a point via duplicate axis values; each
+        // distinct key is computed at most once.
+        let by_key = KeyIndex::new(&keys);
+        let distinct = by_key.distinct();
 
         // Optimistic cache pass outside the lock: disk reads are slow
         // and a hit here never needs the registry. A point completing
@@ -222,7 +219,7 @@ impl Executor {
         let mut unresolved: Vec<(u64, usize)> = Vec::new();
         for &(k, i) in &distinct {
             match self.cache.as_ref().and_then(|c| c.load(k, &key_inputs[i])) {
-                Some(record) => fill_slots(&mut slots, &keys, k, &record),
+                Some(record) => by_key.fill(&mut slots, k, &record),
                 None => unresolved.push((k, i)),
             }
         }
@@ -242,7 +239,7 @@ impl Executor {
             } else if let Some(record) = self.cache.as_ref().and_then(|c| c.load(k, &key_inputs[i]))
             {
                 // Completed between the optimistic pass and this lock.
-                fill_slots(&mut slots, &keys, k, &record);
+                by_key.fill(&mut slots, k, &record);
             } else {
                 fresh.push((k, i));
             }
@@ -297,6 +294,7 @@ impl Executor {
         Admission::Admitted(AdmittedRequest {
             points,
             keys,
+            by_key,
             slots,
             pending,
             rx,
@@ -418,10 +416,46 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     format!("point panicked: {what}")
 }
 
-/// Copy one completed record into every expansion slot sharing its key.
-fn fill_slots(slots: &mut [Option<Value>], keys: &[u64], key: u64, record: &Value) {
-    for (i, &k) in keys.iter().enumerate() {
-        if k == key {
+/// One request's key → indices table: every `(key, index)` pair, sorted,
+/// so the points of one key are one run found by binary search. It keeps
+/// admission and streaming linear-logarithmic in the point count.
+pub(crate) struct KeyIndex {
+    pairs: Vec<(u64, usize)>,
+}
+
+impl KeyIndex {
+    fn new(keys: &[u64]) -> Self {
+        let mut pairs: Vec<(u64, usize)> = keys.iter().copied().zip(0..).collect();
+        pairs.sort_unstable();
+        KeyIndex { pairs }
+    }
+
+    /// Each distinct key with the first index it appears at, in
+    /// first-seen order.
+    fn distinct(&self) -> Vec<(u64, usize)> {
+        let mut firsts: Vec<(u64, usize)> = self
+            .pairs
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|run| run[0])
+            .collect();
+        firsts.sort_unstable_by_key(|&(_, i)| i);
+        firsts
+    }
+
+    /// The expansion indices of the points with cache key `key`,
+    /// ascending.
+    pub(crate) fn indices_of(&self, key: u64) -> impl Iterator<Item = usize> + '_ {
+        let start = self.pairs.partition_point(|&(k, _)| k < key);
+        self.pairs[start..]
+            .iter()
+            .take_while(move |&&(k, _)| k == key)
+            .map(|&(_, i)| i)
+    }
+
+    /// Copy one completed record into every expansion slot sharing its
+    /// key.
+    fn fill(&self, slots: &mut [Option<Value>], key: u64, record: &Value) {
+        for i in self.indices_of(key) {
             slots[i] = Some(record.clone());
         }
     }
@@ -430,6 +464,20 @@ fn fill_slots(slots: &mut [Option<Value>], keys: &[u64], key: u64, record: &Valu
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn key_index_groups_repeated_keys() {
+        let keys = [9, 4, 9, 7, 4, 9];
+        let by_key = KeyIndex::new(&keys);
+        assert_eq!(by_key.distinct(), [(9, 0), (4, 1), (7, 3)]);
+        assert_eq!(by_key.indices_of(9).collect::<Vec<_>>(), [0, 2, 5]);
+        assert_eq!(by_key.indices_of(7).collect::<Vec<_>>(), [3]);
+        assert_eq!(by_key.indices_of(5).count(), 0);
+        let mut slots = vec![None; keys.len()];
+        by_key.fill(&mut slots, 4, &Value::from(1i64));
+        let filled: Vec<bool> = slots.iter().map(Option::is_some).collect();
+        assert_eq!(filled, [false, true, false, false, true, false]);
+    }
 
     #[test]
     fn retry_hint_scales_with_the_backlog_per_lane() {

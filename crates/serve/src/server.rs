@@ -340,13 +340,12 @@ fn stream_sweep(
     )?;
 
     // Stream cache hits immediately (in index order), then live
-    // completions as they land.
+    // completions as they land, each key's points in index order. A
+    // pending key has no slot filled: a cache hit fills all of its key's.
     let mut slots = admitted.slots;
-    let mut sent = vec![false; slots.len()];
     for (i, slot) in slots.iter().enumerate() {
         if let Some(record) = slot {
             write_reply(out, &point_reply(i, admitted.keys[i], record))?;
-            sent[i] = true;
         }
     }
     let mut failure: Option<String> = None;
@@ -354,12 +353,9 @@ fn stream_sweep(
         out.flush()?;
         match admitted.rx.recv() {
             Ok((key, Ok(record))) => {
-                for (i, &k) in admitted.keys.iter().enumerate() {
-                    if k == key && !sent[i] {
-                        write_reply(out, &point_reply(i, key, &record))?;
-                        sent[i] = true;
-                        slots[i] = Some(record.clone());
-                    }
+                for i in admitted.by_key.indices_of(key) {
+                    write_reply(out, &point_reply(i, key, &record))?;
+                    slots[i] = Some(record.clone());
                 }
             }
             Ok((_key, Err(message))) => {

@@ -228,6 +228,47 @@ fn concurrent_identical_requests_execute_each_point_once() {
 }
 
 #[test]
+fn a_repeated_point_runs_once_and_streams_at_every_index() {
+    let server = start(None, 2, 64);
+    // Seed 5 twice: 8 points, 4 distinct keys, each at two indices.
+    let scenario_json = scenario_json("serve-repeat", &[5, 5]);
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let (points, report) = match client.sweep(&scenario_json).unwrap() {
+        SweepResponse::Completed { points, report, .. } => (points, report),
+        other => panic!("expected completion, got {other:?}"),
+    };
+    let mut indices: Vec<usize> = points
+        .iter()
+        .map(|p| p.get("index").as_usize().unwrap())
+        .collect();
+    indices.sort_unstable();
+    assert_eq!(indices, (0..8).collect::<Vec<_>>());
+    assert_eq!(
+        counter(&client.stats().unwrap(), "serve.points_executed"),
+        4
+    );
+
+    let scenario = Scenario::from_json(&scenario_json).unwrap();
+    let offline = run_sweep(
+        &scenario,
+        &SweepOptions {
+            jobs: 1,
+            resume: false,
+            cache_dir: None,
+        },
+    )
+    .unwrap();
+    assert_eq!(
+        report.to_string_compact(),
+        offline.report.to_string_compact(),
+        "served report differs from offline sweep"
+    );
+
+    client.shutdown().unwrap();
+    server.join();
+}
+
+#[test]
 fn saturated_queue_sheds_with_retry_after() {
     // queue_bound 0: any request with fresh points is shed.
     let server = start(None, 1, 0);

@@ -3,8 +3,10 @@
 //! core, 4 iterations, degree-4 offloading under the global solver).
 //!
 //! The input stores each iteration's tasks once: iterations share one
-//! list per rank, so the workload costs about a quarter of a
-//! `TaskSpec` per simulated task. `ClusterSim::execute` adds a few bytes
+//! list per rank, so the workload costs about a quarter of a 32-byte
+//! `TaskSpec` per simulated task, and the generator collects each list
+//! straight into its shared slice, so building it never holds a second
+//! copy of the input. `ClusterSim::execute` adds a few bytes
 //! per task of one iteration: the task graph keeps three small arrays per
 //! task and no per-task record for tasks without accesses, and it is
 //! reused from iteration to iteration.
@@ -16,7 +18,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use tlb::apps::synthetic::{synthetic_workload, SyntheticConfig};
-use tlb::cluster::{ClusterSim, RunSpec};
+use tlb::cluster::{ClusterSim, RunSpec, TaskSpec};
 use tlb::core::{BalanceConfig, DromPolicy, Platform, Preset};
 
 /// Bytes live on the heap now.
@@ -100,9 +102,11 @@ fn heap_bytes_per_simulated_task_stay_small() {
         drom: DromPolicy::Global,
     });
 
+    reset_peak();
     let before = live();
     let workload = synthetic_workload(&cfg, &platform);
     let input = live() - before;
+    let build_peak = PEAK.load(Ordering::Relaxed) - before;
     let spec = RunSpec::new(&platform, &balance, workload);
 
     reset_peak();
@@ -111,12 +115,25 @@ fn heap_bytes_per_simulated_task_stay_small() {
     let peak = PEAK.load(Ordering::Relaxed) - base;
 
     let tasks = report.total_tasks;
-    assert_eq!(tasks, NODES * 48 * 25 * cfg.iterations);
-    let (input_per_task, peak_per_task) = (input / tasks, peak / tasks);
-    println!("{tasks} tasks: input {input_per_task} B/task, execute peak {peak_per_task} B/task");
+    let tasks_per_rank = 24 * 25;
+    assert_eq!(tasks, NODES * 2 * tasks_per_rank * cfg.iterations);
+    // A list built in a `Vec` and then copied into its `Arc` holds one
+    // whole rank's list beside the input at the copy; building in place
+    // holds none.
+    let rank_list = tasks_per_rank * std::mem::size_of::<TaskSpec>();
     assert!(
-        input_per_task <= 32,
-        "input holds {input_per_task} B per task (bound 32)"
+        build_peak < input + rank_list / 2,
+        "building the input peaks at {build_peak} B: more than half a rank's list \
+         ({rank_list} B) above the {input} B it keeps"
+    );
+    let (input_per_task, peak_per_task) = (input / tasks, peak / tasks);
+    println!(
+        "{tasks} tasks: input {input_per_task} B/task (build peak {build_peak} B over {input} B kept), \
+         execute peak {peak_per_task} B/task"
+    );
+    assert!(
+        input_per_task <= 12,
+        "input holds {input_per_task} B per task (bound 12)"
     );
     assert!(
         peak_per_task <= 48,
