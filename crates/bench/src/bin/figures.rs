@@ -15,15 +15,15 @@ use std::sync::Arc;
 use tlb_apps::micropp::{micropp_workload, MicroPpConfig};
 use tlb_apps::synthetic::{synthetic_workload, SyntheticConfig};
 use tlb_bench::{
-    config, micropp_mn4, nbody_slow_node, perfect_bound, render_trace, results_dir, run, sweep,
-    tally, Effort, Experiment, Point, Status,
+    config, micropp_mn4, nbody_slow_node, render_trace, results_dir, run, sweep, tally, Effort,
+    Experiment, Point, Status,
 };
 use tlb_cluster::{
     away_fraction, work_matrix, ClusterSim, FaultPlan, RunSpec, SpecWorkload, TaskSpec,
 };
 use tlb_core::{
-    BalanceConfig, DynamicSpreading, GlobalPolicy, GlobalSolverKind, Platform, PortfolioConfig,
-    PortfolioEngine, Strategy,
+    BalanceConfig, GlobalPolicy, GlobalSolverKind, Platform, PortfolioConfig, PortfolioEngine,
+    Strategy,
 };
 use tlb_des::{SimTime, Timeline};
 use tlb_expander::{BipartiteGraph, ExpanderConfig};
@@ -54,7 +54,6 @@ const FIGURES: &[Figure] = &[
     ("fig10", &["fig10_2n", "fig10_8n"], fig10),
     ("fig11", &["fig11_2n", "fig11_4n"], fig11),
     ("ablations", &["ablations"], ablations),
-    ("ext_dynamic", &["ext_dynamic"], ext_dynamic),
     ("ext_throttle", &["ext_throttle"], ext_throttle),
     (SOLVER_TABLE, &[SOLVER_TABLE], solver_table),
 ];
@@ -694,56 +693,6 @@ fn ablations(effort: Effort) -> Vec<Experiment> {
         exp.push_series(label, vec![Point { x: i as f64, y }]);
     }
     exp.note("a small expander seed spread supports the static-graph design (§7.3)");
-    vec![exp]
-}
-
-/// Extension (paper §5.2 future work): dynamic work spreading — grow the
-/// expander graph at run time from degree 1 instead of fixing the degree
-/// up front — against static degrees, plus the helper count it actually
-/// provisions. The paper argues the benefit "would likely not be
-/// sufficient to compensate for the extra implementation complexity".
-fn ext_dynamic(effort: Effort) -> Vec<Experiment> {
-    let mut dynamic = config(GLOBAL, 1);
-    dynamic.dynamic = Some(DynamicSpreading { max_degree: 4 });
-    let lines = [
-        ("static d2", config(GLOBAL, 2)),
-        ("static d4", config(GLOBAL, 4)),
-        ("dynamic ≤4", dynamic),
-    ];
-    let mut series: Vec<Vec<Point>> = vec![Vec::new(); lines.len()];
-    let (mut helpers, mut perfect) = (Vec::new(), Vec::new());
-    for &nodes in effort.pick(&[4usize, 8, 16, 32][..], &[4, 8][..]) {
-        let x = nodes as f64;
-        let (platform, wl) = micropp_mn4(nodes, 2, effort.pick(12, 6));
-        for ((_, cfg), points) in lines.iter().zip(&mut series) {
-            let report = run(&platform, cfg, wl.clone(), false);
-            let y = report.mean_iteration_secs(effort.pick(4, 2));
-            points.push(Point { x, y });
-            if cfg.dynamic.is_some() {
-                let y = 1.0 + report.spawned_helpers as f64 / (nodes * 2) as f64;
-                helpers.push(Point { x, y });
-            }
-        }
-        let y = perfect_bound(wl, &platform);
-        perfect.push(Point { x, y });
-    }
-
-    let mut exp = Experiment::new(
-        "ext_dynamic",
-        "dynamic work spreading vs static degrees (MicroPP, 2 appranks/node)",
-        "nodes",
-        "s/iteration",
-    );
-    for ((label, _), points) in lines.iter().zip(series) {
-        exp.push_series(*label, points);
-    }
-    exp.push_series("helpers/apprank", helpers);
-    exp.push_series("perfect", perfect);
-    exp.note(
-        "dynamic spawning starts at degree 1 and provisions helpers only where the solver \
-finds an apprank capacity-constrained; compare its steady-state time and its average \
-effective degree against the static columns",
-    );
     vec![exp]
 }
 

@@ -21,8 +21,9 @@ pub struct SimReport {
     pub solver_runs: usize,
     /// Virtual time charged to global solver invocations in total.
     pub solver_time: SimTime,
-    /// Helper ranks spawned at run time (dynamic work spreading; 0 for
-    /// static configurations).
+    /// Helper ranks spawned at run time. Always 0: the worker table is
+    /// fixed at setup. Kept because run records and digests still carry
+    /// it.
     pub spawned_helpers: usize,
     /// TALP-style parallel efficiency: useful busy core·seconds divided
     /// by `makespan × total physical cores` (the end-of-run report the

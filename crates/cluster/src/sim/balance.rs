@@ -1,19 +1,15 @@
 //! Balance ticks: the local convergence policy, the global tick (signal
-//! view → policy hook → solver or fallback ladder → dynamic spreading)
-//! and the application of a new core ownership.
+//! view → policy hook → solver or fallback ladder) and the application
+//! of a new core ownership.
 
 use super::{Ev, State};
 use crate::Workload;
-use tlb_core::{allocate_living, DynamicSpreading, GlobalAction, LocalPolicy, SignalView};
+use tlb_core::{allocate_living, GlobalAction, LocalPolicy, SignalView};
 use tlb_des::{Ctx, SimTime};
 use tlb_dlb::ProcId;
 use tlb_linprog::{AllocationSolution, LpError};
 use tlb_portfolio::Strategy;
 use tlb_trace::{EventKind, FallbackReason, TraceLog, GLOBAL_STREAM};
-
-/// Dynamic spreading spawns helpers only when the solved bound exceeds
-/// the machine-wide mean load by this factor (10 % above perfect balance).
-const OVERLOAD_THRESHOLD: f64 = 1.1;
 
 impl<W: Workload> State<W> {
     pub(super) fn local_tick(&mut self, ctx: &mut Ctx<Ev>) {
@@ -59,15 +55,12 @@ impl<W: Workload> State<W> {
     /// masked out: the living split the whole node, the dead get zero.
     /// Targets (not raw owned counts) seed the policy, so cores still in
     /// deferred transfer from a dead worker count for their receiver.
-    /// `busy[p]` is the window's demand of proc `p`; a helper spawned
-    /// after `busy` was captured has no measured history and reads as 0.
+    /// `busy[p]` is the window's demand of proc `p`.
     fn ownership_among_living(&self, node: usize, busy: &[f64]) -> Vec<usize> {
         let alive = &self.layout.alive()[node];
         let living = || (0..alive.len()).filter(|&p| alive[p]);
         let target = self.dlbs[node].target_ownership();
-        let sub_busy: Vec<f64> = living()
-            .map(|p| busy.get(p).copied().unwrap_or(0.0))
-            .collect();
+        let sub_busy: Vec<f64> = living().map(|p| busy[p]).collect();
         let sub_cur: Vec<usize> = living().map(|p| target[p]).collect();
         let sub = LocalPolicy::ownership(self.platform.cores_per_node, &sub_busy, &sub_cur);
         let mut counts = vec![0usize; alive.len()];
@@ -174,10 +167,9 @@ impl<W: Workload> State<W> {
         }
     }
 
-    /// The solver's share of a global tick: solve for `work`, let dynamic
-    /// spreading react to the solution, and turn the outcome — an
-    /// allocation, or the degradation ladder over this tick's `deltas` —
-    /// into the next ownership.
+    /// The solver's share of a global tick: solve for `work` and turn the
+    /// outcome — an allocation, or the degradation ladder over this tick's
+    /// `deltas` — into the next ownership.
     fn solver_tick(
         &mut self,
         ctx: &mut Ctx<Ev>,
@@ -186,15 +178,7 @@ impl<W: Workload> State<W> {
         work: Vec<f64>,
         deltas: &[Vec<f64>],
     ) {
-        let mut solved = self.solve_global(&work);
-        // Dynamic work spreading (paper §5.2 future work): the solved bound
-        // identifies capacity-constrained appranks; spawn helpers for them
-        // and re-solve so the new capacity is used immediately.
-        if let (Ok(solution), Some(dynamic)) = (&solved, self.config.dynamic) {
-            if self.maybe_spawn_helpers(now, &work, solution, dynamic) {
-                solved = self.solve_global(&work);
-            }
-        }
+        let solved = self.solve_global(&work);
         // A failed solve still charges its modelled cost — a timeout burns
         // the full budget before the runtime gives up on it.
         let cost = self.solver_cost();
@@ -261,62 +245,6 @@ impl<W: Workload> State<W> {
         let strategy = Strategy::from(self.config.solver);
         allocate_living(&self.layout, &self.platform, work, strategy)
             .map_err(|e| fallback_reason(&e))
-    }
-
-    /// Spawn helper ranks for capacity-constrained appranks (the paper's
-    /// dynamic work spreading, §5.2). The LP solution tells exactly which
-    /// appranks the bound binds on: those executing at ≈ the objective
-    /// ratio while the machine mean is lower. At most one new helper per
-    /// apprank per solver period; bounded by the configured maximum
-    /// degree and the nodes' worker headroom. Returns whether anything
-    /// was spawned.
-    fn maybe_spawn_helpers(
-        &mut self,
-        now: SimTime,
-        work: &[f64],
-        solution: &AllocationSolution,
-        dynamic: DynamicSpreading,
-    ) -> bool {
-        let total_work: f64 = work.iter().sum();
-        if total_work <= 1e-12 {
-            return false;
-        }
-        let mean_load = total_work / self.platform.effective_capacity();
-        if solution.objective <= OVERLOAD_THRESHOLD * mean_load {
-            return false; // the static graph already balances well enough
-        }
-        // Node load under the solved split (pressure to avoid).
-        let mut node_pressure = vec![0.0f64; self.platform.nodes];
-        for (shares, placed) in solution.work_share.iter().zip(self.layout.placement()) {
-            for (&w, &(node, _)) in shares.iter().zip(placed) {
-                node_pressure[node] += w;
-            }
-        }
-        let mut spawned = false;
-        for (a, w) in work.iter().enumerate() {
-            let placed = &self.layout.placement()[a];
-            if placed.len() >= dynamic.max_degree {
-                continue;
-            }
-            let cores: usize = solution.cores[a].iter().sum();
-            // Binding apprank: its solved ratio sits at the objective.
-            if *w / (cores as f64) < 0.98 * solution.objective {
-                continue;
-            }
-            // Least-pressured node this apprank cannot reach yet, with
-            // worker headroom.
-            let pressure = |n: usize| node_pressure[n] / self.platform.node_speed[n];
-            let candidate = (0..self.platform.nodes)
-                .filter(|&n| placed.iter().all(|&(node, _)| node != n))
-                .filter(|&n| self.layout.workers_on(n).len() < self.platform.cores_per_node)
-                .min_by(|&x, &y| pressure(x).total_cmp(&pressure(y)).then(x.cmp(&y)));
-            if let Some(n) = candidate {
-                node_pressure[n] += *w / placed.len() as f64;
-                self.spawn_worker(now, a, n);
-                spawned = true;
-            }
-        }
-        spawned
     }
 
     pub(super) fn apply_ownership(&mut self, ctx: &mut Ctx<Ev>, per_node: Vec<Vec<usize>>) {

@@ -2,14 +2,14 @@
 //!
 //! One [`State`] is the simulated world the DES drives. It keeps each
 //! run-time fact once — who lives where and is alive is the worker table
-//! ([`ProcessLayout`]), and only [`State::spawn_worker`] /
-//! [`State::retire_worker`] change it — and its handlers are split along
+//! ([`ProcessLayout`]), fixed at setup, whose liveness only
+//! [`State::retire_worker`] changes — and its handlers are split along
 //! the runtime's seams:
 //!
 //! * `flow` — a task's way through the runtime: iteration start, the
 //!   scheduling decision, the send, the start on a core, the end.
-//! * `balance` — the local and global policy ticks, the solver, dynamic
-//!   spreading, and applying a new ownership.
+//! * `balance` — the local and global policy ticks, the solver, and
+//!   applying a new ownership.
 //! * `faults` — the fault plan's state, its draws and its handlers.
 //! * `setup` — [`RunSpec`], [`ClusterSim::execute`] and the report.
 
@@ -22,7 +22,7 @@ pub use setup::{ClusterSim, RunSpec};
 
 use crate::{Trace, Workload};
 use faults::Faults;
-use flow::{ApprankState, Inst, MsgState, WorkerState};
+use flow::{ApprankState, Inst, MsgState};
 use std::collections::HashMap;
 use std::fmt;
 use tlb_core::{BalanceConfig, BalancePolicy, CandidateState, Platform, ProcessLayout};
@@ -112,7 +112,7 @@ struct State<W: Workload> {
     platform: Platform,
     config: BalanceConfig,
     /// The worker table: node → workers, `(apprank, slot)` → `(node,
-    /// proc)`, and liveness. Grows when dynamic spreading spawns helpers.
+    /// proc)`, and liveness. Fixed at setup; kill faults only retire.
     layout: ProcessLayout,
     dlbs: Vec<NodeDlb>,
     talps: Vec<Talp>,
@@ -155,7 +155,6 @@ struct State<W: Workload> {
     last_total: Vec<Vec<f64>>,
     solver_runs: usize,
     solver_time: SimTime,
-    spawned_helpers: usize,
 
     // Fault injection (`faults`).
     faults: Faults,
@@ -175,30 +174,6 @@ impl<W: Workload> State<W> {
 
     fn is_alive(&self, w: Worker) -> bool {
         self.layout.alive()[w.node][w.proc.0]
-    }
-
-    /// Add a helper of `apprank` on `node` (dynamic work spreading): one
-    /// more row in the table and in everything indexed like it. The next
-    /// global solve reads the new edge off the table.
-    fn spawn_worker(&mut self, now: SimTime, apprank: usize, node: usize) {
-        let (slot, proc) = self.layout.push_worker(apprank, node);
-        let dlb_proc = self.dlbs[node].add_process();
-        debug_assert_eq!(dlb_proc.0, proc, "layout and DLB proc ids must agree");
-        let talp_proc = self.talps[node].add_proc(now);
-        debug_assert_eq!(talp_proc, proc);
-        self.last_total[node].push(self.talps[node].total(proc, now));
-        self.trace.add_worker(node, apprank);
-        self.appranks[apprank].workers.push(WorkerState::default());
-        debug_assert_eq!(self.appranks[apprank].workers.len() - 1, slot);
-        self.spawned_helpers += 1;
-        if self.trace.events() {
-            let ev = EventKind::HelperSpawned {
-                apprank: apprank as u32,
-                node: node as u32,
-            };
-            self.trace.emit(TraceLog::node_stream(node), now, ev);
-        }
-        self.record_node(now, node);
     }
 
     /// Retire helper `w` (fail-stop): dead in the table, which masks it

@@ -122,7 +122,7 @@ impl ClusterSim {
             events,
             solver_runs: state.solver_runs,
             solver_time: state.solver_time,
-            spawned_helpers: state.spawned_helpers,
+            spawned_helpers: 0,
             faults: state.faults.stats,
             trace: state.trace,
         })
@@ -150,21 +150,13 @@ pub(super) fn simulate<W: Workload>(spec: RunSpec<'_, W>) -> Result<(State<W>, u
         )));
     }
     let per_node = appranks / platform.nodes;
-    let max_degree = config
-        .dynamic
-        .map_or(config.degree, |d| d.max_degree.max(config.degree));
     let balance_policy = config.policy.instantiate();
     let uses_solver = config.policy.uses_solver();
-    if config.dynamic.is_some() && !uses_solver {
-        return Err(SimError::Shape(
-            "dynamic spreading requires the global DROM policy".into(),
-        ));
-    }
-    let workers_per_node = max_degree * per_node;
+    let workers_per_node = config.degree * per_node;
     if workers_per_node > platform.cores_per_node {
         return Err(SimError::Shape(format!(
-            "degree {max_degree} with {per_node} appranks/node needs {workers_per_node} cores, node has {}",
-            platform.cores_per_node
+            "degree {} with {per_node} appranks/node needs {workers_per_node} cores, node has {}",
+            config.degree, platform.cores_per_node
         )));
     }
     if platform.node_speed.len() != platform.nodes {
@@ -253,7 +245,6 @@ pub(super) fn simulate<W: Workload>(spec: RunSpec<'_, W>) -> Result<(State<W>, u
         last_total,
         solver_runs: 0,
         solver_time: SimTime::ZERO,
-        spawned_helpers: 0,
         faults,
         layout,
         platform,

@@ -2,7 +2,7 @@
 
 use super::{setup, ClusterSim, RunSpec, SimError};
 use crate::{FaultPlan, FaultStats, SimReport, SpecWorkload, TaskSpec, Trace};
-use tlb_core::{BalanceConfig, DromPolicy, Platform, PolicySpec, Preset};
+use tlb_core::{BalanceConfig, DromPolicy, Platform, Preset};
 use tlb_des::SimTime;
 use tlb_dlb::ProcId;
 use tlb_trace::EventKind;
@@ -452,75 +452,6 @@ fn throttle_windows_are_deterministic() {
     let b = ClusterSim::execute(RunSpec::new(&p, &cfg, wl).faults(&throttle)).unwrap();
     assert_eq!(a.makespan, b.makespan);
     assert_eq!(a.events, b.events);
-}
-
-#[test]
-fn dynamic_spreading_spawns_helpers_and_balances() {
-    // Start at degree 1 (no helpers). One hot apprank must trigger
-    // helper spawning and approach the static degree-3 result.
-    let heavy: Vec<TaskSpec> = (0..160).map(|_| TaskSpec::compute(0.05)).collect();
-    let light: Vec<TaskSpec> = (0..20).map(|_| TaskSpec::compute(0.05)).collect();
-    let wl = SpecWorkload::iterated(vec![heavy, light.clone(), light.clone(), light], 8);
-    let p = Platform::homogeneous(4, 4);
-    let mut dyn_cfg = BalanceConfig::preset(Preset::DynamicSpread { max_degree: 3 });
-    dyn_cfg.global_period = SimTime::from_millis(300);
-    let mut static_cfg = BalanceConfig::preset(Preset::Offload {
-        degree: 3,
-        drom: DromPolicy::Global,
-    });
-    static_cfg.global_period = SimTime::from_millis(300);
-
-    let base = ClusterSim::execute(RunSpec::new(
-        &p,
-        &BalanceConfig::preset(Preset::Baseline),
-        wl.clone(),
-    ))
-    .unwrap();
-    let dynamic = ClusterSim::execute(RunSpec::new(&p, &dyn_cfg, wl.clone())).unwrap();
-    let statically = ClusterSim::execute(RunSpec::new(&p, &static_cfg, wl)).unwrap();
-
-    assert!(dynamic.spawned_helpers >= 1, "no helpers spawned");
-    assert!(
-        dynamic.spawned_helpers <= 4 * 2,
-        "spawning unbounded: {}",
-        dynamic.spawned_helpers
-    );
-    assert_eq!(statically.spawned_helpers, 0);
-    assert!(
-        dynamic.makespan.as_secs_f64() < 0.75 * base.makespan.as_secs_f64(),
-        "dynamic {} vs baseline {}",
-        dynamic.makespan,
-        base.makespan
-    );
-    // Within 30% of the static pre-provisioned configuration.
-    assert!(
-        dynamic.makespan.as_secs_f64() <= 1.3 * statically.makespan.as_secs_f64(),
-        "dynamic {} vs static {}",
-        dynamic.makespan,
-        statically.makespan
-    );
-}
-
-#[test]
-fn dynamic_spreading_spawns_nothing_when_balanced() {
-    let wl = uniform(4, 40, 0.05, 4);
-    let p = Platform::homogeneous(4, 4);
-    let cfg = BalanceConfig::preset(Preset::DynamicSpread { max_degree: 3 });
-    let r = ClusterSim::execute(RunSpec::new(&p, &cfg, wl)).unwrap();
-    assert_eq!(r.spawned_helpers, 0, "balanced load spawned helpers");
-    assert_eq!(r.offloaded_tasks, 0);
-}
-
-#[test]
-fn dynamic_requires_global_policy() {
-    let wl = uniform(2, 10, 0.01, 1);
-    let p = Platform::homogeneous(2, 4);
-    let mut cfg = BalanceConfig::preset(Preset::DynamicSpread { max_degree: 2 });
-    cfg.policy = PolicySpec::named("lewi+drom-local").unwrap();
-    assert!(matches!(
-        ClusterSim::execute(RunSpec::new(&p, &cfg, wl)),
-        Err(SimError::Shape(_))
-    ));
 }
 
 #[test]
@@ -1071,21 +1002,17 @@ struct Golden {
     events: u64,
     solver_runs: usize,
     solver_time_ns: u64,
-    spawned_helpers: usize,
     workers_killed: usize,
     parallel_efficiency_bits: u64,
 }
 
-/// The worker table, DLB and the global solve see every spawn, every
-/// death and every speed change together: after a run that grows the
-/// table by dynamic spreading, slows a node with a straggler burst and
-/// loses two helpers, table liveness equals DLB's retired flags, every
-/// node's cores are all owned, and the report is the one pinned below,
-/// bit for bit. The numbers were captured while the global solver still
-/// kept its own copy of adjacency, liveness and node speed; each of
-/// those three facts, left stale, changes them.
+/// The worker table, DLB and the global solve see every death and every
+/// speed change together: after a degree-3 run that slows a node with a
+/// straggler burst and loses three helpers, table liveness equals DLB's
+/// retired flags, every node's cores are all owned, and the report is
+/// the one pinned below, bit for bit.
 #[test]
-fn table_and_dlb_agree_after_spawns_and_kills() {
+fn table_and_dlb_agree_after_kills() {
     let heavy: Vec<TaskSpec> = (0..160).map(|_| TaskSpec::compute(0.05)).collect();
     let light: Vec<TaskSpec> = (0..20).map(|_| TaskSpec::compute(0.05)).collect();
     let wl = SpecWorkload::iterated(vec![heavy, light.clone(), light.clone(), light], 8);
@@ -1095,29 +1022,30 @@ fn table_and_dlb_agree_after_spawns_and_kills() {
         9,
     );
     let want = Golden {
-        makespan_ns: 16_250_032_000,
+        makespan_ns: 16_100_076_000,
         iteration_ns: [
-            3_000_004_000,
-            1_250_004_000,
-            2_000_004_000,
-            2_000_004_000,
-            2_000_004_000,
-            2_000_004_000,
-            2_000_004_000,
-            2_000_004_000,
+            950_036_000,
+            2_300_004_000,
+            2_100_006_000,
+            2_150_006_000,
+            2_150_006_000,
+            2_150_006_000,
+            2_150_006_000,
+            2_150_006_000,
         ],
-        events: 2756,
-        solver_runs: 54,
-        solver_time_ns: 54_000_000,
-        spawned_helpers: 2,
-        workers_killed: 2,
-        parallel_efficiency_bits: 0x3fd6_a568_e665_dd66,
+        events: 2168,
+        solver_runs: 53,
+        solver_time_ns: 53_000_000,
+        workers_killed: 3,
+        parallel_efficiency_bits: 0x3fd6_db70_1e90_8e0e,
     };
-    let mut cfg = BalanceConfig::preset(Preset::DynamicSpread { max_degree: 3 });
+    let mut cfg = BalanceConfig::preset(Preset::Offload {
+        degree: 3,
+        drom: DromPolicy::Global,
+    });
     cfg.global_period = SimTime::from_millis(300);
     let spec = || RunSpec::new(&p, &cfg, wl.clone()).faults(&plan);
     let (state, _) = setup::simulate(spec()).unwrap();
-    assert!(state.spawned_helpers >= 2, "{}", state.spawned_helpers);
     for node in 0..p.nodes {
         let dlb = &state.dlbs[node];
         let alive = &state.layout.alive()[node];
@@ -1143,7 +1071,6 @@ fn table_and_dlb_agree_after_spawns_and_kills() {
         want.solver_time_ns,
         "solver_time"
     );
-    assert_eq!(got.spawned_helpers, want.spawned_helpers, "spawned_helpers");
     assert_eq!(
         got.faults.workers_killed, want.workers_killed,
         "workers_killed"

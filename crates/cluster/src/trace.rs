@@ -89,14 +89,6 @@ impl Trace {
         }
     }
 
-    /// Register a dynamically spawned worker on `node` so its timelines
-    /// exist from now on.
-    pub fn add_worker(&mut self, node: usize, apprank: usize) {
-        self.busy[node].push(Timeline::new());
-        self.owned[node].push(Timeline::new());
-        self.worker_apprank[node].push(apprank);
-    }
-
     /// Record a worker's busy-core count.
     pub fn record_busy(&mut self, at: SimTime, node: usize, proc: usize, cores: usize) {
         if self.timelines() {

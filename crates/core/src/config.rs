@@ -125,15 +125,6 @@ impl From<GlobalSolverKind> for Strategy {
     }
 }
 
-/// Dynamic work spreading (the paper's §5.2 future-work extension):
-/// instead of a fixed offloading degree, helper ranks are spawned at run
-/// time when the global solver finds an apprank capacity-constrained.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct DynamicSpreading {
-    /// Hard cap on nodes per apprank (home included).
-    pub max_degree: usize,
-}
-
 /// All balancing knobs for one execution. What balances — LeWI
 /// lending, the DROM flavour, or one of the solver-free policies — is
 /// the single `policy` field; the rest tune how.
@@ -155,9 +146,6 @@ pub struct BalanceConfig {
     pub global_period: SimTime,
     /// Expander graph seed.
     pub seed: u64,
-    /// Dynamic helper spawning (requires a solver-using policy);
-    /// `degree` is then the *initial* degree, usually 1.
-    pub dynamic: Option<DynamicSpreading>,
 }
 
 impl Default for BalanceConfig {
@@ -169,7 +157,6 @@ impl Default for BalanceConfig {
             local_period: SimTime::from_millis(100),
             global_period: SimTime::from_secs(2),
             seed: 1,
-            dynamic: None,
         }
     }
 }
@@ -201,12 +188,6 @@ pub enum Preset {
         /// DROM core-allocation policy.
         drom: DromPolicy,
     },
-    /// Dynamic work spreading (paper §5.2 future work): start at degree
-    /// 1 and spawn helpers up to `max_degree` under `lewi+drom-global`.
-    DynamicSpread {
-        /// Hard cap on nodes per apprank (home included).
-        max_degree: usize,
-    },
 }
 
 impl BalanceConfig {
@@ -214,23 +195,21 @@ impl BalanceConfig {
     /// [`Preset`] names, with every other knob at its default. Refine
     /// with the `with_*` builders.
     pub fn preset(preset: Preset) -> Self {
-        let (degree, policy, max_degree) = match preset {
-            Preset::Baseline => (1, "baseline", None),
-            Preset::NodeDlb => (1, "lewi+drom-local", None),
+        let (degree, policy) = match preset {
+            Preset::Baseline => (1, "baseline"),
+            Preset::NodeDlb => (1, "lewi+drom-local"),
             Preset::Offload { degree, drom } => {
                 let policy = match drom {
                     DromPolicy::Off => "lewi",
                     DromPolicy::Local => "lewi+drom-local",
                     DromPolicy::Global => "lewi+drom-global",
                 };
-                (degree, policy, None)
+                (degree, policy)
             }
-            Preset::DynamicSpread { max_degree } => (1, "lewi+drom-global", Some(max_degree)),
         };
         BalanceConfig {
             degree,
             policy: named(policy),
-            dynamic: max_degree.map(|max_degree| DynamicSpreading { max_degree }),
             ..BalanceConfig::default()
         }
     }
@@ -296,9 +275,6 @@ mod tests {
             assert_eq!((o.degree, o.policy.name()), (4, name));
             assert!(o.policy.lewi());
         }
-        let dy = BalanceConfig::preset(Preset::DynamicSpread { max_degree: 3 });
-        assert_eq!((dy.degree, dy.policy.name()), (1, "lewi+drom-global"));
-        assert_eq!(dy.dynamic.map(|d| d.max_degree), Some(3));
         assert_eq!(BalanceConfig::default().policy.name(), "lewi+drom-global");
     }
 

@@ -28,9 +28,9 @@ impl WorkerRef {
 /// one helper rank on every other adjacent node. Helper ranks initially
 /// own one core (the DLB minimum); the remaining cores are divided equally
 /// among the node's main processes (§5.4). The table maps both ways —
-/// node → workers and `(apprank, slot)` → `(node, proc)` — grows when a
-/// helper is spawned ([`ProcessLayout::push_worker`]) and keeps a retired
-/// worker addressable ([`ProcessLayout::retire`]): indices never shift.
+/// node → workers and `(apprank, slot)` → `(node, proc)` — is fixed once
+/// built, and keeps a retired worker addressable
+/// ([`ProcessLayout::retire`]): indices never shift.
 #[derive(Clone, Debug)]
 pub struct ProcessLayout {
     /// `workers[n]` = the worker processes hosted on node `n`, mains
@@ -44,7 +44,6 @@ pub struct ProcessLayout {
     alive: Vec<Vec<bool>>,
     /// Initial ownership counts, aligned with `workers[n]`.
     initial_ownership: Vec<Vec<usize>>,
-    cores_per_node: usize,
 }
 
 impl ProcessLayout {
@@ -113,7 +112,6 @@ impl ProcessLayout {
             placement,
             alive,
             initial_ownership,
-            cores_per_node,
         }
     }
 
@@ -166,26 +164,6 @@ impl ProcessLayout {
     /// Initial ownership counts aligned with [`ProcessLayout::workers_on`].
     pub fn initial_ownership(&self, node: usize) -> &[usize] {
         &self.initial_ownership[node]
-    }
-
-    /// Register a dynamically spawned helper of `apprank` on `node`
-    /// (paper §5.2 future work). Returns `(slot, per-node proc index)`.
-    ///
-    /// # Panics
-    /// Panics if the node has no core headroom for another worker.
-    pub fn push_worker(&mut self, apprank: usize, node: usize) -> (usize, usize) {
-        assert!(
-            self.workers[node].len() < self.cores_per_node,
-            "node {node} cannot host another worker"
-        );
-        let slot = self.placement[apprank].len();
-        assert!(slot >= 1, "dynamic workers are always helpers");
-        let proc = self.workers[node].len();
-        self.workers[node].push(WorkerRef { apprank, slot });
-        self.placement[apprank].push((node, proc));
-        self.alive[node].push(true);
-        self.initial_ownership[node].push(1);
-        (slot, proc)
     }
 
     /// Mark apprank `a`'s slot-`k` helper retired (fail-stop). Its
@@ -267,29 +245,11 @@ mod tests {
         assert_eq!(l.placement().iter().map(Vec::len).sum::<usize>(), 24);
     }
 
-    #[test]
-    fn push_worker_extends_layout() {
-        let g = ring(4, 4, 1);
-        let mut l = ProcessLayout::new(&g, 4);
-        let (slot, proc) = l.push_worker(0, 2);
-        assert_eq!(slot, 1);
-        assert_eq!(proc, 1); // node 2 already hosts apprank 2's main
-        assert_eq!(
-            l.workers_on(2)[proc],
-            WorkerRef {
-                apprank: 0,
-                slot: 1
-            }
-        );
-        assert_eq!(l.proc_of(0, 1), proc);
-        assert_eq!(l.placement().iter().map(Vec::len).sum::<usize>(), 5);
-    }
-
-    /// Seeded random graphs under random spawn / retire sequences: the
-    /// two directions of the table stay mutual inverses, a retired worker
+    /// Seeded random graphs under random retire sequences: the two
+    /// directions of the table stay mutual inverses, a retired worker
     /// keeps its address, and nobody else's indices move.
     #[test]
-    fn table_stays_consistent_under_spawns_and_retirements() {
+    fn table_stays_consistent_under_retirements() {
         use tlb_rng::Rng;
         for seed in 0..32u64 {
             let mut rng = Rng::seed_from_u64(seed);
@@ -303,14 +263,7 @@ mod tests {
             let mut retired: Vec<(usize, usize, (usize, usize))> = Vec::new();
             for _ in 0..24 {
                 let a = rng.range_usize(0, l.placement().len());
-                let n = rng.range_usize(0, nodes);
-                let hosts = |l: &ProcessLayout| l.placement()[a].iter().any(|&(m, _)| m == n);
-                if rng.chance(0.6) {
-                    if l.workers_on(n).len() < cores && !hosts(&l) {
-                        let (slot, proc) = l.push_worker(a, n);
-                        assert_eq!(l.placement()[a][slot], (n, proc));
-                    }
-                } else if l.placement()[a].len() > 1 {
+                if l.placement()[a].len() > 1 {
                     let slot = rng.range_usize(1, l.placement()[a].len());
                     l.retire(a, slot);
                     retired.push((a, slot, l.placement()[a][slot]));

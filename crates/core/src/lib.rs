@@ -54,7 +54,7 @@ pub use balance::{
     known_policy_names, BalancePolicy, Diffusion, GlobalAction, ParamDef, ParamKind, PolicyDef,
     PolicyError, PolicySpec, ReactiveOffload, SignalView, POLICY_REGISTRY,
 };
-pub use config::{BalanceConfig, DromPolicy, DynamicSpreading, GlobalSolverKind, Platform, Preset};
+pub use config::{BalanceConfig, DromPolicy, GlobalSolverKind, Platform, Preset};
 pub use layout::{ProcessLayout, WorkerRef};
 pub use metrics::{imbalance, node_imbalance, Loads};
 pub use policy::{allocate_living, allocation_problem, GlobalPolicy, LocalPolicy};

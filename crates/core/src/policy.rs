@@ -40,7 +40,7 @@ impl LocalPolicy {
 /// The global solver policy (§5.4.2) on a fixed expander graph: every
 /// period, gather each apprank's total measured work and solve the
 /// min-max allocation program over the entire graph. The simulator,
-/// whose workers spawn and die mid-run, solves [`allocate_living`] on its
+/// whose helpers may die mid-run, solves [`allocate_living`] on its
 /// worker table instead; this is the same program for a graph whose
 /// workers all live.
 pub struct GlobalPolicy {

@@ -25,6 +25,9 @@ pub enum DlbError {
     Retired(ProcId),
     /// Retiring a process would leave its cores without a living owner.
     NoSurvivor,
+    /// Ownership counts name a different number of processes than the
+    /// node has.
+    ProcCount { got: usize, procs: usize },
 }
 
 impl fmt::Display for DlbError {
@@ -40,6 +43,9 @@ impl fmt::Display for DlbError {
             DlbError::Retired(p) => write!(f, "process {p:?} is retired"),
             DlbError::NoSurvivor => {
                 write!(f, "no living process remains to take over the cores")
+            }
+            DlbError::ProcCount { got, procs } => {
+                write!(f, "{got} ownership counts for {procs} processes")
             }
         }
     }
@@ -176,27 +182,29 @@ fn core_masks(cores: &[Core], procs: usize) -> (Vec<u64>, Vec<u64>, Vec<u64>) {
 /// 32-node benchmark run). A borrow sets a `lent` bit; the reclaim walk
 /// and `release` clear it. `release` is O(1). Both flip the bits and
 /// counts as they flip a core's user or owner. The ownership
-/// transactions (`set_ownership`, `add_process`, `retire_process`) are
-/// rare, stay O(procs × cores) and rebuild counts and masks from the
-/// cores when they finish.
+/// transactions (`set_ownership`, `retire_process`) are rare, stay
+/// O(procs × cores) and rebuild counts and masks from the cores when
+/// they finish.
+///
+/// The process set is fixed at construction: `ProcId(0)` up to the
+/// highest initial owner. Only retirement changes it, and a retired
+/// process keeps its id; a method given any other id panics.
 #[derive(Clone, Debug)]
 pub struct NodeDlb {
     cores: Vec<Core>,
-    /// Per-process counts, at least `num_procs` long.
+    /// Per-process counts.
     counts: Vec<ProcCounts>,
     /// Cores in use by any process.
     busy: usize,
     /// Mask of the cores nobody is using.
     idle: Vec<u64>,
-    /// Per-process masks of the cores owned, `idle.len()` words each, for
-    /// every process `recount` last saw (which covers every owner).
+    /// Per-process masks of the cores owned, `idle.len()` words each.
     owned: Vec<u64>,
     /// Per-process masks, laid out like `owned`, of the cores owned that
     /// another process uses and that carry no reclaim yet.
     lent: Vec<u64>,
     /// LeWI lending, fixed at construction.
     lewi: bool,
-    num_procs: usize,
     /// `retired[p]`: process `p` is dead. Retired processes own no cores
     /// (once pending transfers drain), cannot acquire, and are the only
     /// processes allowed a zero count in [`NodeDlb::set_ownership`].
@@ -211,7 +219,7 @@ impl NodeDlb {
     pub fn new(cores: usize, initial_owner: &[ProcId], lewi: bool) -> Self {
         assert_eq!(cores, initial_owner.len(), "owner per core required");
         assert!(cores > 0, "node must have cores");
-        let num_procs = initial_owner.iter().map(|p| p.0).max().unwrap_or(0) + 1;
+        let procs = initial_owner.iter().map(|p| p.0).max().unwrap_or(0) + 1;
         let mut node = NodeDlb {
             cores: initial_owner
                 .iter()
@@ -222,14 +230,13 @@ impl NodeDlb {
                     transfer_to: None,
                 })
                 .collect(),
-            counts: Vec::new(),
+            counts: vec![ProcCounts::default(); procs],
             busy: 0,
             idle: Vec::new(),
             owned: Vec::new(),
             lent: Vec::new(),
             lewi,
-            num_procs,
-            retired: vec![false; num_procs],
+            retired: vec![false; procs],
             record: false,
             events: Vec::new(),
         };
@@ -238,19 +245,15 @@ impl NodeDlb {
     }
 
     /// Rebuild the cached counts and masks from the cores, after an
-    /// ownership transaction (which may also have added processes).
+    /// ownership transaction.
     fn recount(&mut self) {
-        let procs = self.num_procs.max(self.counts.len());
-        self.counts.resize(procs, ProcCounts::default());
         self.busy = count_cores(&self.cores, &mut self.counts);
-        (self.idle, self.owned, self.lent) = core_masks(&self.cores, procs);
+        (self.idle, self.owned, self.lent) = core_masks(&self.cores, self.counts.len());
     }
 
-    /// Word `w` of the mask of cores `proc` owns (a process the node has
-    /// never counted owns none).
+    /// Word `w` of the mask of cores `proc` owns.
     fn owned_word(&self, proc: ProcId, w: usize) -> u64 {
-        let at = proc.0 * self.idle.len() + w;
-        self.owned.get(at).copied().unwrap_or(0)
+        self.owned[proc.0 * self.idle.len() + w]
     }
 
     /// Enable/disable transition recording (off by default; enabling it
@@ -302,12 +305,12 @@ impl NodeDlb {
 
     /// Cores owned by `proc` (DROM ownership, regardless of current user).
     pub fn owned_count(&self, proc: ProcId) -> usize {
-        self.counts.get(proc.0).map_or(0, |c| c.owned)
+        self.counts[proc.0].owned
     }
 
     /// Cores currently being used by `proc` (own or borrowed).
     pub fn used_count(&self, proc: ProcId) -> usize {
-        self.counts.get(proc.0).map_or(0, |c| c.used)
+        self.counts[proc.0].used
     }
 
     /// Cores in use by any process.
@@ -367,10 +370,7 @@ impl NodeDlb {
         // Nothing free: reclaim our lent-out cores.
         let words = self.idle.len();
         for w in 0..words {
-            let Some(word) = self.lent.get_mut(proc.0 * words + w) else {
-                break; // a process the node has never counted lends nothing
-            };
-            let mut lent = std::mem::take(word);
+            let mut lent = std::mem::take(&mut self.lent[proc.0 * words + w]);
             while lent != 0 {
                 let core = w * 64 + lent.trailing_zeros() as usize;
                 lent &= lent - 1;
@@ -388,15 +388,11 @@ impl NodeDlb {
         None
     }
 
-    /// Put `proc` on idle `core` (a process the node has not seen before
-    /// may borrow, so the count table grows on demand).
+    /// Put `proc` on idle `core`.
     fn start_on(&mut self, proc: ProcId, core: usize) {
         self.cores[core].user = Some(proc);
         let (w, b) = bit(core);
         self.idle[w] &= !b;
-        if proc.0 >= self.counts.len() {
-            self.counts.resize(proc.0 + 1, ProcCounts::default());
-        }
         self.counts[proc.0].used += 1;
         self.busy += 1;
     }
@@ -460,11 +456,18 @@ impl NodeDlb {
 
     /// DROM: reassign ownership so that process `p` owns `counts[p]` cores.
     ///
-    /// Counts must sum to the core total and be ≥ 1 for every process that
-    /// appears on the node (the DLB minimum). Transfers prefer idle cores
-    /// (ownership moves immediately); busy cores transfer when released;
-    /// a busy core already used by its future owner transfers immediately.
+    /// Counts must name every process of the node, sum to the core total
+    /// and be ≥ 1 for every living process (the DLB minimum). Transfers
+    /// prefer idle cores (ownership moves immediately); busy cores
+    /// transfer when released; a busy core already used by its future
+    /// owner transfers immediately.
     pub fn set_ownership(&mut self, counts: &[usize]) -> Result<(), DlbError> {
+        if counts.len() != self.retired.len() {
+            return Err(DlbError::ProcCount {
+                got: counts.len(),
+                procs: self.retired.len(),
+            });
+        }
         let total: usize = counts.iter().sum();
         if total != self.cores.len() {
             return Err(DlbError::BadOwnershipSum {
@@ -474,8 +477,7 @@ impl NodeDlb {
         }
         // The DLB minimum of one core applies only to living processes;
         // retired processes must be at zero (they own nothing).
-        for (p, &c) in counts.iter().enumerate() {
-            let retired = self.retired.get(p).copied().unwrap_or(false);
+        for (p, (&c, &retired)) in counts.iter().zip(&self.retired).enumerate() {
             if c == 0 && !retired {
                 return Err(DlbError::BelowMinimum(ProcId(p)));
             }
@@ -483,11 +485,7 @@ impl NodeDlb {
                 return Err(DlbError::Retired(ProcId(p)));
             }
         }
-        self.num_procs = self.num_procs.max(counts.len());
-        self.retired.resize(self.num_procs, false);
-
-        // Effective current ownership counting pending transfers as done
-        // (`num_procs >= counts.len()` entries; `zip` reads the first).
+        // Effective current ownership counting pending transfers as done.
         let have = self.target_ownership();
         // Donors give, receivers take, one core at a time (deterministic:
         // lowest core index first, idle cores preferred).
@@ -518,39 +516,9 @@ impl NodeDlb {
         Ok(())
     }
 
-    /// Register a new worker process on the node (dynamic helper-rank
-    /// spawning, the paper's §5.2 future-work extension). The process
-    /// immediately owns one core — the DLB minimum — taken from the
-    /// current largest owner (an idle core if possible, otherwise a
-    /// deferred transfer). Returns the new process id.
-    ///
-    /// # Panics
-    /// Panics if every core already belongs to a distinct process (no
-    /// donor can spare a core without dropping below its own floor).
-    pub fn add_process(&mut self) -> ProcId {
-        let new = ProcId(self.num_procs);
-        self.num_procs += 1;
-        self.retired.resize(self.num_procs, false);
-        // Donor: the process owning the most cores (ties → highest id).
-        let counts = self.target_ownership();
-        let donor = ProcId(
-            (0..self.num_procs)
-                .max_by_key(|&p| counts[p])
-                .expect("at least one process"),
-        );
-        assert!(
-            counts[donor.0] >= 2,
-            "no process can spare a core for a new worker"
-        );
-        let pick = self.pick_core(donor).expect("donor owns a core");
-        self.move_core(pick, new);
-        self.recount();
-        new
-    }
-
     /// Whether `proc` has been retired via [`NodeDlb::retire_process`].
     pub fn is_retired(&self, proc: ProcId) -> bool {
-        self.retired.get(proc.0).copied().unwrap_or(false)
+        self.retired[proc.0]
     }
 
     /// Retire a dead worker process: every core it (effectively) owns is
@@ -562,14 +530,10 @@ impl NodeDlb {
     /// Cores the process merely *borrowed* stay with their owners; its
     /// posted reclaims become moot once the transfer lands.
     pub fn retire_process(&mut self, proc: ProcId) -> Result<usize, DlbError> {
-        if proc.0 >= self.num_procs {
-            return Err(DlbError::Retired(proc)); // unknown proc: treat as gone
-        }
         if self.is_retired(proc) {
             return Err(DlbError::Retired(proc));
         }
-        self.retired.resize(self.num_procs, false);
-        if !(0..self.num_procs).any(|p| p != proc.0 && !self.retired[p]) {
+        if !(0..self.retired.len()).any(|p| p != proc.0 && !self.retired[p]) {
             return Err(DlbError::NoSurvivor);
         }
         self.retired[proc.0] = true;
@@ -580,7 +544,7 @@ impl NodeDlb {
             if self.cores[i].eff_owner() != proc {
                 continue;
             }
-            let recv = (0..self.num_procs)
+            let recv = (0..self.retired.len())
                 .filter(|&p| !self.retired[p])
                 .min_by_key(|&p| (have[p], p))
                 .ok_or(DlbError::NoSurvivor)?;
@@ -600,13 +564,9 @@ impl NodeDlb {
     /// Ownership per process, counting deferred transfers as complete
     /// (i.e. the DROM target state).
     pub fn target_ownership(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.num_procs];
+        let mut counts = vec![0usize; self.retired.len()];
         for c in &self.cores {
-            let p = c.eff_owner().0;
-            if p >= counts.len() {
-                counts.resize(p + 1, 0);
-            }
-            counts[p] += 1;
+            counts[c.eff_owner().0] += 1;
         }
         counts
     }
@@ -827,6 +787,10 @@ mod tests {
             n.set_ownership(&[4, 0]),
             Err(DlbError::BelowMinimum(ProcId(1)))
         );
+        assert_eq!(
+            n.set_ownership(&[2, 1, 1]),
+            Err(DlbError::ProcCount { got: 3, procs: 2 })
+        );
     }
 
     #[test]
@@ -836,47 +800,6 @@ mod tests {
         assert_eq!(n.target_ownership().iter().sum::<usize>(), 12);
         n.set_ownership(&[1, 1, 10]).unwrap();
         assert_eq!(n.target_ownership(), vec![1, 1, 10]);
-    }
-
-    #[test]
-    fn add_process_takes_a_core_from_the_largest_owner() {
-        let mut n = NodeDlb::with_counts(&[5, 3], true);
-        let p = n.add_process();
-        assert_eq!(p, ProcId(2));
-        assert_eq!(n.owned_count(ProcId(0)), 4);
-        assert_eq!(n.owned_count(ProcId(1)), 3);
-        assert_eq!(n.owned_count(p), 1);
-        // The new process can acquire its core.
-        assert!(n.acquire(p).is_some());
-        n.check_invariants().unwrap();
-        // Between equal owners the highest id donates.
-        let mut n = NodeDlb::with_counts(&[2, 2], true);
-        n.add_process();
-        assert_eq!(n.target_ownership(), vec![2, 1, 1]);
-        n.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn add_process_defers_when_donor_is_busy() {
-        let mut n = NodeDlb::with_counts(&[2, 1], true);
-        let c0 = n.acquire(ProcId(0)).unwrap();
-        let c1 = n.acquire(ProcId(0)).unwrap();
-        let p = n.add_process();
-        // Both of P0's cores are busy: the transfer waits for a release.
-        assert_eq!(n.owned_count(p), 0);
-        assert_eq!(n.target_ownership(), vec![1, 1, 1]);
-        n.release(ProcId(0), c0).unwrap();
-        n.release(ProcId(0), c1).unwrap();
-        assert_eq!(n.owned_count(p), 1, "exactly one core moved");
-        assert_eq!(n.owned_count(ProcId(0)), 1);
-        n.check_invariants().unwrap();
-    }
-
-    #[test]
-    #[should_panic(expected = "spare")]
-    fn add_process_panics_when_full() {
-        let mut n = NodeDlb::with_counts(&[1, 1], true);
-        n.add_process();
     }
 
     #[test]

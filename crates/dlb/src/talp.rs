@@ -27,14 +27,6 @@ impl Talp {
         self.per_proc.len()
     }
 
-    /// Track one more process (spawned helper rank), idle from `now`.
-    pub fn add_proc(&mut self, now: SimTime) -> usize {
-        let mut b = BusyIntegral::new();
-        b.set(now, 0.0);
-        self.per_proc.push(b);
-        self.per_proc.len() - 1
-    }
-
     /// Record that process `proc` is busy on `cores` cores from `at`.
     pub fn set_busy(&mut self, proc: usize, at: SimTime, cores: usize) {
         self.per_proc[proc].set(at, cores as f64);
@@ -82,15 +74,5 @@ mod tests {
         t.set_busy(0, SimTime::from_secs(2), 0);
         t.take_all_windows(SimTime::from_secs(3)); // windows leave it be
         assert!((t.total(0, SimTime::from_secs(4)) - 8.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn added_proc_accounts_from_its_spawn_time() {
-        let mut t = Talp::new(1);
-        t.set_busy(0, SimTime::ZERO, 2);
-        let p = t.add_proc(SimTime::from_secs(1));
-        assert_eq!(p, 1);
-        t.set_busy(p, SimTime::from_secs(1), 3);
-        assert!((t.total(p, SimTime::from_secs(2)) - 3.0).abs() < 1e-12);
     }
 }

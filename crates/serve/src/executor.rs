@@ -32,7 +32,7 @@ use std::time::Instant;
 
 use tlb_json::Value;
 use tlb_smprt::Pool;
-use tlb_sweep::{point_key, point_key_input, run_point, Cache, Scenario, SweepPoint};
+use tlb_sweep::{key_of, point_key_input, run_point, Cache, Scenario, SweepPoint};
 use tlb_trace::Counters;
 
 /// How the executor is provisioned.
@@ -201,11 +201,11 @@ impl Executor {
     pub fn admit(&self, scenario: &Scenario) -> Admission {
         let scenario = Arc::new(scenario.clone());
         let points = scenario.expand();
-        let keys: Vec<u64> = points.iter().map(|p| point_key(&scenario, p)).collect();
         let key_inputs: Vec<Value> = points
             .iter()
             .map(|p| point_key_input(&scenario, p))
             .collect();
+        let keys: Vec<u64> = key_inputs.iter().map(key_of).collect();
 
         // A request may repeat a point via duplicate axis values; each
         // distinct key is computed at most once.

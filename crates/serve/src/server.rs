@@ -2,15 +2,16 @@
 //! graceful shutdown.
 //!
 //! Connections speak the line-delimited protocol of
-//! [`crate::protocol`]. Each connection gets its own handler thread;
-//! the accept loop and every handler poll a shared stop flag (reads
-//! carry a short timeout), so a `shutdown` request on *any* connection
-//! winds the whole server down: the executor drains its admitted
-//! points (flushing the cache), new sweeps are shed while draining,
-//! and only then is the `shutdown_ack` written.
+//! [`crate::protocol`]. Each connection gets its own handler thread.
+//! Handlers poll a shared stop flag (reads carry a short timeout); the
+//! accept loop blocks in `accept`, and whoever sets the flag wakes it
+//! with one loopback connect. So a `shutdown` request on *any*
+//! connection winds the whole server down: the executor drains its
+//! admitted points (flushing the cache), new sweeps are shed while
+//! draining, and only then is the `shutdown_ack` written.
 
 use std::io::{self, BufWriter, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -24,8 +25,31 @@ use crate::protocol::{
     shutdown_ack_reply, stats_reply, Request,
 };
 
-/// How often blocked reads wake up to poll the stop flag.
+/// How often blocked reads wake up to poll the stop flag, and how long
+/// the accept loop backs off after a failed `accept` (say, `EMFILE`).
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
+
+/// The server-wide stop flag, and the address that wakes the accept
+/// loop out of its blocking `accept` once the flag is set.
+struct Stop {
+    flag: AtomicBool,
+    /// The listener's address, an unspecified IP replaced by loopback.
+    wake: SocketAddr,
+}
+
+impl Stop {
+    fn is_set(&self) -> bool {
+        self.flag.load(Ordering::Acquire)
+    }
+
+    /// Set the flag; the first call also wakes the accept loop with one
+    /// connection, which it closes unserved when it sees the flag.
+    fn set(&self) {
+        if !self.flag.swap(true, Ordering::AcqRel) {
+            let _ = TcpStream::connect_timeout(&self.wake, Duration::from_secs(1));
+        }
+    }
+}
 
 /// Longest request line accepted, in bytes without its newline. A longer
 /// one is answered with an `error` and discarded unbuffered.
@@ -35,7 +59,7 @@ const MAX_LINE_BYTES: usize = 1 << 20;
 pub struct Server {
     addr: SocketAddr,
     executor: Arc<Executor>,
-    stop: Arc<AtomicBool>,
+    stop: Arc<Stop>,
     accept: Option<std::thread::JoinHandle<()>>,
     handlers: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
 }
@@ -45,10 +69,19 @@ impl Server {
     /// the executor and the accept loop, and return immediately.
     pub fn start(addr: &str, config: ExecutorConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
+        let mut wake = local;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake.ip() {
+                IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         let executor = Executor::start(config)?;
-        let stop = Arc::new(AtomicBool::new(false));
+        let stop = Arc::new(Stop {
+            flag: AtomicBool::new(false),
+            wake,
+        });
         let handlers: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> =
             Arc::new(Mutex::new(Vec::new()));
 
@@ -59,8 +92,9 @@ impl Server {
             std::thread::Builder::new()
                 .name("tlb-serve-accept".into())
                 .spawn(move || {
-                    while !stop.load(Ordering::Acquire) {
+                    loop {
                         match listener.accept() {
+                            Ok(_) if stop.is_set() => break,
                             Ok((stream, _peer)) => {
                                 // Replies are many small writes (ack,
                                 // streamed points, report); Nagle would
@@ -78,9 +112,7 @@ impl Server {
                                     handlers.lock().unwrap().push(handle);
                                 }
                             }
-                            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                                std::thread::sleep(POLL_INTERVAL);
-                            }
+                            Err(_) if stop.is_set() => break,
                             Err(_) => std::thread::sleep(POLL_INTERVAL),
                         }
                     }
@@ -108,14 +140,14 @@ impl Server {
 
     /// True until a shutdown (request or [`Server::shutdown`]) landed.
     pub fn running(&self) -> bool {
-        !self.stop.load(Ordering::Acquire)
+        !self.stop.is_set()
     }
 
     /// Drain the executor and stop accepting. Identical to receiving a
     /// `shutdown` request; idempotent.
     pub fn shutdown(&self) {
         self.executor.drain();
-        self.stop.store(true, Ordering::Release);
+        self.stop.set();
     }
 
     /// Block until the server has stopped and every thread has exited.
@@ -141,7 +173,7 @@ impl Drop for Server {
         // Safety net for tests that drop without an explicit shutdown:
         // stop accepting and unblock handlers. (Does not drain; call
         // `shutdown()` first for a graceful exit.)
-        self.stop.store(true, Ordering::Release);
+        self.stop.set();
         self.join_threads();
     }
 }
@@ -238,7 +270,7 @@ fn write_reply(out: &mut impl Write, reply: &Value) -> io::Result<()> {
     out.write_all(line.as_bytes())
 }
 
-fn handle_connection(stream: TcpStream, executor: Arc<Executor>, stop: Arc<AtomicBool>) {
+fn handle_connection(stream: TcpStream, executor: Arc<Executor>, stop: Arc<Stop>) {
     let mut out = match stream.try_clone() {
         Ok(s) => s,
         Err(_) => return,
@@ -247,7 +279,7 @@ fn handle_connection(stream: TcpStream, executor: Arc<Executor>, stop: Arc<Atomi
         Ok(r) => r,
         Err(_) => return,
     };
-    while let Some(line) = reader.next_line(&stop) {
+    while let Some(line) = reader.next_line(&stop.flag) {
         let line = match line {
             Line::Text(text) => text,
             Line::TooLong => {
@@ -278,7 +310,7 @@ fn handle_connection(stream: TcpStream, executor: Arc<Executor>, stop: Arc<Atomi
             }
             Ok(Request::Shutdown) => {
                 executor.drain();
-                stop.store(true, Ordering::Release);
+                stop.set();
                 let _ = write_reply(&mut out, &shutdown_ack_reply());
                 return;
             }

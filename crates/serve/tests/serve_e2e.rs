@@ -654,3 +654,48 @@ fn an_over_long_line_is_refused_and_the_connection_stays_usable() {
     client.shutdown().unwrap();
     server.join();
 }
+
+/// A connection opened while the daemon is idle is served at once: the
+/// accept loop blocks in `accept` rather than sleeping between polls.
+/// Each connection opens 31 ms after the last reply, past one 25 ms
+/// poll interval, so a polling loop would make most of them wait.
+#[test]
+fn a_new_connection_is_served_without_waiting_for_a_poll() {
+    use std::time::{Duration, Instant};
+    let server = start(None, 1, 8);
+    let mut rtts = Vec::new();
+    for _ in 0..5 {
+        std::thread::sleep(Duration::from_millis(31));
+        let t0 = Instant::now();
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        assert_eq!(client.ping().unwrap().get("type").as_str(), Some("pong"));
+        rtts.push(t0.elapsed());
+    }
+    rtts.sort();
+    assert!(
+        rtts[2] < Duration::from_millis(5),
+        "connect + ping: {rtts:?}"
+    );
+    server.shutdown();
+    server.join();
+}
+
+/// A daemon bound to the unspecified address wakes its accept loop
+/// through loopback, so dropping it without a shutdown request joins.
+#[test]
+fn a_server_on_every_interface_stops_when_dropped() {
+    let server = Server::start(
+        "0.0.0.0:0",
+        ExecutorConfig {
+            jobs: 1,
+            queue_bound: 8,
+            cache_dir: None,
+        },
+    )
+    .expect("server start");
+    let port = server.local_addr().port();
+    let mut client = Client::connect(("127.0.0.1", port)).unwrap();
+    assert_eq!(client.ping().unwrap().get("type").as_str(), Some("pong"));
+    drop(client);
+    drop(server);
+}

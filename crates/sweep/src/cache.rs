@@ -78,11 +78,12 @@ pub fn point_key_input(scenario: &Scenario, point: &SweepPoint) -> Value {
 /// The cache key of one scenario point: FNV-1a over the canonical
 /// compact JSON of the code-relevant configuration.
 pub fn point_key(scenario: &Scenario, point: &SweepPoint) -> u64 {
-    fnv1a64(
-        point_key_input(scenario, point)
-            .to_string_compact()
-            .as_bytes(),
-    )
+    key_of(&point_key_input(scenario, point))
+}
+
+/// The cache key of a [`point_key_input`] already built.
+pub fn key_of(key_input: &Value) -> u64 {
+    fnv1a64(key_input.to_string_compact().as_bytes())
 }
 
 /// Process-wide tmp-file sequence so concurrent writers (threads of the
@@ -123,10 +124,13 @@ impl Cache {
         if entry.get("key_input") != key_input {
             return None;
         }
-        match entry.get("record") {
-            Value::Null => None,
-            record => Some(record.clone()),
-        }
+        // Moved out of the parsed entry, not copied: the first `record`,
+        // as `get` would read it.
+        let Value::Object(fields) = entry else {
+            return None;
+        };
+        let (_, record) = fields.into_iter().find(|(k, _)| k == "record")?;
+        (!record.is_null()).then_some(record)
     }
 
     /// Store a point result together with its key input. Written via a

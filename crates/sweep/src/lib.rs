@@ -45,7 +45,7 @@ mod cache;
 mod engine;
 mod scenario;
 
-pub use cache::{fnv1a64, point_key, point_key_input, Cache, ENGINE_VERSION};
+pub use cache::{fnv1a64, key_of, point_key, point_key_input, Cache, ENGINE_VERSION};
 pub use engine::{
     aggregate, run_point, run_sweep, simulate_point, SweepError, SweepOptions, SweepOutcome,
     SweepStats,

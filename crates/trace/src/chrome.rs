@@ -233,7 +233,6 @@ fn write_args(a: &mut Out, kind: &EventKind) {
             .float(rec.objective)
             .lit(r#","modelled_cost_us":"#)
             .micros(rec.modelled_cost),
-        EventKind::HelperSpawned { apprank, .. } => a.lit(r#""apprank":"#).int(*apprank),
         EventKind::IterationEnd { iteration } => a.lit(r#""iteration":"#).int(*iteration),
         EventKind::StragglerStart { factor, .. } => a.lit(r#""factor":"#).float(*factor),
         EventKind::StragglerEnd { .. } => a,
@@ -519,11 +518,7 @@ mod tests {
                 objective: 0.3,
                 modelled_cost: SimTime::from_nanos(1_500),
             })),
-            EventKind::SolverInvoked(..) => EventKind::HelperSpawned {
-                apprank: 1,
-                node: 0,
-            },
-            EventKind::HelperSpawned { .. } => EventKind::IterationEnd { iteration: 4 },
+            EventKind::SolverInvoked(..) => EventKind::IterationEnd { iteration: 4 },
             EventKind::IterationEnd { .. } => EventKind::StragglerStart {
                 node: 1,
                 factor: 3.0,

@@ -179,8 +179,6 @@ pub enum EventKind {
     TalpWindow { node: u32, busy: Vec<f64> },
     /// Global solver invocation (boxed payload — see [`SolverRecord`]).
     SolverInvoked(Box<SolverRecord>),
-    /// A helper process was spawned for `apprank` on `node`.
-    HelperSpawned { apprank: u32, node: u32 },
     /// All appranks finished iteration `iteration`.
     IterationEnd { iteration: u32 },
     /// Fault injection: `node` entered a straggler burst; its speed is
@@ -236,15 +234,14 @@ impl EventKind {
             EventKind::DromOwnership { .. } => 9,
             EventKind::TalpWindow { .. } => 10,
             EventKind::SolverInvoked(..) => 11,
-            EventKind::HelperSpawned { .. } => 12,
-            EventKind::IterationEnd { .. } => 13,
-            EventKind::StragglerStart { .. } => 14,
-            EventKind::StragglerEnd { .. } => 15,
-            EventKind::WorkerKilled { .. } => 16,
-            EventKind::MessageDropped { .. } => 17,
-            EventKind::MessageFailover { .. } => 18,
-            EventKind::SolverOutage { .. } => 19,
-            EventKind::SolverFallback { .. } => 20,
+            EventKind::IterationEnd { .. } => 12,
+            EventKind::StragglerStart { .. } => 13,
+            EventKind::StragglerEnd { .. } => 14,
+            EventKind::WorkerKilled { .. } => 15,
+            EventKind::MessageDropped { .. } => 16,
+            EventKind::MessageFailover { .. } => 17,
+            EventKind::SolverOutage { .. } => 18,
+            EventKind::SolverFallback { .. } => 19,
         }
     }
 
@@ -257,7 +254,7 @@ impl EventKind {
 /// Per variant, in declaration order: the export name, and the counter
 /// that counts the kind's events, if one does. A `SchedDecision`
 /// is counted by its reason as well, see `Counters::note`.
-pub(crate) const KINDS: [(&str, Option<&str>); 21] = [
+pub(crate) const KINDS: [(&str, Option<&str>); 20] = [
     ("task_created", Some("tasks_created")),
     ("task_ready", Some("tasks_ready")),
     ("sched_decision", Some("sched_decisions")),
@@ -270,7 +267,6 @@ pub(crate) const KINDS: [(&str, Option<&str>); 21] = [
     ("drom_ownership", Some("drom_ownership_sets")),
     ("talp_window", Some("talp_windows")),
     ("solver_invoked", Some("solver_invocations")),
-    ("helper_spawned", Some("helpers_spawned")),
     ("iteration_end_ev", Some("iterations_completed")),
     ("straggler_start", None),
     ("straggler_end", None),
@@ -361,9 +357,6 @@ impl Event {
                 (name, *node as i64, -1, -1, busy.iter().sum::<f64>())
             }
             EventKind::SolverInvoked(rec) => (name, -1, -1, -1, rec.objective),
-            EventKind::HelperSpawned { apprank, node } => {
-                (name, *node as i64, -1, *apprank as i64, 1.0)
-            }
             EventKind::IterationEnd { iteration } => (name, -1, -1, -1, *iteration as f64),
             EventKind::StragglerStart { node, factor } => (name, *node as i64, -1, -1, *factor),
             EventKind::StragglerEnd { node } => (name, *node as i64, -1, -1, 1.0),
